@@ -31,7 +31,12 @@ from .config import (
     RunConfig,
     load_config,
 )
-from .errors import DegenerateCovarianceError, DimensionError, DivergenceError
+from .errors import (
+    DegenerateCovarianceError,
+    DimensionError,
+    DivergenceError,
+    SampleSizeError,
+)
 from .linalg import build_covariance
 from .records import (
     ExperimentRecord,
@@ -253,7 +258,8 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ConfigError, DegenerateCovarianceError, DimensionError) as exc:
+    except (ConfigError, DegenerateCovarianceError, DimensionError,
+            SampleSizeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     raise AssertionError(f"unhandled command {args.command!r}")

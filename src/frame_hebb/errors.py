@@ -15,6 +15,10 @@ class SkewDomainError(ValueError):
     is undefined on the skew component."""
 
 
+class SampleSizeError(ValueError):
+    """Too few samples for an estimator (a second moment needs two rows)."""
+
+
 class RankDeficientError(ValueError):
     """Weight matrix rows are linearly dependent, so its row space has lower
     dimension than requested and subspace metrics are undefined."""

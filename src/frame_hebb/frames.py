@@ -11,8 +11,11 @@ v = E[(v, S^-1 xi) xi], and for v = vec(Sigma (I - W^T W) Sigma) the
 coefficient (v, S^-1 xi) is exactly the error-gated rule's global gain,
 which is how that rule drops out of the subspace rule.
 
-Everything here is materialized densely; the operator lives on vectors of
-length nx**2 and nx stays small.
+Here only frame_operator_analytic and frame_operator_empirical build dense
+nx**2 x nx**2 arrays (as does gaussian.isserlis_fourth_moment). The analytic
+build applies T as a column gather, O(nx**4) instead of the O(nx**6) of a
+dense product with T. Everything else works on nx x nx matrices or on
+chunks of n x nx**2 centered rows.
 """
 
 from __future__ import annotations
@@ -22,16 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SkewDomainError
+from .errors import DimensionError, SampleSizeError, SkewDomainError
 from .gaussian import SampleBatch
 from .linalg import (
     CovarianceModel,
-    commutation_matrix,
     kron,
     skew_part,
     sym_part,
     unvec,
     vec,
+    vec_transpose_index,
 )
 from .records import ExperimentRecord, digest_inputs, make_record
 from .rules import as_weights, eghr_g_values, eghr_update_from_g, oja_update_closed
@@ -48,17 +51,14 @@ class FrameVector:
     """xi = vec(x x^T) - vec(Sigma) for one sample x."""
 
     xi: np.ndarray
-    source_x: np.ndarray
     covariance: CovarianceModel
 
 
 @dataclass(frozen=True)
 class FrameOperator:
-    """Dense second-moment operator of xi with its building blocks cached."""
+    """Dense second-moment operator of xi."""
 
     s: np.ndarray
-    sigma_kron: np.ndarray
-    commutation: np.ndarray
 
 
 def frame_vector(x, cov: CovarianceModel) -> FrameVector:
@@ -66,7 +66,7 @@ def frame_vector(x, cov: CovarianceModel) -> FrameVector:
     if x.shape != (cov.dim,):
         raise DimensionError(f"x has shape {x.shape}, expected ({cov.dim},)")
     xi = vec(np.outer(x, x) - cov.sigma)
-    return FrameVector(xi=xi, source_x=x, covariance=cov)
+    return FrameVector(xi=xi, covariance=cov)
 
 
 def _centered_rows(x: np.ndarray, cov: CovarianceModel) -> np.ndarray:
@@ -77,18 +77,18 @@ def _centered_rows(x: np.ndarray, cov: CovarianceModel) -> np.ndarray:
 
 
 def frame_operator_analytic(cov: CovarianceModel) -> FrameOperator:
-    """S = (Sigma kron Sigma)(I + T), symmetrized to the bit."""
-    sk = kron(cov.sigma, cov.sigma)
-    t = commutation_matrix(cov.dim)
-    s = sk + sk @ t
-    return FrameOperator(s=(s + s.T) / 2.0, sigma_kron=sk, commutation=t)
+    """S = (Sigma kron Sigma)(I + T), with T applied as a column gather.
+    Both terms, and so S, are symmetric to the bit because Sigma is."""
+    s = kron(cov.sigma, cov.sigma)
+    s += s.take(vec_transpose_index(cov.dim), axis=1)
+    return FrameOperator(s=s)
 
 
 def frame_operator_empirical(batch: SampleBatch) -> FrameOperator:
     """(1/n) sum_k xi_k xi_k^T, accumulated in fixed-size chunks so the
     result is independent of available memory."""
     if batch.n < 2:
-        raise ValueError(f"need n >= 2 samples, got {batch.n}")
+        raise SampleSizeError(f"need >= 2 samples for the frame operator, got {batch.n}")
     cov = batch.covariance
     d = cov.dim
     s = np.zeros((d * d, d * d))
@@ -96,11 +96,7 @@ def frame_operator_empirical(batch: SampleBatch) -> FrameOperator:
         rows = _centered_rows(batch.data[start : start + _CHUNK], cov)
         s += rows.T @ rows
     s /= batch.n
-    return FrameOperator(
-        s=(s + s.T) / 2.0,
-        sigma_kron=kron(cov.sigma, cov.sigma),
-        commutation=commutation_matrix(d),
-    )
+    return FrameOperator(s=(s + s.T) / 2.0)
 
 
 @dataclass(frozen=True)

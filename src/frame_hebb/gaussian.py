@@ -3,9 +3,10 @@ learning-rule algebra rests on: integration by parts (for a smooth f,
 E[f(x) x_i] = sum_a Sigma_ia E[d_a f]) and the analytic Gaussian fourth
 moment E[(x kron x)(x kron x)^T].
 
-Sampling is fully deterministic: a batch is a pure function of
-(covariance, n, seed), and chunked draws derive child seeds from
-(seed, chunk index) so results never depend on chunking.
+Sampling is deterministic: a batch is a pure function of (covariance, n,
+seed). ``sample`` draws the whole n x dim batch at once from one generator
+seeded with ``seed`` and holds it in memory. Callers that need several
+independent batches take a child seed per batch from ``derive_seed``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import CovarianceModel, commutation_matrix, kron, vec
+from .linalg import CovarianceModel, kron, vec, vec_transpose_index
 from .records import ExperimentRecord, digest_inputs, make_record
 
 
@@ -200,10 +201,11 @@ def isserlis_fourth_moment(cov: CovarianceModel) -> np.ndarray:
     """Analytic E[(x kron x)(x kron x)^T] for zero-mean Gaussian x.
 
     Equals (Sigma kron Sigma)(I + T) plus the rank-one term
-    vec(Sigma) vec(Sigma)^T.
+    vec(Sigma) vec(Sigma)^T; T is applied as a column gather, and every term
+    is symmetric to the bit because Sigma is.
     """
-    sk = kron(cov.sigma, cov.sigma)
-    t = commutation_matrix(cov.dim)
+    m = kron(cov.sigma, cov.sigma)
+    m += m.take(vec_transpose_index(cov.dim), axis=1)
     vs = vec(cov.sigma)
-    m = sk + sk @ t + np.outer(vs, vs)
-    return (m + m.T) / 2.0
+    m += np.outer(vs, vs)
+    return m

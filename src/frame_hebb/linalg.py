@@ -59,17 +59,23 @@ def kron(a, b) -> np.ndarray:
     return np.kron(_as_matrix(a, "a"), _as_matrix(b, "b"))
 
 
-def commutation_matrix(n: int) -> np.ndarray:
-    """Permutation T with T @ vec(X) = vec(X.T) for every n-by-n X.
-
-    T is symmetric and involutory (T @ T = I).
-    """
+def vec_transpose_index(n: int) -> np.ndarray:
+    """Index p with vec(X)[p] == vec(X.T) for every n-by-n X, so that
+    ``A.take(p, axis=1)`` equals ``A @ commutation_matrix(n)`` exactly
+    without the dense product."""
     if n < 1:
         raise DimensionError(f"n must be >= 1, got {n}")
     p = np.arange(n * n)
     # vec index p = j*n + i maps to the transposed-entry index i*n + j.
-    partner = (p % n) * n + p // n
-    return np.eye(n * n)[partner]
+    return (p % n) * n + p // n
+
+
+def commutation_matrix(n: int) -> np.ndarray:
+    """Dense permutation T with T @ vec(X) = vec(X.T) for every n-by-n X.
+
+    T is symmetric and involutory (T @ T = I).
+    """
+    return np.eye(n * n)[vec_transpose_index(n)]
 
 
 def sym_part(x) -> np.ndarray:

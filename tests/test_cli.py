@@ -1,5 +1,11 @@
 """End-to-end CLI behavior: exit codes, CSV artifacts, determinism, report."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import frame_hebb
 from frame_hebb.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -17,6 +23,16 @@ CHEAP_FRAME = ["--checks", "frame-bounds,kernel-annihilation,restricted-inverse"
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_process(args):
+    """Run the CLI in a child process, so stderr holds any traceback."""
+    src = str(Path(frame_hebb.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "frame_hebb.cli"] + [str(a) for a in args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 class TestEquivalence:
@@ -63,6 +79,22 @@ class TestFrameCheck:
     def test_unknown_check_rejected_at_parse(self, tmp_path):
         code = run(["frame-check", "--out", tmp_path, "--checks", "bogus"])
         assert code == EXIT_CONFIG_ERROR
+
+    def test_single_sample_is_input_error(self, tmp_path):
+        # isserlis-empirical needs two samples; that is bad input, not a crash
+        proc = run_process(["frame-check", "--out", tmp_path, "--samples", "1"])
+        assert proc.returncode == EXIT_CONFIG_ERROR
+        assert proc.stderr.startswith("input error:")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+
+    def test_single_sample_without_empirical_operator_runs(self, tmp_path):
+        proc = run_process(["frame-check", "--out", tmp_path, "--samples", "1",
+                            "--checks", "isserlis-analytic"])
+        assert proc.returncode == EXIT_PASS
+        assert "Traceback" not in proc.stderr
+        records = read_records_csv(tmp_path / "frame_check.csv")
+        assert [r.check_name for r in records] == ["isserlis-analytic"]
 
 
 class TestTrain:

@@ -4,7 +4,7 @@ expansions, and the derivation chain."""
 import numpy as np
 import pytest
 
-from frame_hebb.errors import DimensionError, SkewDomainError
+from frame_hebb.errors import DimensionError, SampleSizeError, SkewDomainError
 from frame_hebb.frames import (
     _expansion_sums,
     cancellation_coefficient,
@@ -79,6 +79,28 @@ class TestFrameVector:
             frame_vector(np.zeros(3), cov21)
 
 
+@pytest.fixture(scope="module")
+def dense_reference_cases():
+    """(cov, S, fourth moment) by dense products for random-spd, diagonal and
+    identity Sigma at several nx: S = K + K @ T with K = Sigma kron Sigma and
+    T the commutation matrix, the moment S + vec(Sigma) vec(Sigma)^T, each
+    then symmetrized as (A + A.T) / 2."""
+    cases = []
+    for nx in (1, 2, 3, 8, 32):
+        for sigma in (
+            random_spd(nx, (0.5, 2.0), seed=nx),
+            np.diag(np.linspace(2.0, 1.0, nx)),
+            np.eye(nx),
+        ):
+            cov = build_covariance(sigma)
+            sk = kron(cov.sigma, cov.sigma)
+            s = sk + sk @ commutation_matrix(nx)
+            vs = vec(cov.sigma)
+            m4 = s + np.outer(vs, vs)
+            cases.append((cov, (s + s.T) / 2.0, (m4 + m4.T) / 2.0))
+    return cases
+
+
 class TestFrameOperatorAnalytic:
     def test_scalar_case(self):
         cov = build_covariance(np.eye(1))
@@ -98,11 +120,17 @@ class TestFrameOperatorAnalytic:
             np.sort(np.linalg.eigvalsh(s)), [0.0, 2.0, 4.0, 8.0], atol=1e-12
         )
 
-    def test_matches_kron_form_and_kills_skew(self, cov_rand3):
+    def test_matches_kron_form_and_kills_skew(self, cov_rand3, dense_reference_cases):
         op = frame_operator_analytic(cov_rand3)
         t = commutation_matrix(3)
         ref = kron(cov_rand3.sigma, cov_rand3.sigma) @ (np.eye(9) + t)
         assert np.linalg.norm(op.s - ref) <= 1e-12 * np.linalg.norm(ref)
+        # The gather build equals the dense product bit for bit, and S is
+        # exactly symmetric without a symmetrization step.
+        for cov, s_ref, _ in dense_reference_cases:
+            s = frame_operator_analytic(cov).s
+            assert np.array_equal(s, s_ref), cov.dim
+            assert np.array_equal(s, s.T), cov.dim
         rng = np.random.default_rng(64)
         for _ in range(20):
             k = skew_part(rng.standard_normal((3, 3)))
@@ -143,7 +171,7 @@ class TestFrameOperatorEmpirical:
 
     def test_needs_two_samples(self, cov21):
         batch = SampleBatch(n=1, dim=2, data=np.zeros((1, 2)), seed=0, covariance=cov21)
-        with pytest.raises(ValueError):
+        with pytest.raises(SampleSizeError):
             frame_operator_empirical(batch)
 
 
@@ -284,11 +312,17 @@ class TestFrameExpansion:
 
 
 class TestIsserlisConsistency:
-    def test_fourth_moment_minus_rank_one_is_operator(self, cov_rand3):
+    def test_fourth_moment_minus_rank_one_is_operator(
+        self, cov_rand3, dense_reference_cases
+    ):
         m4 = isserlis_fourth_moment(cov_rand3)
         vs = vec(cov_rand3.sigma)
         s = frame_operator_analytic(cov_rand3).s
         assert np.linalg.norm(m4 - np.outer(vs, vs) - s) <= 1e-12 * np.linalg.norm(s)
+        for cov, _, m4_ref in dense_reference_cases:
+            m4 = isserlis_fourth_moment(cov)
+            assert np.array_equal(m4, m4_ref), cov.dim
+            assert np.array_equal(m4, m4.T), cov.dim
 
 
 class TestDerivation:
