@@ -242,8 +242,8 @@ def restricted_inverse_check(cov, seed: int, trials: int = 100) -> ExperimentRec
 
 
 def coefficient_identity_checks(
-    seed: int, dims: list[tuple[int, int]], trials: int = 1000, names=None
-) -> tuple[ExperimentRecord, ...]:
+    seed: int, dims: list[tuple[int, int]], trials: int = 1000
+) -> tuple[ExperimentRecord, ExperimentRecord]:
     """Over random (W, Sigma, x) triples: the frame coefficient of
     vec(Sigma (I - W^T W) Sigma) equals the error-gated gain, and the S-free
     cancellation form equals the frame coefficient.
@@ -290,12 +290,10 @@ def coefficient_identity_checks(
         inputs_digest=digest,
         wall_time_ms=wall,
     )
-    return _wanted((coeff, cancel), names)
+    return coeff, cancel
 
 
-def isserlis_checks(
-    cov, seed: int, n: int, names=None
-) -> tuple[ExperimentRecord, ...]:
+def isserlis_checks(cov, seed: int, n: int, names=None) -> tuple[ExperimentRecord, ...]:
     """The analytic fourth moment minus its rank-one mean term must equal the
     analytic frame operator to roundoff, and the empirical operator must land
     within 5% relative Frobenius error at large n. The empirical half, with
@@ -318,7 +316,7 @@ def isserlis_checks(
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
     )
     if names is not None and "isserlis-empirical" not in names:
-        return _wanted((analytic,), names)
+        return (analytic,)
     s_emp = frame_operator_empirical(sample(cov, n, seed)).s
     empirical = make_record(
         check_name="isserlis-empirical",
@@ -330,7 +328,7 @@ def isserlis_checks(
         inputs_digest=digest,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
     )
-    return _wanted((analytic, empirical), names)
+    return analytic, empirical
 
 
 _RATE_KINDS = ("oja", "eghr", "frame-operator", "frame-expansion")
@@ -387,71 +385,88 @@ def mc_rate_check(
     )
 
 
-def derivation_checks(
-    cov, nu: int, seed: int, n: int, names=None
-) -> tuple[ExperimentRecord, ...]:
+def derivation_checks(cov, nu: int, seed: int, n: int) -> tuple[ExperimentRecord, ...]:
     """Run the full numerical derivation chain on one random weight matrix."""
     rng = np.random.default_rng(seed)
     w = rng.uniform(-1.0, 1.0, size=(nu, cov.dim))
     batch = sample(cov, n, derive_seed(seed, 7))
-    return _wanted(derive_eghr_from_oja(w, cov, batch).records, names)
-
-
-def _wanted(records, names) -> tuple[ExperimentRecord, ...]:
-    """The records that ``names`` asks for; all of them when it is None."""
-    return tuple(r for r in records if names is None or r.check_name in names)
+    return derive_eghr_from_oja(w, cov, batch).records
 
 
 # ---------------------------------------------------------------------------
-# Registry: check name -> runner(config, names) returning the requested records
-# its check makes; the two names of a paired check share one runner.
+# Registry: check name -> runner(config, requested names) -> records.
 
-def _cov(config: RunConfig):
-    return build_covariance(config.build_sigma())
+def _runner_closed_equivalence(config: RunConfig, names):
+    return [closed_equivalence_check(config.seed, dims=[(config.nx, config.nu)])]
 
 
-_coeff = lambda c, names: coefficient_identity_checks(
-    c.seed, dims=[(c.nx, c.nu)], names=names
-)
-_isserlis = lambda c, names: isserlis_checks(_cov(c), c.seed, c.n_samples, names=names)
-_derivation = lambda c, names: derivation_checks(
-    _cov(c), c.nu, c.seed, c.n_samples, names=names
-)
+def _runner_fixed_point(config: RunConfig, names):
+    return [fixed_point_sharing_check(config.seed, nx=config.nx, nu=config.nu)]
+
+
+def _runner_stein(config: RunConfig, names):
+    return [stein_identity_check(config.seed, n=min(config.n_samples, 10**5))]
+
+
+def _runner_mc(kind):
+    def run(config: RunConfig, names):
+        cov = build_covariance(config.build_sigma())
+        return [mc_rate_check(kind, cov, config.nu, config.seed)]
+
+    return run
+
+
+def _runner_frame_bounds(config: RunConfig, names):
+    return [frame_bounds_check(build_covariance(config.build_sigma()), config.seed)]
+
+
+def _runner_kernel(config: RunConfig, names):
+    return [kernel_annihilation_check(build_covariance(config.build_sigma()), config.seed)]
+
+
+def _runner_rinv(config: RunConfig, names):
+    return [restricted_inverse_check(build_covariance(config.build_sigma()), config.seed)]
+
+
+def _runner_coeff(config: RunConfig, names):
+    return list(
+        coefficient_identity_checks(config.seed, dims=[(config.nx, config.nu)])
+    )
+
+
+def _runner_isserlis(config: RunConfig, names):
+    cov = build_covariance(config.build_sigma())
+    return list(isserlis_checks(cov, config.seed, config.n_samples, names=names))
+
+
+def _runner_derivation(config: RunConfig, names):
+    cov = build_covariance(config.build_sigma())
+    return list(derivation_checks(cov, config.nu, config.seed, config.n_samples))
+
 
 _RUNNER_BY_CHECK = {
-    "closed-equivalence": lambda c, _: [
-        closed_equivalence_check(c.seed, dims=[(c.nx, c.nu)])
-    ],
-    "fixed-point-sharing": lambda c, _: [
-        fixed_point_sharing_check(c.seed, nx=c.nx, nu=c.nu)
-    ],
-    "stein-identity": lambda c, _: [
-        stein_identity_check(c.seed, n=min(c.n_samples, 10**5))
-    ],
-    "mc-rate-oja": lambda c, _: [mc_rate_check("oja", _cov(c), c.nu, c.seed)],
-    "mc-rate-eghr": lambda c, _: [mc_rate_check("eghr", _cov(c), c.nu, c.seed)],
-    "frame-bounds": lambda c, _: [frame_bounds_check(_cov(c), c.seed)],
-    "kernel-annihilation": lambda c, _: [kernel_annihilation_check(_cov(c), c.seed)],
-    "restricted-inverse": lambda c, _: [restricted_inverse_check(_cov(c), c.seed)],
-    "coefficient-identity": _coeff,
-    "cancellation-identity": _coeff,
-    "isserlis-analytic": _isserlis,
-    "isserlis-empirical": _isserlis,
-    "mc-rate-frame-operator": lambda c, _: [
-        mc_rate_check("frame-operator", _cov(c), c.nu, c.seed)
-    ],
-    "mc-rate-frame-expansion": lambda c, _: [
-        mc_rate_check("frame-expansion", _cov(c), c.nu, c.seed)
-    ],
-    "derivation-chain-agreement": _derivation,
-    "derivation-mc-target": _derivation,
+    "closed-equivalence": _runner_closed_equivalence,
+    "fixed-point-sharing": _runner_fixed_point,
+    "stein-identity": _runner_stein,
+    "mc-rate-oja": _runner_mc("oja"),
+    "mc-rate-eghr": _runner_mc("eghr"),
+    "frame-bounds": _runner_frame_bounds,
+    "kernel-annihilation": _runner_kernel,
+    "restricted-inverse": _runner_rinv,
+    "coefficient-identity": _runner_coeff,
+    "cancellation-identity": _runner_coeff,
+    "isserlis-analytic": _runner_isserlis,
+    "isserlis-empirical": _runner_isserlis,
+    "mc-rate-frame-operator": _runner_mc("frame-operator"),
+    "mc-rate-frame-expansion": _runner_mc("frame-expansion"),
+    "derivation-chain-agreement": _runner_derivation,
+    "derivation-mc-target": _runner_derivation,
 }
 
 
 def run_checks(config: RunConfig, names: list[str]) -> list[ExperimentRecord]:
-    """Run the runners behind the requested check names, each runner once and
-    told which records are wanted so it can skip work no wanted record needs,
-    and stamp report groups."""
+    """Run the runners behind the requested check names (each runner once),
+    keep only the requested records, and stamp report groups."""
     seen = []
     for name in names:
         runner = _RUNNER_BY_CHECK[name]
@@ -460,6 +475,7 @@ def run_checks(config: RunConfig, names: list[str]) -> list[ExperimentRecord]:
     records = []
     for runner in seen:
         records.extend(runner(config, names))
+    records = [r for r in records if r.check_name in names]
     for r in records:
         r.group = CHECK_GROUPS[r.check_name]
     return records

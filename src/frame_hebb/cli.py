@@ -64,24 +64,11 @@ def _print_records(records: list[ExperimentRecord]) -> None:
         )
 
 
-def _selected(config: RunConfig, command_checks: list[str]) -> list[str]:
-    if config.checks is None:
-        return list(command_checks)
-    return [c for c in command_checks if c in config.checks]
-
-
-def cmd_equivalence(config: RunConfig) -> int:
-    names = _selected(config, EQUIVALENCE_CHECKS)
+def cmd_checks(config: RunConfig, command_checks: list[str], csv_name: str) -> int:
+    """Run the command's checks that the config selects; write them to csv_name."""
+    names = [c for c in command_checks if config.checks is None or c in config.checks]
     records = run_checks(config, names)
-    write_records_csv(Path(config.output_dir) / "equivalence.csv", records)
-    _print_records(records)
-    return EXIT_PASS if all(r.passed for r in records) else EXIT_CHECK_FAILED
-
-
-def cmd_frame_check(config: RunConfig) -> int:
-    names = _selected(config, FRAME_CHECKS)
-    records = run_checks(config, names)
-    write_records_csv(Path(config.output_dir) / "frame_check.csv", records)
+    write_records_csv(Path(config.output_dir) / csv_name, records)
     _print_records(records)
     return EXIT_PASS if all(r.passed for r in records) else EXIT_CHECK_FAILED
 
@@ -250,9 +237,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
     try:
         if args.command == "equivalence":
-            return cmd_equivalence(config)
+            return cmd_checks(config, EQUIVALENCE_CHECKS, "equivalence.csv")
         if args.command == "frame-check":
-            return cmd_frame_check(config)
+            return cmd_checks(config, FRAME_CHECKS, "frame_check.csv")
         if args.command == "train":
             return cmd_train(config)
     except DivergenceError as exc:

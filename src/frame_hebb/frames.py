@@ -51,7 +51,6 @@ class FrameVector:
     """xi = vec(x x^T) - vec(Sigma) for one sample x."""
 
     xi: np.ndarray
-    covariance: CovarianceModel
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ def frame_vector(x, cov: CovarianceModel) -> FrameVector:
     if x.shape != (cov.dim,):
         raise DimensionError(f"x has shape {x.shape}, expected ({cov.dim},)")
     xi = vec(np.outer(x, x) - cov.sigma)
-    return FrameVector(xi=xi, covariance=cov)
+    return FrameVector(xi=xi)
 
 
 def _centered_rows(x: np.ndarray, cov: CovarianceModel) -> np.ndarray:
@@ -202,7 +201,6 @@ def frame_expansion_reconstruct(v, batch: SampleBatch) -> np.ndarray:
 
     Converges to v at the usual 1/sqrt(n) rate for v in vec(Sym).
     """
-    v = np.asarray(v, dtype=float)
     recon, _ = _expansion_sums(v, batch)
     return recon
 
@@ -213,7 +211,6 @@ class DerivationResult:
     the error-gated rule, with one residual record per claim."""
 
     target: np.ndarray  # W Sigma (I - W^T W) Sigma, closed form
-    reconstruction: np.ndarray  # frame expansion of vec(Sigma (I - W^T W) Sigma)
     frame_route: np.ndarray  # W applied through the expansion
     direct_route: np.ndarray  # gain-weighted Hebbian mean on the same batch
     records: tuple[ExperimentRecord, ...]
@@ -270,7 +267,6 @@ def derive_eghr_from_oja(w, cov: CovarianceModel, batch: SampleBatch) -> Derivat
     )
     return DerivationResult(
         target=target,
-        reconstruction=recon,
         frame_route=frame_route,
         direct_route=direct_route,
         records=(agreement, mc),
