@@ -20,8 +20,6 @@ from .errors import (
 from .frames import (
     DerivationResult,
     FrameBounds,
-    FrameOperator,
-    FrameVector,
     cancellation_coefficient,
     derive_eghr_from_oja,
     frame_bounds,
@@ -37,7 +35,6 @@ from .gaussian import (
     TestFunction,
     builtin_test_functions,
     derive_seed,
-    empirical_mean_outer,
     isserlis_fourth_moment,
     sample,
     stein_check,
@@ -46,7 +43,6 @@ from .linalg import (
     CovarianceModel,
     build_covariance,
     commutation_matrix,
-    frobenius_inner,
     kron,
     random_spd,
     skew_part,
@@ -58,15 +54,11 @@ from .records import ExperimentRecord, make_record
 from .rules import (
     Trajectory,
     TrainerConfig,
-    WeightMatrix,
-    batch_norm_means,
     eghr_g,
-    eghr_g_empirical,
     eghr_g_values,
     eghr_update_closed,
     eghr_update_empirical,
     eghr_update_from_g,
-    fixed_point_weights,
     oja_update_closed,
     oja_update_empirical,
     orthonormality_residual,
@@ -82,8 +74,6 @@ __all__ = [
     "DivergenceError",
     "ExperimentRecord",
     "FrameBounds",
-    "FrameOperator",
-    "FrameVector",
     "RankDeficientError",
     "RunConfig",
     "SampleBatch",
@@ -91,8 +81,6 @@ __all__ = [
     "TestFunction",
     "Trajectory",
     "TrainerConfig",
-    "WeightMatrix",
-    "batch_norm_means",
     "build_covariance",
     "builtin_test_functions",
     "cancellation_coefficient",
@@ -100,20 +88,16 @@ __all__ = [
     "derive_eghr_from_oja",
     "derive_seed",
     "eghr_g",
-    "eghr_g_empirical",
     "eghr_g_values",
     "eghr_update_closed",
     "eghr_update_empirical",
     "eghr_update_from_g",
-    "empirical_mean_outer",
-    "fixed_point_weights",
     "frame_bounds",
     "frame_coefficient",
     "frame_expansion_reconstruct",
     "frame_operator_analytic",
     "frame_operator_empirical",
     "frame_vector",
-    "frobenius_inner",
     "isserlis_fourth_moment",
     "kron",
     "load_config",

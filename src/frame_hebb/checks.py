@@ -170,7 +170,7 @@ def frame_bounds_check(cov, seed: int, trials: int = 1000) -> ExperimentRecord:
     ordering of the tight spectral bound below the trace bound."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    s = frame_operator_analytic(cov).s
+    s = frame_operator_analytic(cov)
     b = frame_bounds(cov)
     g = rng.standard_normal((trials, cov.dim, cov.dim))
     # Row k is vec(2 sym_part(g[k])); C and F order agree on a symmetric matrix.
@@ -196,7 +196,7 @@ def kernel_annihilation_check(cov, seed: int, trials: int = 100) -> ExperimentRe
     |S vec(K)| / (|S| |K|) over random skew K."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    s = frame_operator_analytic(cov).s
+    s = frame_operator_analytic(cov)
     s_scale = float(np.linalg.norm(s))
     worst = 0.0
     if cov.dim > 1:  # the skew part of a scalar is identically zero
@@ -223,7 +223,7 @@ def restricted_inverse_check(cov, seed: int, trials: int = 100) -> ExperimentRec
     symmetric directions."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    s = frame_operator_analytic(cov).s
+    s = frame_operator_analytic(cov)
     worst = 0.0
     for _ in range(trials):
         v = vec(sym_part(rng.standard_normal((cov.dim, cov.dim))))
@@ -299,7 +299,7 @@ def isserlis_checks(cov, seed: int, n: int, names=None) -> tuple[ExperimentRecor
     within 5% relative Frobenius error at large n. The empirical half, with
     its n-sample draw, runs only if ``names`` (default: all) asks for it."""
     t0 = time.perf_counter()
-    s = frame_operator_analytic(cov).s
+    s = frame_operator_analytic(cov)
     s_scale = float(np.linalg.norm(s))
     m4 = isserlis_fourth_moment(cov)
     vs = vec(cov.sigma)
@@ -317,7 +317,7 @@ def isserlis_checks(cov, seed: int, n: int, names=None) -> tuple[ExperimentRecor
     )
     if names is not None and "isserlis-empirical" not in names:
         return (analytic,)
-    s_emp = frame_operator_empirical(sample(cov, n, seed)).s
+    s_emp = frame_operator_empirical(sample(cov, n, seed))
     empirical = make_record(
         check_name="isserlis-empirical",
         value=float(np.linalg.norm(s_emp - s)) / s_scale,
@@ -356,8 +356,8 @@ def mc_rate_check(
         ref = eghr_update_closed(w, cov)
         est = lambda batch: eghr_update_empirical(w, batch)
     elif kind == "frame-operator":
-        ref = frame_operator_analytic(cov).s
-        est = lambda batch: frame_operator_empirical(batch).s
+        ref = frame_operator_analytic(cov)
+        est = frame_operator_empirical
     else:
         v = vec(cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma)
         ref = v

@@ -62,6 +62,10 @@ FRAME_CHECKS = [
 ]
 
 
+def _finite_positive(x: float) -> bool:
+    return bool(np.isfinite(x)) and x > 0
+
+
 @dataclass(frozen=True)
 class RunConfig:
     nx: int = 4
@@ -94,12 +98,14 @@ class RunConfig:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.record_every < 1:
             raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.learning_rate is not None and not _finite_positive(self.learning_rate):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.batch_size is not None and self.batch_size < 0:
+            raise ConfigError(f"batch_size must be >= 0, got {self.batch_size}")
         if self.batch_size is not None and self.mode == "empirical" and self.batch_size < 1:
             raise ConfigError("empirical mode needs batch_size >= 1")
-        if self.threshold <= 0:
-            raise ConfigError(f"threshold must be > 0, got {self.threshold}")
+        if not _finite_positive(self.threshold):
+            raise ConfigError(f"threshold must be finite and > 0, got {self.threshold}")
         if self.checks is not None:
             unknown = [c for c in self.checks if c not in CHECK_GROUPS]
             if unknown:

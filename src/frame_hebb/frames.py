@@ -11,11 +11,12 @@ v = E[(v, S^-1 xi) xi], and for v = vec(Sigma (I - W^T W) Sigma) the
 coefficient (v, S^-1 xi) is exactly the error-gated rule's global gain,
 which is how that rule drops out of the subspace rule.
 
-Here only frame_operator_analytic and frame_operator_empirical build dense
-nx**2 x nx**2 arrays (as does gaussian.isserlis_fourth_moment). The analytic
-build applies T as a column gather, O(nx**4) instead of the O(nx**6) of a
-dense product with T. Everything else works on nx x nx matrices or on
-chunks of n x nx**2 centered rows.
+The builders return plain arrays: frame_vector gives xi as a length-nx**2
+vector, and frame_operator_analytic and frame_operator_empirical give S as a
+dense nx**2 x nx**2 array. Only those two, and gaussian.isserlis_fourth_moment,
+build arrays of that size. The analytic build applies T as a column gather,
+O(nx**4) instead of the O(nx**6) of a dense product with T. Everything else
+works on nx x nx matrices or on chunks of n x nx**2 centered rows.
 """
 
 from __future__ import annotations
@@ -37,7 +38,13 @@ from .linalg import (
     vec_transpose_index,
 )
 from .records import ExperimentRecord, digest_inputs, make_record
-from .rules import as_weights, eghr_g_values, eghr_update_from_g, oja_update_closed
+from .rules import (
+    _check_dims,
+    as_weights,
+    eghr_g_values,
+    eghr_update_from_g,
+    oja_update_closed,
+)
 
 SKEW_DOMAIN_RTOL = 1e-10
 CHAIN_AGREEMENT_RTOL = 1e-12
@@ -46,26 +53,12 @@ MC_TARGET_RTOL = 5e-2
 _CHUNK = 250_000
 
 
-@dataclass(frozen=True)
-class FrameVector:
+def frame_vector(x, cov: CovarianceModel) -> np.ndarray:
     """xi = vec(x x^T) - vec(Sigma) for one sample x."""
-
-    xi: np.ndarray
-
-
-@dataclass(frozen=True)
-class FrameOperator:
-    """Dense second-moment operator of xi."""
-
-    s: np.ndarray
-
-
-def frame_vector(x, cov: CovarianceModel) -> FrameVector:
     x = np.asarray(x, dtype=float)
     if x.shape != (cov.dim,):
         raise DimensionError(f"x has shape {x.shape}, expected ({cov.dim},)")
-    xi = vec(np.outer(x, x) - cov.sigma)
-    return FrameVector(xi=xi)
+    return vec(np.outer(x, x) - cov.sigma)
 
 
 def _centered_rows(x: np.ndarray, cov: CovarianceModel) -> np.ndarray:
@@ -75,15 +68,15 @@ def _centered_rows(x: np.ndarray, cov: CovarianceModel) -> np.ndarray:
     return outer - vec(cov.sigma)
 
 
-def frame_operator_analytic(cov: CovarianceModel) -> FrameOperator:
+def frame_operator_analytic(cov: CovarianceModel) -> np.ndarray:
     """S = (Sigma kron Sigma)(I + T), with T applied as a column gather.
     Both terms, and so S, are symmetric to the bit because Sigma is."""
     s = kron(cov.sigma, cov.sigma)
     s += s.take(vec_transpose_index(cov.dim), axis=1)
-    return FrameOperator(s=s)
+    return s
 
 
-def frame_operator_empirical(batch: SampleBatch) -> FrameOperator:
+def frame_operator_empirical(batch: SampleBatch) -> np.ndarray:
     """(1/n) sum_k xi_k xi_k^T, accumulated in fixed-size chunks so the
     result is independent of available memory."""
     if batch.n < 2:
@@ -95,7 +88,7 @@ def frame_operator_empirical(batch: SampleBatch) -> FrameOperator:
         rows = _centered_rows(batch.data[start : start + _CHUNK], cov)
         s += rows.T @ rows
     s /= batch.n
-    return FrameOperator(s=(s + s.T) / 2.0)
+    return (s + s.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -160,7 +153,7 @@ def frame_coefficient(v, x, cov: CovarianceModel) -> float:
     Equals 0.5 * (unvec(v), Sigma^-1 x x^T Sigma^-1 - Sigma^-1)_F.
     """
     m = _symmetric_domain(np.asarray(v, dtype=float), cov, "frame_coefficient")
-    xi = frame_vector(x, cov).xi
+    xi = frame_vector(x, cov)
     return float(vec(m) @ restricted_inverse_apply(cov, xi))
 
 
@@ -169,13 +162,9 @@ def cancellation_coefficient(w, x, cov: CovarianceModel) -> float:
     S-free: since v = S vec((I - W^T W)/2) and S is self-adjoint,
     (v, S^-1 xi) collapses to (vec((I - W^T W)/2), xi)."""
     w = as_weights(w)
-    if w.shape[1] != cov.dim:
-        raise DimensionError(
-            f"cancellation_coefficient: weights have nx={w.shape[1]}, "
-            f"covariance has nx={cov.dim}"
-        )
+    _check_dims(w, cov.dim, "cancellation_coefficient")
     half_residual = 0.5 * (np.eye(cov.dim) - w.T @ w)
-    return float(vec(half_residual) @ frame_vector(x, cov).xi)
+    return float(vec(half_residual) @ frame_vector(x, cov))
 
 
 def _expansion_sums(v, batch: SampleBatch) -> tuple[np.ndarray, float]:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, SampleSizeError
 from .linalg import CovarianceModel, kron, vec, vec_transpose_index
 from .records import ExperimentRecord, digest_inputs, make_record
 
@@ -49,13 +49,6 @@ def sample(cov: CovarianceModel, n: int, seed: int) -> SampleBatch:
     return SampleBatch(n=n, dim=cov.dim, data=x, seed=seed, covariance=cov)
 
 
-def empirical_mean_outer(batch: SampleBatch) -> np.ndarray:
-    """(1/n) sum_k x_k x_k^T; symmetric PSD estimator of the covariance."""
-    x = batch.data
-    m = x.T @ x / batch.n
-    return (m + m.T) / 2.0
-
-
 @dataclass(frozen=True)
 class TestFunction:
     """Scalar test function with a gradient, evaluated batch-wise.
@@ -68,22 +61,6 @@ class TestFunction:
     name: str
     f: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
-
-    @staticmethod
-    def from_callable(name: str, f, scale: float = 1.0) -> "TestFunction":
-        """Wrap a gradient-free f with a central finite-difference gradient."""
-        h = np.cbrt(np.finfo(float).eps) * scale
-
-        def fd_grad(x: np.ndarray) -> np.ndarray:
-            x = np.atleast_2d(x)
-            g = np.empty_like(x)
-            for a in range(x.shape[1]):
-                e = np.zeros(x.shape[1])
-                e[a] = h
-                g[:, a] = (f(x + e) - f(x - e)) / (2.0 * h)
-            return g
-
-        return TestFunction(name=name, f=f, grad=fd_grad)
 
 
 def builtin_test_functions(dim: int) -> list[TestFunction]:
@@ -166,8 +143,10 @@ def stein_check(
     and its empirical mean is compared against a 4-standard-error band from
     the sample variance. The recorded component is the one with the worst
     discrepancy-to-band ratio, keeping "passed" equivalent to all components
-    passing.
+    passing. Raises SampleSizeError for n < 2, where the band is undefined.
     """
+    if n < 2:
+        raise SampleSizeError(f"need >= 2 samples for the Stein band, got {n}")
     t0 = time.perf_counter()
     batch = sample(cov, n, seed)
     x = batch.data

@@ -1,6 +1,6 @@
 """Dense small-matrix primitives: vectorization, Kronecker product,
-commutation matrix, symmetric/skew projections, Frobenius inner product,
-and validated SPD covariance models.
+commutation matrix, symmetric/skew projections, and validated SPD
+covariance models.
 
 Conventions
 -----------
@@ -88,15 +88,6 @@ def skew_part(x) -> np.ndarray:
     """Skew part (X - X.T) / 2."""
     a = _require_square(_as_matrix(x))
     return (a - a.T) / 2.0
-
-
-def frobenius_inner(a, b) -> float:
-    """Frobenius inner product sum_ij A_ij * B_ij."""
-    am = _as_matrix(a, "a")
-    bm = _as_matrix(b, "b")
-    if am.shape != bm.shape:
-        raise DimensionError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    return float(np.sum(am * bm))
 
 
 @dataclass(frozen=True)

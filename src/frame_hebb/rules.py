@@ -25,37 +25,18 @@ RULES = ("oja", "eghr")
 MODES = ("closed", "empirical")
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Trainable nu-by-nx weight matrix; nu <= nx (dimensionality reduction)."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        if w.ndim != 2:
-            raise DimensionError(f"weights must be 2-dimensional, got shape {w.shape}")
-        nu, nx = w.shape
-        if nu < 1 or nx < 1 or nu > nx:
-            raise DimensionError(f"need 1 <= nu <= nx, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights contain non-finite entries")
-        object.__setattr__(self, "w", w)
-
-    @property
-    def nu(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def nx(self) -> int:
-        return self.w.shape[1]
-
-
 def as_weights(w) -> np.ndarray:
-    """Accept a WeightMatrix or a raw array; return the validated array."""
-    if isinstance(w, WeightMatrix):
-        return w.w
-    return WeightMatrix(w=w).w
+    """Validate a trainable nu-by-nx weight matrix (2-D, finite, and
+    1 <= nu <= nx: a dimensionality reduction); return it as a float array."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 2:
+        raise DimensionError(f"weights must be 2-dimensional, got shape {w.shape}")
+    nu, nx = w.shape
+    if nu < 1 or nx < 1 or nu > nx:
+        raise DimensionError(f"need 1 <= nu <= nx, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights contain non-finite entries")
+    return w
 
 
 def _check_dims(w: np.ndarray, nx: int, what: str) -> None:
@@ -90,24 +71,6 @@ def eghr_g(x, w, cov: CovarianceModel) -> float:
     u = w @ x
     expected = np.trace(cov.sigma) - float(np.sum((w @ cov.sigma) * w))
     return 0.5 * (float(x @ x) - float(u @ u) - expected)
-
-
-def eghr_g_empirical(x, w, batch_means: tuple[float, float]) -> float:
-    """Gain with the expectation replaced by batch means (m_xsq, m_usq)."""
-    w = as_weights(w)
-    x = np.asarray(x, dtype=float)
-    m_xsq, m_usq = batch_means
-    u = w @ x
-    return 0.5 * (float(x @ x) - float(u @ u) - m_xsq + m_usq)
-
-
-def batch_norm_means(w, batch: SampleBatch) -> tuple[float, float]:
-    """Batch means of |x|^2 and |u|^2 used by the empirical gain."""
-    w = as_weights(w)
-    _check_dims(w, batch.dim, "batch_norm_means")
-    x = batch.data
-    u = x @ w.T
-    return float(np.mean(np.sum(x * x, axis=1))), float(np.mean(np.sum(u * u, axis=1)))
 
 
 def eghr_g_values(w, batch: SampleBatch, cov: CovarianceModel | None = None) -> np.ndarray:
@@ -153,17 +116,13 @@ def eghr_update_from_g(w, batch: SampleBatch, g: np.ndarray) -> np.ndarray:
     return (u * g[:, None]).T @ x / batch.n
 
 
-def eghr_update_empirical(
-    w, batch: SampleBatch, g_mode: str = "batch"
-) -> np.ndarray:
-    """Batch average of g u x^T; the gain is centered by the batch mean
-    (``g_mode="batch"``, default) or by the closed-form expectation
-    (``g_mode="closed"``)."""
-    if g_mode not in ("batch", "closed"):
-        raise ValueError(f"unknown g_mode {g_mode!r}")
-    cov = batch.covariance if g_mode == "closed" else None
-    g = eghr_g_values(w, batch, cov)
-    return eghr_update_from_g(w, batch, g)
+def eghr_update_empirical(w, batch: SampleBatch) -> np.ndarray:
+    """Batch average of g u x^T with the gain centered by the batch mean.
+
+    Closed-form centering is eghr_update_from_g(w, batch,
+    eghr_g_values(w, batch, cov)).
+    """
+    return eghr_update_from_g(w, batch, eghr_g_values(w, batch))
 
 
 def orthonormality_residual(w) -> float:
@@ -204,8 +163,8 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not np.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.record_every < 1:
@@ -284,13 +243,3 @@ def train(
         if norm > DIVERGENCE_NORM:
             raise DivergenceError(step + 1, norm)
     return Trajectory(rule=rule, mode=mode, points=tuple(points))
-
-
-def fixed_point_weights(cov: CovarianceModel, nu: int, seed: int | None = None) -> np.ndarray:
-    """A stable fixed point of both rules: an orthonormal basis of the
-    principal nu-subspace, optionally rotated by a random orthogonal mix."""
-    e = cov.top_eigvecs(nu)
-    if seed is None:
-        return e.T.copy()
-    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((nu, nu)))
-    return q @ e.T

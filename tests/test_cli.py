@@ -3,7 +3,12 @@
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import frame_hebb
 from frame_hebb.cli import (
@@ -49,6 +54,15 @@ class TestEquivalence:
         code = run(["equivalence", "--out", tmp_path, "--nx", "2", "--nu", "5"])
         assert code == EXIT_CONFIG_ERROR
         assert "nu" in capsys.readouterr().err
+
+    def test_single_sample_stein_is_input_error(self, tmp_path):
+        # the Stein band is a sample standard deviation, undefined on one row
+        proc = run_process(["equivalence", "--out", tmp_path, "--samples", "1",
+                            "--checks", "stein-identity"])
+        assert proc.returncode == EXIT_CONFIG_ERROR
+        assert proc.stderr.startswith("input error:")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -98,6 +112,23 @@ class TestFrameCheck:
 
 
 class TestTrain:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--batch-size", "-5"],
+            ["--learning-rate", "nan"],
+            ["--learning-rate", "inf"],
+            ["--threshold", "nan"],
+        ],
+    )
+    def test_bad_trainer_value_is_config_error(self, tmp_path, flags):
+        proc = run_process(["train", "--out", tmp_path, "--nx", "3", "--nu", "1",
+                            "--steps", "3"] + flags)
+        assert proc.returncode == EXIT_CONFIG_ERROR
+        assert proc.stderr.startswith("config error:")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+
     def test_closed_oja_converges(self, tmp_path):
         code = run(
             ["train", "--out", tmp_path, "--nx", "5", "--nu", "2",
@@ -203,3 +234,47 @@ class TestConfigFile:
         out = tmp_path / "results"
         run(["frame-check", "--config", cfg, "--out", out, "--seed", "123"])
         assert read_records_csv(out / "frame_check.csv")[0].seed == 123
+
+
+# Each trainer value is drawn from {0, negative, nan, inf, valid}; the learning
+# rate has two valid values, the second large enough to diverge.
+LEARNING_RATES = ["0", "-0.5", "nan", "inf", "0.02", "50"]
+THRESHOLDS = ["0", "-0.5", "nan", "inf", "0.5"]
+BATCH_SIZES = ["0", "-5", "nan", "inf", "16"]
+
+
+@st.composite
+def train_argv(draw):
+    nx = draw(st.integers(1, 4))
+    sigma = draw(st.sampled_from(
+        ["identity", "random-spd", "diagonal:" + ",".join(str(nx - i) for i in range(nx))]
+    ))
+    argv = ["train", "--nx", nx, "--nu", draw(st.integers(1, 4)), "--sigma", sigma,
+            "--rule", draw(st.sampled_from(["oja", "eghr"])),
+            "--mode", draw(st.sampled_from(["closed", "empirical"])),
+            "--steps", draw(st.integers(-1, 3))]
+    for flag, values in (("--learning-rate", LEARNING_RATES),
+                         ("--threshold", THRESHOLDS),
+                         ("--batch-size", BATCH_SIZES)):
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+stein_argv = st.builds(
+    lambda n: ["equivalence", "--checks", "stein-identity", "--samples", n],
+    st.sampled_from([-1, 0, 1, 2, 3, 50]),
+)
+
+
+class TestExitCodeContract:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(argv=train_argv() | stein_argv)
+    def test_every_input_maps_to_an_exit_code(self, argv):
+        with tempfile.TemporaryDirectory() as out:
+            try:
+                code = run(argv + ["--out", out])
+            except SystemExit as exc:  # argparse rejects a non-integer count
+                code = exc.code
+        assert code in (EXIT_PASS, EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_DIVERGED)

@@ -63,6 +63,23 @@ def test_bad_learning_rate():
         RunConfig(learning_rate=-1.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"threshold": float("nan")},
+        {"threshold": float("inf")},
+        {"threshold": 0.0},
+        {"batch_size": -5},
+        {"batch_size": -5, "mode": "empirical"},
+    ],
+)
+def test_bad_trainer_values_rejected(kwargs):
+    with pytest.raises(ConfigError):
+        RunConfig(**kwargs)
+
+
 def test_load_config_file_and_overrides(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(

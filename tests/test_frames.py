@@ -45,17 +45,16 @@ class TestFrameVector:
     def test_zero_sample(self):
         cov = build_covariance(np.eye(2))
         np.testing.assert_array_equal(
-            frame_vector(np.zeros(2), cov).xi, [-1.0, 0.0, 0.0, -1.0]
+            frame_vector(np.zeros(2), cov), [-1.0, 0.0, 0.0, -1.0]
         )
 
     def test_unit_variance_unit_sample(self):
         cov = build_covariance(np.eye(1))
-        np.testing.assert_array_equal(frame_vector(np.array([1.0]), cov).xi, [0.0])
+        np.testing.assert_array_equal(frame_vector(np.array([1.0]), cov), [0.0])
 
     def test_reconstructs_outer_product(self, cov_rand3):
         x = sample(cov_rand3, 1, seed=61).data[0]
-        fv = frame_vector(x, cov_rand3)
-        m = unvec(fv.xi, 3)
+        m = unvec(frame_vector(x, cov_rand3), 3)
         np.testing.assert_array_equal(m, m.T)
         np.testing.assert_allclose(
             m + cov_rand3.sigma, np.outer(x, x), rtol=1e-14, atol=1e-14
@@ -64,7 +63,7 @@ class TestFrameVector:
     def test_kron_form_agrees(self, cov_rand3):
         x = sample(cov_rand3, 1, seed=62).data[0]
         np.testing.assert_array_equal(
-            frame_vector(x, cov_rand3).xi, np.kron(x, x) - vec(cov_rand3.sigma)
+            frame_vector(x, cov_rand3), np.kron(x, x) - vec(cov_rand3.sigma)
         )
 
     def test_mean_zero_componentwise(self, cov21):
@@ -104,39 +103,38 @@ def dense_reference_cases():
 class TestFrameOperatorAnalytic:
     def test_scalar_case(self):
         cov = build_covariance(np.eye(1))
-        np.testing.assert_array_equal(frame_operator_analytic(cov).s, [[2.0]])
+        np.testing.assert_array_equal(frame_operator_analytic(cov), [[2.0]])
 
     def test_identity_covariance_spectrum(self):
         cov = build_covariance(np.eye(2))
-        op = frame_operator_analytic(cov)
-        np.testing.assert_allclose(op.s, np.eye(4) + commutation_matrix(2), atol=1e-15)
+        s = frame_operator_analytic(cov)
+        np.testing.assert_allclose(s, np.eye(4) + commutation_matrix(2), atol=1e-15)
         np.testing.assert_allclose(
-            np.sort(np.linalg.eigvalsh(op.s)), [0.0, 2.0, 2.0, 2.0], atol=1e-12
+            np.sort(np.linalg.eigvalsh(s)), [0.0, 2.0, 2.0, 2.0], atol=1e-12
         )
 
     def test_diagonal_covariance_spectrum(self, cov21):
-        s = frame_operator_analytic(cov21).s
+        s = frame_operator_analytic(cov21)
         np.testing.assert_allclose(
             np.sort(np.linalg.eigvalsh(s)), [0.0, 2.0, 4.0, 8.0], atol=1e-12
         )
 
     def test_matches_kron_form_and_kills_skew(self, cov_rand3, dense_reference_cases):
-        op = frame_operator_analytic(cov_rand3)
+        s = frame_operator_analytic(cov_rand3)
         t = commutation_matrix(3)
         ref = kron(cov_rand3.sigma, cov_rand3.sigma) @ (np.eye(9) + t)
-        assert np.linalg.norm(op.s - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(s - ref) <= 1e-12 * np.linalg.norm(ref)
         # The gather build equals the dense product bit for bit, and S is
         # exactly symmetric without a symmetrization step.
         for cov, s_ref, _ in dense_reference_cases:
-            s = frame_operator_analytic(cov).s
-            assert np.array_equal(s, s_ref), cov.dim
-            assert np.array_equal(s, s.T), cov.dim
+            s_gather = frame_operator_analytic(cov)
+            assert np.array_equal(s_gather, s_ref), cov.dim
+            assert np.array_equal(s_gather, s_gather.T), cov.dim
         rng = np.random.default_rng(64)
         for _ in range(20):
             k = skew_part(rng.standard_normal((3, 3)))
-            assert np.linalg.norm(op.s @ vec(k)) <= 1e-12 * np.linalg.norm(
-                op.s
-            ) * np.linalg.norm(k)
+            bound = 1e-12 * np.linalg.norm(s) * np.linalg.norm(k)
+            assert np.linalg.norm(s @ vec(k)) <= bound
 
 
 class TestFrameOperatorEmpirical:
@@ -148,24 +146,23 @@ class TestFrameOperatorEmpirical:
             n=4, dim=1, data=np.array([[1.0], [-1.0], [1.0], [-1.0]]),
             seed=0, covariance=cov,
         )
-        np.testing.assert_array_equal(frame_operator_empirical(batch).s, [[0.0]])
+        np.testing.assert_array_equal(frame_operator_empirical(batch), [[0.0]])
 
     def test_monte_carlo_agreement(self, cov21):
-        emp = frame_operator_empirical(sample(cov21, 10**6, seed=65)).s
-        ref = frame_operator_analytic(cov21).s
+        emp = frame_operator_empirical(sample(cov21, 10**6, seed=65))
+        ref = frame_operator_analytic(cov21)
         assert np.linalg.norm(emp - ref) / np.linalg.norm(ref) <= 0.05
 
     def test_kills_skew_for_any_batch(self, cov_rand3):
-        s = frame_operator_empirical(sample(cov_rand3, 500, seed=66)).s
+        s = frame_operator_empirical(sample(cov_rand3, 500, seed=66))
         rng = np.random.default_rng(67)
         for _ in range(10):
             k = skew_part(rng.standard_normal((3, 3)))
-            assert np.linalg.norm(s @ vec(k)) <= 1e-12 * np.linalg.norm(
-                s
-            ) * np.linalg.norm(k)
+            bound = 1e-12 * np.linalg.norm(s) * np.linalg.norm(k)
+            assert np.linalg.norm(s @ vec(k)) <= bound
 
     def test_symmetric_psd(self, cov_rand3):
-        s = frame_operator_empirical(sample(cov_rand3, 1000, seed=68)).s
+        s = frame_operator_empirical(sample(cov_rand3, 1000, seed=68))
         np.testing.assert_array_equal(s, s.T)
         assert np.min(np.linalg.eigvalsh(s)) >= -1e-12 * np.linalg.norm(s)
 
@@ -192,12 +189,12 @@ class TestFrameBounds:
 
     def test_trace_bound_equals_operator_trace(self, cov_rand3):
         b = frame_bounds(cov_rand3)
-        s = frame_operator_analytic(cov_rand3).s
+        s = frame_operator_analytic(cov_rand3)
         assert b.upper_trace == pytest.approx(np.trace(s), rel=1e-12)
         assert b.lower <= b.upper_tight <= b.upper_trace
 
     def test_quadratic_form_sandwiched(self, cov_rand3):
-        s = frame_operator_analytic(cov_rand3).s
+        s = frame_operator_analytic(cov_rand3)
         b = frame_bounds(cov_rand3)
         rng = np.random.default_rng(69)
         for _ in range(200):
@@ -224,7 +221,7 @@ class TestRestrictedInverse:
             restricted_inverse_apply(cov21, vec([[0.0, 1.0], [-1.0, 0.0]]))
 
     def test_inverts_operator_on_sym(self, cov_rand3):
-        s = frame_operator_analytic(cov_rand3).s
+        s = frame_operator_analytic(cov_rand3)
         rng = np.random.default_rng(70)
         for _ in range(50):
             v = vec(sym_part(rng.standard_normal((3, 3))))
@@ -283,6 +280,10 @@ class TestCancellationCoefficient:
             np.zeros((1, 2)), np.array([2.0, 0.0]), cov
         ) == pytest.approx(1.0, abs=1e-14)
 
+    def test_dimension_mismatch(self, cov_rand3):
+        with pytest.raises(DimensionError):
+            cancellation_coefficient(np.ones((1, 2)), np.ones(3), cov_rand3)
+
 
 class TestFrameExpansion:
     def test_zero_vector_reconstructs_exactly(self, cov_rand3):
@@ -306,7 +307,7 @@ class TestFrameExpansion:
         coeffs = np.array(
             [frame_coefficient(v, x, cov_rand3) for x in batch.data]
         )
-        xis = np.stack([frame_vector(x, cov_rand3).xi for x in batch.data])
+        xis = np.stack([frame_vector(x, cov_rand3) for x in batch.data])
         np.testing.assert_allclose(recon, xis.T @ coeffs / batch.n, atol=1e-12)
         assert coeff_mean == pytest.approx(coeffs.mean(), abs=1e-13)
 
@@ -317,7 +318,7 @@ class TestIsserlisConsistency:
     ):
         m4 = isserlis_fourth_moment(cov_rand3)
         vs = vec(cov_rand3.sigma)
-        s = frame_operator_analytic(cov_rand3).s
+        s = frame_operator_analytic(cov_rand3)
         assert np.linalg.norm(m4 - np.outer(vs, vs) - s) <= 1e-12 * np.linalg.norm(s)
         for cov, _, m4_ref in dense_reference_cases:
             m4 = isserlis_fourth_moment(cov)

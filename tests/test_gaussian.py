@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
+from frame_hebb.errors import SampleSizeError
 from frame_hebb.gaussian import (
-    SampleBatch,
-    TestFunction,
     builtin_test_functions,
     derive_seed,
-    empirical_mean_outer,
     isserlis_fourth_moment,
     sample,
     stein_check,
@@ -35,7 +33,7 @@ class TestSampling:
     def test_empirical_covariance_close(self):
         cov = build_covariance(np.diag([4.0, 1.0]))
         batch = sample(cov, 10**5, seed=12)
-        emp = empirical_mean_outer(batch)
+        emp = batch.data.T @ batch.data / batch.n
         assert np.linalg.norm(emp - cov.sigma) / np.linalg.norm(cov.sigma) <= 0.05
 
     def test_determinism(self, cov2):
@@ -56,25 +54,6 @@ class TestSampling:
         assert derive_seed(42, 3) == derive_seed(42, 3)
         assert derive_seed(42, 3) != derive_seed(42, 4)
         assert derive_seed(42, 3) != derive_seed(43, 3)
-
-
-class TestEmpiricalMeanOuter:
-    def test_single_sample(self, cov2):
-        batch = SampleBatch(
-            n=1, dim=2, data=np.array([[1.0, 2.0]]), seed=0, covariance=cov2
-        )
-        np.testing.assert_array_equal(
-            empirical_mean_outer(batch), [[1.0, 2.0], [2.0, 4.0]]
-        )
-
-    def test_zero_batch(self, cov2):
-        batch = SampleBatch(n=3, dim=2, data=np.zeros((3, 2)), seed=0, covariance=cov2)
-        np.testing.assert_array_equal(empirical_mean_outer(batch), np.zeros((2, 2)))
-
-    def test_large_n_identity(self):
-        cov = build_covariance(np.eye(3))
-        emp = empirical_mean_outer(sample(cov, 10**5, seed=13))
-        assert np.linalg.norm(emp - np.eye(3)) / np.linalg.norm(np.eye(3)) <= 0.05
 
 
 class TestSteinCheck:
@@ -99,11 +78,12 @@ class TestSteinCheck:
             rec = stein_check(cov, fn, 10**5, seed=derive_seed(77, i))
             assert rec.passed, f"{fn.name} at dim {dim}: {rec.value} > {rec.tolerance}"
 
-    def test_finite_difference_fallback(self, cov2):
-        exact = next(f for f in builtin_test_functions(2) if f.name == "x0^2*x1")
-        fd = TestFunction.from_callable("fd", exact.f, scale=1.0)
-        x = sample(cov2, 50, seed=3).data
-        np.testing.assert_allclose(fd.grad(x), exact.grad(x), atol=1e-7)
+    def test_needs_two_samples(self, cov2):
+        # the band is a sample standard deviation, undefined on one row
+        fn = builtin_test_functions(2)[0]
+        with pytest.raises(SampleSizeError):
+            stein_check(cov2, fn, 1, seed=5)
+        assert stein_check(cov2, fn, 2, seed=5).tolerance > 0
 
     def test_record_is_reproducible(self, cov2):
         fn = builtin_test_functions(2)[0]

@@ -10,7 +10,6 @@ from frame_hebb.errors import DegenerateCovarianceError, DimensionError
 from frame_hebb.linalg import (
     build_covariance,
     commutation_matrix,
-    frobenius_inner,
     kron,
     random_spd,
     skew_part,
@@ -123,26 +122,15 @@ class TestProjections:
 
 
 class TestFrobeniusInner:
-    def test_identity_trace(self):
-        assert frobenius_inner(np.eye(5), np.eye(5)) == 5.0
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(5)
-        a, b = rng.standard_normal((2, 3, 3))
-        assert frobenius_inner(a, b) == pytest.approx(frobenius_inner(b, a), rel=1e-15)
-
     def test_norm_mismatch_identity(self):
-        # (I - W^T W, x x^T)_F = |x|^2 - |u|^2 with u = W x.
+        # (I - W^T W, x x^T)_F = |x|^2 - |u|^2 with u = W x, taken as the
+        # vec dot product that cancellation_coefficient uses.
         rng = np.random.default_rng(6)
         w = rng.standard_normal((2, 4))
         x = rng.standard_normal(4)
         u = w @ x
-        lhs = frobenius_inner(np.eye(4) - w.T @ w, np.outer(x, x))
+        lhs = vec(np.eye(4) - w.T @ w) @ vec(np.outer(x, x))
         assert lhs == pytest.approx(x @ x - u @ u, rel=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            frobenius_inner(np.eye(2), np.eye(3))
 
 
 class TestBuildCovariance:

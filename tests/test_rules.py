@@ -8,15 +8,12 @@ from frame_hebb.gaussian import SampleBatch, sample
 from frame_hebb.linalg import build_covariance, random_spd
 from frame_hebb.rules import (
     TrainerConfig,
-    WeightMatrix,
-    batch_norm_means,
+    as_weights,
     eghr_g,
-    eghr_g_empirical,
     eghr_g_values,
     eghr_update_closed,
     eghr_update_empirical,
     eghr_update_from_g,
-    fixed_point_weights,
     oja_update_closed,
     oja_update_empirical,
     orthonormality_residual,
@@ -35,18 +32,38 @@ def cov_rand4():
     return build_covariance(random_spd(4, (0.5, 2.0), seed=8))
 
 
+def principal_weights(cov, nu, seed=None):
+    """A stable fixed point of both rules: an orthonormal basis of the
+    principal nu-subspace, optionally rotated by a random orthogonal mix."""
+    e = cov.top_eigvecs(nu)
+    if seed is None:
+        return e.T.copy()
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((nu, nu)))
+    return q @ e.T
+
+
 class TestWeightMatrix:
+    """Weight-matrix validation, done by as_weights."""
+
     def test_rejects_nu_above_nx(self):
         with pytest.raises(DimensionError):
-            WeightMatrix(w=np.ones((3, 2)))
+            as_weights(np.ones((3, 2)))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            WeightMatrix(w=np.array([[np.inf, 0.0]]))
+            as_weights(np.array([[np.inf, 0.0]]))
+        with pytest.raises(ValueError):
+            as_weights(np.array([[np.nan, 0.0]]))
 
-    def test_shape_accessors(self):
-        wm = WeightMatrix(w=np.zeros((2, 5)))
-        assert (wm.nu, wm.nx) == (2, 5)
+    def test_rejects_non_matrix(self):
+        with pytest.raises(DimensionError):
+            as_weights(np.ones(3))
+        with pytest.raises(DimensionError):
+            as_weights(np.ones((0, 3)))
+
+    def test_returns_float_array(self):
+        w = as_weights([[1, 0, 0], [0, 1, 0]])
+        assert w.dtype == float and w.shape == (2, 3)
 
 
 class TestOjaClosed:
@@ -118,9 +135,7 @@ class TestGain:
         batch = SampleBatch(
             n=4, dim=2, data=np.tile([1.0, 2.0], (4, 1)), seed=0, covariance=cov21
         )
-        means = batch_norm_means(w, batch)
-        for x in batch.data:
-            assert eghr_g_empirical(x, w, means) == 0.0
+        np.testing.assert_array_equal(eghr_g_values(w, batch), np.zeros(4))
 
     def test_empirical_two_sample_batch(self, cov21):
         w = np.zeros((1, 2))
@@ -131,9 +146,7 @@ class TestGain:
             seed=0,
             covariance=cov21,
         )
-        means = batch_norm_means(w, batch)
-        assert eghr_g_empirical(batch.data[0], w, means) == -1.0
-        assert eghr_g_empirical(batch.data[1], w, means) == 1.0
+        np.testing.assert_array_equal(eghr_g_values(w, batch), [-1.0, 1.0])
 
     def test_batch_gains_sum_to_zero(self, cov_rand4):
         w = np.random.default_rng(18).uniform(-1, 1, (2, 4))
@@ -149,7 +162,7 @@ class TestEghrClosed:
         )
 
     def test_vanishes_at_oja_fixed_point(self, cov_rand4):
-        w = fixed_point_weights(cov_rand4, 2, seed=20)
+        w = principal_weights(cov_rand4, 2, seed=20)
         assert np.linalg.norm(oja_update_closed(w, cov_rand4)) <= 1e-13
         assert np.linalg.norm(eghr_update_closed(w, cov_rand4)) <= 1e-13
 
@@ -215,18 +228,25 @@ class TestEghrEmpirical:
         np.testing.assert_allclose(shifted - base, c * hebbian_mean, atol=1e-12)
 
     def test_closed_gain_mode(self, cov_rand4):
+        # Closed-form centering goes through eghr_update_from_g: the gains are
+        # the per-sample closed-form gains, and the update their Hebbian mean.
         w = np.random.default_rng(30).uniform(-1, 1, (2, 4))
-        batch = sample(cov_rand4, 10**4, seed=31)
-        a = eghr_update_empirical(w, batch, g_mode="closed")
-        b = eghr_update_from_g(w, batch, eghr_g_values(w, batch, cov_rand4))
-        np.testing.assert_array_equal(a, b)
-        with pytest.raises(ValueError):
-            eghr_update_empirical(w, batch, g_mode="bogus")
+        batch = sample(cov_rand4, 200, seed=31)
+        g = eghr_g_values(w, batch, cov_rand4)
+        np.testing.assert_allclose(
+            g, [eghr_g(x, w, cov_rand4) for x in batch.data], rtol=0, atol=1e-12
+        )
+        explicit = sum(gk * np.outer(w @ x, x) for gk, x in zip(g, batch.data))
+        np.testing.assert_allclose(
+            eghr_update_from_g(w, batch, g), explicit / batch.n, rtol=0, atol=1e-12
+        )
+        with pytest.raises(DimensionError):
+            eghr_update_from_g(w, batch, g[:-1])
 
 
 class TestMetrics:
     def test_subspace_error_zero_at_principal_basis(self, cov_rand4):
-        assert subspace_error(fixed_point_weights(cov_rand4, 2), cov_rand4) <= 1e-12
+        assert subspace_error(principal_weights(cov_rand4, 2), cov_rand4) <= 1e-12
 
     def test_subspace_error_minor_eigenvector(self, cov21):
         assert subspace_error(np.array([[0.0, 1.0]]), cov21) == pytest.approx(
@@ -256,15 +276,16 @@ class TestMetrics:
 
 class TestTrainer:
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainerConfig(learning_rate=0.0, steps=10)
+        for lr in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                TrainerConfig(learning_rate=lr, steps=10)
         with pytest.raises(ValueError):
             TrainerConfig(learning_rate=0.1, steps=0)
         with pytest.raises(ValueError):
             TrainerConfig(learning_rate=0.1, steps=10, record_every=0)
 
     def test_fixed_point_trajectory_is_flat(self, cov_rand4):
-        w0 = fixed_point_weights(cov_rand4, 2, seed=34)
+        w0 = principal_weights(cov_rand4, 2, seed=34)
         cfg = TrainerConfig(learning_rate=0.02, steps=200, record_every=50)
         traj = train("oja", "closed", w0, cov_rand4, cfg)
         for p in traj.points:
