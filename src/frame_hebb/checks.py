@@ -15,11 +15,11 @@ import numpy as np
 
 from .config import CHECK_GROUPS, RunConfig
 from .frames import (
+    _frame_moments,
     cancellation_coefficient,
     derive_eghr_from_oja,
     frame_bounds,
     frame_coefficient,
-    frame_expansion_reconstruct,
     frame_operator_analytic,
     frame_operator_empirical,
     restricted_inverse_apply,
@@ -335,53 +335,77 @@ _RATE_KINDS = ("oja", "eghr", "frame-operator", "frame-expansion")
 
 
 def mc_rate_check(
-    kind: str,
+    kinds: tuple[str, ...],
     cov,
     nu: int,
     seed: int,
     ns: tuple[int, ...] = RATE_SAMPLE_GRID,
     replicates: int = 3,
-) -> ExperimentRecord:
-    """Fit the log-log slope of empirical-vs-closed-form error against sample
-    count; a healthy Monte-Carlo estimator sits near -1/2."""
-    if kind not in _RATE_KINDS:
-        raise ValueError(f"unknown rate kind {kind!r}; expected one of {_RATE_KINDS}")
+) -> tuple[ExperimentRecord, ...]:
+    """Fit, per kind, the log-log slope of empirical-vs-closed-form error
+    against sample count; a healthy Monte-Carlo estimator sits near -1/2.
+
+    The kinds share batches: they use one W and one child-seed schedule, so
+    each batch is drawn once and every requested estimator runs on it, the
+    two frame kinds on the same centered rows. Each record equals the one a
+    single-kind call gives, except wall_time_ms, which covers the whole pass.
+    """
+    kinds = tuple(kinds)
+    if not kinds or len(set(kinds)) != len(kinds) or not set(kinds) <= set(_RATE_KINDS):
+        raise ValueError(f"expected distinct rate kinds from {_RATE_KINDS}, got {kinds!r}")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     w = rng.uniform(-1.0, 1.0, size=(nu, cov.dim))
-    if kind == "oja":
-        ref = oja_update_closed(w, cov)
-        est = lambda batch: oja_update_empirical(w, batch)
-    elif kind == "eghr":
-        ref = eghr_update_closed(w, cov)
-        est = lambda batch: eghr_update_empirical(w, batch)
-    elif kind == "frame-operator":
-        ref = frame_operator_analytic(cov)
-        est = frame_operator_empirical
-    else:
-        v = vec(cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma)
-        ref = v
-        est = lambda batch: frame_expansion_reconstruct(v, batch)
+    ref = {}
+    if "oja" in kinds:
+        ref["oja"] = oja_update_closed(w, cov)
+    if "eghr" in kinds:
+        ref["eghr"] = eghr_update_closed(w, cov)
+    operator = "frame-operator" in kinds
+    if operator:
+        ref["frame-operator"] = frame_operator_analytic(cov)
+    dual = None
+    if "frame-expansion" in kinds:
+        ref["frame-expansion"] = vec(cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma)
+        dual = restricted_inverse_apply(cov, ref["frame-expansion"])
 
-    rmse = []
+    def estimates(batch) -> dict:
+        est = {}
+        if "oja" in kinds:
+            est["oja"] = oja_update_empirical(w, batch)
+        if "eghr" in kinds:
+            est["eghr"] = eghr_update_empirical(w, batch)
+        if operator or dual is not None:
+            est["frame-operator"], est["frame-expansion"], _ = _frame_moments(
+                batch, operator=operator, dual=dual
+            )
+        return est
+
+    rmse = {kind: [] for kind in kinds}
     counter = 0
     for n in ns:
-        sq = 0.0
+        sq = dict.fromkeys(kinds, 0.0)
         for _ in range(replicates):
             batch = sample(cov, n, derive_seed(seed, counter))
             counter += 1
-            sq += float(np.linalg.norm(est(batch) - ref)) ** 2
-        rmse.append(np.sqrt(sq / replicates))
-    slope = float(np.polyfit(np.log10(ns), np.log10(rmse), 1)[0])
-    return make_record(
-        check_name=f"mc-rate-{kind}",
-        value=slope,
-        reference=SLOPE_REFERENCE,
-        tolerance=SLOPE_HALF_WIDTH,
-        metric="abs",
-        seed=seed,
-        inputs_digest=digest_inputs(kind=kind, nx=cov.dim, nu=nu, ns=ns, seed=seed),
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
+            est = estimates(batch)
+            for kind in kinds:
+                sq[kind] += float(np.linalg.norm(est[kind] - ref[kind])) ** 2
+        for kind in kinds:
+            rmse[kind].append(np.sqrt(sq[kind] / replicates))
+    wall = (time.perf_counter() - t0) * 1e3
+    return tuple(
+        make_record(
+            check_name=f"mc-rate-{kind}",
+            value=float(np.polyfit(np.log10(ns), np.log10(rmse[kind]), 1)[0]),
+            reference=SLOPE_REFERENCE,
+            tolerance=SLOPE_HALF_WIDTH,
+            metric="abs",
+            seed=seed,
+            inputs_digest=digest_inputs(kind=kind, nx=cov.dim, nu=nu, ns=ns, seed=seed),
+            wall_time_ms=wall,
+        )
+        for kind in kinds
     )
 
 
@@ -408,12 +432,10 @@ def _runner_stein(config: RunConfig, names):
     return [stein_identity_check(config.seed, n=min(config.n_samples, 10**5))]
 
 
-def _runner_mc(kind):
-    def run(config: RunConfig, names):
-        cov = build_covariance(config.build_sigma())
-        return [mc_rate_check(kind, cov, config.nu, config.seed)]
-
-    return run
+def _runner_mc(config: RunConfig, names):
+    kinds = tuple(n[len("mc-rate-"):] for n in names if n.startswith("mc-rate-"))
+    cov = build_covariance(config.build_sigma())
+    return list(mc_rate_check(kinds, cov, config.nu, config.seed))
 
 
 def _runner_frame_bounds(config: RunConfig, names):
@@ -448,8 +470,8 @@ _RUNNER_BY_CHECK = {
     "closed-equivalence": _runner_closed_equivalence,
     "fixed-point-sharing": _runner_fixed_point,
     "stein-identity": _runner_stein,
-    "mc-rate-oja": _runner_mc("oja"),
-    "mc-rate-eghr": _runner_mc("eghr"),
+    "mc-rate-oja": _runner_mc,
+    "mc-rate-eghr": _runner_mc,
     "frame-bounds": _runner_frame_bounds,
     "kernel-annihilation": _runner_kernel,
     "restricted-inverse": _runner_rinv,
@@ -457,8 +479,8 @@ _RUNNER_BY_CHECK = {
     "cancellation-identity": _runner_coeff,
     "isserlis-analytic": _runner_isserlis,
     "isserlis-empirical": _runner_isserlis,
-    "mc-rate-frame-operator": _runner_mc("frame-operator"),
-    "mc-rate-frame-expansion": _runner_mc("frame-expansion"),
+    "mc-rate-frame-operator": _runner_mc,
+    "mc-rate-frame-expansion": _runner_mc,
     "derivation-chain-agreement": _runner_derivation,
     "derivation-mc-target": _runner_derivation,
 }

@@ -17,6 +17,11 @@ dense nx**2 x nx**2 array. Only those two, and gaussian.isserlis_fourth_moment,
 build arrays of that size. The analytic build applies T as a column gather,
 O(nx**4) instead of the O(nx**6) of a dense product with T. Everything else
 works on nx x nx matrices or on chunks of n x nx**2 centered rows.
+
+One chunk pass, _frame_moments, serves both Monte-Carlo estimators: it
+builds each chunk of centered rows once and accumulates the empirical
+operator, the frame expansion, or both from it, so a caller that needs both
+on one batch (the mc-rate checks) pays for the rows once.
 """
 
 from __future__ import annotations
@@ -62,10 +67,46 @@ def frame_vector(x, cov: CovarianceModel) -> np.ndarray:
 
 
 def _centered_rows(x: np.ndarray, cov: CovarianceModel) -> np.ndarray:
-    """Rows vec(x_k x_k^T) - vec(Sigma) for a block of samples."""
+    """Rows vec(x_k x_k^T) - vec(Sigma) for a block of samples, centered in
+    place."""
     n, d = x.shape
     outer = np.einsum("ki,kj->kji", x, x).reshape(n, d * d)
-    return outer - vec(cov.sigma)
+    outer -= vec(cov.sigma)
+    return outer
+
+
+def _frame_moments(
+    batch: SampleBatch, operator: bool = False, dual: np.ndarray | None = None
+) -> tuple[np.ndarray | None, np.ndarray | None, float]:
+    """The one chunk pass over a batch's centered rows xi_k.
+
+    Builds the rows once per _CHUNK-row block and returns the empirical
+    operator (1/n) sum_k xi_k xi_k^T if ``operator``, and, given ``dual``,
+    the expansion (1/n) sum_k (dual, xi_k) xi_k and the coefficient mean
+    (1/n) sum_k (dual, xi_k). Fixed chunks make every sum independent of
+    available memory.
+    """
+    if operator and batch.n < 2:
+        raise SampleSizeError(f"need >= 2 samples for the frame operator, got {batch.n}")
+    cov = batch.covariance
+    d2 = cov.dim * cov.dim
+    s = np.zeros((d2, d2)) if operator else None
+    recon = None if dual is None else np.zeros(d2)
+    coeff_total = 0.0
+    for start in range(0, batch.n, _CHUNK):
+        rows = _centered_rows(batch.data[start : start + _CHUNK], cov)
+        if operator:
+            s += rows.T @ rows
+        if dual is not None:
+            coeffs = rows @ dual
+            recon += rows.T @ coeffs
+            coeff_total += float(np.sum(coeffs))
+    if operator:
+        s /= batch.n
+        s = (s + s.T) / 2.0
+    if dual is not None:
+        recon = recon / batch.n
+    return s, recon, coeff_total / batch.n
 
 
 def frame_operator_analytic(cov: CovarianceModel) -> np.ndarray:
@@ -77,18 +118,8 @@ def frame_operator_analytic(cov: CovarianceModel) -> np.ndarray:
 
 
 def frame_operator_empirical(batch: SampleBatch) -> np.ndarray:
-    """(1/n) sum_k xi_k xi_k^T, accumulated in fixed-size chunks so the
-    result is independent of available memory."""
-    if batch.n < 2:
-        raise SampleSizeError(f"need >= 2 samples for the frame operator, got {batch.n}")
-    cov = batch.covariance
-    d = cov.dim
-    s = np.zeros((d * d, d * d))
-    for start in range(0, batch.n, _CHUNK):
-        rows = _centered_rows(batch.data[start : start + _CHUNK], cov)
-        s += rows.T @ rows
-    s /= batch.n
-    return (s + s.T) / 2.0
+    """(1/n) sum_k xi_k xi_k^T, accumulated in fixed-size chunks."""
+    return _frame_moments(batch, operator=True)[0]
 
 
 @dataclass(frozen=True)
@@ -173,16 +204,10 @@ def _expansion_sums(v, batch: SampleBatch) -> tuple[np.ndarray, float]:
     Coefficients are evaluated sample-parallel as (S^-1 v, xi_k), which
     equals (v, S^-1 xi_k) because the restricted inverse is self-adjoint.
     """
-    cov = batch.covariance
-    dual = restricted_inverse_apply(cov, v)
-    recon = np.zeros(cov.dim * cov.dim)
-    coeff_total = 0.0
-    for start in range(0, batch.n, _CHUNK):
-        rows = _centered_rows(batch.data[start : start + _CHUNK], cov)
-        coeffs = rows @ dual
-        recon += rows.T @ coeffs
-        coeff_total += float(np.sum(coeffs))
-    return recon / batch.n, coeff_total / batch.n
+    _, recon, coeff_mean = _frame_moments(
+        batch, dual=restricted_inverse_apply(batch.covariance, v)
+    )
+    return recon, coeff_mean
 
 
 def frame_expansion_reconstruct(v, batch: SampleBatch) -> np.ndarray:

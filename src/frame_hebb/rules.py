@@ -73,6 +73,21 @@ def eghr_g(x, w, cov: CovarianceModel) -> float:
     return 0.5 * (float(x @ x) - float(u @ u) - expected)
 
 
+def _gains(w: np.ndarray, x: np.ndarray, center=None) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked kernel of eghr_g_values: u = x W^T and the gains, centered by
+    ``center`` or, when it is None, by the batch mean."""
+    u = x @ w.T
+    s = np.sum(x * x, axis=1) - np.sum(u * u, axis=1)
+    if center is None:
+        center = float(np.mean(s))
+    return u, 0.5 * (s - center)
+
+
+def _gain_hebbian(u: np.ndarray, g: np.ndarray, batch: SampleBatch) -> np.ndarray:
+    """Unchecked kernel of eghr_update_from_g, given u = x W^T."""
+    return (u * g[:, None]).T @ batch.data / batch.n
+
+
 def eghr_g_values(w, batch: SampleBatch, cov: CovarianceModel | None = None) -> np.ndarray:
     """Per-sample gains over a batch.
 
@@ -82,14 +97,10 @@ def eghr_g_values(w, batch: SampleBatch, cov: CovarianceModel | None = None) -> 
     """
     w = as_weights(w)
     _check_dims(w, batch.dim, "eghr_g_values")
-    x = batch.data
-    u = x @ w.T
-    s = np.sum(x * x, axis=1) - np.sum(u * u, axis=1)
-    if cov is None:
-        center = float(np.mean(s))
-    else:
+    center = None
+    if cov is not None:
         center = np.trace(cov.sigma) - float(np.sum((w @ cov.sigma) * w))
-    return 0.5 * (s - center)
+    return _gains(w, batch.data, center)[1]
 
 
 def eghr_update_closed(w, cov: CovarianceModel) -> np.ndarray:
@@ -111,18 +122,20 @@ def eghr_update_from_g(w, batch: SampleBatch, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape != (batch.n,):
         raise DimensionError(f"g has shape {g.shape}, expected ({batch.n},)")
-    x = batch.data
-    u = x @ w.T
-    return (u * g[:, None]).T @ x / batch.n
+    return _gain_hebbian(batch.data @ w.T, g, batch)
 
 
 def eghr_update_empirical(w, batch: SampleBatch) -> np.ndarray:
     """Batch average of g u x^T with the gain centered by the batch mean.
 
     Closed-form centering is eghr_update_from_g(w, batch,
-    eghr_g_values(w, batch, cov)).
+    eghr_g_values(w, batch, cov)). W is validated once, and u = x W^T is
+    shared by the gain and the Hebbian term.
     """
-    return eghr_update_from_g(w, batch, eghr_g_values(w, batch))
+    w = as_weights(w)
+    _check_dims(w, batch.dim, "eghr_update_empirical")
+    u, g = _gains(w, batch.data)
+    return _gain_hebbian(u, g, batch)
 
 
 def orthonormality_residual(w) -> float:
@@ -202,7 +215,7 @@ def train(
     draws a fresh batch per step with a seed derived from (config.seed, step),
     so identical configs give identical trajectories. Records metrics every
     ``record_every`` steps and always at the final step. Aborts with
-    DivergenceError if the weight norm passes 1e6.
+    DivergenceError if the weight norm passes 1e6 or is not finite.
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
@@ -240,6 +253,6 @@ def train(
             break
         w = w + config.learning_rate * upd
         norm = float(np.linalg.norm(w))
-        if norm > DIVERGENCE_NORM:
+        if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
             raise DivergenceError(step + 1, norm)
     return Trajectory(rule=rule, mode=mode, points=tuple(points))

@@ -138,10 +138,8 @@ def test_criterion_6_stein_identity():
 def test_criterion_7_monte_carlo_rates():
     t0 = time.perf_counter()
     cov = build_covariance(random_spd(3, (0.5, 2.0), seed=SEED))
-    slopes = {}
-    for kind in ("oja", "eghr", "frame-operator", "frame-expansion"):
-        rec = mc_rate_check(kind, cov, nu=2, seed=SEED)
-        slopes[kind] = rec
+    kinds = ("oja", "eghr", "frame-operator", "frame-expansion")
+    slopes = dict(zip(kinds, mc_rate_check(kinds, cov, nu=2, seed=SEED)))
     elapsed = time.perf_counter() - t0
     ok = all(r.passed for r in slopes.values()) and elapsed < 180.0
     detail = ", ".join(f"{k} {r.value:+.3f}" for k, r in slopes.items())

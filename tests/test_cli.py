@@ -6,11 +6,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frame_hebb
+from frame_hebb import rules
 from frame_hebb.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -150,6 +152,15 @@ class TestTrain:
         )
         assert code == EXIT_DIVERGED
         assert "step" in capsys.readouterr().err
+
+    def test_non_finite_step_exits_diverged(self, tmp_path, capsys, monkeypatch):
+        # NaN compares false with the norm bound; the guard must still fire
+        monkeypatch.setattr(
+            rules, "oja_update_closed", lambda w, cov: np.full(w.shape, np.nan)
+        )
+        code = run(["train", "--out", tmp_path, "--nx", "3", "--nu", "1"])
+        assert code == EXIT_DIVERGED
+        assert "step 1" in capsys.readouterr().err
 
     def test_fixed_point_start_stays_flat(self, tmp_path):
         # seed chosen arbitrarily; the trained metric must already be tiny

@@ -4,6 +4,7 @@ expansions, and the derivation chain."""
 import numpy as np
 import pytest
 
+from frame_hebb import frames
 from frame_hebb.errors import DimensionError, SampleSizeError, SkewDomainError
 from frame_hebb.frames import (
     _expansion_sums,
@@ -310,6 +311,48 @@ class TestFrameExpansion:
         xis = np.stack([frame_vector(x, cov_rand3) for x in batch.data])
         np.testing.assert_allclose(recon, xis.T @ coeffs / batch.n, atol=1e-12)
         assert coeff_mean == pytest.approx(coeffs.mean(), abs=1e-13)
+
+
+class TestSharedChunkPass:
+    """One chunk loop serves the operator and the expansion; its sums must be
+    bit-identical to the separate per-estimator loops it replaced."""
+
+    @staticmethod
+    def _old_loops(v, batch, chunk):
+        cov = batch.covariance
+        d = cov.dim
+
+        def rows_of(x):
+            n = len(x)
+            return np.einsum("ki,kj->kji", x, x).reshape(n, d * d) - vec(cov.sigma)
+
+        s = np.zeros((d * d, d * d))
+        for start in range(0, batch.n, chunk):
+            rows = rows_of(batch.data[start : start + chunk])
+            s += rows.T @ rows
+        s /= batch.n
+        operator = (s + s.T) / 2.0
+
+        dual = restricted_inverse_apply(cov, v)
+        recon = np.zeros(d * d)
+        for start in range(0, batch.n, chunk):
+            rows = rows_of(batch.data[start : start + chunk])
+            coeffs = rows @ dual
+            recon += rows.T @ coeffs
+        return operator, recon / batch.n
+
+    def test_matches_separate_loops_across_chunks(self, cov_rand3, monkeypatch):
+        monkeypatch.setattr(frames, "_CHUNK", 7)  # 30 rows: chunks 7,7,7,7,2
+        batch = sample(cov_rand3, 30, seed=81)
+        v = vec(sym_part(np.random.default_rng(82).standard_normal((3, 3))))
+        operator, recon = self._old_loops(v, batch, 7)
+        np.testing.assert_array_equal(frame_operator_empirical(batch), operator)
+        np.testing.assert_array_equal(frame_expansion_reconstruct(v, batch), recon)
+        both = frames._frame_moments(
+            batch, operator=True, dual=restricted_inverse_apply(cov_rand3, v)
+        )
+        np.testing.assert_array_equal(both[0], operator)
+        np.testing.assert_array_equal(both[1], recon)
 
 
 class TestIsserlisConsistency:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from frame_hebb import rules
 from frame_hebb.errors import DimensionError, DivergenceError, RankDeficientError
 from frame_hebb.gaussian import SampleBatch, sample
 from frame_hebb.linalg import build_covariance, random_spd
@@ -243,6 +244,21 @@ class TestEghrEmpirical:
         with pytest.raises(DimensionError):
             eghr_update_from_g(w, batch, g[:-1])
 
+    def test_validates_weights_once_and_matches_public_path(self, cov_rand4, monkeypatch):
+        w = np.random.default_rng(46).uniform(-1, 1, (2, 4))
+        batch = sample(cov_rand4, 300, 47)
+        public = eghr_update_from_g(w, batch, eghr_g_values(w, batch))
+        calls = []
+        real = rules.as_weights
+        monkeypatch.setattr(rules, "as_weights", lambda w: calls.append(1) or real(w))
+        np.testing.assert_array_equal(eghr_update_empirical(w, batch), public)
+        assert len(calls) == 1
+
+    def test_dimension_mismatch(self, cov_rand4):
+        batch = sample(cov_rand4, 10, 48)
+        with pytest.raises(DimensionError, match="eghr_update_empirical"):
+            eghr_update_empirical(np.ones((1, 3)), batch)
+
 
 class TestMetrics:
     def test_subspace_error_zero_at_principal_basis(self, cov_rand4):
@@ -319,6 +335,16 @@ class TestTrainer:
         with pytest.raises(DivergenceError) as err:
             train("oja", "closed", w0, cov, cfg)
         assert err.value.step >= 1
+
+    def test_divergence_guard_catches_non_finite(self, cov_rand4, monkeypatch):
+        monkeypatch.setattr(
+            rules, "oja_update_closed", lambda w, cov: np.full(w.shape, np.nan)
+        )
+        cfg = TrainerConfig(learning_rate=0.02, steps=100)
+        with pytest.raises(DivergenceError) as err:
+            train("oja", "closed", np.ones((1, 4)) / 2.0, cov_rand4, cfg)
+        assert err.value.step == 1
+        assert np.isnan(err.value.norm)
 
     def test_deterministic_trajectories(self, cov_rand4):
         w0 = np.random.default_rng(38).standard_normal((2, 4)) / 2.0
