@@ -37,7 +37,7 @@ from .errors import (
     DivergenceError,
     SampleSizeError,
 )
-from .linalg import build_covariance
+from .linalg import EIGENVALUE_FLOOR_REL, build_covariance
 from .records import (
     ExperimentRecord,
     CSV_SCHEMA_VERSION,
@@ -93,11 +93,12 @@ def write_trajectory_csv(path, trajectory: Trajectory) -> None:
 
 def cmd_train(config: RunConfig) -> int:
     cov = build_covariance(config.build_sigma())
-    if config.nu < cov.dim and cov.spectral_gap_at(config.nu) == 0.0:
-        print(
-            "warning: no spectral gap at the subspace cut; "
-            "subspace error is ill-posed",
-            file=sys.stderr,
+    gap = cov.spectral_gap_at(config.nu)  # inf when nu >= nx: no cut
+    if gap <= EIGENVALUE_FLOOR_REL:
+        raise ConfigError(
+            f"relative spectral gap {gap:.3e} at the subspace cut nu={config.nu} "
+            f"is at or below {EIGENVALUE_FLOOR_REL:.1e}: the principal subspace "
+            "is not unique, so subspace_error is ill-posed"
         )
     rng = np.random.default_rng(config.seed)
     w0 = rng.standard_normal((config.nu, config.nx)) / np.sqrt(config.nx)

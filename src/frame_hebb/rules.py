@@ -7,10 +7,18 @@ form under covariance Sigma is W Sigma (I - W^T W). The error-gated rule is
 dW/dt = E[g(x, u) u x^T] with the global gain
 g = 0.5 (|x|^2 - |u|^2 - E[|x|^2 - |u|^2]); its closed form is
 W Sigma (I - W^T W) Sigma, i.e. the subspace rule right-multiplied by Sigma.
+
+Each public function validates its weights with ``as_weights`` and then runs
+an unchecked private kernel (``_oja_closed``, ``_eghr_closed``,
+``_oja_empirical``, ``_eghr_empirical``, ``_subspace_error``,
+``_orth_residual``). ``train`` validates W0 once at entry and steps through
+the same kernels, so a training run and the public functions share one
+arithmetic path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,20 +52,30 @@ def _check_dims(w: np.ndarray, nx: int, what: str) -> None:
         raise DimensionError(f"{what}: weights have nx={w.shape[1]}, input has nx={nx}")
 
 
+def _oja_closed(w: np.ndarray, sigma: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """Unchecked kernel of oja_update_closed; ``eye`` is the nx identity."""
+    return (w @ sigma) @ (eye - w.T @ w)
+
+
 def oja_update_closed(w, cov: CovarianceModel) -> np.ndarray:
     """Closed-form expected update W Sigma (I - W^T W)."""
     w = as_weights(w)
     _check_dims(w, cov.dim, "oja_update_closed")
-    return (w @ cov.sigma) @ (np.eye(cov.dim) - w.T @ w)
+    return _oja_closed(w, cov.sigma, np.eye(cov.dim))
+
+
+def _oja_empirical(w: np.ndarray, batch: SampleBatch) -> np.ndarray:
+    """Unchecked kernel of oja_update_empirical."""
+    x = batch.data
+    u = x @ w.T
+    return u.T @ (x - u @ w) / batch.n
 
 
 def oja_update_empirical(w, batch: SampleBatch) -> np.ndarray:
     """Batch average of u (x - W^T u)^T with u = W x."""
     w = as_weights(w)
     _check_dims(w, batch.dim, "oja_update_empirical")
-    x = batch.data
-    u = x @ w.T
-    return u.T @ (x - u @ w) / batch.n
+    return _oja_empirical(w, batch)
 
 
 def eghr_g(x, w, cov: CovarianceModel) -> float:
@@ -77,9 +95,9 @@ def _gains(w: np.ndarray, x: np.ndarray, center=None) -> tuple[np.ndarray, np.nd
     """Unchecked kernel of eghr_g_values: u = x W^T and the gains, centered by
     ``center`` or, when it is None, by the batch mean."""
     u = x @ w.T
-    s = np.sum(x * x, axis=1) - np.sum(u * u, axis=1)
+    s = (x * x).sum(axis=1) - (u * u).sum(axis=1)
     if center is None:
-        center = float(np.mean(s))
+        center = float(s.sum() / s.size)  # np.mean's reduction, without its wrapper
     return u, 0.5 * (s - center)
 
 
@@ -103,6 +121,11 @@ def eghr_g_values(w, batch: SampleBatch, cov: CovarianceModel | None = None) -> 
     return _gains(w, batch.data, center)[1]
 
 
+def _eghr_closed(w: np.ndarray, sigma: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """Unchecked kernel of eghr_update_closed; ``eye`` is the nx identity."""
+    return w @ (sigma @ (eye - w.T @ w) @ sigma)
+
+
 def eghr_update_closed(w, cov: CovarianceModel) -> np.ndarray:
     """Closed-form expected update W Sigma (I - W^T W) Sigma.
 
@@ -111,8 +134,7 @@ def eghr_update_closed(w, cov: CovarianceModel) -> np.ndarray:
     """
     w = as_weights(w)
     _check_dims(w, cov.dim, "eghr_update_closed")
-    sandwich = cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma
-    return w @ sandwich
+    return _eghr_closed(w, cov.sigma, np.eye(cov.dim))
 
 
 def eghr_update_from_g(w, batch: SampleBatch, g: np.ndarray) -> np.ndarray:
@@ -125,6 +147,12 @@ def eghr_update_from_g(w, batch: SampleBatch, g: np.ndarray) -> np.ndarray:
     return _gain_hebbian(batch.data @ w.T, g, batch)
 
 
+def _eghr_empirical(w: np.ndarray, batch: SampleBatch) -> np.ndarray:
+    """Unchecked kernel of eghr_update_empirical."""
+    u, g = _gains(w, batch.data)
+    return _gain_hebbian(u, g, batch)
+
+
 def eghr_update_empirical(w, batch: SampleBatch) -> np.ndarray:
     """Batch average of g u x^T with the gain centered by the batch mean.
 
@@ -134,14 +162,32 @@ def eghr_update_empirical(w, batch: SampleBatch) -> np.ndarray:
     """
     w = as_weights(w)
     _check_dims(w, batch.dim, "eghr_update_empirical")
-    u, g = _gains(w, batch.data)
-    return _gain_hebbian(u, g, batch)
+    return _eghr_empirical(w, batch)
+
+
+def _orth_residual(w: np.ndarray, eye_nu: np.ndarray) -> float:
+    """Unchecked kernel of orthonormality_residual; ``eye_nu`` is the nu identity."""
+    return float(np.linalg.norm(w @ w.T - eye_nu))
 
 
 def orthonormality_residual(w) -> float:
     """Frobenius distance of W W^T from the identity."""
     w = as_weights(w)
-    return float(np.linalg.norm(w @ w.T - np.eye(w.shape[0])))
+    return _orth_residual(w, np.eye(w.shape[0]))
+
+
+def _subspace_error(w: np.ndarray, p_k: np.ndarray) -> float:
+    """Unchecked kernel of subspace_error against the principal projector p_k;
+    still raises RankDeficientError for dependent rows."""
+    nu, nx = w.shape
+    _, s, vh = np.linalg.svd(w, full_matrices=False)
+    tol = s[0] * max(nu, nx) * np.finfo(float).eps if s[0] > 0 else 0.0
+    if s[-1] <= tol:
+        raise RankDeficientError(
+            f"weight rows are rank deficient (singular values {s})"
+        )
+    p_w = vh.T @ vh
+    return float(np.linalg.norm(p_w - p_k))
 
 
 def subspace_error(w, cov: CovarianceModel) -> float:
@@ -154,17 +200,8 @@ def subspace_error(w, cov: CovarianceModel) -> float:
     """
     w = as_weights(w)
     _check_dims(w, cov.dim, "subspace_error")
-    nu, nx = w.shape
-    _, s, vh = np.linalg.svd(w, full_matrices=False)
-    tol = s[0] * max(nu, nx) * np.finfo(float).eps if s[0] > 0 else 0.0
-    if s[-1] <= tol:
-        raise RankDeficientError(
-            f"weight rows are rank deficient (singular values {s})"
-        )
-    p_w = vh.T @ vh
-    e = cov.top_eigvecs(nu)
-    p_k = e @ e.T
-    return float(np.linalg.norm(p_w - p_k))
+    e = cov.top_eigvecs(w.shape[0])
+    return _subspace_error(w, e @ e.T)
 
 
 @dataclass(frozen=True)
@@ -216,6 +253,11 @@ def train(
     so identical configs give identical trajectories. Records metrics every
     ``record_every`` steps and always at the final step. Aborts with
     DivergenceError if the weight norm passes 1e6 or is not finite.
+
+    W0 is validated once here; the loop then calls the unchecked kernels of
+    the public updates and metrics. Every step keeps W finite and of its
+    shape: ``w + lr * upd`` cannot change the shape, and a non-finite entry
+    makes the norm non-finite, so the guard raises before the next update.
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
@@ -225,16 +267,23 @@ def train(
         raise ValueError("empirical mode needs batch_size >= 1")
 
     w = as_weights(w0).copy()
+    _check_dims(w, cov.dim, "train")
+    nu, nx = w.shape
+    sigma, eye, eye_nu = cov.sigma, np.eye(nx), np.eye(nu)
+    e = cov.top_eigvecs(nu)
+    p_k = e @ e.T
 
-    def update_at(w: np.ndarray, step: int) -> np.ndarray:
-        if mode == "closed":
-            if rule == "oja":
-                return oja_update_closed(w, cov)
-            return eghr_update_closed(w, cov)
-        batch = sample(cov, config.batch_size, derive_seed(config.seed, step))
-        if rule == "oja":
-            return oja_update_empirical(w, batch)
-        return eghr_update_empirical(w, batch)
+    if mode == "closed":
+        closed = _oja_closed if rule == "oja" else _eghr_closed
+
+        def update_at(w: np.ndarray, step: int) -> np.ndarray:
+            return closed(w, sigma, eye)
+    else:
+        empirical = _oja_empirical if rule == "oja" else _eghr_empirical
+
+        def update_at(w: np.ndarray, step: int) -> np.ndarray:
+            batch = sample(cov, config.batch_size, derive_seed(config.seed, step))
+            return empirical(w, batch)
 
     points: list[TrajectoryPoint] = []
     for step in range(config.steps + 1):
@@ -244,8 +293,8 @@ def train(
                 TrajectoryPoint(
                     step=step,
                     w=w.copy(),
-                    subspace_error=subspace_error(w, cov),
-                    orthonormality_residual=orthonormality_residual(w),
+                    subspace_error=_subspace_error(w, p_k),
+                    orthonormality_residual=_orth_residual(w, eye_nu),
                     update_norm=float(np.linalg.norm(upd)),
                 )
             )
@@ -253,6 +302,6 @@ def train(
             break
         w = w + config.learning_rate * upd
         norm = float(np.linalg.norm(w))
-        if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
+        if not math.isfinite(norm) or norm > DIVERGENCE_NORM:
             raise DivergenceError(step + 1, norm)
     return Trajectory(rule=rule, mode=mode, points=tuple(points))

@@ -131,6 +131,28 @@ class TestTrain:
         assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--sigma", "identity", "--nx", "4", "--nu", "2"],
+            ["--sigma", "diagonal:3,3,1", "--nx", "3", "--nu", "1"],
+        ],
+    )
+    def test_no_gap_at_cut_is_input_error(self, tmp_path, flags):
+        # the principal nu-subspace is not unique, so subspace_error has no target
+        proc = run_process(["train", "--out", tmp_path] + flags)
+        assert proc.returncode == EXIT_CONFIG_ERROR
+        assert proc.stderr.startswith("input error:")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "train.csv").exists()
+
+    def test_identity_without_cut_runs(self, tmp_path):
+        proc = run_process(["train", "--out", tmp_path, "--sigma", "identity",
+                            "--nx", "3", "--nu", "3", "--steps", "50"])
+        assert proc.returncode == EXIT_PASS
+        assert proc.stderr == ""
+
     def test_closed_oja_converges(self, tmp_path):
         code = run(
             ["train", "--out", tmp_path, "--nx", "5", "--nu", "2",
@@ -156,7 +178,7 @@ class TestTrain:
     def test_non_finite_step_exits_diverged(self, tmp_path, capsys, monkeypatch):
         # NaN compares false with the norm bound; the guard must still fire
         monkeypatch.setattr(
-            rules, "oja_update_closed", lambda w, cov: np.full(w.shape, np.nan)
+            rules, "_oja_closed", lambda w, sigma, eye: np.full(w.shape, np.nan)
         )
         code = run(["train", "--out", tmp_path, "--nx", "3", "--nu", "1"])
         assert code == EXIT_DIVERGED

@@ -5,9 +5,11 @@ import pytest
 
 from frame_hebb import rules
 from frame_hebb.errors import DimensionError, DivergenceError, RankDeficientError
-from frame_hebb.gaussian import SampleBatch, sample
+from frame_hebb.gaussian import SampleBatch, derive_seed, sample
 from frame_hebb.linalg import build_covariance, random_spd
 from frame_hebb.rules import (
+    MODES,
+    RULES,
     TrainerConfig,
     as_weights,
     eghr_g,
@@ -338,13 +340,79 @@ class TestTrainer:
 
     def test_divergence_guard_catches_non_finite(self, cov_rand4, monkeypatch):
         monkeypatch.setattr(
-            rules, "oja_update_closed", lambda w, cov: np.full(w.shape, np.nan)
+            rules, "_oja_closed", lambda w, sigma, eye: np.full(w.shape, np.nan)
         )
         cfg = TrainerConfig(learning_rate=0.02, steps=100)
         with pytest.raises(DivergenceError) as err:
             train("oja", "closed", np.ones((1, 4)) / 2.0, cov_rand4, cfg)
         assert err.value.step == 1
         assert np.isnan(err.value.norm)
+
+    @pytest.mark.parametrize("rule", RULES)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_loop_through_public_functions(self, cov_rand4, rule, mode):
+        # reference loop through the public, validating update and metric
+        # functions; train's unchecked kernels must match it bit for bit
+        w0 = np.random.default_rng(40).standard_normal((2, 4)) / 2.0
+        cfg = TrainerConfig(learning_rate=0.01, steps=60, batch_size=20,
+                            record_every=7, seed=11)
+        closed = oja_update_closed if rule == "oja" else eghr_update_closed
+        empirical = oja_update_empirical if rule == "oja" else eghr_update_empirical
+        w = as_weights(w0).copy()
+        expected = []
+        for step in range(cfg.steps + 1):
+            if mode == "closed":
+                upd = closed(w, cov_rand4)
+            else:
+                upd = empirical(
+                    w, sample(cov_rand4, cfg.batch_size, derive_seed(cfg.seed, step))
+                )
+            if step % cfg.record_every == 0 or step == cfg.steps:
+                expected.append((step, w.copy(), subspace_error(w, cov_rand4),
+                                 orthonormality_residual(w), float(np.linalg.norm(upd))))
+            if step == cfg.steps:
+                break
+            w = w + cfg.learning_rate * upd
+
+        points = train(rule, mode, w0, cov_rand4, cfg).points
+        assert len(points) == len(expected)
+        for p, (step, w, err, orth, norm) in zip(points, expected):
+            assert p.step == step
+            assert np.array_equal(p.w, w)
+            assert p.subspace_error == err
+            assert p.orthonormality_residual == orth
+            assert p.update_norm == norm
+
+    @pytest.mark.parametrize("rule", RULES)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_validates_weights_once_per_run(self, cov_rand4, monkeypatch, rule, mode):
+        calls = {"as_weights": 0, "sample": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(rules, "as_weights", counted("as_weights", rules.as_weights))
+        monkeypatch.setattr(rules, "sample", counted("sample", rules.sample))
+        w0 = np.random.default_rng(41).standard_normal((2, 4)) / 2.0
+        cfg = TrainerConfig(learning_rate=0.01, steps=60, batch_size=20,
+                            record_every=7, seed=12)
+        train(rule, mode, w0, cov_rand4, cfg)
+        assert calls["as_weights"] == 1
+        assert calls["sample"] == (cfg.steps + 1 if mode == "empirical" else 0)
+
+    def test_wrong_nx_rejected_before_any_step(self, cov_rand4, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("train stepped before checking the weights")
+
+        monkeypatch.setattr(rules, "_oja_closed", no_step)
+        monkeypatch.setattr(rules, "sample", no_step)
+        cfg = TrainerConfig(learning_rate=0.01, steps=5, batch_size=20)
+        for mode in MODES:
+            with pytest.raises(DimensionError, match="train"):
+                train("oja", mode, np.ones((1, 5)) / 3.0, cov_rand4, cfg)
 
     def test_deterministic_trajectories(self, cov_rand4):
         w0 = np.random.default_rng(38).standard_normal((2, 4)) / 2.0
