@@ -25,9 +25,9 @@ from .frames import (
     restricted_inverse_apply,
 )
 from .gaussian import (
-    builtin_test_functions,
     derive_seed,
     isserlis_fourth_moment,
+    monomial_exponents,
     sample,
     stein_check,
 )
@@ -91,7 +91,6 @@ def closed_equivalence_check(
         value=worst,
         reference=0.0,
         tolerance=EXACT_RTOL,
-        metric="abs",
         seed=seed,
         inputs_digest=digest_inputs(dims=dims, trials=trials, seed=seed),
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
@@ -131,7 +130,6 @@ def fixed_point_sharing_check(
         value=worst,
         reference=0.0,
         tolerance=EXACT_RTOL,
-        metric="abs",
         seed=seed,
         inputs_digest=digest_inputs(nx=nx, nu=nu, trials=trials, seed=seed),
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
@@ -149,8 +147,8 @@ def stein_identity_check(
     counter = 0
     for dim in dims:
         cov = build_covariance(random_spd(dim, SWEEP_EIG_RANGE, seed=derive_seed(seed, dim)))
-        for fn in builtin_test_functions(dim):
-            rec = stein_check(cov, fn, n, derive_seed(seed, 1000 + counter))
+        for a in monomial_exponents(dim):
+            rec = stein_check(cov, a, n, derive_seed(seed, 1000 + counter))
             counter += 1
             worst = max(worst, rec.value / rec.tolerance)
     return make_record(
@@ -158,7 +156,6 @@ def stein_identity_check(
         value=worst,
         reference=0.0,
         tolerance=1.0,
-        metric="abs",
         seed=seed,
         inputs_digest=digest_inputs(dims=dims, n=n, seed=seed),
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
@@ -184,7 +181,6 @@ def frame_bounds_check(cov, seed: int, trials: int = 1000) -> ExperimentRecord:
         value=worst,
         reference=0.0,
         tolerance=BOUND_ATOL,
-        metric="abs",
         seed=seed,
         inputs_digest=digest_inputs(nx=cov.dim, trials=trials, seed=seed),
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
@@ -211,7 +207,6 @@ def kernel_annihilation_check(cov, seed: int, trials: int = 100) -> ExperimentRe
         value=worst,
         reference=0.0,
         tolerance=EXACT_RTOL,
-        metric="abs",
         seed=seed,
         inputs_digest=digest_inputs(nx=cov.dim, trials=trials, seed=seed),
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
@@ -234,7 +229,6 @@ def restricted_inverse_check(cov, seed: int, trials: int = 100) -> ExperimentRec
         value=worst,
         reference=0.0,
         tolerance=RESTRICTED_INVERSE_RTOL,
-        metric="abs",
         seed=seed,
         inputs_digest=digest_inputs(nx=cov.dim, trials=trials, seed=seed),
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
@@ -275,7 +269,6 @@ def coefficient_identity_checks(
         value=coeff_err / scale,
         reference=0.0,
         tolerance=EXACT_RTOL,
-        metric="abs",
         seed=seed,
         inputs_digest=digest,
         wall_time_ms=wall,
@@ -285,7 +278,6 @@ def coefficient_identity_checks(
         value=cancel_err / scale,
         reference=0.0,
         tolerance=EXACT_RTOL,
-        metric="abs",
         seed=seed,
         inputs_digest=digest,
         wall_time_ms=wall,
@@ -310,7 +302,6 @@ def isserlis_checks(cov, seed: int, n: int, names=None) -> tuple[ExperimentRecor
         value=analytic_gap,
         reference=0.0,
         tolerance=EXACT_RTOL,
-        metric="abs",
         seed=seed,
         inputs_digest=digest,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
@@ -323,7 +314,6 @@ def isserlis_checks(cov, seed: int, n: int, names=None) -> tuple[ExperimentRecor
         value=float(np.linalg.norm(s_emp - s)) / s_scale,
         reference=0.0,
         tolerance=MC_FROBENIUS_RTOL,
-        metric="abs",
         seed=seed,
         inputs_digest=digest,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
@@ -400,7 +390,6 @@ def mc_rate_check(
             value=float(np.polyfit(np.log10(ns), np.log10(rmse[kind]), 1)[0]),
             reference=SLOPE_REFERENCE,
             tolerance=SLOPE_HALF_WIDTH,
-            metric="abs",
             seed=seed,
             inputs_digest=digest_inputs(kind=kind, nx=cov.dim, nu=nu, ns=ns, seed=seed),
             wall_time_ms=wall,
@@ -418,72 +407,37 @@ def derivation_checks(cov, nu: int, seed: int, n: int) -> tuple[ExperimentRecord
 
 
 # ---------------------------------------------------------------------------
-# Registry: check name -> runner(config, requested names) -> records.
+# Registry: the check names each runner produces, and the runner(config,
+# requested names) -> records.
 
-def _runner_closed_equivalence(config: RunConfig, names):
-    return [closed_equivalence_check(config.seed, dims=[(config.nx, config.nu)])]
-
-
-def _runner_fixed_point(config: RunConfig, names):
-    return [fixed_point_sharing_check(config.seed, nx=config.nx, nu=config.nu)]
-
-
-def _runner_stein(config: RunConfig, names):
-    return [stein_identity_check(config.seed, n=min(config.n_samples, 10**5))]
+def _cov(config: RunConfig):
+    return build_covariance(config.build_sigma())
 
 
 def _runner_mc(config: RunConfig, names):
     kinds = tuple(n[len("mc-rate-"):] for n in names if n.startswith("mc-rate-"))
-    cov = build_covariance(config.build_sigma())
-    return list(mc_rate_check(kinds, cov, config.nu, config.seed))
+    return mc_rate_check(kinds, _cov(config), config.nu, config.seed)
 
 
-def _runner_frame_bounds(config: RunConfig, names):
-    return [frame_bounds_check(build_covariance(config.build_sigma()), config.seed)]
-
-
-def _runner_kernel(config: RunConfig, names):
-    return [kernel_annihilation_check(build_covariance(config.build_sigma()), config.seed)]
-
-
-def _runner_rinv(config: RunConfig, names):
-    return [restricted_inverse_check(build_covariance(config.build_sigma()), config.seed)]
-
-
-def _runner_coeff(config: RunConfig, names):
-    return list(
-        coefficient_identity_checks(config.seed, dims=[(config.nx, config.nu)])
-    )
-
-
-def _runner_isserlis(config: RunConfig, names):
-    cov = build_covariance(config.build_sigma())
-    return list(isserlis_checks(cov, config.seed, config.n_samples, names=names))
-
-
-def _runner_derivation(config: RunConfig, names):
-    cov = build_covariance(config.build_sigma())
-    return list(derivation_checks(cov, config.nu, config.seed, config.n_samples))
-
-
-_RUNNER_BY_CHECK = {
-    "closed-equivalence": _runner_closed_equivalence,
-    "fixed-point-sharing": _runner_fixed_point,
-    "stein-identity": _runner_stein,
-    "mc-rate-oja": _runner_mc,
-    "mc-rate-eghr": _runner_mc,
-    "frame-bounds": _runner_frame_bounds,
-    "kernel-annihilation": _runner_kernel,
-    "restricted-inverse": _runner_rinv,
-    "coefficient-identity": _runner_coeff,
-    "cancellation-identity": _runner_coeff,
-    "isserlis-analytic": _runner_isserlis,
-    "isserlis-empirical": _runner_isserlis,
-    "mc-rate-frame-operator": _runner_mc,
-    "mc-rate-frame-expansion": _runner_mc,
-    "derivation-chain-agreement": _runner_derivation,
-    "derivation-mc-target": _runner_derivation,
-}
+_RUNNERS = (
+    (["closed-equivalence"],
+     lambda c, names: [closed_equivalence_check(c.seed, dims=[(c.nx, c.nu)])]),
+    (["fixed-point-sharing"],
+     lambda c, names: [fixed_point_sharing_check(c.seed, nx=c.nx, nu=c.nu)]),
+    (["stein-identity"],
+     lambda c, names: [stein_identity_check(c.seed, n=min(c.n_samples, 10**5))]),
+    ([f"mc-rate-{kind}" for kind in _RATE_KINDS], _runner_mc),
+    (["frame-bounds"], lambda c, names: [frame_bounds_check(_cov(c), c.seed)]),
+    (["kernel-annihilation"], lambda c, names: [kernel_annihilation_check(_cov(c), c.seed)]),
+    (["restricted-inverse"], lambda c, names: [restricted_inverse_check(_cov(c), c.seed)]),
+    (["coefficient-identity", "cancellation-identity"],
+     lambda c, names: coefficient_identity_checks(c.seed, dims=[(c.nx, c.nu)])),
+    (["isserlis-analytic", "isserlis-empirical"],
+     lambda c, names: isserlis_checks(_cov(c), c.seed, c.n_samples, names=names)),
+    (["derivation-chain-agreement", "derivation-mc-target"],
+     lambda c, names: derivation_checks(_cov(c), c.nu, c.seed, c.n_samples)),
+)
+_RUNNER_BY_CHECK = {name: runner for names, runner in _RUNNERS for name in names}
 
 
 def run_checks(config: RunConfig, names: list[str]) -> list[ExperimentRecord]:

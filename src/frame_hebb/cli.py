@@ -64,9 +64,15 @@ def _print_records(records: list[ExperimentRecord]) -> None:
         )
 
 
-def cmd_checks(config: RunConfig, command_checks: list[str], csv_name: str) -> int:
-    """Run the command's checks that the config selects; write them to csv_name."""
+def cmd_checks(config: RunConfig, command: str, command_checks: list[str],
+               csv_name: str) -> int:
+    """Run the command's checks that the config selects; write them to csv_name.
+    A selection that leaves the command no check is a config error."""
     names = [c for c in command_checks if config.checks is None or c in config.checks]
+    if not names:
+        print(f"config error: the check selection names none of the {command} "
+              f"checks ({', '.join(command_checks)})", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     records = run_checks(config, names)
     write_records_csv(Path(config.output_dir) / csv_name, records)
     _print_records(records)
@@ -118,7 +124,6 @@ def cmd_train(config: RunConfig) -> int:
         value=final.subspace_error,
         reference=0.0,
         tolerance=config.threshold,
-        metric="abs",
         seed=config.seed,
         inputs_digest="",
         group=CHECK_GROUPS["train-final"],
@@ -238,9 +243,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
     try:
         if args.command == "equivalence":
-            return cmd_checks(config, EQUIVALENCE_CHECKS, "equivalence.csv")
+            return cmd_checks(config, "equivalence", EQUIVALENCE_CHECKS, "equivalence.csv")
         if args.command == "frame-check":
-            return cmd_checks(config, FRAME_CHECKS, "frame_check.csv")
+            return cmd_checks(config, "frame-check", FRAME_CHECKS, "frame_check.csv")
         if args.command == "train":
             return cmd_train(config)
     except DivergenceError as exc:

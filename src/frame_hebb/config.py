@@ -18,27 +18,6 @@ class ConfigError(ValueError):
     """Invalid configuration; surfaced as exit code 2 by the CLI."""
 
 
-# Every named check the CLI can run, with its report group.
-CHECK_GROUPS = {
-    "closed-equivalence": "learning-rule identities",
-    "fixed-point-sharing": "learning-rule identities",
-    "stein-identity": "learning-rule identities",
-    "mc-rate-oja": "learning-rule identities",
-    "mc-rate-eghr": "learning-rule identities",
-    "frame-bounds": "frame machinery",
-    "kernel-annihilation": "frame machinery",
-    "restricted-inverse": "frame machinery",
-    "coefficient-identity": "frame machinery",
-    "cancellation-identity": "frame machinery",
-    "isserlis-analytic": "frame machinery",
-    "isserlis-empirical": "frame machinery",
-    "mc-rate-frame-operator": "frame machinery",
-    "mc-rate-frame-expansion": "frame machinery",
-    "derivation-chain-agreement": "frame machinery",
-    "derivation-mc-target": "frame machinery",
-    "train-final": "training",
-}
-
 EQUIVALENCE_CHECKS = [
     "closed-equivalence",
     "fixed-point-sharing",
@@ -60,6 +39,14 @@ FRAME_CHECKS = [
     "derivation-chain-agreement",
     "derivation-mc-target",
 ]
+
+# Every named check the CLI can run, with its report group: the group of the
+# one command that runs it.
+CHECK_GROUPS = {
+    **dict.fromkeys(EQUIVALENCE_CHECKS, "learning-rule identities"),
+    **dict.fromkeys(FRAME_CHECKS, "frame machinery"),
+    "train-final": "training",
+}
 
 
 def _finite_positive(x: float) -> bool:

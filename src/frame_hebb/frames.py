@@ -264,7 +264,6 @@ def derive_eghr_from_oja(w, cov: CovarianceModel, batch: SampleBatch) -> Derivat
         value=float(np.linalg.norm(frame_route - direct_route)),
         reference=0.0,
         tolerance=CHAIN_AGREEMENT_RTOL * max(float(np.linalg.norm(direct_route)), 1e-300),
-        metric="abs",
         seed=batch.seed,
         inputs_digest=digest,
         wall_time_ms=wall,
@@ -274,7 +273,6 @@ def derive_eghr_from_oja(w, cov: CovarianceModel, batch: SampleBatch) -> Derivat
         value=float(np.linalg.norm(frame_route - target)),
         reference=0.0,
         tolerance=MC_TARGET_RTOL * max(float(np.linalg.norm(target)), 1e-300),
-        metric="abs",
         seed=batch.seed,
         inputs_digest=digest,
         wall_time_ms=wall,

@@ -1,9 +1,10 @@
 """Experiment records: one named, re-runnable check with its tolerance.
 
-A record stores the computed value, the reference it was compared against,
-both error flavors, and which one the tolerance applies to. The CSV schema
-is versioned and deliberately excludes wall time: identical (config, seed)
-must produce byte-identical files.
+A record stores the computed value, the reference it was compared against
+and both error flavors; the tolerance always applies to the absolute error.
+The ``metric`` field names that error and is always ``abs``; it stays a
+column of the versioned CSV schema, which deliberately excludes wall time:
+identical (config, seed) must produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -39,27 +40,23 @@ class ExperimentRecord:
     reference: float
     abs_error: float
     rel_error: float
-    metric: str  # "abs" or "rel": which error the tolerance applies to
+    metric: str  # always "abs": the tolerance applies to abs_error
     tolerance: float
     passed: bool
     wall_time_ms: float
     seed: int
     group: str = ""
 
-    def applicable_error(self) -> float:
-        return self.rel_error if self.metric == "rel" else self.abs_error
-
     def __post_init__(self):
         for name in ("value", "reference", "abs_error", "rel_error", "tolerance"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"record field {name} is not finite")
-        if self.metric not in ("abs", "rel"):
-            raise ValueError(f"unknown metric {self.metric!r}")
-        if self.passed != (self.applicable_error() <= self.tolerance):
+        if self.metric != "abs":
+            raise ValueError(f"unknown metric {self.metric!r}, expected 'abs'")
+        if self.passed != (self.abs_error <= self.tolerance):
             raise ValueError(
                 f"record {self.check_name}: passed={self.passed} inconsistent with "
-                f"{self.metric} error {self.applicable_error():.3e} vs "
-                f"tolerance {self.tolerance:.3e}"
+                f"abs error {self.abs_error:.3e} vs tolerance {self.tolerance:.3e}"
             )
 
 
@@ -68,20 +65,19 @@ def make_record(
     value: float,
     reference: float,
     tolerance: float,
-    metric: str,
     seed: int,
     inputs_digest: str = "",
     wall_time_ms: float = 0.0,
     group: str = "",
 ) -> ExperimentRecord:
-    """Build a record, deriving errors and pass/fail from value vs reference.
+    """Build a record, deriving errors and pass/fail (abs_error <= tolerance)
+    from value vs reference.
 
     ``rel_error`` falls back to the absolute error when the reference is 0,
     matching the house tolerance convention.
     """
     abs_error = abs(value - reference)
     rel_error = abs_error / abs(reference) if reference != 0.0 else abs_error
-    applicable = rel_error if metric == "rel" else abs_error
     return ExperimentRecord(
         check_name=check_name,
         inputs_digest=inputs_digest,
@@ -89,9 +85,9 @@ def make_record(
         reference=float(reference),
         abs_error=float(abs_error),
         rel_error=float(rel_error),
-        metric=metric,
+        metric="abs",
         tolerance=float(tolerance),
-        passed=bool(applicable <= tolerance),
+        passed=bool(abs_error <= tolerance),
         wall_time_ms=float(wall_time_ms),
         seed=int(seed),
         group=group,

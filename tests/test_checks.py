@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from frame_hebb import checks
-from frame_hebb.config import RunConfig
+from frame_hebb.config import EQUIVALENCE_CHECKS, FRAME_CHECKS, RunConfig
 from frame_hebb.linalg import build_covariance, random_spd
 
 
@@ -97,3 +97,7 @@ def test_mc_rate_checks_draw_each_batch_once(monkeypatch):
     assert [r.check_name for r in records] == names
     per_kind = len(checks.RATE_SAMPLE_GRID) * 3
     assert len(draws) == per_kind == len(set(draws))
+
+
+def test_registry_covers_exactly_the_command_checks():
+    assert sorted(checks._RUNNER_BY_CHECK) == sorted(EQUIVALENCE_CHECKS + FRAME_CHECKS)

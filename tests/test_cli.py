@@ -113,6 +113,25 @@ class TestFrameCheck:
         assert [r.check_name for r in records] == ["isserlis-analytic"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equivalence", "--checks", "frame-bounds"],
+        ["equivalence", "--checks", "train-final"],
+        ["frame-check", "--checks", "closed-equivalence,train-final"],
+    ],
+)
+def test_selection_without_command_checks_is_config_error(tmp_path, argv):
+    # a selection that leaves the command nothing to run must not pass vacuously
+    proc = run_process(argv + ["--out", tmp_path])
+    assert proc.returncode == EXIT_CONFIG_ERROR
+    assert proc.stderr.startswith("config error:")
+    assert argv[0] in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
 class TestTrain:
     @pytest.mark.parametrize(
         "flags",
@@ -232,13 +251,22 @@ class TestReport:
     def test_mixed_pass_fail_reports_fail(self, tmp_path, capsys):
         records = [
             make_record("good", value=0.0, reference=0.0, tolerance=1.0,
-                        metric="abs", seed=1, group="g"),
+                        seed=1, group="g"),
             make_record("bad", value=9.0, reference=0.0, tolerance=1.0,
-                        metric="abs", seed=1, group="g"),
+                        seed=1, group="g"),
         ]
         write_records_csv(tmp_path / "mixed.csv", records)
         assert run(["report", "--out", tmp_path]) == EXIT_CHECK_FAILED
         assert "overall: FAIL" in capsys.readouterr().out
+
+    def test_rel_metric_row_is_corrupt(self, tmp_path, capsys):
+        # the tolerance applies to abs_error only; a "rel" row is not a record
+        path = tmp_path / "rel.csv"
+        write_records_csv(path, [make_record("good", value=0.0, reference=0.0,
+                                             tolerance=1.0, seed=1, group="g")])
+        path.write_text(path.read_text().replace(",abs,", ",rel,"))
+        assert run(["report", "--out", tmp_path]) == EXIT_CONFIG_ERROR
+        assert "rel.csv" in capsys.readouterr().err
 
     def test_trajectory_files_skipped(self, tmp_path):
         run(["train", "--out", tmp_path, "--nx", "3", "--nu", "1",
@@ -301,6 +329,20 @@ stein_argv = st.builds(
 )
 
 
+# Cheap checks of both commands, and train-final, which no check command runs.
+CHEAP_CHECKS = {"equivalence": ["fixed-point-sharing"],
+                "frame-check": ["frame-bounds", "kernel-annihilation",
+                                "restricted-inverse", "isserlis-analytic"]}
+SELECTABLE = [c for checks in CHEAP_CHECKS.values() for c in checks] + ["train-final"]
+
+selection_argv = st.tuples(
+    st.sampled_from(sorted(CHEAP_CHECKS)),
+    st.lists(st.sampled_from(SELECTABLE), min_size=1, max_size=3, unique=True),
+    st.integers(1, 4),
+    st.integers(1, 3),
+)
+
+
 class TestExitCodeContract:
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(argv=train_argv() | stein_argv)
@@ -311,3 +353,14 @@ class TestExitCodeContract:
             except SystemExit as exc:  # argparse rejects a non-integer count
                 code = exc.code
         assert code in (EXIT_PASS, EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_DIVERGED)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(draw=selection_argv)
+    def test_check_selection_maps_to_an_exit_code(self, draw):
+        command, names, nx, nu = draw
+        with tempfile.TemporaryDirectory() as out:
+            code = run([command, "--checks", ",".join(names), "--nx", nx, "--nu", nu,
+                        "--samples", 100, "--out", out])
+        assert code in (EXIT_PASS, EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_DIVERGED)
+        if not set(names) & set(CHEAP_CHECKS[command]):
+            assert code == EXIT_CONFIG_ERROR
