@@ -2,9 +2,10 @@
 
 Each check distills one identity or convergence claim into a single
 ExperimentRecord: worst observed violation vs a pinned tolerance. Exact
-identities use roundoff-level tolerances; Monte-Carlo comparisons use either
-4-standard-error bands or the fitted 1/sqrt(n) rate, never a fixed constant
-that sampling noise could cross.
+identities use roundoff-level tolerances. Most Monte-Carlo comparisons use
+4-standard-error bands or the fitted 1/sqrt(n) rate; isserlis-empirical
+(MC_FROBENIUS_RTOL) and derivation-mc-target (frames.MC_TARGET_RTOL) still
+use a fixed 5% relative tolerance, which sampling noise can cross at small n.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import numpy as np
 
 from .config import CHECK_GROUPS, RunConfig
 from .frames import (
-    _frame_moments,
     cancellation_coefficient,
     derive_eghr_from_oja,
     frame_bounds,
     frame_coefficient,
+    frame_expansion_reconstruct,
     frame_operator_analytic,
     frame_operator_empirical,
     restricted_inverse_apply,
@@ -89,7 +90,6 @@ def closed_equivalence_check(
     return make_record(
         check_name="closed-equivalence",
         value=worst,
-        reference=0.0,
         tolerance=EXACT_RTOL,
         seed=seed,
         inputs_digest=digest_inputs(dims=dims, trials=trials, seed=seed),
@@ -128,7 +128,6 @@ def fixed_point_sharing_check(
     return make_record(
         check_name="fixed-point-sharing",
         value=worst,
-        reference=0.0,
         tolerance=EXACT_RTOL,
         seed=seed,
         inputs_digest=digest_inputs(nx=nx, nu=nu, trials=trials, seed=seed),
@@ -154,7 +153,6 @@ def stein_identity_check(
     return make_record(
         check_name="stein-identity",
         value=worst,
-        reference=0.0,
         tolerance=1.0,
         seed=seed,
         inputs_digest=digest_inputs(dims=dims, n=n, seed=seed),
@@ -179,7 +177,6 @@ def frame_bounds_check(cov, seed: int, trials: int = 1000) -> ExperimentRecord:
     return make_record(
         check_name="frame-bounds",
         value=worst,
-        reference=0.0,
         tolerance=BOUND_ATOL,
         seed=seed,
         inputs_digest=digest_inputs(nx=cov.dim, trials=trials, seed=seed),
@@ -205,7 +202,6 @@ def kernel_annihilation_check(cov, seed: int, trials: int = 100) -> ExperimentRe
     return make_record(
         check_name="kernel-annihilation",
         value=worst,
-        reference=0.0,
         tolerance=EXACT_RTOL,
         seed=seed,
         inputs_digest=digest_inputs(nx=cov.dim, trials=trials, seed=seed),
@@ -227,7 +223,6 @@ def restricted_inverse_check(cov, seed: int, trials: int = 100) -> ExperimentRec
     return make_record(
         check_name="restricted-inverse",
         value=worst,
-        reference=0.0,
         tolerance=RESTRICTED_INVERSE_RTOL,
         seed=seed,
         inputs_digest=digest_inputs(nx=cov.dim, trials=trials, seed=seed),
@@ -267,7 +262,6 @@ def coefficient_identity_checks(
     coeff = make_record(
         check_name="coefficient-identity",
         value=coeff_err / scale,
-        reference=0.0,
         tolerance=EXACT_RTOL,
         seed=seed,
         inputs_digest=digest,
@@ -276,7 +270,6 @@ def coefficient_identity_checks(
     cancel = make_record(
         check_name="cancellation-identity",
         value=cancel_err / scale,
-        reference=0.0,
         tolerance=EXACT_RTOL,
         seed=seed,
         inputs_digest=digest,
@@ -300,7 +293,6 @@ def isserlis_checks(cov, seed: int, n: int, names=None) -> tuple[ExperimentRecor
     analytic = make_record(
         check_name="isserlis-analytic",
         value=analytic_gap,
-        reference=0.0,
         tolerance=EXACT_RTOL,
         seed=seed,
         inputs_digest=digest,
@@ -312,7 +304,6 @@ def isserlis_checks(cov, seed: int, n: int, names=None) -> tuple[ExperimentRecor
     empirical = make_record(
         check_name="isserlis-empirical",
         value=float(np.linalg.norm(s_emp - s)) / s_scale,
-        reference=0.0,
         tolerance=MC_FROBENIUS_RTOL,
         seed=seed,
         inputs_digest=digest,
@@ -336,9 +327,9 @@ def mc_rate_check(
     against sample count; a healthy Monte-Carlo estimator sits near -1/2.
 
     The kinds share batches: they use one W and one child-seed schedule, so
-    each batch is drawn once and every requested estimator runs on it, the
-    two frame kinds on the same centered rows. Each record equals the one a
-    single-kind call gives, except wall_time_ms, which covers the whole pass.
+    each batch is drawn once and every requested estimator runs on it. Each
+    record equals the one a single-kind call gives, except wall_time_ms,
+    which covers the whole pass.
     """
     kinds = tuple(kinds)
     if not kinds or len(set(kinds)) != len(kinds) or not set(kinds) <= set(_RATE_KINDS):
@@ -351,25 +342,18 @@ def mc_rate_check(
         ref["oja"] = oja_update_closed(w, cov)
     if "eghr" in kinds:
         ref["eghr"] = eghr_update_closed(w, cov)
-    operator = "frame-operator" in kinds
-    if operator:
+    if "frame-operator" in kinds:
         ref["frame-operator"] = frame_operator_analytic(cov)
-    dual = None
     if "frame-expansion" in kinds:
         ref["frame-expansion"] = vec(cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma)
-        dual = restricted_inverse_apply(cov, ref["frame-expansion"])
-
-    def estimates(batch) -> dict:
-        est = {}
-        if "oja" in kinds:
-            est["oja"] = oja_update_empirical(w, batch)
-        if "eghr" in kinds:
-            est["eghr"] = eghr_update_empirical(w, batch)
-        if operator or dual is not None:
-            est["frame-operator"], est["frame-expansion"], _ = _frame_moments(
-                batch, operator=operator, dual=dual
-            )
-        return est
+    estimators = {
+        "oja": lambda batch: oja_update_empirical(w, batch),
+        "eghr": lambda batch: eghr_update_empirical(w, batch),
+        "frame-operator": frame_operator_empirical,
+        "frame-expansion": lambda batch: frame_expansion_reconstruct(
+            ref["frame-expansion"], batch
+        ),
+    }
 
     rmse = {kind: [] for kind in kinds}
     counter = 0
@@ -378,9 +362,9 @@ def mc_rate_check(
         for _ in range(replicates):
             batch = sample(cov, n, derive_seed(seed, counter))
             counter += 1
-            est = estimates(batch)
             for kind in kinds:
-                sq[kind] += float(np.linalg.norm(est[kind] - ref[kind])) ** 2
+                est = estimators[kind](batch)
+                sq[kind] += float(np.linalg.norm(est - ref[kind])) ** 2
         for kind in kinds:
             rmse[kind].append(np.sqrt(sq[kind] / replicates))
     wall = (time.perf_counter() - t0) * 1e3

@@ -67,12 +67,14 @@ def _print_records(records: list[ExperimentRecord]) -> None:
 def cmd_checks(config: RunConfig, command: str, command_checks: list[str],
                csv_name: str) -> int:
     """Run the command's checks that the config selects; write them to csv_name.
-    A selection that leaves the command no check is a config error."""
-    names = [c for c in command_checks if config.checks is None or c in config.checks]
-    if not names:
-        print(f"config error: the check selection names none of the {command} "
+    Selecting any name that is not one of the command's checks is a config
+    error."""
+    foreign = [c for c in config.checks or () if c not in command_checks]
+    if foreign:
+        print(f"config error: {', '.join(foreign)} not among the {command} "
               f"checks ({', '.join(command_checks)})", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    names = [c for c in command_checks if config.checks is None or c in config.checks]
     records = run_checks(config, names)
     write_records_csv(Path(config.output_dir) / csv_name, records)
     _print_records(records)
@@ -122,7 +124,6 @@ def cmd_train(config: RunConfig) -> int:
     record = make_record(
         check_name="train-final",
         value=final.subspace_error,
-        reference=0.0,
         tolerance=config.threshold,
         seed=config.seed,
         inputs_digest="",

@@ -16,12 +16,13 @@ vector, and frame_operator_analytic and frame_operator_empirical give S as a
 dense nx**2 x nx**2 array. Only those two, and gaussian.isserlis_fourth_moment,
 build arrays of that size. The analytic build applies T as a column gather,
 O(nx**4) instead of the O(nx**6) of a dense product with T. Everything else
-works on nx x nx matrices or on chunks of n x nx**2 centered rows.
+works on nx x nx matrices.
 
-One chunk pass, _frame_moments, serves both Monte-Carlo estimators: it
-builds each chunk of centered rows once and accumulates the empirical
-operator, the frame expansion, or both from it, so a caller that needs both
-on one batch (the mc-rate checks) pays for the rows once.
+Only the empirical operator builds the n x nx**2 centered rows xi_k, in
+fixed chunks. The Monte-Carlo frame expansion never does: with
+D = unvec(S^-1 v), the coefficient is (S^-1 v, xi_k) = x_k^T D x_k - tr(D Sigma),
+so (1/n) sum_k c_k xi_k = vec(X^T diag(c) X / n - mean(c) Sigma) costs two
+n x nx products.
 """
 
 from __future__ import annotations
@@ -75,40 +76,6 @@ def _centered_rows(x: np.ndarray, cov: CovarianceModel) -> np.ndarray:
     return outer
 
 
-def _frame_moments(
-    batch: SampleBatch, operator: bool = False, dual: np.ndarray | None = None
-) -> tuple[np.ndarray | None, np.ndarray | None, float]:
-    """The one chunk pass over a batch's centered rows xi_k.
-
-    Builds the rows once per _CHUNK-row block and returns the empirical
-    operator (1/n) sum_k xi_k xi_k^T if ``operator``, and, given ``dual``,
-    the expansion (1/n) sum_k (dual, xi_k) xi_k and the coefficient mean
-    (1/n) sum_k (dual, xi_k). Fixed chunks make every sum independent of
-    available memory.
-    """
-    if operator and batch.n < 2:
-        raise SampleSizeError(f"need >= 2 samples for the frame operator, got {batch.n}")
-    cov = batch.covariance
-    d2 = cov.dim * cov.dim
-    s = np.zeros((d2, d2)) if operator else None
-    recon = None if dual is None else np.zeros(d2)
-    coeff_total = 0.0
-    for start in range(0, batch.n, _CHUNK):
-        rows = _centered_rows(batch.data[start : start + _CHUNK], cov)
-        if operator:
-            s += rows.T @ rows
-        if dual is not None:
-            coeffs = rows @ dual
-            recon += rows.T @ coeffs
-            coeff_total += float(np.sum(coeffs))
-    if operator:
-        s /= batch.n
-        s = (s + s.T) / 2.0
-    if dual is not None:
-        recon = recon / batch.n
-    return s, recon, coeff_total / batch.n
-
-
 def frame_operator_analytic(cov: CovarianceModel) -> np.ndarray:
     """S = (Sigma kron Sigma)(I + T), with T applied as a column gather.
     Both terms, and so S, are symmetric to the bit because Sigma is."""
@@ -118,8 +85,17 @@ def frame_operator_analytic(cov: CovarianceModel) -> np.ndarray:
 
 
 def frame_operator_empirical(batch: SampleBatch) -> np.ndarray:
-    """(1/n) sum_k xi_k xi_k^T, accumulated in fixed-size chunks."""
-    return _frame_moments(batch, operator=True)[0]
+    """(1/n) sum_k xi_k xi_k^T, accumulated in fixed-size chunks so the sum
+    does not depend on available memory."""
+    if batch.n < 2:
+        raise SampleSizeError(f"need >= 2 samples for the frame operator, got {batch.n}")
+    cov = batch.covariance
+    s = np.zeros((cov.dim * cov.dim,) * 2)
+    for start in range(0, batch.n, _CHUNK):
+        rows = _centered_rows(batch.data[start : start + _CHUNK], cov)
+        s += rows.T @ rows
+    s /= batch.n
+    return (s + s.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -199,15 +175,22 @@ def cancellation_coefficient(w, x, cov: CovarianceModel) -> float:
 
 
 def _expansion_sums(v, batch: SampleBatch) -> tuple[np.ndarray, float]:
-    """Chunked (1/n) sum_k (v, S^-1 xi_k) xi_k and the coefficient mean.
+    """(1/n) sum_k (v, S^-1 xi_k) xi_k and the coefficient mean, on nx x nx
+    matrices.
 
     Coefficients are evaluated sample-parallel as (S^-1 v, xi_k), which
-    equals (v, S^-1 xi_k) because the restricted inverse is self-adjoint.
+    equals (v, S^-1 xi_k) because the restricted inverse is self-adjoint;
+    with D = unvec(S^-1 v) that is c_k = x_k^T D x_k - tr(D Sigma).
     """
-    _, recon, coeff_mean = _frame_moments(
-        batch, dual=restricted_inverse_apply(batch.covariance, v)
-    )
-    return recon, coeff_mean
+    cov = batch.covariance
+    x = batch.data
+    d = unvec(restricted_inverse_apply(cov, v), cov.dim)
+    buf = x @ d
+    np.multiply(buf, x, out=buf)
+    coeffs = buf @ np.ones(cov.dim) - float(np.sum(d * cov.sigma))
+    coeff_mean = float(np.mean(coeffs))
+    np.multiply(x, coeffs[:, None], out=buf)
+    return vec(x.T @ buf / batch.n - coeff_mean * cov.sigma), coeff_mean
 
 
 def frame_expansion_reconstruct(v, batch: SampleBatch) -> np.ndarray:
@@ -262,7 +245,6 @@ def derive_eghr_from_oja(w, cov: CovarianceModel, batch: SampleBatch) -> Derivat
     agreement = make_record(
         check_name="derivation-chain-agreement",
         value=float(np.linalg.norm(frame_route - direct_route)),
-        reference=0.0,
         tolerance=CHAIN_AGREEMENT_RTOL * max(float(np.linalg.norm(direct_route)), 1e-300),
         seed=batch.seed,
         inputs_digest=digest,
@@ -271,7 +253,6 @@ def derive_eghr_from_oja(w, cov: CovarianceModel, batch: SampleBatch) -> Derivat
     mc = make_record(
         check_name="derivation-mc-target",
         value=float(np.linalg.norm(frame_route - target)),
-        reference=0.0,
         tolerance=MC_TARGET_RTOL * max(float(np.linalg.norm(target)), 1e-300),
         seed=batch.seed,
         inputs_digest=digest,

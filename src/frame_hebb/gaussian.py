@@ -127,7 +127,6 @@ def stein_check(cov: CovarianceModel, a, n: int, seed: int) -> ExperimentRecord:
     return make_record(
         check_name=f"stein-{name}",
         value=float(abs(mean[worst])),
-        reference=0.0,
         tolerance=float(band[worst]),
         seed=seed,
         inputs_digest=digest_inputs(fn=name, n=n, seed=seed, dim=cov.dim),

@@ -62,10 +62,11 @@ class ExperimentRecord:
 
 def make_record(
     check_name: str,
+    *,
     value: float,
-    reference: float,
     tolerance: float,
     seed: int,
+    reference: float = 0.0,
     inputs_digest: str = "",
     wall_time_ms: float = 0.0,
     group: str = "",

@@ -1,6 +1,8 @@
 """Frame vectors, the frame operator, bounds, inverses, coefficients,
 expansions, and the derivation chain."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -299,60 +301,53 @@ class TestFrameExpansion:
         recon = frame_expansion_reconstruct(v, sample(cov21, 10**6, seed=78))
         assert np.linalg.norm(recon - v) / np.linalg.norm(v) <= 0.05
 
-    def test_vectorized_coefficients_match_scalar_path(self, cov_rand3):
+    @pytest.mark.parametrize("nx", [1, 3, 16])
+    def test_vectorized_coefficients_match_scalar_path(self, nx):
+        cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=60))  # nx=3: cov_rand3
         rng = np.random.default_rng(79)
-        m = sym_part(rng.standard_normal((3, 3)))
-        v = vec(m)
-        batch = sample(cov_rand3, 64, seed=80)
+        v = vec(sym_part(rng.standard_normal((nx, nx))))
+        batch = sample(cov, 64, seed=80)
         recon, coeff_mean = _expansion_sums(v, batch)
-        coeffs = np.array(
-            [frame_coefficient(v, x, cov_rand3) for x in batch.data]
+        coeffs = np.array([frame_coefficient(v, x, cov) for x in batch.data])
+        xis = np.stack([frame_vector(x, cov) for x in batch.data])
+        expected = xis.T @ coeffs / batch.n
+        np.testing.assert_allclose(
+            recon, expected, rtol=0, atol=1e-12 * np.abs(expected).max()
         )
-        xis = np.stack([frame_vector(x, cov_rand3) for x in batch.data])
-        np.testing.assert_allclose(recon, xis.T @ coeffs / batch.n, atol=1e-12)
-        assert coeff_mean == pytest.approx(coeffs.mean(), abs=1e-13)
+        assert coeff_mean == pytest.approx(coeffs.mean(), abs=1e-13 * np.abs(coeffs).max())
+
+    def test_memory_stays_at_batch_scale(self):
+        # the expansion works on n x nx arrays, never on the n x nx**2 rows
+        nx, n = 48, 2000
+        cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=88))
+        batch = sample(cov, n, seed=89)
+        w = np.random.default_rng(90).uniform(-1, 1, (4, nx))
+        v = vec(cov.sigma @ (np.eye(nx) - w.T @ w) @ cov.sigma)
+        for run in (lambda: frame_expansion_reconstruct(v, batch),
+                    lambda: derive_eghr_from_oja(w, cov, batch)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * batch.data.nbytes
 
 
-class TestSharedChunkPass:
-    """One chunk loop serves the operator and the expansion; its sums must be
-    bit-identical to the separate per-estimator loops it replaced."""
+class TestOperatorChunks:
+    """The empirical operator sums fixed chunks of centered rows; the sum
+    must be bit-identical to a plain loop over the same chunks."""
 
-    @staticmethod
-    def _old_loops(v, batch, chunk):
-        cov = batch.covariance
-        d = cov.dim
-
-        def rows_of(x):
-            n = len(x)
-            return np.einsum("ki,kj->kji", x, x).reshape(n, d * d) - vec(cov.sigma)
-
-        s = np.zeros((d * d, d * d))
-        for start in range(0, batch.n, chunk):
-            rows = rows_of(batch.data[start : start + chunk])
-            s += rows.T @ rows
-        s /= batch.n
-        operator = (s + s.T) / 2.0
-
-        dual = restricted_inverse_apply(cov, v)
-        recon = np.zeros(d * d)
-        for start in range(0, batch.n, chunk):
-            rows = rows_of(batch.data[start : start + chunk])
-            coeffs = rows @ dual
-            recon += rows.T @ coeffs
-        return operator, recon / batch.n
-
-    def test_matches_separate_loops_across_chunks(self, cov_rand3, monkeypatch):
+    def test_matches_reference_loop_across_chunks(self, cov_rand3, monkeypatch):
         monkeypatch.setattr(frames, "_CHUNK", 7)  # 30 rows: chunks 7,7,7,7,2
         batch = sample(cov_rand3, 30, seed=81)
-        v = vec(sym_part(np.random.default_rng(82).standard_normal((3, 3))))
-        operator, recon = self._old_loops(v, batch, 7)
-        np.testing.assert_array_equal(frame_operator_empirical(batch), operator)
-        np.testing.assert_array_equal(frame_expansion_reconstruct(v, batch), recon)
-        both = frames._frame_moments(
-            batch, operator=True, dual=restricted_inverse_apply(cov_rand3, v)
-        )
-        np.testing.assert_array_equal(both[0], operator)
-        np.testing.assert_array_equal(both[1], recon)
+        s = np.zeros((9, 9))
+        for start in range(0, batch.n, 7):
+            x = batch.data[start : start + 7]
+            rows = np.einsum("ki,kj->kji", x, x).reshape(len(x), 9) - vec(cov_rand3.sigma)
+            s += rows.T @ rows
+        s /= batch.n
+        np.testing.assert_array_equal(frame_operator_empirical(batch), (s + s.T) / 2.0)
 
 
 class TestIsserlisConsistency:
