@@ -16,11 +16,12 @@ import numpy as np
 
 from .config import CHECK_GROUPS, RunConfig
 from .frames import (
+    ExpansionMean,
+    OperatorMean,
     cancellation_coefficient,
     derive_eghr_from_oja,
     frame_bounds,
     frame_coefficient,
-    frame_expansion_reconstruct,
     frame_operator_analytic,
     frame_operator_empirical,
     restricted_inverse_apply,
@@ -34,13 +35,7 @@ from .gaussian import (
 )
 from .linalg import build_covariance, random_spd, skew_part, sym_part, vec
 from .records import ExperimentRecord, digest_inputs, make_record
-from .rules import (
-    eghr_g,
-    eghr_update_closed,
-    eghr_update_empirical,
-    oja_update_closed,
-    oja_update_empirical,
-)
+from .rules import EghrMean, OjaMean, eghr_g, eghr_update_closed, oja_update_closed
 
 # Eigenvalue range for the random covariances drawn inside sweep checks.
 SWEEP_EIG_RANGE = (0.5, 2.0)
@@ -326,10 +321,10 @@ def mc_rate_check(
     """Fit, per kind, the log-log slope of empirical-vs-closed-form error
     against sample count; a healthy Monte-Carlo estimator sits near -1/2.
 
-    The kinds share batches: they use one W and one child-seed schedule, so
-    each batch is drawn once and every requested estimator runs on it. Each
-    record equals the one a single-kind call gives, except wall_time_ms,
-    which covers the whole pass.
+    The kinds share batches: they use one W and one child-seed schedule, and
+    each chunk of a batch is drawn once and fed to the running sum of every
+    requested kind. Each record equals the one a single-kind call gives,
+    except wall_time_ms, which covers the whole pass.
     """
     kinds = tuple(kinds)
     if not kinds or len(set(kinds)) != len(kinds) or not set(kinds) <= set(_RATE_KINDS):
@@ -346,13 +341,11 @@ def mc_rate_check(
         ref["frame-operator"] = frame_operator_analytic(cov)
     if "frame-expansion" in kinds:
         ref["frame-expansion"] = vec(cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma)
-    estimators = {
-        "oja": lambda batch: oja_update_empirical(w, batch),
-        "eghr": lambda batch: eghr_update_empirical(w, batch),
-        "frame-operator": frame_operator_empirical,
-        "frame-expansion": lambda batch: frame_expansion_reconstruct(
-            ref["frame-expansion"], batch
-        ),
+    running_sum = {
+        "oja": lambda: OjaMean(w),
+        "eghr": lambda: EghrMean(w),
+        "frame-operator": lambda: OperatorMean(cov),
+        "frame-expansion": lambda: ExpansionMean(ref["frame-expansion"], cov),
     }
 
     rmse = {kind: [] for kind in kinds}
@@ -362,8 +355,8 @@ def mc_rate_check(
         for _ in range(replicates):
             batch = sample(cov, n, derive_seed(seed, counter))
             counter += 1
-            for kind in kinds:
-                est = estimators[kind](batch)
+            estimates = batch.feed(*(running_sum[kind]() for kind in kinds))
+            for kind, est in zip(kinds, estimates):
                 sq[kind] += float(np.linalg.norm(est - ref[kind])) ** 2
         for kind in kinds:
             rmse[kind].append(np.sqrt(sq[kind] / replicates))

@@ -11,7 +11,10 @@ Commands
 ``report``        aggregate previously written CSVs into a pass/fail table
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 configuration or
-input error, 3 numerical divergence during training.
+input error, 3 numerical divergence during training. A learning rate that
+steps W onto dependent rows (``RankDeficientError``) is an input error.
+``SkewDomainError`` is left unmapped: every vector the commands hand to the
+restricted inverse is symmetric to far within its domain tolerance.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .errors import (
     DegenerateCovarianceError,
     DimensionError,
     DivergenceError,
+    RankDeficientError,
     SampleSizeError,
 )
 from .linalg import EIGENVALUE_FLOOR_REL, build_covariance
@@ -253,7 +257,7 @@ def main(argv=None) -> int:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except (ConfigError, DegenerateCovarianceError, DimensionError,
-            SampleSizeError) as exc:
+            RankDeficientError, SampleSizeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -18,11 +18,14 @@ build arrays of that size. The analytic build applies T as a column gather,
 O(nx**4) instead of the O(nx**6) of a dense product with T. Everything else
 works on nx x nx matrices.
 
-Only the empirical operator builds the n x nx**2 centered rows xi_k, in
-fixed chunks. The Monte-Carlo frame expansion never does: with
-D = unvec(S^-1 v), the coefficient is (S^-1 v, xi_k) = x_k^T D x_k - tr(D Sigma),
-so (1/n) sum_k c_k xi_k = vec(X^T diag(c) X / n - mean(c) Sigma) costs two
-n x nx products.
+The empirical estimators are running sums over a batch's chunks
+(``OperatorMean``, ``ExpansionMean``), so they hold one chunk of rows at a
+time, never the batch. Only the empirical operator builds the centered rows
+xi_k, chunk by chunk, as a chunk x nx**2 block. The Monte-Carlo frame
+expansion never does: with D = unvec(S^-1 v), the coefficient is
+(S^-1 v, xi_k) = x_k^T D x_k - tr(D Sigma), so (1/n) sum_k c_k xi_k =
+vec(X^T diag(c) X / n - mean(c) Sigma) costs two chunk x nx products per
+chunk. ``derive_eghr_from_oja`` computes its two routes in one pass.
 """
 
 from __future__ import annotations
@@ -44,19 +47,11 @@ from .linalg import (
     vec_transpose_index,
 )
 from .records import ExperimentRecord, digest_inputs, make_record
-from .rules import (
-    _check_dims,
-    as_weights,
-    eghr_g_values,
-    eghr_update_from_g,
-    oja_update_closed,
-)
+from .rules import EghrMean, _check_dims, _closed_center, as_weights, oja_update_closed
 
 SKEW_DOMAIN_RTOL = 1e-10
 CHAIN_AGREEMENT_RTOL = 1e-12
 MC_TARGET_RTOL = 5e-2
-
-_CHUNK = 250_000
 
 
 def frame_vector(x, cov: CovarianceModel) -> np.ndarray:
@@ -68,7 +63,7 @@ def frame_vector(x, cov: CovarianceModel) -> np.ndarray:
 
 
 def _centered_rows(x: np.ndarray, cov: CovarianceModel) -> np.ndarray:
-    """Rows vec(x_k x_k^T) - vec(Sigma) for a block of samples, centered in
+    """Rows vec(x_k x_k^T) - vec(Sigma) for a chunk of samples, centered in
     place."""
     n, d = x.shape
     outer = np.einsum("ki,kj->kji", x, x).reshape(n, d * d)
@@ -84,18 +79,30 @@ def frame_operator_analytic(cov: CovarianceModel) -> np.ndarray:
     return s
 
 
+class OperatorMean:
+    """Running sum of xi_k xi_k^T over chunks; ``result`` is
+    (1/n) sum_k xi_k xi_k^T, symmetrized."""
+
+    def __init__(self, cov: CovarianceModel):
+        self.cov = cov
+        self.n = 0
+        self.total = np.zeros((cov.dim * cov.dim,) * 2)
+
+    def add(self, x: np.ndarray) -> None:
+        rows = _centered_rows(x, self.cov)
+        self.total += rows.T @ rows
+        self.n += x.shape[0]
+
+    def result(self) -> np.ndarray:
+        s = self.total / self.n
+        return (s + s.T) / 2.0
+
+
 def frame_operator_empirical(batch: SampleBatch) -> np.ndarray:
-    """(1/n) sum_k xi_k xi_k^T, accumulated in fixed-size chunks so the sum
-    does not depend on available memory."""
+    """(1/n) sum_k xi_k xi_k^T, summed over the batch's chunks."""
     if batch.n < 2:
         raise SampleSizeError(f"need >= 2 samples for the frame operator, got {batch.n}")
-    cov = batch.covariance
-    s = np.zeros((cov.dim * cov.dim,) * 2)
-    for start in range(0, batch.n, _CHUNK):
-        rows = _centered_rows(batch.data[start : start + _CHUNK], cov)
-        s += rows.T @ rows
-    s /= batch.n
-    return (s + s.T) / 2.0
+    return batch.feed(OperatorMean(batch.covariance))[0]
 
 
 @dataclass(frozen=True)
@@ -174,23 +181,40 @@ def cancellation_coefficient(w, x, cov: CovarianceModel) -> float:
     return float(vec(half_residual) @ frame_vector(x, cov))
 
 
-def _expansion_sums(v, batch: SampleBatch) -> tuple[np.ndarray, float]:
-    """(1/n) sum_k (v, S^-1 xi_k) xi_k and the coefficient mean, on nx x nx
-    matrices.
+class ExpansionMean:
+    """Running sum of (v, S^-1 xi_k) xi_k over chunks; ``result`` is the
+    Monte-Carlo frame expansion (1/n) sum_k (v, S^-1 xi_k) xi_k and
+    ``coeff_mean`` the mean coefficient.
 
     Coefficients are evaluated sample-parallel as (S^-1 v, xi_k), which
     equals (v, S^-1 xi_k) because the restricted inverse is self-adjoint;
     with D = unvec(S^-1 v) that is c_k = x_k^T D x_k - tr(D Sigma).
     """
-    cov = batch.covariance
-    x = batch.data
-    d = unvec(restricted_inverse_apply(cov, v), cov.dim)
-    buf = x @ d
-    np.multiply(buf, x, out=buf)
-    coeffs = buf @ np.ones(cov.dim) - float(np.sum(d * cov.sigma))
-    coeff_mean = float(np.mean(coeffs))
-    np.multiply(x, coeffs[:, None], out=buf)
-    return vec(x.T @ buf / batch.n - coeff_mean * cov.sigma), coeff_mean
+
+    def __init__(self, v, cov: CovarianceModel):
+        self.cov = cov
+        self.d = unvec(restricted_inverse_apply(cov, v), cov.dim)
+        self.trace = float(np.sum(self.d * cov.sigma))
+        self.ones = np.ones(cov.dim)
+        self.n = 0
+        self.total = None
+        self.coeff_sum = 0.0
+
+    def add(self, x: np.ndarray) -> None:
+        buf = x @ self.d
+        np.multiply(buf, x, out=buf)
+        coeffs = buf @ self.ones - self.trace
+        self.coeff_sum += float(coeffs.sum())
+        np.multiply(x, coeffs[:, None], out=buf)
+        part = x.T @ buf
+        self.total = part if self.total is None else self.total + part
+        self.n += x.shape[0]
+
+    def coeff_mean(self) -> float:
+        return self.coeff_sum / self.n
+
+    def result(self) -> np.ndarray:
+        return vec(self.total / self.n - self.coeff_mean() * self.cov.sigma)
 
 
 def frame_expansion_reconstruct(v, batch: SampleBatch) -> np.ndarray:
@@ -198,8 +222,7 @@ def frame_expansion_reconstruct(v, batch: SampleBatch) -> np.ndarray:
 
     Converges to v at the usual 1/sqrt(n) rate for v in vec(Sym).
     """
-    recon, _ = _expansion_sums(v, batch)
-    return recon
+    return batch.feed(ExpansionMean(v, batch.covariance))[0]
 
 
 @dataclass(frozen=True)
@@ -223,20 +246,18 @@ def derive_eghr_from_oja(w, cov: CovarianceModel, batch: SampleBatch) -> Derivat
     from the samples. The two routes are the same sum term by term (the
     coefficient equals the gain), so they must agree to roundoff on any
     batch, while either route approaches the closed-form target only at
-    Monte-Carlo rate.
+    Monte-Carlo rate. Both routes are summed in one pass over the chunks.
     """
     t0 = time.perf_counter()
     w = as_weights(w)
     target = oja_update_closed(w, cov) @ cov.sigma
 
     v = vec(cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma)
-    recon, coeff_mean = _expansion_sums(v, batch)
+    expansion = ExpansionMean(v, cov)
+    # The direct route centers the gains in closed form.
+    recon, direct_route = batch.feed(expansion, EghrMean(w, _closed_center(w, cov.sigma)))
     # Undo the centering of xi: (1/n) sum c_k vec(x x^T) = recon + mean(c) vec(Sigma).
-    frame_route = w @ (unvec(recon, cov.dim) + coeff_mean * cov.sigma)
-
-    direct_route = eghr_update_from_g(
-        w, batch, eghr_g_values(w, batch, cov)
-    )
+    frame_route = w @ (unvec(recon, cov.dim) + expansion.coeff_mean() * cov.sigma)
 
     wall = (time.perf_counter() - t0) * 1e3
     digest = digest_inputs(

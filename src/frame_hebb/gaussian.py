@@ -4,8 +4,13 @@ E[f(x) x_i] = sum_a Sigma_ia E[d_a f]) and the analytic Gaussian fourth
 moment E[(x kron x)(x kron x)^T].
 
 Sampling is deterministic: a batch is a pure function of (covariance, n,
-seed). ``sample`` draws the whole n x dim batch at once from one generator
-seeded with ``seed`` and holds it in memory. Callers that need several
+seed). ``sample`` returns a ``SampleBatch`` that holds no rows; each pass over
+its ``chunks`` draws them in order from one ``default_rng(seed)``, CHUNK_ROWS
+at a time, so an estimator holds one chunk, not the batch. The chunks
+concatenate to the rows a whole-batch draw gives, bit for bit. Every
+empirical estimator is a running sum over the chunks (an object with ``add``
+and ``result``), and ``SampleBatch.feed`` hands each chunk to several of them,
+so estimators that share a batch share one draw. Callers that need several
 independent batches take a child seed per batch from ``derive_seed``.
 
 The identity is checked on monomial test functions f = prod_j x_j^{a_j},
@@ -16,6 +21,7 @@ built-in ones); f and its gradient are evaluated batch-wise from a alone.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,15 +31,72 @@ from .linalg import CovarianceModel, kron, vec, vec_transpose_index
 from .records import ExperimentRecord, digest_inputs, make_record
 
 
+# Rows per chunk: 2**15 rows keep a chunk and the estimators' temporaries
+# at a few MB for small nx, and a power of two lines up with the BLAS
+# blocking, so the rows of a chunk come out of the product with L^T as they
+# do in one whole-batch product.
+CHUNK_ROWS = 1 << 15
+
+
 @dataclass(frozen=True)
 class SampleBatch:
-    """n i.i.d. zero-mean Gaussian rows with the generating seed attached."""
+    """n zero-mean Gaussian rows x = L z, handed out in chunks.
+
+    A batch from ``sample`` holds no rows (``rows`` is None): ``chunks``
+    draws them from ``default_rng(seed)``. A batch built by ``from_rows``
+    holds its rows and ``chunks`` slices them. The chunk bounds depend on n
+    alone, so both kinds run through the same estimator code.
+    """
 
     n: int
-    dim: int
-    data: np.ndarray  # shape (n, dim)
     seed: int
     covariance: CovarianceModel
+    rows: np.ndarray | None = None
+
+    @classmethod
+    def from_rows(cls, rows, cov: CovarianceModel, seed: int = 0) -> "SampleBatch":
+        """A batch of given rows, shape (n, cov.dim) with n >= 1."""
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] != cov.dim:
+            raise DimensionError(f"rows have shape {rows.shape}, expected (n >= 1, {cov.dim})")
+        return cls(n=rows.shape[0], seed=seed, covariance=cov, rows=rows)
+
+    @property
+    def dim(self) -> int:
+        return self.covariance.dim
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        """The rows in order, CHUNK_ROWS at a time; the last chunk also takes
+        the remainder, so every chunk but a lone one has CHUNK_ROWS to
+        2 CHUNK_ROWS - 1 rows. A short tail chunk would go through another
+        BLAS kernel (gemv, or the small-matrix path) than the same rows do
+        inside a whole-batch product, and could differ in the last bit."""
+        count = max(self.n // CHUNK_ROWS, 1)
+        sizes = [CHUNK_ROWS] * (count - 1) + [self.n - CHUNK_ROWS * (count - 1)]
+        if self.rows is not None:
+            yield from np.split(self.rows, np.cumsum(sizes[:-1]))
+            return
+        rng = np.random.default_rng(self.seed)
+        chol_t = self.covariance.chol.T
+        for m in sizes:
+            yield rng.standard_normal((m, chol_t.shape[0])) @ chol_t
+
+    @property
+    def data(self) -> np.ndarray:
+        """The whole batch as one n x dim array, for small batches; the
+        estimators read ``chunks`` instead."""
+        if self.rows is not None:
+            return self.rows
+        parts = list(self.chunks())
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def feed(self, *sums) -> list:
+        """One pass over the chunks: hand each chunk to every running sum's
+        ``add``, then return their ``result()``s in order."""
+        for x in self.chunks():
+            for s in sums:
+                s.add(x)
+        return [s.result() for s in sums]
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -43,13 +106,11 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def sample(cov: CovarianceModel, n: int, seed: int) -> SampleBatch:
-    """Draw n samples x = L z with z standard normal from a seeded PRNG."""
+    """n samples x = L z with z standard normal from a seeded PRNG; the rows
+    are drawn when the batch's chunks are read."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, cov.dim))
-    x = z @ cov.chol.T
-    return SampleBatch(n=n, dim=cov.dim, data=x, seed=seed, covariance=cov)
+    return SampleBatch(n=n, seed=seed, covariance=cov)
 
 
 def monomial_exponents(dim: int) -> list[tuple[int, ...]]:
@@ -108,6 +169,10 @@ def stein_check(cov: CovarianceModel, a, n: int, seed: int) -> ExperimentRecord:
     discrepancy-to-band ratio, keeping "passed" equivalent to all components
     passing. Raises DimensionError when len(a) is not the covariance's
     dimension, and SampleSizeError for n < 2, where the band is undefined.
+
+    Mean and variance are taken per chunk and merged with the pairwise
+    update of Chan, Golub & LeVeque (1983); on one chunk they are
+    ``mean(axis=0)`` and ``std(axis=0, ddof=1)`` bit for bit.
     """
     a = tuple(int(p) for p in a)
     if len(a) != cov.dim:
@@ -116,10 +181,21 @@ def stein_check(cov: CovarianceModel, a, n: int, seed: int) -> ExperimentRecord:
         raise SampleSizeError(f"need >= 2 samples for the Stein band, got {n}")
     t0 = time.perf_counter()
     name = monomial_name(a)
-    x = sample(cov, n, seed).data
-    resid = monomial(x, a)[:, None] * x - monomial_grad(x, a) @ cov.sigma  # zero-mean rows
-    mean = resid.mean(axis=0)
-    band = 4.0 * resid.std(axis=0, ddof=1) / np.sqrt(n)
+    count = 0
+    for x in sample(cov, n, seed).chunks():
+        resid = monomial(x, a)[:, None] * x - monomial_grad(x, a) @ cov.sigma  # zero-mean rows
+        m = resid.shape[0]
+        chunk_mean = resid.mean(axis=0)
+        dev = resid - chunk_mean
+        chunk_m2 = (dev * dev).sum(axis=0)  # the sum of squares np.std takes
+        if count == 0:
+            mean, m2 = chunk_mean, chunk_m2
+        else:
+            delta = chunk_mean - mean
+            mean = mean + delta * (m / (count + m))
+            m2 = m2 + chunk_m2 + delta * delta * (count * m / (count + m))
+        count += m
+    band = 4.0 * np.sqrt(m2 / (n - 1)) / np.sqrt(n)
     # Degenerate residual (identically zero) gets an absolute floor.
     band = np.maximum(band, 1e-12)
 

@@ -13,7 +13,9 @@ an unchecked private kernel (``_oja_closed``, ``_eghr_closed``,
 ``_oja_empirical``, ``_eghr_empirical``, ``_subspace_error``,
 ``_orth_residual``). ``train`` validates W0 once at entry and steps through
 the same kernels, so a training run and the public functions share one
-arithmetic path.
+arithmetic path. The empirical kernels feed the batch's chunks to the
+running sums ``OjaMean`` and ``EghrMean``, which ``checks.mc_rate_check``
+also feeds directly so that both updates share one draw.
 """
 
 from __future__ import annotations
@@ -64,11 +66,28 @@ def oja_update_closed(w, cov: CovarianceModel) -> np.ndarray:
     return _oja_closed(w, cov.sigma, np.eye(cov.dim))
 
 
+class OjaMean:
+    """Running sum of u (x - W^T u)^T over chunks; ``result`` is its batch
+    average. W is not validated."""
+
+    def __init__(self, w: np.ndarray):
+        self.w = w
+        self.n = 0
+        self.total = None
+
+    def add(self, x: np.ndarray) -> None:
+        u = x @ self.w.T
+        part = u.T @ (x - u @ self.w)
+        self.total = part if self.total is None else self.total + part
+        self.n += x.shape[0]
+
+    def result(self) -> np.ndarray:
+        return self.total / self.n
+
+
 def _oja_empirical(w: np.ndarray, batch: SampleBatch) -> np.ndarray:
     """Unchecked kernel of oja_update_empirical."""
-    x = batch.data
-    u = x @ w.T
-    return u.T @ (x - u @ w) / batch.n
+    return batch.feed(OjaMean(w))[0]
 
 
 def oja_update_empirical(w, batch: SampleBatch) -> np.ndarray:
@@ -87,27 +106,79 @@ def eghr_g(x, w, cov: CovarianceModel) -> float:
         raise DimensionError(f"x has shape {x.shape}, expected ({cov.dim},)")
     _check_dims(w, cov.dim, "eghr_g")
     u = w @ x
-    expected = np.trace(cov.sigma) - float(np.sum((w @ cov.sigma) * w))
-    return 0.5 * (float(x @ x) - float(u @ u) - expected)
+    return 0.5 * (float(x @ x) - float(u @ u) - _closed_center(w, cov.sigma))
 
 
-def _gains(w: np.ndarray, x: np.ndarray, center=None) -> tuple[np.ndarray, np.ndarray]:
-    """Unchecked kernel of eghr_g_values: u = x W^T and the gains, centered by
-    ``center`` or, when it is None, by the batch mean."""
+def _closed_center(w: np.ndarray, sigma: np.ndarray):
+    """E[|x|^2 - |u|^2] = tr Sigma - tr(W Sigma W^T), the closed-form center
+    of the gains."""
+    return np.trace(sigma) - float(np.sum((w @ sigma) * w))
+
+
+def _gains(w: np.ndarray, x: np.ndarray, center=None) -> tuple[np.ndarray, np.ndarray, float]:
+    """u = x W^T, s = |x|^2 - |u|^2 per row, and the center of the gains
+    0.5 (s - center): ``center``, or the mean of s when it is None."""
     u = x @ w.T
     s = (x * x).sum(axis=1) - (u * u).sum(axis=1)
     if center is None:
         center = float(s.sum() / s.size)  # np.mean's reduction, without its wrapper
-    return u, 0.5 * (s - center)
+    return u, s, center
 
 
-def _gain_hebbian(u: np.ndarray, g: np.ndarray, batch: SampleBatch) -> np.ndarray:
-    """Unchecked kernel of eghr_update_from_g, given u = x W^T."""
-    return (u * g[:, None]).T @ batch.data / batch.n
+class EghrMean:
+    """Running sum of g u x^T over chunks; ``result`` is its batch average.
+
+    With ``center`` None the gains are centered by the batch mean c of
+    s = |x|^2 - |u|^2, which is known only after the last chunk. So they are
+    centered on the first chunk's mean c0 instead, and the result is then
+    corrected by -(c - c0)/2 (1/n) sum_k u_k x_k^T, where (c - c0)/2 is the
+    mean of those gains. A batch of one chunk needs no correction and gets
+    none: the result is the whole-batch formula bit for bit. A given
+    ``center`` (the closed form) needs none either. W is not validated.
+    """
+
+    def __init__(self, w: np.ndarray, center=None):
+        self.w = w
+        self.center = center
+        self.recenter = center is None
+        self.n = 0
+        self.total = None
+        self.first = None  # (u, g, x) of the first chunk, until a second one comes
+        self.g_sum = 0.0  # sum of the gains and of u x^T, once a second chunk comes
+        self.ux = None
+
+    def add(self, x: np.ndarray) -> None:
+        u, s, self.center = _gains(self.w, x, self.center)
+        g = 0.5 * (s - self.center)
+        part = (u * g[:, None]).T @ x
+        if self.total is None:
+            self.total = part
+            if self.recenter:
+                self.first = (u, g, x)
+        else:
+            self.total = self.total + part
+            if self.recenter:
+                if self.first is not None:
+                    self._fold(*self.first)
+                    self.first = None
+                self._fold(u, g, x)
+        self.n += x.shape[0]
+
+    def _fold(self, u: np.ndarray, g: np.ndarray, x: np.ndarray) -> None:
+        self.g_sum += float(g.sum())
+        ux = u.T @ x
+        self.ux = ux if self.ux is None else self.ux + ux
+
+    def result(self) -> np.ndarray:
+        mean = self.total / self.n
+        if self.ux is not None:
+            mean -= (self.g_sum / self.n) * (self.ux / self.n)
+        return mean
 
 
 def eghr_g_values(w, batch: SampleBatch, cov: CovarianceModel | None = None) -> np.ndarray:
-    """Per-sample gains over a batch.
+    """Per-sample gains over a batch, one per row, so the whole batch is read
+    at once.
 
     Batch-mean centering when ``cov`` is None (the default used by the
     empirical update; the values then sum to zero up to roundoff), closed-form
@@ -115,10 +186,9 @@ def eghr_g_values(w, batch: SampleBatch, cov: CovarianceModel | None = None) -> 
     """
     w = as_weights(w)
     _check_dims(w, batch.dim, "eghr_g_values")
-    center = None
-    if cov is not None:
-        center = np.trace(cov.sigma) - float(np.sum((w @ cov.sigma) * w))
-    return _gains(w, batch.data, center)[1]
+    center = None if cov is None else _closed_center(w, cov.sigma)
+    _, s, center = _gains(w, batch.data, center)
+    return 0.5 * (s - center)
 
 
 def _eghr_closed(w: np.ndarray, sigma: np.ndarray, eye: np.ndarray) -> np.ndarray:
@@ -144,13 +214,13 @@ def eghr_update_from_g(w, batch: SampleBatch, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape != (batch.n,):
         raise DimensionError(f"g has shape {g.shape}, expected ({batch.n},)")
-    return _gain_hebbian(batch.data @ w.T, g, batch)
+    x = batch.data
+    return ((x @ w.T) * g[:, None]).T @ x / batch.n
 
 
 def _eghr_empirical(w: np.ndarray, batch: SampleBatch) -> np.ndarray:
     """Unchecked kernel of eghr_update_empirical."""
-    u, g = _gains(w, batch.data)
-    return _gain_hebbian(u, g, batch)
+    return batch.feed(EghrMean(w))[0]
 
 
 def eghr_update_empirical(w, batch: SampleBatch) -> np.ndarray:

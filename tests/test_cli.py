@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frame_hebb
-from frame_hebb import rules
+from frame_hebb import frames, rules
 from frame_hebb.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -21,6 +21,9 @@ from frame_hebb.cli import (
     TRAJECTORY_SCHEMA_VERSION,
     main,
 )
+from frame_hebb.frames import SKEW_DOMAIN_RTOL
+from frame_hebb.gaussian import CHUNK_ROWS
+from frame_hebb.linalg import skew_part, unvec
 from frame_hebb.records import make_record, read_records_csv, write_records_csv
 
 FAST = ["--samples", "20000"]
@@ -213,6 +216,18 @@ class TestTrain:
         )
         assert code in (EXIT_PASS, EXIT_CHECK_FAILED)
 
+    def test_weights_stepped_onto_dependent_rows_are_input_error(self, tmp_path, capsys):
+        # Seed 3 gives W0 = [[2.0409...]]; at this learning rate one closed-form
+        # subspace step lands on W = [[0.0]] exactly, whose row space is empty.
+        code = run(["train", "--out", tmp_path, "--seed", "3", "--nx", "1", "--nu", "1",
+                    "--sigma", "identity", "--rule", "oja", "--mode", "closed",
+                    "--learning-rate", "0.31592074440327056", "--steps", "2",
+                    "--record-every", "1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG_ERROR
+        assert err.startswith("input error:") and "rank deficient" in err
+        assert len(err.splitlines()) == 1
+
     def test_empirical_mode_runs(self, tmp_path):
         code = run(
             ["train", "--out", tmp_path, "--nx", "3", "--nu", "1",
@@ -345,7 +360,71 @@ selection_argv = st.tuples(
 )
 
 
+# --samples around one chunk of the sample stream, and --sigma specs: valid
+# ones (the last ill-conditioned), then degenerate and malformed ones (exit 2).
+CONTRACT_SAMPLES = [1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
+VALID_SIGMAS = ["identity", "diagonal:4,3,2,1", "random-spd", "random-spd:1e-2,1e2"]
+BAD_SIGMAS = ["diagonal:1,1,1,0", "diagonal:1,2"]
+# Checks whose work scales with --samples: cheap at nx=4.
+SAMPLED_CHECKS = {"equivalence": "stein-identity",
+                  "frame-check": "isserlis-empirical,derivation-chain-agreement,"
+                                 "derivation-mc-target"}
+
+
 class TestExitCodeContract:
+    @pytest.mark.parametrize("sigma", VALID_SIGMAS + BAD_SIGMAS)
+    @pytest.mark.parametrize("samples", CONTRACT_SAMPLES)
+    def test_frame_check_samples_and_sigma_map_to_an_exit_code(
+        self, tmp_path, capsys, samples, sigma
+    ):
+        code = run(["frame-check", "--checks", SAMPLED_CHECKS["frame-check"],
+                    "--samples", samples, "--sigma", sigma, "--out", tmp_path])
+        assert code in (EXIT_PASS, EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR)
+        assert "Traceback" not in capsys.readouterr().err
+
+    # stein-identity draws its own covariances, so --sigma only has to pass
+    # the config gate: one spec per sample count is enough.
+    @pytest.mark.parametrize(
+        "samples, sigma",
+        list(zip(CONTRACT_SAMPLES, VALID_SIGMAS + VALID_SIGMAS))
+        + [(CHUNK_ROWS, sigma) for sigma in BAD_SIGMAS],
+    )
+    def test_equivalence_samples_and_sigma_map_to_an_exit_code(
+        self, tmp_path, capsys, samples, sigma
+    ):
+        code = run(["equivalence", "--checks", SAMPLED_CHECKS["equivalence"],
+                    "--samples", samples, "--sigma", sigma, "--out", tmp_path])
+        assert code in (EXIT_PASS, EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_skew_domain_error_is_unreachable(self, tmp_path, monkeypatch):
+        # cli.main leaves SkewDomainError unmapped. Every vector the check
+        # commands hand to the restricted inverse is exactly symmetric
+        # (sym_part, x x^T - Sigma) or vec(Sigma (I - W^T W) Sigma) for a
+        # random W, whose skew part is roundoff: even at the conditioning the
+        # covariance gate still admits it stays a thousandth of the tolerance.
+        ratios = []
+        real = frames._symmetric_domain
+
+        def spy(v, cov, what):
+            skew = np.linalg.norm(skew_part(unvec(np.asarray(v, dtype=float), cov.dim)))
+            ratios.append(skew / (SKEW_DOMAIN_RTOL * (1.0 + np.linalg.norm(v))))
+            return real(v, cov, what)
+
+        monkeypatch.setattr(frames, "_symmetric_domain", spy)
+        # coefficient-identity draws its own covariances: one run covers it
+        runs = [("coefficient-identity", "random-spd", 4, 2)] + [
+            ("restricted-inverse,derivation-chain-agreement", sigma, nx, nu)
+            for sigma in ("random-spd", "random-spd:1e-2,1e2", "random-spd:1,1e4")
+            for nx, nu in ((2, 1), (6, 3))
+        ]
+        for checks, sigma, nx, nu in runs:
+            code = run(["frame-check", "--checks", checks, "--sigma", sigma,
+                        "--nx", nx, "--nu", nu, "--samples", 100, "--out", tmp_path])
+            assert code in (EXIT_PASS, EXIT_CHECK_FAILED)
+        assert len(ratios) > 1000
+        assert max(ratios) < 1e-3
+
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(argv=train_argv() | stein_argv)
     def test_every_input_maps_to_an_exit_code(self, argv):

@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from frame_hebb import frames
+from frame_hebb import gaussian
 from frame_hebb.errors import DimensionError, SampleSizeError, SkewDomainError
 from frame_hebb.frames import (
-    _expansion_sums,
+    ExpansionMean,
     cancellation_coefficient,
     derive_eghr_from_oja,
     frame_bounds,
@@ -145,10 +145,7 @@ class TestFrameOperatorEmpirical:
         # In one dimension x = +-1 gives x x^T identical to the unit
         # covariance, so every frame vector vanishes.
         cov = build_covariance(np.eye(1))
-        batch = SampleBatch(
-            n=4, dim=1, data=np.array([[1.0], [-1.0], [1.0], [-1.0]]),
-            seed=0, covariance=cov,
-        )
+        batch = SampleBatch.from_rows([[1.0], [-1.0], [1.0], [-1.0]], cov)
         np.testing.assert_array_equal(frame_operator_empirical(batch), [[0.0]])
 
     def test_monte_carlo_agreement(self, cov21):
@@ -170,7 +167,7 @@ class TestFrameOperatorEmpirical:
         assert np.min(np.linalg.eigvalsh(s)) >= -1e-12 * np.linalg.norm(s)
 
     def test_needs_two_samples(self, cov21):
-        batch = SampleBatch(n=1, dim=2, data=np.zeros((1, 2)), seed=0, covariance=cov21)
+        batch = SampleBatch.from_rows(np.zeros((1, 2)), cov21)
         with pytest.raises(SampleSizeError):
             frame_operator_empirical(batch)
 
@@ -307,7 +304,9 @@ class TestFrameExpansion:
         rng = np.random.default_rng(79)
         v = vec(sym_part(rng.standard_normal((nx, nx))))
         batch = sample(cov, 64, seed=80)
-        recon, coeff_mean = _expansion_sums(v, batch)
+        expansion = ExpansionMean(v, cov)
+        recon, = batch.feed(expansion)
+        coeff_mean = expansion.coeff_mean()
         coeffs = np.array([frame_coefficient(v, x, cov) for x in batch.data])
         xis = np.stack([frame_vector(x, cov) for x in batch.data])
         expected = xis.T @ coeffs / batch.n
@@ -339,11 +338,11 @@ class TestOperatorChunks:
     must be bit-identical to a plain loop over the same chunks."""
 
     def test_matches_reference_loop_across_chunks(self, cov_rand3, monkeypatch):
-        monkeypatch.setattr(frames, "_CHUNK", 7)  # 30 rows: chunks 7,7,7,7,2
+        monkeypatch.setattr(gaussian, "CHUNK_ROWS", 7)  # 30 rows: chunks 7,7,7,9
         batch = sample(cov_rand3, 30, seed=81)
         s = np.zeros((9, 9))
-        for start in range(0, batch.n, 7):
-            x = batch.data[start : start + 7]
+        for start, stop in ((0, 7), (7, 14), (14, 21), (21, 30)):
+            x = batch.data[start:stop]
             rows = np.einsum("ki,kj->kji", x, x).reshape(len(x), 9) - vec(cov_rand3.sigma)
             s += rows.T @ rows
         s /= batch.n

@@ -94,16 +94,12 @@ class TestOjaClosed:
 class TestOjaEmpirical:
     def test_null_space_sample(self, cov21):
         w = np.array([[1.0, 0.0]])
-        batch = SampleBatch(
-            n=1, dim=2, data=np.array([[0.0, 3.0]]), seed=0, covariance=cov21
-        )
+        batch = SampleBatch.from_rows([[0.0, 3.0]], cov21)
         np.testing.assert_array_equal(oja_update_empirical(w, batch), [[0.0, 0.0]])
 
     def test_single_aligned_sample(self, cov21):
         w = np.array([[1.0, 0.0]])
-        batch = SampleBatch(
-            n=1, dim=2, data=np.array([[1.0, 0.0]]), seed=0, covariance=cov21
-        )
+        batch = SampleBatch.from_rows([[1.0, 0.0]], cov21)
         np.testing.assert_array_equal(oja_update_empirical(w, batch), [[0.0, 0.0]])
 
     def test_within_clt_band_of_closed(self, cov21):
@@ -135,20 +131,12 @@ class TestGain:
 
     def test_empirical_identical_samples(self, cov21):
         w = np.array([[0.5, 0.5]])
-        batch = SampleBatch(
-            n=4, dim=2, data=np.tile([1.0, 2.0], (4, 1)), seed=0, covariance=cov21
-        )
+        batch = SampleBatch.from_rows(np.tile([1.0, 2.0], (4, 1)), cov21)
         np.testing.assert_array_equal(eghr_g_values(w, batch), np.zeros(4))
 
     def test_empirical_two_sample_batch(self, cov21):
         w = np.zeros((1, 2))
-        batch = SampleBatch(
-            n=2,
-            dim=2,
-            data=np.array([[0.0, 0.0], [2.0, 0.0]]),
-            seed=0,
-            covariance=cov21,
-        )
+        batch = SampleBatch.from_rows([[0.0, 0.0], [2.0, 0.0]], cov21)
         np.testing.assert_array_equal(eghr_g_values(w, batch), [-1.0, 1.0])
 
     def test_batch_gains_sum_to_zero(self, cov_rand4):
