@@ -6,6 +6,11 @@ identities use roundoff-level tolerances. Most Monte-Carlo comparisons use
 4-standard-error bands or the fitted 1/sqrt(n) rate; isserlis-empirical
 (MC_FROBENIUS_RTOL) and derivation-mc-target (frames.MC_TARGET_RTOL) still
 use a fixed 5% relative tolerance, which sampling noise can cross at small n.
+
+The sweeps over random (Sigma, W[, x]) trials draw each trial's covariance
+seed and its other values from one generator, trial after trial, and build
+the covariances in stacks of SWEEP_BLOCK trials (``linalg.build_covariances``);
+the trials then run through the unchecked kernels of the public functions.
 """
 
 from __future__ import annotations
@@ -18,12 +23,13 @@ from .config import CHECK_GROUPS, RunConfig
 from .frames import (
     ExpansionMean,
     OperatorMean,
-    cancellation_coefficient,
+    _cancellation_coefficient,
+    _frame_coefficient,
     derive_eghr_from_oja,
     frame_bounds,
-    frame_coefficient,
     frame_operator_analytic,
     frame_operator_empirical,
+    frame_vector,
     restricted_inverse_apply,
 )
 from .gaussian import (
@@ -33,9 +39,26 @@ from .gaussian import (
     sample,
     stein_check,
 )
-from .linalg import build_covariance, random_spd, skew_part, sym_part, vec
+from .linalg import (
+    build_covariance,
+    build_covariances,
+    random_spd,
+    random_spds,
+    skew_part,
+    sym_part,
+    vec,
+)
 from .records import ExperimentRecord, digest_inputs, make_record
-from .rules import EghrMean, OjaMean, eghr_g, eghr_update_closed, oja_update_closed
+from .rules import (
+    EghrMean,
+    OjaMean,
+    _closed_center,
+    _eghr_closed,
+    _eghr_g,
+    _oja_closed,
+    eghr_update_closed,
+    oja_update_closed,
+)
 
 # Eigenvalue range for the random covariances drawn inside sweep checks.
 SWEEP_EIG_RANGE = (0.5, 2.0)
@@ -49,6 +72,15 @@ SLOPE_HALF_WIDTH = 0.15
 RATE_SAMPLE_GRID = (10**3, 10**4, 10**5, 10**6)
 
 
+def _record(name: str, value: float, tolerance: float, seed: int, t0: float,
+            reference: float = 0.0, **inputs) -> ExperimentRecord:
+    """The record of a check started at perf_counter() t0, whose digest covers
+    ``inputs`` and the seed."""
+    return make_record(name, value=value, tolerance=tolerance, seed=seed, reference=reference,
+                       inputs_digest=digest_inputs(seed=seed, **inputs),
+                       wall_time_ms=(time.perf_counter() - t0) * 1e3)
+
+
 def dim_sweep(max_nx: int = 8, min_nx: int = 2, seed: int = 0) -> list[tuple[int, int]]:
     """(nx, nu) pairs cycling nx through [min_nx, max_nx] with random nu <= nx."""
     rng = np.random.default_rng(seed)
@@ -58,12 +90,46 @@ def dim_sweep(max_nx: int = 8, min_nx: int = 2, seed: int = 0) -> list[tuple[int
     ]
 
 
-def _random_pair(rng, nx: int, nu: int):
-    """One random (covariance, weights) pair for identity sweeps."""
-    sigma = random_spd(nx, SWEEP_EIG_RANGE, seed=int(rng.integers(2**63)))
-    cov = build_covariance(sigma)
-    w = rng.uniform(-1.0, 1.0, size=(nu, nx))
-    return cov, w
+# Trials per stacked covariance build in a sweep: few enough to keep the
+# stacks small, enough to share most of the per-call cost. Built one trial at
+# a time, the frame-wide benchmark's frame-check (nx=32) peaked at 72.9 MB;
+# one 1000-trial stack took it to 98.5 MB, 64-trial blocks 75.8, 16-trial 73.2.
+SWEEP_BLOCK = 16
+
+
+def _sweep(seed: int, dims: list[tuple[int, int]], trials: int, draw):
+    """Yield (cov, drawn) for trials k = 0..trials-1 at (nx, nu) =
+    dims[k % len(dims)]: a random covariance, then draw(rng, nx, nu), both from
+    one rng = default_rng(seed) in per-trial order. The covariances are built
+    SWEEP_BLOCK trials at a time, one stack per nx, as a dim sweep mixes sizes.
+    """
+    rng = np.random.default_rng(seed)
+    for start in range(0, trials, SWEEP_BLOCK):
+        block = []
+        for k in range(start, min(start + SWEEP_BLOCK, trials)):
+            nx, nu = dims[k % len(dims)]
+            block.append((nx, int(rng.integers(2**63)), draw(rng, nx, nu)))
+        covs = [None] * len(block)
+        for nx in dict.fromkeys(t[0] for t in block):
+            at = [i for i, t in enumerate(block) if t[0] == nx]
+            stack = random_spds(nx, SWEEP_EIG_RANGE, [block[i][1] for i in at])
+            for i, cov in zip(at, build_covariances(stack)):
+                covs[i] = cov
+        yield from zip(covs, (drawn for _, _, drawn in block))
+
+
+def _draw_weights(rng, nx: int, nu: int) -> np.ndarray:
+    return rng.uniform(-1.0, 1.0, size=(nu, nx))
+
+
+def _draw_weights_and_seed(rng, nx: int, nu: int):
+    return _draw_weights(rng, nx, nu), int(rng.integers(2**63))
+
+
+def _draw_fixed_point(rng, nx: int, nu: int):
+    """The eigenvector subset, its mixing and the perturbation, in that order."""
+    return (rng.choice(nx, size=nu, replace=False), rng.standard_normal((nu, nu)),
+            rng.standard_normal((nu, nx)))
 
 
 def closed_equivalence_check(
@@ -72,24 +138,16 @@ def closed_equivalence_check(
     """Worst relative gap between the closed-form error-gated update and the
     Sigma-postmultiplied subspace update over random (W, Sigma) pairs."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    eyes = {nx: np.eye(nx) for nx, _ in dims}
     worst = 0.0
-    for k in range(trials):
-        nx, nu = dims[k % len(dims)]
-        cov, w = _random_pair(rng, nx, nu)
-        lhs = eghr_update_closed(w, cov)
-        rhs = oja_update_closed(w, cov) @ cov.sigma
+    for cov, w in _sweep(seed, dims, trials, _draw_weights):
+        eye = eyes[cov.dim]
+        lhs = _eghr_closed(w, cov.sigma, eye)
+        rhs = _oja_closed(w, cov.sigma, eye) @ cov.sigma
         ref = float(np.linalg.norm(rhs))
         err = float(np.linalg.norm(lhs - rhs))
         worst = max(worst, err / ref if ref > 0 else err)
-    return make_record(
-        check_name="closed-equivalence",
-        value=worst,
-        tolerance=EXACT_RTOL,
-        seed=seed,
-        inputs_digest=digest_inputs(dims=dims, trials=trials, seed=seed),
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return _record("closed-equivalence", worst, EXACT_RTOL, seed, t0, dims=dims, trials=trials)
 
 
 def fixed_point_sharing_check(
@@ -100,34 +158,24 @@ def fixed_point_sharing_check(
     the eigenvalue sandwich |oja| * lambda_min <= |eghr| <= |oja| * lambda_max
     that forces either rule to vanish exactly when the other does."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    eye = np.eye(nx)
     worst = 0.0
-    for _ in range(trials):
-        sigma = random_spd(nx, SWEEP_EIG_RANGE, seed=int(rng.integers(2**63)))
-        cov = build_covariance(sigma)
-        pick = rng.choice(nx, size=nu, replace=False)
-        q, _ = np.linalg.qr(rng.standard_normal((nu, nu)))
+    for cov, (pick, mix, perturbation) in _sweep(seed, [(nx, nu)], trials, _draw_fixed_point):
+        q, _ = np.linalg.qr(mix)
         w_fp = q @ cov.eigvecs[:, pick].T
         sigma_scale = float(np.linalg.norm(cov.sigma))
 
-        oja_norm = float(np.linalg.norm(oja_update_closed(w_fp, cov)))
-        eghr_norm = float(np.linalg.norm(eghr_update_closed(w_fp, cov)))
+        oja_norm = float(np.linalg.norm(_oja_closed(w_fp, cov.sigma, eye)))
+        eghr_norm = float(np.linalg.norm(_eghr_closed(w_fp, cov.sigma, eye)))
         worst = max(worst, oja_norm / sigma_scale, eghr_norm / sigma_scale**2)
 
-        w_near = w_fp + 1e-6 * rng.standard_normal((nu, nx))
-        oja_n = float(np.linalg.norm(oja_update_closed(w_near, cov)))
-        eghr_n = float(np.linalg.norm(eghr_update_closed(w_near, cov)))
+        w_near = w_fp + 1e-6 * perturbation
+        oja_n = float(np.linalg.norm(_oja_closed(w_near, cov.sigma, eye)))
+        eghr_n = float(np.linalg.norm(_eghr_closed(w_near, cov.sigma, eye)))
         lam_min, lam_max = cov.eigvals[-1], cov.eigvals[0]
         sandwich = max(lam_min * oja_n - eghr_n, eghr_n - lam_max * oja_n, 0.0)
         worst = max(worst, sandwich / (lam_max * oja_n) if oja_n > 0 else sandwich)
-    return make_record(
-        check_name="fixed-point-sharing",
-        value=worst,
-        tolerance=EXACT_RTOL,
-        seed=seed,
-        inputs_digest=digest_inputs(nx=nx, nu=nu, trials=trials, seed=seed),
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return _record("fixed-point-sharing", worst, EXACT_RTOL, seed, t0, nx=nx, nu=nu, trials=trials)
 
 
 def stein_identity_check(
@@ -145,14 +193,7 @@ def stein_identity_check(
             rec = stein_check(cov, a, n, derive_seed(seed, 1000 + counter))
             counter += 1
             worst = max(worst, rec.value / rec.tolerance)
-    return make_record(
-        check_name="stein-identity",
-        value=worst,
-        tolerance=1.0,
-        seed=seed,
-        inputs_digest=digest_inputs(dims=dims, n=n, seed=seed),
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return _record("stein-identity", worst, 1.0, seed, t0, dims=dims, n=n)
 
 
 def frame_bounds_check(cov, seed: int, trials: int = 1000) -> ExperimentRecord:
@@ -169,14 +210,7 @@ def frame_bounds_check(cov, seed: int, trials: int = 1000) -> ExperimentRecord:
     quad = np.einsum("ij,ij->i", v @ s, v)  # all quadratic forms in one GEMM
     worst = max(0.0, b.upper_tight - b.upper_trace,
                 float(b.lower - quad.min()), float(quad.max() - b.upper_tight))
-    return make_record(
-        check_name="frame-bounds",
-        value=worst,
-        tolerance=BOUND_ATOL,
-        seed=seed,
-        inputs_digest=digest_inputs(nx=cov.dim, trials=trials, seed=seed),
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return _record("frame-bounds", worst, BOUND_ATOL, seed, t0, nx=cov.dim, trials=trials)
 
 
 def kernel_annihilation_check(cov, seed: int, trials: int = 100) -> ExperimentRecord:
@@ -194,14 +228,7 @@ def kernel_annihilation_check(cov, seed: int, trials: int = 100) -> ExperimentRe
                 s_scale * float(np.linalg.norm(k))
             )
             worst = max(worst, ratio)
-    return make_record(
-        check_name="kernel-annihilation",
-        value=worst,
-        tolerance=EXACT_RTOL,
-        seed=seed,
-        inputs_digest=digest_inputs(nx=cov.dim, trials=trials, seed=seed),
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return _record("kernel-annihilation", worst, EXACT_RTOL, seed, t0, nx=cov.dim, trials=trials)
 
 
 def restricted_inverse_check(cov, seed: int, trials: int = 100) -> ExperimentRecord:
@@ -215,14 +242,8 @@ def restricted_inverse_check(cov, seed: int, trials: int = 100) -> ExperimentRec
         v = vec(sym_part(rng.standard_normal((cov.dim, cov.dim))))
         resid = float(np.linalg.norm(s @ restricted_inverse_apply(cov, v) - v))
         worst = max(worst, resid / float(np.linalg.norm(v)))
-    return make_record(
-        check_name="restricted-inverse",
-        value=worst,
-        tolerance=RESTRICTED_INVERSE_RTOL,
-        seed=seed,
-        inputs_digest=digest_inputs(nx=cov.dim, trials=trials, seed=seed),
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return _record("restricted-inverse", worst, RESTRICTED_INVERSE_RTOL, seed, t0,
+                   nx=cov.dim, trials=trials)
 
 
 def coefficient_identity_checks(
@@ -237,40 +258,25 @@ def coefficient_identity_checks(
     would measure cancellation, not implementation error.
     """
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
     coeff_err = 0.0
     cancel_err = 0.0
     scale = 0.0
-    for k in range(trials):
-        nx, nu = dims[k % len(dims)]
-        cov, w = _random_pair(rng, nx, nu)
-        x = sample(cov, 1, int(rng.integers(2**63))).data[0]
-        g = eghr_g(x, w, cov)
-        v = vec(cov.sigma @ (np.eye(nx) - w.T @ w) @ cov.sigma)
-        c = frame_coefficient(v, x, cov)
-        cc = cancellation_coefficient(w, x, cov)
+    eyes = {nx: np.eye(nx) for nx, _ in dims}
+    for cov, (w, x_seed) in _sweep(seed, dims, trials, _draw_weights_and_seed):
+        x = sample(cov, 1, x_seed).data[0]
+        residual = eyes[cov.dim] - w.T @ w
+        xi = frame_vector(x, cov)
+        g = _eghr_g(x, w, _closed_center(w, cov.sigma))
+        c = _frame_coefficient(vec(cov.sigma @ residual @ cov.sigma), xi, cov)
+        cc = _cancellation_coefficient(residual, xi)
         coeff_err = max(coeff_err, abs(c - g))
         cancel_err = max(cancel_err, abs(cc - c))
         scale = max(scale, abs(g))
-    wall = (time.perf_counter() - t0) * 1e3
-    digest = digest_inputs(dims=dims, trials=trials, seed=seed)
-    coeff = make_record(
-        check_name="coefficient-identity",
-        value=coeff_err / scale,
-        tolerance=EXACT_RTOL,
-        seed=seed,
-        inputs_digest=digest,
-        wall_time_ms=wall,
+    return tuple(
+        _record(name, err / scale, EXACT_RTOL, seed, t0, dims=dims, trials=trials)
+        for name, err in (("coefficient-identity", coeff_err),
+                          ("cancellation-identity", cancel_err))
     )
-    cancel = make_record(
-        check_name="cancellation-identity",
-        value=cancel_err / scale,
-        tolerance=EXACT_RTOL,
-        seed=seed,
-        inputs_digest=digest,
-        wall_time_ms=wall,
-    )
-    return coeff, cancel
 
 
 def isserlis_checks(cov, seed: int, n: int, names=None) -> tuple[ExperimentRecord, ...]:
@@ -284,26 +290,12 @@ def isserlis_checks(cov, seed: int, n: int, names=None) -> tuple[ExperimentRecor
     m4 = isserlis_fourth_moment(cov)
     vs = vec(cov.sigma)
     analytic_gap = float(np.linalg.norm(m4 - np.outer(vs, vs) - s)) / s_scale
-    digest = digest_inputs(nx=cov.dim, n=n, seed=seed)
-    analytic = make_record(
-        check_name="isserlis-analytic",
-        value=analytic_gap,
-        tolerance=EXACT_RTOL,
-        seed=seed,
-        inputs_digest=digest,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    analytic = _record("isserlis-analytic", analytic_gap, EXACT_RTOL, seed, t0, nx=cov.dim, n=n)
     if names is not None and "isserlis-empirical" not in names:
         return (analytic,)
     s_emp = frame_operator_empirical(sample(cov, n, seed))
-    empirical = make_record(
-        check_name="isserlis-empirical",
-        value=float(np.linalg.norm(s_emp - s)) / s_scale,
-        tolerance=MC_FROBENIUS_RTOL,
-        seed=seed,
-        inputs_digest=digest,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    gap = float(np.linalg.norm(s_emp - s)) / s_scale
+    empirical = _record("isserlis-empirical", gap, MC_FROBENIUS_RTOL, seed, t0, nx=cov.dim, n=n)
     return analytic, empirical
 
 
@@ -360,17 +352,9 @@ def mc_rate_check(
                 sq[kind] += float(np.linalg.norm(est - ref[kind])) ** 2
         for kind in kinds:
             rmse[kind].append(np.sqrt(sq[kind] / replicates))
-    wall = (time.perf_counter() - t0) * 1e3
     return tuple(
-        make_record(
-            check_name=f"mc-rate-{kind}",
-            value=float(np.polyfit(np.log10(ns), np.log10(rmse[kind]), 1)[0]),
-            reference=SLOPE_REFERENCE,
-            tolerance=SLOPE_HALF_WIDTH,
-            seed=seed,
-            inputs_digest=digest_inputs(kind=kind, nx=cov.dim, nu=nu, ns=ns, seed=seed),
-            wall_time_ms=wall,
-        )
+        _record(f"mc-rate-{kind}", float(np.polyfit(np.log10(ns), np.log10(rmse[kind]), 1)[0]),
+                SLOPE_HALF_WIDTH, seed, t0, SLOPE_REFERENCE, kind=kind, nx=cov.dim, nu=nu, ns=ns)
         for kind in kinds
     )
 

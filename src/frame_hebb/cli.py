@@ -221,19 +221,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {
-        "seed": args.seed,
-        "nx": args.nx,
-        "nu": args.nu,
-        "samples": args.samples,
-        "sigma": args.sigma,
-        "out": args.out,
-        "checks": args.checks,
-    }
-    for key in ("rule", "mode", "learning_rate", "steps", "batch_size",
-                "record_every", "threshold"):
-        if hasattr(args, key):
-            overrides[key] = getattr(args, key)
+    """Load the config with every parsed flag as an override; the parser's
+    flag names are the config-file keys."""
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     return load_config(args.config, overrides)
 
 

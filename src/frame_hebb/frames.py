@@ -40,8 +40,6 @@ from .gaussian import SampleBatch
 from .linalg import (
     CovarianceModel,
     kron,
-    skew_part,
-    sym_part,
     unvec,
     vec,
     vec_transpose_index,
@@ -139,7 +137,7 @@ def _symmetric_domain(v: np.ndarray, cov: CovarianceModel, what: str) -> np.ndar
     """
     v = np.asarray(v, dtype=float)
     m = unvec(v, cov.dim)
-    skew_norm = float(np.linalg.norm(skew_part(m)))
+    skew_norm = float(np.linalg.norm((m - m.T) / 2.0))
     limit = SKEW_DOMAIN_RTOL * (1.0 + float(np.linalg.norm(v)))
     if skew_norm > limit:
         raise SkewDomainError(
@@ -147,7 +145,7 @@ def _symmetric_domain(v: np.ndarray, cov: CovarianceModel, what: str) -> np.ndar
             f"domain tolerance {limit:.3e}; the operator is singular off "
             "the symmetric subspace"
         )
-    return sym_part(m)
+    return (m + m.T) / 2.0
 
 
 def restricted_inverse_apply(cov: CovarianceModel, v) -> np.ndarray:
@@ -166,9 +164,13 @@ def frame_coefficient(v, x, cov: CovarianceModel) -> float:
 
     Equals 0.5 * (unvec(v), Sigma^-1 x x^T Sigma^-1 - Sigma^-1)_F.
     """
-    m = _symmetric_domain(np.asarray(v, dtype=float), cov, "frame_coefficient")
-    xi = frame_vector(x, cov)
-    return float(vec(m) @ restricted_inverse_apply(cov, xi))
+    return _frame_coefficient(v, frame_vector(x, cov), cov)
+
+
+def _frame_coefficient(v, xi: np.ndarray, cov: CovarianceModel) -> float:
+    """frame_coefficient on xi = xi(x); v and xi still pass the domain check."""
+    m = _symmetric_domain(v, cov, "frame_coefficient")
+    return float(m.flatten(order="F") @ restricted_inverse_apply(cov, xi))
 
 
 def cancellation_coefficient(w, x, cov: CovarianceModel) -> float:
@@ -177,8 +179,12 @@ def cancellation_coefficient(w, x, cov: CovarianceModel) -> float:
     (v, S^-1 xi) collapses to (vec((I - W^T W)/2), xi)."""
     w = as_weights(w)
     _check_dims(w, cov.dim, "cancellation_coefficient")
-    half_residual = 0.5 * (np.eye(cov.dim) - w.T @ w)
-    return float(vec(half_residual) @ frame_vector(x, cov))
+    return _cancellation_coefficient(np.eye(cov.dim) - w.T @ w, frame_vector(x, cov))
+
+
+def _cancellation_coefficient(residual: np.ndarray, xi: np.ndarray) -> float:
+    """Unchecked kernel of cancellation_coefficient on residual = I - W^T W."""
+    return float((0.5 * residual).flatten(order="F") @ xi)
 
 
 class ExpansionMean:

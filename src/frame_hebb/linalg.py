@@ -25,17 +25,17 @@ ORTHOGONALITY_ATOL = 1e-10
 EIGENVALUE_FLOOR_REL = 1e-12
 
 
-def _as_matrix(x, name: str = "matrix") -> np.ndarray:
+def _as_matrix(x, name: str = "matrix", ndim: int = 2) -> np.ndarray:
     a = np.asarray(x, dtype=float)
-    if a.ndim != 2:
-        raise DimensionError(f"{name} must be 2-dimensional, got shape {a.shape}")
+    if a.ndim != ndim:
+        raise DimensionError(f"{name} must be {ndim}-dimensional, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
 def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    if a.shape[0] != a.shape[1]:
+    if a.shape[-2] != a.shape[-1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
     return a
 
@@ -123,57 +123,79 @@ class CovarianceModel:
         return float((self.eigvals[k - 1] - self.eigvals[k]) / self.eigvals[0])
 
 
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, each reduced on its own."""
+    return np.sqrt(np.square(a).reshape(a.shape[0], -1).sum(axis=1))
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose every matrix of a stack."""
+    return a.swapaxes(-1, -2)
+
+
 def build_covariance(sigma) -> CovarianceModel:
     """Validate and factor a symmetric positive definite covariance.
 
     Rejects asymmetric input, any eigenvalue at or below
     ``1e-12 * lambda_max``, and any factorization whose residual exceeds
     the model gates (so a near-degenerate covariance fails loudly here
-    instead of corrupting downstream inverses).
+    instead of corrupting downstream inverses). This is
+    :func:`build_covariances` on a stack of one.
     """
-    s = _require_square(_as_matrix(sigma, "sigma"), "sigma")
-    scale = np.linalg.norm(s)
-    asym = np.linalg.norm(s - s.T)
-    if asym > SYMMETRY_RTOL * max(scale, 1.0):
-        raise DimensionError(
-            f"sigma is not symmetric: asymmetry {asym:.3e} exceeds "
-            f"{SYMMETRY_RTOL:.1e} * {max(scale, 1.0):.3e}"
-        )
-    s = (s + s.T) / 2.0  # bit-exact symmetry for everything downstream
+    return build_covariances(_require_square(_as_matrix(sigma, "sigma"), "sigma")[None])[0]
+
+
+def build_covariances(sigmas) -> list[CovarianceModel]:
+    """:func:`build_covariance` for each matrix of a (k, n, n) stack, with one
+    eigendecomposition, Cholesky factorization and inverse for the stack.
+    Every gate is evaluated per matrix; the first matrix that fails one
+    raises the error :func:`build_covariance` raises for it alone."""
+    s = _require_square(_as_matrix(sigmas, "sigmas", ndim=3), "sigmas")
+    scale = _frobenius(s)
+    asym = _frobenius(s - _t(s))
+    s = (s + _t(s)) / 2.0  # bit-exact symmetry for everything downstream
 
     w, q = np.linalg.eigh(s)
-    w = w[::-1].copy()
-    q = q[:, ::-1].copy()
-    lam_max = w[0]
-    if lam_max <= 0.0 or w[-1] <= EIGENVALUE_FLOOR_REL * lam_max:
-        raise DegenerateCovarianceError(
-            f"covariance is degenerate: smallest eigenvalue {w[-1]:.6e} "
-            f"is at or below {EIGENVALUE_FLOOR_REL:.1e} * lambda_max ({lam_max:.6e})"
-        )
+    w = w[:, ::-1].copy()
+    q = q[:, :, ::-1].copy()
+    floor = (w[:, 0] <= 0.0) | (w[:, -1] <= EIGENVALUE_FLOOR_REL * w[:, 0])
+    # A matrix below the floor is factored as the identity, so that the stack
+    # still factors and every matrix before it is still gated.
+    eye = np.eye(s.shape[1])
+    chol = np.linalg.cholesky(np.where(floor[:, None, None], eye, s))
+    inv = (q * (1.0 / np.where(floor[:, None], 1.0, w))[:, None, :]) @ _t(q)
+    inv = (inv + _t(inv)) / 2.0
 
-    chol = np.linalg.cholesky(s)
-    inv = q @ np.diag(1.0 / w) @ q.T
-    inv = (inv + inv.T) / 2.0
-
-    n = s.shape[0]
-    chol_res = np.linalg.norm(chol @ chol.T - s) / scale
-    inv_res = np.linalg.norm(s @ inv - np.eye(n))
-    orth_res = np.linalg.norm(q.T @ q - np.eye(n))
-    if chol_res > CHOLESKY_RTOL:
-        raise DegenerateCovarianceError(
-            f"Cholesky residual {chol_res:.3e} exceeds {CHOLESKY_RTOL:.1e}"
-        )
-    if inv_res > INVERSE_ATOL:
-        raise DegenerateCovarianceError(
-            f"inverse residual {inv_res:.3e} exceeds {INVERSE_ATOL:.1e} "
-            "(covariance too ill-conditioned)"
-        )
-    if orth_res > ORTHOGONALITY_ATOL:
-        raise DegenerateCovarianceError(
-            f"eigenvector orthogonality residual {orth_res:.3e} exceeds "
-            f"{ORTHOGONALITY_ATOL:.1e}"
-        )
-    return CovarianceModel(sigma=s, chol=chol, sigma_inv=inv, eigvals=w, eigvecs=q)
+    chol_res = _frobenius(chol @ _t(chol) - s) / scale
+    inv_res = _frobenius(s @ inv - eye)
+    orth_res = _frobenius(_t(q) @ q - eye)
+    gates = (  # (failed per matrix, error, message for matrix i), in gate order
+        (asym > SYMMETRY_RTOL * np.maximum(scale, 1.0), DimensionError,
+         lambda i: f"sigma is not symmetric: asymmetry {asym[i]:.3e} exceeds "
+                   f"{SYMMETRY_RTOL:.1e} * {max(scale[i], 1.0):.3e}"),
+        (floor, DegenerateCovarianceError,
+         lambda i: f"covariance is degenerate: smallest eigenvalue {w[i, -1]:.6e} is at or "
+                   f"below {EIGENVALUE_FLOOR_REL:.1e} * lambda_max ({w[i, 0]:.6e})"),
+        (chol_res > CHOLESKY_RTOL, DegenerateCovarianceError,
+         lambda i: f"Cholesky residual {chol_res[i]:.3e} exceeds {CHOLESKY_RTOL:.1e}"),
+        (inv_res > INVERSE_ATOL, DegenerateCovarianceError,
+         lambda i: f"inverse residual {inv_res[i]:.3e} exceeds {INVERSE_ATOL:.1e} "
+                   "(covariance too ill-conditioned)"),
+        (orth_res > ORTHOGONALITY_ATOL, DegenerateCovarianceError,
+         lambda i: f"eigenvector orthogonality residual {orth_res[i]:.3e} exceeds "
+                   f"{ORTHOGONALITY_ATOL:.1e}"),
+    )
+    failed = np.any([bad for bad, _, _ in gates], axis=0)
+    if failed.any():
+        i = int(np.argmax(failed))
+        error, message = next((e, m) for bad, e, m in gates if bad[i])
+        raise error(message(i))
+    # Each model's arrays are views into the stacks; copying them would hold
+    # both at once.
+    return [
+        CovarianceModel(sigma=s[i], chol=chol[i], sigma_inv=inv[i], eigvals=w[i], eigvecs=q[i])
+        for i in range(len(s))
+    ]
 
 
 def random_spd(n: int, eig_range: tuple[float, float], seed: int) -> np.ndarray:
@@ -181,15 +203,27 @@ def random_spd(n: int, eig_range: tuple[float, float], seed: int) -> np.ndarray:
 
     The extreme eigenvalues are pinned to the range endpoints (interior ones
     drawn uniformly), so the requested conditioning is actually realized.
+    This is :func:`random_spds` on a stack of one.
     """
+    return random_spds(n, eig_range, [seed])[0]
+
+
+def random_spds(n: int, eig_range: tuple[float, float], seeds) -> np.ndarray:
+    """A (len(seeds), n, n) stack of :func:`random_spd` matrices: matrix i
+    draws from its own ``default_rng(seeds[i])``, and the stack takes one QR
+    and one product."""
     lo, hi = eig_range
     if not (0.0 < lo <= hi):
         raise ValueError(f"eigenvalue range must satisfy 0 < lo <= hi, got {eig_range}")
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    lam = rng.uniform(lo, hi, size=n)
-    lam[0] = hi
+    g = np.empty((len(seeds), n, n))
+    lam = np.empty((len(seeds), n))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        g[i] = rng.standard_normal((n, n))
+        lam[i] = rng.uniform(lo, hi, size=n)
+    q, _ = np.linalg.qr(g)
+    lam[:, 0] = hi
     if n > 1:
-        lam[-1] = lo
-    s = (q * lam) @ q.T
-    return (s + s.T) / 2.0
+        lam[:, -1] = lo
+    s = (q * lam[:, None, :]) @ _t(q)
+    return (s + _t(s)) / 2.0

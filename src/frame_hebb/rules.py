@@ -10,10 +10,10 @@ W Sigma (I - W^T W) Sigma, i.e. the subspace rule right-multiplied by Sigma.
 
 Each public function validates its weights with ``as_weights`` and then runs
 an unchecked private kernel (``_oja_closed``, ``_eghr_closed``,
-``_oja_empirical``, ``_eghr_empirical``, ``_subspace_error``,
+``_oja_empirical``, ``_eghr_empirical``, ``_eghr_g``, ``_subspace_error``,
 ``_orth_residual``). ``train`` validates W0 once at entry and steps through
-the same kernels, so a training run and the public functions share one
-arithmetic path. The empirical kernels feed the batch's chunks to the
+the same kernels, as the checks' sweeps do, so they and the public functions
+share one arithmetic path. The empirical kernels feed the batch's chunks to the
 running sums ``OjaMean`` and ``EghrMean``, which ``checks.mc_rate_check``
 also feeds directly so that both updates share one draw.
 """
@@ -105,8 +105,13 @@ def eghr_g(x, w, cov: CovarianceModel) -> float:
     if x.shape != (cov.dim,):
         raise DimensionError(f"x has shape {x.shape}, expected ({cov.dim},)")
     _check_dims(w, cov.dim, "eghr_g")
+    return _eghr_g(x, w, _closed_center(w, cov.sigma))
+
+
+def _eghr_g(x: np.ndarray, w: np.ndarray, center) -> float:
+    """Unchecked kernel of eghr_g, given the closed-form center."""
     u = w @ x
-    return 0.5 * (float(x @ x) - float(u @ u) - _closed_center(w, cov.sigma))
+    return 0.5 * (float(x @ x) - float(u @ u) - center)
 
 
 def _closed_center(w: np.ndarray, sigma: np.ndarray):
@@ -176,21 +181,6 @@ class EghrMean:
         return mean
 
 
-def eghr_g_values(w, batch: SampleBatch, cov: CovarianceModel | None = None) -> np.ndarray:
-    """Per-sample gains over a batch, one per row, so the whole batch is read
-    at once.
-
-    Batch-mean centering when ``cov`` is None (the default used by the
-    empirical update; the values then sum to zero up to roundoff), closed-form
-    centering via ``cov`` otherwise.
-    """
-    w = as_weights(w)
-    _check_dims(w, batch.dim, "eghr_g_values")
-    center = None if cov is None else _closed_center(w, cov.sigma)
-    _, s, center = _gains(w, batch.data, center)
-    return 0.5 * (s - center)
-
-
 def _eghr_closed(w: np.ndarray, sigma: np.ndarray, eye: np.ndarray) -> np.ndarray:
     """Unchecked kernel of eghr_update_closed; ``eye`` is the nx identity."""
     return w @ (sigma @ (eye - w.T @ w) @ sigma)
@@ -207,17 +197,6 @@ def eghr_update_closed(w, cov: CovarianceModel) -> np.ndarray:
     return _eghr_closed(w, cov.sigma, np.eye(cov.dim))
 
 
-def eghr_update_from_g(w, batch: SampleBatch, g: np.ndarray) -> np.ndarray:
-    """Gain-weighted Hebbian mean (1/n) sum_k g_k u_k x_k^T for explicit g."""
-    w = as_weights(w)
-    _check_dims(w, batch.dim, "eghr_update_from_g")
-    g = np.asarray(g, dtype=float)
-    if g.shape != (batch.n,):
-        raise DimensionError(f"g has shape {g.shape}, expected ({batch.n},)")
-    x = batch.data
-    return ((x @ w.T) * g[:, None]).T @ x / batch.n
-
-
 def _eghr_empirical(w: np.ndarray, batch: SampleBatch) -> np.ndarray:
     """Unchecked kernel of eghr_update_empirical."""
     return batch.feed(EghrMean(w))[0]
@@ -226,9 +205,9 @@ def _eghr_empirical(w: np.ndarray, batch: SampleBatch) -> np.ndarray:
 def eghr_update_empirical(w, batch: SampleBatch) -> np.ndarray:
     """Batch average of g u x^T with the gain centered by the batch mean.
 
-    Closed-form centering is eghr_update_from_g(w, batch,
-    eghr_g_values(w, batch, cov)). W is validated once, and u = x W^T is
-    shared by the gain and the Hebbian term.
+    Closed-form centering is ``batch.feed(EghrMean(w, center))`` with
+    center = tr Sigma - tr(W Sigma W^T). W is validated once, and u = x W^T
+    is shared by the gain and the Hebbian term.
     """
     w = as_weights(w)
     _check_dims(w, batch.dim, "eghr_update_empirical")

@@ -9,9 +9,11 @@ from hypothesis.extra.numpy import arrays
 from frame_hebb.errors import DegenerateCovarianceError, DimensionError
 from frame_hebb.linalg import (
     build_covariance,
+    build_covariances,
     commutation_matrix,
     kron,
     random_spd,
+    random_spds,
     skew_part,
     sym_part,
     unvec,
@@ -176,6 +178,72 @@ class TestBuildCovariance:
         cov = build_covariance(random_spd(6, (0.5, 3.0), seed=9))
         assert cov.eigvals[0] == pytest.approx(3.0, rel=1e-10)
         assert cov.eigvals[-1] == pytest.approx(0.5, rel=1e-10)
+
+
+def _random_spd_alone(n, eig_range, seed):
+    """The single-matrix random_spd body before stacking."""
+    lo, hi = eig_range
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.uniform(lo, hi, size=n)
+    lam[0] = hi
+    if n > 1:
+        lam[-1] = lo
+    s = (q * lam) @ q.T
+    return (s + s.T) / 2.0
+
+
+def _factors_alone(s):
+    """The factorizations of the single-matrix build_covariance body before
+    stacking (its gates only raise)."""
+    s = (s + s.T) / 2.0
+    w, q = np.linalg.eigh(s)
+    w = w[::-1].copy()
+    q = q[:, ::-1].copy()
+    chol = np.linalg.cholesky(s)
+    inv = q @ np.diag(1.0 / w) @ q.T
+    inv = (inv + inv.T) / 2.0
+    return dict(sigma=s, chol=chol, sigma_inv=inv, eigvals=w, eigvecs=q)
+
+
+class TestStackedBuild:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 32])
+    def test_stack_equals_single_matrix_bodies(self, n):
+        seeds = list(range(40, 57))
+        stack = random_spds(n, (0.5, 2.0), seeds)
+        assert stack.shape == (len(seeds), n, n)
+        covs = build_covariances(stack)
+        for seed, sigma, cov in zip(seeds, stack, covs):
+            alone = _random_spd_alone(n, (0.5, 2.0), seed)
+            assert np.array_equal(sigma, alone)
+            assert np.array_equal(random_spd(n, (0.5, 2.0), seed), alone)
+            single = build_covariance(alone)
+            for name, want in _factors_alone(alone).items():
+                assert np.array_equal(getattr(cov, name), want), name
+                assert np.array_equal(getattr(single, name), want), name
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # asymmetric
+            np.diag([1.0, 1.0, 0.0]),  # degenerate
+            [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # indefinite
+        ],
+    )
+    def test_failing_matrix_mid_stack_raises_its_own_error(self, bad):
+        with pytest.raises((DimensionError, DegenerateCovarianceError)) as alone:
+            build_covariance(bad)
+        stack = random_spds(3, (0.5, 2.0), [1, 2, 3, 4])
+        stack[1] = bad
+        stack[3] = [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]  # fails later
+        with pytest.raises(type(alone.value)) as stacked:
+            build_covariances(stack)
+        assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (1, 2, 2, 2)])
+    def test_non_stack_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            build_covariances(np.ones(shape))
 
 
 @given(x=square(3))

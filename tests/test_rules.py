@@ -11,12 +11,11 @@ from frame_hebb.rules import (
     MODES,
     RULES,
     TrainerConfig,
+    EghrMean,
     as_weights,
     eghr_g,
-    eghr_g_values,
     eghr_update_closed,
     eghr_update_empirical,
-    eghr_update_from_g,
     oja_update_closed,
     oja_update_empirical,
     orthonormality_residual,
@@ -130,19 +129,29 @@ class TestGain:
         assert eghr_g(np.array([1.0, 1.0]), np.zeros((1, 2)), cov) == 0.0
 
     def test_empirical_identical_samples(self, cov21):
+        # Batch-mean centering zeroes the gain of every row of a constant batch.
         w = np.array([[0.5, 0.5]])
         batch = SampleBatch.from_rows(np.tile([1.0, 2.0], (4, 1)), cov21)
-        np.testing.assert_array_equal(eghr_g_values(w, batch), np.zeros(4))
+        np.testing.assert_array_equal(batch.feed(EghrMean(w))[0], np.zeros((1, 2)))
 
     def test_empirical_two_sample_batch(self, cov21):
-        w = np.zeros((1, 2))
-        batch = SampleBatch.from_rows([[0.0, 0.0], [2.0, 0.0]], cov21)
-        np.testing.assert_array_equal(eghr_g_values(w, batch), [-1.0, 1.0])
+        # W = [[0, 1]]: |x|^2 - |u|^2 = x0^2 is 0 and 4, so the batch-mean
+        # center is 2 and the gains are -1 and 1; u = 1 on both rows, so the
+        # update is (-[0, 1] + [2, 1]) / 2.
+        w = np.array([[0.0, 1.0]])
+        batch = SampleBatch.from_rows([[0.0, 1.0], [2.0, 1.0]], cov21)
+        mean = EghrMean(w)
+        np.testing.assert_array_equal(batch.feed(mean)[0], [[1.0, 0.0]])
+        assert mean.center == 2.0
 
     def test_batch_gains_sum_to_zero(self, cov_rand4):
         w = np.random.default_rng(18).uniform(-1, 1, (2, 4))
         batch = sample(cov_rand4, 1000, seed=19)
-        g = eghr_g_values(w, batch)
+        mean = EghrMean(w)
+        batch.feed(mean)
+        x = batch.data
+        u = x @ w.T
+        g = 0.5 * ((x * x).sum(axis=1) - (u * u).sum(axis=1) - mean.center)
         assert abs(np.sum(g)) <= 1e-12 * np.sum(np.abs(g))
 
 
@@ -197,7 +206,8 @@ class TestEghrEmpirical:
         batch = sample(cov21, 10**6, seed=27)
         x = batch.data
         u = x @ w.T
-        g_closed = eghr_g_values(w, batch, cov21)
+        center = np.trace(cov21.sigma) - np.trace(w @ cov21.sigma @ w.T)
+        g_closed = 0.5 * ((x * x).sum(axis=1) - (u * u).sum(axis=1) - center)
         outer = u[:, :, None] * x[:, None, :]
         terms = g_closed[:, None, None] * (outer - outer.mean(axis=0))
         band = 4.0 * terms.std(axis=0, ddof=1) / np.sqrt(batch.n)
@@ -207,41 +217,44 @@ class TestEghrEmpirical:
         assert np.all(gap <= band)
 
     def test_gain_shift_moves_update_by_hebbian_mean(self, cov_rand4):
+        # Lowering the center by 2c raises every gain by c.
         w = np.random.default_rng(28).uniform(-1, 1, (2, 4))
         batch = sample(cov_rand4, 500, seed=29)
-        g = eghr_g_values(w, batch)
+        mean = EghrMean(w)
+        base = batch.feed(mean)[0]
         c = 0.7
-        shifted = eghr_update_from_g(w, batch, g + c)
-        base = eghr_update_from_g(w, batch, g)
+        shifted = batch.feed(EghrMean(w, mean.center - 2 * c))[0]
         x = batch.data
         u = x @ w.T
         hebbian_mean = u.T @ x / batch.n
         np.testing.assert_allclose(shifted - base, c * hebbian_mean, atol=1e-12)
 
     def test_closed_gain_mode(self, cov_rand4):
-        # Closed-form centering goes through eghr_update_from_g: the gains are
-        # the per-sample closed-form gains, and the update their Hebbian mean.
+        # Closed-form centering: the update is the Hebbian mean weighted by
+        # the per-sample closed-form gains eghr_g.
         w = np.random.default_rng(30).uniform(-1, 1, (2, 4))
         batch = sample(cov_rand4, 200, seed=31)
-        g = eghr_g_values(w, batch, cov_rand4)
-        np.testing.assert_allclose(
-            g, [eghr_g(x, w, cov_rand4) for x in batch.data], rtol=0, atol=1e-12
+        center = np.trace(cov_rand4.sigma) - np.trace(w @ cov_rand4.sigma @ w.T)
+        explicit = sum(
+            eghr_g(x, w, cov_rand4) * np.outer(w @ x, x) for x in batch.data
         )
-        explicit = sum(gk * np.outer(w @ x, x) for gk, x in zip(g, batch.data))
         np.testing.assert_allclose(
-            eghr_update_from_g(w, batch, g), explicit / batch.n, rtol=0, atol=1e-12
+            batch.feed(EghrMean(w, center))[0], explicit / batch.n, rtol=0, atol=1e-12
         )
-        with pytest.raises(DimensionError):
-            eghr_update_from_g(w, batch, g[:-1])
 
     def test_validates_weights_once_and_matches_public_path(self, cov_rand4, monkeypatch):
+        # One chunk: the update is the whole-batch formula bit for bit.
         w = np.random.default_rng(46).uniform(-1, 1, (2, 4))
         batch = sample(cov_rand4, 300, 47)
-        public = eghr_update_from_g(w, batch, eghr_g_values(w, batch))
+        x = batch.data
+        u = x @ w.T
+        s = (x * x).sum(axis=1) - (u * u).sum(axis=1)
+        g = 0.5 * (s - s.sum() / s.size)
+        whole = (u * g[:, None]).T @ x / batch.n
         calls = []
         real = rules.as_weights
         monkeypatch.setattr(rules, "as_weights", lambda w: calls.append(1) or real(w))
-        np.testing.assert_array_equal(eghr_update_empirical(w, batch), public)
+        np.testing.assert_array_equal(eghr_update_empirical(w, batch), whole)
         assert len(calls) == 1
 
     def test_dimension_mismatch(self, cov_rand4):
