@@ -6,6 +6,8 @@ identities use roundoff-level tolerances. Most Monte-Carlo comparisons use
 4-standard-error bands or the fitted 1/sqrt(n) rate; isserlis-empirical
 (MC_FROBENIUS_RTOL) and derivation-mc-target (frames.MC_TARGET_RTOL) still
 use a fixed 5% relative tolerance, which sampling noise can cross at small n.
+stein-identity draws one batch per dimension and checks every built-in test
+function on it; it needs gaussian.STEIN_MIN_SAMPLES rows.
 
 The sweeps over random (Sigma, W[, x]) trials draw each trial's covariance
 seed and its other values from one generator, trial after trial, and build
@@ -183,15 +185,14 @@ def stein_identity_check(
 ) -> ExperimentRecord:
     """Integration-by-parts identity for every built-in test function on a
     random SPD covariance per dimension; value is the worst ratio of observed
-    discrepancy to its 4-standard-error band (must stay below 1)."""
+    discrepancy to its 4-standard-error band (must stay below 1). All test
+    functions of a dimension read one batch, drawn from child seed
+    1000 + dim."""
     t0 = time.perf_counter()
     worst = 0.0
-    counter = 0
     for dim in dims:
         cov = build_covariance(random_spd(dim, SWEEP_EIG_RANGE, seed=derive_seed(seed, dim)))
-        for a in monomial_exponents(dim):
-            rec = stein_check(cov, a, n, derive_seed(seed, 1000 + counter))
-            counter += 1
+        for rec in stein_check(cov, monomial_exponents(dim), n, derive_seed(seed, 1000 + dim)):
             worst = max(worst, rec.value / rec.tolerance)
     return _record("stein-identity", worst, 1.0, seed, t0, dims=dims, n=n)
 

@@ -6,8 +6,9 @@ class DimensionError(ValueError):
 
 
 class DegenerateCovarianceError(ValueError):
-    """Covariance failed the positive-definiteness gate or a factorization
-    residual check; downstream analysis assumes a non-degenerate covariance."""
+    """Covariance failed the positive-definiteness gate, the eigenvalue
+    magnitude window or a factorization residual check; downstream analysis
+    assumes a non-degenerate covariance whose moments stay finite."""
 
 
 class SkewDomainError(ValueError):

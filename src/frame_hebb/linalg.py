@@ -23,6 +23,16 @@ CHOLESKY_RTOL = 1e-12
 INVERSE_ATOL = 1e-10
 ORTHOGONALITY_ATOL = 1e-10
 EIGENVALUE_FLOOR_REL = 1e-12
+# The checks form moments of x up to the 8th order (the Stein band is the
+# variance of a residual of 4th order in x), and such a moment scales as
+# lambda^4. Every eigenvalue must keep lambda^4, with MOMENT_HEADROOM to spare
+# for the sums over a batch and its dimensions, inside the normal float range.
+MOMENT_ORDER = 8
+MOMENT_HEADROOM = 1e20
+EIGENVALUE_WINDOW = (
+    (float(np.finfo(float).tiny) * MOMENT_HEADROOM) ** (2 / MOMENT_ORDER),
+    (float(np.finfo(float).max) / MOMENT_HEADROOM) ** (2 / MOMENT_ORDER),
+)
 
 
 def _as_matrix(x, name: str = "matrix", ndim: int = 2) -> np.ndarray:
@@ -137,9 +147,10 @@ def build_covariance(sigma) -> CovarianceModel:
     """Validate and factor a symmetric positive definite covariance.
 
     Rejects asymmetric input, any eigenvalue at or below
-    ``1e-12 * lambda_max``, and any factorization whose residual exceeds
-    the model gates (so a near-degenerate covariance fails loudly here
-    instead of corrupting downstream inverses). This is
+    ``1e-12 * lambda_max`` or outside ``EIGENVALUE_WINDOW``, and any
+    factorization whose residual exceeds the model gates or is NaN (so a
+    near-degenerate covariance fails loudly here instead of corrupting
+    downstream inverses). This is
     :func:`build_covariances` on a stack of one.
     """
     return build_covariances(_require_square(_as_matrix(sigma, "sigma"), "sigma")[None])[0]
@@ -151,37 +162,47 @@ def build_covariances(sigmas) -> list[CovarianceModel]:
     Every gate is evaluated per matrix; the first matrix that fails one
     raises the error :func:`build_covariance` raises for it alone."""
     s = _require_square(_as_matrix(sigmas, "sigmas", ndim=3), "sigmas")
-    scale = _frobenius(s)
-    asym = _frobenius(s - _t(s))
-    s = (s + _t(s)) / 2.0  # bit-exact symmetry for everything downstream
+    # Out-of-window input may overflow or underflow on the way to its gate;
+    # a NaN residual fails its gate like one above the tolerance.
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        scale = _frobenius(s)
+        asym = _frobenius(s - _t(s))
+        s = (s + _t(s)) / 2.0  # bit-exact symmetry for everything downstream
 
-    w, q = np.linalg.eigh(s)
-    w = w[:, ::-1].copy()
-    q = q[:, :, ::-1].copy()
-    floor = (w[:, 0] <= 0.0) | (w[:, -1] <= EIGENVALUE_FLOOR_REL * w[:, 0])
-    # A matrix below the floor is factored as the identity, so that the stack
-    # still factors and every matrix before it is still gated.
-    eye = np.eye(s.shape[1])
-    chol = np.linalg.cholesky(np.where(floor[:, None, None], eye, s))
-    inv = (q * (1.0 / np.where(floor[:, None], 1.0, w))[:, None, :]) @ _t(q)
-    inv = (inv + _t(inv)) / 2.0
+        w, q = np.linalg.eigh(s)
+        w = w[:, ::-1].copy()
+        q = q[:, :, ::-1].copy()
+        floor = ~(w[:, 0] > 0.0) | ~(w[:, -1] > EIGENVALUE_FLOOR_REL * w[:, 0])
+        lo, hi = EIGENVALUE_WINDOW
+        outside = ~((w[:, -1] >= lo) & (w[:, 0] <= hi))
+        # A matrix that fails either is factored as the identity, so that the
+        # stack still factors and every matrix before it is still gated.
+        unfit = floor | outside
+        eye = np.eye(s.shape[1])
+        chol = np.linalg.cholesky(np.where(unfit[:, None, None], eye, s))
+        inv = (q * (1.0 / np.where(unfit[:, None], 1.0, w))[:, None, :]) @ _t(q)
+        inv = (inv + _t(inv)) / 2.0
 
-    chol_res = _frobenius(chol @ _t(chol) - s) / scale
-    inv_res = _frobenius(s @ inv - eye)
-    orth_res = _frobenius(_t(q) @ q - eye)
+        chol_res = _frobenius(chol @ _t(chol) - s) / scale
+        inv_res = _frobenius(s @ inv - eye)
+        orth_res = _frobenius(_t(q) @ q - eye)
     gates = (  # (failed per matrix, error, message for matrix i), in gate order
-        (asym > SYMMETRY_RTOL * np.maximum(scale, 1.0), DimensionError,
+        (~(asym <= SYMMETRY_RTOL * np.maximum(scale, 1.0)), DimensionError,
          lambda i: f"sigma is not symmetric: asymmetry {asym[i]:.3e} exceeds "
                    f"{SYMMETRY_RTOL:.1e} * {max(scale[i], 1.0):.3e}"),
         (floor, DegenerateCovarianceError,
          lambda i: f"covariance is degenerate: smallest eigenvalue {w[i, -1]:.6e} is at or "
                    f"below {EIGENVALUE_FLOOR_REL:.1e} * lambda_max ({w[i, 0]:.6e})"),
-        (chol_res > CHOLESKY_RTOL, DegenerateCovarianceError,
+        (outside, DegenerateCovarianceError,
+         lambda i: f"covariance eigenvalues [{w[i, -1]:.3e}, {w[i, 0]:.3e}] leave the window "
+                   f"[{lo:.3e}, {hi:.3e}] in which its moments up to order {MOMENT_ORDER} "
+                   "stay finite and normal"),
+        (~(chol_res <= CHOLESKY_RTOL), DegenerateCovarianceError,
          lambda i: f"Cholesky residual {chol_res[i]:.3e} exceeds {CHOLESKY_RTOL:.1e}"),
-        (inv_res > INVERSE_ATOL, DegenerateCovarianceError,
+        (~(inv_res <= INVERSE_ATOL), DegenerateCovarianceError,
          lambda i: f"inverse residual {inv_res[i]:.3e} exceeds {INVERSE_ATOL:.1e} "
                    "(covariance too ill-conditioned)"),
-        (orth_res > ORTHOGONALITY_ATOL, DegenerateCovarianceError,
+        (~(orth_res <= ORTHOGONALITY_ATOL), DegenerateCovarianceError,
          lambda i: f"eigenvector orthogonality residual {orth_res[i]:.3e} exceeds "
                    f"{ORTHOGONALITY_ATOL:.1e}"),
     )

@@ -22,7 +22,7 @@ from frame_hebb.cli import (
     main,
 )
 from frame_hebb.frames import SKEW_DOMAIN_RTOL
-from frame_hebb.gaussian import CHUNK_ROWS
+from frame_hebb.gaussian import CHUNK_ROWS, STEIN_MIN_SAMPLES
 from frame_hebb.linalg import skew_part, unvec
 from frame_hebb.records import make_record, read_records_csv, write_records_csv
 
@@ -60,9 +60,10 @@ class TestEquivalence:
         assert code == EXIT_CONFIG_ERROR
         assert "nu" in capsys.readouterr().err
 
-    def test_single_sample_stein_is_input_error(self, tmp_path):
-        # the Stein band is a sample standard deviation, undefined on one row
-        proc = run_process(["equivalence", "--out", tmp_path, "--samples", "1",
+    @pytest.mark.parametrize("samples", [1, 100, STEIN_MIN_SAMPLES - 1])
+    def test_small_sample_stein_is_input_error(self, tmp_path, samples):
+        # below STEIN_MIN_SAMPLES the Stein band misses its false-failure rate
+        proc = run_process(["equivalence", "--out", tmp_path, "--samples", samples,
                             "--checks", "stein-identity"])
         assert proc.returncode == EXIT_CONFIG_ERROR
         assert proc.stderr.startswith("input error:")
@@ -364,7 +365,11 @@ selection_argv = st.tuples(
 # ones (the last ill-conditioned), then degenerate and malformed ones (exit 2).
 CONTRACT_SAMPLES = [1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
 VALID_SIGMAS = ["identity", "diagonal:4,3,2,1", "random-spd", "random-spd:1e-2,1e2"]
-BAD_SIGMAS = ["diagonal:1,1,1,0", "diagonal:1,2"]
+# Eigenvalue scales outside linalg.EIGENVALUE_WINDOW, whose moments overflow
+# or underflow.
+EXTREME_SCALES = ["1e300", "1e160", "1e150", "1e-160", "1e-300"]
+BAD_SIGMAS = ["diagonal:1,1,1,0", "diagonal:1,2"] + [
+    "diagonal:" + ",".join([scale] * 4) for scale in EXTREME_SCALES]
 # Checks whose work scales with --samples: cheap at nx=4.
 SAMPLED_CHECKS = {"equivalence": "stein-identity",
                   "frame-check": "isserlis-empirical,derivation-chain-agreement,"
@@ -379,14 +384,16 @@ class TestExitCodeContract:
     ):
         code = run(["frame-check", "--checks", SAMPLED_CHECKS["frame-check"],
                     "--samples", samples, "--sigma", sigma, "--out", tmp_path])
-        assert code in (EXIT_PASS, EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR)
+        assert code in ((EXIT_CONFIG_ERROR,) if sigma in BAD_SIGMAS
+                        else (EXIT_PASS, EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR))
         assert "Traceback" not in capsys.readouterr().err
 
     # stein-identity draws its own covariances, so --sigma only has to pass
-    # the config gate: one spec per sample count is enough.
+    # the config gate: one spec per sample count is enough. Below
+    # STEIN_MIN_SAMPLES it exits 2 before drawing.
     @pytest.mark.parametrize(
         "samples, sigma",
-        list(zip(CONTRACT_SAMPLES, VALID_SIGMAS + VALID_SIGMAS))
+        list(zip(CONTRACT_SAMPLES + [STEIN_MIN_SAMPLES], VALID_SIGMAS + VALID_SIGMAS))
         + [(CHUNK_ROWS, sigma) for sigma in BAD_SIGMAS],
     )
     def test_equivalence_samples_and_sigma_map_to_an_exit_code(
@@ -396,6 +403,18 @@ class TestExitCodeContract:
                     "--samples", samples, "--sigma", sigma, "--out", tmp_path])
         assert code in (EXIT_PASS, EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR)
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", EXTREME_SCALES)
+    @pytest.mark.parametrize("command, samples", [("frame-check", 100),
+                                                  ("equivalence", STEIN_MIN_SAMPLES)])
+    def test_extreme_sigma_scale_is_input_error(self, tmp_path, capsys, command, samples,
+                                                scale):
+        code = run([command, "--sigma", f"diagonal:{scale},{scale}", "--nx", 2, "--nu", 1,
+                    "--samples", samples, "--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG_ERROR
+        assert err.startswith("input error:") and "window" in err
+        assert len(err.splitlines()) == 1
 
     def test_skew_domain_error_is_unreachable(self, tmp_path, monkeypatch):
         # cli.main leaves SkewDomainError unmapped. Every vector the check

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from frame_hebb import gaussian
+from frame_hebb.checks import stein_identity_check
 from frame_hebb.errors import DimensionError, SampleSizeError
 from frame_hebb.gaussian import (
+    STEIN_MIN_SAMPLES,
+    SampleBatch,
     derive_seed,
     isserlis_fourth_moment,
     monomial,
@@ -101,15 +105,24 @@ def reference_test_functions(dim):
 
 class TestMonomials:
     @pytest.mark.parametrize("dim", [1, 2, 4])
-    def test_bitwise_equal_to_hand_written_functions(self, dim):
+    def test_equal_to_hand_written_functions(self, dim):
+        # Bit for bit but for the cubes, which are x^2 * x rather than pow.
         cov = build_covariance(random_spd(dim, (0.5, 2.0), seed=60 + dim))
         x = sample(cov, 1000, seed=61).data
+        xt = np.ascontiguousarray(x.T)
         exps = monomial_exponents(dim)
         ref = reference_test_functions(dim)
         assert [monomial_name(a) for a in exps] == [name for name, _, _ in ref]
         for a, (name, f, grad) in zip(exps, ref):
-            assert np.array_equal(monomial(x, a), f(x)), name
-            assert np.array_equal(monomial_grad(x, a), grad(x)), name
+            support, partials = monomial_grad(xt, a)
+            g = np.zeros_like(xt)
+            g[support] = partials
+            if 3 in a:
+                np.testing.assert_allclose(monomial(xt, a), f(x), rtol=4e-16, atol=0, err_msg=name)
+            else:
+                assert np.array_equal(monomial(xt, a), f(x)), name
+            assert np.array_equal(g, grad(x).T), name
+            assert list(support) == [j for j, p in enumerate(a) if p], name
 
     def test_names(self):
         assert [monomial_name(a) for a in [(0, 0, 0), (0, 1, 0), (2, 0, 0), (2, 1, 3)]] == [
@@ -117,40 +130,73 @@ class TestMonomials:
 
 
 class TestSteinCheck:
+    N = STEIN_MIN_SAMPLES
+
     def test_linear_function(self, cov2):
-        assert stein_check(cov2, (0, 1), 10**5, seed=21).passed
+        assert stein_check(cov2, [(0, 1)], self.N, seed=21)[0].passed
 
     def test_constant_function(self, cov2):
-        assert stein_check(cov2, (0, 0), 10**5, seed=22).passed
+        assert stein_check(cov2, [(0, 0)], self.N, seed=22)[0].passed
 
     def test_square_function_odd_moment(self, cov2):
         # f = x0^2 on diag(2,1): both sides of component 0 estimate E[x0^3] = 0.
-        rec = stein_check(cov2, (2, 0), 10**5, seed=23)
+        (rec,) = stein_check(cov2, [(2, 0)], self.N, seed=23)
         assert rec.check_name == "stein-x0^2"
         assert rec.passed
 
     @pytest.mark.parametrize("dim", [1, 2, 4])
     def test_all_builtins_random_spd(self, dim):
         cov = build_covariance(random_spd(dim, (0.5, 2.0), seed=30 + dim))
-        for i, a in enumerate(monomial_exponents(dim)):
-            rec = stein_check(cov, a, 10**5, seed=derive_seed(77, i))
+        exps = monomial_exponents(dim)
+        records = stein_check(cov, exps, self.N, seed=derive_seed(77, dim))
+        assert [r.check_name for r in records] == [f"stein-{monomial_name(a)}" for a in exps]
+        for rec in records:
             assert rec.passed, f"{rec.check_name} at dim {dim}: {rec.value} > {rec.tolerance}"
 
     @pytest.mark.parametrize("a", [(), (1,), (0, 0, 1)])
     def test_wrong_length_exponents_rejected(self, cov2, a):
-        with pytest.raises(DimensionError):
-            stein_check(cov2, a, 100, seed=5)
+        for exps in ([a], [(0, 1), a]):
+            with pytest.raises(DimensionError):
+                stein_check(cov2, exps, self.N, seed=5)
 
-    def test_needs_two_samples(self, cov2):
-        # the band is a sample standard deviation, undefined on one row
+    def test_negative_exponent_rejected(self, cov2):
+        with pytest.raises(ValueError, match="negative"):
+            stein_check(cov2, [(0, 1), (-1, 0)], self.N, seed=5)
+
+    @pytest.mark.parametrize("n", [1, 2, 100, STEIN_MIN_SAMPLES - 1])
+    def test_too_few_samples_rejected(self, cov2, n):
+        # below the minimum the band misses its false-failure rate
         with pytest.raises(SampleSizeError):
-            stein_check(cov2, (0, 0), 1, seed=5)
-        assert stein_check(cov2, (0, 0), 2, seed=5).tolerance > 0
+            stein_check(cov2, [(0, 0)], n, seed=5)
 
     def test_record_is_reproducible(self, cov2):
-        a = stein_check(cov2, (0, 0), 10**4, seed=5)
-        b = stein_check(cov2, (0, 0), 10**4, seed=5)
-        assert a.value == b.value and a.tolerance == b.tolerance
+        a = stein_check(cov2, [(0, 0), (1, 1)], self.N, seed=5)
+        b = stein_check(cov2, [(0, 0), (1, 1)], self.N, seed=5)
+        assert [(r.value, r.tolerance) for r in a] == [(r.value, r.tolerance) for r in b]
+
+    def test_one_draw_per_dimension(self, monkeypatch):
+        calls = []
+        real = gaussian.sample
+
+        def spy(cov, n, seed):
+            calls.append((cov.dim, n))
+            return real(cov, n, seed)
+
+        monkeypatch.setattr(gaussian, "sample", spy)
+        dims = (1, 2, 4)
+        assert stein_identity_check(42, self.N, dims=dims).passed
+        assert calls == [(dim, self.N) for dim in dims]
+
+    def test_wrong_covariance_fails(self, monkeypatch):
+        # Negative control: rows of covariance 1.2 Sigma, checked against Sigma.
+        cov = build_covariance(random_spd(2, (0.5, 2.0), seed=31))
+        wide = build_covariance(1.2 * cov.sigma)
+        rows = sample(wide, self.N, seed=24).data
+        monkeypatch.setattr(gaussian, "sample",
+                            lambda c, n, seed: SampleBatch.from_rows(rows, c, seed))
+        records = stein_check(cov, monomial_exponents(2), self.N, seed=24)
+        assert not all(r.passed for r in records)
+        assert not stein_check(cov, [(0, 1)], self.N, seed=24)[0].passed
 
 
 class TestIsserlisFourthMoment:

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from frame_hebb import linalg
 from frame_hebb.errors import DegenerateCovarianceError, DimensionError
 from frame_hebb.linalg import (
+    EIGENVALUE_WINDOW,
     build_covariance,
     build_covariances,
     commutation_matrix,
@@ -173,6 +175,26 @@ class TestBuildCovariance:
         assert np.linalg.norm(cov.eigvecs.T @ cov.eigvecs - np.eye(n)) <= 1e-10
         assert np.all(np.diff(cov.eigvals) <= 0)
         assert cov.eigvals[-1] > 0
+
+    @pytest.mark.parametrize("scale", [1e300, 1e160, 1e150, 1e-160, 1e-300])
+    def test_scale_outside_the_eigenvalue_window_rejected(self, scale):
+        with pytest.raises(DegenerateCovarianceError, match="window"):
+            build_covariance(scale * random_spd(3, (0.5, 2.0), seed=1))
+
+    def test_scales_at_the_window_edges_build(self):
+        lo, hi = EIGENVALUE_WINDOW
+        # lambda^4 stays normal with room for sums of 1e19 terms
+        assert lo**4 > 1e19 * np.finfo(float).tiny and hi**4 < np.finfo(float).max / 1e19
+        for sigma in (np.diag([hi, hi / 2]), np.diag([2 * lo, lo])):
+            np.testing.assert_array_equal(build_covariance(sigma).eigvals, np.diag(sigma))
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_nan_residual_fails_its_gate(self, monkeypatch, scale):
+        # Without the window these scales reach the Cholesky residual, which
+        # overflows to NaN; a NaN residual must fail, not compare as passing.
+        monkeypatch.setattr(linalg, "EIGENVALUE_WINDOW", (0.0, np.inf))
+        with pytest.raises(DegenerateCovarianceError, match="Cholesky residual nan"):
+            build_covariance(scale * random_spd(3, (0.5, 2.0), seed=1))
 
     def test_random_spd_spans_requested_range(self):
         cov = build_covariance(random_spd(6, (0.5, 3.0), seed=9))

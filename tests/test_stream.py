@@ -8,14 +8,24 @@ import numpy as np
 import pytest
 
 from frame_hebb import gaussian
-from frame_hebb.checks import mc_rate_check
+from frame_hebb.checks import mc_rate_check, stein_identity_check
 from frame_hebb.frames import (
     derive_eghr_from_oja,
     frame_expansion_reconstruct,
     frame_operator_empirical,
     restricted_inverse_apply,
 )
-from frame_hebb.gaussian import CHUNK_ROWS, SampleBatch, monomial, monomial_grad, sample, stein_check
+from frame_hebb.gaussian import (
+    CHUNK_ROWS,
+    STEIN_MIN_SAMPLES,
+    SampleBatch,
+    SteinMean,
+    monomial,
+    monomial_exponents,
+    monomial_grad,
+    sample,
+    stein_check,
+)
 from frame_hebb.linalg import build_covariance, random_spd, unvec, vec
 from frame_hebb.rules import eghr_update_empirical, oja_update_empirical
 
@@ -77,13 +87,16 @@ def derivation_formula(w, cov, x):
     return frame_route, gain_hebbian_formula(w, x, center)
 
 
-def stein_formula(cov, a, x):
-    """(value, tolerance) of the Stein record."""
-    resid = monomial(x, a)[:, None] * x - monomial_grad(x, a) @ cov.sigma
-    mean = resid.mean(axis=0)
-    band = np.maximum(4.0 * resid.std(axis=0, ddof=1) / np.sqrt(x.shape[0]), 1e-12)
-    worst = int(np.argmax(np.abs(mean) / band))
-    return float(abs(mean[worst])), float(band[worst])
+def stein_formula(cov, exponents, x):
+    """(mean, band) of the Stein residuals, one row per exponent vector."""
+    xt = np.ascontiguousarray(x.T)
+    means, bands = [], []
+    for a in exponents:
+        support, partials = monomial_grad(xt, a)
+        resid = monomial(xt, a) * xt - cov.sigma[:, support] @ partials
+        means.append(resid.mean(axis=1))
+        bands.append(np.maximum(4.0 * resid.std(axis=1, ddof=1) / np.sqrt(x.shape[0]), 1e-12))
+    return np.array(means), np.array(bands)
 
 
 def estimates(w, cov, batch):
@@ -93,8 +106,9 @@ def estimates(w, cov, batch):
     v = vec(cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma)
     res = derive_eghr_from_oja(w, cov, batch)
     frame_route, direct_route = derivation_formula(w, cov, x)
-    a = (2, 1, 0)
-    stein = stein_check(cov, a, batch.n, batch.seed)
+    exps = monomial_exponents(cov.dim)
+    stein_mean, stein_band = batch.feed(SteinMean(cov.sigma, exps))[0]
+    stein_ref = stein_formula(cov, exps, x)
     return [
         ("oja", oja_update_empirical(w, batch), oja_formula(w, x)),
         ("eghr", eghr_update_empirical(w, batch), gain_hebbian_formula(w, x)),
@@ -102,8 +116,8 @@ def estimates(w, cov, batch):
         ("expansion", frame_expansion_reconstruct(v, batch), expansion_formula(v, cov, x)[0]),
         ("frame-route", res.frame_route, frame_route),
         ("direct-route", res.direct_route, direct_route),
-        ("stein", np.array([stein.value, stein.tolerance]),
-         np.array(stein_formula(cov, a, sample(cov, batch.n, batch.seed).data))),
+        ("stein-mean", stein_mean, stein_ref[0]),
+        ("stein-band", stein_band, stein_ref[1]),
     ]
 
 
@@ -157,8 +171,6 @@ class TestChunkedEstimators:
                       SampleBatch.from_rows(np.random.default_rng(95).standard_normal((60, 3)), cov3)):
             assert len(list(batch.chunks())) == 8
             for name, got, want in estimates(w23, cov3, batch):
-                if name == "stein" and batch.rows is not None:
-                    continue  # stein_check draws its own batch
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), name
 
 
@@ -185,10 +197,16 @@ class TestMemory:
             "eghr_update_empirical": lambda n: eghr_update_empirical(w23, sample(cov3, n, 1)),
             "frame_operator_empirical": lambda n: frame_operator_empirical(sample(cov3, n, 1)),
             "derive_eghr_from_oja": lambda n: derive_eghr_from_oja(w23, cov3, sample(cov3, n, 1)),
-            "stein_check": lambda n: stein_check(cov3, (2, 1, 0), n, 1),
+            "stein_check": lambda n: stein_check(cov3, monomial_exponents(3), n, 1),
             "mc_rate_check": lambda n: mc_rate_check(
                 ("oja", "eghr", "frame-operator", "frame-expansion"), cov3, 2, 1,
                 ns=(C, n), replicates=1),
         }[estimator]
         small, large = traced_peak(lambda: run(4 * C)), traced_peak(lambda: run(16 * C))
         assert large <= 1.5 * small, (small, large)
+
+    def test_stein_identity_peak_stays_below_12_mb(self):
+        # one (dim, rows) function at a time: a stacked block of all 15
+        # functions at dim 4 would take 16.5 MB per temporary
+        stein_identity_check(42, STEIN_MIN_SAMPLES)  # warm up imports and caches
+        assert traced_peak(lambda: stein_identity_check(42, STEIN_MIN_SAMPLES)) < 12e6
