@@ -7,7 +7,8 @@ identities use roundoff-level tolerances. Most Monte-Carlo comparisons use
 (MC_FROBENIUS_RTOL) and derivation-mc-target (frames.MC_TARGET_RTOL) still
 use a fixed 5% relative tolerance, which sampling noise can cross at small n.
 stein-identity draws one batch per dimension and checks every built-in test
-function on it; it needs gaussian.STEIN_MIN_SAMPLES rows.
+function on it. It runs at gaussian.STEIN_MIN_SAMPLES rows; run_checks
+rejects a smaller --samples before any check runs.
 
 The sweeps over random (Sigma, W[, x]) trials draw each trial's covariance
 seed and its other values from one generator, trial after trial, and build
@@ -35,9 +36,11 @@ from .frames import (
     restricted_inverse_apply,
 )
 from .gaussian import (
+    STEIN_MIN_SAMPLES,
     derive_seed,
     isserlis_fourth_moment,
     monomial_exponents,
+    require_stein_samples,
     sample,
     stein_check,
 )
@@ -387,7 +390,7 @@ _RUNNERS = (
     (["fixed-point-sharing"],
      lambda c, names: [fixed_point_sharing_check(c.seed, nx=c.nx, nu=c.nu)]),
     (["stein-identity"],
-     lambda c, names: [stein_identity_check(c.seed, n=min(c.n_samples, 10**5))]),
+     lambda c, names: [stein_identity_check(c.seed, n=STEIN_MIN_SAMPLES)]),
     ([f"mc-rate-{kind}" for kind in _RATE_KINDS], _runner_mc),
     (["frame-bounds"], lambda c, names: [frame_bounds_check(_cov(c), c.seed)]),
     (["kernel-annihilation"], lambda c, names: [kernel_annihilation_check(_cov(c), c.seed)]),
@@ -405,6 +408,8 @@ _RUNNER_BY_CHECK = {name: runner for names, runner in _RUNNERS for name in names
 def run_checks(config: RunConfig, names: list[str]) -> list[ExperimentRecord]:
     """Run the runners behind the requested check names (each runner once),
     keep only the requested records, and stamp report groups."""
+    if "stein-identity" in names:
+        require_stein_samples(config.n_samples)
     seen = []
     for name in names:
         runner = _RUNNER_BY_CHECK[name]

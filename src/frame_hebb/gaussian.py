@@ -226,6 +226,14 @@ class SteinMean:
         return self.mean, np.maximum(band, 1e-12)
 
 
+def require_stein_samples(n: int) -> None:
+    """Raise SampleSizeError for n < STEIN_MIN_SAMPLES."""
+    if n < STEIN_MIN_SAMPLES:
+        raise SampleSizeError(
+            f"need >= {STEIN_MIN_SAMPLES} samples for the Stein band, got {n}: below that "
+            "the band of the heavy-tailed residual is not a valid 4-standard-error band")
+
+
 def stein_check(cov: CovarianceModel, exponents, n: int, seed: int) -> list[ExperimentRecord]:
     """Monte-Carlo check of E[f(x) x_i] = sum_a Sigma_ia E[d_a f] per component,
     for each monomial f given by an exponent vector in ``exponents``; one
@@ -248,10 +256,7 @@ def stein_check(cov: CovarianceModel, exponents, n: int, seed: int) -> list[Expe
             raise DimensionError(f"exponent vector {a} has length {len(a)}, expected {cov.dim}")
         if min(a, default=0) < 0:
             raise ValueError(f"exponent vector {a} has a negative exponent")
-    if n < STEIN_MIN_SAMPLES:
-        raise SampleSizeError(
-            f"need >= {STEIN_MIN_SAMPLES} samples for the Stein band, got {n}: below that "
-            "the band of the heavy-tailed residual is not a valid 4-standard-error band")
+    require_stein_samples(n)
     t0 = time.perf_counter()
     means, bands = sample(cov, n, seed).feed(SteinMean(cov.sigma, exponents))[0]
     wall_time_ms = (time.perf_counter() - t0) * 1e3

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frame_hebb
-from frame_hebb import frames, rules
+from frame_hebb import checks, frames, rules
 from frame_hebb.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -69,6 +69,14 @@ class TestEquivalence:
         assert proc.stderr.startswith("input error:")
         assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr
+
+    def test_small_sample_stein_rejected_before_any_check_runs(self, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr(checks, "closed_equivalence_check",
+                            lambda *args, **kwargs: ran.append(args))
+        assert run(["equivalence", "--out", tmp_path, "--samples", 100]) == EXIT_CONFIG_ERROR
+        assert ran == []
+        assert not (tmp_path / "equivalence.csv").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -394,7 +402,7 @@ class TestExitCodeContract:
     @pytest.mark.parametrize(
         "samples, sigma",
         list(zip(CONTRACT_SAMPLES + [STEIN_MIN_SAMPLES], VALID_SIGMAS + VALID_SIGMAS))
-        + [(CHUNK_ROWS, sigma) for sigma in BAD_SIGMAS],
+        + [(STEIN_MIN_SAMPLES, sigma) for sigma in BAD_SIGMAS],
     )
     def test_equivalence_samples_and_sigma_map_to_an_exit_code(
         self, tmp_path, capsys, samples, sigma
