@@ -53,7 +53,7 @@ from .linalg import (
     sym_part,
     vec,
 )
-from .records import ExperimentRecord, digest_inputs, make_record
+from .records import ExperimentRecord, timed_record
 from .rules import (
     EghrMean,
     OjaMean,
@@ -75,15 +75,6 @@ MC_FROBENIUS_RTOL = 5e-2
 SLOPE_REFERENCE = -0.5
 SLOPE_HALF_WIDTH = 0.15
 RATE_SAMPLE_GRID = (10**3, 10**4, 10**5, 10**6)
-
-
-def _record(name: str, value: float, tolerance: float, seed: int, t0: float,
-            reference: float = 0.0, **inputs) -> ExperimentRecord:
-    """The record of a check started at perf_counter() t0, whose digest covers
-    ``inputs`` and the seed."""
-    return make_record(name, value=value, tolerance=tolerance, seed=seed, reference=reference,
-                       inputs_digest=digest_inputs(seed=seed, **inputs),
-                       wall_time_ms=(time.perf_counter() - t0) * 1e3)
 
 
 def dim_sweep(max_nx: int = 8, min_nx: int = 2, seed: int = 0) -> list[tuple[int, int]]:
@@ -152,7 +143,8 @@ def closed_equivalence_check(
         ref = float(np.linalg.norm(rhs))
         err = float(np.linalg.norm(lhs - rhs))
         worst = max(worst, err / ref if ref > 0 else err)
-    return _record("closed-equivalence", worst, EXACT_RTOL, seed, t0, dims=dims, trials=trials)
+    return timed_record("closed-equivalence", worst, EXACT_RTOL, seed, t0,
+                        dims=dims, trials=trials)
 
 
 def fixed_point_sharing_check(
@@ -180,7 +172,8 @@ def fixed_point_sharing_check(
         lam_min, lam_max = cov.eigvals[-1], cov.eigvals[0]
         sandwich = max(lam_min * oja_n - eghr_n, eghr_n - lam_max * oja_n, 0.0)
         worst = max(worst, sandwich / (lam_max * oja_n) if oja_n > 0 else sandwich)
-    return _record("fixed-point-sharing", worst, EXACT_RTOL, seed, t0, nx=nx, nu=nu, trials=trials)
+    return timed_record("fixed-point-sharing", worst, EXACT_RTOL, seed, t0,
+                        nx=nx, nu=nu, trials=trials)
 
 
 def stein_identity_check(
@@ -197,7 +190,7 @@ def stein_identity_check(
         cov = build_covariance(random_spd(dim, SWEEP_EIG_RANGE, seed=derive_seed(seed, dim)))
         for rec in stein_check(cov, monomial_exponents(dim), n, derive_seed(seed, 1000 + dim)):
             worst = max(worst, rec.value / rec.tolerance)
-    return _record("stein-identity", worst, 1.0, seed, t0, dims=dims, n=n)
+    return timed_record("stein-identity", worst, 1.0, seed, t0, dims=dims, n=n)
 
 
 def frame_bounds_check(cov, seed: int, trials: int = 1000) -> ExperimentRecord:
@@ -214,7 +207,7 @@ def frame_bounds_check(cov, seed: int, trials: int = 1000) -> ExperimentRecord:
     quad = np.einsum("ij,ij->i", v @ s, v)  # all quadratic forms in one GEMM
     worst = max(0.0, b.upper_tight - b.upper_trace,
                 float(b.lower - quad.min()), float(quad.max() - b.upper_tight))
-    return _record("frame-bounds", worst, BOUND_ATOL, seed, t0, nx=cov.dim, trials=trials)
+    return timed_record("frame-bounds", worst, BOUND_ATOL, seed, t0, nx=cov.dim, trials=trials)
 
 
 def kernel_annihilation_check(cov, seed: int, trials: int = 100) -> ExperimentRecord:
@@ -232,7 +225,8 @@ def kernel_annihilation_check(cov, seed: int, trials: int = 100) -> ExperimentRe
                 s_scale * float(np.linalg.norm(k))
             )
             worst = max(worst, ratio)
-    return _record("kernel-annihilation", worst, EXACT_RTOL, seed, t0, nx=cov.dim, trials=trials)
+    return timed_record("kernel-annihilation", worst, EXACT_RTOL, seed, t0,
+                        nx=cov.dim, trials=trials)
 
 
 def restricted_inverse_check(cov, seed: int, trials: int = 100) -> ExperimentRecord:
@@ -246,8 +240,8 @@ def restricted_inverse_check(cov, seed: int, trials: int = 100) -> ExperimentRec
         v = vec(sym_part(rng.standard_normal((cov.dim, cov.dim))))
         resid = float(np.linalg.norm(s @ restricted_inverse_apply(cov, v) - v))
         worst = max(worst, resid / float(np.linalg.norm(v)))
-    return _record("restricted-inverse", worst, RESTRICTED_INVERSE_RTOL, seed, t0,
-                   nx=cov.dim, trials=trials)
+    return timed_record("restricted-inverse", worst, RESTRICTED_INVERSE_RTOL, seed, t0,
+                        nx=cov.dim, trials=trials)
 
 
 def coefficient_identity_checks(
@@ -277,7 +271,7 @@ def coefficient_identity_checks(
         cancel_err = max(cancel_err, abs(cc - c))
         scale = max(scale, abs(g))
     return tuple(
-        _record(name, err / scale, EXACT_RTOL, seed, t0, dims=dims, trials=trials)
+        timed_record(name, err / scale, EXACT_RTOL, seed, t0, dims=dims, trials=trials)
         for name, err in (("coefficient-identity", coeff_err),
                           ("cancellation-identity", cancel_err))
     )
@@ -294,12 +288,14 @@ def isserlis_checks(cov, seed: int, n: int, names=None) -> tuple[ExperimentRecor
     m4 = isserlis_fourth_moment(cov)
     vs = vec(cov.sigma)
     analytic_gap = float(np.linalg.norm(m4 - np.outer(vs, vs) - s)) / s_scale
-    analytic = _record("isserlis-analytic", analytic_gap, EXACT_RTOL, seed, t0, nx=cov.dim, n=n)
+    analytic = timed_record("isserlis-analytic", analytic_gap, EXACT_RTOL, seed, t0,
+                            nx=cov.dim, n=n)
     if names is not None and "isserlis-empirical" not in names:
         return (analytic,)
     s_emp = frame_operator_empirical(sample(cov, n, seed))
     gap = float(np.linalg.norm(s_emp - s)) / s_scale
-    empirical = _record("isserlis-empirical", gap, MC_FROBENIUS_RTOL, seed, t0, nx=cov.dim, n=n)
+    empirical = timed_record("isserlis-empirical", gap, MC_FROBENIUS_RTOL, seed, t0,
+                             nx=cov.dim, n=n)
     return analytic, empirical
 
 
@@ -357,8 +353,10 @@ def mc_rate_check(
         for kind in kinds:
             rmse[kind].append(np.sqrt(sq[kind] / replicates))
     return tuple(
-        _record(f"mc-rate-{kind}", float(np.polyfit(np.log10(ns), np.log10(rmse[kind]), 1)[0]),
-                SLOPE_HALF_WIDTH, seed, t0, SLOPE_REFERENCE, kind=kind, nx=cov.dim, nu=nu, ns=ns)
+        timed_record(f"mc-rate-{kind}",
+                     float(np.polyfit(np.log10(ns), np.log10(rmse[kind]), 1)[0]),
+                     SLOPE_HALF_WIDTH, seed, t0, SLOPE_REFERENCE,
+                     kind=kind, nx=cov.dim, nu=nu, ns=ns)
         for kind in kinds
     )
 
@@ -372,52 +370,44 @@ def derivation_checks(cov, nu: int, seed: int, n: int) -> tuple[ExperimentRecord
 
 
 # ---------------------------------------------------------------------------
-# Registry: the check names each runner produces, and the runner(config,
-# requested names) -> records.
+# Registry: the check names each runner produces, and the runner(config, cov,
+# requested names) -> records. Every runner reads the run's one covariance.
 
-def _cov(config: RunConfig):
-    return build_covariance(config.build_sigma())
-
-
-def _runner_mc(config: RunConfig, names):
+def _runner_mc(config: RunConfig, cov, names):
     kinds = tuple(n[len("mc-rate-"):] for n in names if n.startswith("mc-rate-"))
-    return mc_rate_check(kinds, _cov(config), config.nu, config.seed)
+    return mc_rate_check(kinds, cov, config.nu, config.seed)
 
 
 _RUNNERS = (
     (["closed-equivalence"],
-     lambda c, names: [closed_equivalence_check(c.seed, dims=[(c.nx, c.nu)])]),
+     lambda c, cov, names: [closed_equivalence_check(c.seed, dims=[(c.nx, c.nu)])]),
     (["fixed-point-sharing"],
-     lambda c, names: [fixed_point_sharing_check(c.seed, nx=c.nx, nu=c.nu)]),
+     lambda c, cov, names: [fixed_point_sharing_check(c.seed, nx=c.nx, nu=c.nu)]),
     (["stein-identity"],
-     lambda c, names: [stein_identity_check(c.seed, n=STEIN_MIN_SAMPLES)]),
+     lambda c, cov, names: [stein_identity_check(c.seed, n=STEIN_MIN_SAMPLES)]),
     ([f"mc-rate-{kind}" for kind in _RATE_KINDS], _runner_mc),
-    (["frame-bounds"], lambda c, names: [frame_bounds_check(_cov(c), c.seed)]),
-    (["kernel-annihilation"], lambda c, names: [kernel_annihilation_check(_cov(c), c.seed)]),
-    (["restricted-inverse"], lambda c, names: [restricted_inverse_check(_cov(c), c.seed)]),
+    (["frame-bounds"], lambda c, cov, names: [frame_bounds_check(cov, c.seed)]),
+    (["kernel-annihilation"], lambda c, cov, names: [kernel_annihilation_check(cov, c.seed)]),
+    (["restricted-inverse"], lambda c, cov, names: [restricted_inverse_check(cov, c.seed)]),
     (["coefficient-identity", "cancellation-identity"],
-     lambda c, names: coefficient_identity_checks(c.seed, dims=[(c.nx, c.nu)])),
+     lambda c, cov, names: coefficient_identity_checks(c.seed, dims=[(c.nx, c.nu)])),
     (["isserlis-analytic", "isserlis-empirical"],
-     lambda c, names: isserlis_checks(_cov(c), c.seed, c.n_samples, names=names)),
+     lambda c, cov, names: isserlis_checks(cov, c.seed, c.n_samples, names=names)),
     (["derivation-chain-agreement", "derivation-mc-target"],
-     lambda c, names: derivation_checks(_cov(c), c.nu, c.seed, c.n_samples)),
+     lambda c, cov, names: derivation_checks(cov, c.nu, c.seed, c.n_samples)),
 )
 _RUNNER_BY_CHECK = {name: runner for names, runner in _RUNNERS for name in names}
 
 
-def run_checks(config: RunConfig, names: list[str]) -> list[ExperimentRecord]:
-    """Run the runners behind the requested check names (each runner once),
-    keep only the requested records, and stamp report groups."""
+def run_checks(config: RunConfig, cov, names: list[str]) -> list[ExperimentRecord]:
+    """Run the runners behind the requested check names (each runner once) on
+    the run's covariance ``cov``, keep only the requested records, and stamp
+    report groups."""
     if "stein-identity" in names:
         require_stein_samples(config.n_samples)
-    seen = []
-    for name in names:
-        runner = _RUNNER_BY_CHECK[name]
-        if runner not in seen:
-            seen.append(runner)
     records = []
-    for runner in seen:
-        records.extend(runner(config, names))
+    for runner in dict.fromkeys(_RUNNER_BY_CHECK[name] for name in names):
+        records.extend(runner(config, cov, names))
     records = [r for r in records if r.check_name in names]
     for r in records:
         r.group = CHECK_GROUPS[r.check_name]

@@ -11,8 +11,11 @@ Commands
 ``report``        aggregate previously written CSVs into a pass/fail table
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 configuration or
-input error, 3 numerical divergence during training. A learning rate that
-steps W onto dependent rows (``RankDeficientError``) is an input error.
+input error, 3 numerical divergence during training. Each command builds its
+one covariance before any check or training step, so a degenerate or
+out-of-window covariance exits 2 whatever ``--checks`` selects. A learning
+rate that steps W onto dependent rows (``RankDeficientError``) is an input
+error.
 ``SkewDomainError`` is left unmapped: every vector the commands hand to the
 restricted inverse is symmetric to far within its domain tolerance.
 """
@@ -41,7 +44,7 @@ from .errors import (
     RankDeficientError,
     SampleSizeError,
 )
-from .linalg import EIGENVALUE_FLOOR_REL, build_covariance
+from .linalg import EIGENVALUE_FLOOR_REL, CovarianceModel, build_covariance
 from .records import (
     ExperimentRecord,
     CSV_SCHEMA_VERSION,
@@ -68,18 +71,18 @@ def _print_records(records: list[ExperimentRecord]) -> None:
         )
 
 
-def cmd_checks(config: RunConfig, command: str, command_checks: list[str],
-               csv_name: str) -> int:
-    """Run the command's checks that the config selects; write them to csv_name.
-    Selecting any name that is not one of the command's checks is a config
-    error."""
+def cmd_checks(config: RunConfig, cov: CovarianceModel, command: str,
+               command_checks: list[str], csv_name: str) -> int:
+    """Run the command's checks that the config selects on the run's
+    covariance; write them to csv_name. Selecting any name that is not one of
+    the command's checks is a config error."""
     foreign = [c for c in config.checks or () if c not in command_checks]
     if foreign:
         print(f"config error: {', '.join(foreign)} not among the {command} "
               f"checks ({', '.join(command_checks)})", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     names = [c for c in command_checks if config.checks is None or c in config.checks]
-    records = run_checks(config, names)
+    records = run_checks(config, cov, names)
     write_records_csv(Path(config.output_dir) / csv_name, records)
     _print_records(records)
     return EXIT_PASS if all(r.passed for r in records) else EXIT_CHECK_FAILED
@@ -103,8 +106,7 @@ def write_trajectory_csv(path, trajectory: Trajectory) -> None:
             )
 
 
-def cmd_train(config: RunConfig) -> int:
-    cov = build_covariance(config.build_sigma())
+def cmd_train(config: RunConfig, cov: CovarianceModel) -> int:
     gap = cov.spectral_gap_at(config.nu)  # inf when nu >= nx: no cut
     if gap <= EIGENVALUE_FLOOR_REL:
         raise ConfigError(
@@ -237,12 +239,13 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
+        cov = build_covariance(config.build_sigma())  # the run's one covariance
         if args.command == "equivalence":
-            return cmd_checks(config, "equivalence", EQUIVALENCE_CHECKS, "equivalence.csv")
+            return cmd_checks(config, cov, "equivalence", EQUIVALENCE_CHECKS, "equivalence.csv")
         if args.command == "frame-check":
-            return cmd_checks(config, "frame-check", FRAME_CHECKS, "frame_check.csv")
+            return cmd_checks(config, cov, "frame-check", FRAME_CHECKS, "frame_check.csv")
         if args.command == "train":
-            return cmd_train(config)
+            return cmd_train(config, cov)
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

@@ -13,10 +13,10 @@ which is how that rule drops out of the subspace rule.
 
 The builders return plain arrays: frame_vector gives xi as a length-nx**2
 vector, and frame_operator_analytic and frame_operator_empirical give S as a
-dense nx**2 x nx**2 array. Only those two, and gaussian.isserlis_fourth_moment,
-build arrays of that size. The analytic build applies T as a column gather,
-O(nx**4) instead of the O(nx**6) of a dense product with T. Everything else
-works on nx x nx matrices.
+dense nx**2 x nx**2 array. The analytic S is the covariance model's
+``frame_operator``, built once per covariance and shared read-only by every
+caller. Only it, the empirical operator and gaussian.isserlis_fourth_moment
+build arrays of that size; everything else works on nx x nx matrices.
 
 The empirical estimators are running sums over a batch's chunks
 (``OperatorMean``, ``ExpansionMean``), so they hold one chunk of rows at a
@@ -37,14 +37,8 @@ import numpy as np
 
 from .errors import DimensionError, SampleSizeError, SkewDomainError
 from .gaussian import SampleBatch
-from .linalg import (
-    CovarianceModel,
-    kron,
-    unvec,
-    vec,
-    vec_transpose_index,
-)
-from .records import ExperimentRecord, digest_inputs, make_record
+from .linalg import CovarianceModel, unvec, vec
+from .records import ExperimentRecord, timed_record
 from .rules import EghrMean, _check_dims, _closed_center, as_weights, oja_update_closed
 
 SKEW_DOMAIN_RTOL = 1e-10
@@ -70,11 +64,9 @@ def _centered_rows(x: np.ndarray, cov: CovarianceModel) -> np.ndarray:
 
 
 def frame_operator_analytic(cov: CovarianceModel) -> np.ndarray:
-    """S = (Sigma kron Sigma)(I + T), with T applied as a column gather.
-    Both terms, and so S, are symmetric to the bit because Sigma is."""
-    s = kron(cov.sigma, cov.sigma)
-    s += s.take(vec_transpose_index(cov.dim), axis=1)
-    return s
+    """S = (Sigma kron Sigma)(I + T): the covariance's one read-only
+    ``frame_operator``, built on the first call."""
+    return cov.frame_operator
 
 
 class OperatorMean:
@@ -265,26 +257,14 @@ def derive_eghr_from_oja(w, cov: CovarianceModel, batch: SampleBatch) -> Derivat
     # Undo the centering of xi: (1/n) sum c_k vec(x x^T) = recon + mean(c) vec(Sigma).
     frame_route = w @ (unvec(recon, cov.dim) + expansion.coeff_mean() * cov.sigma)
 
-    wall = (time.perf_counter() - t0) * 1e3
-    digest = digest_inputs(
-        nx=cov.dim, nu=w.shape[0], n=batch.n, seed=batch.seed, check="derivation"
-    )
-    agreement = make_record(
-        check_name="derivation-chain-agreement",
-        value=float(np.linalg.norm(frame_route - direct_route)),
-        tolerance=CHAIN_AGREEMENT_RTOL * max(float(np.linalg.norm(direct_route)), 1e-300),
-        seed=batch.seed,
-        inputs_digest=digest,
-        wall_time_ms=wall,
-    )
-    mc = make_record(
-        check_name="derivation-mc-target",
-        value=float(np.linalg.norm(frame_route - target)),
-        tolerance=MC_TARGET_RTOL * max(float(np.linalg.norm(target)), 1e-300),
-        seed=batch.seed,
-        inputs_digest=digest,
-        wall_time_ms=wall,
-    )
+    inputs = dict(nx=cov.dim, nu=w.shape[0], n=batch.n, check="derivation")
+    agreement = timed_record(
+        "derivation-chain-agreement", float(np.linalg.norm(frame_route - direct_route)),
+        CHAIN_AGREEMENT_RTOL * max(float(np.linalg.norm(direct_route)), 1e-300),
+        batch.seed, t0, **inputs)
+    mc = timed_record(
+        "derivation-mc-target", float(np.linalg.norm(frame_route - target)),
+        MC_TARGET_RTOL * max(float(np.linalg.norm(target)), 1e-300), batch.seed, t0, **inputs)
     return DerivationResult(
         target=target,
         frame_route=frame_route,

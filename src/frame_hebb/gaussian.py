@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionError, SampleSizeError
 from .linalg import CovarianceModel, kron, vec, vec_transpose_index
-from .records import ExperimentRecord, digest_inputs, make_record
+from .records import ExperimentRecord, timed_record
 
 
 # Rows per chunk: 2**15 rows keep a chunk and the estimators' temporaries
@@ -259,15 +259,12 @@ def stein_check(cov: CovarianceModel, exponents, n: int, seed: int) -> list[Expe
     require_stein_samples(n)
     t0 = time.perf_counter()
     means, bands = sample(cov, n, seed).feed(SteinMean(cov.sigma, exponents))[0]
-    wall_time_ms = (time.perf_counter() - t0) * 1e3
     records = []
     for a, mean, band in zip(exponents, means, bands):
         worst = int(np.argmax(np.abs(mean) / band))
         name = monomial_name(a)
-        records.append(make_record(
-            f"stein-{name}", value=float(abs(mean[worst])), tolerance=float(band[worst]),
-            seed=seed, inputs_digest=digest_inputs(fn=name, n=n, seed=seed, dim=cov.dim),
-            wall_time_ms=wall_time_ms))
+        records.append(timed_record(f"stein-{name}", float(abs(mean[worst])),
+                                    float(band[worst]), seed, t0, fn=name, n=n, dim=cov.dim))
     return records
 
 

@@ -1,6 +1,8 @@
 """Dense small-matrix primitives: vectorization, Kronecker product,
 commutation matrix, symmetric/skew projections, and validated SPD
-covariance models.
+covariance models. A model builds its covariance's frame operator
+S = (Sigma kron Sigma)(I + T) on first use and keeps it, read-only, so
+every check of a run reads one S.
 
 Conventions
 -----------
@@ -12,6 +14,7 @@ product, and ``commutation_matrix(n) @ vec(X) == vec(X.T)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -106,7 +109,8 @@ class CovarianceModel:
 
     ``eigvals`` are sorted descending and ``eigvecs`` columns are the
     matching eigenvectors. Construct through :func:`build_covariance`,
-    which verifies every residual gate; instances are treated as immutable.
+    which verifies every residual gate; instances are treated as immutable,
+    and ``frame_operator`` is built on first access and then shared.
     """
 
     sigma: np.ndarray
@@ -118,6 +122,16 @@ class CovarianceModel:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", self.sigma.shape[0])
+
+    @cached_property
+    def frame_operator(self) -> np.ndarray:
+        """S = (Sigma kron Sigma)(I + T), read-only, with T applied as a column
+        gather: O(nx**4) instead of the O(nx**6) of a dense product with T.
+        Both terms, and so S, are symmetric to the bit because Sigma is."""
+        s = kron(self.sigma, self.sigma)
+        s += s.take(vec_transpose_index(self.dim), axis=1)
+        s.flags.writeable = False
+        return s
 
     def top_eigvecs(self, k: int) -> np.ndarray:
         """Columns spanning the principal k-dimensional subspace."""

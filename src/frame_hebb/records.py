@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,6 +100,15 @@ def digest_inputs(**kwargs) -> str:
     """Short stable hash of the config subset that determines a check."""
     blob = json.dumps(kwargs, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def timed_record(name: str, value: float, tolerance: float, seed: int, t0: float,
+                 reference: float = 0.0, **inputs) -> ExperimentRecord:
+    """The record of a check started at perf_counter() t0, whose digest covers
+    ``inputs`` and the seed."""
+    return make_record(name, value=value, tolerance=tolerance, seed=seed, reference=reference,
+                       inputs_digest=digest_inputs(seed=seed, **inputs),
+                       wall_time_ms=(time.perf_counter() - t0) * 1e3)
 
 
 def _fmt(x) -> str:

@@ -15,6 +15,10 @@ from frame_hebb.records import digest_inputs, make_record
 from frame_hebb.rules import eghr_g, eghr_update_closed, oja_update_closed
 
 
+def _cov(config):
+    return build_covariance(config.build_sigma())
+
+
 def _fields(record):
     # Wall time is measured, not computed, and never reaches the CSV.
     return {k: v for k, v in dataclasses.asdict(record).items() if k != "wall_time_ms"}
@@ -22,7 +26,7 @@ def _fields(record):
 
 def test_isserlis_analytic_alone_skips_empirical_work(monkeypatch):
     config = RunConfig(nx=3, nu=1, n_samples=2000, seed=5)
-    both = checks.run_checks(config, ["isserlis-analytic", "isserlis-empirical"])
+    both = checks.run_checks(config, _cov(config), ["isserlis-analytic", "isserlis-empirical"])
     assert [r.check_name for r in both] == ["isserlis-analytic", "isserlis-empirical"]
 
     def forbidden(*args, **kwargs):
@@ -30,7 +34,7 @@ def test_isserlis_analytic_alone_skips_empirical_work(monkeypatch):
 
     monkeypatch.setattr(checks, "frame_operator_empirical", forbidden)
     monkeypatch.setattr(checks, "sample", forbidden)
-    (alone,) = checks.run_checks(config, ["isserlis-analytic"])
+    (alone,) = checks.run_checks(config, _cov(config), ["isserlis-analytic"])
     assert _fields(alone) == _fields(both[0])
 
 
@@ -45,7 +49,7 @@ def test_isserlis_analytic_alone_skips_empirical_work(monkeypatch):
 )
 def test_paired_checks_return_only_requested_records(names):
     config = RunConfig(nx=2, nu=1, n_samples=500, seed=3)
-    records = checks.run_checks(config, names)
+    records = checks.run_checks(config, _cov(config), names)
     assert [r.check_name for r in records] == names
     assert all(r.group == "frame machinery" for r in records)
 
@@ -98,7 +102,7 @@ def test_mc_rate_checks_draw_each_batch_once(monkeypatch):
 
     monkeypatch.setattr(checks, "sample", counting_sample)
     names = [f"mc-rate-{k}" for k in _KINDS]
-    records = checks.run_checks(config, names)
+    records = checks.run_checks(config, _cov(config), names)
     assert [r.check_name for r in records] == names
     per_kind = len(checks.RATE_SAMPLE_GRID) * 3
     assert len(draws) == per_kind == len(set(draws))

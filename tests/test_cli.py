@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frame_hebb
-from frame_hebb import checks, frames, rules
+from frame_hebb import checks, frames, linalg, rules
 from frame_hebb.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -384,6 +384,46 @@ SAMPLED_CHECKS = {"equivalence": "stein-identity",
                                  "derivation-mc-target"}
 
 
+def _spy_everywhere(monkeypatch, fn):
+    """Rebind fn in every frame_hebb module that holds it to a wrapper that
+    keeps each result; return the list of results."""
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("frame_hebb"):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, spy)
+    return results
+
+
+class TestOneCovariancePerRun:
+    def test_frame_check_builds_the_covariance_once_and_s_once(self, tmp_path, monkeypatch):
+        covs = _spy_everywhere(monkeypatch, linalg.build_covariance)
+        operators = _spy_everywhere(monkeypatch, frames.frame_operator_analytic)
+        code = run(["frame-check", "--out", tmp_path] + FAST)
+        assert code in (EXIT_PASS, EXIT_CHECK_FAILED)
+        assert len(covs) == 1
+        # Every reader of S gets the same array: the results are kept alive,
+        # so distinct builds would have distinct ids.
+        assert len(operators) == 5
+        assert len({id(s) for s in operators}) == 1
+        assert operators[0] is covs[0].frame_operator
+
+    def test_equivalence_never_builds_s(self, tmp_path, monkeypatch):
+        covs = _spy_everywhere(monkeypatch, linalg.build_covariance)
+        operators = _spy_everywhere(monkeypatch, frames.frame_operator_analytic)
+        assert run(["equivalence", "--out", tmp_path]) == EXIT_PASS
+        assert operators == []
+        # The run's covariance, then one per stein-identity dimension.
+        assert len(covs) == 4
+        assert "frame_operator" not in vars(covs[0])
+
+
 class TestExitCodeContract:
     @pytest.mark.parametrize("sigma", VALID_SIGMAS + BAD_SIGMAS)
     @pytest.mark.parametrize("samples", CONTRACT_SAMPLES)
@@ -396,9 +436,10 @@ class TestExitCodeContract:
                         else (EXIT_PASS, EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR))
         assert "Traceback" not in capsys.readouterr().err
 
-    # stein-identity draws its own covariances, so --sigma only has to pass
-    # the config gate: one spec per sample count is enough. Below
-    # STEIN_MIN_SAMPLES it exits 2 before drawing.
+    # stein-identity draws its own covariances, so a valid --sigma only has to
+    # pass the gates: one spec per sample count is enough. Below
+    # STEIN_MIN_SAMPLES it exits 2 before drawing, and a bad --sigma exits 2
+    # before any check runs.
     @pytest.mark.parametrize(
         "samples, sigma",
         list(zip(CONTRACT_SAMPLES + [STEIN_MIN_SAMPLES], VALID_SIGMAS + VALID_SIGMAS))
@@ -409,8 +450,34 @@ class TestExitCodeContract:
     ):
         code = run(["equivalence", "--checks", SAMPLED_CHECKS["equivalence"],
                     "--samples", samples, "--sigma", sigma, "--out", tmp_path])
-        assert code in (EXIT_PASS, EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR)
+        assert code in ((EXIT_CONFIG_ERROR,) if sigma in BAD_SIGMAS
+                        else (EXIT_PASS, EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR))
         assert "Traceback" not in capsys.readouterr().err
+
+    # Checks that draw their own covariances and never read the configured
+    # one: a bad --sigma still exits 2 on them, with no CSV written.
+    @pytest.mark.parametrize("sigma", BAD_SIGMAS)
+    @pytest.mark.parametrize("command, selection", [
+        ("equivalence", "closed-equivalence,fixed-point-sharing"),
+        ("frame-check", "coefficient-identity,cancellation-identity"),
+    ])
+    def test_bad_sigma_exits_2_on_checks_that_never_read_it(
+        self, tmp_path, capsys, command, selection, sigma
+    ):
+        code = run([command, "--checks", selection, "--sigma", sigma, "--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG_ERROR
+        assert err.startswith(("config error:", "input error:"))
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_degenerate_sigma_is_input_error_on_closed_form_checks(self, tmp_path):
+        proc = run_process(["equivalence", "--checks", "closed-equivalence,fixed-point-sharing",
+                            "--sigma", "diagonal:1,1,1,0", "--out", tmp_path])
+        assert proc.returncode == EXIT_CONFIG_ERROR
+        assert proc.stderr.startswith("input error: covariance is degenerate")
+        assert len(proc.stderr.splitlines()) == 1
+        assert not (tmp_path / "equivalence.csv").exists()
 
     @pytest.mark.parametrize("scale", EXTREME_SCALES)
     @pytest.mark.parametrize("command, samples", [("frame-check", 100),

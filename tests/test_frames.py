@@ -108,6 +108,14 @@ class TestFrameOperatorAnalytic:
         cov = build_covariance(np.eye(1))
         np.testing.assert_array_equal(frame_operator_analytic(cov), [[2.0]])
 
+    def test_is_built_once_per_covariance_and_read_only(self, cov21):
+        s = frame_operator_analytic(cov21)
+        assert frame_operator_analytic(cov21) is s
+        with pytest.raises(ValueError, match="read-only"):
+            s[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            s += 1.0
+
     def test_identity_covariance_spectrum(self):
         cov = build_covariance(np.eye(2))
         s = frame_operator_analytic(cov)
