@@ -14,15 +14,19 @@ The sweeps over random (Sigma, W[, x]) trials draw each trial's covariance
 seed and its other values from one generator, trial after trial, and build
 the covariances in stacks of SWEEP_BLOCK trials (``linalg.build_covariances``);
 the trials then run through the unchecked kernels of the public functions.
+
+``COMMANDS`` is the one table of the check commands: each one's records CSV,
+report group and runners, in CSV order.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CHECK_GROUPS, RunConfig
+from .config import RunConfig
 from .frames import (
     ExpansionMean,
     OperatorMean,
@@ -370,33 +374,53 @@ def derivation_checks(cov, nu: int, seed: int, n: int) -> tuple[ExperimentRecord
 
 
 # ---------------------------------------------------------------------------
-# Registry: the check names each runner produces, and the runner(config, cov,
-# requested names) -> records. Every runner reads the run's one covariance.
+# Command table: each check command's records CSV, report group and runners
+# in CSV order. A runner(config, cov, requested names) -> records yields the
+# check names listed with it, and reads the run's one covariance.
 
 def _runner_mc(config: RunConfig, cov, names):
     kinds = tuple(n[len("mc-rate-"):] for n in names if n.startswith("mc-rate-"))
     return mc_rate_check(kinds, cov, config.nu, config.seed)
 
 
-_RUNNERS = (
-    (["closed-equivalence"],
-     lambda c, cov, names: [closed_equivalence_check(c.seed, dims=[(c.nx, c.nu)])]),
-    (["fixed-point-sharing"],
-     lambda c, cov, names: [fixed_point_sharing_check(c.seed, nx=c.nx, nu=c.nu)]),
-    (["stein-identity"],
-     lambda c, cov, names: [stein_identity_check(c.seed, n=STEIN_MIN_SAMPLES)]),
-    ([f"mc-rate-{kind}" for kind in _RATE_KINDS], _runner_mc),
-    (["frame-bounds"], lambda c, cov, names: [frame_bounds_check(cov, c.seed)]),
-    (["kernel-annihilation"], lambda c, cov, names: [kernel_annihilation_check(cov, c.seed)]),
-    (["restricted-inverse"], lambda c, cov, names: [restricted_inverse_check(cov, c.seed)]),
-    (["coefficient-identity", "cancellation-identity"],
-     lambda c, cov, names: coefficient_identity_checks(c.seed, dims=[(c.nx, c.nu)])),
-    (["isserlis-analytic", "isserlis-empirical"],
-     lambda c, cov, names: isserlis_checks(cov, c.seed, c.n_samples, names=names)),
-    (["derivation-chain-agreement", "derivation-mc-target"],
-     lambda c, cov, names: derivation_checks(cov, c.nu, c.seed, c.n_samples)),
-)
-_RUNNER_BY_CHECK = {name: runner for names, runner in _RUNNERS for name in names}
+@dataclass(frozen=True)
+class CheckCommand:
+    csv_name: str
+    group: str
+    runners: tuple  # (check names, runner) pairs
+
+    @property
+    def checks(self) -> list[str]:
+        return [name for names, _ in self.runners for name in names]
+
+
+COMMANDS = {
+    "equivalence": CheckCommand("equivalence.csv", "learning-rule identities", (
+        (["closed-equivalence"],
+         lambda c, cov, names: [closed_equivalence_check(c.seed, dims=[(c.nx, c.nu)])]),
+        (["fixed-point-sharing"],
+         lambda c, cov, names: [fixed_point_sharing_check(c.seed, nx=c.nx, nu=c.nu)]),
+        (["stein-identity"],
+         lambda c, cov, names: [stein_identity_check(c.seed, n=STEIN_MIN_SAMPLES)]),
+        (["mc-rate-oja", "mc-rate-eghr"], _runner_mc),
+    )),
+    "frame-check": CheckCommand("frame_check.csv", "frame machinery", (
+        (["frame-bounds"], lambda c, cov, names: [frame_bounds_check(cov, c.seed)]),
+        (["kernel-annihilation"], lambda c, cov, names: [kernel_annihilation_check(cov, c.seed)]),
+        (["restricted-inverse"], lambda c, cov, names: [restricted_inverse_check(cov, c.seed)]),
+        (["coefficient-identity", "cancellation-identity"],
+         lambda c, cov, names: coefficient_identity_checks(c.seed, dims=[(c.nx, c.nu)])),
+        (["isserlis-analytic", "isserlis-empirical"],
+         lambda c, cov, names: isserlis_checks(cov, c.seed, c.n_samples, names=names)),
+        (["mc-rate-frame-operator", "mc-rate-frame-expansion"], _runner_mc),
+        (["derivation-chain-agreement", "derivation-mc-target"],
+         lambda c, cov, names: derivation_checks(cov, c.nu, c.seed, c.n_samples)),
+    )),
+}
+# Each check name's runner and group; _runner_mc, shared by both commands,
+# runs once for any set of mc-rate-* names, so their kinds share batches.
+_BY_CHECK = {name: (runner, command.group) for command in COMMANDS.values()
+             for names, runner in command.runners for name in names}
 
 
 def run_checks(config: RunConfig, cov, names: list[str]) -> list[ExperimentRecord]:
@@ -406,9 +430,9 @@ def run_checks(config: RunConfig, cov, names: list[str]) -> list[ExperimentRecor
     if "stein-identity" in names:
         require_stein_samples(config.n_samples)
     records = []
-    for runner in dict.fromkeys(_RUNNER_BY_CHECK[name] for name in names):
+    for runner in dict.fromkeys(_BY_CHECK[name][0] for name in names):
         records.extend(runner(config, cov, names))
     records = [r for r in records if r.check_name in names]
     for r in records:
-        r.group = CHECK_GROUPS[r.check_name]
+        r.group = _BY_CHECK[r.check_name][1]
     return records

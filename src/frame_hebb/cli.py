@@ -1,18 +1,16 @@
-"""Command-line harness: seeded experiment execution and CSV reporting.
+"""Command-line harness: argument parsing, dispatch and exit codes.
 
 Commands
 --------
-``equivalence``   closed-form rule equivalence, fixed-point sharing,
-                  integration-by-parts identity, empirical convergence rates
-``frame-check``   frame bounds, kernel structure, restricted inverse,
-                  coefficient and cancellation identities, fourth-moment
-                  consistency, expansion rate, derivation chain
+``equivalence``   the checks of ``checks.COMMANDS["equivalence"]``
+``frame-check``   the checks of ``checks.COMMANDS["frame-check"]``
 ``train``         integrate one rule and record its trajectory
 ``report``        aggregate previously written CSVs into a pass/fail table
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 configuration or
-input error, 3 numerical divergence during training. Each command builds its
-one covariance before any check or training step, so a degenerate or
+input error, 3 numerical divergence during training. ``--checks`` may name
+only the command's own checks, and ``train`` runs none. Each command builds
+its one covariance before any check or training step, so a degenerate or
 out-of-window covariance exits 2 whatever ``--checks`` selects. A learning
 rate that steps W onto dependent rows (``RankDeficientError``) is an input
 error.
@@ -28,15 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import run_checks
-from .config import (
-    CHECK_GROUPS,
-    EQUIVALENCE_CHECKS,
-    FRAME_CHECKS,
-    ConfigError,
-    RunConfig,
-    load_config,
-)
+from .checks import COMMANDS, CheckCommand, run_checks
+from .config import ConfigError, RunConfig, load_config
 from .errors import (
     DegenerateCovarianceError,
     DimensionError,
@@ -46,15 +37,14 @@ from .errors import (
 )
 from .linalg import EIGENVALUE_FLOOR_REL, CovarianceModel, build_covariance
 from .records import (
+    TRAJECTORY_SCHEMA_VERSION,
     ExperimentRecord,
-    CSV_SCHEMA_VERSION,
     make_record,
     read_records_csv,
     write_records_csv,
+    write_trajectory_csv,
 )
-from .rules import Trajectory, TrainerConfig, train
-
-TRAJECTORY_SCHEMA_VERSION = "frame-hebb-trajectory v1"
+from .rules import TrainerConfig, train
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -71,39 +61,24 @@ def _print_records(records: list[ExperimentRecord]) -> None:
         )
 
 
-def cmd_checks(config: RunConfig, cov: CovarianceModel, command: str,
-               command_checks: list[str], csv_name: str) -> int:
-    """Run the command's checks that the config selects on the run's
-    covariance; write them to csv_name. Selecting any name that is not one of
-    the command's checks is a config error."""
-    foreign = [c for c in config.checks or () if c not in command_checks]
+def _selected_checks(command: str, requested) -> list[str]:
+    """The command's checks that ``requested`` (None: all) names, in CSV
+    order. A name outside them is a config error; train runs no named check."""
+    own = COMMANDS[command].checks if command in COMMANDS else []
+    foreign = [c for c in requested or () if c not in own]
     if foreign:
-        print(f"config error: {', '.join(foreign)} not among the {command} "
-              f"checks ({', '.join(command_checks)})", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    names = [c for c in command_checks if config.checks is None or c in config.checks]
+        raise ConfigError(f"{', '.join(foreign)} not among the {command} checks "
+                          f"({', '.join(own) or 'none'})")
+    return [c for c in own if requested is None or c in requested]
+
+
+def cmd_checks(config: RunConfig, cov: CovarianceModel, command: CheckCommand,
+               names: list[str]) -> int:
+    """Run the selected checks on the run's covariance and write their CSV."""
     records = run_checks(config, cov, names)
-    write_records_csv(Path(config.output_dir) / csv_name, records)
+    write_records_csv(Path(config.output_dir) / command.csv_name, records)
     _print_records(records)
     return EXIT_PASS if all(r.passed for r in records) else EXIT_CHECK_FAILED
-
-
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def write_trajectory_csv(path, trajectory: Trajectory) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {TRAJECTORY_SCHEMA_VERSION}\n")
-        fh.write("step,subspace_error,orthonormality_residual,update_norm\n")
-        for p in trajectory.points:
-            fh.write(
-                f"{p.step},{_fmt_float(p.subspace_error)},"
-                f"{_fmt_float(p.orthonormality_residual)},"
-                f"{_fmt_float(p.update_norm)}\n"
-            )
 
 
 def cmd_train(config: RunConfig, cov: CovarianceModel) -> int:
@@ -132,8 +107,7 @@ def cmd_train(config: RunConfig, cov: CovarianceModel) -> int:
         value=final.subspace_error,
         tolerance=config.threshold,
         seed=config.seed,
-        inputs_digest="",
-        group=CHECK_GROUPS["train-final"],
+        group="training",
     )
     write_records_csv(Path(config.output_dir) / "train.csv", [record])
     _print_records([record])
@@ -152,17 +126,13 @@ def cmd_report(output_dir) -> int:
         return EXIT_CONFIG_ERROR
     records: list[ExperimentRecord] = []
     for path in sorted(out.glob("*.csv")):
-        with open(path, newline="") as fh:
-            first = fh.readline().strip()
-        if first == f"# {TRAJECTORY_SCHEMA_VERSION}":
-            continue  # trajectories carry curves, not pass/fail records
-        if first != f"# {CSV_SCHEMA_VERSION}":
-            print(f"error: unrecognized CSV schema in {path}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
         try:
+            with open(path, newline="") as fh:
+                if fh.readline().strip() == f"# {TRAJECTORY_SCHEMA_VERSION}":
+                    continue  # trajectories carry curves, not pass/fail records
             records.extend(read_records_csv(path))
-        except (ValueError, KeyError) as exc:
-            print(f"error: corrupt records CSV {path}: {exc}", file=sys.stderr)
+        except (OSError, ValueError) as exc:
+            print(f"error: unreadable records CSV {path}: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
     if not records:
         print(f"error: no check records found in {out}", file=sys.stderr)
@@ -204,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--checks", type=str, default=None,
                        help="comma-separated check names (default: all)")
 
-    for name in ("equivalence", "frame-check"):
+    for name in COMMANDS:
         add_common(sub.add_parser(name))
 
     p_train = sub.add_parser("train")
@@ -235,17 +205,15 @@ def main(argv=None) -> int:
         return cmd_report(args.out)
     try:
         config = _config_from_args(args)
+        names = _selected_checks(args.command, config.checks)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
         cov = build_covariance(config.build_sigma())  # the run's one covariance
-        if args.command == "equivalence":
-            return cmd_checks(config, cov, "equivalence", EQUIVALENCE_CHECKS, "equivalence.csv")
-        if args.command == "frame-check":
-            return cmd_checks(config, cov, "frame-check", FRAME_CHECKS, "frame_check.csv")
         if args.command == "train":
             return cmd_train(config, cov)
+        return cmd_checks(config, cov, COMMANDS[args.command], names)
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -253,7 +221,6 @@ def main(argv=None) -> int:
             RankDeficientError, SampleSizeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

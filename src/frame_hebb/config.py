@@ -18,37 +18,6 @@ class ConfigError(ValueError):
     """Invalid configuration; surfaced as exit code 2 by the CLI."""
 
 
-EQUIVALENCE_CHECKS = [
-    "closed-equivalence",
-    "fixed-point-sharing",
-    "stein-identity",
-    "mc-rate-oja",
-    "mc-rate-eghr",
-]
-
-FRAME_CHECKS = [
-    "frame-bounds",
-    "kernel-annihilation",
-    "restricted-inverse",
-    "coefficient-identity",
-    "cancellation-identity",
-    "isserlis-analytic",
-    "isserlis-empirical",
-    "mc-rate-frame-operator",
-    "mc-rate-frame-expansion",
-    "derivation-chain-agreement",
-    "derivation-mc-target",
-]
-
-# Every named check the CLI can run, with its report group: the group of the
-# one command that runs it.
-CHECK_GROUPS = {
-    **dict.fromkeys(EQUIVALENCE_CHECKS, "learning-rule identities"),
-    **dict.fromkeys(FRAME_CHECKS, "frame machinery"),
-    "train-final": "training",
-}
-
-
 def _finite_positive(x: float) -> bool:
     return bool(np.isfinite(x)) and x > 0
 
@@ -75,6 +44,8 @@ class RunConfig:
             raise ConfigError(f"nx and nu must be >= 1, got nx={self.nx}, nu={self.nu}")
         if self.nu > self.nx:
             raise ConfigError(f"nu must be <= nx, got nu={self.nu} > nx={self.nx}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.n_samples}")
         if self.rule not in ("oja", "eghr"):
@@ -93,13 +64,9 @@ class RunConfig:
             raise ConfigError("empirical mode needs batch_size >= 1")
         if not _finite_positive(self.threshold):
             raise ConfigError(f"threshold must be finite and > 0, got {self.threshold}")
-        if self.checks is not None:
-            unknown = [c for c in self.checks if c not in CHECK_GROUPS]
-            if unknown:
-                raise ConfigError(
-                    f"unknown check names {unknown}; known checks: "
-                    f"{sorted(CHECK_GROUPS)}"
-                )
+        existing = next(p for p in (self.output_dir, *self.output_dir.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"output directory {self.output_dir}: {existing} is a file")
         self.build_sigma()  # fail fast on a bad sigma spec
 
     def resolved_learning_rate(self) -> float:
@@ -182,11 +149,11 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     values: dict = {}
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
-            parser.read(path)
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
         for section, keys in (("run", _RUN_KEYS), ("trainer", _TRAINER_KEYS)):

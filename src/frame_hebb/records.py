@@ -4,7 +4,8 @@ A record stores the computed value, the reference it was compared against
 and both error flavors; the tolerance always applies to the absolute error.
 The ``metric`` field names that error and is always ``abs``; it stays a
 column of the versioned CSV schema, which deliberately excludes wall time:
-identical (config, seed) must produce byte-identical files.
+identical (config, seed) must produce byte-identical files. Both CSV formats
+live here: records, and the trajectory curves that ``train`` writes.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ CSV_COLUMNS = [
     "passed",
     "seed",
 ]
+TRAJECTORY_SCHEMA_VERSION = "frame-hebb-trajectory v1"
+TRAJECTORY_COLUMNS = ["step", "subspace_error", "orthonormality_residual", "update_norm"]
 
 
 @dataclass
@@ -120,29 +123,40 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_records_csv(path, records: list[ExperimentRecord]) -> None:
+def _write_csv(path, schema: str, columns: list[str], rows, lineterminator: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write(f"# {CSV_SCHEMA_VERSION}\n")
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow([_fmt(getattr(r, c)) for c in CSV_COLUMNS])
+        fh.write(f"# {schema}\n")
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(columns)
+        for r in rows:
+            writer.writerow([_fmt(getattr(r, c)) for c in columns])
+
+
+def write_records_csv(path, records: list[ExperimentRecord]) -> None:
+    _write_csv(path, CSV_SCHEMA_VERSION, CSV_COLUMNS, records, "\r\n")
+
+
+def write_trajectory_csv(path, trajectory) -> None:
+    """Write a ``rules.Trajectory``, one row per recorded point."""
+    _write_csv(path, TRAJECTORY_SCHEMA_VERSION, TRAJECTORY_COLUMNS, trajectory.points, "\n")
 
 
 def read_records_csv(path) -> list[ExperimentRecord]:
-    """Read a records CSV, validating the schema-version comment line."""
-    path = Path(path)
+    """Read a records CSV; a wrong schema line, header or field count raises
+    ValueError."""
     with open(path, newline="") as fh:
         first = fh.readline().strip()
         if first != f"# {CSV_SCHEMA_VERSION}":
-            raise ValueError(f"{path}: unrecognized schema line {first!r}")
+            raise ValueError(f"unrecognized schema line {first!r}")
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_COLUMNS:
-            raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
+            raise ValueError(f"unexpected columns {reader.fieldnames}")
         records = []
         for row in reader:
+            if None in row or None in row.values():
+                raise ValueError(f"line {reader.line_num} does not hold {len(CSV_COLUMNS)} fields")
             records.append(
                 ExperimentRecord(
                     check_name=row["check_name"],

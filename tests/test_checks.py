@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from frame_hebb import checks
-from frame_hebb.config import EQUIVALENCE_CHECKS, FRAME_CHECKS, RunConfig
+from frame_hebb.config import RunConfig
 from frame_hebb.frames import cancellation_coefficient, frame_coefficient
 from frame_hebb.gaussian import sample
 from frame_hebb.linalg import build_covariance, random_spd, vec
@@ -106,10 +106,6 @@ def test_mc_rate_checks_draw_each_batch_once(monkeypatch):
     assert [r.check_name for r in records] == names
     per_kind = len(checks.RATE_SAMPLE_GRID) * 3
     assert len(draws) == per_kind == len(set(draws))
-
-
-def test_registry_covers_exactly_the_command_checks():
-    assert sorted(checks._RUNNER_BY_CHECK) == sorted(EQUIVALENCE_CHECKS + FRAME_CHECKS)
 
 
 # The sweeps before stacking: one covariance per trial, built as it is drawn,

@@ -18,13 +18,19 @@ from frame_hebb.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_DIVERGED,
     EXIT_PASS,
-    TRAJECTORY_SCHEMA_VERSION,
     main,
 )
 from frame_hebb.frames import SKEW_DOMAIN_RTOL
 from frame_hebb.gaussian import CHUNK_ROWS, STEIN_MIN_SAMPLES
 from frame_hebb.linalg import skew_part, unvec
-from frame_hebb.records import make_record, read_records_csv, write_records_csv
+from frame_hebb.records import (
+    CSV_COLUMNS,
+    CSV_SCHEMA_VERSION,
+    TRAJECTORY_SCHEMA_VERSION,
+    make_record,
+    read_records_csv,
+    write_records_csv,
+)
 
 FAST = ["--samples", "20000"]
 CHEAP_EQUIV = ["--checks", "closed-equivalence,fixed-point-sharing"]
@@ -384,6 +390,60 @@ SAMPLED_CHECKS = {"equivalence": "stein-identity",
                                  "derivation-mc-target"}
 
 
+def _plant(path, data: bytes = b"", directory: bool = False):
+    """Create a file holding data, or a directory, at path; return path."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if directory:
+        path.mkdir()
+    else:
+        path.write_bytes(data)
+    return path
+
+
+UNDECODABLE = b"\xff\xfe\x00 not utf-8\n"
+SHORT_ROW = f"# {CSV_SCHEMA_VERSION}\n{','.join(CSV_COLUMNS)}\ntraining,x\n".encode()
+TRAIN_CHEAP = ["--nx", 3, "--nu", 1, "--sigma", "diagonal:3,2,1", "--steps", 10]
+
+# Inputs checked once at the command's boundary: each builds its argv in a
+# fresh directory d, plants what it needs there, and names what the one
+# stderr line must contain.
+BOUNDARY_INPUTS = {
+    "negative seed, equivalence": lambda d: (
+        ["equivalence", "--seed", -1, "--sigma", "identity",
+         "--checks", "closed-equivalence", "--out", d / "out"], "config error: seed"),
+    "negative seed, frame-check": lambda d: (
+        ["frame-check", "--seed", -1, "--sigma", "identity",
+         "--checks", "frame-bounds", "--out", d / "out"], "config error: seed"),
+    "negative seed, train": lambda d: (
+        ["train", "--seed", -1, "--sigma", "identity", "--nx", 2, "--nu", 2,
+         "--steps", 2, "--out", d / "out"], "config error: seed"),
+    "report over an undecodable CSV": lambda d: (
+        ["report", "--out", _plant(d / "out" / "x.csv", UNDECODABLE).parent], "x.csv"),
+    "report over a directory named *.csv": lambda d: (
+        ["report", "--out", _plant(d / "out" / "x.csv", directory=True).parent], "x.csv"),
+    "report over a records CSV with a short row": lambda d: (
+        ["report", "--out", _plant(d / "out" / "x.csv", SHORT_ROW).parent], "x.csv"),
+    "config path is a directory": lambda d: (
+        ["equivalence", "--config", _plant(d / "cfg", directory=True),
+         "--checks", "closed-equivalence", "--out", d / "out"], "config error:"),
+    "undecodable config file": lambda d: (
+        ["equivalence", "--config", _plant(d / "run.cfg", UNDECODABLE),
+         "--checks", "closed-equivalence", "--out", d / "out"], "config error:"),
+    "--out names a file": lambda d: (
+        ["equivalence", "--checks", "closed-equivalence",
+         "--out", _plant(d / "out", b"keep")], "config error:"),
+    "--out lies under a file": lambda d: (
+        ["equivalence", "--checks", "closed-equivalence",
+         "--out", _plant(d / "out", b"keep") / "sub"], "config error:"),
+    "train --checks": lambda d: (
+        ["train", "--checks", "frame-bounds", "--out", d / "out"] + TRAIN_CHEAP,
+        "config error: frame-bounds"),
+    "train with checks in its config file": lambda d: (
+        ["train", "--config", _plant(d / "run.cfg", b"[run]\nchecks = frame-bounds\n"),
+         "--out", d / "out"] + TRAIN_CHEAP, "config error: frame-bounds"),
+}
+
+
 def _spy_everywhere(monkeypatch, fn):
     """Rebind fn in every frame_hebb module that holds it to a wrapper that
     keeps each result; return the list of results."""
@@ -425,6 +485,17 @@ class TestOneCovariancePerRun:
 
 
 class TestExitCodeContract:
+    @pytest.mark.parametrize("case", BOUNDARY_INPUTS)
+    def test_bad_input_exits_2_with_one_line_and_writes_nothing(self, tmp_path, case):
+        argv, needle = BOUNDARY_INPUTS[case](tmp_path)
+        planted = {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")}
+        proc = run_process(argv)
+        assert proc.returncode == EXIT_CONFIG_ERROR
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+        assert needle in proc.stderr
+        assert {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")} == planted
+
     @pytest.mark.parametrize("sigma", VALID_SIGMAS + BAD_SIGMAS)
     @pytest.mark.parametrize("samples", CONTRACT_SAMPLES)
     def test_frame_check_samples_and_sigma_map_to_an_exit_code(

@@ -25,11 +25,6 @@ def test_nu_above_nx_rejected():
         RunConfig(nx=2, nu=5)
 
 
-def test_unknown_check_names_rejected():
-    with pytest.raises(ConfigError):
-        RunConfig(checks=("no-such-check",))
-
-
 def test_sigma_identity():
     np.testing.assert_array_equal(
         RunConfig(sigma_spec="identity").build_sigma(), np.eye(4)
