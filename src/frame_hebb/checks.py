@@ -13,7 +13,7 @@ rejects a smaller --samples before any check runs.
 The sweeps over random (Sigma, W[, x]) trials draw each trial's covariance
 seed and its other values from one generator, trial after trial, and build
 the covariances in stacks of SWEEP_BLOCK trials (``linalg.build_covariances``);
-the trials then run through the unchecked kernels of the public functions.
+the trials then run through the rules' unchecked kernels and the frames' coefficients.
 
 ``COMMANDS`` is the one table of the check commands: each one's records CSV,
 report group and runners, in CSV order.
@@ -30,13 +30,13 @@ from .config import RunConfig
 from .frames import (
     ExpansionMean,
     OperatorMean,
-    _cancellation_coefficient,
-    _frame_coefficient,
+    cancellation_coefficient,
     derive_eghr_from_oja,
     frame_bounds,
+    frame_coefficient,
+    frame_element,
     frame_operator_analytic,
     frame_operator_empirical,
-    frame_vector,
     restricted_inverse_apply,
 )
 from .gaussian import (
@@ -234,16 +234,16 @@ def kernel_annihilation_check(cov, seed: int, trials: int = 100) -> ExperimentRe
 
 
 def restricted_inverse_check(cov, seed: int, trials: int = 100) -> ExperimentRecord:
-    """S (S^-1 v) = v on vec(Sym): worst relative residual over random
-    symmetric directions."""
+    """S vec(S^-1 M) = vec(M) on Sym: worst relative residual over random
+    symmetric directions M."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     s = frame_operator_analytic(cov)
     worst = 0.0
     for _ in range(trials):
-        v = vec(sym_part(rng.standard_normal((cov.dim, cov.dim))))
-        resid = float(np.linalg.norm(s @ restricted_inverse_apply(cov, v) - v))
-        worst = max(worst, resid / float(np.linalg.norm(v)))
+        m = sym_part(rng.standard_normal((cov.dim, cov.dim)))
+        resid = float(np.linalg.norm(s @ vec(restricted_inverse_apply(cov, m)) - vec(m)))
+        worst = max(worst, resid / float(np.linalg.norm(m)))
     return timed_record("restricted-inverse", worst, RESTRICTED_INVERSE_RTOL, seed, t0,
                         nx=cov.dim, trials=trials)
 
@@ -252,7 +252,7 @@ def coefficient_identity_checks(
     seed: int, dims: list[tuple[int, int]], trials: int = 1000
 ) -> tuple[ExperimentRecord, ExperimentRecord]:
     """Over random (W, Sigma, x) triples: the frame coefficient of
-    vec(Sigma (I - W^T W) Sigma) equals the error-gated gain, and the S-free
+    Sigma (I - W^T W) Sigma equals the error-gated gain, and the S-free
     cancellation form equals the frame coefficient.
 
     Errors are normalized by the largest gain magnitude over the triple set;
@@ -267,10 +267,10 @@ def coefficient_identity_checks(
     for cov, (w, x_seed) in _sweep(seed, dims, trials, _draw_weights_and_seed):
         x = sample(cov, 1, x_seed).data[0]
         residual = eyes[cov.dim] - w.T @ w
-        xi = frame_vector(x, cov)
+        xi = frame_element(x, cov)
         g = _eghr_g(x, w, _closed_center(w, cov.sigma))
-        c = _frame_coefficient(vec(cov.sigma @ residual @ cov.sigma), xi, cov)
-        cc = _cancellation_coefficient(residual, xi)
+        c = frame_coefficient(cov.sigma @ residual @ cov.sigma, xi, cov)
+        cc = cancellation_coefficient(residual, xi)
         coeff_err = max(coeff_err, abs(c - g))
         cancel_err = max(cancel_err, abs(cc - c))
         scale = max(scale, abs(g))
@@ -336,7 +336,7 @@ def mc_rate_check(
     if "frame-operator" in kinds:
         ref["frame-operator"] = frame_operator_analytic(cov)
     if "frame-expansion" in kinds:
-        ref["frame-expansion"] = vec(cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma)
+        ref["frame-expansion"] = cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma
     running_sum = {
         "oja": lambda: OjaMean(w),
         "eghr": lambda: EghrMean(w),

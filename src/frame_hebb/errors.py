@@ -12,8 +12,8 @@ class DegenerateCovarianceError(ValueError):
 
 
 class SkewDomainError(ValueError):
-    """Vector lies outside vec(Sym) beyond tolerance; the restricted inverse
-    is undefined on the skew component."""
+    """Matrix lies outside Sym, the symmetric matrices, beyond tolerance; the
+    restricted inverse is undefined on the skew component."""
 
 
 class SampleSizeError(ValueError):

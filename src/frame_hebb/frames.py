@@ -1,31 +1,31 @@
-"""Frame machinery on vectorized symmetric matrices.
+"""Frame machinery on Sym, the symmetric nx x nx matrices.
 
 For zero-mean Gaussian input x with covariance Sigma, the centered Hebbian
-direction xi = vec(x x^T) - vec(Sigma) has second-moment operator
-S = E[xi xi^T] = (Sigma kron Sigma)(I + T), where T is the commutation
-matrix. S kills vec(Skew) and is positive definite on V = vec(Sym), where
-it acts as the sandwich M -> Sigma M Sigma doubled; its inverse on V is
-therefore the closed form v -> vec(Sigma^-1 unvec(v) Sigma^-1 / 2). That
-makes xi a frame for V: every symmetric-vec v expands as
-v = E[(v, S^-1 xi) xi], and for v = vec(Sigma (I - W^T W) Sigma) the
-coefficient (v, S^-1 xi) is exactly the error-gated rule's global gain,
-which is how that rule drops out of the subspace rule.
+direction is the frame element Xi = x x^T - Sigma. Its second-moment
+operator S = E[vec(Xi) vec(Xi)^T] = (Sigma kron Sigma)(I + T), where T is
+the commutation matrix, kills the skew matrices and is positive definite on
+Sym, where it acts as the sandwich M -> Sigma M Sigma doubled; its inverse
+on Sym is therefore the closed form M -> Sigma^-1 M Sigma^-1 / 2. That makes
+Xi a frame for Sym: every symmetric M expands as M = E[(M, S^-1 Xi)_F Xi],
+and for M = Sigma (I - W^T W) Sigma the coefficient (M, S^-1 Xi)_F is
+exactly the error-gated rule's global gain, which is how that rule drops out
+of the subspace rule.
 
-The builders return plain arrays: frame_vector gives xi as a length-nx**2
-vector, and frame_operator_analytic and frame_operator_empirical give S as a
-dense nx**2 x nx**2 array. The analytic S is the covariance model's
-``frame_operator``, built once per covariance and shared read-only by every
-caller. Only it, the empirical operator and gaussian.isserlis_fourth_moment
-build arrays of that size; everything else works on nx x nx matrices.
+Everything here takes and returns nx x nx matrices except S, which
+frame_operator_analytic and frame_operator_empirical give as a dense
+nx**2 x nx**2 array. The analytic S is the covariance model's
+``frame_operator``, built once per covariance and shared read-only. Only
+it, the empirical operator and gaussian.isserlis_fourth_moment build arrays
+of that size, each after ``linalg.require_memory`` says its peak fits.
 
 The empirical estimators are running sums over a batch's chunks
 (``OperatorMean``, ``ExpansionMean``), so they hold one chunk of rows at a
-time, never the batch. Only the empirical operator builds the centered rows
-xi_k, chunk by chunk, as a chunk x nx**2 block. The Monte-Carlo frame
-expansion never does: with D = unvec(S^-1 v), the coefficient is
-(S^-1 v, xi_k) = x_k^T D x_k - tr(D Sigma), so (1/n) sum_k c_k xi_k =
-vec(X^T diag(c) X / n - mean(c) Sigma) costs two chunk x nx products per
-chunk. ``derive_eghr_from_oja`` computes its two routes in one pass.
+time, never the batch. Only the empirical operator builds the rows
+vec(Xi_k), chunk by chunk, as a chunk x nx**2 block. The Monte-Carlo frame
+expansion never does: with D = Sigma^-1 M Sigma^-1 / 2, the coefficient is
+(D, Xi_k)_F = x_k^T D x_k - tr(D Sigma), so (1/n) sum_k c_k Xi_k =
+X^T diag(c) X / n - mean(c) Sigma costs two chunk x nx products per chunk.
+``derive_eghr_from_oja`` computes its two routes in one pass.
 """
 
 from __future__ import annotations
@@ -36,31 +36,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, SampleSizeError, SkewDomainError
-from .gaussian import SampleBatch
-from .linalg import CovarianceModel, unvec, vec
+from .gaussian import CHUNK_ROWS, SampleBatch
+from .linalg import CovarianceModel, require_memory, vec
 from .records import ExperimentRecord, timed_record
-from .rules import EghrMean, _check_dims, _closed_center, as_weights, oja_update_closed
+from .rules import EghrMean, _closed_center, as_weights, oja_update_closed
 
 SKEW_DOMAIN_RTOL = 1e-10
 CHAIN_AGREEMENT_RTOL = 1e-12
 MC_TARGET_RTOL = 5e-2
 
 
-def frame_vector(x, cov: CovarianceModel) -> np.ndarray:
-    """xi = vec(x x^T) - vec(Sigma) for one sample x."""
+def frame_element(x, cov: CovarianceModel) -> np.ndarray:
+    """Xi = x x^T - Sigma for one sample x."""
     x = np.asarray(x, dtype=float)
     if x.shape != (cov.dim,):
         raise DimensionError(f"x has shape {x.shape}, expected ({cov.dim},)")
-    return vec(np.outer(x, x) - cov.sigma)
-
-
-def _centered_rows(x: np.ndarray, cov: CovarianceModel) -> np.ndarray:
-    """Rows vec(x_k x_k^T) - vec(Sigma) for a chunk of samples, centered in
-    place."""
-    n, d = x.shape
-    outer = np.einsum("ki,kj->kji", x, x).reshape(n, d * d)
-    outer -= vec(cov.sigma)
-    return outer
+    return np.outer(x, x) - cov.sigma
 
 
 def frame_operator_analytic(cov: CovarianceModel) -> np.ndarray:
@@ -70,16 +61,20 @@ def frame_operator_analytic(cov: CovarianceModel) -> np.ndarray:
 
 
 class OperatorMean:
-    """Running sum of xi_k xi_k^T over chunks; ``result`` is
-    (1/n) sum_k xi_k xi_k^T, symmetrized."""
+    """Running sum of vec(Xi_k) vec(Xi_k)^T over chunks; ``result`` is
+    (1/n) sum_k vec(Xi_k) vec(Xi_k)^T, symmetrized."""
 
     def __init__(self, cov: CovarianceModel):
+        n2 = cov.dim**2  # peak: four n2 x n2 arrays (in result) and a chunk of rows
+        require_memory(8 * (4 * n2**2 + CHUNK_ROWS * n2), f"the empirical S at nx={cov.dim}")
         self.cov = cov
         self.n = 0
-        self.total = np.zeros((cov.dim * cov.dim,) * 2)
+        self.total = np.zeros((n2, n2))
 
     def add(self, x: np.ndarray) -> None:
-        rows = _centered_rows(x, self.cov)
+        # The chunk's rows vec(x_k x_k^T) - vec(Sigma), centered in place.
+        rows = np.einsum("ki,kj->kji", x, x).reshape(x.shape[0], -1)
+        rows -= vec(self.cov.sigma)
         self.total += rows.T @ rows
         self.n += x.shape[0]
 
@@ -89,7 +84,7 @@ class OperatorMean:
 
 
 def frame_operator_empirical(batch: SampleBatch) -> np.ndarray:
-    """(1/n) sum_k xi_k xi_k^T, summed over the batch's chunks."""
+    """(1/n) sum_k vec(Xi_k) vec(Xi_k)^T, summed over the batch's chunks."""
     if batch.n < 2:
         raise SampleSizeError(f"need >= 2 samples for the frame operator, got {batch.n}")
     return batch.feed(OperatorMean(batch.covariance))[0]
@@ -97,12 +92,12 @@ def frame_operator_empirical(batch: SampleBatch) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrameBounds:
-    """Two-sided bounds of (v, S v) on unit v in vec(Sym).
+    """Two-sided bounds of (vec M, S vec M) on M in Sym of unit norm.
 
     ``lower`` and ``upper_tight`` are the extreme eigenvalues of S restricted
-    to vec(Sym), 2 lambda_min(Sigma)^2 and 2 lambda_max(Sigma)^2.
+    to Sym, 2 lambda_min(Sigma)^2 and 2 lambda_max(Sigma)^2.
     ``upper_trace`` is the cruder Cauchy-Schwarz constant
-    E|xi|^2 = tr S = (tr Sigma)^2 + tr(Sigma^2).
+    E|Xi|^2 = tr S = (tr Sigma)^2 + tr(Sigma^2).
     """
 
     lower: float
@@ -121,16 +116,17 @@ def frame_bounds(cov: CovarianceModel) -> FrameBounds:
     )
 
 
-def _symmetric_domain(v: np.ndarray, cov: CovarianceModel, what: str) -> np.ndarray:
-    """Check v is a symmetric-matrix vectorization; return it symmetrized.
+def _symmetric_domain(m, cov: CovarianceModel, what: str) -> np.ndarray:
+    """Check m is an nx x nx symmetric matrix; return it symmetrized.
 
-    Tolerates skew Frobenius norm up to 1e-10 * (1 + |v|); beyond that the
+    Tolerates skew Frobenius norm up to 1e-10 * (1 + |m|); beyond that the
     operator is being applied off its domain and we refuse.
     """
-    v = np.asarray(v, dtype=float)
-    m = unvec(v, cov.dim)
+    m = np.asarray(m, dtype=float)
+    if m.shape != (cov.dim, cov.dim):
+        raise DimensionError(f"{what}: shape {m.shape}, expected ({cov.dim}, {cov.dim})")
     skew_norm = float(np.linalg.norm((m - m.T) / 2.0))
-    limit = SKEW_DOMAIN_RTOL * (1.0 + float(np.linalg.norm(v)))
+    limit = SKEW_DOMAIN_RTOL * (1.0 + float(np.linalg.norm(m)))
     if skew_norm > limit:
         raise SkewDomainError(
             f"{what}: skew component has norm {skew_norm:.3e}, above the "
@@ -140,58 +136,48 @@ def _symmetric_domain(v: np.ndarray, cov: CovarianceModel, what: str) -> np.ndar
     return (m + m.T) / 2.0
 
 
-def restricted_inverse_apply(cov: CovarianceModel, v) -> np.ndarray:
-    """Apply the inverse of S restricted to vec(Sym):
-    v -> vec(Sigma^-1 unvec(v) Sigma^-1 / 2).
+def restricted_inverse_apply(cov: CovarianceModel, m) -> np.ndarray:
+    """Apply the inverse of S restricted to Sym:
+    M -> Sigma^-1 sym(M) Sigma^-1 / 2.
 
     Exact closed form (no dense pseudo-inverse); input must be a
-    symmetric-matrix vectorization within tolerance.
+    symmetric matrix within tolerance.
     """
-    m = _symmetric_domain(v, cov, "restricted_inverse_apply")
-    return vec(0.5 * (cov.sigma_inv @ m @ cov.sigma_inv))
+    m = _symmetric_domain(m, cov, "restricted_inverse_apply")
+    return 0.5 * (cov.sigma_inv @ m @ cov.sigma_inv)
 
 
-def frame_coefficient(v, x, cov: CovarianceModel) -> float:
-    """Expansion coefficient (v, S^-1 xi(x)) for v in vec(Sym).
-
-    Equals 0.5 * (unvec(v), Sigma^-1 x x^T Sigma^-1 - Sigma^-1)_F.
-    """
-    return _frame_coefficient(v, frame_vector(x, cov), cov)
-
-
-def _frame_coefficient(v, xi: np.ndarray, cov: CovarianceModel) -> float:
-    """frame_coefficient on xi = xi(x); v and xi still pass the domain check."""
-    m = _symmetric_domain(v, cov, "frame_coefficient")
-    return float(m.flatten(order="F") @ restricted_inverse_apply(cov, xi))
+def frame_coefficient(m, xi, cov: CovarianceModel) -> float:
+    """Expansion coefficient (M, S^-1 Xi)_F of M in Sym on the frame element
+    Xi = x x^T - Sigma, that is 0.5 * (M, Sigma^-1 Xi Sigma^-1)_F."""
+    m = _symmetric_domain(m, cov, "frame_coefficient")
+    d = restricted_inverse_apply(cov, xi)
+    return float(m.flatten(order="F") @ d.flatten(order="F"))
 
 
-def cancellation_coefficient(w, x, cov: CovarianceModel) -> float:
-    """The same coefficient for v = vec(Sigma (I - W^T W) Sigma), written
-    S-free: since v = S vec((I - W^T W)/2) and S is self-adjoint,
-    (v, S^-1 xi) collapses to (vec((I - W^T W)/2), xi)."""
-    w = as_weights(w)
-    _check_dims(w, cov.dim, "cancellation_coefficient")
-    return _cancellation_coefficient(np.eye(cov.dim) - w.T @ w, frame_vector(x, cov))
-
-
-def _cancellation_coefficient(residual: np.ndarray, xi: np.ndarray) -> float:
-    """Unchecked kernel of cancellation_coefficient on residual = I - W^T W."""
-    return float((0.5 * residual).flatten(order="F") @ xi)
+def cancellation_coefficient(residual, xi) -> float:
+    """The same coefficient for M = Sigma R Sigma, R = I - W^T W, written
+    S-free: since vec(M) = S vec(R / 2) and S is self-adjoint, (M, S^-1 Xi)_F
+    collapses to (R / 2, Xi)_F."""
+    residual, xi = np.asarray(residual, dtype=float), np.asarray(xi, dtype=float)
+    if residual.ndim != 2 or residual.shape != xi.shape:
+        raise DimensionError(f"residual has shape {residual.shape}, Xi {xi.shape}")
+    return float((0.5 * residual).flatten(order="F") @ xi.flatten(order="F"))
 
 
 class ExpansionMean:
-    """Running sum of (v, S^-1 xi_k) xi_k over chunks; ``result`` is the
-    Monte-Carlo frame expansion (1/n) sum_k (v, S^-1 xi_k) xi_k and
+    """Running sum of (M, S^-1 Xi_k)_F Xi_k over chunks; ``result`` is the
+    Monte-Carlo frame expansion (1/n) sum_k (M, S^-1 Xi_k)_F Xi_k and
     ``coeff_mean`` the mean coefficient.
 
-    Coefficients are evaluated sample-parallel as (S^-1 v, xi_k), which
-    equals (v, S^-1 xi_k) because the restricted inverse is self-adjoint;
-    with D = unvec(S^-1 v) that is c_k = x_k^T D x_k - tr(D Sigma).
+    Coefficients are evaluated sample-parallel as (S^-1 M, Xi_k)_F, which
+    equals (M, S^-1 Xi_k)_F because the restricted inverse is self-adjoint;
+    with D = S^-1 M that is c_k = x_k^T D x_k - tr(D Sigma).
     """
 
-    def __init__(self, v, cov: CovarianceModel):
+    def __init__(self, m, cov: CovarianceModel):
         self.cov = cov
-        self.d = unvec(restricted_inverse_apply(cov, v), cov.dim)
+        self.d = restricted_inverse_apply(cov, m)
         self.trace = float(np.sum(self.d * cov.sigma))
         self.ones = np.ones(cov.dim)
         self.n = 0
@@ -212,15 +198,15 @@ class ExpansionMean:
         return self.coeff_sum / self.n
 
     def result(self) -> np.ndarray:
-        return vec(self.total / self.n - self.coeff_mean() * self.cov.sigma)
+        return self.total / self.n - self.coeff_mean() * self.cov.sigma
 
 
-def frame_expansion_reconstruct(v, batch: SampleBatch) -> np.ndarray:
-    """Monte-Carlo frame expansion (1/n) sum_k (v, S^-1 xi_k) xi_k.
+def frame_expansion_reconstruct(m, batch: SampleBatch) -> np.ndarray:
+    """Monte-Carlo frame expansion (1/n) sum_k (M, S^-1 Xi_k)_F Xi_k.
 
-    Converges to v at the usual 1/sqrt(n) rate for v in vec(Sym).
+    Converges to M at the usual 1/sqrt(n) rate for M in Sym.
     """
-    return batch.feed(ExpansionMean(v, batch.covariance))[0]
+    return batch.feed(ExpansionMean(m, batch.covariance))[0]
 
 
 @dataclass(frozen=True)
@@ -238,7 +224,7 @@ def derive_eghr_from_oja(w, cov: CovarianceModel, batch: SampleBatch) -> Derivat
     """Regenerate the error-gated update from the subspace rule on a batch.
 
     Steps: right-multiply the closed-form subspace update by Sigma; frame-
-    expand the symmetric sandwich v = vec(Sigma (I - W^T W) Sigma) over the
+    expand the symmetric sandwich M = Sigma (I - W^T W) Sigma over the
     batch; reattach W, restoring the mean term the expansion centered away;
     and compare against the gain-weighted Hebbian mean computed directly
     from the samples. The two routes are the same sum term by term (the
@@ -250,12 +236,11 @@ def derive_eghr_from_oja(w, cov: CovarianceModel, batch: SampleBatch) -> Derivat
     w = as_weights(w)
     target = oja_update_closed(w, cov) @ cov.sigma
 
-    v = vec(cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma)
-    expansion = ExpansionMean(v, cov)
+    expansion = ExpansionMean(cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma, cov)
     # The direct route centers the gains in closed form.
     recon, direct_route = batch.feed(expansion, EghrMean(w, _closed_center(w, cov.sigma)))
-    # Undo the centering of xi: (1/n) sum c_k vec(x x^T) = recon + mean(c) vec(Sigma).
-    frame_route = w @ (unvec(recon, cov.dim) + expansion.coeff_mean() * cov.sigma)
+    # Undo the centering of Xi: (1/n) sum c_k x x^T = recon + mean(c) Sigma.
+    frame_route = w @ (recon + expansion.coeff_mean() * cov.sigma)
 
     inputs = dict(nx=cov.dim, nu=w.shape[0], n=batch.n, check="derivation")
     agreement = timed_record(

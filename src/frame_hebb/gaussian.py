@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, SampleSizeError
-from .linalg import CovarianceModel, kron, vec, vec_transpose_index
+from .linalg import CovarianceModel, kron, require_memory, vec, vec_transpose_index
 from .records import ExperimentRecord, timed_record
 
 
@@ -275,6 +275,8 @@ def isserlis_fourth_moment(cov: CovarianceModel) -> np.ndarray:
     vec(Sigma) vec(Sigma)^T; T is applied as a column gather, and every term
     is symmetric to the bit because Sigma is.
     """
+    # At most two nx**2 x nx**2 arrays are held at once.
+    require_memory(2 * 8 * cov.dim**4, f"the fourth moment at nx={cov.dim}")
     m = kron(cov.sigma, cov.sigma)
     m += m.take(vec_transpose_index(cov.dim), axis=1)
     vs = vec(cov.sigma)

@@ -13,6 +13,7 @@ product, and ``commutation_matrix(n) @ vec(X) == vec(X.T)``.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -59,12 +60,13 @@ def vec(x) -> np.ndarray:
     return a.flatten(order="F")
 
 
-def unvec(v, n: int) -> np.ndarray:
-    """Invert :func:`vec`: reshape a length-n**2 vector into an n-by-n matrix."""
-    a = np.asarray(v, dtype=float)
-    if a.ndim != 1 or a.size != n * n:
-        raise DimensionError(f"expected vector of length {n * n}, got shape {a.shape}")
-    return a.reshape((n, n), order="F")
+def require_memory(nbytes: int, what: str) -> None:
+    """Raise DimensionError when a build holding nbytes at its peak exceeds
+    physical memory, so a dense nx**2 x nx**2 build fails before it allocates."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > physical:
+        raise DimensionError(f"{what} would hold {nbytes / 2**30:,.1f} GiB at its peak, "
+                             f"more than the {physical / 2**30:,.1f} GiB of physical memory")
 
 
 def kron(a, b) -> np.ndarray:
@@ -128,6 +130,8 @@ class CovarianceModel:
         """S = (Sigma kron Sigma)(I + T), read-only, with T applied as a column
         gather: O(nx**4) instead of the O(nx**6) of a dense product with T.
         Both terms, and so S, are symmetric to the bit because Sigma is."""
+        # At most two nx**2 x nx**2 arrays are held at once.
+        require_memory(2 * 8 * self.dim**4, f"the frame operator S at nx={self.dim}")
         s = kron(self.sigma, self.sigma)
         s += s.take(vec_transpose_index(self.dim), axis=1)
         s.flags.writeable = False

@@ -8,9 +8,9 @@ import pytest
 
 from frame_hebb import checks
 from frame_hebb.config import RunConfig
-from frame_hebb.frames import cancellation_coefficient, frame_coefficient
+from frame_hebb.frames import cancellation_coefficient, frame_coefficient, frame_element
 from frame_hebb.gaussian import sample
-from frame_hebb.linalg import build_covariance, random_spd, vec
+from frame_hebb.linalg import build_covariance, random_spd
 from frame_hebb.records import digest_inputs, make_record
 from frame_hebb.rules import eghr_g, eghr_update_closed, oja_update_closed
 
@@ -159,9 +159,10 @@ def _coefficient_identity_per_trial(seed, dims, trials):
         w = rng.uniform(-1.0, 1.0, size=(nu, nx))
         x = sample(cov, 1, int(rng.integers(2**63))).data[0]
         g = eghr_g(x, w, cov)
-        v = vec(cov.sigma @ (np.eye(nx) - w.T @ w) @ cov.sigma)
-        c = frame_coefficient(v, x, cov)
-        cc = cancellation_coefficient(w, x, cov)
+        residual = np.eye(nx) - w.T @ w
+        xi = frame_element(x, cov)
+        c = frame_coefficient(cov.sigma @ residual @ cov.sigma, xi, cov)
+        cc = cancellation_coefficient(residual, xi)
         coeff_err = max(coeff_err, abs(c - g))
         cancel_err = max(cancel_err, abs(cc - c))
         scale = max(scale, abs(g))

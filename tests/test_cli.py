@@ -22,7 +22,7 @@ from frame_hebb.cli import (
 )
 from frame_hebb.frames import SKEW_DOMAIN_RTOL
 from frame_hebb.gaussian import CHUNK_ROWS, STEIN_MIN_SAMPLES
-from frame_hebb.linalg import skew_part, unvec
+from frame_hebb.linalg import skew_part
 from frame_hebb.records import (
     CSV_COLUMNS,
     CSV_SCHEMA_VERSION,
@@ -484,6 +484,32 @@ class TestOneCovariancePerRun:
         assert "frame_operator" not in vars(covs[0])
 
 
+class TestNoDenseObjectOffTheSPaths:
+    def test_matrix_checks_build_no_nx2_object(self, monkeypatch):
+        # The coefficient sweep, the derivation chain and the expansion rate
+        # work on nx x nx matrices: at nx=64, where one S holds 128 MB, none
+        # of them vectorizes a matrix, forms a Kronecker product or builds S.
+        spies = {name: _spy_everywhere(monkeypatch, getattr(linalg, name))
+                 for name in ("vec", "kron")}
+        builds = []
+        build_s = linalg.CovarianceModel.frame_operator.func
+
+        def frame_operator(cov):
+            builds.append(cov)
+            return build_s(cov)
+
+        monkeypatch.setattr(linalg.CovarianceModel, "frame_operator", property(frame_operator))
+        cov = linalg.build_covariance(linalg.random_spd(64, (0.5, 2.0), seed=5))
+        records = [
+            *checks.coefficient_identity_checks(5, [(64, 4)], trials=3),
+            *checks.derivation_checks(cov, 4, 5, n=500),
+            *checks.mc_rate_check(("frame-expansion",), cov, 4, 5, ns=(100, 400), replicates=2),
+        ]
+        assert len(records) == 5
+        assert spies == {"vec": [], "kron": []}
+        assert builds == []
+
+
 class TestExitCodeContract:
     @pytest.mark.parametrize("case", BOUNDARY_INPUTS)
     def test_bad_input_exits_2_with_one_line_and_writes_nothing(self, tmp_path, case):
@@ -562,19 +588,30 @@ class TestExitCodeContract:
         assert err.startswith("input error:") and "window" in err
         assert len(err.splitlines()) == 1
 
+    def test_frame_operator_beyond_physical_memory_exits_2(self, tmp_path):
+        # S at nx=1000 would hold 7.3 TiB. The guard refuses it before any
+        # allocation, so the run costs the covariance build alone.
+        proc = run_process(["frame-check", "--nx", 1000, "--nu", 1, "--checks", "frame-bounds",
+                            "--sigma", "identity", "--samples", 100, "--out", tmp_path])
+        assert proc.returncode == EXIT_CONFIG_ERROR
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("input error: the frame operator S at nx=1000")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "frame_check.csv").exists()
+
     def test_skew_domain_error_is_unreachable(self, tmp_path, monkeypatch):
-        # cli.main leaves SkewDomainError unmapped. Every vector the check
+        # cli.main leaves SkewDomainError unmapped. Every matrix the check
         # commands hand to the restricted inverse is exactly symmetric
-        # (sym_part, x x^T - Sigma) or vec(Sigma (I - W^T W) Sigma) for a
-        # random W, whose skew part is roundoff: even at the conditioning the
-        # covariance gate still admits it stays a thousandth of the tolerance.
+        # (sym_part, x x^T - Sigma) or Sigma (I - W^T W) Sigma for a random W,
+        # whose skew part is roundoff: even at the conditioning the covariance
+        # gate still admits it stays a thousandth of the tolerance.
         ratios = []
         real = frames._symmetric_domain
 
-        def spy(v, cov, what):
-            skew = np.linalg.norm(skew_part(unvec(np.asarray(v, dtype=float), cov.dim)))
-            ratios.append(skew / (SKEW_DOMAIN_RTOL * (1.0 + np.linalg.norm(v))))
-            return real(v, cov, what)
+        def spy(m, cov, what):
+            skew = np.linalg.norm(skew_part(m))
+            ratios.append(skew / (SKEW_DOMAIN_RTOL * (1.0 + np.linalg.norm(m))))
+            return real(m, cov, what)
 
         monkeypatch.setattr(frames, "_symmetric_domain", spy)
         # coefficient-identity draws its own covariances: one run covers it

@@ -1,4 +1,4 @@
-"""Frame vectors, the frame operator, bounds, inverses, coefficients,
+"""Frame elements, the frame operator, bounds, inverses, coefficients,
 expansions, and the derivation chain."""
 
 import tracemalloc
@@ -10,25 +10,26 @@ from frame_hebb import gaussian
 from frame_hebb.errors import DimensionError, SampleSizeError, SkewDomainError
 from frame_hebb.frames import (
     ExpansionMean,
+    OperatorMean,
     cancellation_coefficient,
     derive_eghr_from_oja,
     frame_bounds,
     frame_coefficient,
+    frame_element,
     frame_expansion_reconstruct,
     frame_operator_analytic,
     frame_operator_empirical,
-    frame_vector,
     restricted_inverse_apply,
 )
 from frame_hebb.gaussian import SampleBatch, isserlis_fourth_moment, sample
 from frame_hebb.linalg import (
+    CovarianceModel,
     build_covariance,
     commutation_matrix,
     kron,
     random_spd,
     skew_part,
     sym_part,
-    unvec,
     vec,
 )
 from frame_hebb.rules import eghr_g, eghr_update_closed, oja_update_closed
@@ -44,20 +45,18 @@ def cov_rand3():
     return build_covariance(random_spd(3, (0.5, 2.0), seed=60))
 
 
-class TestFrameVector:
+class TestFrameElement:
     def test_zero_sample(self):
         cov = build_covariance(np.eye(2))
-        np.testing.assert_array_equal(
-            frame_vector(np.zeros(2), cov), [-1.0, 0.0, 0.0, -1.0]
-        )
+        np.testing.assert_array_equal(frame_element(np.zeros(2), cov), -np.eye(2))
 
     def test_unit_variance_unit_sample(self):
         cov = build_covariance(np.eye(1))
-        np.testing.assert_array_equal(frame_vector(np.array([1.0]), cov), [0.0])
+        np.testing.assert_array_equal(frame_element(np.array([1.0]), cov), [[0.0]])
 
     def test_reconstructs_outer_product(self, cov_rand3):
         x = sample(cov_rand3, 1, seed=61).data[0]
-        m = unvec(frame_vector(x, cov_rand3), 3)
+        m = frame_element(x, cov_rand3)
         np.testing.assert_array_equal(m, m.T)
         np.testing.assert_allclose(
             m + cov_rand3.sigma, np.outer(x, x), rtol=1e-14, atol=1e-14
@@ -66,7 +65,7 @@ class TestFrameVector:
     def test_kron_form_agrees(self, cov_rand3):
         x = sample(cov_rand3, 1, seed=62).data[0]
         np.testing.assert_array_equal(
-            frame_vector(x, cov_rand3), np.kron(x, x) - vec(cov_rand3.sigma)
+            vec(frame_element(x, cov_rand3)), np.kron(x, x) - vec(cov_rand3.sigma)
         )
 
     def test_mean_zero_componentwise(self, cov21):
@@ -78,7 +77,7 @@ class TestFrameVector:
 
     def test_dimension_mismatch(self, cov21):
         with pytest.raises(DimensionError):
-            frame_vector(np.zeros(3), cov21)
+            frame_element(np.zeros(3), cov21)
 
 
 @pytest.fixture(scope="module")
@@ -212,35 +211,44 @@ class TestFrameBounds:
             assert b.lower - 1e-10 <= q <= b.upper_tight + 1e-10
 
 
+SKEW = [[0.0, 1.0], [-1.0, 0.0]]
+
+
 class TestRestrictedInverse:
     def test_identity_covariance_halves(self):
         cov = build_covariance(np.eye(2))
-        v = vec(sym_part(np.arange(4.0).reshape(2, 2)))
-        np.testing.assert_allclose(restricted_inverse_apply(cov, v), v / 2.0)
+        m = sym_part(np.arange(4.0).reshape(2, 2))
+        np.testing.assert_allclose(restricted_inverse_apply(cov, m), m / 2.0)
 
     def test_diagonal_closed_form(self, cov21):
-        v = vec(np.diag([8.0, 1.0]))
         np.testing.assert_allclose(
-            restricted_inverse_apply(cov21, v), vec(np.diag([1.0, 0.5])), atol=1e-14
+            restricted_inverse_apply(cov21, np.diag([8.0, 1.0])), np.diag([1.0, 0.5]),
+            atol=1e-14
         )
 
     def test_skew_input_rejected(self, cov21):
         with pytest.raises(SkewDomainError):
-            restricted_inverse_apply(cov21, vec([[0.0, 1.0], [-1.0, 0.0]]))
+            restricted_inverse_apply(cov21, SKEW)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (3, 3)])
+    def test_shape_mismatch_rejected(self, cov21, shape):
+        # a vectorized matrix is no longer an operand
+        with pytest.raises(DimensionError):
+            restricted_inverse_apply(cov21, np.zeros(shape))
 
     def test_inverts_operator_on_sym(self, cov_rand3):
         s = frame_operator_analytic(cov_rand3)
         rng = np.random.default_rng(70)
         for _ in range(50):
-            v = vec(sym_part(rng.standard_normal((3, 3))))
-            r = restricted_inverse_apply(cov_rand3, v)
-            assert np.linalg.norm(s @ r - v) <= 1e-10 * np.linalg.norm(v)
+            m = sym_part(rng.standard_normal((3, 3)))
+            r = restricted_inverse_apply(cov_rand3, m)
+            assert np.linalg.norm(s @ vec(r) - vec(m)) <= 1e-10 * np.linalg.norm(m)
 
 
 class TestFrameCoefficient:
-    def test_zero_vector(self, cov_rand3):
+    def test_zero_matrix(self, cov_rand3):
         x = sample(cov_rand3, 1, seed=71).data[0]
-        assert frame_coefficient(np.zeros(9), x, cov_rand3) == 0.0
+        assert frame_coefficient(np.zeros((3, 3)), frame_element(x, cov_rand3), cov_rand3) == 0.0
 
     def test_equals_gain_for_sandwich_vector(self):
         rng = np.random.default_rng(72)
@@ -252,17 +260,27 @@ class TestFrameCoefficient:
             )
             w = rng.uniform(-1, 1, (nu, nx))
             x = sample(cov, 1, seed=int(rng.integers(2**63))).data[0]
-            v = vec(cov.sigma @ (np.eye(nx) - w.T @ w) @ cov.sigma)
+            m = cov.sigma @ (np.eye(nx) - w.T @ w) @ cov.sigma
             g = eghr_g(x, w, cov)
-            assert frame_coefficient(v, x, cov) == pytest.approx(
+            assert frame_coefficient(m, frame_element(x, cov), cov) == pytest.approx(
                 g, abs=1e-12 * max(1.0, abs(g))
             )
 
     def test_identity_covariance_hand_value(self):
         cov = build_covariance(np.eye(2))
         assert frame_coefficient(
-            vec(np.eye(2)), np.array([2.0, 0.0]), cov
+            np.eye(2), frame_element(np.array([2.0, 0.0]), cov), cov
         ) == pytest.approx(1.0, abs=1e-14)
+
+    def test_skew_input_rejected(self, cov21):
+        xi = frame_element(np.ones(2), cov21)
+        with pytest.raises(SkewDomainError):
+            frame_coefficient(SKEW, xi, cov21)
+
+    def test_shape_mismatch_rejected(self, cov21, cov_rand3):
+        xi = frame_element(np.ones(3), cov_rand3)
+        with pytest.raises(DimensionError):
+            frame_coefficient(np.eye(2), xi, cov21)
 
 
 class TestCancellationCoefficient:
@@ -271,53 +289,61 @@ class TestCancellationCoefficient:
         for _ in range(50):
             w = rng.uniform(-1, 1, (2, 3))
             x = sample(cov_rand3, 1, seed=int(rng.integers(2**63))).data[0]
-            v = vec(cov_rand3.sigma @ (np.eye(3) - w.T @ w) @ cov_rand3.sigma)
-            c = frame_coefficient(v, x, cov_rand3)
-            assert cancellation_coefficient(w, x, cov_rand3) == pytest.approx(
+            residual = np.eye(3) - w.T @ w
+            xi = frame_element(x, cov_rand3)
+            c = frame_coefficient(cov_rand3.sigma @ residual @ cov_rand3.sigma, xi, cov_rand3)
+            assert cancellation_coefficient(residual, xi) == pytest.approx(
                 c, abs=1e-12 * max(1.0, abs(c))
             )
 
     def test_identity_weights_vanish(self):
         cov = build_covariance(random_spd(3, (0.5, 2.0), seed=74))
+        w = np.eye(3)
         for x in sample(cov, 5, seed=75).data:
-            assert cancellation_coefficient(np.eye(3), x, cov) == 0.0
+            assert cancellation_coefficient(np.eye(3) - w.T @ w, frame_element(x, cov)) == 0.0
 
     def test_zero_weights_hand_value(self):
         cov = build_covariance(np.eye(2))
+        w = np.zeros((1, 2))
         assert cancellation_coefficient(
-            np.zeros((1, 2)), np.array([2.0, 0.0]), cov
+            np.eye(2) - w.T @ w, frame_element(np.array([2.0, 0.0]), cov)
         ) == pytest.approx(1.0, abs=1e-14)
 
-    def test_dimension_mismatch(self, cov_rand3):
+    @pytest.mark.parametrize("residual", [np.eye(2), np.ones(9), np.ones((3, 1))])
+    def test_dimension_mismatch(self, cov_rand3, residual):
         with pytest.raises(DimensionError):
-            cancellation_coefficient(np.ones((1, 2)), np.ones(3), cov_rand3)
+            cancellation_coefficient(residual, frame_element(np.ones(3), cov_rand3))
 
 
 class TestFrameExpansion:
-    def test_zero_vector_reconstructs_exactly(self, cov_rand3):
+    def test_zero_matrix_reconstructs_exactly(self, cov_rand3):
         batch = sample(cov_rand3, 100, seed=76)
         np.testing.assert_array_equal(
-            frame_expansion_reconstruct(np.zeros(9), batch), np.zeros(9)
+            frame_expansion_reconstruct(np.zeros((3, 3)), batch), np.zeros((3, 3))
         )
+
+    def test_skew_input_rejected(self, cov21):
+        with pytest.raises(SkewDomainError):
+            frame_expansion_reconstruct(SKEW, sample(cov21, 10, seed=76))
 
     def test_reconstruction_error_small_at_large_n(self, cov21):
         w = np.random.default_rng(77).uniform(-1, 1, (1, 2))
-        v = vec(cov21.sigma @ (np.eye(2) - w.T @ w) @ cov21.sigma)
-        recon = frame_expansion_reconstruct(v, sample(cov21, 10**6, seed=78))
-        assert np.linalg.norm(recon - v) / np.linalg.norm(v) <= 0.05
+        m = cov21.sigma @ (np.eye(2) - w.T @ w) @ cov21.sigma
+        recon = frame_expansion_reconstruct(m, sample(cov21, 10**6, seed=78))
+        assert np.linalg.norm(recon - m) / np.linalg.norm(m) <= 0.05
 
     @pytest.mark.parametrize("nx", [1, 3, 16])
     def test_vectorized_coefficients_match_scalar_path(self, nx):
         cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=60))  # nx=3: cov_rand3
         rng = np.random.default_rng(79)
-        v = vec(sym_part(rng.standard_normal((nx, nx))))
+        m = sym_part(rng.standard_normal((nx, nx)))
         batch = sample(cov, 64, seed=80)
-        expansion = ExpansionMean(v, cov)
+        expansion = ExpansionMean(m, cov)
         recon, = batch.feed(expansion)
         coeff_mean = expansion.coeff_mean()
-        coeffs = np.array([frame_coefficient(v, x, cov) for x in batch.data])
-        xis = np.stack([frame_vector(x, cov) for x in batch.data])
-        expected = xis.T @ coeffs / batch.n
+        xis = np.stack([frame_element(x, cov) for x in batch.data])
+        coeffs = np.array([frame_coefficient(m, xi, cov) for xi in xis])
+        expected = np.tensordot(coeffs, xis, 1) / batch.n
         np.testing.assert_allclose(
             recon, expected, rtol=0, atol=1e-12 * np.abs(expected).max()
         )
@@ -329,8 +355,8 @@ class TestFrameExpansion:
         cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=88))
         batch = sample(cov, n, seed=89)
         w = np.random.default_rng(90).uniform(-1, 1, (4, nx))
-        v = vec(cov.sigma @ (np.eye(nx) - w.T @ w) @ cov.sigma)
-        for run in (lambda: frame_expansion_reconstruct(v, batch),
+        m = cov.sigma @ (np.eye(nx) - w.T @ w) @ cov.sigma
+        for run in (lambda: frame_expansion_reconstruct(m, batch),
                     lambda: derive_eghr_from_oja(w, cov, batch)):
             tracemalloc.start()
             try:
@@ -369,6 +395,34 @@ class TestIsserlisConsistency:
             m4 = isserlis_fourth_moment(cov)
             assert np.array_equal(m4, m4_ref), cov.dim
             assert np.array_equal(m4, m4.T), cov.dim
+
+
+class TestDenseBuildGuard:
+    """Each nx**2 x nx**2 builder raises DimensionError before allocating a
+    build larger than physical memory, while the matrix paths run at the same
+    nx. At nx=1000 one S would hold 7.3 TiB."""
+
+    @pytest.fixture(scope="class")
+    def cov_wide(self):
+        # Sigma = I, assembled by hand: the gates' eigendecomposition would
+        # cost more than everything the tests run on it.
+        eye = np.eye(1000)
+        return CovarianceModel(sigma=eye, chol=eye, sigma_inv=eye, eigvals=np.ones(1000),
+                               eigvecs=eye)
+
+    @pytest.mark.parametrize("build", [lambda cov: cov.frame_operator,
+                                       isserlis_fourth_moment, OperatorMean])
+    def test_dense_build_refused(self, cov_wide, build):
+        with pytest.raises(DimensionError, match="nx=1000 would hold .* physical memory"):
+            build(cov_wide)
+
+    def test_matrix_paths_run(self, cov_wide):
+        x = np.random.default_rng(92).standard_normal((20, 1000))
+        w = np.random.default_rng(93).uniform(-1, 1, (2, 1000))
+        res = derive_eghr_from_oja(w, cov_wide, SampleBatch.from_rows(x, cov_wide))
+        assert res.records[0].check_name == "derivation-chain-agreement"
+        assert res.records[0].passed
+        assert "frame_operator" not in vars(cov_wide)
 
 
 class TestDerivation:

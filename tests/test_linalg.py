@@ -1,4 +1,7 @@
-"""Vectorization, Kronecker, commutation, projections, covariance models."""
+"""Vectorization, Kronecker, commutation, projections, the memory guard of
+the dense builds, covariance models."""
+
+import os
 
 import numpy as np
 import pytest
@@ -18,7 +21,6 @@ from frame_hebb.linalg import (
     random_spds,
     skew_part,
     sym_part,
-    unvec,
     vec,
 )
 
@@ -47,20 +49,12 @@ class TestVec:
             vec(np.ones((2, 3)))
 
 
-class TestUnvec:
-    def test_inverse_of_vec(self):
-        np.testing.assert_array_equal(unvec([1, 3, 2, 4], 2), [[1, 2], [3, 4]])
-
-    def test_round_trip(self):
-        x = np.random.default_rng(2).standard_normal((4, 4))
-        np.testing.assert_array_equal(unvec(vec(x), 4), x)
-
-    def test_zeros(self):
-        np.testing.assert_array_equal(unvec(np.zeros(9), 3), np.zeros((3, 3)))
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            unvec(np.zeros(5), 2)
+class TestRequireMemory:
+    def test_limit_is_physical_memory(self):
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        linalg.require_memory(physical, "a build")
+        with pytest.raises(DimensionError, match="a build would hold .* physical memory"):
+            linalg.require_memory(physical + 1, "a build")
 
 
 class TestKron:
@@ -120,15 +114,13 @@ class TestProjections:
         np.testing.assert_allclose(
             p @ vec(skew_part(m)), np.zeros(n * n), atol=1e-15
         )
-        np.testing.assert_allclose(
-            sym_part(m), unvec(p @ vec(m), n), atol=1e-15
-        )
+        np.testing.assert_allclose(p @ vec(m), vec(sym_part(m)), atol=1e-15)
 
 
 class TestFrobeniusInner:
     def test_norm_mismatch_identity(self):
         # (I - W^T W, x x^T)_F = |x|^2 - |u|^2 with u = W x, taken as the
-        # vec dot product that cancellation_coefficient uses.
+        # column-order dot product that cancellation_coefficient uses.
         rng = np.random.default_rng(6)
         w = rng.standard_normal((2, 4))
         x = rng.standard_normal(4)
@@ -266,11 +258,6 @@ class TestStackedBuild:
     def test_non_stack_rejected(self, shape):
         with pytest.raises(DimensionError):
             build_covariances(np.ones(shape))
-
-
-@given(x=square(3))
-def test_vec_round_trip_property(x):
-    np.testing.assert_array_equal(unvec(vec(x), 3), x)
 
 
 @given(x=square(4))

@@ -26,7 +26,7 @@ from frame_hebb.gaussian import (
     sample,
     stein_check,
 )
-from frame_hebb.linalg import build_covariance, random_spd, unvec, vec
+from frame_hebb.linalg import build_covariance, random_spd, vec
 from frame_hebb.rules import eghr_update_empirical, oja_update_empirical
 
 C = CHUNK_ROWS
@@ -67,22 +67,22 @@ def operator_formula(cov, x):
     return (s + s.T) / 2.0
 
 
-def expansion_formula(v, cov, x):
+def expansion_formula(m, cov, x):
     """(recon, mean coefficient)."""
-    d = unvec(restricted_inverse_apply(cov, v), cov.dim)
+    d = restricted_inverse_apply(cov, m)
     buf = x @ d
     np.multiply(buf, x, out=buf)
     coeffs = buf @ np.ones(cov.dim) - float(np.sum(d * cov.sigma))
     coeff_mean = float(np.mean(coeffs))
     np.multiply(x, coeffs[:, None], out=buf)
-    return vec(x.T @ buf / x.shape[0] - coeff_mean * cov.sigma), coeff_mean
+    return x.T @ buf / x.shape[0] - coeff_mean * cov.sigma, coeff_mean
 
 
 def derivation_formula(w, cov, x):
     """(frame route, direct route)."""
-    v = vec(cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma)
-    recon, coeff_mean = expansion_formula(v, cov, x)
-    frame_route = w @ (unvec(recon, cov.dim) + coeff_mean * cov.sigma)
+    m = cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma
+    recon, coeff_mean = expansion_formula(m, cov, x)
+    frame_route = w @ (recon + coeff_mean * cov.sigma)
     center = np.trace(cov.sigma) - float(np.sum((w @ cov.sigma) * w))
     return frame_route, gain_hebbian_formula(w, x, center)
 
@@ -103,7 +103,7 @@ def estimates(w, cov, batch):
     """Every chunked estimator on one batch, and its whole-batch formula on
     the same rows, as (name, chunked, formula) triples."""
     x = batch.data
-    v = vec(cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma)
+    m = cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma
     res = derive_eghr_from_oja(w, cov, batch)
     frame_route, direct_route = derivation_formula(w, cov, x)
     exps = monomial_exponents(cov.dim)
@@ -113,7 +113,7 @@ def estimates(w, cov, batch):
         ("oja", oja_update_empirical(w, batch), oja_formula(w, x)),
         ("eghr", eghr_update_empirical(w, batch), gain_hebbian_formula(w, x)),
         ("operator", frame_operator_empirical(batch), operator_formula(cov, x)),
-        ("expansion", frame_expansion_reconstruct(v, batch), expansion_formula(v, cov, x)[0]),
+        ("expansion", frame_expansion_reconstruct(m, batch), expansion_formula(m, cov, x)[0]),
         ("frame-route", res.frame_route, frame_route),
         ("direct-route", res.direct_route, direct_route),
         ("stein-mean", stein_mean, stein_ref[0]),
