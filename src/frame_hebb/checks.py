@@ -10,6 +10,16 @@ stein-identity draws one batch per dimension and checks every built-in test
 function on it. It runs at gaussian.STEIN_MIN_SAMPLES rows; run_checks
 rejects a smaller --samples before any check runs.
 
+Every other Monte-Carlo check of a command reads the command's one
+``MonteCarloBatches``: RATE_BATCHES batches of --samples rows, each read in
+one pass by every estimator the selected checks need. A rate check cuts each
+batch into disjoint consecutive blocks of n/1000, n/100, n/10 and n rows
+(``BlockSums``) and fits the slope of the RMSE over all blocks of each size
+against the block size. isserlis-empirical and derivation-* read batch 0,
+whose operator and expansion sums the rate checks share. The rate checks need
+RATE_MIN_SAMPLES rows; run_checks rejects a smaller --samples before any
+check runs.
+
 The sweeps over random (Sigma, W[, x]) trials draw each trial's covariance
 seed and its other values from one generator, trial after trial, and build
 the covariances in stacks of SWEEP_BLOCK trials (``linalg.build_covariances``);
@@ -23,26 +33,30 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .config import RunConfig
+from .errors import SampleSizeError
 from .frames import (
     ExpansionMean,
     OperatorMean,
     cancellation_coefficient,
     derive_eghr_from_oja,
+    expansion_target,
     frame_bounds,
     frame_coefficient,
     frame_element,
     frame_operator_analytic,
-    frame_operator_empirical,
     restricted_inverse_apply,
 )
 from .gaussian import (
     STEIN_MIN_SAMPLES,
+    RunningSum,
     derive_seed,
     isserlis_fourth_moment,
+    merge_sums,
     monomial_exponents,
     require_stein_samples,
     sample,
@@ -78,7 +92,6 @@ RESTRICTED_INVERSE_RTOL = 1e-10
 MC_FROBENIUS_RTOL = 5e-2
 SLOPE_REFERENCE = -0.5
 SLOPE_HALF_WIDTH = 0.15
-RATE_SAMPLE_GRID = (10**3, 10**4, 10**5, 10**6)
 
 
 def dim_sweep(max_nx: int = 8, min_nx: int = 2, seed: int = 0) -> list[tuple[int, int]]:
@@ -281,107 +294,227 @@ def coefficient_identity_checks(
     )
 
 
-def isserlis_checks(cov, seed: int, n: int, names=None) -> tuple[ExperimentRecord, ...]:
+def _isserlis_gap(cov, s: np.ndarray) -> float:
+    """|E[(x kron x)(x kron x)^T] - vec(Sigma) vec(Sigma)^T - S|_F, formed in
+    the fourth moment's own array: besides S, the peak is the two arrays that
+    the fourth moment's build holds and its memory guard admits."""
+    gap = isserlis_fourth_moment(cov)
+    vs = vec(cov.sigma)
+    gap -= np.outer(vs, vs)
+    gap -= s
+    return float(np.linalg.norm(gap))
+
+
+def isserlis_checks(cov, seed: int, n: int, batches=None) -> tuple[ExperimentRecord, ...]:
     """The analytic fourth moment minus its rank-one mean term must equal the
     analytic frame operator to roundoff, and the empirical operator must land
-    within 5% relative Frobenius error at large n. The empirical half, with
-    its n-sample draw, runs only if ``names`` (default: all) asks for it."""
+    within 5% relative Frobenius error at large n. The empirical half runs
+    only when given the command's ``MonteCarloBatches``, and reads batch 0."""
     t0 = time.perf_counter()
     s = frame_operator_analytic(cov)
     s_scale = float(np.linalg.norm(s))
-    m4 = isserlis_fourth_moment(cov)
-    vs = vec(cov.sigma)
-    analytic_gap = float(np.linalg.norm(m4 - np.outer(vs, vs) - s)) / s_scale
-    analytic = timed_record("isserlis-analytic", analytic_gap, EXACT_RTOL, seed, t0,
-                            nx=cov.dim, n=n)
-    if names is not None and "isserlis-empirical" not in names:
+    analytic = timed_record("isserlis-analytic", _isserlis_gap(cov, s) / s_scale,
+                            EXACT_RTOL, seed, t0, nx=cov.dim, n=n)
+    if batches is None:
         return (analytic,)
-    s_emp = frame_operator_empirical(sample(cov, n, seed))
-    gap = float(np.linalg.norm(s_emp - s)) / s_scale
-    empirical = timed_record("isserlis-empirical", gap, MC_FROBENIUS_RTOL, seed, t0,
-                             nx=cov.dim, n=n)
+    s_emp = batches.batch(0)[1]["frame-operator"].result()
+    empirical = timed_record("isserlis-empirical", float(np.linalg.norm(s_emp - s)) / s_scale,
+                             MC_FROBENIUS_RTOL, seed, t0, nx=cov.dim, n=n)
     return analytic, empirical
 
 
-_RATE_KINDS = ("oja", "eghr", "frame-operator", "frame-expansion")
+# ---------------------------------------------------------------------------
+# The Monte-Carlo batches of a check command.
+
+# Batch i of a command draws from derive_seed(seed, MC_SEED_INDEX + i); no
+# other check draws from that index range (stein-identity takes 1-4 and
+# 1001-1004).
+MC_SEED_INDEX = 2000
+RATE_BATCHES = 2
+# A rate check cuts each batch into blocks of n/1000, n/100, n/10 and n rows:
+# RATE_LEVELS sizes, each RATE_SPLIT times the one below.
+RATE_LEVELS = 4
+RATE_SPLIT = 10
+# Fewest rows for which the rate checks hold their false-failure rate. The
+# finest blocks hold n/1000 rows, and mc-rate-eghr centers each block's gains
+# on the block's own mean, which biases a small block. Over seeds 3000-3299
+# at the default config, the four rate checks together failed on no seed at
+# n=1e4 and 1e5 and on one at 1e6; at n=3e3 mc-rate-eghr's mean slope was
+# -0.470 (-0.497 at 1e4) and mc-rate-oja failed once, and at n=1e3 (blocks of
+# one row, whose centered gains are all zero) mc-rate-eghr failed on 279.
+RATE_MIN_SAMPLES = 10_000
+
+# Each rate kind's running sum, and the closed form its block estimates
+# approach, for MonteCarloBatches b.
+_RATE_SUMS = {
+    "oja": (lambda b: OjaMean(b.w), lambda b: oja_update_closed(b.w, b.cov)),
+    "eghr": (lambda b: EghrMean(b.w), lambda b: eghr_update_closed(b.w, b.cov)),
+    "frame-operator": (lambda b: OperatorMean(b.cov), lambda b: frame_operator_analytic(b.cov)),
+    "frame-expansion": (lambda b: ExpansionMean(b.m, b.cov), lambda b: b.m),
+}
+_RATE_KINDS = tuple(_RATE_SUMS)
 
 
-def mc_rate_check(
-    kinds: tuple[str, ...],
-    cov,
-    nu: int,
-    seed: int,
-    ns: tuple[int, ...] = RATE_SAMPLE_GRID,
-    replicates: int = 3,
-) -> tuple[ExperimentRecord, ...]:
-    """Fit, per kind, the log-log slope of empirical-vs-closed-form error
-    against sample count; a healthy Monte-Carlo estimator sits near -1/2.
+class BlockSums:
+    """Feeds a running sum block by block, and merges the blocks' sums up a
+    tree of RATE_LEVELS levels: a block of level k holds RATE_SPLIT**k blocks
+    of ``block`` rows, and its sums are those of RATE_SPLIT consecutive blocks
+    of the level below.
 
-    The kinds share batches: they use one W and one child-seed schedule, and
-    each chunk of a batch is drawn once and fed to the running sum of every
-    requested kind. Each record equals the one a single-kind call gives,
-    except wall_time_ms, which covers the whole pass.
+    The chunks fed must start on multiples of ``block`` rows (a batch drawn
+    with ``sample(..., block=block)``); each block is a row-slice view of its
+    chunk. Given ``ref``, the squared Frobenius distance of every complete
+    block's estimate from ``ref`` is summed per level into ``sq``, over
+    ``count`` blocks. ``result`` hands the running sum the sums of every row
+    fed, merged in an order set by the row count alone, so the running sum's
+    result does not depend on ``ref``. It holds one open block per level.
     """
-    kinds = tuple(kinds)
-    if not kinds or len(set(kinds)) != len(kinds) or not set(kinds) <= set(_RATE_KINDS):
-        raise ValueError(f"expected distinct rate kinds from {_RATE_KINDS}, got {kinds!r}")
+
+    def __init__(self, inner: RunningSum, block: int, ref=None):
+        self.inner = inner
+        self.block = block
+        self.sizes = [block * RATE_SPLIT**level for level in range(RATE_LEVELS)]
+        self.ref = ref
+        self.open = [None] * RATE_LEVELS  # sums of the open block of each level >= 1
+        self.filled = [0] * RATE_LEVELS  # blocks of the level below in it
+        self.tail = None  # (sums, rows) of the rows after the last whole block
+        self.sq = [0.0] * RATE_LEVELS
+        self.count = [0] * RATE_LEVELS
+
+    def add(self, x: np.ndarray) -> None:
+        for start in range(0, x.shape[0], self.block):
+            rows = x[start:start + self.block]
+            sums = self.inner.sums(rows)
+            if rows.shape[0] == self.block:
+                self._close(0, sums)
+            else:  # only the batch's last chunk ends inside a block
+                self.tail = (sums, rows.shape[0])
+
+    def _close(self, level: int, sums: tuple) -> None:
+        size = self.sizes[level]
+        if self.ref is not None:
+            d = self.inner.estimate(sums, size) - self.ref
+            self.sq[level] += float(np.vdot(d, d))
+            self.count[level] += 1
+        up = level + 1
+        if up == RATE_LEVELS:
+            self.inner.absorb(sums, size)
+            return
+        self.open[up] = sums if self.open[up] is None else merge_sums(self.open[up], sums)
+        self.filled[up] += 1
+        if self.filled[up] == RATE_SPLIT:
+            full, self.open[up], self.filled[up] = self.open[up], None, 0
+            self._close(up, full)
+
+    def result(self):
+        """The estimate over every row fed. The open blocks join the sums in
+        row order, the largest level first, then the tail."""
+        for level in range(RATE_LEVELS - 1, 0, -1):
+            if self.open[level] is not None:
+                self.inner.absorb(self.open[level], self.filled[level] * self.sizes[level - 1])
+                self.open[level], self.filled[level] = None, 0
+        if self.tail is not None:
+            self.inner.absorb(*self.tail)
+            self.tail = None
+        return self.inner.result()
+
+
+class MonteCarloBatches:
+    """The Monte-Carlo batches of one check command, read by the checks that
+    ``kinds`` (mc-rate-<kind>), ``isserlis`` (isserlis-empirical) and
+    ``derivation`` (derivation-*) name.
+
+    RATE_BATCHES batches of n rows on the run's covariance; W is the one
+    uniform(-1, 1) nu x nx matrix of ``default_rng(seed)``, and M is
+    Sigma (I - W^T W) Sigma, the matrix the frame expansion expands. Batch i
+    is drawn on first use, from child seed derive_seed(seed, MC_SEED_INDEX + i),
+    and every estimator the checks need reads it in one pass. Batch 0 serves
+    every check; only the rate checks read the later ones. The operator and
+    the frame expansion are always summed block by block (``BlockSums``,
+    blocks of n // 1000 rows, or one block below RATE_MIN_SAMPLES), so
+    isserlis-empirical and derivation-* read the same sums whichever rate
+    checks run. ``batch(i)`` returns the batch and its running sums by name:
+    a kind, or ``direct``, the derivation's gain-weighted Hebbian mean with
+    closed-form centering.
+    """
+
+    def __init__(self, cov, nu: int, seed: int, n: int, kinds=(),
+                 isserlis: bool = False, derivation: bool = False):
+        kinds = tuple(kinds)
+        if len(set(kinds)) != len(kinds) or not set(kinds) <= set(_RATE_KINDS):
+            raise ValueError(f"expected distinct rate kinds from {_RATE_KINDS}, got {kinds!r}")
+        if kinds and n < RATE_MIN_SAMPLES:
+            raise SampleSizeError(
+                f"need >= {RATE_MIN_SAMPLES} samples for the mc-rate checks, got {n}: "
+                "below that the fitted slope is biased by the smallest blocks")
+        if (isserlis or "frame-operator" in kinds) and n < 2:
+            raise SampleSizeError(f"need >= 2 samples for the frame operator, got {n}")
+        self.cov, self.nu, self.seed, self.n = cov, nu, seed, n
+        self.kinds, self.isserlis, self.derivation = kinds, isserlis, derivation
+        self.w = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(nu, cov.dim))
+        self.m = expansion_target(self.w, cov)
+        # Below RATE_MIN_SAMPLES no rate check can run: a batch is one block.
+        self.block = n // RATE_SPLIT ** (RATE_LEVELS - 1) if n >= RATE_MIN_SAMPLES else n
+        self.passes = []
+
+    def batch(self, i: int):
+        while len(self.passes) <= i:
+            self.passes.append(self._pass(len(self.passes)))
+        return self.passes[i]
+
+    @cached_property
+    def refs(self) -> dict:
+        return {kind: _RATE_SUMS[kind][1](self) for kind in self.kinds}
+
+    def _pass(self, i: int):
+        names = list(self.kinds)
+        if i == 0:
+            names += [kind for kind, wanted in (("frame-operator", self.isserlis),
+                                                ("frame-expansion", self.derivation))
+                      if wanted and kind not in names]
+        sums = {kind: BlockSums(_RATE_SUMS[kind][0](self), self.block, self.refs.get(kind))
+                for kind in names}
+        if i == 0 and self.derivation:
+            sums["direct"] = EghrMean(self.w, _closed_center(self.w, self.cov.sigma))
+        batch = sample(self.cov, self.n, derive_seed(self.seed, MC_SEED_INDEX + i), self.block)
+        batch.feed(*sums.values())
+        return batch, sums
+
+
+def mc_rate_check(batches: MonteCarloBatches) -> tuple[ExperimentRecord, ...]:
+    """Fit, per kind of ``batches``, the log-log slope of empirical-vs-closed-
+    form RMSE against block size; a healthy Monte-Carlo estimator sits near
+    -1/2. The RMSE at each size is taken over every block of that size in the
+    RATE_BATCHES batches: 2000, 200, 20 and 2 blocks. The kinds share the
+    batches, and each record equals the one a single-kind selection gives,
+    except wall_time_ms, which covers the passes this call runs.
+    """
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    w = rng.uniform(-1.0, 1.0, size=(nu, cov.dim))
-    ref = {}
-    if "oja" in kinds:
-        ref["oja"] = oja_update_closed(w, cov)
-    if "eghr" in kinds:
-        ref["eghr"] = eghr_update_closed(w, cov)
-    if "frame-operator" in kinds:
-        ref["frame-operator"] = frame_operator_analytic(cov)
-    if "frame-expansion" in kinds:
-        ref["frame-expansion"] = cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma
-    running_sum = {
-        "oja": lambda: OjaMean(w),
-        "eghr": lambda: EghrMean(w),
-        "frame-operator": lambda: OperatorMean(cov),
-        "frame-expansion": lambda: ExpansionMean(ref["frame-expansion"], cov),
-    }
-
-    rmse = {kind: [] for kind in kinds}
-    counter = 0
-    for n in ns:
-        sq = dict.fromkeys(kinds, 0.0)
-        for _ in range(replicates):
-            batch = sample(cov, n, derive_seed(seed, counter))
-            counter += 1
-            estimates = batch.feed(*(running_sum[kind]() for kind in kinds))
-            for kind, est in zip(kinds, estimates):
-                sq[kind] += float(np.linalg.norm(est - ref[kind])) ** 2
-        for kind in kinds:
-            rmse[kind].append(np.sqrt(sq[kind] / replicates))
-    return tuple(
-        timed_record(f"mc-rate-{kind}",
-                     float(np.polyfit(np.log10(ns), np.log10(rmse[kind]), 1)[0]),
-                     SLOPE_HALF_WIDTH, seed, t0, SLOPE_REFERENCE,
-                     kind=kind, nx=cov.dim, nu=nu, ns=ns)
-        for kind in kinds
-    )
+    passes = [batches.batch(i)[1] for i in range(RATE_BATCHES)]
+    sizes = [batches.block * RATE_SPLIT**k for k in range(RATE_LEVELS)]
+    records = []
+    for kind in batches.kinds:
+        sq = np.sum([p[kind].sq for p in passes], axis=0)
+        count = np.sum([p[kind].count for p in passes], axis=0)
+        slope = float(np.polyfit(np.log10(sizes), np.log10(np.sqrt(sq / count)), 1)[0])
+        records.append(timed_record(
+            f"mc-rate-{kind}", slope, SLOPE_HALF_WIDTH, batches.seed, t0, SLOPE_REFERENCE,
+            kind=kind, nx=batches.cov.dim, nu=batches.nu, n=batches.n, batches=RATE_BATCHES))
+    return tuple(records)
 
 
-def derivation_checks(cov, nu: int, seed: int, n: int) -> tuple[ExperimentRecord, ...]:
-    """Run the full numerical derivation chain on one random weight matrix."""
-    rng = np.random.default_rng(seed)
-    w = rng.uniform(-1.0, 1.0, size=(nu, cov.dim))
-    batch = sample(cov, n, derive_seed(seed, 7))
-    return derive_eghr_from_oja(w, cov, batch).records
+def derivation_checks(batches: MonteCarloBatches) -> tuple[ExperimentRecord, ...]:
+    """Run the full numerical derivation chain on the batches' W and batch 0."""
+    batch, sums = batches.batch(0)
+    fed = (sums["frame-expansion"].inner, sums["direct"])
+    return derive_eghr_from_oja(batches.w, batches.cov, batch, fed).records
 
 
 # ---------------------------------------------------------------------------
 # Command table: each check command's records CSV, report group and runners
-# in CSV order. A runner(config, cov, requested names) -> records yields the
-# check names listed with it, and reads the run's one covariance.
-
-def _runner_mc(config: RunConfig, cov, names):
-    kinds = tuple(n[len("mc-rate-"):] for n in names if n.startswith("mc-rate-"))
-    return mc_rate_check(kinds, cov, config.nu, config.seed)
-
+# in CSV order. A runner(config, cov, requested names, batches) -> records
+# yields the check names listed with it; it reads the run's one covariance
+# and the command's one MonteCarloBatches.
 
 @dataclass(frozen=True)
 class CheckCommand:
@@ -397,41 +530,52 @@ class CheckCommand:
 COMMANDS = {
     "equivalence": CheckCommand("equivalence.csv", "learning-rule identities", (
         (["closed-equivalence"],
-         lambda c, cov, names: [closed_equivalence_check(c.seed, dims=[(c.nx, c.nu)])]),
+         lambda c, cov, names, mc: [closed_equivalence_check(c.seed, dims=[(c.nx, c.nu)])]),
         (["fixed-point-sharing"],
-         lambda c, cov, names: [fixed_point_sharing_check(c.seed, nx=c.nx, nu=c.nu)]),
+         lambda c, cov, names, mc: [fixed_point_sharing_check(c.seed, nx=c.nx, nu=c.nu)]),
         (["stein-identity"],
-         lambda c, cov, names: [stein_identity_check(c.seed, n=STEIN_MIN_SAMPLES)]),
-        (["mc-rate-oja", "mc-rate-eghr"], _runner_mc),
+         lambda c, cov, names, mc: [stein_identity_check(c.seed, n=STEIN_MIN_SAMPLES)]),
+        (["mc-rate-oja", "mc-rate-eghr"], lambda c, cov, names, mc: mc_rate_check(mc)),
     )),
     "frame-check": CheckCommand("frame_check.csv", "frame machinery", (
-        (["frame-bounds"], lambda c, cov, names: [frame_bounds_check(cov, c.seed)]),
-        (["kernel-annihilation"], lambda c, cov, names: [kernel_annihilation_check(cov, c.seed)]),
-        (["restricted-inverse"], lambda c, cov, names: [restricted_inverse_check(cov, c.seed)]),
+        (["frame-bounds"], lambda c, cov, names, mc: [frame_bounds_check(cov, c.seed)]),
+        (["kernel-annihilation"],
+         lambda c, cov, names, mc: [kernel_annihilation_check(cov, c.seed)]),
+        (["restricted-inverse"],
+         lambda c, cov, names, mc: [restricted_inverse_check(cov, c.seed)]),
         (["coefficient-identity", "cancellation-identity"],
-         lambda c, cov, names: coefficient_identity_checks(c.seed, dims=[(c.nx, c.nu)])),
+         lambda c, cov, names, mc: coefficient_identity_checks(c.seed, dims=[(c.nx, c.nu)])),
         (["isserlis-analytic", "isserlis-empirical"],
-         lambda c, cov, names: isserlis_checks(cov, c.seed, c.n_samples, names=names)),
-        (["mc-rate-frame-operator", "mc-rate-frame-expansion"], _runner_mc),
+         lambda c, cov, names, mc: isserlis_checks(cov, c.seed, c.n_samples,
+                                                   mc if mc.isserlis else None)),
+        (["mc-rate-frame-operator", "mc-rate-frame-expansion"],
+         lambda c, cov, names, mc: mc_rate_check(mc)),
         (["derivation-chain-agreement", "derivation-mc-target"],
-         lambda c, cov, names: derivation_checks(cov, c.nu, c.seed, c.n_samples)),
+         lambda c, cov, names, mc: derivation_checks(mc)),
     )),
 }
-# Each check name's runner and group; _runner_mc, shared by both commands,
-# runs once for any set of mc-rate-* names, so their kinds share batches.
+# Each check name's runner and group; run_checks calls each runner once, so
+# the mc-rate-* names of a command share one mc_rate_check.
 _BY_CHECK = {name: (runner, command.group) for command in COMMANDS.values()
              for names, runner in command.runners for name in names}
 
 
 def run_checks(config: RunConfig, cov, names: list[str]) -> list[ExperimentRecord]:
     """Run the runners behind the requested check names (each runner once) on
-    the run's covariance ``cov``, keep only the requested records, and stamp
-    report groups."""
+    the run's covariance ``cov`` and one MonteCarloBatches, keep only the
+    requested records, and stamp report groups. Too few samples for a
+    requested stein-identity or mc-rate-* check raise SampleSizeError before
+    any check runs."""
     if "stein-identity" in names:
         require_stein_samples(config.n_samples)
+    batches = MonteCarloBatches(
+        cov, config.nu, config.seed, config.n_samples,
+        kinds=[name[len("mc-rate-"):] for name in names if name.startswith("mc-rate-")],
+        isserlis="isserlis-empirical" in names,
+        derivation=any(name.startswith("derivation-") for name in names))
     records = []
     for runner in dict.fromkeys(_BY_CHECK[name][0] for name in names):
-        records.extend(runner(config, cov, names))
+        records.extend(runner(config, cov, names, batches))
     records = [r for r in records if r.check_name in names]
     for r in records:
         r.group = _BY_CHECK[r.check_name][1]

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, SampleSizeError, SkewDomainError
-from .gaussian import CHUNK_ROWS, SampleBatch
+from .gaussian import CHUNK_ROWS, RunningSum, SampleBatch
 from .linalg import CovarianceModel, require_memory, vec
 from .records import ExperimentRecord, timed_record
 from .rules import EghrMean, _closed_center, as_weights, oja_update_closed
@@ -60,26 +60,24 @@ def frame_operator_analytic(cov: CovarianceModel) -> np.ndarray:
     return cov.frame_operator
 
 
-class OperatorMean:
+class OperatorMean(RunningSum):
     """Running sum of vec(Xi_k) vec(Xi_k)^T over chunks; ``result`` is
     (1/n) sum_k vec(Xi_k) vec(Xi_k)^T, symmetrized."""
 
     def __init__(self, cov: CovarianceModel):
         n2 = cov.dim**2  # peak: four n2 x n2 arrays (in result) and a chunk of rows
         require_memory(8 * (4 * n2**2 + CHUNK_ROWS * n2), f"the empirical S at nx={cov.dim}")
-        self.cov = cov
-        self.n = 0
-        self.total = np.zeros((n2, n2))
+        super().__init__()
+        self.vs = vec(cov.sigma)
 
-    def add(self, x: np.ndarray) -> None:
-        # The chunk's rows vec(x_k x_k^T) - vec(Sigma), centered in place.
+    def sums(self, x: np.ndarray) -> tuple:
+        # The rows vec(x_k x_k^T) - vec(Sigma), centered in place.
         rows = np.einsum("ki,kj->kji", x, x).reshape(x.shape[0], -1)
-        rows -= vec(self.cov.sigma)
-        self.total += rows.T @ rows
-        self.n += x.shape[0]
+        rows -= self.vs
+        return (rows.T @ rows,)
 
-    def result(self) -> np.ndarray:
-        s = self.total / self.n
+    def estimate(self, sums: tuple, n: int) -> np.ndarray:
+        s = sums[0] / n
         return (s + s.T) / 2.0
 
 
@@ -165,40 +163,37 @@ def cancellation_coefficient(residual, xi) -> float:
     return float((0.5 * residual).flatten(order="F") @ xi.flatten(order="F"))
 
 
-class ExpansionMean:
+class ExpansionMean(RunningSum):
     """Running sum of (M, S^-1 Xi_k)_F Xi_k over chunks; ``result`` is the
     Monte-Carlo frame expansion (1/n) sum_k (M, S^-1 Xi_k)_F Xi_k and
     ``coeff_mean`` the mean coefficient.
 
     Coefficients are evaluated sample-parallel as (S^-1 M, Xi_k)_F, which
     equals (M, S^-1 Xi_k)_F because the restricted inverse is self-adjoint;
-    with D = S^-1 M that is c_k = x_k^T D x_k - tr(D Sigma).
+    with D = S^-1 M that is c_k = x_k^T D x_k - tr(D Sigma). The sums are
+    sum_k c_k x_k x_k^T and sum_k c_k.
     """
 
     def __init__(self, m, cov: CovarianceModel):
-        self.cov = cov
+        super().__init__()
+        self.sigma = cov.sigma
         self.d = restricted_inverse_apply(cov, m)
         self.trace = float(np.sum(self.d * cov.sigma))
         self.ones = np.ones(cov.dim)
-        self.n = 0
-        self.total = None
-        self.coeff_sum = 0.0
 
-    def add(self, x: np.ndarray) -> None:
+    def sums(self, x: np.ndarray) -> tuple:
         buf = x @ self.d
         np.multiply(buf, x, out=buf)
         coeffs = buf @ self.ones - self.trace
-        self.coeff_sum += float(coeffs.sum())
+        coeff_sum = float(coeffs.sum())
         np.multiply(x, coeffs[:, None], out=buf)
-        part = x.T @ buf
-        self.total = part if self.total is None else self.total + part
-        self.n += x.shape[0]
+        return x.T @ buf, coeff_sum
+
+    def estimate(self, sums: tuple, n: int) -> np.ndarray:
+        return sums[0] / n - (sums[1] / n) * self.sigma
 
     def coeff_mean(self) -> float:
-        return self.coeff_sum / self.n
-
-    def result(self) -> np.ndarray:
-        return self.total / self.n - self.coeff_mean() * self.cov.sigma
+        return self.total[1] / self.n
 
 
 def frame_expansion_reconstruct(m, batch: SampleBatch) -> np.ndarray:
@@ -220,7 +215,14 @@ class DerivationResult:
     records: tuple[ExperimentRecord, ...]
 
 
-def derive_eghr_from_oja(w, cov: CovarianceModel, batch: SampleBatch) -> DerivationResult:
+def expansion_target(w: np.ndarray, cov: CovarianceModel) -> np.ndarray:
+    """M = Sigma (I - W^T W) Sigma, the symmetric matrix whose frame
+    expansion the derivation chain takes; W is not validated."""
+    return cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma
+
+
+def derive_eghr_from_oja(w, cov: CovarianceModel, batch: SampleBatch,
+                         fed=None) -> DerivationResult:
     """Regenerate the error-gated update from the subspace rule on a batch.
 
     Steps: right-multiply the closed-form subspace update by Sigma; frame-
@@ -230,15 +232,22 @@ def derive_eghr_from_oja(w, cov: CovarianceModel, batch: SampleBatch) -> Derivat
     from the samples. The two routes are the same sum term by term (the
     coefficient equals the gain), so they must agree to roundoff on any
     batch, while either route approaches the closed-form target only at
-    Monte-Carlo rate. Both routes are summed in one pass over the chunks.
+    Monte-Carlo rate. Both routes are summed in one pass over the chunks:
+    here, or, when ``fed`` is given, in a pass that other estimators shared.
+    ``fed`` is then the pair (``ExpansionMean`` of M, ``EghrMean`` with the
+    closed-form center) after that pass over ``batch``.
     """
     t0 = time.perf_counter()
     w = as_weights(w)
     target = oja_update_closed(w, cov) @ cov.sigma
 
-    expansion = ExpansionMean(cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma, cov)
-    # The direct route centers the gains in closed form.
-    recon, direct_route = batch.feed(expansion, EghrMean(w, _closed_center(w, cov.sigma)))
+    if fed is None:
+        # The direct route centers the gains in closed form.
+        fed = (ExpansionMean(expansion_target(w, cov), cov),
+               EghrMean(w, _closed_center(w, cov.sigma)))
+        batch.feed(*fed)
+    expansion, direct = fed
+    recon, direct_route = expansion.result(), direct.result()
     # Undo the centering of Xi: (1/n) sum c_k x x^T = recon + mean(c) Sigma.
     frame_route = w @ (recon + expansion.coeff_mean() * cov.sigma)
 

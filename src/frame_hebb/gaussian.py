@@ -5,12 +5,14 @@ moment E[(x kron x)(x kron x)^T].
 
 Sampling is deterministic: a batch is a pure function of (covariance, n,
 seed). ``sample`` returns a ``SampleBatch`` that holds no rows; each pass over
-its ``chunks`` draws them in order from one ``default_rng(seed)``, CHUNK_ROWS
-at a time, so an estimator holds one chunk, not the batch. The chunks
-concatenate to the rows a whole-batch draw gives, bit for bit. Every
-empirical estimator is a running sum over the chunks (an object with ``add``
-and ``result``), and ``SampleBatch.feed`` hands each chunk to several of them,
-so estimators that share a batch share one draw. Callers that need several
+its ``chunks`` draws them in order from one ``default_rng(seed)``, about
+CHUNK_ROWS at a time, so an estimator holds one chunk, not the batch. The
+chunks concatenate to the rows a whole-batch draw gives, bit for bit. A batch
+drawn with ``block=m`` starts every chunk on a multiple of m rows, so a pass
+can cut each chunk into whole blocks of m rows. Every empirical estimator is
+a running sum over the chunks (a ``RunningSum``, with ``add`` and
+``result``), and ``SampleBatch.feed`` hands each chunk to several of them, so
+estimators that share a batch share one draw. Callers that need several
 independent batches take a child seed per batch from ``derive_seed``.
 
 The identity is checked on monomial test functions f = prod_j x_j^{a_j},
@@ -22,6 +24,7 @@ checks them all on one batch, in one pass over its chunks.
 
 from __future__ import annotations
 
+import operator
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -56,13 +59,14 @@ class SampleBatch:
     A batch from ``sample`` holds no rows (``rows`` is None): ``chunks``
     draws them from ``default_rng(seed)``. A batch built by ``from_rows``
     holds its rows and ``chunks`` slices them. The chunk bounds depend on n
-    alone, so both kinds run through the same estimator code.
+    and ``block`` alone, so both kinds run through the same estimator code.
     """
 
     n: int
     seed: int
     covariance: CovarianceModel
     rows: np.ndarray | None = None
+    block: int = 1  # every chunk starts on a multiple of block rows
 
     @classmethod
     def from_rows(cls, rows, cov: CovarianceModel, seed: int = 0) -> "SampleBatch":
@@ -77,13 +81,16 @@ class SampleBatch:
         return self.covariance.dim
 
     def chunks(self) -> Iterator[np.ndarray]:
-        """The rows in order, CHUNK_ROWS at a time; the last chunk also takes
-        the remainder, so every chunk but a lone one has CHUNK_ROWS to
-        2 CHUNK_ROWS - 1 rows. A short tail chunk would go through another
-        BLAS kernel (gemv, or the small-matrix path) than the same rows do
-        inside a whole-batch product, and could differ in the last bit."""
-        count = max(self.n // CHUNK_ROWS, 1)
-        sizes = [CHUNK_ROWS] * (count - 1) + [self.n - CHUNK_ROWS * (count - 1)]
+        """The rows in order, in chunks of a step of rows: the largest
+        multiple of ``block`` that is at most CHUNK_ROWS, or ``block`` if that
+        is larger. The last chunk also takes the remainder, so every chunk but
+        a lone one holds one to two steps of rows. A short tail chunk would go
+        through another BLAS kernel (gemv, or the small-matrix path) than the
+        same rows do inside a whole-batch product, and could differ in the
+        last bit."""
+        step = max(CHUNK_ROWS // self.block, 1) * self.block
+        count = max(self.n // step, 1)
+        sizes = [step] * (count - 1) + [self.n - step * (count - 1)]
         if self.rows is not None:
             yield from np.split(self.rows, np.cumsum(sizes[:-1]))
             return
@@ -110,18 +117,50 @@ class SampleBatch:
         return [s.result() for s in sums]
 
 
+def merge_sums(a: tuple, b: tuple) -> tuple:
+    """The sums of two row ranges: their tuples added entry by entry."""
+    return tuple(map(operator.add, a, b))
+
+
+class RunningSum:
+    """A batch average summed chunk by chunk.
+
+    A subclass gives ``sums(x)``, the sums over the rows x of the terms it
+    averages (a tuple), and ``estimate(sums, n)``, the average that sums over
+    n rows give. The sums of consecutive row ranges add (``merge_sums``), so
+    ``add`` accumulates a chunk's sums and ``result`` is the estimate over
+    every row added; ``absorb`` adds sums computed on row ranges elsewhere,
+    block by block (``checks.BlockSums``).
+    """
+
+    def __init__(self):
+        self.n = 0
+        self.total = None
+
+    def add(self, x: np.ndarray) -> None:
+        self.absorb(self.sums(x), x.shape[0])
+
+    def absorb(self, sums: tuple, n: int) -> None:
+        self.total = sums if self.total is None else merge_sums(self.total, sums)
+        self.n += n
+
+    def result(self):
+        return self.estimate(self.total, self.n)
+
+
 def derive_seed(seed: int, index: int) -> int:
     """Deterministic 64-bit child seed for chunk/step ``index``."""
     state = np.random.SeedSequence((seed, index)).generate_state(2)
     return int(state.view(np.uint64)[0])
 
 
-def sample(cov: CovarianceModel, n: int, seed: int) -> SampleBatch:
+def sample(cov: CovarianceModel, n: int, seed: int, block: int = 1) -> SampleBatch:
     """n samples x = L z with z standard normal from a seeded PRNG; the rows
-    are drawn when the batch's chunks are read."""
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    return SampleBatch(n=n, seed=seed, covariance=cov)
+    are drawn when the batch's chunks are read, each chunk starting on a
+    multiple of ``block`` rows."""
+    if n < 1 or block < 1:
+        raise ValueError(f"sample count and block must be >= 1, got {n} and {block}")
+    return SampleBatch(n=n, seed=seed, covariance=cov, block=block)
 
 
 def monomial_exponents(dim: int) -> list[tuple[int, ...]]:

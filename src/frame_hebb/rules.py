@@ -14,8 +14,9 @@ an unchecked private kernel (``_oja_closed``, ``_eghr_closed``,
 ``_orth_residual``). ``train`` validates W0 once at entry and steps through
 the same kernels, as the checks' sweeps do, so they and the public functions
 share one arithmetic path. The empirical kernels feed the batch's chunks to the
-running sums ``OjaMean`` and ``EghrMean``, which ``checks.mc_rate_check``
-also feeds directly so that both updates share one draw.
+running sums ``OjaMean`` and ``EghrMean``, whose ``sums`` of consecutive
+blocks of rows merge; ``checks.MonteCarloBatches`` feeds them block by block
+so that both updates, at every block size, share one draw.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, RankDeficientError
-from .gaussian import SampleBatch, derive_seed, sample
+from .gaussian import RunningSum, SampleBatch, derive_seed, sample
 from .linalg import CovarianceModel
 
 DIVERGENCE_NORM = 1e6
@@ -66,23 +67,20 @@ def oja_update_closed(w, cov: CovarianceModel) -> np.ndarray:
     return _oja_closed(w, cov.sigma, np.eye(cov.dim))
 
 
-class OjaMean:
+class OjaMean(RunningSum):
     """Running sum of u (x - W^T u)^T over chunks; ``result`` is its batch
     average. W is not validated."""
 
     def __init__(self, w: np.ndarray):
+        super().__init__()
         self.w = w
-        self.n = 0
-        self.total = None
 
-    def add(self, x: np.ndarray) -> None:
+    def sums(self, x: np.ndarray) -> tuple:
         u = x @ self.w.T
-        part = u.T @ (x - u @ self.w)
-        self.total = part if self.total is None else self.total + part
-        self.n += x.shape[0]
+        return (u.T @ (x - u @ self.w),)
 
-    def result(self) -> np.ndarray:
-        return self.total / self.n
+    def estimate(self, sums: tuple, n: int) -> np.ndarray:
+        return sums[0] / n
 
 
 def _oja_empirical(w: np.ndarray, batch: SampleBatch) -> np.ndarray:
@@ -130,54 +128,42 @@ def _gains(w: np.ndarray, x: np.ndarray, center=None) -> tuple[np.ndarray, np.nd
     return u, s, center
 
 
-class EghrMean:
+class EghrMean(RunningSum):
     """Running sum of g u x^T over chunks; ``result`` is its batch average.
 
-    With ``center`` None the gains are centered by the batch mean c of
-    s = |x|^2 - |u|^2, which is known only after the last chunk. So they are
-    centered on the first chunk's mean c0 instead, and the result is then
-    corrected by -(c - c0)/2 (1/n) sum_k u_k x_k^T, where (c - c0)/2 is the
-    mean of those gains. A batch of one chunk needs no correction and gets
-    none: the result is the whole-batch formula bit for bit. A given
-    ``center`` (the closed form) needs none either. W is not validated.
+    With ``center`` None the gains are centered by the mean c of
+    s = |x|^2 - |u|^2 over the rows averaged, which is known only after the
+    last of them. So they are centered on the first chunk's mean c0 instead,
+    and the sums also carry sum_k g_k and sum_k u_k x_k^T: the average over n
+    rows is then corrected by -(1/n) sum_k g_k (1/n) sum_k u_k x_k^T, since
+    (1/n) sum_k g_k = (c - c0)/2. The sums of any row range give its own
+    batch-mean-centered average this way, so blocks merge. While only the
+    first chunk has been summed, c0 is its own mean and no correction is
+    made: the result of a one-chunk batch is the whole-batch formula bit for
+    bit. A given ``center`` (the closed form) needs no correction either.
+    W is not validated.
     """
 
     def __init__(self, w: np.ndarray, center=None):
+        super().__init__()
         self.w = w
         self.center = center
         self.recenter = center is None
-        self.n = 0
-        self.total = None
-        self.first = None  # (u, g, x) of the first chunk, until a second one comes
-        self.g_sum = 0.0  # sum of the gains and of u x^T, once a second chunk comes
-        self.ux = None
+        self.chunks = 0  # calls of sums
 
-    def add(self, x: np.ndarray) -> None:
+    def sums(self, x: np.ndarray) -> tuple:
         u, s, self.center = _gains(self.w, x, self.center)
         g = 0.5 * (s - self.center)
-        part = (u * g[:, None]).T @ x
-        if self.total is None:
-            self.total = part
-            if self.recenter:
-                self.first = (u, g, x)
-        else:
-            self.total = self.total + part
-            if self.recenter:
-                if self.first is not None:
-                    self._fold(*self.first)
-                    self.first = None
-                self._fold(u, g, x)
-        self.n += x.shape[0]
+        self.chunks += 1
+        hebb = (u * g[:, None]).T @ x
+        if not self.recenter:
+            return (hebb,)
+        return hebb, float(g.sum()), u.T @ x
 
-    def _fold(self, u: np.ndarray, g: np.ndarray, x: np.ndarray) -> None:
-        self.g_sum += float(g.sum())
-        ux = u.T @ x
-        self.ux = ux if self.ux is None else self.ux + ux
-
-    def result(self) -> np.ndarray:
-        mean = self.total / self.n
-        if self.ux is not None:
-            mean -= (self.g_sum / self.n) * (self.ux / self.n)
+    def estimate(self, sums: tuple, n: int) -> np.ndarray:
+        mean = sums[0] / n
+        if self.recenter and self.chunks > 1:
+            mean -= (sums[1] / n) * (sums[2] / n)
         return mean
 
 

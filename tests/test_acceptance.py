@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from frame_hebb.checks import (
+    MonteCarloBatches,
     closed_equivalence_check,
     coefficient_identity_checks,
     derivation_checks,
@@ -108,7 +109,8 @@ def test_criterion_4_frame_structure(default_cov):
 def test_criterion_5_isserlis_consistency():
     t0 = time.perf_counter()
     cov = build_covariance(random_spd(3, (0.5, 2.0), seed=SEED))
-    analytic, empirical = isserlis_checks(cov, SEED, n=10**6)
+    batches = MonteCarloBatches(cov, 2, SEED, 10**6, isserlis=True)
+    analytic, empirical = isserlis_checks(cov, SEED, 10**6, batches)
     elapsed = time.perf_counter() - t0
     ok = analytic.passed and empirical.passed and elapsed < 60.0
     _report(
@@ -139,7 +141,7 @@ def test_criterion_7_monte_carlo_rates():
     t0 = time.perf_counter()
     cov = build_covariance(random_spd(3, (0.5, 2.0), seed=SEED))
     kinds = ("oja", "eghr", "frame-operator", "frame-expansion")
-    slopes = dict(zip(kinds, mc_rate_check(kinds, cov, nu=2, seed=SEED)))
+    slopes = dict(zip(kinds, mc_rate_check(MonteCarloBatches(cov, 2, SEED, 10**6, kinds))))
     elapsed = time.perf_counter() - t0
     ok = all(r.passed for r in slopes.values()) and elapsed < 180.0
     detail = ", ".join(f"{k} {r.value:+.3f}" for k, r in slopes.items())
@@ -189,7 +191,8 @@ def test_criterion_8_fixed_point_and_convergence_equivalence():
 
 def test_criterion_9_derivation_end_to_end(default_cov):
     t0 = time.perf_counter()
-    agreement, mc = derivation_checks(default_cov, nu=2, seed=SEED, n=10**6)
+    batches = MonteCarloBatches(default_cov, 2, SEED, 10**6, derivation=True)
+    agreement, mc = derivation_checks(batches)
     elapsed = time.perf_counter() - t0
     ok = agreement.passed and mc.passed and elapsed < 60.0
     _report(

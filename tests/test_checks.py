@@ -8,6 +8,7 @@ import pytest
 
 from frame_hebb import checks
 from frame_hebb.config import RunConfig
+from frame_hebb.errors import SampleSizeError
 from frame_hebb.frames import cancellation_coefficient, frame_coefficient, frame_element
 from frame_hebb.gaussian import sample
 from frame_hebb.linalg import build_covariance, random_spd
@@ -32,7 +33,7 @@ def test_isserlis_analytic_alone_skips_empirical_work(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("isserlis-analytic must not sample or estimate")
 
-    monkeypatch.setattr(checks, "frame_operator_empirical", forbidden)
+    monkeypatch.setattr(checks, "OperatorMean", forbidden)
     monkeypatch.setattr(checks, "sample", forbidden)
     (alone,) = checks.run_checks(config, _cov(config), ["isserlis-analytic"])
     assert _fields(alone) == _fields(both[0])
@@ -55,7 +56,7 @@ def test_paired_checks_return_only_requested_records(names):
 
 
 _KINDS = ("oja", "eghr", "frame-operator", "frame-expansion")
-_SMALL_GRID = dict(ns=(40, 160, 640), replicates=2)
+_RATE_N = checks.RATE_MIN_SAMPLES
 
 
 @pytest.fixture(scope="module")
@@ -63,12 +64,14 @@ def rate_cov():
     return build_covariance(random_spd(3, (0.5, 2.0), seed=11))
 
 
+def _rate_records(kinds, cov, **selection):
+    batches = checks.MonteCarloBatches(cov, 2, 12, _RATE_N, kinds=kinds, **selection)
+    return checks.mc_rate_check(batches)
+
+
 @pytest.fixture(scope="module")
 def single_kind_records(rate_cov):
-    return {
-        kind: checks.mc_rate_check((kind,), rate_cov, nu=2, seed=12, **_SMALL_GRID)[0]
-        for kind in _KINDS
-    }
+    return {kind: _rate_records((kind,), rate_cov)[0] for kind in _KINDS}
 
 
 @pytest.mark.parametrize(
@@ -77,35 +80,42 @@ def single_kind_records(rate_cov):
     + [tuple(reversed(_KINDS))],
 )
 def test_shared_rate_pass_matches_single_kind_calls(kinds, rate_cov, single_kind_records):
-    records = checks.mc_rate_check(kinds, rate_cov, nu=2, seed=12, **_SMALL_GRID)
+    records = _rate_records(kinds, rate_cov)
     assert [r.check_name for r in records] == [f"mc-rate-{k}" for k in kinds]
     for kind, record in zip(kinds, records):
         assert _fields(record) == _fields(single_kind_records[kind])
 
 
+def test_rate_records_do_not_depend_on_the_other_mc_checks(rate_cov, single_kind_records):
+    records = _rate_records(_KINDS, rate_cov, isserlis=True, derivation=True)
+    for kind, record in zip(_KINDS, records):
+        assert _fields(record) == _fields(single_kind_records[kind])
+
+
+def test_mc_checks_read_the_same_sums_whatever_else_runs():
+    # isserlis-empirical and derivation-* read batch 0's block sums, merged
+    # in an order set by n alone: adding the rate checks moves no bit.
+    config = RunConfig(nx=3, nu=2, n_samples=_RATE_N + 7, seed=14)
+    cov = _cov(config)
+    names = ["isserlis-empirical", "derivation-chain-agreement", "derivation-mc-target"]
+    alone = checks.run_checks(config, cov, names)
+    rates = ["mc-rate-frame-operator", "mc-rate-frame-expansion"]
+    together = {r.check_name: r for r in checks.run_checks(config, cov, names + rates)}
+    assert [_fields(r) for r in alone] == [_fields(together[name]) for name in names]
+
+
 @pytest.mark.parametrize(
-    "kinds", [(), ("oja", "oja"), ("oja", "bogus"), "oja"]
+    "kinds", [("oja", "oja"), ("oja", "bogus"), "oja", ("frame_operator",)]
 )
 def test_rate_kinds_rejected(kinds, rate_cov):
     with pytest.raises(ValueError, match="rate kinds"):
-        checks.mc_rate_check(kinds, rate_cov, nu=1, seed=0, **_SMALL_GRID)
+        checks.MonteCarloBatches(rate_cov, 1, 0, _RATE_N, kinds=kinds)
 
 
-def test_mc_rate_checks_draw_each_batch_once(monkeypatch):
-    config = RunConfig(nx=2, nu=1, seed=13)
-    draws = []
-    real_sample = checks.sample
-
-    def counting_sample(cov, n, seed):
-        draws.append((n, seed))
-        return real_sample(cov, n, seed)
-
-    monkeypatch.setattr(checks, "sample", counting_sample)
-    names = [f"mc-rate-{k}" for k in _KINDS]
-    records = checks.run_checks(config, _cov(config), names)
-    assert [r.check_name for r in records] == names
-    per_kind = len(checks.RATE_SAMPLE_GRID) * 3
-    assert len(draws) == per_kind == len(set(draws))
+@pytest.mark.parametrize("n", [1, 1000, checks.RATE_MIN_SAMPLES - 1])
+def test_rate_checks_refuse_too_few_samples(rate_cov, n):
+    with pytest.raises(SampleSizeError, match="mc-rate"):
+        checks.MonteCarloBatches(rate_cov, 1, 0, n, kinds=("oja",))
 
 
 # The sweeps before stacking: one covariance per trial, built as it is drawn,

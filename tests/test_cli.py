@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frame_hebb
-from frame_hebb import checks, frames, linalg, rules
+from frame_hebb import checks, frames, gaussian, linalg, rules
+from frame_hebb.checks import MC_SEED_INDEX, RATE_BATCHES, RATE_MIN_SAMPLES
 from frame_hebb.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -21,7 +22,7 @@ from frame_hebb.cli import (
     main,
 )
 from frame_hebb.frames import SKEW_DOMAIN_RTOL
-from frame_hebb.gaussian import CHUNK_ROWS, STEIN_MIN_SAMPLES
+from frame_hebb.gaussian import CHUNK_ROWS, STEIN_MIN_SAMPLES, derive_seed
 from frame_hebb.linalg import skew_part
 from frame_hebb.records import (
     CSV_COLUMNS,
@@ -121,6 +122,16 @@ class TestFrameCheck:
         assert proc.stderr.startswith("input error:")
         assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr
+
+    def test_small_sample_rates_rejected_before_any_check_runs(self, tmp_path, monkeypatch):
+        # below RATE_MIN_SAMPLES the fitted slope is biased: exit 2, not FAIL
+        ran = []
+        monkeypatch.setattr(checks, "frame_bounds_check",
+                            lambda *args, **kwargs: ran.append(args))
+        code = run(["frame-check", "--out", tmp_path, "--samples", RATE_MIN_SAMPLES - 1])
+        assert code == EXIT_CONFIG_ERROR
+        assert ran == []
+        assert not (tmp_path / "frame_check.csv").exists()
 
     def test_single_sample_without_empirical_operator_runs(self, tmp_path):
         proc = run_process(["frame-check", "--out", tmp_path, "--samples", "1",
@@ -438,6 +449,13 @@ BOUNDARY_INPUTS = {
     "train --checks": lambda d: (
         ["train", "--checks", "frame-bounds", "--out", d / "out"] + TRAIN_CHEAP,
         "config error: frame-bounds"),
+    "too few samples for an mc-rate check, equivalence": lambda d: (
+        ["equivalence", "--checks", "closed-equivalence,mc-rate-eghr",
+         "--samples", RATE_MIN_SAMPLES - 1, "--out", d / "out"],
+        f"input error: need >= {RATE_MIN_SAMPLES} samples for the mc-rate checks"),
+    "too few samples for the mc-rate checks of a full frame-check": lambda d: (
+        ["frame-check", "--samples", 5000, "--out", d / "out"],
+        f"input error: need >= {RATE_MIN_SAMPLES} samples for the mc-rate checks"),
     "train with checks in its config file": lambda d: (
         ["train", "--config", _plant(d / "run.cfg", b"[run]\nchecks = frame-bounds\n"),
          "--out", d / "out"] + TRAIN_CHEAP, "config error: frame-bounds"),
@@ -484,6 +502,41 @@ class TestOneCovariancePerRun:
         assert "frame_operator" not in vars(covs[0])
 
 
+class TestMonteCarloDraws:
+    """Each check command draws RATE_BATCHES batches of --samples rows, which
+    all its Monte-Carlo checks read; stein-identity draws its own."""
+
+    N = 2 * STEIN_MIN_SAMPLES  # distinct from the Stein batches
+
+    def draws(self, monkeypatch, tmp_path, argv):
+        batches = _spy_everywhere(monkeypatch, gaussian.sample)
+        assert run(argv + ["--samples", self.N, "--out", tmp_path]) == EXIT_PASS
+        return [(b.n, b.seed) for b in batches]
+
+    def shared(self):
+        return [(self.N, derive_seed(42, MC_SEED_INDEX + i)) for i in range(RATE_BATCHES)]
+
+    def test_frame_check_draws_two_batches(self, monkeypatch, tmp_path):
+        draws = self.draws(monkeypatch, tmp_path, ["frame-check"])
+        # and one row per trial of the coefficient sweep
+        assert [d for d in draws if d[0] > 1] == self.shared()
+        assert sum(n == 1 for n, _ in draws) == 1000
+
+    def test_equivalence_draws_two_batches_and_three_stein_batches(self, monkeypatch, tmp_path):
+        draws = self.draws(monkeypatch, tmp_path, ["equivalence"])
+        stein = [(STEIN_MIN_SAMPLES, derive_seed(42, 1000 + dim)) for dim in (1, 2, 4)]
+        assert draws == stein + self.shared()
+
+    def test_derivation_alone_draws_one_batch(self, monkeypatch, tmp_path):
+        draws = self.draws(monkeypatch, tmp_path, ["frame-check", "--checks",
+                                                   "isserlis-empirical,derivation-mc-target"])
+        assert draws == self.shared()[:1]
+
+    def test_isserlis_analytic_draws_none(self, monkeypatch, tmp_path):
+        draws = self.draws(monkeypatch, tmp_path, ["frame-check", "--checks", "isserlis-analytic"])
+        assert draws == []
+
+
 class TestNoDenseObjectOffTheSPaths:
     def test_matrix_checks_build_no_nx2_object(self, monkeypatch):
         # The coefficient sweep, the derivation chain and the expansion rate
@@ -500,10 +553,12 @@ class TestNoDenseObjectOffTheSPaths:
 
         monkeypatch.setattr(linalg.CovarianceModel, "frame_operator", property(frame_operator))
         cov = linalg.build_covariance(linalg.random_spd(64, (0.5, 2.0), seed=5))
+        batches = checks.MonteCarloBatches(cov, 4, 5, RATE_MIN_SAMPLES,
+                                           kinds=("frame-expansion",), derivation=True)
         records = [
             *checks.coefficient_identity_checks(5, [(64, 4)], trials=3),
-            *checks.derivation_checks(cov, 4, 5, n=500),
-            *checks.mc_rate_check(("frame-expansion",), cov, 4, 5, ns=(100, 400), replicates=2),
+            *checks.derivation_checks(batches),
+            *checks.mc_rate_check(batches),
         ]
         assert len(records) == 5
         assert spies == {"vec": [], "kron": []}

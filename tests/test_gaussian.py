@@ -57,6 +57,10 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(cov2, 0, seed=1)
 
+    def test_invalid_block(self, cov2):
+        with pytest.raises(ValueError):
+            sample(cov2, 10, seed=1, block=0)
+
     def test_derive_seed_deterministic(self):
         assert derive_seed(42, 3) == derive_seed(42, 3)
         assert derive_seed(42, 3) != derive_seed(42, 4)

@@ -8,12 +8,25 @@ import numpy as np
 import pytest
 
 from frame_hebb import gaussian
-from frame_hebb.checks import mc_rate_check, stein_identity_check
+from frame_hebb.checks import (
+    RATE_LEVELS,
+    RATE_SPLIT,
+    BlockSums,
+    MonteCarloBatches,
+    derivation_checks,
+    isserlis_checks,
+    mc_rate_check,
+    stein_identity_check,
+)
 from frame_hebb.frames import (
+    ExpansionMean,
+    OperatorMean,
     derive_eghr_from_oja,
     frame_expansion_reconstruct,
+    frame_operator_analytic,
     frame_operator_empirical,
     restricted_inverse_apply,
+    expansion_target,
 )
 from frame_hebb.gaussian import (
     CHUNK_ROWS,
@@ -27,7 +40,14 @@ from frame_hebb.gaussian import (
     stein_check,
 )
 from frame_hebb.linalg import build_covariance, random_spd, vec
-from frame_hebb.rules import eghr_update_empirical, oja_update_empirical
+from frame_hebb.rules import (
+    EghrMean,
+    OjaMean,
+    eghr_update_closed,
+    eghr_update_empirical,
+    oja_update_closed,
+    oja_update_empirical,
+)
 
 C = CHUNK_ROWS
 
@@ -133,6 +153,19 @@ class TestChunkStream:
         assert [len(c) for c in chunks] == [C] * (len(chunks) - 1) + [n - C * (len(chunks) - 1)]
         assert len(chunks[-1]) < 2 * C and (len(chunks) == 1 or len(chunks[-1]) >= C)
 
+    @pytest.mark.parametrize("nx, n, block", [
+        (1, 10**6, 1000), (4, 10**6, 1000), (4, 4 * C, 131), (100, 2 * C + 5, 64),
+        (100, 4096, 4), (4, 999, 1), (1, 3 * C, C + 1),
+    ])
+    def test_chunks_start_on_block_boundaries(self, nx, n, block):
+        cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=nx))
+        chunks = list(sample(cov, n, seed=5, block=block).chunks())
+        whole = np.random.default_rng(5).standard_normal((n, nx)) @ cov.chol.T
+        assert np.array_equal(np.concatenate(chunks), whole)
+        step = max(C // block, 1) * block  # the largest multiple of block up to C
+        assert [len(c) for c in chunks[:-1]] == [step] * (len(chunks) - 1)
+        assert step <= len(chunks[-1]) < 2 * step or len(chunks) == 1
+
     def test_given_rows_are_chunked_the_same_way(self, cov3):
         x = np.random.default_rng(6).standard_normal((2 * C + 3, 3))
         chunks = list(SampleBatch.from_rows(x, cov3).chunks())
@@ -174,6 +207,90 @@ class TestChunkedEstimators:
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), name
 
 
+class TestBlockSums:
+    """A batch cut into blocks of m rows, with the chunks starting on block
+    boundaries: every complete block of every level gets the estimate the
+    public estimator gives on its rows alone, and the whole batch its
+    whole-batch formula, tail rows included."""
+
+    M = 4
+    N = 1000 * M + 3  # 1000 blocks of M rows, then a tail of 3 rows
+
+    @staticmethod
+    def kinds(w, cov):
+        m = expansion_target(w, cov)
+        return {  # running sum, reference, public estimator, whole-batch formula
+            "oja": (OjaMean(w), oja_update_closed(w, cov),
+                    lambda b: oja_update_empirical(w, b), lambda x: oja_formula(w, x)),
+            "eghr": (EghrMean(w), eghr_update_closed(w, cov),
+                     lambda b: eghr_update_empirical(w, b),
+                     lambda x: gain_hebbian_formula(w, x)),
+            "frame-operator": (OperatorMean(cov), frame_operator_analytic(cov),
+                               frame_operator_empirical, lambda x: operator_formula(cov, x)),
+            "frame-expansion": (ExpansionMean(m, cov), m,
+                                lambda b: frame_expansion_reconstruct(m, b),
+                                lambda x: expansion_formula(m, cov, x)[0]),
+        }
+
+    @pytest.fixture
+    def fed(self, cov3, w23, monkeypatch):
+        """Each kind's BlockSums after a pass over a batch of many chunks,
+        with every block estimate it made, by block size in row order."""
+        monkeypatch.setattr(gaussian, "CHUNK_ROWS", 50)  # chunks of 48 rows
+        batch = sample(cov3, self.N, seed=96, block=self.M)
+        assert len(list(batch.chunks())) > 80
+        out = {}
+        for kind, (inner, ref, public, formula) in self.kinds(w23, cov3).items():
+            blocks = BlockSums(inner, self.M, ref)
+            made = {}
+            estimate = inner.estimate
+
+            def recording(sums, n, made=made, estimate=estimate):
+                made.setdefault(n, []).append(estimate(sums, n))
+                return made[n][-1]
+
+            inner.estimate = recording
+            batch.feed(blocks)
+            inner.estimate = estimate
+            out[kind] = (blocks, made, public, formula, ref)
+        return batch, out
+
+    def test_each_block_estimate_is_the_public_estimate_on_its_rows(self, cov3, fed):
+        batch, out = fed
+        x = batch.data
+        sizes = [self.M * RATE_SPLIT**k for k in range(RATE_LEVELS)]
+        for kind, (blocks, made, public, _, ref) in out.items():
+            assert sorted(made) == sizes + [self.N], kind  # the blocks, then the batch
+            for size in sizes:
+                assert len(made[size]) == 1000 * self.M // size, (kind, size)
+                sq = 0.0
+                for j, got in enumerate(made[size]):
+                    want = public(SampleBatch.from_rows(x[j * size:(j + 1) * size], cov3))
+                    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (kind, j)
+                    sq += float(np.linalg.norm(got - ref)) ** 2
+                level = sizes.index(size)
+                assert blocks.count[level] == len(made[size])
+                assert blocks.sq[level] == pytest.approx(sq, rel=1e-12)
+
+    def test_whole_batch_is_the_whole_batch_formula(self, fed):
+        # The EghrMean sums were centered on the first block's mean; merged
+        # over blocks and chunks they still give the batch-mean centering.
+        batch, out = fed
+        x = batch.data
+        for kind, (blocks, _, _, formula, _) in out.items():
+            got, want = blocks.result(), formula(x)
+            assert blocks.inner.n == self.N
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), kind
+
+    def test_result_does_not_depend_on_the_reference(self, cov3, w23):
+        batch = sample(cov3, self.N, seed=97, block=self.M)
+        with_ref, without = (
+            BlockSums(EghrMean(w23), self.M, ref) for ref in (eghr_update_closed(w23, cov3), None))
+        batch.feed(with_ref, without)
+        assert np.array_equal(with_ref.result(), without.result())
+        assert without.count == [0] * RATE_LEVELS
+
+
 def traced_peak(run) -> int:
     tracemalloc.start()
     try:
@@ -183,13 +300,21 @@ def traced_peak(run) -> int:
         tracemalloc.stop()
 
 
+def _all_mc_checks(cov, n):
+    batches = MonteCarloBatches(cov, 2, 1, n, kinds=("oja", "eghr", "frame-operator",
+                                                     "frame-expansion"),
+                                isserlis=True, derivation=True)
+    return (*mc_rate_check(batches), *isserlis_checks(cov, 1, n, batches),
+            *derivation_checks(batches))
+
+
 class TestMemory:
     """Peak memory is set by one chunk, not by n: going from n = 4C to
     n = 16C rows may not raise the traced peak by half."""
 
     @pytest.mark.parametrize("estimator", [
         "oja_update_empirical", "eghr_update_empirical", "frame_operator_empirical",
-        "derive_eghr_from_oja", "stein_check", "mc_rate_check",
+        "derive_eghr_from_oja", "stein_check", "monte_carlo_batches",
     ])
     def test_peak_does_not_grow_with_n(self, cov3, w23, estimator):
         run = {
@@ -198,9 +323,7 @@ class TestMemory:
             "frame_operator_empirical": lambda n: frame_operator_empirical(sample(cov3, n, 1)),
             "derive_eghr_from_oja": lambda n: derive_eghr_from_oja(w23, cov3, sample(cov3, n, 1)),
             "stein_check": lambda n: stein_check(cov3, monomial_exponents(3), n, 1),
-            "mc_rate_check": lambda n: mc_rate_check(
-                ("oja", "eghr", "frame-operator", "frame-expansion"), cov3, 2, 1,
-                ns=(C, n), replicates=1),
+            "monte_carlo_batches": lambda n: _all_mc_checks(cov3, n),
         }[estimator]
         small, large = traced_peak(lambda: run(4 * C)), traced_peak(lambda: run(16 * C))
         assert large <= 1.5 * small, (small, large)
@@ -210,3 +333,13 @@ class TestMemory:
         # functions at dim 4 would take 16.5 MB per temporary
         stein_identity_check(42, STEIN_MIN_SAMPLES)  # warm up imports and caches
         assert traced_peak(lambda: stein_identity_check(42, STEIN_MIN_SAMPLES)) < 12e6
+
+    def test_isserlis_analytic_peak_is_the_fourth_moment_build(self):
+        # With S built, the check holds at its peak the two nx**2 x nx**2
+        # arrays that isserlis_fourth_moment's memory guard admits: the gap
+        # is formed in the fourth moment's array, not in new temporaries.
+        nx = 24
+        cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=98))
+        cov.frame_operator
+        peak = traced_peak(lambda: isserlis_checks(cov, 1, 100))
+        assert peak <= 1.05 * 2 * 8 * nx**4, peak / (8 * nx**4)
