@@ -23,7 +23,7 @@ check runs.
 The sweeps over random (Sigma, W[, x]) trials draw each trial's covariance
 seed and its other values from one generator, trial after trial, and build
 the covariances in stacks of SWEEP_BLOCK trials (``linalg.build_covariances``);
-the trials then run through the rules' unchecked kernels and the frames' coefficients.
+the trials then run through the rules' closed forms and the frames' coefficients.
 
 ``COMMANDS`` is the one table of the check commands: each one's records CSV,
 report group and runners, in CSV order.
@@ -44,7 +44,6 @@ from .frames import (
     OperatorMean,
     cancellation_coefficient,
     derive_eghr_from_oja,
-    expansion_target,
     frame_bounds,
     frame_coefficient,
     frame_element,
@@ -54,6 +53,7 @@ from .frames import (
 from .gaussian import (
     STEIN_MIN_SAMPLES,
     RunningSum,
+    chunk_schedule,
     derive_seed,
     isserlis_fourth_moment,
     merge_sums,
@@ -67,6 +67,7 @@ from .linalg import (
     build_covariances,
     random_spd,
     random_spds,
+    require_memory,
     skew_part,
     sym_part,
     vec,
@@ -75,11 +76,10 @@ from .records import ExperimentRecord, timed_record
 from .rules import (
     EghrMean,
     OjaMean,
-    _closed_center,
-    _eghr_closed,
-    _eghr_g,
-    _oja_closed,
+    closed_center,
+    eghr_g,
     eghr_update_closed,
+    expansion_target,
     oja_update_closed,
 )
 
@@ -92,15 +92,6 @@ RESTRICTED_INVERSE_RTOL = 1e-10
 MC_FROBENIUS_RTOL = 5e-2
 SLOPE_REFERENCE = -0.5
 SLOPE_HALF_WIDTH = 0.15
-
-
-def dim_sweep(max_nx: int = 8, min_nx: int = 2, seed: int = 0) -> list[tuple[int, int]]:
-    """(nx, nu) pairs cycling nx through [min_nx, max_nx] with random nu <= nx."""
-    rng = np.random.default_rng(seed)
-    return [
-        (nx, int(rng.integers(1, nx + 1)))
-        for nx in range(min_nx, max_nx + 1)
-    ]
 
 
 # Trials per stacked covariance build in a sweep: few enough to keep the
@@ -151,12 +142,10 @@ def closed_equivalence_check(
     """Worst relative gap between the closed-form error-gated update and the
     Sigma-postmultiplied subspace update over random (W, Sigma) pairs."""
     t0 = time.perf_counter()
-    eyes = {nx: np.eye(nx) for nx, _ in dims}
     worst = 0.0
     for cov, w in _sweep(seed, dims, trials, _draw_weights):
-        eye = eyes[cov.dim]
-        lhs = _eghr_closed(w, cov.sigma, eye)
-        rhs = _oja_closed(w, cov.sigma, eye) @ cov.sigma
+        lhs = eghr_update_closed(w, cov)
+        rhs = oja_update_closed(w, cov) @ cov.sigma
         ref = float(np.linalg.norm(rhs))
         err = float(np.linalg.norm(lhs - rhs))
         worst = max(worst, err / ref if ref > 0 else err)
@@ -172,20 +161,19 @@ def fixed_point_sharing_check(
     the eigenvalue sandwich |oja| * lambda_min <= |eghr| <= |oja| * lambda_max
     that forces either rule to vanish exactly when the other does."""
     t0 = time.perf_counter()
-    eye = np.eye(nx)
     worst = 0.0
     for cov, (pick, mix, perturbation) in _sweep(seed, [(nx, nu)], trials, _draw_fixed_point):
         q, _ = np.linalg.qr(mix)
         w_fp = q @ cov.eigvecs[:, pick].T
         sigma_scale = float(np.linalg.norm(cov.sigma))
 
-        oja_norm = float(np.linalg.norm(_oja_closed(w_fp, cov.sigma, eye)))
-        eghr_norm = float(np.linalg.norm(_eghr_closed(w_fp, cov.sigma, eye)))
+        oja_norm = float(np.linalg.norm(oja_update_closed(w_fp, cov)))
+        eghr_norm = float(np.linalg.norm(eghr_update_closed(w_fp, cov)))
         worst = max(worst, oja_norm / sigma_scale, eghr_norm / sigma_scale**2)
 
         w_near = w_fp + 1e-6 * perturbation
-        oja_n = float(np.linalg.norm(_oja_closed(w_near, cov.sigma, eye)))
-        eghr_n = float(np.linalg.norm(_eghr_closed(w_near, cov.sigma, eye)))
+        oja_n = float(np.linalg.norm(oja_update_closed(w_near, cov)))
+        eghr_n = float(np.linalg.norm(eghr_update_closed(w_near, cov)))
         lam_min, lam_max = cov.eigvals[-1], cov.eigvals[0]
         sandwich = max(lam_min * oja_n - eghr_n, eghr_n - lam_max * oja_n, 0.0)
         worst = max(worst, sandwich / (lam_max * oja_n) if oja_n > 0 else sandwich)
@@ -281,7 +269,7 @@ def coefficient_identity_checks(
         x = sample(cov, 1, x_seed).data[0]
         residual = eyes[cov.dim] - w.T @ w
         xi = frame_element(x, cov)
-        g = _eghr_g(x, w, _closed_center(w, cov.sigma))
+        g = eghr_g(x, w, cov)
         c = frame_coefficient(cov.sigma @ residual @ cov.sigma, xi, cov)
         cc = cancellation_coefficient(residual, xi)
         coeff_err = max(coeff_err, abs(c - g))
@@ -435,7 +423,9 @@ class MonteCarloBatches:
     isserlis-empirical and derivation-* read the same sums whichever rate
     checks run. ``batch(i)`` returns the batch and its running sums by name:
     a kind, or ``direct``, the derivation's gain-weighted Hebbian mean with
-    closed-form centering.
+    closed-form centering. A chunk that would not fit in physical memory (one
+    block, n // 1000 rows, above 1000 * CHUNK_ROWS) raises DimensionError
+    here, before any check runs.
     """
 
     def __init__(self, cov, nu: int, seed: int, n: int, kinds=(),
@@ -455,6 +445,13 @@ class MonteCarloBatches:
         self.m = expansion_target(self.w, cov)
         # Below RATE_MIN_SAMPLES no rate check can run: a batch is one block.
         self.block = n // RATE_SPLIT ** (RATE_LEVELS - 1) if n >= RATE_MIN_SAMPLES else n
+        if kinds or isserlis or derivation:
+            # A pass holds at most six nx-wide arrays per row of a chunk (the
+            # draw's z and x, or x with OjaMean's u, u W and x - u W, and the
+            # gains), and the operator's rows vec(Xi_k) when it is summed.
+            rows = chunk_schedule(n, self.block)[1]
+            width = 6 * cov.dim + (isserlis or "frame-operator" in kinds) * cov.dim**2
+            require_memory(8 * rows * width, f"a chunk of {rows:,} rows at nx={cov.dim}")
         self.passes = []
 
     def batch(self, i: int):
@@ -475,7 +472,7 @@ class MonteCarloBatches:
         sums = {kind: BlockSums(_RATE_SUMS[kind][0](self), self.block, self.refs.get(kind))
                 for kind in names}
         if i == 0 and self.derivation:
-            sums["direct"] = EghrMean(self.w, _closed_center(self.w, self.cov.sigma))
+            sums["direct"] = EghrMean(self.w, closed_center(self.w, self.cov))
         batch = sample(self.cov, self.n, derive_seed(self.seed, MC_SEED_INDEX + i), self.block)
         batch.feed(*sums.values())
         return batch, sums

@@ -45,7 +45,7 @@ from .records import (
     write_records_csv,
     write_trajectory_csv,
 )
-from .rules import TrainerConfig, train
+from .rules import MODES, RULES, TrainerConfig, train
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -180,8 +180,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train")
     add_common(p_train)
-    p_train.add_argument("--rule", choices=("oja", "eghr"), default=None)
-    p_train.add_argument("--mode", choices=("closed", "empirical"), default=None)
+    p_train.add_argument("--rule", choices=RULES, default=None)
+    p_train.add_argument("--mode", choices=MODES, default=None)
     p_train.add_argument("--learning-rate", type=float, default=None)
     p_train.add_argument("--steps", type=int, default=None)
     p_train.add_argument("--batch-size", type=int, default=None)

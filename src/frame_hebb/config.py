@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import random_spd
+from .rules import MODES, RULES
 
 
 class ConfigError(ValueError):
@@ -48,9 +49,9 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.n_samples}")
-        if self.rule not in ("oja", "eghr"):
+        if self.rule not in RULES:
             raise ConfigError(f"unknown rule {self.rule!r}")
-        if self.mode not in ("closed", "empirical"):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")

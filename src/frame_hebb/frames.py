@@ -39,7 +39,7 @@ from .errors import DimensionError, SampleSizeError, SkewDomainError
 from .gaussian import CHUNK_ROWS, RunningSum, SampleBatch
 from .linalg import CovarianceModel, require_memory, vec
 from .records import ExperimentRecord, timed_record
-from .rules import EghrMean, _closed_center, as_weights, oja_update_closed
+from .rules import EghrMean, as_weights, closed_center, expansion_target, oja_update_closed
 
 SKEW_DOMAIN_RTOL = 1e-10
 CHAIN_AGREEMENT_RTOL = 1e-12
@@ -215,12 +215,6 @@ class DerivationResult:
     records: tuple[ExperimentRecord, ...]
 
 
-def expansion_target(w: np.ndarray, cov: CovarianceModel) -> np.ndarray:
-    """M = Sigma (I - W^T W) Sigma, the symmetric matrix whose frame
-    expansion the derivation chain takes; W is not validated."""
-    return cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma
-
-
 def derive_eghr_from_oja(w, cov: CovarianceModel, batch: SampleBatch,
                          fed=None) -> DerivationResult:
     """Regenerate the error-gated update from the subspace rule on a batch.
@@ -238,13 +232,13 @@ def derive_eghr_from_oja(w, cov: CovarianceModel, batch: SampleBatch,
     closed-form center) after that pass over ``batch``.
     """
     t0 = time.perf_counter()
-    w = as_weights(w)
+    w = as_weights(w, cov.dim, "derive_eghr_from_oja")
     target = oja_update_closed(w, cov) @ cov.sigma
 
     if fed is None:
         # The direct route centers the gains in closed form.
         fed = (ExpansionMean(expansion_target(w, cov), cov),
-               EghrMean(w, _closed_center(w, cov.sigma)))
+               EghrMean(w, closed_center(w, cov)))
         batch.feed(*fed)
     expansion, direct = fed
     recon, direct_route = expansion.result(), direct.result()

@@ -88,9 +88,8 @@ class SampleBatch:
         through another BLAS kernel (gemv, or the small-matrix path) than the
         same rows do inside a whole-batch product, and could differ in the
         last bit."""
-        step = max(CHUNK_ROWS // self.block, 1) * self.block
-        count = max(self.n // step, 1)
-        sizes = [step] * (count - 1) + [self.n - step * (count - 1)]
+        step, last = chunk_schedule(self.n, self.block)
+        sizes = [step] * ((self.n - last) // step) + [last]
         if self.rows is not None:
             yield from np.split(self.rows, np.cumsum(sizes[:-1]))
             return
@@ -115,6 +114,14 @@ class SampleBatch:
             for s in sums:
                 s.add(x)
         return [s.result() for s in sums]
+
+
+def chunk_schedule(n: int, block: int) -> tuple[int, int]:
+    """(step, last): the rows of every chunk but the last of an n-row batch
+    drawn with ``block`` (see ``SampleBatch.chunks``), and of the last chunk,
+    which also takes the remainder and so is the longest."""
+    step = max(CHUNK_ROWS // block, 1) * block
+    return step, n - step * (max(n // step, 1) - 1)
 
 
 def merge_sums(a: tuple, b: tuple) -> tuple:

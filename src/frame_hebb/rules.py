@@ -8,12 +8,11 @@ dW/dt = E[g(x, u) u x^T] with the global gain
 g = 0.5 (|x|^2 - |u|^2 - E[|x|^2 - |u|^2]); its closed form is
 W Sigma (I - W^T W) Sigma, i.e. the subspace rule right-multiplied by Sigma.
 
-Each public function validates its weights with ``as_weights`` and then runs
-an unchecked private kernel (``_oja_closed``, ``_eghr_closed``,
-``_oja_empirical``, ``_eghr_empirical``, ``_eghr_g``, ``_subspace_error``,
-``_orth_residual``). ``train`` validates W0 once at entry and steps through
-the same kernels, as the checks' sweeps do, so they and the public functions
-share one arithmetic path. The empirical kernels feed the batch's chunks to the
+Each formula has one function. Weights are validated once, by
+``as_weights``, where they enter from a caller (``train``'s W0 and
+``frames.derive_eghr_from_oja``'s W); every other function here takes
+validated weights, so ``train``, the checks' sweeps and the public API share
+one arithmetic path. The empirical updates feed the batch's chunks to the
 running sums ``OjaMean`` and ``EghrMean``, whose ``sums`` of consecutive
 blocks of rows merge; ``checks.MonteCarloBatches`` feeds them block by block
 so that both updates, at every block size, share one draw.
@@ -21,6 +20,7 @@ so that both updates, at every block size, share one draw.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,40 +36,41 @@ RULES = ("oja", "eghr")
 MODES = ("closed", "empirical")
 
 
-def as_weights(w) -> np.ndarray:
-    """Validate a trainable nu-by-nx weight matrix (2-D, finite, and
-    1 <= nu <= nx: a dimensionality reduction); return it as a float array."""
+def as_weights(w, nx: int, caller: str) -> np.ndarray:
+    """Validate a trainable nu-by-nx weight matrix for an input of dimension
+    ``nx`` (2-D, finite, and 1 <= nu <= nx: a dimensionality reduction);
+    return it as a float array. ``caller`` names the entry point in the nx
+    error. Every other function here takes weights validated by this."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
         raise DimensionError(f"weights must be 2-dimensional, got shape {w.shape}")
-    nu, nx = w.shape
-    if nu < 1 or nx < 1 or nu > nx:
+    nu, width = w.shape
+    if nu < 1 or width < 1 or nu > width:
         raise DimensionError(f"need 1 <= nu <= nx, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights contain non-finite entries")
+    if width != nx:
+        raise DimensionError(f"{caller}: weights have nx={width}, input has nx={nx}")
     return w
 
 
-def _check_dims(w: np.ndarray, nx: int, what: str) -> None:
-    if w.shape[1] != nx:
-        raise DimensionError(f"{what}: weights have nx={w.shape[1]}, input has nx={nx}")
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity, built once per n: a closed-form step or
+    a sweep's trial reads it instead of paying for np.eye."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
-def _oja_closed(w: np.ndarray, sigma: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    """Unchecked kernel of oja_update_closed; ``eye`` is the nx identity."""
-    return (w @ sigma) @ (eye - w.T @ w)
-
-
-def oja_update_closed(w, cov: CovarianceModel) -> np.ndarray:
+def oja_update_closed(w: np.ndarray, cov: CovarianceModel) -> np.ndarray:
     """Closed-form expected update W Sigma (I - W^T W)."""
-    w = as_weights(w)
-    _check_dims(w, cov.dim, "oja_update_closed")
-    return _oja_closed(w, cov.sigma, np.eye(cov.dim))
+    return (w @ cov.sigma) @ (_identity(cov.dim) - w.T @ w)
 
 
 class OjaMean(RunningSum):
     """Running sum of u (x - W^T u)^T over chunks; ``result`` is its batch
-    average. W is not validated."""
+    average."""
 
     def __init__(self, w: np.ndarray):
         super().__init__()
@@ -83,49 +84,22 @@ class OjaMean(RunningSum):
         return sums[0] / n
 
 
-def _oja_empirical(w: np.ndarray, batch: SampleBatch) -> np.ndarray:
-    """Unchecked kernel of oja_update_empirical."""
+def oja_update_empirical(w: np.ndarray, batch: SampleBatch) -> np.ndarray:
+    """Batch average of u (x - W^T u)^T with u = W x."""
     return batch.feed(OjaMean(w))[0]
 
 
-def oja_update_empirical(w, batch: SampleBatch) -> np.ndarray:
-    """Batch average of u (x - W^T u)^T with u = W x."""
-    w = as_weights(w)
-    _check_dims(w, batch.dim, "oja_update_empirical")
-    return _oja_empirical(w, batch)
-
-
-def eghr_g(x, w, cov: CovarianceModel) -> float:
-    """Global gain 0.5 (|x|^2 - |u|^2 - E[|x|^2 - |u|^2]) with the
-    expectation in closed form: E|x|^2 = tr Sigma, E|u|^2 = tr(W Sigma W^T)."""
-    w = as_weights(w)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (cov.dim,):
-        raise DimensionError(f"x has shape {x.shape}, expected ({cov.dim},)")
-    _check_dims(w, cov.dim, "eghr_g")
-    return _eghr_g(x, w, _closed_center(w, cov.sigma))
-
-
-def _eghr_g(x: np.ndarray, w: np.ndarray, center) -> float:
-    """Unchecked kernel of eghr_g, given the closed-form center."""
-    u = w @ x
-    return 0.5 * (float(x @ x) - float(u @ u) - center)
-
-
-def _closed_center(w: np.ndarray, sigma: np.ndarray):
+def closed_center(w: np.ndarray, cov: CovarianceModel):
     """E[|x|^2 - |u|^2] = tr Sigma - tr(W Sigma W^T), the closed-form center
     of the gains."""
-    return np.trace(sigma) - float(np.sum((w @ sigma) * w))
+    return np.trace(cov.sigma) - float(np.sum((w @ cov.sigma) * w))
 
 
-def _gains(w: np.ndarray, x: np.ndarray, center=None) -> tuple[np.ndarray, np.ndarray, float]:
-    """u = x W^T, s = |x|^2 - |u|^2 per row, and the center of the gains
-    0.5 (s - center): ``center``, or the mean of s when it is None."""
-    u = x @ w.T
-    s = (x * x).sum(axis=1) - (u * u).sum(axis=1)
-    if center is None:
-        center = float(s.sum() / s.size)  # np.mean's reduction, without its wrapper
-    return u, s, center
+def eghr_g(x: np.ndarray, w: np.ndarray, cov: CovarianceModel) -> float:
+    """Global gain 0.5 (|x|^2 - |u|^2 - E[|x|^2 - |u|^2]) of one sample x,
+    with the expectation in closed form (``closed_center``)."""
+    u = w @ x
+    return 0.5 * (float(x @ x) - float(u @ u) - closed_center(w, cov))
 
 
 class EghrMean(RunningSum):
@@ -141,7 +115,6 @@ class EghrMean(RunningSum):
     first chunk has been summed, c0 is its own mean and no correction is
     made: the result of a one-chunk batch is the whole-batch formula bit for
     bit. A given ``center`` (the closed form) needs no correction either.
-    W is not validated.
     """
 
     def __init__(self, w: np.ndarray, center=None):
@@ -152,7 +125,10 @@ class EghrMean(RunningSum):
         self.chunks = 0  # calls of sums
 
     def sums(self, x: np.ndarray) -> tuple:
-        u, s, self.center = _gains(self.w, x, self.center)
+        u = x @ self.w.T
+        s = (x * x).sum(axis=1) - (u * u).sum(axis=1)  # |x|^2 - |u|^2 per row
+        if self.center is None:  # the first chunk's mean, by np.mean's reduction
+            self.center = float(s.sum() / s.size)
         g = 0.5 * (s - self.center)
         self.chunks += 1
         hebb = (u * g[:, None]).T @ x
@@ -167,65 +143,35 @@ class EghrMean(RunningSum):
         return mean
 
 
-def _eghr_closed(w: np.ndarray, sigma: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    """Unchecked kernel of eghr_update_closed; ``eye`` is the nx identity."""
-    return w @ (sigma @ (eye - w.T @ w) @ sigma)
+def expansion_target(w: np.ndarray, cov: CovarianceModel) -> np.ndarray:
+    """M = Sigma (I - W^T W) Sigma: the symmetric matrix that W multiplies in
+    the error-gated closed form, and whose frame expansion the derivation
+    chain takes (``frames.derive_eghr_from_oja``)."""
+    return cov.sigma @ (_identity(cov.dim) - w.T @ w) @ cov.sigma
 
 
-def eghr_update_closed(w, cov: CovarianceModel) -> np.ndarray:
+def eghr_update_closed(w: np.ndarray, cov: CovarianceModel) -> np.ndarray:
     """Closed-form expected update W Sigma (I - W^T W) Sigma.
 
     Evaluated sandwich-first, W @ [Sigma (I - W^T W) Sigma], keeping this an
     arithmetic path independent of oja_update_closed(...) @ Sigma.
     """
-    w = as_weights(w)
-    _check_dims(w, cov.dim, "eghr_update_closed")
-    return _eghr_closed(w, cov.sigma, np.eye(cov.dim))
+    return w @ expansion_target(w, cov)
 
 
-def _eghr_empirical(w: np.ndarray, batch: SampleBatch) -> np.ndarray:
-    """Unchecked kernel of eghr_update_empirical."""
+def eghr_update_empirical(w: np.ndarray, batch: SampleBatch) -> np.ndarray:
+    """Batch average of g u x^T with the gain centered by the batch mean; u =
+    x W^T is shared by the gain and the Hebbian term. Closed-form centering is
+    ``batch.feed(EghrMean(w, closed_center(w, cov)))``."""
     return batch.feed(EghrMean(w))[0]
 
 
-def eghr_update_empirical(w, batch: SampleBatch) -> np.ndarray:
-    """Batch average of g u x^T with the gain centered by the batch mean.
-
-    Closed-form centering is ``batch.feed(EghrMean(w, center))`` with
-    center = tr Sigma - tr(W Sigma W^T). W is validated once, and u = x W^T
-    is shared by the gain and the Hebbian term.
-    """
-    w = as_weights(w)
-    _check_dims(w, batch.dim, "eghr_update_empirical")
-    return _eghr_empirical(w, batch)
-
-
-def _orth_residual(w: np.ndarray, eye_nu: np.ndarray) -> float:
-    """Unchecked kernel of orthonormality_residual; ``eye_nu`` is the nu identity."""
-    return float(np.linalg.norm(w @ w.T - eye_nu))
-
-
-def orthonormality_residual(w) -> float:
+def orthonormality_residual(w: np.ndarray) -> float:
     """Frobenius distance of W W^T from the identity."""
-    w = as_weights(w)
-    return _orth_residual(w, np.eye(w.shape[0]))
+    return float(np.linalg.norm(w @ w.T - _identity(w.shape[0])))
 
 
-def _subspace_error(w: np.ndarray, p_k: np.ndarray) -> float:
-    """Unchecked kernel of subspace_error against the principal projector p_k;
-    still raises RankDeficientError for dependent rows."""
-    nu, nx = w.shape
-    _, s, vh = np.linalg.svd(w, full_matrices=False)
-    tol = s[0] * max(nu, nx) * np.finfo(float).eps if s[0] > 0 else 0.0
-    if s[-1] <= tol:
-        raise RankDeficientError(
-            f"weight rows are rank deficient (singular values {s})"
-        )
-    p_w = vh.T @ vh
-    return float(np.linalg.norm(p_w - p_k))
-
-
-def subspace_error(w, cov: CovarianceModel) -> float:
+def subspace_error(w: np.ndarray, cov: CovarianceModel) -> float:
     """Frobenius distance between the row-space projector of W and the
     projector onto the principal nu-dimensional eigenspace of Sigma.
 
@@ -233,10 +179,15 @@ def subspace_error(w, cov: CovarianceModel) -> float:
     Raises RankDeficientError when the rows of W are dependent, since the
     row space then has dimension below nu and the metric is undefined.
     """
-    w = as_weights(w)
-    _check_dims(w, cov.dim, "subspace_error")
-    e = cov.top_eigvecs(w.shape[0])
-    return _subspace_error(w, e @ e.T)
+    nu, nx = w.shape
+    _, s, vh = np.linalg.svd(w, full_matrices=False)
+    tol = s[0] * max(nu, nx) * np.finfo(float).eps if s[0] > 0 else 0.0
+    if s[-1] <= tol:
+        raise RankDeficientError(
+            f"weight rows are rank deficient (singular values {s})"
+        )
+    e = cov.top_eigvecs(nu)
+    return float(np.linalg.norm(vh.T @ vh - e @ e.T))
 
 
 @dataclass(frozen=True)
@@ -289,10 +240,10 @@ def train(
     ``record_every`` steps and always at the final step. Aborts with
     DivergenceError if the weight norm passes 1e6 or is not finite.
 
-    W0 is validated once here; the loop then calls the unchecked kernels of
-    the public updates and metrics. Every step keeps W finite and of its
-    shape: ``w + lr * upd`` cannot change the shape, and a non-finite entry
-    makes the norm non-finite, so the guard raises before the next update.
+    W0 is validated once here, and each step calls the public update and
+    metrics. Every step keeps W finite and of its shape: ``w + lr * upd``
+    cannot change the shape, and a non-finite entry makes the norm
+    non-finite, so the guard raises before the next update.
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
@@ -301,35 +252,23 @@ def train(
     if mode == "empirical" and config.batch_size < 1:
         raise ValueError("empirical mode needs batch_size >= 1")
 
-    w = as_weights(w0).copy()
-    _check_dims(w, cov.dim, "train")
-    nu, nx = w.shape
-    sigma, eye, eye_nu = cov.sigma, np.eye(nx), np.eye(nu)
-    e = cov.top_eigvecs(nu)
-    p_k = e @ e.T
-
+    w = as_weights(w0, cov.dim, "train").copy()
     if mode == "closed":
-        closed = _oja_closed if rule == "oja" else _eghr_closed
-
-        def update_at(w: np.ndarray, step: int) -> np.ndarray:
-            return closed(w, sigma, eye)
+        update = oja_update_closed if rule == "oja" else eghr_update_closed
     else:
-        empirical = _oja_empirical if rule == "oja" else _eghr_empirical
-
-        def update_at(w: np.ndarray, step: int) -> np.ndarray:
-            batch = sample(cov, config.batch_size, derive_seed(config.seed, step))
-            return empirical(w, batch)
+        update = oja_update_empirical if rule == "oja" else eghr_update_empirical
 
     points: list[TrajectoryPoint] = []
     for step in range(config.steps + 1):
-        upd = update_at(w, step)
+        upd = update(w, cov if mode == "closed" else
+                     sample(cov, config.batch_size, derive_seed(config.seed, step)))
         if step % config.record_every == 0 or step == config.steps:
             points.append(
                 TrajectoryPoint(
                     step=step,
                     w=w.copy(),
-                    subspace_error=_subspace_error(w, p_k),
-                    orthonormality_residual=_orth_residual(w, eye_nu),
+                    subspace_error=subspace_error(w, cov),
+                    orthonormality_residual=orthonormality_residual(w),
                     update_norm=float(np.linalg.norm(upd)),
                 )
             )

@@ -14,7 +14,6 @@ from frame_hebb.checks import (
     closed_equivalence_check,
     coefficient_identity_checks,
     derivation_checks,
-    dim_sweep,
     frame_bounds_check,
     isserlis_checks,
     kernel_annihilation_check,
@@ -30,6 +29,7 @@ from frame_hebb.rules import (
     oja_update_closed,
     train,
 )
+from sweeps import dim_sweep
 
 SEED = 42
 

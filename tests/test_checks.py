@@ -8,12 +8,13 @@ import pytest
 
 from frame_hebb import checks
 from frame_hebb.config import RunConfig
-from frame_hebb.errors import SampleSizeError
+from frame_hebb.errors import DimensionError, SampleSizeError
 from frame_hebb.frames import cancellation_coefficient, frame_coefficient, frame_element
-from frame_hebb.gaussian import sample
+from frame_hebb.gaussian import SampleBatch, sample
 from frame_hebb.linalg import build_covariance, random_spd
 from frame_hebb.records import digest_inputs, make_record
 from frame_hebb.rules import eghr_g, eghr_update_closed, oja_update_closed
+from sweeps import dim_sweep
 
 
 def _cov(config):
@@ -118,6 +119,19 @@ def test_rate_checks_refuse_too_few_samples(rate_cov, n):
         checks.MonteCarloBatches(rate_cov, 1, 0, n, kinds=("oja",))
 
 
+@pytest.mark.parametrize("selection", [dict(kinds=("oja",)), dict(isserlis=True),
+                                       dict(derivation=True)])
+def test_monte_carlo_chunk_beyond_physical_memory_refused(rate_cov, monkeypatch, selection):
+    # Above 1000 * CHUNK_ROWS samples a chunk is one block of n / 1000 rows.
+    def no_chunks(self):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(SampleBatch, "chunks", no_chunks)
+    with pytest.raises(DimensionError, match="a chunk of 1,000,000,000 rows"):
+        checks.MonteCarloBatches(rate_cov, 1, 0, 10**12, **selection)
+    checks.MonteCarloBatches(rate_cov, 1, 0, 10**12)  # no Monte-Carlo check: nothing drawn
+
+
 # The sweeps before stacking: one covariance per trial, built as it is drawn,
 # and the public, validating functions.
 
@@ -185,7 +199,7 @@ def _coefficient_identity_per_trial(seed, dims, trials):
     )
 
 
-_SWEEP_DIMS = [checks.dim_sweep(max_nx=8), [(32, 4)]]
+_SWEEP_DIMS = [dim_sweep(max_nx=8), [(32, 4)]]
 
 
 @pytest.mark.parametrize("trials", [37, 2 * checks.SWEEP_BLOCK])

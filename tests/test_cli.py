@@ -228,7 +228,7 @@ class TestTrain:
     def test_non_finite_step_exits_diverged(self, tmp_path, capsys, monkeypatch):
         # NaN compares false with the norm bound; the guard must still fire
         monkeypatch.setattr(
-            rules, "_oja_closed", lambda w, sigma, eye: np.full(w.shape, np.nan)
+            rules, "oja_update_closed", lambda w, cov: np.full(w.shape, np.nan)
         )
         code = run(["train", "--out", tmp_path, "--nx", "3", "--nu", "1"])
         assert code == EXIT_DIVERGED
@@ -653,6 +653,22 @@ class TestExitCodeContract:
         assert proc.stderr.startswith("input error: the frame operator S at nx=1000")
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "frame_check.csv").exists()
+
+    @pytest.mark.parametrize("command", list(checks.COMMANDS))
+    def test_monte_carlo_chunk_beyond_physical_memory_exits_2(self, tmp_path, capsys,
+                                                              monkeypatch, command):
+        # At 1e12 samples a block, and so a chunk, holds 1e9 rows: 32 GB of
+        # draws at nx=4. The guard refuses it before any check draws a row.
+        def no_chunks(self):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(gaussian.SampleBatch, "chunks", no_chunks)
+        code = run([command, "--samples", 10**12, "--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG_ERROR
+        assert err.startswith("input error: a chunk of 1,000,000,000 rows at nx=4 would hold")
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
 
     def test_skew_domain_error_is_unreachable(self, tmp_path, monkeypatch):
         # cli.main leaves SkewDomainError unmapped. Every matrix the check

@@ -434,6 +434,15 @@ class TestDerivation:
         np.testing.assert_array_equal(res.direct_route, np.zeros((1, 2)))
         assert all(r.passed for r in res.records)
 
+    def test_wrong_nx_rejected_before_any_chunk(self, cov_rand3, monkeypatch):
+        def no_chunks(self):
+            raise AssertionError("a chunk was drawn before W was checked")
+
+        monkeypatch.setattr(SampleBatch, "chunks", no_chunks)
+        batch = sample(cov_rand3, 100, seed=88)
+        with pytest.raises(DimensionError, match="derive_eghr_from_oja: weights have nx=4"):
+            derive_eghr_from_oja(np.ones((1, 4)) / 2.0, cov_rand3, batch)
+
     def test_routes_agree_on_any_batch(self, cov_rand3):
         w = np.random.default_rng(82).uniform(-1, 1, (2, 3))
         for n in (10, 1000):

@@ -26,7 +26,6 @@ from frame_hebb.frames import (
     frame_operator_analytic,
     frame_operator_empirical,
     restricted_inverse_apply,
-    expansion_target,
 )
 from frame_hebb.gaussian import (
     CHUNK_ROWS,
@@ -45,6 +44,7 @@ from frame_hebb.rules import (
     OjaMean,
     eghr_update_closed,
     eghr_update_empirical,
+    expansion_target,
     oja_update_closed,
     oja_update_empirical,
 )
