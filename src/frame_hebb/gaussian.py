@@ -3,17 +3,21 @@ learning-rule algebra rests on: integration by parts (for a smooth f,
 E[f(x) x_i] = sum_a Sigma_ia E[d_a f]) and the analytic Gaussian fourth
 moment E[(x kron x)(x kron x)^T].
 
-Sampling is deterministic: a batch is a pure function of (covariance, n,
-seed). ``sample`` returns a ``SampleBatch`` that holds no rows; each pass over
-its ``chunks`` draws them in order from one ``default_rng(seed)``, about
-CHUNK_ROWS at a time, so an estimator holds one chunk, not the batch. The
-chunks concatenate to the rows a whole-batch draw gives, bit for bit. A batch
-drawn with ``block=m`` starts every chunk on a multiple of m rows, so a pass
-can cut each chunk into whole blocks of m rows. Every empirical estimator is
-a running sum over the chunks (a ``RunningSum``, with ``add`` and
-``result``), and ``SampleBatch.feed`` hands each chunk to several of them, so
-estimators that share a batch share one draw. Callers that need several
-independent batches take a child seed per batch from ``derive_seed``.
+Sampling is deterministic: a batch with an integer seed is a pure function
+of (covariance, n, seed). ``sample`` returns a ``SampleBatch`` that holds no
+rows; each pass over its ``chunks`` draws them in order from one
+``default_rng(seed)``, about CHUNK_ROWS at a time, so an estimator holds one
+chunk, not the batch. The chunks concatenate to the rows a whole-batch draw
+gives, bit for bit. A batch drawn with ``block=m`` starts every chunk on a
+multiple of m rows, so a pass can cut each chunk into whole blocks of m rows.
+Every empirical estimator is a running sum over the chunks (a
+``RunningSum``, with ``add`` and ``result``), and ``SampleBatch.feed`` hands
+each chunk to several of them, so estimators that share a batch share one
+draw. The checks, which need several independent batches, take a child seed
+per batch from ``derive_seed``. The seed may also be a
+``np.random.Generator``: the batch then draws from that stream when read, so
+it gives new rows on every pass and is read once; ``rules.train`` hands one
+stream per run to every step's batch this way.
 
 The identity is checked on monomial test functions f = prod_j x_j^{a_j},
 each given by its exponent vector a (``monomial_exponents`` lists the
@@ -24,6 +28,7 @@ checks them all on one batch, in one pass over its chunks.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import time
 from collections.abc import Iterator
@@ -57,13 +62,14 @@ class SampleBatch:
     """n zero-mean Gaussian rows x = L z, handed out in chunks.
 
     A batch from ``sample`` holds no rows (``rows`` is None): ``chunks``
-    draws them from ``default_rng(seed)``. A batch built by ``from_rows``
+    draws them from ``default_rng(seed)``, which is the seed itself when the
+    seed is a Generator. A batch built by ``from_rows``
     holds its rows and ``chunks`` slices them. The chunk bounds depend on n
     and ``block`` alone, so both kinds run through the same estimator code.
     """
 
     n: int
-    seed: int
+    seed: int | np.random.Generator
     covariance: CovarianceModel
     rows: np.ndarray | None = None
     block: int = 1  # every chunk starts on a multiple of block rows
@@ -89,9 +95,12 @@ class SampleBatch:
         same rows do inside a whole-batch product, and could differ in the
         last bit."""
         step, last = chunk_schedule(self.n, self.block)
-        sizes = [step] * ((self.n - last) // step) + [last]
+        sizes = itertools.chain(itertools.repeat(step, (self.n - last) // step), (last,))
         if self.rows is not None:
-            yield from np.split(self.rows, np.cumsum(sizes[:-1]))
+            start = 0
+            for m in sizes:
+                yield self.rows[start:start + m]
+                start += m
             return
         rng = np.random.default_rng(self.seed)
         chol_t = self.covariance.chol.T
@@ -156,15 +165,19 @@ class RunningSum:
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """Deterministic 64-bit child seed for chunk/step ``index``."""
+    """Deterministic 64-bit child seed ``index`` of ``seed``: the checks'
+    batch seeds, and the seed of ``rules.train``'s one stream per run
+    (index 0)."""
     state = np.random.SeedSequence((seed, index)).generate_state(2)
     return int(state.view(np.uint64)[0])
 
 
-def sample(cov: CovarianceModel, n: int, seed: int, block: int = 1) -> SampleBatch:
+def sample(cov: CovarianceModel, n: int, seed: int | np.random.Generator,
+           block: int = 1) -> SampleBatch:
     """n samples x = L z with z standard normal from a seeded PRNG; the rows
     are drawn when the batch's chunks are read, each chunk starting on a
-    multiple of ``block`` rows."""
+    multiple of ``block`` rows. A Generator ``seed`` is drawn from as it
+    stands, so such a batch gives new rows on every read."""
     if n < 1 or block < 1:
         raise ValueError(f"sample count and block must be >= 1, got {n} and {block}")
     return SampleBatch(n=n, seed=seed, covariance=cov, block=block)

@@ -235,8 +235,11 @@ def train(
     """Explicit-Euler integration of the chosen rule from W0.
 
     Closed-form mode steps along the exact expected update; empirical mode
-    draws a fresh batch per step with a seed derived from (config.seed, step),
-    so identical configs give identical trajectories. Records metrics every
+    draws a fresh batch per step from one stream per run,
+    ``default_rng(derive_seed(config.seed, 0))``, so identical configs give
+    identical trajectories and step k's batch does not depend on
+    ``config.steps``. The stream is not ``default_rng(config.seed)``, which
+    the CLI draws W0 from. Records metrics every
     ``record_every`` steps and always at the final step. Aborts with
     DivergenceError if the weight norm passes 1e6 or is not finite.
 
@@ -258,10 +261,10 @@ def train(
     else:
         update = oja_update_empirical if rule == "oja" else eghr_update_empirical
 
+    rng = np.random.default_rng(derive_seed(config.seed, 0))
     points: list[TrajectoryPoint] = []
     for step in range(config.steps + 1):
-        upd = update(w, cov if mode == "closed" else
-                     sample(cov, config.batch_size, derive_seed(config.seed, step)))
+        upd = update(w, cov if mode == "closed" else sample(cov, config.batch_size, rng))
         if step % config.record_every == 0 or step == config.steps:
             points.append(
                 TrajectoryPoint(

@@ -61,6 +61,14 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(cov2, 10, seed=1, block=0)
 
+    def test_generator_seed_draws_from_the_stream_on_every_read(self, cov2):
+        batch = sample(cov2, 50, np.random.default_rng(3))
+        first, second = batch.data, batch.data
+        stream = np.random.default_rng(3)
+        assert np.array_equal(first, stream.standard_normal((50, 2)) @ cov2.chol.T)
+        assert np.array_equal(second, stream.standard_normal((50, 2)) @ cov2.chol.T)
+        assert not np.array_equal(first, second)
+
     def test_derive_seed_deterministic(self):
         assert derive_seed(42, 3) == derive_seed(42, 3)
         assert derive_seed(42, 3) != derive_seed(42, 4)

@@ -347,14 +347,13 @@ class TestTrainer:
         closed = oja_update_closed if rule == "oja" else eghr_update_closed
         empirical = oja_update_empirical if rule == "oja" else eghr_update_empirical
         w = as_weights(w0, cov_rand4.dim, "test").copy()
+        rng = np.random.default_rng(derive_seed(cfg.seed, 0))  # one stream per run
         expected = []
         for step in range(cfg.steps + 1):
             if mode == "closed":
                 upd = closed(w, cov_rand4)
             else:
-                upd = empirical(
-                    w, sample(cov_rand4, cfg.batch_size, derive_seed(cfg.seed, step))
-                )
+                upd = empirical(w, sample(cov_rand4, cfg.batch_size, rng))
             if step % cfg.record_every == 0 or step == cfg.steps:
                 expected.append((step, w.copy(), subspace_error(w, cov_rand4),
                                  orthonormality_residual(w), float(np.linalg.norm(upd))))
@@ -370,6 +369,32 @@ class TestTrainer:
             assert p.subspace_error == err
             assert p.orthonormality_residual == orth
             assert p.update_norm == norm
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_empirical_batches_are_one_stream_per_run(self, cov_rand4, monkeypatch, rule):
+        # Step k's batch is the k-th (b, nx) draw of
+        # default_rng(derive_seed(seed, 0)), whatever the run length; so step
+        # 0's is sample(cov, b, derive_seed(seed, 0)), and it shares no draw
+        # with default_rng(seed), which the CLI draws W0 from.
+        name = f"{rule}_update_empirical"
+        update, seen = getattr(rules, name), []
+
+        def recording(w, batch):
+            seen.append(batch.data)
+            return update(w, SampleBatch.from_rows(seen[-1], batch.covariance))
+
+        monkeypatch.setattr(rules, name, recording)
+        w0 = np.random.default_rng(43).standard_normal((2, 4)) / 2.0
+        cfg = TrainerConfig(learning_rate=0.01, steps=20, batch_size=30, seed=13)
+        b, nx = cfg.batch_size, cov_rand4.dim
+        train(rule, "empirical", w0, cov_rand4, cfg)
+        assert len(seen) == cfg.steps + 1
+        rng = np.random.default_rng(derive_seed(cfg.seed, 0))
+        for rows in seen:
+            assert np.array_equal(rows, rng.standard_normal((b, nx)) @ cov_rand4.chol.T)
+        assert np.array_equal(seen[0], sample(cov_rand4, b, derive_seed(cfg.seed, 0)).data)
+        w0_stream = np.random.default_rng(cfg.seed).standard_normal((b, nx)) @ cov_rand4.chol.T
+        assert not np.any(np.isin(seen[0], w0_stream))
 
     @pytest.mark.parametrize("rule", RULES)
     @pytest.mark.parametrize("mode", MODES)

@@ -328,6 +328,13 @@ class TestMemory:
         small, large = traced_peak(lambda: run(4 * C)), traced_peak(lambda: run(16 * C))
         assert large <= 1.5 * small, (small, large)
 
+    def test_first_chunk_of_a_huge_batch_reads_in_a_few_mib(self, cov3):
+        # The chunks are counted, not listed: reading the first of 1e12 rows
+        # holds one chunk (C x 3 doubles, 0.8 MB) and its draw.
+        batch = sample(cov3, 10**12, seed=1)
+        peak = traced_peak(lambda: next(batch.chunks()))
+        assert peak < 4 * 2**20, peak
+
     def test_stein_identity_peak_stays_below_12_mb(self):
         # one (dim, rows) function at a time: a stacked block of all 15
         # functions at dim 4 would take 16.5 MB per temporary
