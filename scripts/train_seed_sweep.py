@@ -1,10 +1,10 @@
 """Seed sweep of the benchmark's two empirical ``train`` commands.
 
-    python3 scripts/train_seed_sweep.py [--src SRC] [--seeds 4000:4300]
+    python3 scripts/train_seed_sweep.py [--src SRC] [--seeds 4000:4300] [--rules oja,eghr]
 
 Runs ``frame-hebb train --nx 8 --nu 3 --sigma diagonal:4,3.5,3,2,1.5,1,0.8,0.6
---mode empirical --steps 10000 --batch-size 100 --threshold 0.15`` for both
-rules at every seed of the half-open range, in this process, against the
+--mode empirical --steps 10000 --batch-size 100 --threshold 0.15`` for each
+rule of RULES (default: both) at every seed of the half-open range, in this process, against the
 ``frame_hebb`` package under SRC (default: this tree's ``src``). Prints, per
 rule, the number of runs whose ``train-final`` check failed or that exited
 with another code, and the worst final ``subspace_error`` with its seed.
@@ -30,6 +30,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--seeds", default="4000:4300", help="start:stop, stop excluded")
+    parser.add_argument("--rules", default="oja,eghr", help="comma-separated rules")
     args = parser.parse_args()
     start, stop = (int(s) for s in args.seeds.split(":"))
     sys.path.insert(0, str(args.src.resolve()))
@@ -38,7 +39,7 @@ def main() -> int:
 
     print(f"frame_hebb from {Path(cli.__file__).parent}, seeds {start}..{stop - 1}")
     with tempfile.TemporaryDirectory() as tmp:
-        for rule in ("oja", "eghr"):
+        for rule in args.rules.split(","):
             failed, other, worst = [], [], (-1.0, None)
             for seed in range(start, stop):
                 argv = ["train", "--rule", rule, "--seed", str(seed), "--out", tmp, *ARGS]

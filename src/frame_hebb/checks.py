@@ -15,8 +15,10 @@ Every other Monte-Carlo check of a command reads the command's one
 one pass by every estimator the selected checks need. A rate check cuts each
 batch into disjoint consecutive blocks of n/1000, n/100, n/10 and n rows
 (``BlockSums``) and fits the slope of the RMSE over all blocks of each size
-against the block size. isserlis-empirical and derivation-* read batch 0,
-whose operator and expansion sums the rate checks share. The rate checks need
+against the block size; mc-rate-frame-operator scores each block on the h x h
+half form of S, h = nx(nx+1)/2 (``frames.OperatorMean``). isserlis-empirical
+and derivation-* read batch 0, whose operator and expansion sums the rate
+checks share. The rate checks need
 RATE_MIN_SAMPLES rows; run_checks rejects a smaller --samples before any
 check runs.
 
@@ -48,6 +50,7 @@ from .frames import (
     frame_coefficient,
     frame_element,
     frame_operator_analytic,
+    operator_half,
     restricted_inverse_apply,
 )
 from .gaussian import (
@@ -333,11 +336,12 @@ RATE_SPLIT = 10
 RATE_MIN_SAMPLES = 10_000
 
 # Each rate kind's running sum, and the closed form its block estimates
-# approach, for MonteCarloBatches b.
+# approach, in the estimates' form (S in half form), for MonteCarloBatches b.
 _RATE_SUMS = {
     "oja": (lambda b: OjaMean(b.w), lambda b: oja_update_closed(b.w, b.cov)),
     "eghr": (lambda b: EghrMean(b.w), lambda b: eghr_update_closed(b.w, b.cov)),
-    "frame-operator": (lambda b: OperatorMean(b.cov), lambda b: frame_operator_analytic(b.cov)),
+    "frame-operator": (lambda b: OperatorMean(b.cov),
+                       lambda b: operator_half(frame_operator_analytic(b.cov), b.cov.dim)),
     "frame-expansion": (lambda b: ExpansionMean(b.m, b.cov), lambda b: b.m),
 }
 _RATE_KINDS = tuple(_RATE_SUMS)
@@ -351,11 +355,13 @@ class BlockSums:
 
     The chunks fed must start on multiples of ``block`` rows (a batch drawn
     with ``sample(..., block=block)``); each block is a row-slice view of its
-    chunk. Given ``ref``, the squared Frobenius distance of every complete
-    block's estimate from ``ref`` is summed per level into ``sq``, over
-    ``count`` blocks. ``result`` hands the running sum the sums of every row
-    fed, merged in an order set by the row count alone, so the running sum's
-    result does not depend on ``ref``. It holds one open block per level.
+    chunk. Given ``ref``, in the form of the running sum's estimates, the
+    squared Frobenius distance of every complete block's estimate from
+    ``ref`` (the running sum's ``distance_sq``) is summed per level into
+    ``sq``, over ``count`` blocks. ``result`` hands the running sum the sums
+    of every row fed, merged in an order set by the row count alone, so the
+    running sum's result does not depend on ``ref``. It holds one open block
+    per level.
     """
 
     def __init__(self, inner: RunningSum, block: int, ref=None):
@@ -381,8 +387,7 @@ class BlockSums:
     def _close(self, level: int, sums: tuple) -> None:
         size = self.sizes[level]
         if self.ref is not None:
-            d = self.inner.estimate(sums, size) - self.ref
-            self.sq[level] += float(np.vdot(d, d))
+            self.sq[level] += self.inner.distance_sq(self.inner.estimate(sums, size), self.ref)
             self.count[level] += 1
         up = level + 1
         if up == RATE_LEVELS:
@@ -448,9 +453,11 @@ class MonteCarloBatches:
         if kinds or isserlis or derivation:
             # A pass holds at most six nx-wide arrays per row of a chunk (the
             # draw's z and x, or x with OjaMean's u, u W and x - u W, and the
-            # gains), and the operator's rows vec(Xi_k) when it is summed.
+            # gains), and, when the operator is summed, two h-wide ones: its
+            # h = nx(nx+1)/2 half rows and the factor gathered into them.
             rows = chunk_schedule(n, self.block)[1]
-            width = 6 * cov.dim + (isserlis or "frame-operator" in kinds) * cov.dim**2
+            h = cov.dim * (cov.dim + 1) // 2
+            width = 6 * cov.dim + (isserlis or "frame-operator" in kinds) * 2 * h
             require_memory(8 * rows * width, f"a chunk of {rows:,} rows at nx={cov.dim}")
         self.passes = []
 

@@ -45,7 +45,7 @@ from .records import (
     write_records_csv,
     write_trajectory_csv,
 )
-from .rules import MODES, RULES, TrainerConfig, train
+from .rules import MAX_BATCH_SIZE, MODES, RULES, TrainerConfig, train
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -184,7 +184,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--mode", choices=MODES, default=None)
     p_train.add_argument("--learning-rate", type=float, default=None)
     p_train.add_argument("--steps", type=int, default=None)
-    p_train.add_argument("--batch-size", type=int, default=None)
+    p_train.add_argument("--batch-size", type=int, default=None,
+                         help=f"rows drawn per empirical step, at most {MAX_BATCH_SIZE:,} "
+                         "(default 100)")
     p_train.add_argument("--record-every", type=int, default=None)
     p_train.add_argument("--threshold", type=float, default=None)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import random_spd
-from .rules import MODES, RULES
+from .rules import MAX_BATCH_SIZE, MODES, RULES
 
 
 class ConfigError(ValueError):
@@ -59,8 +59,9 @@ class RunConfig:
             raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
         if self.learning_rate is not None and not _finite_positive(self.learning_rate):
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.batch_size is not None and self.batch_size < 0:
-            raise ConfigError(f"batch_size must be >= 0, got {self.batch_size}")
+        if self.batch_size is not None and not 0 <= self.batch_size <= MAX_BATCH_SIZE:
+            raise ConfigError(f"batch_size must be in [0, {MAX_BATCH_SIZE:,}], "
+                              f"got {self.batch_size}")
         if self.batch_size is not None and self.mode == "empirical" and self.batch_size < 1:
             raise ConfigError("empirical mode needs batch_size >= 1")
         if not _finite_positive(self.threshold):

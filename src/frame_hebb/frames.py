@@ -15,14 +15,17 @@ Everything here takes and returns nx x nx matrices except S, which
 frame_operator_analytic and frame_operator_empirical give as a dense
 nx**2 x nx**2 array. The analytic S is the covariance model's
 ``frame_operator``, built once per covariance and shared read-only. Only
-it, the empirical operator and gaussian.isserlis_fourth_moment build arrays
-of that size, each after ``linalg.require_memory`` says its peak fits.
+it, the empirical operator's ``result`` and gaussian.isserlis_fourth_moment
+build arrays of that size, each after ``linalg.require_memory`` says its
+peak fits.
 
 The empirical estimators are running sums over a batch's chunks
 (``OperatorMean``, ``ExpansionMean``), so they hold one chunk of rows at a
-time, never the batch. Only the empirical operator builds the rows
-vec(Xi_k), chunk by chunk, as a chunk x nx**2 block. The Monte-Carlo frame
-expansion never does: with D = Sigma^-1 M Sigma^-1 / 2, the coefficient is
+time, never the batch. Only the empirical operator builds rows of Xi_k, and
+only their h = nx(nx+1)/2 half-vectorized coordinates (Xi_k)_ij, i <= j,
+chunk by chunk, as a chunk x h block: a symmetric Xi_k repeats the other
+nx(nx-1)/2 coordinates of vec(Xi_k). The Monte-Carlo frame expansion never
+does: with D = Sigma^-1 M Sigma^-1 / 2, the coefficient is
 (D, Xi_k)_F = x_k^T D x_k - tr(D Sigma), so (1/n) sum_k c_k Xi_k =
 X^T diag(c) X / n - mean(c) Sigma costs two chunk x nx products per chunk.
 ``derive_eghr_from_oja`` computes its two routes in one pass.
@@ -37,7 +40,7 @@ import numpy as np
 
 from .errors import DimensionError, SampleSizeError, SkewDomainError
 from .gaussian import CHUNK_ROWS, RunningSum, SampleBatch
-from .linalg import CovarianceModel, require_memory, vec
+from .linalg import CovarianceModel, require_memory
 from .records import ExperimentRecord, timed_record
 from .rules import EghrMean, as_weights, closed_center, expansion_target, oja_update_closed
 
@@ -60,25 +63,67 @@ def frame_operator_analytic(cov: CovarianceModel) -> np.ndarray:
     return cov.frame_operator
 
 
+def operator_half(s: np.ndarray, nx: int) -> np.ndarray:
+    """The half form of a dense nx**2 x nx**2 operator s on Sym: its h x h
+    entries at the vec positions j*nx + i of the pairs i <= j, in
+    np.triu_indices order (``OperatorMean``)."""
+    i, j = np.triu_indices(nx)
+    pos = j * nx + i
+    return s[np.ix_(pos, pos)]
+
+
 class OperatorMean(RunningSum):
-    """Running sum of vec(Xi_k) vec(Xi_k)^T over chunks; ``result`` is
-    (1/n) sum_k vec(Xi_k) vec(Xi_k)^T, symmetrized."""
+    """Running sum of the Gram matrix of the half-vectorized frame elements;
+    ``result`` is the dense (1/n) sum_k vec(Xi_k) vec(Xi_k)^T, symmetrized.
+
+    ``sums`` forms, per row, the h = nx(nx+1)/2 centered products
+    x_i x_j - Sigma_ij, i <= j, and returns their h x h Gram matrix: the
+    dense Gram's entries at the pairs' vec positions (``operator_half``).
+    ``estimate`` stays in this half form, ``distance_sq`` weighs each entry
+    by the vec positions its pairs stand for, and ``result`` expands the
+    estimate to nx**2 x nx**2 with one index gather. Whether BLAS adds the
+    half and the dense Gram's products in the same order depends on its
+    kernels: OpenBLAS's Haswell kernels do at nx <= 4, 16 and 32, and differ
+    in the last bits at nx = 5 to 11.
+    """
 
     def __init__(self, cov: CovarianceModel):
-        n2 = cov.dim**2  # peak: four n2 x n2 arrays (in result) and a chunk of rows
-        require_memory(8 * (4 * n2**2 + CHUNK_ROWS * n2), f"the empirical S at nx={cov.dim}")
+        nx = self.dim = cov.dim
+        self.h = nx * (nx + 1) // 2
+        # peak: four h x h arrays (the total, a chunk's Gram and the
+        # estimate's two temporaries) and a chunk of half rows with the
+        # gathered factor it is multiplied by
+        require_memory(8 * (4 * self.h**2 + 2 * CHUNK_ROWS * self.h),
+                       f"the half-form empirical S at nx={nx}")
         super().__init__()
-        self.vs = vec(cov.sigma)
+        self.i, self.j = np.triu_indices(nx)
+        self.sigma_half = cov.sigma[self.i, self.j]
+        # The pair of each vec position, and each pair's count of positions.
+        pair = np.empty((nx, nx), dtype=np.intp)
+        pair[self.i, self.j] = pair[self.j, self.i] = np.arange(self.h)
+        self.expand = pair.ravel()
+        self.weights = np.where(self.i == self.j, 1.0, 2.0)
 
     def sums(self, x: np.ndarray) -> tuple:
-        # The rows vec(x_k x_k^T) - vec(Sigma), centered in place.
-        rows = np.einsum("ki,kj->kji", x, x).reshape(x.shape[0], -1)
-        rows -= self.vs
+        rows = x[:, self.i]
+        rows *= x[:, self.j]
+        rows -= self.sigma_half
         return (rows.T @ rows,)
 
     def estimate(self, sums: tuple, n: int) -> np.ndarray:
         s = sums[0] / n
         return (s + s.T) / 2.0
+
+    def distance_sq(self, estimate: np.ndarray, ref: np.ndarray) -> float:
+        """|E - R|_F^2 of the dense forms of two half-form operators."""
+        d = estimate - ref
+        np.multiply(d, d, out=d)
+        return float(self.weights @ d @ self.weights)
+
+    def result(self) -> np.ndarray:
+        # peak: the dense expansion, the total and the estimate it gathers from
+        require_memory(8 * (self.dim**4 + 2 * self.h**2), f"the empirical S at nx={self.dim}")
+        return super().result()[np.ix_(self.expand, self.expand)]
 
 
 def frame_operator_empirical(batch: SampleBatch) -> np.ndarray:

@@ -146,7 +146,8 @@ class RunningSum:
     n rows give. The sums of consecutive row ranges add (``merge_sums``), so
     ``add`` accumulates a chunk's sums and ``result`` is the estimate over
     every row added; ``absorb`` adds sums computed on row ranges elsewhere,
-    block by block (``checks.BlockSums``).
+    block by block (``checks.BlockSums``). An estimate may be held in a
+    compact form that ``result`` expands (``frames.OperatorMean``).
     """
 
     def __init__(self):
@@ -162,6 +163,12 @@ class RunningSum:
 
     def result(self):
         return self.estimate(self.total, self.n)
+
+    def distance_sq(self, estimate, ref) -> float:
+        """Squared Frobenius distance of an estimate from a reference given
+        in the estimate's form (``checks.BlockSums`` scores each block so)."""
+        d = estimate - ref
+        return float(np.vdot(d, d))
 
 
 def derive_seed(seed: int, index: int) -> int:

@@ -132,6 +132,20 @@ def test_monte_carlo_chunk_beyond_physical_memory_refused(rate_cov, monkeypatch,
     checks.MonteCarloBatches(rate_cov, 1, 0, 10**12)  # no Monte-Carlo check: nothing drawn
 
 
+@pytest.mark.parametrize("selection, width", [
+    (dict(kinds=("oja",)), 6 * 3), (dict(isserlis=True), 6 * 3 + 2 * 6),
+    (dict(kinds=("frame-operator",)), 6 * 3 + 2 * 6), (dict(derivation=True), 6 * 3),
+])
+def test_monte_carlo_chunk_guard_counts_h_columns(rate_cov, monkeypatch, selection, width):
+    # With the operator summed, a row of a chunk holds its h = nx(nx+1)/2 = 6
+    # half coordinates and the factor gathered into them, not nx**2 = 9.
+    asked = []
+    monkeypatch.setattr(checks, "require_memory", lambda nbytes, what: asked.append(nbytes))
+    batches = checks.MonteCarloBatches(rate_cov, 1, 0, _RATE_N, **selection)
+    rows = checks.chunk_schedule(_RATE_N, batches.block)[1]
+    assert asked == [8 * rows * width]
+
+
 # The sweeps before stacking: one covariance per trial, built as it is drawn,
 # and the public, validating functions.
 

@@ -181,6 +181,24 @@ class TestTrain:
         assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("mode", ["empirical", "closed"])
+    def test_batch_size_above_maximum_is_config_error_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, mode
+    ):
+        # 1e12 rows a step would draw for hours; the bound refuses it first.
+        def no_chunks(self):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(gaussian.SampleBatch, "chunks", no_chunks)
+        for size in (rules.MAX_BATCH_SIZE + 1, 10**12):
+            code = run(["train", "--out", tmp_path, "--mode", mode, "--batch-size", size,
+                        "--steps", "1"])
+            err = capsys.readouterr().err
+            assert code == EXIT_CONFIG_ERROR
+            assert err.startswith("config error:") and f"{rules.MAX_BATCH_SIZE:,}" in err
+            assert len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "flags",
         [

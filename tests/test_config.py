@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from frame_hebb.config import ConfigError, RunConfig, load_config
+from frame_hebb.rules import MAX_BATCH_SIZE
 
 
 def test_defaults():
@@ -68,11 +69,18 @@ def test_bad_learning_rate():
         {"threshold": 0.0},
         {"batch_size": -5},
         {"batch_size": -5, "mode": "empirical"},
+        {"batch_size": MAX_BATCH_SIZE + 1, "mode": "empirical"},
+        {"batch_size": MAX_BATCH_SIZE + 1},
     ],
 )
 def test_bad_trainer_values_rejected(kwargs):
     with pytest.raises(ConfigError):
         RunConfig(**kwargs)
+
+
+def test_largest_batch_size_accepted():
+    cfg = RunConfig(mode="empirical", batch_size=MAX_BATCH_SIZE)
+    assert cfg.resolved_batch_size() == MAX_BATCH_SIZE
 
 
 def test_load_config_file_and_overrides(tmp_path):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from frame_hebb import gaussian
+from frame_hebb import frames, gaussian
 from frame_hebb.errors import DimensionError, SampleSizeError, SkewDomainError
 from frame_hebb.frames import (
     ExpansionMean,
@@ -19,9 +19,10 @@ from frame_hebb.frames import (
     frame_expansion_reconstruct,
     frame_operator_analytic,
     frame_operator_empirical,
+    operator_half,
     restricted_inverse_apply,
 )
-from frame_hebb.gaussian import SampleBatch, isserlis_fourth_moment, sample
+from frame_hebb.gaussian import CHUNK_ROWS, SampleBatch, isserlis_fourth_moment, sample
 from frame_hebb.linalg import (
     CovarianceModel,
     build_covariance,
@@ -381,6 +382,50 @@ class TestOperatorChunks:
             s += rows.T @ rows
         s /= batch.n
         np.testing.assert_array_equal(frame_operator_empirical(batch), (s + s.T) / 2.0)
+
+
+class TestOperatorHalfForm:
+    """OperatorMean sums the Gram matrix of the h = nx(nx+1)/2 half rows;
+    its block distance from S in half form is the dense one."""
+
+    @pytest.mark.parametrize("nx", [1, 2, 3, 7])
+    def test_weighted_half_distance_is_the_dense_distance(self, nx):
+        cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=70 + nx))
+        s = frame_operator_analytic(cov)
+        mean = OperatorMean(cov)
+        x = sample(cov, 50, seed=71).data
+        est = mean.estimate(mean.sums(x), 50)
+        h = nx * (nx + 1) // 2
+        assert est.shape == (h, h)
+        dense = est[np.ix_(mean.expand, mean.expand)]
+        want = float(np.linalg.norm(dense - s)) ** 2
+        got = mean.distance_sq(est, operator_half(s, nx))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("nx", [1, 2, 3, 7])
+    def test_half_form_expands_to_the_dense_operator(self, nx):
+        cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=72 + nx))
+        s = frame_operator_analytic(cov)
+        mean = OperatorMean(cov)
+        assert np.array_equal(operator_half(s, nx)[np.ix_(mean.expand, mean.expand)], s)
+        batch = sample(cov, 40, seed=73)
+        x = batch.data
+        rows = np.einsum("ki,kj->kji", x, x).reshape(len(x), nx * nx) - vec(cov.sigma)
+        dense = rows.T @ rows / batch.n
+        got = frame_operator_empirical(batch)
+        assert np.linalg.norm(got - dense) <= 1e-14 * np.linalg.norm(dense)
+
+    def test_guards_count_h_columns(self, cov_rand3, monkeypatch):
+        # The running sum holds h-wide rows and h x h sums; only result()
+        # builds the dense nx**2 x nx**2 expansion.
+        asked = []
+        monkeypatch.setattr(frames, "require_memory", lambda nbytes, what: asked.append(nbytes))
+        mean = OperatorMean(cov_rand3)
+        h = 6
+        assert asked == [8 * (4 * h**2 + 2 * CHUNK_ROWS * h)]
+        mean.add(sample(cov_rand3, 10, seed=74).data)
+        assert mean.result().shape == (9, 9)
+        assert asked[1:] == [8 * (9**2 + 2 * h**2)]
 
 
 class TestIsserlisConsistency:

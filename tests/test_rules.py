@@ -244,7 +244,7 @@ class TestEghrEmpirical:
         batch = sample(cov_rand4, 300, 47)
         x = batch.data
         u = x @ w.T
-        s = (x * x).sum(axis=1) - (u * u).sum(axis=1)
+        s = (x * x) @ np.ones(4) - (u * u) @ np.ones(2)
         g = 0.5 * (s - s.sum() / s.size)
         whole = (u * g[:, None]).T @ x / batch.n
         np.testing.assert_array_equal(eghr_update_empirical(w, batch), whole)
@@ -289,6 +289,10 @@ class TestTrainer:
             TrainerConfig(learning_rate=0.1, steps=0)
         with pytest.raises(ValueError):
             TrainerConfig(learning_rate=0.1, steps=10, record_every=0)
+        for size in (-1, rules.MAX_BATCH_SIZE + 1):
+            with pytest.raises(ValueError, match="batch_size"):
+                TrainerConfig(learning_rate=0.1, steps=10, batch_size=size)
+        TrainerConfig(learning_rate=0.1, steps=10, batch_size=rules.MAX_BATCH_SIZE)
 
     def test_fixed_point_trajectory_is_flat(self, cov_rand4):
         w0 = principal_weights(cov_rand4, 2, seed=34)
@@ -325,6 +329,11 @@ class TestTrainer:
         with pytest.raises(DivergenceError) as err:
             train("oja", "closed", w0, cov, cfg)
         assert err.value.step >= 1
+        # the guard's norm is np.linalg.norm of the iterate, to the bit
+        w = w0
+        for _ in range(err.value.step):
+            w = w + cfg.learning_rate * oja_update_closed(w, cov)
+        assert err.value.norm == float(np.linalg.norm(w))
 
     def test_divergence_guard_catches_non_finite(self, cov_rand4, monkeypatch):
         monkeypatch.setattr(

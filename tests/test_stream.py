@@ -25,6 +25,7 @@ from frame_hebb.frames import (
     frame_expansion_reconstruct,
     frame_operator_analytic,
     frame_operator_empirical,
+    operator_half,
     restricted_inverse_apply,
 )
 from frame_hebb.gaussian import (
@@ -71,7 +72,7 @@ def oja_formula(w, x):
 
 def gain_hebbian_formula(w, x, center=None):
     u = x @ w.T
-    s = (x * x).sum(axis=1) - (u * u).sum(axis=1)
+    s = (x * x) @ np.ones(w.shape[1]) - (u * u) @ np.ones(w.shape[0])
     if center is None:
         center = float(s.sum() / s.size)
     g = 0.5 * (s - center)
@@ -219,13 +220,16 @@ class TestBlockSums:
     @staticmethod
     def kinds(w, cov):
         m = expansion_target(w, cov)
-        return {  # running sum, reference, public estimator, whole-batch formula
+        # running sum, reference in the form of its estimates, public
+        # estimator, whole-batch formula
+        return {
             "oja": (OjaMean(w), oja_update_closed(w, cov),
                     lambda b: oja_update_empirical(w, b), lambda x: oja_formula(w, x)),
             "eghr": (EghrMean(w), eghr_update_closed(w, cov),
                      lambda b: eghr_update_empirical(w, b),
                      lambda x: gain_hebbian_formula(w, x)),
-            "frame-operator": (OperatorMean(cov), frame_operator_analytic(cov),
+            "frame-operator": (OperatorMean(cov),
+                               operator_half(frame_operator_analytic(cov), cov.dim),
                                frame_operator_empirical, lambda x: operator_formula(cov, x)),
             "frame-expansion": (ExpansionMean(m, cov), m,
                                 lambda b: frame_expansion_reconstruct(m, b),
@@ -255,16 +259,25 @@ class TestBlockSums:
             out[kind] = (blocks, made, public, formula, ref)
         return batch, out
 
+    @staticmethod
+    def dense(blocks, a):
+        """An estimate or reference of ``blocks`` in the public estimator's
+        form: the operator's half form expanded to nx**2 x nx**2."""
+        if not isinstance(blocks.inner, OperatorMean):
+            return a
+        return a[np.ix_(blocks.inner.expand, blocks.inner.expand)]
+
     def test_each_block_estimate_is_the_public_estimate_on_its_rows(self, cov3, fed):
         batch, out = fed
         x = batch.data
         sizes = [self.M * RATE_SPLIT**k for k in range(RATE_LEVELS)]
         for kind, (blocks, made, public, _, ref) in out.items():
             assert sorted(made) == sizes + [self.N], kind  # the blocks, then the batch
+            ref = self.dense(blocks, ref)
             for size in sizes:
                 assert len(made[size]) == 1000 * self.M // size, (kind, size)
                 sq = 0.0
-                for j, got in enumerate(made[size]):
+                for j, got in enumerate(self.dense(blocks, est) for est in made[size]):
                     want = public(SampleBatch.from_rows(x[j * size:(j + 1) * size], cov3))
                     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (kind, j)
                     sq += float(np.linalg.norm(got - ref)) ** 2
