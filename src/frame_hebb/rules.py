@@ -88,10 +88,9 @@ class OjaMean(RunningSum):
     def __init__(self, w: np.ndarray):
         super().__init__()
         self.w = w
-        self.wt = np.ascontiguousarray(w.T)
 
     def sums(self, x: np.ndarray) -> tuple:
-        u = x @ self.wt
+        u = x @ self.w.T
         return (u.T @ (x - u @ self.w),)
 
     def estimate(self, sums: tuple, n: int) -> np.ndarray:
@@ -137,7 +136,7 @@ class EghrMean(RunningSum):
     def __init__(self, w: np.ndarray, center=None):
         super().__init__()
         self.w = w
-        self.wt = np.ascontiguousarray(w.T)
+        self.wt = np.ascontiguousarray(w.T)  # x @ wt beats x @ w.T per step
         self.ones_x, self.ones_u = _ones(w.shape[1]), _ones(w.shape[0])
         self.center = center
         self.recenter = center is None

@@ -369,19 +369,22 @@ class TestFrameExpansion:
 
 
 class TestOperatorChunks:
-    """The empirical operator sums fixed chunks of centered rows; the sum
-    must be bit-identical to a plain loop over the same chunks."""
+    """The empirical operator sums fixed chunks of centered half rows; the
+    sum must be bit-identical to a plain loop over the same chunks."""
 
     def test_matches_reference_loop_across_chunks(self, cov_rand3, monkeypatch):
         monkeypatch.setattr(gaussian, "CHUNK_ROWS", 7)  # 30 rows: chunks 7,7,7,9
         batch = sample(cov_rand3, 30, seed=81)
-        s = np.zeros((9, 9))
+        i, j = np.triu_indices(3)
+        s = np.zeros((6, 6))
         for start, stop in ((0, 7), (7, 14), (14, 21), (21, 30)):
             x = batch.data[start:stop]
-            rows = np.einsum("ki,kj->kji", x, x).reshape(len(x), 9) - vec(cov_rand3.sigma)
+            rows = x[:, i] * x[:, j] - cov_rand3.sigma[i, j]
             s += rows.T @ rows
         s /= batch.n
-        np.testing.assert_array_equal(frame_operator_empirical(batch), (s + s.T) / 2.0)
+        expand = OperatorMean(cov_rand3).expand
+        np.testing.assert_array_equal(frame_operator_empirical(batch),
+                                      ((s + s.T) / 2.0)[np.ix_(expand, expand)])
 
 
 class TestOperatorHalfForm:

@@ -39,7 +39,7 @@ from frame_hebb.gaussian import (
     sample,
     stein_check,
 )
-from frame_hebb.linalg import build_covariance, random_spd, vec
+from frame_hebb.linalg import build_covariance, random_spd
 from frame_hebb.rules import (
     EghrMean,
     OjaMean,
@@ -80,12 +80,11 @@ def gain_hebbian_formula(w, x, center=None):
 
 
 def operator_formula(cov, x):
-    n, d = x.shape
-    rows = np.einsum("ki,kj->kji", x, x).reshape(n, d * d) - vec(cov.sigma)
-    s = np.zeros((d * d, d * d))
-    s += rows.T @ rows
-    s /= n
-    return (s + s.T) / 2.0
+    i, j = np.triu_indices(cov.dim)
+    rows = x[:, i] * x[:, j] - cov.sigma[i, j]
+    s = rows.T @ rows / x.shape[0]
+    expand = OperatorMean(cov).expand
+    return ((s + s.T) / 2.0)[np.ix_(expand, expand)]
 
 
 def expansion_formula(m, cov, x):
