@@ -516,9 +516,9 @@ def derivation_checks(batches: MonteCarloBatches) -> tuple[ExperimentRecord, ...
 
 # ---------------------------------------------------------------------------
 # Command table: each check command's records CSV, report group and runners
-# in CSV order. A runner(config, cov, requested names, batches) -> records
-# yields the check names listed with it; it reads the run's one covariance
-# and the command's one MonteCarloBatches.
+# in CSV order. A runner(config, cov, batches) -> records yields the check
+# names listed with it; it reads the run's one covariance and the command's
+# one MonteCarloBatches.
 
 @dataclass(frozen=True)
 class CheckCommand:
@@ -534,28 +534,26 @@ class CheckCommand:
 COMMANDS = {
     "equivalence": CheckCommand("equivalence.csv", "learning-rule identities", (
         (["closed-equivalence"],
-         lambda c, cov, names, mc: [closed_equivalence_check(c.seed, dims=[(c.nx, c.nu)])]),
+         lambda c, cov, mc: [closed_equivalence_check(c.seed, dims=[(c.nx, c.nu)])]),
         (["fixed-point-sharing"],
-         lambda c, cov, names, mc: [fixed_point_sharing_check(c.seed, nx=c.nx, nu=c.nu)]),
+         lambda c, cov, mc: [fixed_point_sharing_check(c.seed, nx=c.nx, nu=c.nu)]),
         (["stein-identity"],
-         lambda c, cov, names, mc: [stein_identity_check(c.seed, n=STEIN_MIN_SAMPLES)]),
-        (["mc-rate-oja", "mc-rate-eghr"], lambda c, cov, names, mc: mc_rate_check(mc)),
+         lambda c, cov, mc: [stein_identity_check(c.seed, n=STEIN_MIN_SAMPLES)]),
+        (["mc-rate-oja", "mc-rate-eghr"], lambda c, cov, mc: mc_rate_check(mc)),
     )),
     "frame-check": CheckCommand("frame_check.csv", "frame machinery", (
-        (["frame-bounds"], lambda c, cov, names, mc: [frame_bounds_check(cov, c.seed)]),
-        (["kernel-annihilation"],
-         lambda c, cov, names, mc: [kernel_annihilation_check(cov, c.seed)]),
-        (["restricted-inverse"],
-         lambda c, cov, names, mc: [restricted_inverse_check(cov, c.seed)]),
+        (["frame-bounds"], lambda c, cov, mc: [frame_bounds_check(cov, c.seed)]),
+        (["kernel-annihilation"], lambda c, cov, mc: [kernel_annihilation_check(cov, c.seed)]),
+        (["restricted-inverse"], lambda c, cov, mc: [restricted_inverse_check(cov, c.seed)]),
         (["coefficient-identity", "cancellation-identity"],
-         lambda c, cov, names, mc: coefficient_identity_checks(c.seed, dims=[(c.nx, c.nu)])),
+         lambda c, cov, mc: coefficient_identity_checks(c.seed, dims=[(c.nx, c.nu)])),
         (["isserlis-analytic", "isserlis-empirical"],
-         lambda c, cov, names, mc: isserlis_checks(cov, c.seed, c.n_samples,
-                                                   mc if mc.isserlis else None)),
+         lambda c, cov, mc: isserlis_checks(cov, c.seed, c.n_samples,
+                                            mc if mc.isserlis else None)),
         (["mc-rate-frame-operator", "mc-rate-frame-expansion"],
-         lambda c, cov, names, mc: mc_rate_check(mc)),
+         lambda c, cov, mc: mc_rate_check(mc)),
         (["derivation-chain-agreement", "derivation-mc-target"],
-         lambda c, cov, names, mc: derivation_checks(mc)),
+         lambda c, cov, mc: derivation_checks(mc)),
     )),
 }
 # Each check name's runner and group; run_checks calls each runner once, so
@@ -579,7 +577,7 @@ def run_checks(config: RunConfig, cov, names: list[str]) -> list[ExperimentRecor
         derivation=any(name.startswith("derivation-") for name in names))
     records = []
     for runner in dict.fromkeys(_BY_CHECK[name][0] for name in names):
-        records.extend(runner(config, cov, names, batches))
+        records.extend(runner(config, cov, batches))
     records = [r for r in records if r.check_name in names]
     for r in records:
         r.group = _BY_CHECK[r.check_name][1]

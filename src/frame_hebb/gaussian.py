@@ -1,7 +1,7 @@
 """Seeded zero-mean Gaussian sampling and the two moment identities the
 learning-rule algebra rests on: integration by parts (for a smooth f,
 E[f(x) x_i] = sum_a Sigma_ia E[d_a f]) and the analytic Gaussian fourth
-moment E[(x kron x)(x kron x)^T].
+moment E[(x kron x)(x kron x)^T], built from Isserlis' three pairings.
 
 Sampling is deterministic: a batch with an integer seed is a pure function
 of (covariance, n, seed). ``sample`` returns a ``SampleBatch`` that holds no
@@ -10,20 +10,22 @@ rows; each pass over its ``chunks`` draws them in order from one
 chunk, not the batch. The chunks concatenate to the rows a whole-batch draw
 gives, bit for bit. A batch drawn with ``block=m`` starts every chunk on a
 multiple of m rows, so a pass can cut each chunk into whole blocks of m rows.
-Every empirical estimator is a running sum over the chunks (a
-``RunningSum``, with ``add`` and ``result``), and ``SampleBatch.feed`` hands
-each chunk to several of them, so estimators that share a batch share one
-draw. The checks, which need several independent batches, take a child seed
-per batch from ``derive_seed``. The seed may also be a
-``np.random.Generator``: the batch then draws from that stream when read, so
-it gives new rows on every pass and is read once; ``rules.train`` hands one
-stream per run to every step's batch this way.
+Every empirical estimator, ``SteinMean`` included, is a running sum over the
+chunks (a ``RunningSum``: the additive ``sums`` of a row range, and the
+``estimate`` they give), and ``SampleBatch.feed`` hands each chunk to several
+of them, so estimators that share a batch share one draw. The checks, which
+need several independent batches, take a child seed per batch from
+``derive_seed``. The seed may also be a ``np.random.Generator``: the batch
+then draws from that stream when read, so it gives new rows on every pass
+and is read once; ``rules.train`` hands one stream per run to every step's
+batch this way.
 
 The identity is checked on monomial test functions f = prod_j x_j^{a_j},
 each given by its exponent vector a (``monomial_exponents`` lists the
 built-in ones); f and its gradient are evaluated from a alone on a chunk laid
 out as (dim, rows). ``stein_check`` takes a sequence of exponent vectors and
-checks them all on one batch, in one pass over its chunks.
+checks them all on one batch, in one pass over its chunks, from the sums of
+the residuals and of their squares.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, SampleSizeError
-from .linalg import CovarianceModel, kron, require_memory, vec, vec_transpose_index
+from .linalg import CovarianceModel, require_memory
 from .records import ExperimentRecord, timed_record
 
 
@@ -243,53 +245,45 @@ def monomial_grad(x: np.ndarray, a) -> tuple[np.ndarray, np.ndarray]:
     return support, partials
 
 
-class SteinMean:
-    """Running mean and band of the Stein residuals d(x) = f(x) x - Sigma
-    grad f(x), one per exponent vector, over chunks; ``result`` is (mean,
-    band), each of shape (len(exponents), dim).
+class SteinMean(RunningSum):
+    """Running sum of the Stein residuals d(x) = f(x) x - Sigma grad f(x), one
+    per exponent vector, and of their squares; ``result`` is (mean, band),
+    each of shape (len(exponents), dim), the band 4 standard errors from the
+    variance (sum d^2 - n mean^2) / (n - 1). d has mean zero under the
+    identity, so that variance loses nothing to cancellation.
 
     Each chunk is transposed once to (dim, rows), so coordinates and
     reductions run along contiguous memory, and the functions are evaluated
     on it one at a time: a stacked (functions, dim, rows) block would multiply
-    the chunk's temporaries by the number of functions. Chunks are merged with
-    the pairwise update of Chan, Golub & LeVeque (1983); on one chunk the
-    result is ``mean`` and ``std(ddof=1)`` over the rows bit for bit.
+    the chunk's temporaries by the number of functions.
     """
 
     def __init__(self, sigma: np.ndarray, exponents):
+        super().__init__()
         self.sigma = sigma
         self.exponents = exponents
-        self.count = 0
-        self.mean = np.zeros((len(exponents), sigma.shape[0]))
-        self.m2 = np.zeros_like(self.mean)
 
-    def add(self, x: np.ndarray) -> None:
+    def sums(self, x: np.ndarray) -> tuple:
         xt = np.ascontiguousarray(x.T)
-        m = xt.shape[1]
-        chunk_mean = np.empty_like(self.mean)
-        chunk_m2 = np.empty_like(self.mean)
+        total = np.empty((len(self.exponents), xt.shape[0]))
+        total_sq = np.empty_like(total)
         resid = np.empty_like(xt)
         for k, a in enumerate(self.exponents):
             np.multiply(monomial(xt, a), xt, out=resid)
             support, partials = monomial_grad(xt, a)
             if support.size:
-                resid -= self.sigma[:, support] @ partials  # zero-mean under the identity
-            chunk_mean[k] = resid.mean(axis=1)
-            resid -= chunk_mean[k][:, None]
+                resid -= self.sigma[:, support] @ partials
+            total[k] = resid.sum(axis=1)
             np.multiply(resid, resid, out=resid)
-            chunk_m2[k] = resid.sum(axis=1)  # the sum of squares np.std takes
-        # On the first chunk (count 0) the merge returns the chunk's values.
-        count, total = self.count, self.count + m
-        delta = chunk_mean - self.mean
-        self.mean = self.mean + delta * (m / total)
-        self.m2 = self.m2 + chunk_m2 + delta * delta * (count * m / total)
-        self.count = total
+            total_sq[k] = resid.sum(axis=1)
+        return total, total_sq
 
-    def result(self) -> tuple[np.ndarray, np.ndarray]:
-        n = self.count
-        band = 4.0 * np.sqrt(self.m2 / (n - 1)) / np.sqrt(n)
+    def estimate(self, sums: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
+        mean = sums[0] / n
+        var = (sums[1] - n * mean * mean) / (n - 1)
+        band = 4.0 * np.sqrt(var) / np.sqrt(n)
         # Degenerate residual (identically zero) gets an absolute floor.
-        return self.mean, np.maximum(band, 1e-12)
+        return mean, np.maximum(band, 1e-12)
 
 
 def require_stein_samples(n: int) -> None:
@@ -337,14 +331,16 @@ def stein_check(cov: CovarianceModel, exponents, n: int, seed: int) -> list[Expe
 def isserlis_fourth_moment(cov: CovarianceModel) -> np.ndarray:
     """Analytic E[(x kron x)(x kron x)^T] for zero-mean Gaussian x.
 
-    Equals (Sigma kron Sigma)(I + T) plus the rank-one term
-    vec(Sigma) vec(Sigma)^T; T is applied as a column gather, and every term
-    is symmetric to the bit because Sigma is.
+    By Isserlis' theorem, entry (a nx + b, c nx + d) is E[x_a x_b x_c x_d] =
+    Sigma_ab Sigma_cd + Sigma_ac Sigma_bd + Sigma_ad Sigma_bc, the three
+    pairings added in that order. The build shares no code with the frame
+    operator (Sigma kron Sigma)(I + T) that isserlis-analytic compares it to.
     """
     # At most two nx**2 x nx**2 arrays are held at once.
-    require_memory(2 * 8 * cov.dim**4, f"the fourth moment at nx={cov.dim}")
-    m = kron(cov.sigma, cov.sigma)
-    m += m.take(vec_transpose_index(cov.dim), axis=1)
-    vs = vec(cov.sigma)
-    m += np.outer(vs, vs)
+    nx = cov.dim
+    require_memory(2 * 8 * nx**4, f"the fourth moment at nx={nx}")
+    s = cov.sigma
+    m = np.einsum("ab,cd->abcd", s, s).reshape(nx * nx, nx * nx)
+    m += np.einsum("ac,bd->abcd", s, s).reshape(nx * nx, nx * nx)
+    m += np.einsum("ad,bc->abcd", s, s).reshape(nx * nx, nx * nx)
     return m

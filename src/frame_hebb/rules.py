@@ -13,9 +13,11 @@ Each formula has one function. Weights are validated once, by
 ``frames.derive_eghr_from_oja``'s W); every other function here takes
 validated weights, so ``train``, the checks' sweeps and the public API share
 one arithmetic path. The empirical updates feed the batch's chunks to the
-running sums ``OjaMean`` and ``EghrMean``, whose ``sums`` of consecutive
-blocks of rows merge; ``checks.MonteCarloBatches`` feeds them block by block
-so that both updates, at every block size, share one draw.
+running sums ``OjaMean`` and ``EghrMean``, whose ``sums`` are pure functions
+of their rows and merge over consecutive blocks of rows; ``EghrMean`` sums
+uncentered gains and centers them on the batch mean in its ``estimate``.
+``checks.MonteCarloBatches`` feeds them block by block so that both updates,
+at every block size, share one draw.
 """
 
 from __future__ import annotations
@@ -118,16 +120,11 @@ def eghr_g(x: np.ndarray, w: np.ndarray, cov: CovarianceModel) -> float:
 class EghrMean(RunningSum):
     """Running sum of g u x^T over chunks; ``result`` is its batch average.
 
-    With ``center`` None the gains are centered by the mean c of
-    s = |x|^2 - |u|^2 over the rows averaged, which is known only after the
-    last of them. So they are centered on the first chunk's mean c0 instead,
-    and the sums also carry sum_k g_k and sum_k u_k x_k^T: the average over n
-    rows is then corrected by -(1/n) sum_k g_k (1/n) sum_k u_k x_k^T, since
-    (1/n) sum_k g_k = (c - c0)/2. The sums of any row range give its own
-    batch-mean-centered average this way, so blocks merge. While only the
-    first chunk has been summed, c0 is its own mean and no correction is
-    made: the result of a one-chunk batch is the whole-batch formula bit for
-    bit. A given ``center`` (the closed form) needs no correction either.
+    The gains are g = (s - c) / 2 with s = |x|^2 - |u|^2 and c fixed here:
+    the given ``center`` (the closed form), or 0. The sums are sum_k g_k u_k
+    x_k^T, sum_k g_k and sum_k u_k x_k^T. With ``center`` None the estimate
+    centers the gains on the mean of s over the n rows averaged, which
+    subtracts (1/n) sum_k g_k times (1/n) sum_k u_k x_k^T.
 
     The row sums |x|^2 and |u|^2 are products with a ones vector, one BLAS
     call each; they differ from np.sum's pairwise sums in the last bits.
@@ -136,27 +133,19 @@ class EghrMean(RunningSum):
     def __init__(self, w: np.ndarray, center=None):
         super().__init__()
         self.w = w
-        self.wt = np.ascontiguousarray(w.T)  # x @ wt beats x @ w.T per step
         self.ones_x, self.ones_u = _ones(w.shape[1]), _ones(w.shape[0])
         self.center = center
-        self.recenter = center is None
-        self.chunks = 0  # calls of sums
+        self.shift = 0.0 if center is None else center
 
     def sums(self, x: np.ndarray) -> tuple:
-        u = x @ self.wt
+        u = x @ self.w.T
         s = (x * x) @ self.ones_x - (u * u) @ self.ones_u  # |x|^2 - |u|^2 per row
-        if self.center is None:  # the first chunk's mean, by np.mean's reduction
-            self.center = float(s.sum() / s.size)
-        g = 0.5 * (s - self.center)
-        self.chunks += 1
-        hebb = (u * g[:, None]).T @ x
-        if not self.recenter:
-            return (hebb,)
-        return hebb, float(g.sum()), u.T @ x
+        g = 0.5 * (s - self.shift)
+        return (u * g[:, None]).T @ x, float(g.sum()), u.T @ x
 
     def estimate(self, sums: tuple, n: int) -> np.ndarray:
         mean = sums[0] / n
-        if self.recenter and self.chunks > 1:
+        if self.center is None:
             mean -= (sums[1] / n) * (sums[2] / n)
         return mean
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +39,18 @@ def test_isserlis_analytic_alone_skips_empirical_work(monkeypatch):
     monkeypatch.setattr(checks, "sample", forbidden)
     (alone,) = checks.run_checks(config, _cov(config), ["isserlis-analytic"])
     assert _fields(alone) == _fields(both[0])
+
+
+def test_isserlis_analytic_catches_a_transpose_that_gathers_nothing(monkeypatch):
+    # vec_transpose_index mutated to the identity, in every module that holds
+    # it: the fourth moment is built from Isserlis' pairings, not from the
+    # operator's kron and T gather, so the two no longer agree.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("frame_hebb") and hasattr(module, "vec_transpose_index"):
+            monkeypatch.setattr(module, "vec_transpose_index", lambda n: np.arange(n * n))
+    config = RunConfig(nx=3, nu=1, seed=5)
+    (record,) = checks.run_checks(config, _cov(config), ["isserlis-analytic"])
+    assert not record.passed
 
 
 @pytest.mark.parametrize(

@@ -85,8 +85,9 @@ class TestFrameElement:
 def dense_reference_cases():
     """(cov, S, fourth moment) by dense products for random-spd, diagonal and
     identity Sigma at several nx: S = K + K @ T with K = Sigma kron Sigma and
-    T the commutation matrix, the moment S + vec(Sigma) vec(Sigma)^T, each
-    then symmetrized as (A + A.T) / 2."""
+    T the commutation matrix, the moment vec(Sigma) vec(Sigma)^T + K + K @ T
+    (Isserlis' three pairings in order), each then symmetrized as
+    (A + A.T) / 2."""
     cases = []
     for nx in (1, 2, 3, 8, 32):
         for sigma in (
@@ -96,9 +97,10 @@ def dense_reference_cases():
         ):
             cov = build_covariance(sigma)
             sk = kron(cov.sigma, cov.sigma)
-            s = sk + sk @ commutation_matrix(nx)
+            skt = sk @ commutation_matrix(nx)
+            s = sk + skt
             vs = vec(cov.sigma)
-            m4 = s + np.outer(vs, vs)
+            m4 = np.outer(vs, vs) + sk + skt
             cases.append((cov, (s + s.T) / 2.0, (m4 + m4.T) / 2.0))
     return cases
 

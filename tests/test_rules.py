@@ -136,19 +136,24 @@ class TestGain:
         # update is (-[0, 1] + [2, 1]) / 2.
         w = np.array([[0.0, 1.0]])
         batch = SampleBatch.from_rows([[0.0, 1.0], [2.0, 1.0]], cov21)
-        mean = EghrMean(w)
-        np.testing.assert_array_equal(batch.feed(mean)[0], [[1.0, 0.0]])
-        assert mean.center == 2.0
+        batch_mean, explicit = batch.feed(EghrMean(w), EghrMean(w, 2.0))
+        np.testing.assert_array_equal(batch_mean, [[1.0, 0.0]])
+        np.testing.assert_array_equal(explicit, [[1.0, 0.0]])
 
     def test_batch_gains_sum_to_zero(self, cov_rand4):
+        # Centered on the batch mean of s = |x|^2 - |u|^2, the gains sum to
+        # zero, and the batch-mean estimate is the estimate under that center.
         w = np.random.default_rng(18).uniform(-1, 1, (2, 4))
         batch = sample(cov_rand4, 1000, seed=19)
-        mean = EghrMean(w)
-        batch.feed(mean)
         x = batch.data
         u = x @ w.T
-        g = 0.5 * ((x * x).sum(axis=1) - (u * u).sum(axis=1) - mean.center)
-        assert abs(np.sum(g)) <= 1e-12 * np.sum(np.abs(g))
+        s = (x * x).sum(axis=1) - (u * u).sum(axis=1)
+        g = 0.5 * (s - s.mean())
+        explicit = EghrMean(w, float(s.mean()))
+        batch_mean, centered = batch.feed(EghrMean(w), explicit)
+        assert abs(explicit.total[1]) <= 1e-12 * np.sum(np.abs(g))
+        np.testing.assert_allclose(batch_mean, centered, rtol=0,
+                                   atol=1e-12 * np.linalg.norm(centered))
 
 
 class TestEghrClosed:
@@ -213,15 +218,17 @@ class TestEghrEmpirical:
         assert np.all(gap <= band)
 
     def test_gain_shift_moves_update_by_hebbian_mean(self, cov_rand4):
-        # Lowering the center by 2c raises every gain by c.
+        # Lowering the center by 2c raises every gain by c; at the batch mean
+        # of s = |x|^2 - |u|^2 the center gives the batch-mean estimate.
         w = np.random.default_rng(28).uniform(-1, 1, (2, 4))
         batch = sample(cov_rand4, 500, seed=29)
-        mean = EghrMean(w)
-        base = batch.feed(mean)[0]
-        c = 0.7
-        shifted = batch.feed(EghrMean(w, mean.center - 2 * c))[0]
         x = batch.data
         u = x @ w.T
+        center = float(np.mean((x * x).sum(axis=1) - (u * u).sum(axis=1)))
+        c = 0.7
+        base, centered, shifted = batch.feed(
+            EghrMean(w), EghrMean(w, center), EghrMean(w, center - 2 * c))
+        np.testing.assert_allclose(centered, base, atol=1e-12)
         hebbian_mean = u.T @ x / batch.n
         np.testing.assert_allclose(shifted - base, c * hebbian_mean, atol=1e-12)
 
@@ -239,14 +246,14 @@ class TestEghrEmpirical:
         )
 
     def test_one_chunk_matches_whole_batch_formula(self, cov_rand4):
-        # One chunk: the update is the whole-batch formula bit for bit.
+        # One chunk: the update is the whole-batch formula bit for bit, the
+        # mean of the uncentered g u x^T less mean(g) times the mean of u x^T.
         w = np.random.default_rng(46).uniform(-1, 1, (2, 4))
         batch = sample(cov_rand4, 300, 47)
         x = batch.data
         u = x @ w.T
-        s = (x * x) @ np.ones(4) - (u * u) @ np.ones(2)
-        g = 0.5 * (s - s.sum() / s.size)
-        whole = (u * g[:, None]).T @ x / batch.n
+        g = 0.5 * ((x * x) @ np.ones(4) - (u * u) @ np.ones(2))
+        whole = (u * g[:, None]).T @ x / batch.n - (g.sum() / batch.n) * (u.T @ x / batch.n)
         np.testing.assert_array_equal(eghr_update_empirical(w, batch), whole)
 
 

@@ -31,11 +31,13 @@ from frame_hebb.frames import (
 from frame_hebb.gaussian import (
     CHUNK_ROWS,
     STEIN_MIN_SAMPLES,
+    RunningSum,
     SampleBatch,
     SteinMean,
     monomial,
     monomial_exponents,
     monomial_grad,
+    merge_sums,
     sample,
     stein_check,
 )
@@ -43,6 +45,7 @@ from frame_hebb.linalg import build_covariance, random_spd
 from frame_hebb.rules import (
     EghrMean,
     OjaMean,
+    closed_center,
     eghr_update_closed,
     eghr_update_empirical,
     expansion_target,
@@ -63,7 +66,7 @@ def w23():
     return np.random.default_rng(91).uniform(-1.0, 1.0, (2, 3))
 
 
-# The whole-batch formulas the chunked estimators replaced, on x = batch.data.
+# The whole-batch formulas of the chunked estimators, on x = batch.data.
 
 def oja_formula(w, x):
     u = x @ w.T
@@ -71,12 +74,16 @@ def oja_formula(w, x):
 
 
 def gain_hebbian_formula(w, x, center=None):
+    """With ``center`` None, the mean of the uncentered g u x^T less mean(g)
+    times the mean of u x^T: the gains centered on the batch mean."""
+    n = x.shape[0]
     u = x @ w.T
     s = (x * x) @ np.ones(w.shape[1]) - (u * u) @ np.ones(w.shape[0])
+    g = 0.5 * (s - (0.0 if center is None else center))
+    mean = (u * g[:, None]).T @ x / n
     if center is None:
-        center = float(s.sum() / s.size)
-    g = 0.5 * (s - center)
-    return (u * g[:, None]).T @ x / x.shape[0]
+        mean -= (float(g.sum()) / n) * (u.T @ x / n)
+    return mean
 
 
 def operator_formula(cov, x):
@@ -107,15 +114,24 @@ def derivation_formula(w, cov, x):
     return frame_route, gain_hebbian_formula(w, x, center)
 
 
-def stein_formula(cov, exponents, x):
-    """(mean, band) of the Stein residuals, one row per exponent vector."""
+def stein_residuals(cov, a, x):
+    """The Stein residuals of exponent vector a, shape (dim, rows)."""
     xt = np.ascontiguousarray(x.T)
+    support, partials = monomial_grad(xt, a)
+    return monomial(xt, a) * xt - cov.sigma[:, support] @ partials
+
+
+def stein_formula(cov, exponents, x):
+    """(mean, band) of the Stein residuals, one row per exponent vector: the
+    variance from the sums of the residuals and of their squares."""
+    n = x.shape[0]
     means, bands = [], []
     for a in exponents:
-        support, partials = monomial_grad(xt, a)
-        resid = monomial(xt, a) * xt - cov.sigma[:, support] @ partials
-        means.append(resid.mean(axis=1))
-        bands.append(np.maximum(4.0 * resid.std(axis=1, ddof=1) / np.sqrt(x.shape[0]), 1e-12))
+        resid = stein_residuals(cov, a, x)
+        mean = resid.sum(axis=1) / n
+        var = ((resid * resid).sum(axis=1) - n * mean * mean) / (n - 1)
+        means.append(mean)
+        bands.append(np.maximum(4.0 * np.sqrt(var) / np.sqrt(n), 1e-12))
     return np.array(means), np.array(bands)
 
 
@@ -189,6 +205,15 @@ class TestChunkedEstimators:
         assert len(list(batch.chunks())) == 1
         for name, got, want in estimates(w23, cov3, batch):
             assert np.array_equal(got, want), name
+
+    def test_stein_band_is_four_standard_errors(self, cov3):
+        batch = sample(cov3, 5000, seed=98)
+        exps = monomial_exponents(cov3.dim)
+        _, band = batch.feed(SteinMean(cov3.sigma, exps))[0]
+        for a, got in zip(exps, band):
+            resid = stein_residuals(cov3, a, batch.data)
+            want = 4.0 * resid.std(axis=1, ddof=1) / np.sqrt(batch.n)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_several_chunks_agree_with_the_whole_batch_formula(self, cov3, w23):
         batch = sample(cov3, 2 * C + 5, seed=93)
@@ -285,8 +310,8 @@ class TestBlockSums:
                 assert blocks.sq[level] == pytest.approx(sq, rel=1e-12)
 
     def test_whole_batch_is_the_whole_batch_formula(self, fed):
-        # The EghrMean sums were centered on the first block's mean; merged
-        # over blocks and chunks they still give the batch-mean centering.
+        # The EghrMean sums hold uncentered gains; merged over blocks and
+        # chunks, their estimate still centers the gains on the batch mean.
         batch, out = fed
         x = batch.data
         for kind, (blocks, _, _, formula, _) in out.items():
@@ -301,6 +326,61 @@ class TestBlockSums:
         batch.feed(with_ref, without)
         assert np.array_equal(with_ref.result(), without.result())
         assert without.count == [0] * RATE_LEVELS
+
+
+def running_sums(cov, w):
+    """One instance of every RunningSum subclass, EghrMean with and without a
+    center, by name."""
+    return {
+        "oja": OjaMean(w),
+        "eghr": EghrMean(w),
+        "eghr-closed": EghrMean(w, closed_center(w, cov)),
+        "operator": OperatorMean(cov),
+        "expansion": ExpansionMean(expansion_target(w, cov), cov),
+        "stein": SteinMean(cov.sigma, monomial_exponents(cov.dim)),
+    }
+
+
+RUNNING_SUMS = ("oja", "eghr", "eghr-closed", "operator", "expansion", "stein")
+
+
+class TestRunningSumContract:
+    """Every running sum's ``sums`` is a pure function of its rows whose
+    results add over consecutive row ranges, and its ``estimate`` reads only
+    the sums and the row count."""
+
+    @pytest.fixture
+    def rows(self, cov3):
+        return sample(cov3, 90, seed=99).data
+
+    def test_every_subclass_is_covered(self, cov3, w23):
+        covered = {type(s) for s in running_sums(cov3, w23).values()}
+        assert covered == set(RunningSum.__subclasses__())
+
+    @pytest.mark.parametrize("name", RUNNING_SUMS)
+    def test_sums_of_two_ranges_merge_to_the_sums_of_both(self, cov3, w23, rows, name):
+        s = running_sums(cov3, w23)[name]
+        merged = merge_sums(s.sums(rows[:37]), s.sums(rows[37:]))
+        for got, want in zip(merged, s.sums(rows), strict=True):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), name
+
+    @pytest.mark.parametrize("name", RUNNING_SUMS)
+    def test_sums_do_not_depend_on_rows_summed_before(self, cov3, w23, rows, name):
+        fresh, used = running_sums(cov3, w23)[name], running_sums(cov3, w23)[name]
+        used.add(rows[:40])
+        for got, want in zip(used.sums(rows[40:]), fresh.sums(rows[40:]), strict=True):
+            assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("name", RUNNING_SUMS)
+    def test_estimate_does_not_depend_on_rows_summed_since(self, cov3, w23, rows, name):
+        other = running_sums(cov3, w23)[name]
+        sums = merge_sums(other.sums(rows[:40]), other.sums(rows[40:]))
+        s = running_sums(cov3, w23)[name]
+        before = s.estimate(sums, rows.shape[0])
+        s.add(rows[:40])
+        s.add(rows[40:])
+        after = s.estimate(sums, rows.shape[0])
+        np.testing.assert_array_equal(after, before, err_msg=name)
 
 
 def traced_peak(run) -> int:
