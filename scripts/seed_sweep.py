@@ -7,7 +7,8 @@ process, against the ``frame_hebb`` package under SRC (default: this tree's
 ``src``): both empirical ``train-stream`` commands of the benchmark
 (``train --nx 8 --nu 3 --sigma diagonal:4,3.5,3,2,1.5,1,0.8,0.6 --mode
 empirical --steps 10000 --batch-size 100 --threshold 0.15``, one per rule),
-``equivalence --checks mc-rate-eghr,stein-identity`` and ``frame-check --checks
+``equivalence --checks mc-rate-eghr,stein-identity`` (stein-identity samples
+nothing, but its covariances follow the seed) and ``frame-check --checks
 derivation-chain-agreement,derivation-mc-target`` at the default config.
 Prints, per command and check, the seeds whose record failed and the worst
 margin abs_error / tolerance with its seed (a record passes at a margin of

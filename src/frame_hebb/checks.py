@@ -2,15 +2,15 @@
 
 Each check distills one identity or convergence claim into a single
 ExperimentRecord: worst observed violation vs a pinned tolerance. Exact
-identities use roundoff-level tolerances. Most Monte-Carlo comparisons use
-4-standard-error bands or the fitted 1/sqrt(n) rate; isserlis-empirical
-(MC_FROBENIUS_RTOL) and derivation-mc-target (frames.MC_TARGET_RTOL) still
-use a fixed 5% relative tolerance, which sampling noise can cross at small n.
-stein-identity draws one batch per dimension and checks every built-in test
-function on it. It runs at gaussian.STEIN_MIN_SAMPLES rows; run_checks
-rejects a smaller --samples before any check runs.
+identities use roundoff-level tolerances. The mc-rate-* checks fit the
+1/sqrt(n) rate; isserlis-empirical (MC_FROBENIUS_RTOL) and
+derivation-mc-target (frames.MC_TARGET_RTOL) use a fixed 5% relative
+tolerance, which sampling noise can cross at small n. stein-identity draws
+nothing: it checks every built-in test function on the exact degree-5
+cubature rule of each of its covariances (``gaussian.cubature``), so it
+reads no --samples.
 
-Every other Monte-Carlo check of a command reads the command's one
+Every Monte-Carlo check of a command reads the command's one
 ``MonteCarloBatches``: RATE_BATCHES batches of --samples rows, each read in
 one pass by every estimator the selected checks need. A rate check cuts each
 batch into disjoint consecutive blocks of n/1000, n/100, n/10 and n rows
@@ -54,14 +54,12 @@ from .frames import (
     restricted_inverse_apply,
 )
 from .gaussian import (
-    STEIN_MIN_SAMPLES,
     RunningSum,
     chunk_schedule,
     derive_seed,
     isserlis_fourth_moment,
     merge_sums,
     monomial_exponents,
-    require_stein_samples,
     sample,
     stein_check,
 )
@@ -184,21 +182,19 @@ def fixed_point_sharing_check(
                         nx=nx, nu=nu, trials=trials)
 
 
-def stein_identity_check(
-    seed: int, n: int, dims: tuple[int, ...] = (1, 2, 4)
-) -> ExperimentRecord:
+def stein_identity_check(seed: int, dims: tuple[int, ...] = (1, 2, 4)) -> ExperimentRecord:
     """Integration-by-parts identity for every built-in test function on a
-    random SPD covariance per dimension; value is the worst ratio of observed
-    discrepancy to its 4-standard-error band (must stay below 1). All test
-    functions of a dimension read one batch, drawn from child seed
-    1000 + dim."""
+    random SPD covariance per dimension, drawn from child seed dim; value is
+    the worst ratio of a function's discrepancy to its roundoff tolerance
+    (must stay below 1). Both sides are exact cubature sums
+    (``gaussian.stein_check``), so nothing is sampled."""
     t0 = time.perf_counter()
     worst = 0.0
     for dim in dims:
         cov = build_covariance(random_spd(dim, SWEEP_EIG_RANGE, seed=derive_seed(seed, dim)))
-        for rec in stein_check(cov, monomial_exponents(dim), n, derive_seed(seed, 1000 + dim)):
+        for rec in stein_check(cov, monomial_exponents(dim), seed):
             worst = max(worst, rec.value / rec.tolerance)
-    return timed_record("stein-identity", worst, 1.0, seed, t0, dims=dims, n=n)
+    return timed_record("stein-identity", worst, 1.0, seed, t0, dims=dims)
 
 
 def frame_bounds_check(cov, seed: int, trials: int = 1000) -> ExperimentRecord:
@@ -308,7 +304,8 @@ def isserlis_checks(cov, seed: int, n: int, batches=None) -> tuple[ExperimentRec
                             EXACT_RTOL, seed, t0, nx=cov.dim, n=n)
     if batches is None:
         return (analytic,)
-    s_emp = batches.batch(0)[1]["frame-operator"].result()
+    operator = batches.batch(0)[1]["frame-operator"]
+    s_emp = operator.inner.dense(operator.result())
     empirical = timed_record("isserlis-empirical", float(np.linalg.norm(s_emp - s)) / s_scale,
                              MC_FROBENIUS_RTOL, seed, t0, nx=cov.dim, n=n)
     return analytic, empirical
@@ -318,8 +315,7 @@ def isserlis_checks(cov, seed: int, n: int, batches=None) -> tuple[ExperimentRec
 # The Monte-Carlo batches of a check command.
 
 # Batch i of a command draws from derive_seed(seed, MC_SEED_INDEX + i); no
-# other check draws from that index range (stein-identity takes 1-4 and
-# 1001-1004).
+# other check draws from that index range (stein-identity takes 1-4).
 MC_SEED_INDEX = 2000
 RATE_BATCHES = 2
 # A rate check cuts each batch into blocks of n/1000, n/100, n/10 and n rows:
@@ -538,7 +534,7 @@ COMMANDS = {
         (["fixed-point-sharing"],
          lambda c, cov, mc: [fixed_point_sharing_check(c.seed, nx=c.nx, nu=c.nu)]),
         (["stein-identity"],
-         lambda c, cov, mc: [stein_identity_check(c.seed, n=STEIN_MIN_SAMPLES)]),
+         lambda c, cov, mc: [stein_identity_check(c.seed)]),
         (["mc-rate-oja", "mc-rate-eghr"], lambda c, cov, mc: mc_rate_check(mc)),
     )),
     "frame-check": CheckCommand("frame_check.csv", "frame machinery", (
@@ -566,10 +562,7 @@ def run_checks(config: RunConfig, cov, names: list[str]) -> list[ExperimentRecor
     """Run the runners behind the requested check names (each runner once) on
     the run's covariance ``cov`` and one MonteCarloBatches, keep only the
     requested records, and stamp report groups. Too few samples for a
-    requested stein-identity or mc-rate-* check raise SampleSizeError before
-    any check runs."""
-    if "stein-identity" in names:
-        require_stein_samples(config.n_samples)
+    requested mc-rate-* check raise SampleSizeError before any check runs."""
     batches = MonteCarloBatches(
         cov, config.nu, config.seed, config.n_samples,
         kinds=[name[len("mc-rate-"):] for name in names if name.startswith("mc-rate-")],

@@ -13,10 +13,12 @@ only the command's own checks, and ``train`` runs none. Each command builds
 its one covariance before any check or training step, so a degenerate or
 out-of-window covariance exits 2 whatever ``--checks`` selects. A learning
 rate that steps W onto dependent rows (``RankDeficientError``) is an input
-error, and so is an nx at which a selected check's dense nx**2 x nx**2
-operator would not fit in physical memory (``DimensionError``).
-``SkewDomainError`` is left unmapped: every matrix the commands hand to the
-restricted inverse is symmetric to far within its domain tolerance.
+error, and so are too few ``--samples`` for a selected Monte-Carlo check
+(``SampleSizeError``; ``stein-identity`` samples nothing) and an nx at which
+a selected check's dense nx**2 x nx**2 operator would not fit in physical
+memory (``DimensionError``). ``SkewDomainError`` is left unmapped: every
+matrix the commands hand to the restricted inverse is symmetric to far
+within its domain tolerance.
 """
 
 from __future__ import annotations

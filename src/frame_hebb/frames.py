@@ -15,9 +15,8 @@ Everything here takes and returns nx x nx matrices except S, which
 frame_operator_analytic and frame_operator_empirical give as a dense
 nx**2 x nx**2 array. The analytic S is the covariance model's
 ``frame_operator``, built once per covariance and shared read-only. Only
-it, the empirical operator's ``result`` and gaussian.isserlis_fourth_moment
-build arrays of that size, each after ``linalg.require_memory`` says its
-peak fits.
+it, ``OperatorMean.dense`` and gaussian.isserlis_fourth_moment build arrays
+of that size, each after ``linalg.require_memory`` says its peak fits.
 
 The empirical estimators are running sums over a batch's chunks
 (``OperatorMean``, ``ExpansionMean``), so they hold one chunk of rows at a
@@ -74,13 +73,13 @@ def operator_half(s: np.ndarray, nx: int) -> np.ndarray:
 
 class OperatorMean(RunningSum):
     """Running sum of the Gram matrix of the half-vectorized frame elements;
-    ``result`` is the dense (1/n) sum_k vec(Xi_k) vec(Xi_k)^T, symmetrized.
+    ``dense(result())`` is (1/n) sum_k vec(Xi_k) vec(Xi_k)^T, symmetrized.
 
     ``sums`` forms, per row, the h = nx(nx+1)/2 centered products
     x_i x_j - Sigma_ij, i <= j, and returns their h x h Gram matrix: the
     dense Gram's entries at the pairs' vec positions (``operator_half``).
     ``estimate`` stays in this half form, ``distance_sq`` weighs each entry
-    by the vec positions its pairs stand for, and ``result`` expands the
+    by the vec positions its pairs stand for, and ``dense`` expands an
     estimate to nx**2 x nx**2 with one index gather. Whether BLAS adds the
     half and the dense Gram's products in the same order depends on its
     kernels: OpenBLAS's Haswell kernels do at nx <= 4, 16 and 32, and differ
@@ -120,17 +119,19 @@ class OperatorMean(RunningSum):
         np.multiply(d, d, out=d)
         return float(self.weights @ d @ self.weights)
 
-    def result(self) -> np.ndarray:
+    def dense(self, estimate: np.ndarray) -> np.ndarray:
+        """The nx**2 x nx**2 form of a half-form estimate."""
         # peak: the dense expansion, the total and the estimate it gathers from
         require_memory(8 * (self.dim**4 + 2 * self.h**2), f"the empirical S at nx={self.dim}")
-        return super().result()[np.ix_(self.expand, self.expand)]
+        return estimate[np.ix_(self.expand, self.expand)]
 
 
 def frame_operator_empirical(batch: SampleBatch) -> np.ndarray:
     """(1/n) sum_k vec(Xi_k) vec(Xi_k)^T, summed over the batch's chunks."""
     if batch.n < 2:
         raise SampleSizeError(f"need >= 2 samples for the frame operator, got {batch.n}")
-    return batch.feed(OperatorMean(batch.covariance))[0]
+    mean = OperatorMean(batch.covariance)
+    return mean.dense(batch.feed(mean)[0])
 
 
 @dataclass(frozen=True)

@@ -10,22 +10,20 @@ rows; each pass over its ``chunks`` draws them in order from one
 chunk, not the batch. The chunks concatenate to the rows a whole-batch draw
 gives, bit for bit. A batch drawn with ``block=m`` starts every chunk on a
 multiple of m rows, so a pass can cut each chunk into whole blocks of m rows.
-Every empirical estimator, ``SteinMean`` included, is a running sum over the
-chunks (a ``RunningSum``: the additive ``sums`` of a row range, and the
-``estimate`` they give), and ``SampleBatch.feed`` hands each chunk to several
-of them, so estimators that share a batch share one draw. The checks, which
-need several independent batches, take a child seed per batch from
-``derive_seed``. The seed may also be a ``np.random.Generator``: the batch
-then draws from that stream when read, so it gives new rows on every pass
-and is read once; ``rules.train`` hands one stream per run to every step's
-batch this way.
+Every empirical estimator is a running sum over the chunks (a
+``RunningSum``: the additive ``sums`` of a row range, and the ``estimate``
+they give), and ``SampleBatch.feed`` hands each chunk to several of them, so
+estimators that share a batch share one draw. The checks, which need several
+independent batches, take a child seed per batch from ``derive_seed``. The
+seed may also be a ``np.random.Generator``: the batch then draws from that
+stream when read, so it gives new rows on every pass and is read once;
+``rules.train`` hands one stream per run to every step's batch this way.
 
-The identity is checked on monomial test functions f = prod_j x_j^{a_j},
-each given by its exponent vector a (``monomial_exponents`` lists the
-built-in ones); f and its gradient are evaluated from a alone on a chunk laid
-out as (dim, rows). ``stein_check`` takes a sequence of exponent vectors and
-checks them all on one batch, in one pass over its chunks, from the sums of
-the residuals and of their squares.
+The identity is checked, drawing nothing, on monomials f = prod_j x_j^{a_j}
+of degree at most 4, each given by its exponent vector a
+(``monomial_exponents`` lists the built-in ones): every term is then a
+polynomial of degree at most 5, which the rule of ``cubature`` integrates
+exactly, so ``stein_check`` compares both sides to roundoff.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SampleSizeError
+from .errors import DimensionError
 from .linalg import CovarianceModel, require_memory
 from .records import ExperimentRecord, timed_record
 
@@ -48,16 +46,6 @@ from .records import ExperimentRecord, timed_record
 # blocking, so the rows of a chunk come out of the product with L^T as they
 # do in one whole-batch product.
 CHUNK_ROWS = 1 << 15
-
-# Fewest rows for which the Stein band holds its false-failure rate. The
-# residual is a cubic times x, so its variance is an 8th moment of x; at small
-# n the sample variance is mostly too small, and stein_identity_check fails
-# an exact identity (value 12.8 at n=2, 1.47 at n=10, 1.99 at n=100, seed 42).
-# Over seeds 3000-3299 stein_identity_check failed on 18 seeds at n=1e3, 9 at
-# 3e3, 2 at 1e4, 3 at 3e4 and 1 at 1e5 (0.33%). No n below 1e5 matched the
-# rate at 1e5, so the minimum is 1e5, the n that check runs at by default.
-STEIN_MIN_SAMPLES = 100_000
-
 
 @dataclass(frozen=True)
 class SampleBatch:
@@ -149,7 +137,8 @@ class RunningSum:
     ``add`` accumulates a chunk's sums and ``result`` is the estimate over
     every row added; ``absorb`` adds sums computed on row ranges elsewhere,
     block by block (``checks.BlockSums``). An estimate may be held in a
-    compact form that ``result`` expands (``frames.OperatorMean``).
+    compact form (``frames.OperatorMean``'s half form, which its ``dense``
+    expands).
     """
 
     def __init__(self):
@@ -245,70 +234,36 @@ def monomial_grad(x: np.ndarray, a) -> tuple[np.ndarray, np.ndarray]:
     return support, partials
 
 
-class SteinMean(RunningSum):
-    """Running sum of the Stein residuals d(x) = f(x) x - Sigma grad f(x), one
-    per exponent vector, and of their squares; ``result`` is (mean, band),
-    each of shape (len(exponents), dim), the band 4 standard errors from the
-    variance (sum d^2 - n mean^2) / (n - 1). d has mean zero under the
-    identity, so that variance loses nothing to cancellation.
-
-    Each chunk is transposed once to (dim, rows), so coordinates and
-    reductions run along contiguous memory, and the functions are evaluated
-    on it one at a time: a stacked (functions, dim, rows) block would multiply
-    the chunk's temporaries by the number of functions.
-    """
-
-    def __init__(self, sigma: np.ndarray, exponents):
-        super().__init__()
-        self.sigma = sigma
-        self.exponents = exponents
-
-    def sums(self, x: np.ndarray) -> tuple:
-        xt = np.ascontiguousarray(x.T)
-        total = np.empty((len(self.exponents), xt.shape[0]))
-        total_sq = np.empty_like(total)
-        resid = np.empty_like(xt)
-        for k, a in enumerate(self.exponents):
-            np.multiply(monomial(xt, a), xt, out=resid)
-            support, partials = monomial_grad(xt, a)
-            if support.size:
-                resid -= self.sigma[:, support] @ partials
-            total[k] = resid.sum(axis=1)
-            np.multiply(resid, resid, out=resid)
-            total_sq[k] = resid.sum(axis=1)
-        return total, total_sq
-
-    def estimate(self, sums: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
-        mean = sums[0] / n
-        var = (sums[1] - n * mean * mean) / (n - 1)
-        band = 4.0 * np.sqrt(var) / np.sqrt(n)
-        # Degenerate residual (identically zero) gets an absolute floor.
-        return mean, np.maximum(band, 1e-12)
+def cubature(cov: CovarianceModel) -> tuple[np.ndarray, np.ndarray]:
+    """(points, weights) of the fifth-degree Gauss cubature rule for N(0, Sigma)
+    (Stroud 1971): its weighted sum over 2 n**2 + 1 points is the expectation
+    of any polynomial of degree at most 5 in x. With q = n + 2, z sits at the
+    origin with weight (q - n) / q, at +-sqrt(q) e_i with weight
+    (q + 2 - 2n) / (2 q**2), negative for n > 4, and at
+    +-sqrt(q / 2) (e_i +- e_j), i < j, with weight 1 / q**2; x = z L^T."""
+    n = cov.dim
+    q = n + 2.0
+    eye = np.eye(n)
+    i, j = np.triu_indices(n, k=1)
+    axes = np.sqrt(q) * eye
+    pairs = np.sqrt(q / 2.0) * np.concatenate([eye[i] + eye[j], eye[i] - eye[j]])
+    z = np.concatenate([np.zeros((1, n)), axes, -axes, pairs, -pairs])
+    weights = np.concatenate([[(q - n) / q], np.full(2 * n, (q + 2 - 2 * n) / (2 * q * q)),
+                              np.full(2 * len(pairs), 1.0 / (q * q))])
+    return z @ cov.chol.T, weights
 
 
-def require_stein_samples(n: int) -> None:
-    """Raise SampleSizeError for n < STEIN_MIN_SAMPLES."""
-    if n < STEIN_MIN_SAMPLES:
-        raise SampleSizeError(
-            f"need >= {STEIN_MIN_SAMPLES} samples for the Stein band, got {n}: below that "
-            "the band of the heavy-tailed residual is not a valid 4-standard-error band")
-
-
-def stein_check(cov: CovarianceModel, exponents, n: int, seed: int) -> list[ExperimentRecord]:
-    """Monte-Carlo check of E[f(x) x_i] = sum_a Sigma_ia E[d_a f] per component,
-    for each monomial f given by an exponent vector in ``exponents``; one
-    record per function, in order.
-
-    All functions read the same batch ``sample(cov, n, seed)`` in one pass
-    (``SteinMean``). Both sides are estimated on that batch, so the
-    per-sample residual d_i(x) = f(x) x_i - (Sigma grad f(x))_i has mean zero
-    under the identity and its empirical mean is compared against a
-    4-standard-error band from the sample variance. A record holds the
-    component with the worst discrepancy-to-band ratio, keeping "passed"
-    equivalent to all components passing; its wall time covers the whole
-    pass. Raises DimensionError when an exponent vector's length is not the
-    covariance's dimension, ValueError on a negative exponent (f would not be
-    smooth), and SampleSizeError for n < STEIN_MIN_SAMPLES.
+def stein_check(cov: CovarianceModel, exponents, seed: int) -> list[ExperimentRecord]:
+    """Check E[f(x) x_i] = sum_a Sigma_ia E[d_a f] per component, for each
+    monomial f given by an exponent vector in ``exponents``; one record per
+    function, in order, labelled with ``seed``. Its value is the weighted
+    mean of d(x) = f(x) x - Sigma grad f(x) over the points of
+    ``cubature(cov)``, exactly 0 but for roundoff, and the tolerance of
+    component i is 1e-12 sum_p |w_p| (|f(x_p) x_p,i| + |(Sigma grad f(x_p))_i|),
+    which holds whatever the signs of the weights. A record keeps the
+    component with the worst value-to-tolerance ratio. Raises DimensionError
+    when an exponent vector's length is not the covariance's dimension, and
+    ValueError on a negative exponent or a degree above 4.
     """
     exponents = [tuple(int(p) for p in a) for a in exponents]
     for a in exponents:
@@ -316,15 +271,24 @@ def stein_check(cov: CovarianceModel, exponents, n: int, seed: int) -> list[Expe
             raise DimensionError(f"exponent vector {a} has length {len(a)}, expected {cov.dim}")
         if min(a, default=0) < 0:
             raise ValueError(f"exponent vector {a} has a negative exponent")
-    require_stein_samples(n)
+        if sum(a) > 4:
+            raise ValueError(f"exponent vector {a} has total degree {sum(a)}: the degree-5 "
+                             "cubature rule is exact only up to degree 4")
     t0 = time.perf_counter()
-    means, bands = sample(cov, n, seed).feed(SteinMean(cov.sigma, exponents))[0]
+    x, weights = cubature(cov)
+    xt = np.ascontiguousarray(x.T)
+    size = np.abs(weights)
     records = []
-    for a, mean, band in zip(exponents, means, bands):
-        worst = int(np.argmax(np.abs(mean) / band))
+    for a in exponents:
+        fx = monomial(xt, a) * xt
+        support, partials = monomial_grad(xt, a)
+        grad = cov.sigma[:, support] @ partials
+        gap = np.abs((fx - grad) @ weights)
+        tol = 1e-12 * ((np.abs(fx) + np.abs(grad)) @ size)
+        worst = int(np.argmax(np.divide(gap, tol, out=np.zeros_like(gap), where=tol > 0)))
         name = monomial_name(a)
-        records.append(timed_record(f"stein-{name}", float(abs(mean[worst])),
-                                    float(band[worst]), seed, t0, fn=name, n=n, dim=cov.dim))
+        records.append(timed_record(f"stein-{name}", float(gap[worst]), float(tol[worst]),
+                                    seed, t0, fn=name, dim=cov.dim))
     return records
 
 

@@ -27,10 +27,11 @@ CHOLESKY_RTOL = 1e-12
 INVERSE_ATOL = 1e-10
 ORTHOGONALITY_ATOL = 1e-10
 EIGENVALUE_FLOOR_REL = 1e-12
-# The checks form moments of x up to the 8th order (the Stein band is the
-# variance of a residual of 4th order in x), and such a moment scales as
-# lambda^4. Every eigenvalue must keep lambda^4, with MOMENT_HEADROOM to spare
-# for the sums over a batch and its dimensions, inside the normal float range.
+# The checks form moments of x up to the 8th order (mc-rate-frame-operator
+# squares the distance of a block's operator estimate, of 4th order in x,
+# from S), and such a moment scales as lambda^4. Every eigenvalue must keep
+# lambda^4, with MOMENT_HEADROOM to spare for the sums over a batch and its
+# dimensions, inside the normal float range.
 MOMENT_ORDER = 8
 MOMENT_HEADROOM = 1e20
 EIGENVALUE_WINDOW = (

@@ -122,9 +122,9 @@ class EghrMean(RunningSum):
 
     The gains are g = (s - c) / 2 with s = |x|^2 - |u|^2 and c fixed here:
     the given ``center`` (the closed form), or 0. The sums are sum_k g_k u_k
-    x_k^T, sum_k g_k and sum_k u_k x_k^T. With ``center`` None the estimate
-    centers the gains on the mean of s over the n rows averaged, which
-    subtracts (1/n) sum_k g_k times (1/n) sum_k u_k x_k^T.
+    x_k^T and, with ``center`` None, sum_k g_k and sum_k u_k x_k^T: the
+    estimate then centers the gains on the mean of s over the n rows
+    averaged, which subtracts (1/n) sum_k g_k times (1/n) sum_k u_k x_k^T.
 
     The row sums |x|^2 and |u|^2 are products with a ones vector, one BLAS
     call each; they differ from np.sum's pairwise sums in the last bits.
@@ -141,7 +141,10 @@ class EghrMean(RunningSum):
         u = x @ self.w.T
         s = (x * x) @ self.ones_x - (u * u) @ self.ones_u  # |x|^2 - |u|^2 per row
         g = 0.5 * (s - self.shift)
-        return (u * g[:, None]).T @ x, float(g.sum()), u.T @ x
+        hebbian = (u * g[:, None]).T @ x
+        if self.center is not None:
+            return (hebbian,)
+        return hebbian, float(g.sum()), u.T @ x
 
     def estimate(self, sums: tuple, n: int) -> np.ndarray:
         mean = sums[0] / n

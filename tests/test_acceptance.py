@@ -126,12 +126,12 @@ def test_criterion_5_isserlis_consistency():
 
 def test_criterion_6_stein_identity():
     t0 = time.perf_counter()
-    rec = stein_identity_check(SEED, n=10**5, dims=(1, 2, 4))
+    rec = stein_identity_check(SEED, dims=(1, 2, 4))
     elapsed = time.perf_counter() - t0
     _report(
         "criterion 6 integration-by-parts identity",
         rec.passed and elapsed < 30.0,
-        f"worst band ratio {rec.value:.3f} (tol 1), {elapsed:.2f}s",
+        f"worst discrepancy-to-roundoff ratio {rec.value:.2e} (tol 1), {elapsed:.2f}s",
     )
     assert rec.passed
     assert elapsed < 30.0

@@ -22,7 +22,7 @@ from frame_hebb.cli import (
     main,
 )
 from frame_hebb.frames import SKEW_DOMAIN_RTOL
-from frame_hebb.gaussian import CHUNK_ROWS, STEIN_MIN_SAMPLES, derive_seed
+from frame_hebb.gaussian import CHUNK_ROWS, derive_seed
 from frame_hebb.linalg import skew_part
 from frame_hebb.records import (
     CSV_COLUMNS,
@@ -67,17 +67,17 @@ class TestEquivalence:
         assert code == EXIT_CONFIG_ERROR
         assert "nu" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("samples", [1, 100, STEIN_MIN_SAMPLES - 1])
-    def test_small_sample_stein_is_input_error(self, tmp_path, samples):
-        # below STEIN_MIN_SAMPLES the Stein band misses its false-failure rate
-        proc = run_process(["equivalence", "--out", tmp_path, "--samples", samples,
+    def test_stein_identity_runs_at_one_sample(self, tmp_path):
+        # the cubature rule samples nothing, so no --samples is too few
+        proc = run_process(["equivalence", "--out", tmp_path, "--samples", 1,
                             "--checks", "stein-identity"])
-        assert proc.returncode == EXIT_CONFIG_ERROR
-        assert proc.stderr.startswith("input error:")
-        assert len(proc.stderr.splitlines()) == 1
-        assert "Traceback" not in proc.stderr
+        assert proc.returncode == EXIT_PASS
+        assert proc.stdout.startswith("[PASS] stein-identity")
+        (record,) = read_records_csv(tmp_path / "equivalence.csv")
+        assert record.check_name == "stein-identity" and record.passed
 
-    def test_small_sample_stein_rejected_before_any_check_runs(self, tmp_path, monkeypatch):
+    def test_small_sample_rejected_before_any_check_runs(self, tmp_path, monkeypatch):
+        # the mc-rate-* checks of a full equivalence need RATE_MIN_SAMPLES
         ran = []
         monkeypatch.setattr(checks, "closed_equivalence_check",
                             lambda *args, **kwargs: ran.append(args))
@@ -414,7 +414,7 @@ EXTREME_SCALES = ["1e300", "1e160", "1e150", "1e-160", "1e-300"]
 BAD_SIGMAS = ["diagonal:1,1,1,0", "diagonal:1,2"] + [
     "diagonal:" + ",".join([scale] * 4) for scale in EXTREME_SCALES]
 # Checks whose work scales with --samples: cheap at nx=4.
-SAMPLED_CHECKS = {"equivalence": "stein-identity",
+SAMPLED_CHECKS = {"equivalence": "mc-rate-oja,mc-rate-eghr",
                   "frame-check": "isserlis-empirical,derivation-chain-agreement,"
                                  "derivation-mc-target"}
 
@@ -522,9 +522,9 @@ class TestOneCovariancePerRun:
 
 class TestMonteCarloDraws:
     """Each check command draws RATE_BATCHES batches of --samples rows, which
-    all its Monte-Carlo checks read; stein-identity draws its own."""
+    all its Monte-Carlo checks read; stein-identity draws nothing."""
 
-    N = 2 * STEIN_MIN_SAMPLES  # distinct from the Stein batches
+    N = 200_000
 
     def draws(self, monkeypatch, tmp_path, argv):
         batches = _spy_everywhere(monkeypatch, gaussian.sample)
@@ -540,10 +540,9 @@ class TestMonteCarloDraws:
         assert [d for d in draws if d[0] > 1] == self.shared()
         assert sum(n == 1 for n, _ in draws) == 1000
 
-    def test_equivalence_draws_two_batches_and_three_stein_batches(self, monkeypatch, tmp_path):
+    def test_equivalence_draws_two_batches(self, monkeypatch, tmp_path):
         draws = self.draws(monkeypatch, tmp_path, ["equivalence"])
-        stein = [(STEIN_MIN_SAMPLES, derive_seed(42, 1000 + dim)) for dim in (1, 2, 4)]
-        assert draws == stein + self.shared()
+        assert draws == self.shared()
 
     def test_derivation_alone_draws_one_batch(self, monkeypatch, tmp_path):
         draws = self.draws(monkeypatch, tmp_path, ["frame-check", "--checks",
@@ -606,14 +605,13 @@ class TestExitCodeContract:
                         else (EXIT_PASS, EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR))
         assert "Traceback" not in capsys.readouterr().err
 
-    # stein-identity draws its own covariances, so a valid --sigma only has to
-    # pass the gates: one spec per sample count is enough. Below
-    # STEIN_MIN_SAMPLES it exits 2 before drawing, and a bad --sigma exits 2
-    # before any check runs.
+    # One valid --sigma spec per sample count. Below RATE_MIN_SAMPLES the rate
+    # checks exit 2 before drawing, and a bad --sigma exits 2 before any check
+    # runs.
     @pytest.mark.parametrize(
         "samples, sigma",
-        list(zip(CONTRACT_SAMPLES + [STEIN_MIN_SAMPLES], VALID_SIGMAS + VALID_SIGMAS))
-        + [(STEIN_MIN_SAMPLES, sigma) for sigma in BAD_SIGMAS],
+        list(zip(CONTRACT_SAMPLES + [100_000], VALID_SIGMAS + VALID_SIGMAS))
+        + [(100_000, sigma) for sigma in BAD_SIGMAS],
     )
     def test_equivalence_samples_and_sigma_map_to_an_exit_code(
         self, tmp_path, capsys, samples, sigma
@@ -651,7 +649,7 @@ class TestExitCodeContract:
 
     @pytest.mark.parametrize("scale", EXTREME_SCALES)
     @pytest.mark.parametrize("command, samples", [("frame-check", 100),
-                                                  ("equivalence", STEIN_MIN_SAMPLES)])
+                                                  ("equivalence", 100_000)])
     def test_extreme_sigma_scale_is_input_error(self, tmp_path, capsys, command, samples,
                                                 scale):
         code = run([command, "--sigma", f"diagonal:{scale},{scale}", "--nx", 2, "--nu", 1,

@@ -421,15 +421,17 @@ class TestOperatorHalfForm:
         assert np.linalg.norm(got - dense) <= 1e-14 * np.linalg.norm(dense)
 
     def test_guards_count_h_columns(self, cov_rand3, monkeypatch):
-        # The running sum holds h-wide rows and h x h sums; only result()
-        # builds the dense nx**2 x nx**2 expansion.
+        # The running sum holds h-wide rows and h x h sums, and its result
+        # stays in half form; only dense() builds the nx**2 x nx**2 expansion.
         asked = []
         monkeypatch.setattr(frames, "require_memory", lambda nbytes, what: asked.append(nbytes))
         mean = OperatorMean(cov_rand3)
         h = 6
         assert asked == [8 * (4 * h**2 + 2 * CHUNK_ROWS * h)]
         mean.add(sample(cov_rand3, 10, seed=74).data)
-        assert mean.result().shape == (9, 9)
+        half = mean.result()
+        assert half.shape == (h, h) and len(asked) == 1
+        assert mean.dense(half).shape == (9, 9)
         assert asked[1:] == [8 * (9**2 + 2 * h**2)]
 
 

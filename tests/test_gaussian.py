@@ -5,10 +5,9 @@ import pytest
 
 from frame_hebb import gaussian
 from frame_hebb.checks import stein_identity_check
-from frame_hebb.errors import DimensionError, SampleSizeError
+from frame_hebb.errors import DimensionError
 from frame_hebb.gaussian import (
-    STEIN_MIN_SAMPLES,
-    SampleBatch,
+    cubature,
     derive_seed,
     isserlis_fourth_moment,
     monomial,
@@ -141,74 +140,106 @@ class TestMonomials:
             "const", "x1", "x0^2", "x0^2*x1*x2^3"]
 
 
-class TestSteinCheck:
-    N = STEIN_MIN_SAMPLES
+class TestCubature:
+    """The degree-5 rule reproduces the Gaussian moments up to order 4 (and
+    every odd one is zero by symmetry), including at n > 4, where its axis
+    weights are negative."""
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_moments_up_to_order_four(self, n):
+        cov = build_covariance(random_spd(n, (0.5, 2.0), seed=50 + n))
+        x, w = cubature(cov)
+        assert x.shape == (2 * n * n + 1, n) and w.shape == (2 * n * n + 1,)
+        assert abs(w.sum() - 1.0) <= 1e-15
+        assert np.abs(w @ x).max() <= 1e-15
+        np.testing.assert_allclose((x * w[:, None]).T @ x, cov.sigma, rtol=0, atol=4e-15)
+        xx = np.einsum("pi,pj->pji", x, x).reshape(len(x), n * n)
+        m4 = (xx * w[:, None]).T @ xx
+        want = isserlis_fourth_moment(cov)
+        assert np.linalg.norm(m4 - want) <= 4e-15 * np.linalg.norm(want)
+
+
+class TestSteinCheck:
     def test_linear_function(self, cov2):
-        assert stein_check(cov2, [(0, 1)], self.N, seed=21)[0].passed
+        assert stein_check(cov2, [(0, 1)], seed=21)[0].passed
 
     def test_constant_function(self, cov2):
-        assert stein_check(cov2, [(0, 0)], self.N, seed=22)[0].passed
+        assert stein_check(cov2, [(0, 0)], seed=22)[0].passed
 
     def test_square_function_odd_moment(self, cov2):
-        # f = x0^2 on diag(2,1): both sides of component 0 estimate E[x0^3] = 0.
-        (rec,) = stein_check(cov2, [(2, 0)], self.N, seed=23)
+        # f = x0^2 on diag(2,1): both sides of component 0 are E[x0^3] = 0.
+        (rec,) = stein_check(cov2, [(2, 0)], seed=23)
         assert rec.check_name == "stein-x0^2"
         assert rec.passed
 
-    @pytest.mark.parametrize("dim", [1, 2, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 4, 6])
     def test_all_builtins_random_spd(self, dim):
         cov = build_covariance(random_spd(dim, (0.5, 2.0), seed=30 + dim))
         exps = monomial_exponents(dim)
-        records = stein_check(cov, exps, self.N, seed=derive_seed(77, dim))
+        records = stein_check(cov, exps, seed=77)
         assert [r.check_name for r in records] == [f"stein-{monomial_name(a)}" for a in exps]
         for rec in records:
             assert rec.passed, f"{rec.check_name} at dim {dim}: {rec.value} > {rec.tolerance}"
+
+    @pytest.mark.parametrize("sigma", [random_spd(4, (0.5, 2.0), seed=34),
+                                       np.diag([2.0, 1.5, 1.0, 0.5])])
+    def test_every_monomial_up_to_degree_four(self, sigma):
+        exps = [a for a in np.ndindex(5, 5, 5, 5) if sum(a) <= 4]
+        # On a diagonal Sigma, x0*x1*x2*x3 and its partials vanish on every
+        # point: a value of 0 against a tolerance of 0.
+        with np.errstate(invalid="raise"):
+            records = stein_check(build_covariance(sigma), exps, seed=1)
+        assert all(rec.passed for rec in records)
 
     @pytest.mark.parametrize("a", [(), (1,), (0, 0, 1)])
     def test_wrong_length_exponents_rejected(self, cov2, a):
         for exps in ([a], [(0, 1), a]):
             with pytest.raises(DimensionError):
-                stein_check(cov2, exps, self.N, seed=5)
+                stein_check(cov2, exps, seed=5)
 
     def test_negative_exponent_rejected(self, cov2):
         with pytest.raises(ValueError, match="negative"):
-            stein_check(cov2, [(0, 1), (-1, 0)], self.N, seed=5)
+            stein_check(cov2, [(0, 1), (-1, 0)], seed=5)
 
-    @pytest.mark.parametrize("n", [1, 2, 100, STEIN_MIN_SAMPLES - 1])
-    def test_too_few_samples_rejected(self, cov2, n):
-        # below the minimum the band misses its false-failure rate
-        with pytest.raises(SampleSizeError):
-            stein_check(cov2, [(0, 0)], n, seed=5)
+    @pytest.mark.parametrize("a", [(5, 0), (2, 3), (0, 7)])
+    def test_degree_above_four_rejected(self, cov2, a):
+        # the rule is exact only up to degree 5, and f(x) x has degree |a| + 1
+        with pytest.raises(ValueError, match="degree"):
+            stein_check(cov2, [(0, 1), a], seed=5)
 
     def test_record_is_reproducible(self, cov2):
-        a = stein_check(cov2, [(0, 0), (1, 1)], self.N, seed=5)
-        b = stein_check(cov2, [(0, 0), (1, 1)], self.N, seed=5)
+        a = stein_check(cov2, [(0, 0), (1, 1)], seed=5)
+        b = stein_check(cov2, [(0, 0), (1, 1)], seed=5)
         assert [(r.value, r.tolerance) for r in a] == [(r.value, r.tolerance) for r in b]
 
-    def test_one_draw_per_dimension(self, monkeypatch):
+    def test_no_draw(self, monkeypatch):
         calls = []
-        real = gaussian.sample
-
-        def spy(cov, n, seed):
-            calls.append((cov.dim, n))
-            return real(cov, n, seed)
-
-        monkeypatch.setattr(gaussian, "sample", spy)
-        dims = (1, 2, 4)
-        assert stein_identity_check(42, self.N, dims=dims).passed
-        assert calls == [(dim, self.N) for dim in dims]
+        monkeypatch.setattr(gaussian, "sample", lambda *args, **kwargs: calls.append(args))
+        assert stein_identity_check(42, dims=(1, 2, 4)).passed
+        assert calls == []
 
     def test_wrong_covariance_fails(self, monkeypatch):
-        # Negative control: rows of covariance 1.2 Sigma, checked against Sigma.
+        # Negative control: the points of 1.2 Sigma, checked against Sigma.
         cov = build_covariance(random_spd(2, (0.5, 2.0), seed=31))
-        wide = build_covariance(1.2 * cov.sigma)
-        rows = sample(wide, self.N, seed=24).data
-        monkeypatch.setattr(gaussian, "sample",
-                            lambda c, n, seed: SampleBatch.from_rows(rows, c, seed))
-        records = stein_check(cov, monomial_exponents(2), self.N, seed=24)
+        wide = cubature(build_covariance(1.2 * cov.sigma))
+        monkeypatch.setattr(gaussian, "cubature", lambda c: wide)
+        records = stein_check(cov, monomial_exponents(2), seed=24)
         assert not all(r.passed for r in records)
-        assert not stein_check(cov, [(0, 1)], self.N, seed=24)[0].passed
+        assert not stein_check(cov, [(0, 1)], seed=24)[0].passed
+        assert not stein_identity_check(42, dims=(2,)).passed
+
+    def test_scaled_gradient_fails(self, monkeypatch):
+        # Mutant: every partial derivative 1% too large.
+        real = gaussian.monomial_grad
+
+        def scaled(x, a):
+            support, partials = real(x, a)
+            return support, 1.01 * partials
+
+        monkeypatch.setattr(gaussian, "monomial_grad", scaled)
+        rec = stein_identity_check(42)
+        assert not rec.passed
+        assert rec.value > 1e6
 
 
 class TestIsserlisFourthMoment:

@@ -142,16 +142,18 @@ class TestGain:
 
     def test_batch_gains_sum_to_zero(self, cov_rand4):
         # Centered on the batch mean of s = |x|^2 - |u|^2, the gains sum to
-        # zero, and the batch-mean estimate is the estimate under that center.
+        # zero: the uncentered gains sum to n times half that center. The
+        # batch-mean estimate is the estimate under that center, whose one
+        # sum is the gain-weighted Hebbian term.
         w = np.random.default_rng(18).uniform(-1, 1, (2, 4))
         batch = sample(cov_rand4, 1000, seed=19)
         x = batch.data
         u = x @ w.T
         s = (x * x).sum(axis=1) - (u * u).sum(axis=1)
-        g = 0.5 * (s - s.mean())
-        explicit = EghrMean(w, float(s.mean()))
-        batch_mean, centered = batch.feed(EghrMean(w), explicit)
-        assert abs(explicit.total[1]) <= 1e-12 * np.sum(np.abs(g))
+        uncentered, explicit = EghrMean(w), EghrMean(w, float(s.mean()))
+        batch_mean, centered = batch.feed(uncentered, explicit)
+        assert abs(uncentered.total[1] - 0.5 * batch.n * s.mean()) <= 1e-12 * np.sum(np.abs(s))
+        assert len(explicit.total) == 1
         np.testing.assert_allclose(batch_mean, centered, rtol=0,
                                    atol=1e-12 * np.linalg.norm(centered))
 

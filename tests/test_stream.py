@@ -30,16 +30,10 @@ from frame_hebb.frames import (
 )
 from frame_hebb.gaussian import (
     CHUNK_ROWS,
-    STEIN_MIN_SAMPLES,
     RunningSum,
     SampleBatch,
-    SteinMean,
-    monomial,
-    monomial_exponents,
-    monomial_grad,
     merge_sums,
     sample,
-    stein_check,
 )
 from frame_hebb.linalg import build_covariance, random_spd
 from frame_hebb.rules import (
@@ -114,27 +108,6 @@ def derivation_formula(w, cov, x):
     return frame_route, gain_hebbian_formula(w, x, center)
 
 
-def stein_residuals(cov, a, x):
-    """The Stein residuals of exponent vector a, shape (dim, rows)."""
-    xt = np.ascontiguousarray(x.T)
-    support, partials = monomial_grad(xt, a)
-    return monomial(xt, a) * xt - cov.sigma[:, support] @ partials
-
-
-def stein_formula(cov, exponents, x):
-    """(mean, band) of the Stein residuals, one row per exponent vector: the
-    variance from the sums of the residuals and of their squares."""
-    n = x.shape[0]
-    means, bands = [], []
-    for a in exponents:
-        resid = stein_residuals(cov, a, x)
-        mean = resid.sum(axis=1) / n
-        var = ((resid * resid).sum(axis=1) - n * mean * mean) / (n - 1)
-        means.append(mean)
-        bands.append(np.maximum(4.0 * np.sqrt(var) / np.sqrt(n), 1e-12))
-    return np.array(means), np.array(bands)
-
-
 def estimates(w, cov, batch):
     """Every chunked estimator on one batch, and its whole-batch formula on
     the same rows, as (name, chunked, formula) triples."""
@@ -142,9 +115,6 @@ def estimates(w, cov, batch):
     m = cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma
     res = derive_eghr_from_oja(w, cov, batch)
     frame_route, direct_route = derivation_formula(w, cov, x)
-    exps = monomial_exponents(cov.dim)
-    stein_mean, stein_band = batch.feed(SteinMean(cov.sigma, exps))[0]
-    stein_ref = stein_formula(cov, exps, x)
     return [
         ("oja", oja_update_empirical(w, batch), oja_formula(w, x)),
         ("eghr", eghr_update_empirical(w, batch), gain_hebbian_formula(w, x)),
@@ -152,8 +122,6 @@ def estimates(w, cov, batch):
         ("expansion", frame_expansion_reconstruct(m, batch), expansion_formula(m, cov, x)[0]),
         ("frame-route", res.frame_route, frame_route),
         ("direct-route", res.direct_route, direct_route),
-        ("stein-mean", stein_mean, stein_ref[0]),
-        ("stein-band", stein_band, stein_ref[1]),
     ]
 
 
@@ -205,15 +173,6 @@ class TestChunkedEstimators:
         assert len(list(batch.chunks())) == 1
         for name, got, want in estimates(w23, cov3, batch):
             assert np.array_equal(got, want), name
-
-    def test_stein_band_is_four_standard_errors(self, cov3):
-        batch = sample(cov3, 5000, seed=98)
-        exps = monomial_exponents(cov3.dim)
-        _, band = batch.feed(SteinMean(cov3.sigma, exps))[0]
-        for a, got in zip(exps, band):
-            resid = stein_residuals(cov3, a, batch.data)
-            want = 4.0 * resid.std(axis=1, ddof=1) / np.sqrt(batch.n)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_several_chunks_agree_with_the_whole_batch_formula(self, cov3, w23):
         batch = sample(cov3, 2 * C + 5, seed=93)
@@ -315,7 +274,7 @@ class TestBlockSums:
         batch, out = fed
         x = batch.data
         for kind, (blocks, _, _, formula, _) in out.items():
-            got, want = blocks.result(), formula(x)
+            got, want = self.dense(blocks, blocks.result()), formula(x)
             assert blocks.inner.n == self.N
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), kind
 
@@ -337,11 +296,10 @@ def running_sums(cov, w):
         "eghr-closed": EghrMean(w, closed_center(w, cov)),
         "operator": OperatorMean(cov),
         "expansion": ExpansionMean(expansion_target(w, cov), cov),
-        "stein": SteinMean(cov.sigma, monomial_exponents(cov.dim)),
     }
 
 
-RUNNING_SUMS = ("oja", "eghr", "eghr-closed", "operator", "expansion", "stein")
+RUNNING_SUMS = ("oja", "eghr", "eghr-closed", "operator", "expansion")
 
 
 class TestRunningSumContract:
@@ -406,7 +364,7 @@ class TestMemory:
 
     @pytest.mark.parametrize("estimator", [
         "oja_update_empirical", "eghr_update_empirical", "frame_operator_empirical",
-        "derive_eghr_from_oja", "stein_check", "monte_carlo_batches",
+        "derive_eghr_from_oja", "monte_carlo_batches",
     ])
     def test_peak_does_not_grow_with_n(self, cov3, w23, estimator):
         run = {
@@ -414,7 +372,6 @@ class TestMemory:
             "eghr_update_empirical": lambda n: eghr_update_empirical(w23, sample(cov3, n, 1)),
             "frame_operator_empirical": lambda n: frame_operator_empirical(sample(cov3, n, 1)),
             "derive_eghr_from_oja": lambda n: derive_eghr_from_oja(w23, cov3, sample(cov3, n, 1)),
-            "stein_check": lambda n: stein_check(cov3, monomial_exponents(3), n, 1),
             "monte_carlo_batches": lambda n: _all_mc_checks(cov3, n),
         }[estimator]
         small, large = traced_peak(lambda: run(4 * C)), traced_peak(lambda: run(16 * C))
@@ -428,10 +385,9 @@ class TestMemory:
         assert peak < 4 * 2**20, peak
 
     def test_stein_identity_peak_stays_below_12_mb(self):
-        # one (dim, rows) function at a time: a stacked block of all 15
-        # functions at dim 4 would take 16.5 MB per temporary
-        stein_identity_check(42, STEIN_MIN_SAMPLES)  # warm up imports and caches
-        assert traced_peak(lambda: stein_identity_check(42, STEIN_MIN_SAMPLES)) < 12e6
+        # the cubature rule has 2 dim**2 + 1 points: 33 at dim 4
+        stein_identity_check(42)  # warm up imports and caches
+        assert traced_peak(lambda: stein_identity_check(42)) < 12e6
 
     def test_isserlis_analytic_peak_is_the_fourth_moment_build(self):
         # With S built, the check holds at its peak the two nx**2 x nx**2
