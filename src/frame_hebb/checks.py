@@ -24,7 +24,8 @@ check runs.
 
 The sweeps over random (Sigma, W[, x]) trials draw each trial's covariance
 seed and its other values from one generator, trial after trial, and build
-the covariances in stacks of SWEEP_BLOCK trials (``linalg.build_covariances``);
+the covariances in stacks of SWEEP_BLOCK trials from their drawn spectra
+(``linalg.random_covariances``), so no trial runs an eigendecomposition;
 the trials then run through the rules' closed forms and the frames' coefficients.
 
 ``COMMANDS`` is the one table of the check commands: each one's records CSV,
@@ -65,9 +66,8 @@ from .gaussian import (
 )
 from .linalg import (
     build_covariance,
-    build_covariances,
+    random_covariances,
     random_spd,
-    random_spds,
     require_memory,
     skew_part,
     sym_part,
@@ -106,7 +106,7 @@ def _sweep(seed: int, dims: list[tuple[int, int]], trials: int, draw):
     """Yield (cov, drawn) for trials k = 0..trials-1 at (nx, nu) =
     dims[k % len(dims)]: a random covariance, then draw(rng, nx, nu), both from
     one rng = default_rng(seed) in per-trial order. The covariances are built
-    SWEEP_BLOCK trials at a time, one stack per nx, as a dim sweep mixes sizes.
+    from their drawn spectra SWEEP_BLOCK trials at a time, one stack per nx.
     """
     rng = np.random.default_rng(seed)
     for start in range(0, trials, SWEEP_BLOCK):
@@ -117,8 +117,8 @@ def _sweep(seed: int, dims: list[tuple[int, int]], trials: int, draw):
         covs = [None] * len(block)
         for nx in dict.fromkeys(t[0] for t in block):
             at = [i for i, t in enumerate(block) if t[0] == nx]
-            stack = random_spds(nx, SWEEP_EIG_RANGE, [block[i][1] for i in at])
-            for i, cov in zip(at, build_covariances(stack)):
+            for i, cov in zip(at, random_covariances(nx, SWEEP_EIG_RANGE,
+                                                     [block[i][1] for i in at])):
                 covs[i] = cov
         yield from zip(covs, (drawn for _, _, drawn in block))
 
@@ -160,7 +160,8 @@ def fixed_point_sharing_check(
     """Both rules vanish at constructed fixed points (orthonormally mixed
     eigenvector subsets), and near fixed points the update norms stay inside
     the eigenvalue sandwich |oja| * lambda_min <= |eghr| <= |oja| * lambda_max
-    that forces either rule to vanish exactly when the other does."""
+    that forces either rule to vanish exactly when the other does. The
+    eigenvectors are the columns of each covariance's drawn Q."""
     t0 = time.perf_counter()
     worst = 0.0
     for cov, (pick, mix, perturbation) in _sweep(seed, [(nx, nu)], trials, _draw_fixed_point):
@@ -214,36 +215,42 @@ def frame_bounds_check(cov, seed: int, trials: int = 1000) -> ExperimentRecord:
     return timed_record("frame-bounds", worst, BOUND_ATOL, seed, t0, nx=cov.dim, trials=trials)
 
 
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column, without an array-sized temporary."""
+    return np.sqrt(np.einsum("ij,ij->j", a, a))
+
+
 def kernel_annihilation_check(cov, seed: int, trials: int = 100) -> ExperimentRecord:
     """The analytic operator kills vectorized skew matrices: worst of
-    |S vec(K)| / (|S| |K|) over random skew K."""
+    |S vec(K)| / (|S| |K|) over random skew K, all in one product with S."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     s = frame_operator_analytic(cov)
-    s_scale = float(np.linalg.norm(s))
     worst = 0.0
     if cov.dim > 1:  # the skew part of a scalar is identically zero
-        for _ in range(trials):
-            k = skew_part(rng.standard_normal((cov.dim, cov.dim)))
-            ratio = float(np.linalg.norm(s @ vec(k))) / (
-                s_scale * float(np.linalg.norm(k))
-            )
-            worst = max(worst, ratio)
+        v = np.empty((cov.dim**2, trials), order="F")  # column t is vec(K_t)
+        for t in range(trials):
+            v[:, t] = vec(skew_part(rng.standard_normal((cov.dim, cov.dim))))
+        ratios = _column_norms(s @ v) / _column_norms(v)
+        worst = float(ratios.max(initial=0.0)) / float(np.linalg.norm(s))
     return timed_record("kernel-annihilation", worst, EXACT_RTOL, seed, t0,
                         nx=cov.dim, trials=trials)
 
 
 def restricted_inverse_check(cov, seed: int, trials: int = 100) -> ExperimentRecord:
     """S vec(S^-1 M) = vec(M) on Sym: worst relative residual over random
-    symmetric directions M."""
+    symmetric directions M, all in one product with S."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     s = frame_operator_analytic(cov)
-    worst = 0.0
-    for _ in range(trials):
-        m = sym_part(rng.standard_normal((cov.dim, cov.dim)))
-        resid = float(np.linalg.norm(s @ vec(restricted_inverse_apply(cov, m)) - vec(m)))
-        worst = max(worst, resid / float(np.linalg.norm(m)))
+    m = np.empty((cov.dim**2, trials), order="F")  # column t is vec(M_t)
+    d = np.empty_like(m)  # column t is vec(S^-1 M_t)
+    for t in range(trials):
+        mt = sym_part(rng.standard_normal((cov.dim, cov.dim)))
+        m[:, t], d[:, t] = vec(mt), vec(restricted_inverse_apply(cov, mt))
+    resid = s @ d
+    resid -= m
+    worst = float((_column_norms(resid) / _column_norms(m)).max(initial=0.0))
     return timed_record("restricted-inverse", worst, RESTRICTED_INVERSE_RTOL, seed, t0,
                         nx=cov.dim, trials=trials)
 

@@ -26,6 +26,7 @@ SYMMETRY_RTOL = 1e-12
 CHOLESKY_RTOL = 1e-12
 INVERSE_ATOL = 1e-10
 ORTHOGONALITY_ATOL = 1e-10
+EIGEN_RTOL = 1e-12
 EIGENVALUE_FLOOR_REL = 1e-12
 # The checks form moments of x up to the 8th order (mc-rate-frame-operator
 # squares the distance of a block's operator estimate, of 4th order in x,
@@ -111,9 +112,9 @@ class CovarianceModel:
     """An SPD covariance with its factorizations cached.
 
     ``eigvals`` are sorted descending and ``eigvecs`` columns are the
-    matching eigenvectors. Construct through :func:`build_covariance`,
-    which verifies every residual gate; instances are treated as immutable,
-    and ``frame_operator`` is built on first access and then shared.
+    matching eigenvectors. Construct through :func:`build_covariance` or
+    :func:`random_covariances`, which verify every residual gate; instances are
+    treated as immutable, and ``frame_operator`` is built on first use and shared.
     """
 
     sigma: np.ndarray
@@ -175,11 +176,12 @@ def build_covariance(sigma) -> CovarianceModel:
     return build_covariances(_require_square(_as_matrix(sigma, "sigma"), "sigma")[None])[0]
 
 
-def build_covariances(sigmas) -> list[CovarianceModel]:
+def build_covariances(sigmas, spectrum=None) -> list[CovarianceModel]:
     """:func:`build_covariance` for each matrix of a (k, n, n) stack, with one
     eigendecomposition, Cholesky factorization and inverse for the stack.
-    Every gate is evaluated per matrix; the first matrix that fails one
-    raises the error :func:`build_covariance` raises for it alone."""
+    A known ``spectrum`` (eigvals descending, eigvecs) replaces the
+    eigendecomposition. Every gate is evaluated per matrix; the first matrix
+    that fails one raises the error :func:`build_covariance` raises for it alone."""
     s = _require_square(_as_matrix(sigmas, "sigmas", ndim=3), "sigmas")
     # Out-of-window input may overflow or underflow on the way to its gate;
     # a NaN residual fails its gate like one above the tolerance.
@@ -188,15 +190,19 @@ def build_covariances(sigmas) -> list[CovarianceModel]:
         asym = _frobenius(s - _t(s))
         s = (s + _t(s)) / 2.0  # bit-exact symmetry for everything downstream
 
-        w, q = np.linalg.eigh(s)
-        w = w[:, ::-1].copy()
-        q = q[:, :, ::-1].copy()
+        if spectrum is None:
+            w, q = np.linalg.eigh(s)
+            spectrum = w[:, ::-1].copy(), q[:, :, ::-1].copy()
+        w, q = spectrum
         floor = ~(w[:, 0] > 0.0) | ~(w[:, -1] > EIGENVALUE_FLOOR_REL * w[:, 0])
         lo, hi = EIGENVALUE_WINDOW
         outside = ~((w[:, -1] >= lo) & (w[:, 0] <= hi))
-        # A matrix that fails either is factored as the identity, so that the
-        # stack still factors and every matrix before it is still gated.
-        unfit = floor | outside
+        # |Sigma Q - Q Lambda|_F / |Sigma|_F; Sigma / lambda_max keeps it in range.
+        unit = s / w[:, :1, None]
+        eig_res = _frobenius(unit @ q - q * (w / w[:, :1])[:, None, :]) / _frobenius(unit)
+        # A matrix that fails any of these is factored as the identity, so that
+        # the stack still factors and every matrix before it is still gated.
+        unfit = floor | outside | ~(eig_res <= EIGEN_RTOL)
         eye = np.eye(s.shape[1])
         chol = np.linalg.cholesky(np.where(unfit[:, None, None], eye, s))
         inv = (q * (1.0 / np.where(unfit[:, None], 1.0, w))[:, None, :]) @ _t(q)
@@ -216,6 +222,8 @@ def build_covariances(sigmas) -> list[CovarianceModel]:
          lambda i: f"covariance eigenvalues [{w[i, -1]:.3e}, {w[i, 0]:.3e}] leave the window "
                    f"[{lo:.3e}, {hi:.3e}] in which its moments up to order {MOMENT_ORDER} "
                    "stay finite and normal"),
+        (~(eig_res <= EIGEN_RTOL), DegenerateCovarianceError,
+         lambda i: f"eigen-residual {eig_res[i]:.3e} of the spectrum exceeds {EIGEN_RTOL:.1e}"),
         (~(chol_res <= CHOLESKY_RTOL), DegenerateCovarianceError,
          lambda i: f"Cholesky residual {chol_res[i]:.3e} exceeds {CHOLESKY_RTOL:.1e}"),
         (~(inv_res <= INVERSE_ATOL), DegenerateCovarianceError,
@@ -243,15 +251,24 @@ def random_spd(n: int, eig_range: tuple[float, float], seed: int) -> np.ndarray:
 
     The extreme eigenvalues are pinned to the range endpoints (interior ones
     drawn uniformly), so the requested conditioning is actually realized.
-    This is :func:`random_spds` on a stack of one.
     """
-    return random_spds(n, eig_range, [seed])[0]
+    return _random_spds(n, eig_range, [seed])[0][0]
 
 
-def random_spds(n: int, eig_range: tuple[float, float], seeds) -> np.ndarray:
-    """A (len(seeds), n, n) stack of :func:`random_spd` matrices: matrix i
-    draws from its own ``default_rng(seeds[i])``, and the stack takes one QR
-    and one product."""
+def random_covariances(n: int, eig_range: tuple[float, float], seeds) -> list[CovarianceModel]:
+    """``build_covariance(random_spd(n, eig_range, seed))`` for each of
+    ``seeds`` from one QR and one product, with the drawn lam (sorted
+    descending) and Q's matching columns as the spectrum: Sigma and chol are
+    bit-identical, eigvals and sigma_inv agree to roundoff."""
+    s, lam, q = _random_spds(n, eig_range, seeds)
+    order = np.argsort(-lam, axis=1, kind="stable")
+    return build_covariances(s, (np.take_along_axis(lam, order, 1),
+                                 np.take_along_axis(q, order[:, None, :], 2)))
+
+
+def _random_spds(n: int, eig_range: tuple[float, float], seeds):
+    """random_spd's matrices of ``seeds``, each from its own default_rng, with
+    their drawn lam and Q: one QR and one product for the stack."""
     lo, hi = eig_range
     if not (0.0 < lo <= hi):
         raise ValueError(f"eigenvalue range must satisfy 0 < lo <= hi, got {eig_range}")
@@ -266,4 +283,4 @@ def random_spds(n: int, eig_range: tuple[float, float], seeds) -> np.ndarray:
     if n > 1:
         lam[:, -1] = lo
     s = (q * lam[:, None, :]) @ _t(q)
-    return (s + _t(s)) / 2.0
+    return (s + _t(s)) / 2.0, lam, q

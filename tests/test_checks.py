@@ -10,9 +10,21 @@ import pytest
 from frame_hebb import checks
 from frame_hebb.config import RunConfig
 from frame_hebb.errors import DimensionError, SampleSizeError
-from frame_hebb.frames import cancellation_coefficient, frame_coefficient, frame_element
+from frame_hebb.frames import (
+    cancellation_coefficient,
+    frame_coefficient,
+    frame_element,
+    restricted_inverse_apply,
+)
 from frame_hebb.gaussian import SampleBatch, sample
-from frame_hebb.linalg import build_covariance, random_spd
+from frame_hebb.linalg import (
+    build_covariance,
+    random_covariances,
+    random_spd,
+    skew_part,
+    sym_part,
+    vec,
+)
 from frame_hebb.records import digest_inputs, make_record
 from frame_hebb.rules import eghr_g, eghr_update_closed, oja_update_closed
 from sweeps import dim_sweep
@@ -159,15 +171,15 @@ def test_monte_carlo_chunk_guard_counts_h_columns(rate_cov, monkeypatch, selecti
     assert asked == [8 * rows * width]
 
 
-# The sweeps before stacking: one covariance per trial, built as it is drawn,
-# and the public, validating functions.
+# The sweeps before stacking: one covariance per trial, built from its drawn
+# spectrum as it is drawn, and the public, validating functions.
 
 def _closed_equivalence_per_trial(seed, dims, trials):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for k in range(trials):
         nx, nu = dims[k % len(dims)]
-        cov = build_covariance(random_spd(nx, checks.SWEEP_EIG_RANGE, int(rng.integers(2**63))))
+        cov = random_covariances(nx, checks.SWEEP_EIG_RANGE, [int(rng.integers(2**63))])[0]
         w = rng.uniform(-1.0, 1.0, size=(nu, nx))
         lhs = eghr_update_closed(w, cov)
         rhs = oja_update_closed(w, cov) @ cov.sigma
@@ -182,7 +194,7 @@ def _fixed_point_sharing_per_trial(seed, nx, nu, trials):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        cov = build_covariance(random_spd(nx, checks.SWEEP_EIG_RANGE, int(rng.integers(2**63))))
+        cov = random_covariances(nx, checks.SWEEP_EIG_RANGE, [int(rng.integers(2**63))])[0]
         pick = rng.choice(nx, size=nu, replace=False)
         q, _ = np.linalg.qr(rng.standard_normal((nu, nu)))
         w_fp = q @ cov.eigvecs[:, pick].T
@@ -206,7 +218,7 @@ def _coefficient_identity_per_trial(seed, dims, trials):
     coeff_err = cancel_err = scale = 0.0
     for k in range(trials):
         nx, nu = dims[k % len(dims)]
-        cov = build_covariance(random_spd(nx, checks.SWEEP_EIG_RANGE, int(rng.integers(2**63))))
+        cov = random_covariances(nx, checks.SWEEP_EIG_RANGE, [int(rng.integers(2**63))])[0]
         w = rng.uniform(-1.0, 1.0, size=(nu, nx))
         x = sample(cov, 1, int(rng.integers(2**63))).data[0]
         g = eghr_g(x, w, cov)
@@ -245,3 +257,55 @@ def test_blocked_sweeps_equal_per_trial_loops(dims, trials):
     for record, want in pairs:
         assert _fields(record) == _fields(want)
         assert record.passed
+
+
+def test_sweeps_run_no_eigendecomposition(monkeypatch):
+    # Each sweep covariance is built from its drawn spectrum; only a
+    # user-given covariance (build_covariance) is decomposed.
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(1) or eigh(*a))
+    build_covariance(np.eye(2))
+    assert calls == [1]
+    dims = dim_sweep(max_nx=8)
+    checks.closed_equivalence_check(3, dims, 40)
+    checks.fixed_point_sharing_check(3, 5, 2, 40)
+    checks.coefficient_identity_checks(3, dims, 40)
+    assert calls == [1]
+
+
+def _kernel_annihilation_per_trial(cov, s, seed, trials):
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(trials):
+        k = skew_part(rng.standard_normal((cov.dim, cov.dim)))
+        ratios.append(np.linalg.norm(s @ vec(k)) / (np.linalg.norm(s) * np.linalg.norm(k)))
+    return max(ratios)
+
+
+def _restricted_inverse_per_trial(cov, s, seed, trials):
+    rng = np.random.default_rng(seed)
+    resids = []
+    for _ in range(trials):
+        m = sym_part(rng.standard_normal((cov.dim, cov.dim)))
+        resids.append(np.linalg.norm(s @ vec(restricted_inverse_apply(cov, m)) - vec(m))
+                      / np.linalg.norm(m))
+    return max(resids)
+
+
+@pytest.mark.parametrize("check,per_trial", [
+    (checks.kernel_annihilation_check, _kernel_annihilation_per_trial),
+    (checks.restricted_inverse_check, _restricted_inverse_per_trial),
+])
+def test_batched_s_products_equal_per_trial_loops_on_a_wrong_operator(monkeypatch, check,
+                                                                      per_trial):
+    # Sigma kron Sigma without (I + T) neither kills skew matrices nor inverts
+    # S^-1 on Sym: both checks read O(1), and the one product over all trials
+    # reads what the per-trial loop reads, to roundoff.
+    cov = build_covariance(random_spd(5, (0.5, 2.0), seed=7))
+    wrong = np.kron(cov.sigma, cov.sigma)
+    monkeypatch.setattr(checks, "frame_operator_analytic", lambda c: wrong)
+    record = check(cov, 13, 37)
+    want = per_trial(cov, wrong, 13, 37)
+    assert want > 0.1 and not record.passed
+    assert record.value == pytest.approx(want, rel=1e-12)

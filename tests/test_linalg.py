@@ -17,8 +17,8 @@ from frame_hebb.linalg import (
     build_covariances,
     commutation_matrix,
     kron,
+    random_covariances,
     random_spd,
-    random_spds,
     skew_part,
     sym_part,
     vec,
@@ -195,7 +195,8 @@ class TestBuildCovariance:
 
 
 def _random_spd_alone(n, eig_range, seed):
-    """The single-matrix random_spd body before stacking."""
+    """The single-matrix random_spd body before stacking, with its drawn
+    spectrum and eigenvectors."""
     lo, hi = eig_range
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -204,7 +205,7 @@ def _random_spd_alone(n, eig_range, seed):
     if n > 1:
         lam[-1] = lo
     s = (q * lam) @ q.T
-    return (s + s.T) / 2.0
+    return (s + s.T) / 2.0, lam, q
 
 
 def _factors_alone(s):
@@ -220,21 +221,40 @@ def _factors_alone(s):
     return dict(sigma=s, chol=chol, sigma_inv=inv, eigvals=w, eigvecs=q)
 
 
+def _random_stack(n, seeds):
+    return np.stack([random_spd(n, (0.5, 2.0), seed) for seed in seeds])
+
+
 class TestStackedBuild:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 32])
     def test_stack_equals_single_matrix_bodies(self, n):
         seeds = list(range(40, 57))
-        stack = random_spds(n, (0.5, 2.0), seeds)
-        assert stack.shape == (len(seeds), n, n)
+        stack = _random_stack(n, seeds)
         covs = build_covariances(stack)
         for seed, sigma, cov in zip(seeds, stack, covs):
-            alone = _random_spd_alone(n, (0.5, 2.0), seed)
+            alone = _random_spd_alone(n, (0.5, 2.0), seed)[0]
             assert np.array_equal(sigma, alone)
-            assert np.array_equal(random_spd(n, (0.5, 2.0), seed), alone)
             single = build_covariance(alone)
             for name, want in _factors_alone(alone).items():
                 assert np.array_equal(getattr(cov, name), want), name
                 assert np.array_equal(getattr(single, name), want), name
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 32, 100])
+    def test_drawn_spectrum_build_matches_the_eigh_build(self, n):
+        # Sigma and chol are bit-identical; the spectrum and the inverse come
+        # from the drawn Q and lam instead of eigh, and agree to roundoff.
+        seeds = list(range(40, 57))
+        for seed, cov in zip(seeds, random_covariances(n, (0.5, 2.0), seeds)):
+            sigma, lam, q = _random_spd_alone(n, (0.5, 2.0), seed)
+            order = np.argsort(-lam, kind="stable")
+            assert np.array_equal(cov.eigvals, lam[order])
+            assert np.array_equal(cov.eigvecs, q[:, order])
+            eigh = build_covariance(random_spd(n, (0.5, 2.0), seed))
+            assert np.array_equal(cov.sigma, sigma) and np.array_equal(cov.sigma, eigh.sigma)
+            assert np.array_equal(cov.chol, eigh.chol)
+            assert np.abs(cov.eigvals - eigh.eigvals).max() <= 1e-13
+            assert np.abs(cov.sigma_inv - eigh.sigma_inv).max() <= 1e-13
+            assert np.array_equal(cov.sigma_inv, cov.sigma_inv.T)
 
     @pytest.mark.parametrize(
         "bad",
@@ -247,7 +267,7 @@ class TestStackedBuild:
     def test_failing_matrix_mid_stack_raises_its_own_error(self, bad):
         with pytest.raises((DimensionError, DegenerateCovarianceError)) as alone:
             build_covariance(bad)
-        stack = random_spds(3, (0.5, 2.0), [1, 2, 3, 4])
+        stack = _random_stack(3, [1, 2, 3, 4])
         stack[1] = bad
         stack[3] = [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]  # fails later
         with pytest.raises(type(alone.value)) as stacked:
@@ -258,6 +278,65 @@ class TestStackedBuild:
     def test_non_stack_rejected(self, shape):
         with pytest.raises(DimensionError):
             build_covariances(np.ones(shape))
+
+
+def _drawn_spectrum(n, seeds):
+    """A random_covariances stack's Sigma and its (eigvals, eigvecs) stacks."""
+    covs = random_covariances(n, (0.5, 2.0), seeds)
+    return (np.stack([c.sigma for c in covs]), np.stack([c.eigvals for c in covs]),
+            np.stack([c.eigvecs for c in covs]))
+
+
+def _rotated(q, i, j, angle):
+    """q with columns i and j turned by angle in their plane."""
+    q = q.copy()
+    c, s = np.cos(angle), np.sin(angle)
+    q[:, i], q[:, j] = c * q[:, i] - s * q[:, j], s * q[:, i] + c * q[:, j]
+    return q
+
+
+class TestGivenSpectrum:
+    """build_covariances with a known spectrum: the eigen-residual gate
+    |Sigma Q - Q Lambda|_F / |Sigma|_F <= EIGEN_RTOL is what stands between a
+    wrong spectrum and the models."""
+
+    @pytest.mark.parametrize("wrong", [
+        lambda w, q: (w[[1, 0, 2, 3]], q),  # two eigenvalues swapped
+        lambda w, q: (w, q[:, [1, 0, 2, 3]]),  # two eigenvectors swapped
+        lambda w, q: (w, _rotated(q, 1, 2, 1e-6)),  # two eigenvectors slightly mixed
+    ])
+    def test_wrong_spectrum_fails_the_eigen_residual_gate(self, wrong):
+        sigma, w, q = _drawn_spectrum(4, [5])
+        assert np.count_nonzero(sigma[0] - np.diag(np.diag(sigma[0]))) > 0
+        build_covariances(sigma, (w, q))
+        w_bad, q_bad = wrong(w[0], q[0])
+        with pytest.raises(DegenerateCovarianceError, match="eigen-residual"):
+            build_covariances(sigma, (w_bad[None], q_bad[None]))
+
+    def test_flipped_eigenvector_sign_is_still_an_eigenbasis(self):
+        # -q_j is an eigenvector of lambda_j too: the gate rejects a wrong
+        # spectrum, not an equally valid basis.
+        sigma, w, q = _drawn_spectrum(4, [5])
+        q[0, :, 2] *= -1.0
+        (cov,) = build_covariances(sigma, (w, q))
+        assert np.array_equal(cov.eigvecs, q[0])
+
+    def test_wrong_spectrum_mid_stack_raises_its_own_error(self):
+        sigma, w, q = _drawn_spectrum(4, [1, 2, 3, 4])
+        w_bad = w.copy()
+        w_bad[1, [0, 1]] = w[1, [1, 0]]
+        with pytest.raises(DegenerateCovarianceError) as alone:
+            build_covariances(sigma[1:2], (w_bad[1:2], q[1:2]))
+        sigma[3] = np.diag([1.0, 1.0, 1.0, 0.0])  # fails an earlier gate, later
+        with pytest.raises(DegenerateCovarianceError) as stacked:
+            build_covariances(sigma, (w_bad, q))
+        assert str(stacked.value) == str(alone.value)
+
+    def test_window_gate_fires_before_the_eigen_residual(self):
+        # At 1e300 the residual overflows to NaN; the scale's own error wins.
+        sigma, w, q = _drawn_spectrum(3, [1])
+        with pytest.raises(DegenerateCovarianceError, match="window"):
+            build_covariances(1e300 * sigma, (1e300 * w, q))
 
 
 @given(x=square(4))
