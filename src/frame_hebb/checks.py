@@ -88,7 +88,7 @@ from .rules import (
 SWEEP_EIG_RANGE = (0.5, 2.0)
 
 EXACT_RTOL = 1e-12
-BOUND_ATOL = 1e-10
+BOUND_RTOL = 1e-10
 RESTRICTED_INVERSE_RTOL = 1e-10
 MC_FROBENIUS_RTOL = 5e-2
 SLOPE_REFERENCE = -0.5
@@ -199,20 +199,28 @@ def stein_identity_check(seed: int, dims: tuple[int, ...] = (1, 2, 4)) -> Experi
 
 
 def frame_bounds_check(cov, seed: int, trials: int = 1000) -> ExperimentRecord:
-    """Two-sided frame condition on random unit vectors in vec(Sym), plus the
-    ordering of the tight spectral bound below the trace bound."""
+    """Two-sided frame condition on random unit vectors in vec(Sym), the
+    bounds attained at vec(q q^T) for Sigma's extreme eigenvectors q, and the
+    ordering of the tight spectral bound below the trace bound. Every gap is
+    relative to ``upper_tight`` = |S|_2 on Sym, so the roundoff in the forms,
+    which grows with lambda_max^2, does not fail a wide correct Sigma."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     s = frame_operator_analytic(cov)
     b = frame_bounds(cov)
     g = rng.standard_normal((trials, cov.dim, cov.dim))
-    # Row k is vec(2 sym_part(g[k])); C and F order agree on a symmetric matrix.
-    v = (g + g.transpose(0, 2, 1)).reshape(trials, -1)
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v = np.empty((trials + 2, cov.dim**2))
+    # Row k < trials is vec(2 sym_part(g[k])); C and F order agree on a
+    # symmetric matrix. The last two rows are vec(q q^T), q = Sigma's top and
+    # bottom eigenvectors: unit vectors on which S attains its bounds.
+    v[:trials] = (g + g.transpose(0, 2, 1)).reshape(trials, -1)
+    v[:trials] /= np.linalg.norm(v[:trials], axis=1, keepdims=True)
+    v[trials:] = [np.outer(q, q).ravel() for q in cov.eigvecs[:, [0, -1]].T]
     quad = np.einsum("ij,ij->i", v @ s, v)  # all quadratic forms in one GEMM
     worst = max(0.0, b.upper_tight - b.upper_trace,
-                float(b.lower - quad.min()), float(quad.max() - b.upper_tight))
-    return timed_record("frame-bounds", worst, BOUND_ATOL, seed, t0, nx=cov.dim, trials=trials)
+                float(b.lower - quad.min()), float(quad.max() - b.upper_tight),
+                abs(quad[-2] - b.upper_tight), abs(quad[-1] - b.lower)) / b.upper_tight
+    return timed_record("frame-bounds", worst, BOUND_RTOL, seed, t0, nx=cov.dim, trials=trials)
 
 
 def _column_norms(a: np.ndarray) -> np.ndarray:
@@ -551,7 +559,7 @@ COMMANDS = {
         (["coefficient-identity", "cancellation-identity"],
          lambda c, cov, mc: coefficient_identity_checks(c.seed, dims=[(c.nx, c.nu)])),
         (["isserlis-analytic", "isserlis-empirical"],
-         lambda c, cov, mc: isserlis_checks(cov, c.seed, c.n_samples,
+         lambda c, cov, mc: isserlis_checks(cov, c.seed, c.samples,
                                             mc if mc.isserlis else None)),
         (["mc-rate-frame-operator", "mc-rate-frame-expansion"],
          lambda c, cov, mc: mc_rate_check(mc)),
@@ -571,7 +579,7 @@ def run_checks(config: RunConfig, cov, names: list[str]) -> list[ExperimentRecor
     requested records, and stamp report groups. Too few samples for a
     requested mc-rate-* check raise SampleSizeError before any check runs."""
     batches = MonteCarloBatches(
-        cov, config.nu, config.seed, config.n_samples,
+        cov, config.nu, config.seed, config.samples,
         kinds=[name[len("mc-rate-"):] for name in names if name.startswith("mc-rate-")],
         isserlis="isserlis-empirical" in names,
         derivation=any(name.startswith("derivation-") for name in names))

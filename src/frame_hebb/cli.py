@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import COMMANDS, CheckCommand, run_checks
-from .config import ConfigError, RunConfig, load_config
+from .config import SETTINGS, ConfigError, RunConfig, load_config
 from .errors import (
     DegenerateCovarianceError,
     DimensionError,
@@ -47,7 +47,7 @@ from .records import (
     write_records_csv,
     write_trajectory_csv,
 )
-from .rules import MAX_BATCH_SIZE, MODES, RULES, TrainerConfig, train
+from .rules import MAX_BATCH_SIZE, MODES, RULES, train
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -79,7 +79,7 @@ def cmd_checks(config: RunConfig, cov: CovarianceModel, command: CheckCommand,
                names: list[str]) -> int:
     """Run the selected checks on the run's covariance and write their CSV."""
     records = run_checks(config, cov, names)
-    write_records_csv(Path(config.output_dir) / command.csv_name, records)
+    write_records_csv(config.out / command.csv_name, records)
     _print_records(records)
     return EXIT_PASS if all(r.passed for r in records) else EXIT_CHECK_FAILED
 
@@ -94,15 +94,8 @@ def cmd_train(config: RunConfig, cov: CovarianceModel) -> int:
         )
     rng = np.random.default_rng(config.seed)
     w0 = rng.standard_normal((config.nu, config.nx)) / np.sqrt(config.nx)
-    trainer = TrainerConfig(
-        learning_rate=config.resolved_learning_rate(),
-        steps=config.steps,
-        batch_size=config.resolved_batch_size(),
-        record_every=config.record_every,
-        seed=config.seed,
-    )
-    trajectory = train(config.rule, config.mode, w0, cov, trainer)
-    write_trajectory_csv(Path(config.output_dir) / "train_trajectory.csv", trajectory)
+    trajectory = train(w0, cov, config.trainer)
+    write_trajectory_csv(config.out / "train_trajectory.csv", trajectory)
 
     final = trajectory.final
     record = make_record(
@@ -112,7 +105,7 @@ def cmd_train(config: RunConfig, cov: CovarianceModel) -> int:
         seed=config.seed,
         group="training",
     )
-    write_records_csv(Path(config.output_dir) / "train.csv", [record])
+    write_records_csv(config.out / "train.csv", [record])
     _print_records([record])
     print(
         f"final step {final.step}: subspace_error={final.subspace_error:.3e} "
@@ -157,6 +150,17 @@ def cmd_report(output_dir) -> int:
     return EXIT_PASS if n_fail == 0 else EXIT_CHECK_FAILED
 
 
+# Help and choices of the flags that have them; every flag is a SETTINGS key.
+_FLAG_OPTIONS = {
+    "sigma": {"help": "identity | diagonal:<v1,..> | random-spd[:<lo,hi>]"},
+    "checks": {"help": "comma-separated check names (default: all)"},
+    "rule": {"choices": RULES},
+    "mode": {"choices": MODES},
+    "batch_size": {"help": f"rows drawn per empirical step, at most {MAX_BATCH_SIZE:,} "
+                           "(default 100)"},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frame-hebb",
@@ -165,32 +169,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name in (*COMMANDS, "train"):
+        p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None, help="config file (INI)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--nx", type=int, default=None)
-        p.add_argument("--nu", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--sigma", type=str, default=None,
-                       help="identity | diagonal:<v1,..> | random-spd[:<lo,hi>]")
-        p.add_argument("--out", type=Path, default=None)
-        p.add_argument("--checks", type=str, default=None,
-                       help="comma-separated check names (default: all)")
-
-    for name in COMMANDS:
-        add_common(sub.add_parser(name))
-
-    p_train = sub.add_parser("train")
-    add_common(p_train)
-    p_train.add_argument("--rule", choices=RULES, default=None)
-    p_train.add_argument("--mode", choices=MODES, default=None)
-    p_train.add_argument("--learning-rate", type=float, default=None)
-    p_train.add_argument("--steps", type=int, default=None)
-    p_train.add_argument("--batch-size", type=int, default=None,
-                         help=f"rows drawn per empirical step, at most {MAX_BATCH_SIZE:,} "
-                         "(default 100)")
-    p_train.add_argument("--record-every", type=int, default=None)
-    p_train.add_argument("--threshold", type=float, default=None)
+        for section in SETTINGS if name == "train" else ("run",):
+            for key, kind in SETTINGS[section].items():
+                p.add_argument("--" + key.replace("_", "-"), type=kind, default=None,
+                               **_FLAG_OPTIONS.get(key, {}))
 
     p_report = sub.add_parser("report")
     p_report.add_argument("--out", type=Path, default=Path("results"))
@@ -198,8 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    """Load the config with every parsed flag as an override; the parser's
-    flag names are the config-file keys."""
+    """Load the config with every parsed flag as an override; the flags are
+    the SETTINGS keys."""
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     return load_config(args.config, overrides)
 

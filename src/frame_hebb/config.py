@@ -6,39 +6,58 @@ read from the environment, so a (config, seed) pair pins a run completely.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .linalg import random_spd
-from .rules import MAX_BATCH_SIZE, MODES, RULES
+from .rules import TrainerConfig
+
+# Every run setting, once: config-file section -> key -> type. A key is also
+# the setting's flag (``learning_rate`` is ``--learning-rate``), its
+# ``load_config`` override and its RunConfig field; the flags follow this order.
+SETTINGS = {
+    "run": {"seed": int, "nx": int, "nu": int, "samples": int, "sigma": str,
+            "out": Path, "checks": str},
+    "trainer": {"rule": str, "mode": str, "learning_rate": float, "steps": int,
+                "batch_size": int, "record_every": int, "threshold": float},
+}
+# (learning_rate, batch_size) of each training mode, for the unset ones.
+MODE_DEFAULTS = {"closed": (0.02, 0), "empirical": (0.002, 100)}
 
 
 class ConfigError(ValueError):
     """Invalid configuration; surfaced as exit code 2 by the CLI."""
 
 
-def _finite_positive(x: float) -> bool:
-    return bool(np.isfinite(x)) and x > 0
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 @dataclass(frozen=True)
 class RunConfig:
     nx: int = 4
     nu: int = 2
-    sigma_spec: str = "random-spd:0.5,2.0"
+    sigma: str = "random-spd:0.5,2.0"  # a covariance spec; see build_sigma
     seed: int = 42
-    n_samples: int = 1_000_000
-    output_dir: Path = Path("results")
+    samples: int = 1_000_000
+    out: Path = Path("results")
     checks: tuple[str, ...] | None = None  # None means "all"
     rule: str = "oja"
     mode: str = "closed"
-    learning_rate: float | None = None  # resolved per mode when unset
+    learning_rate: float | None = None  # MODE_DEFAULTS when unset
     steps: int = 5000
-    batch_size: int | None = None
+    batch_size: int | None = None  # MODE_DEFAULTS when unset
     record_every: int = 50
     threshold: float = 1e-6
+    # rule..record_every are inputs only: read them from trainer, which holds
+    # them checked and with the mode's defaults filled in.
+    trainer: TrainerConfig = field(init=False)
 
     def __post_init__(self):
         if self.nx < 1 or self.nu < 1:
@@ -47,50 +66,35 @@ class RunConfig:
             raise ConfigError(f"nu must be <= nx, got nu={self.nu} > nx={self.nx}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.n_samples < 1:
-            raise ConfigError(f"samples must be >= 1, got {self.n_samples}")
-        if self.rule not in RULES:
-            raise ConfigError(f"unknown rule {self.rule!r}")
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if self.record_every < 1:
-            raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
-        if self.learning_rate is not None and not _finite_positive(self.learning_rate):
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.batch_size is not None and not 0 <= self.batch_size <= MAX_BATCH_SIZE:
-            raise ConfigError(f"batch_size must be in [0, {MAX_BATCH_SIZE:,}], "
-                              f"got {self.batch_size}")
-        if self.batch_size is not None and self.mode == "empirical" and self.batch_size < 1:
-            raise ConfigError("empirical mode needs batch_size >= 1")
-        if not _finite_positive(self.threshold):
+        if self.samples < 1:
+            raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        if not (math.isfinite(self.threshold) and self.threshold > 0):
             raise ConfigError(f"threshold must be finite and > 0, got {self.threshold}")
-        existing = next(p for p in (self.output_dir, *self.output_dir.parents) if p.exists())
+        # An unknown mode gets closed's defaults; TrainerConfig rejects it.
+        default_lr, default_batch = MODE_DEFAULTS.get(self.mode, MODE_DEFAULTS["closed"])
+        try:
+            object.__setattr__(self, "trainer", TrainerConfig(
+                rule=self.rule, mode=self.mode, steps=self.steps,
+                learning_rate=default_lr if self.learning_rate is None else self.learning_rate,
+                batch_size=default_batch if self.batch_size is None else self.batch_size,
+                record_every=self.record_every, seed=self.seed))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        existing = next(p for p in (self.out, *self.out.parents) if p.exists())
         if not existing.is_dir():
-            raise ConfigError(f"output directory {self.output_dir}: {existing} is a file")
+            raise ConfigError(f"output directory {self.out}: {existing} is a file")
         self.build_sigma()  # fail fast on a bad sigma spec
 
-    def resolved_learning_rate(self) -> float:
-        if self.learning_rate is not None:
-            return self.learning_rate
-        return 0.02 if self.mode == "closed" else 0.002
-
-    def resolved_batch_size(self) -> int:
-        if self.batch_size is not None:
-            return self.batch_size
-        return 0 if self.mode == "closed" else 100
-
     def build_sigma(self) -> np.ndarray:
-        """Materialize the covariance described by ``sigma_spec``."""
-        spec = self.sigma_spec.strip()
+        """Materialize the covariance described by the ``sigma`` spec."""
+        spec = self.sigma.strip()
         if spec == "identity":
             return np.eye(self.nx)
         if spec.startswith("diagonal:"):
             try:
-                vals = [float(v) for v in spec.split(":", 1)[1].split(",")]
+                vals = [_finite_float(v) for v in spec.split(":", 1)[1].split(",")]
             except ValueError as exc:
-                raise ConfigError(f"bad diagonal sigma spec {spec!r}") from exc
+                raise ConfigError(f"bad diagonal sigma spec {spec!r}: {exc}") from exc
             if len(vals) != self.nx:
                 raise ConfigError(
                     f"diagonal sigma spec lists {len(vals)} eigenvalues, nx={self.nx}"
@@ -102,9 +106,9 @@ class RunConfig:
                 lo, hi = 0.5, 2.0
             else:
                 try:
-                    lo, hi = (float(v) for v in rest[1].split(","))
+                    lo, hi = (_finite_float(v) for v in rest[1].split(","))
                 except ValueError as exc:
-                    raise ConfigError(f"bad random-spd sigma spec {spec!r}") from exc
+                    raise ConfigError(f"bad random-spd sigma spec {spec!r}: {exc}") from exc
             try:
                 return random_spd(self.nx, (lo, hi), seed=self.seed)
             except ValueError as exc:
@@ -113,26 +117,6 @@ class RunConfig:
             f"unknown sigma spec {spec!r}; expected identity, "
             "diagonal:<v1,...,vnx>, or random-spd[:<lo,hi>]"
         )
-
-
-_RUN_KEYS = {
-    "nx": int,
-    "nu": int,
-    "seed": int,
-    "samples": int,
-    "sigma": str,
-    "out": str,
-    "checks": str,
-}
-_TRAINER_KEYS = {
-    "rule": str,
-    "mode": str,
-    "learning_rate": float,
-    "steps": int,
-    "batch_size": int,
-    "record_every": int,
-    "threshold": float,
-}
 
 
 def _parse_checks(raw: str) -> tuple[str, ...] | None:
@@ -145,8 +129,8 @@ def _parse_checks(raw: str) -> tuple[str, ...] | None:
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from an optional config file and flag overrides.
 
-    ``overrides`` uses the same keys as the file ({run} and {trainer} keys
-    flattened); values already typed. Flags win over file values.
+    ``overrides`` uses the keys of ``SETTINGS``, with values already typed; a
+    None value is no override. Flags win over file values.
     """
     values: dict = {}
     if path is not None:
@@ -158,7 +142,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
-        for section, keys in (("run", _RUN_KEYS), ("trainer", _TRAINER_KEYS)):
+        for section, keys in SETTINGS.items():
             if not parser.has_section(section):
                 continue
             for key, raw in parser.items(section):
@@ -170,20 +154,10 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
                     raise ConfigError(
                         f"bad value for {key!r} in [{section}]: {raw!r}"
                     ) from exc
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            values[key] = val
-
-    kwargs: dict = {}
-    renames = {"samples": "n_samples", "sigma": "sigma_spec", "out": "output_dir"}
-    for key, val in values.items():
-        name = renames.get(key, key)
-        if name == "output_dir":
-            val = Path(val)
-        if name == "checks" and isinstance(val, str):
-            val = _parse_checks(val)
-        kwargs[name] = val
+    values.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+    if isinstance(values.get("checks"), str):
+        values["checks"] = _parse_checks(values["checks"])
     try:
-        return RunConfig(**kwargs)
+        return RunConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc

@@ -202,13 +202,21 @@ def subspace_error(w: np.ndarray, cov: CovarianceModel) -> float:
 
 @dataclass(frozen=True)
 class TrainerConfig:
+    """The settings of one ``train`` run; the one place they are checked."""
+
+    rule: str
+    mode: str
     learning_rate: float
     steps: int
-    batch_size: int = 0  # 0 means closed-form mode
+    batch_size: int = 0  # rows drawn per empirical step
     record_every: int = 1
     seed: int = 0
 
     def __post_init__(self):
+        if self.rule not in RULES:
+            raise ValueError(f"unknown rule {self.rule!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
         if not np.isfinite(self.learning_rate) or self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.steps < 1:
@@ -216,7 +224,10 @@ class TrainerConfig:
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         if not 0 <= self.batch_size <= MAX_BATCH_SIZE:
-            raise ValueError(f"batch_size must be in [0, {MAX_BATCH_SIZE}], got {self.batch_size}")
+            raise ValueError(f"batch_size must be in [0, {MAX_BATCH_SIZE:,}], "
+                             f"got {self.batch_size}")
+        if self.mode == "empirical" and self.batch_size < 1:
+            raise ValueError("empirical mode needs batch_size >= 1")
 
 
 @dataclass(frozen=True)
@@ -230,8 +241,6 @@ class TrajectoryPoint:
 
 @dataclass(frozen=True)
 class Trajectory:
-    rule: str
-    mode: str
     points: tuple[TrajectoryPoint, ...]
 
     @property
@@ -239,10 +248,8 @@ class Trajectory:
         return self.points[-1]
 
 
-def train(
-    rule: str, mode: str, w0, cov: CovarianceModel, config: TrainerConfig
-) -> Trajectory:
-    """Explicit-Euler integration of the chosen rule from W0.
+def train(w0, cov: CovarianceModel, config: TrainerConfig) -> Trajectory:
+    """Explicit-Euler integration of ``config.rule`` from W0.
 
     Closed-form mode steps along the exact expected update; empirical mode
     draws a fresh batch per step from one stream per run,
@@ -258,23 +265,17 @@ def train(
     cannot change the shape, and a non-finite entry makes the norm
     non-finite, so the guard raises before the next update.
     """
-    if rule not in RULES:
-        raise ValueError(f"unknown rule {rule!r}")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "empirical" and config.batch_size < 1:
-        raise ValueError("empirical mode needs batch_size >= 1")
-
     w = as_weights(w0, cov.dim, "train").copy()
-    if mode == "closed":
-        update = oja_update_closed if rule == "oja" else eghr_update_closed
+    closed = config.mode == "closed"
+    if closed:
+        update = oja_update_closed if config.rule == "oja" else eghr_update_closed
     else:
-        update = oja_update_empirical if rule == "oja" else eghr_update_empirical
+        update = oja_update_empirical if config.rule == "oja" else eghr_update_empirical
 
     rng = np.random.default_rng(derive_seed(config.seed, 0))
     points: list[TrajectoryPoint] = []
     for step in range(config.steps + 1):
-        upd = update(w, cov if mode == "closed" else sample(cov, config.batch_size, rng))
+        upd = update(w, cov if closed else sample(cov, config.batch_size, rng))
         if step % config.record_every == 0 or step == config.steps:
             points.append(
                 TrajectoryPoint(
@@ -292,4 +293,4 @@ def train(
         norm = math.sqrt(flat.dot(flat))  # np.linalg.norm(w) to the bit, without its dispatch
         if not math.isfinite(norm) or norm > DIVERGENCE_NORM:
             raise DivergenceError(step + 1, norm)
-    return Trajectory(rule=rule, mode=mode, points=tuple(points))
+    return Trajectory(points=tuple(points))

@@ -158,7 +158,6 @@ def test_criterion_7_monte_carlo_rates():
 def test_criterion_8_fixed_point_and_convergence_equivalence():
     t0 = time.perf_counter()
     cov = build_covariance(np.diag([5.0, 4.0, 3.0, 2.0, 1.0]))
-    cfg = TrainerConfig(learning_rate=0.02, steps=5000, record_every=5000)
     worst_sub = worst_orth = worst_cross = 0.0
     for i in range(20):
         w0 = np.random.default_rng(SEED + i).standard_normal((2, 5)) / np.sqrt(5)
@@ -166,7 +165,9 @@ def test_criterion_8_fixed_point_and_convergence_equivalence():
             ("oja", eghr_update_closed),
             ("eghr", oja_update_closed),
         ):
-            final = train(rule, "closed", w0, cov, cfg).final
+            cfg = TrainerConfig(rule, "closed", learning_rate=0.02, steps=5000,
+                                record_every=5000)
+            final = train(w0, cov, cfg).final
             worst_sub = max(worst_sub, final.subspace_error)
             worst_orth = max(worst_orth, final.orthonormality_residual)
             worst_cross = max(

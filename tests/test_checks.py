@@ -40,7 +40,7 @@ def _fields(record):
 
 
 def test_isserlis_analytic_alone_skips_empirical_work(monkeypatch):
-    config = RunConfig(nx=3, nu=1, n_samples=2000, seed=5)
+    config = RunConfig(nx=3, nu=1, samples=2000, seed=5)
     both = checks.run_checks(config, _cov(config), ["isserlis-analytic", "isserlis-empirical"])
     assert [r.check_name for r in both] == ["isserlis-analytic", "isserlis-empirical"]
 
@@ -75,7 +75,7 @@ def test_isserlis_analytic_catches_a_transpose_that_gathers_nothing(monkeypatch)
     ],
 )
 def test_paired_checks_return_only_requested_records(names):
-    config = RunConfig(nx=2, nu=1, n_samples=500, seed=3)
+    config = RunConfig(nx=2, nu=1, samples=500, seed=3)
     records = checks.run_checks(config, _cov(config), names)
     assert [r.check_name for r in records] == names
     assert all(r.group == "frame machinery" for r in records)
@@ -121,7 +121,7 @@ def test_rate_records_do_not_depend_on_the_other_mc_checks(rate_cov, single_kind
 def test_mc_checks_read_the_same_sums_whatever_else_runs():
     # isserlis-empirical and derivation-* read batch 0's block sums, merged
     # in an order set by n alone: adding the rate checks moves no bit.
-    config = RunConfig(nx=3, nu=2, n_samples=_RATE_N + 7, seed=14)
+    config = RunConfig(nx=3, nu=2, samples=_RATE_N + 7, seed=14)
     cov = _cov(config)
     names = ["isserlis-empirical", "derivation-chain-agreement", "derivation-mc-target"]
     alone = checks.run_checks(config, cov, names)
@@ -309,3 +309,28 @@ def test_batched_s_products_equal_per_trial_loops_on_a_wrong_operator(monkeypatc
     want = per_trial(cov, wrong, 13, 37)
     assert want > 0.1 and not record.passed
     assert record.value == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("loosen", [
+    lambda b, lam: dataclasses.replace(b, lower=float(lam[-1] ** 2)),
+    lambda b, lam: dataclasses.replace(b, upper_tight=float(3 * lam[0] ** 2)),
+], ids=["lower", "upper"])
+def test_frame_bounds_fails_on_bounds_that_are_not_attained(monkeypatch, loosen):
+    # lambda_min^2 and 3 lambda_max^2 still bound every random quadratic form
+    # and keep the tight bound below the trace bound; only the forms at
+    # Sigma's extreme eigenvectors, which attain the true bounds, catch them.
+    cov = build_covariance(random_spd(4, (0.5, 2.0), seed=42))
+    assert checks.frame_bounds_check(cov, 42).passed
+    loose = loosen(checks.frame_bounds(cov), cov.eigvals)
+    assert loose.upper_tight <= loose.upper_trace
+    monkeypatch.setattr(checks, "frame_bounds", lambda c: loose)
+    assert not checks.frame_bounds_check(cov, 42).passed
+
+
+@pytest.mark.parametrize("nx", [4, 32])
+def test_frame_bounds_passes_on_a_wide_spectrum(nx):
+    # The forms' roundoff grows with lambda_max^2 (about 1e-7 at 2e8 here);
+    # the gaps are relative to upper_tight, so a correct S still passes.
+    cov = build_covariance(random_spd(nx, (1.0, 1e4), seed=42))
+    record = checks.frame_bounds_check(cov, 42)
+    assert record.passed and record.value < 1e-13

@@ -474,6 +474,15 @@ BOUNDARY_INPUTS = {
     "too few samples for the mc-rate checks of a full frame-check": lambda d: (
         ["frame-check", "--samples", 5000, "--out", d / "out"],
         f"input error: need >= {RATE_MIN_SAMPLES} samples for the mc-rate checks"),
+    "non-finite eigenvalue in a diagonal --sigma": lambda d: (
+        ["frame-check", "--checks", "frame-bounds", "--sigma", "diagonal:1,nan,1,1",
+         "--out", d / "out"], "config error: bad diagonal sigma spec"),
+    "infinite eigenvalue in a diagonal --sigma": lambda d: (
+        ["frame-check", "--checks", "frame-bounds", "--sigma", "diagonal:1,inf,1,1",
+         "--out", d / "out"], "config error: bad diagonal sigma spec"),
+    "infinite random-spd --sigma range": lambda d: (
+        ["frame-check", "--checks", "frame-bounds", "--sigma", "random-spd:1,inf",
+         "--out", d / "out"], "config error: bad random-spd sigma spec"),
     "train with checks in its config file": lambda d: (
         ["train", "--config", _plant(d / "run.cfg", b"[run]\nchecks = frame-bounds\n"),
          "--out", d / "out"] + TRAIN_CHEAP, "config error: frame-bounds"),

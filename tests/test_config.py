@@ -3,22 +3,23 @@
 import numpy as np
 import pytest
 
-from frame_hebb.config import ConfigError, RunConfig, load_config
+from frame_hebb.cli import _build_parser, _config_from_args
+from frame_hebb.config import SETTINGS, ConfigError, RunConfig, load_config
 from frame_hebb.rules import MAX_BATCH_SIZE
 
 
 def test_defaults():
     cfg = RunConfig()
     assert (cfg.nx, cfg.nu, cfg.seed) == (4, 2, 42)
-    assert cfg.sigma_spec.startswith("random-spd")
-    assert cfg.resolved_learning_rate() == 0.02
-    assert cfg.resolved_batch_size() == 0
+    assert cfg.sigma.startswith("random-spd")
+    assert cfg.trainer.learning_rate == 0.02
+    assert cfg.trainer.batch_size == 0
 
 
 def test_empirical_mode_defaults():
     cfg = RunConfig(mode="empirical")
-    assert cfg.resolved_learning_rate() == 0.002
-    assert cfg.resolved_batch_size() == 100
+    assert cfg.trainer.learning_rate == 0.002
+    assert cfg.trainer.batch_size == 100
 
 
 def test_nu_above_nx_rejected():
@@ -28,18 +29,18 @@ def test_nu_above_nx_rejected():
 
 def test_sigma_identity():
     np.testing.assert_array_equal(
-        RunConfig(sigma_spec="identity").build_sigma(), np.eye(4)
+        RunConfig(sigma="identity").build_sigma(), np.eye(4)
     )
 
 
 def test_sigma_diagonal():
-    cfg = RunConfig(nx=3, sigma_spec="diagonal:3,2,1")
+    cfg = RunConfig(nx=3, sigma="diagonal:3,2,1")
     np.testing.assert_array_equal(cfg.build_sigma(), np.diag([3.0, 2.0, 1.0]))
 
 
 def test_sigma_diagonal_length_mismatch():
     with pytest.raises(ConfigError):
-        RunConfig(nx=4, sigma_spec="diagonal:3,2,1")
+        RunConfig(nx=4, sigma="diagonal:3,2,1")
 
 
 def test_sigma_random_spd_seeded():
@@ -51,7 +52,7 @@ def test_sigma_random_spd_seeded():
 
 def test_sigma_unknown_spec():
     with pytest.raises(ConfigError):
-        RunConfig(sigma_spec="wishart")
+        RunConfig(sigma="wishart")
 
 
 def test_bad_learning_rate():
@@ -80,7 +81,7 @@ def test_bad_trainer_values_rejected(kwargs):
 
 def test_largest_batch_size_accepted():
     cfg = RunConfig(mode="empirical", batch_size=MAX_BATCH_SIZE)
-    assert cfg.resolved_batch_size() == MAX_BATCH_SIZE
+    assert cfg.trainer.batch_size == MAX_BATCH_SIZE
 
 
 def test_load_config_file_and_overrides(tmp_path):
@@ -102,7 +103,7 @@ steps = 99
 """
     )
     cfg = load_config(path)
-    assert cfg.nx == 5 and cfg.seed == 7 and cfg.n_samples == 1234
+    assert cfg.nx == 5 and cfg.seed == 7 and cfg.samples == 1234
     assert cfg.checks == ("frame-bounds", "kernel-annihilation")
     assert cfg.rule == "eghr" and cfg.steps == 99
 
@@ -133,3 +134,51 @@ def test_load_config_missing_file():
 
 def test_checks_all_keyword():
     assert load_config(None, overrides={"checks": "all"}).checks is None
+
+
+RUN_FLAGS = ["-h", "--help", "--config", "--seed", "--nx", "--nu", "--samples", "--sigma",
+             "--out", "--checks"]
+TRAINER_FLAGS = ["--rule", "--mode", "--learning-rate", "--steps", "--batch-size",
+                 "--record-every", "--threshold"]
+
+
+def _subparsers():
+    (action,) = [a for a in _build_parser()._actions if a.dest == "command"]
+    return action.choices
+
+
+def test_option_strings_of_each_subcommand_in_order():
+    options = {name: [s for a in p._actions for s in a.option_strings]
+               for name, p in _subparsers().items()}
+    assert options == {
+        "equivalence": RUN_FLAGS,
+        "frame-check": RUN_FLAGS,
+        "train": RUN_FLAGS + TRAINER_FLAGS,
+        "report": ["-h", "--help", "--out"],
+    }
+
+
+def test_rule_and_mode_choices():
+    choices = {a.dest: a.choices for a in _subparsers()["train"]._actions if a.choices}
+    assert choices == {"rule": ("oja", "eghr"), "mode": ("closed", "empirical")}
+
+
+# One valid value of each setting, none of them its default.
+SETTING_VALUES = {
+    "seed": "7", "nx": "5", "nu": "3", "samples": "1234", "sigma": "random-spd:1,3",
+    "out": "elsewhere", "checks": "frame-bounds", "rule": "eghr", "mode": "empirical",
+    "learning_rate": "0.01", "steps": "9", "batch_size": "17", "record_every": "3",
+    "threshold": "0.5",
+}
+
+
+@pytest.mark.parametrize("section, key", [(section, key) for section, keys in
+                                          SETTINGS.items() for key in keys])
+def test_file_value_and_flag_give_equal_configs(tmp_path, section, key):
+    value = SETTING_VALUES[key]
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    from_file = load_config(path)
+    args = _build_parser().parse_args(["train", "--" + key.replace("_", "-"), value])
+    from_flag = _config_from_args(args)
+    assert from_file == from_flag != RunConfig()

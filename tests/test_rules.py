@@ -293,20 +293,21 @@ class TestTrainer:
     def test_config_validation(self):
         for lr in (0.0, -0.1, np.nan, np.inf):
             with pytest.raises(ValueError):
-                TrainerConfig(learning_rate=lr, steps=10)
+                TrainerConfig("oja", "closed", learning_rate=lr, steps=10)
         with pytest.raises(ValueError):
-            TrainerConfig(learning_rate=0.1, steps=0)
+            TrainerConfig("oja", "closed", learning_rate=0.1, steps=0)
         with pytest.raises(ValueError):
-            TrainerConfig(learning_rate=0.1, steps=10, record_every=0)
+            TrainerConfig("oja", "closed", learning_rate=0.1, steps=10, record_every=0)
         for size in (-1, rules.MAX_BATCH_SIZE + 1):
             with pytest.raises(ValueError, match="batch_size"):
-                TrainerConfig(learning_rate=0.1, steps=10, batch_size=size)
-        TrainerConfig(learning_rate=0.1, steps=10, batch_size=rules.MAX_BATCH_SIZE)
+                TrainerConfig("oja", "closed", learning_rate=0.1, steps=10, batch_size=size)
+        TrainerConfig("oja", "closed", learning_rate=0.1, steps=10,
+                      batch_size=rules.MAX_BATCH_SIZE)
 
     def test_fixed_point_trajectory_is_flat(self, cov_rand4):
         w0 = principal_weights(cov_rand4, 2, seed=34)
-        cfg = TrainerConfig(learning_rate=0.02, steps=200, record_every=50)
-        traj = train("oja", "closed", w0, cov_rand4, cfg)
+        cfg = TrainerConfig("oja", "closed", learning_rate=0.02, steps=200, record_every=50)
+        traj = train(w0, cov_rand4, cfg)
         for p in traj.points:
             np.testing.assert_allclose(p.w, w0, atol=1e-12)
             assert p.update_norm <= 1e-13
@@ -314,9 +315,10 @@ class TestTrainer:
     def test_closed_flow_converges(self):
         cov = build_covariance(np.diag([5.0, 4.0, 3.0, 2.0, 1.0]))
         w0 = np.random.default_rng(35).standard_normal((2, 5)) / np.sqrt(5)
-        cfg = TrainerConfig(learning_rate=0.02, steps=5000, record_every=500)
         for rule in ("oja", "eghr"):
-            final = train(rule, "closed", w0, cov, cfg).final
+            cfg = TrainerConfig(rule, "closed", learning_rate=0.02, steps=5000,
+                                record_every=500)
+            final = train(w0, cov, cfg).final
             assert final.subspace_error <= 1e-6
             assert final.orthonormality_residual <= 1e-6
 
@@ -325,18 +327,19 @@ class TestTrainer:
         cov = build_covariance(np.diag([6.0, 5.0, 1.0, 0.5]))
         w0 = np.random.default_rng(36).standard_normal((2, 4)) / 2.0
         cfg = TrainerConfig(
-            learning_rate=0.002, steps=3000, batch_size=100, record_every=500, seed=4
+            "oja", "empirical", learning_rate=0.002, steps=3000, batch_size=100,
+            record_every=500, seed=4
         )
-        traj = train("oja", "empirical", w0, cov, cfg)
+        traj = train(w0, cov, cfg)
         assert traj.final.subspace_error < traj.points[0].subspace_error
         assert traj.final.subspace_error < 0.1
 
     def test_divergence_guard_names_step(self):
         cov = build_covariance(np.diag([5.0, 4.0, 3.0, 2.0, 1.0]))
         w0 = np.random.default_rng(37).standard_normal((2, 5))
-        cfg = TrainerConfig(learning_rate=10.0, steps=100)
+        cfg = TrainerConfig("oja", "closed", learning_rate=10.0, steps=100)
         with pytest.raises(DivergenceError) as err:
-            train("oja", "closed", w0, cov, cfg)
+            train(w0, cov, cfg)
         assert err.value.step >= 1
         # the guard's norm is np.linalg.norm of the iterate, to the bit
         w = w0
@@ -348,9 +351,9 @@ class TestTrainer:
         monkeypatch.setattr(
             rules, "oja_update_closed", lambda w, cov: np.full(w.shape, np.nan)
         )
-        cfg = TrainerConfig(learning_rate=0.02, steps=100)
+        cfg = TrainerConfig("oja", "closed", learning_rate=0.02, steps=100)
         with pytest.raises(DivergenceError) as err:
-            train("oja", "closed", np.ones((1, 4)) / 2.0, cov_rand4, cfg)
+            train(np.ones((1, 4)) / 2.0, cov_rand4, cfg)
         assert err.value.step == 1
         assert np.isnan(err.value.norm)
 
@@ -360,7 +363,7 @@ class TestTrainer:
         # reference loop through the public update and metric functions;
         # train must match it bit for bit
         w0 = np.random.default_rng(40).standard_normal((2, 4)) / 2.0
-        cfg = TrainerConfig(learning_rate=0.01, steps=60, batch_size=20,
+        cfg = TrainerConfig(rule, mode, learning_rate=0.01, steps=60, batch_size=20,
                             record_every=7, seed=11)
         closed = oja_update_closed if rule == "oja" else eghr_update_closed
         empirical = oja_update_empirical if rule == "oja" else eghr_update_empirical
@@ -379,7 +382,7 @@ class TestTrainer:
                 break
             w = w + cfg.learning_rate * upd
 
-        points = train(rule, mode, w0, cov_rand4, cfg).points
+        points = train(w0, cov_rand4, cfg).points
         assert len(points) == len(expected)
         for p, (step, w, err, orth, norm) in zip(points, expected):
             assert p.step == step
@@ -403,9 +406,10 @@ class TestTrainer:
 
         monkeypatch.setattr(rules, name, recording)
         w0 = np.random.default_rng(43).standard_normal((2, 4)) / 2.0
-        cfg = TrainerConfig(learning_rate=0.01, steps=20, batch_size=30, seed=13)
+        cfg = TrainerConfig(rule, "empirical", learning_rate=0.01, steps=20, batch_size=30,
+                            seed=13)
         b, nx = cfg.batch_size, cov_rand4.dim
-        train(rule, "empirical", w0, cov_rand4, cfg)
+        train(w0, cov_rand4, cfg)
         assert len(seen) == cfg.steps + 1
         rng = np.random.default_rng(derive_seed(cfg.seed, 0))
         for rows in seen:
@@ -428,9 +432,9 @@ class TestTrainer:
         monkeypatch.setattr(rules, "as_weights", counted("as_weights", rules.as_weights))
         monkeypatch.setattr(rules, "sample", counted("sample", rules.sample))
         w0 = np.random.default_rng(41).standard_normal((2, 4)) / 2.0
-        cfg = TrainerConfig(learning_rate=0.01, steps=60, batch_size=20,
+        cfg = TrainerConfig(rule, mode, learning_rate=0.01, steps=60, batch_size=20,
                             record_every=7, seed=12)
-        train(rule, mode, w0, cov_rand4, cfg)
+        train(w0, cov_rand4, cfg)
         assert calls["as_weights"] == 1
         assert calls["sample"] == (cfg.steps + 1 if mode == "empirical" else 0)
 
@@ -449,8 +453,8 @@ class TestTrainer:
         monkeypatch.setattr(rules, "oja_update_closed", counted("oja", oja_update_closed))
         monkeypatch.setattr(rules, "eghr_update_closed", counted("eghr", eghr_update_closed))
         w0 = np.random.default_rng(42).standard_normal((2, 4)) / 2.0
-        cfg = TrainerConfig(learning_rate=0.01, steps=60, record_every=7)
-        train(rule, "closed", w0, cov_rand4, cfg)
+        cfg = TrainerConfig(rule, "closed", learning_rate=0.01, steps=60, record_every=7)
+        train(w0, cov_rand4, cfg)
         assert calls == {name: (cfg.steps + 1 if name == rule else 0) for name in RULES}
 
     def test_wrong_nx_rejected_before_any_step(self, cov_rand4, monkeypatch):
@@ -459,40 +463,40 @@ class TestTrainer:
 
         monkeypatch.setattr(rules, "oja_update_closed", no_step)
         monkeypatch.setattr(rules, "sample", no_step)
-        cfg = TrainerConfig(learning_rate=0.01, steps=5, batch_size=20)
         for mode in MODES:
+            cfg = TrainerConfig("oja", mode, learning_rate=0.01, steps=5, batch_size=20)
             with pytest.raises(DimensionError, match="train"):
-                train("oja", mode, np.ones((1, 5)) / 3.0, cov_rand4, cfg)
+                train(np.ones((1, 5)) / 3.0, cov_rand4, cfg)
 
     def test_deterministic_trajectories(self, cov_rand4):
         w0 = np.random.default_rng(38).standard_normal((2, 4)) / 2.0
-        cfg = TrainerConfig(learning_rate=0.02, steps=100, record_every=10)
-        a = train("eghr", "closed", w0, cov_rand4, cfg)
-        b = train("eghr", "closed", w0, cov_rand4, cfg)
+        cfg = TrainerConfig("eghr", "closed", learning_rate=0.02, steps=100, record_every=10)
+        a = train(w0, cov_rand4, cfg)
+        b = train(w0, cov_rand4, cfg)
         for pa, pb in zip(a.points, b.points):
             assert pa.step == pb.step
             np.testing.assert_array_equal(pa.w, pb.w)
             assert pa.subspace_error == pb.subspace_error
 
         cfg_emp = TrainerConfig(
-            learning_rate=0.002, steps=50, batch_size=64, record_every=10, seed=9
+            "oja", "empirical", learning_rate=0.002, steps=50, batch_size=64,
+            record_every=10, seed=9
         )
-        a = train("oja", "empirical", w0, cov_rand4, cfg_emp)
-        b = train("oja", "empirical", w0, cov_rand4, cfg_emp)
+        a = train(w0, cov_rand4, cfg_emp)
+        b = train(w0, cov_rand4, cfg_emp)
         for pa, pb in zip(a.points, b.points):
             np.testing.assert_array_equal(pa.w, pb.w)
 
     def test_step_indices_strictly_increasing(self, cov_rand4):
         w0 = np.random.default_rng(39).standard_normal((2, 4)) / 2.0
-        cfg = TrainerConfig(learning_rate=0.02, steps=37, record_every=10)
-        traj = train("oja", "closed", w0, cov_rand4, cfg)
+        cfg = TrainerConfig("oja", "closed", learning_rate=0.02, steps=37, record_every=10)
+        traj = train(w0, cov_rand4, cfg)
         steps = [p.step for p in traj.points]
         assert steps == sorted(set(steps))
         assert steps[-1] == 37
 
-    def test_empirical_mode_needs_batch(self, cov_rand4):
-        cfg = TrainerConfig(learning_rate=0.01, steps=5, batch_size=0)
+    def test_empirical_mode_needs_batch(self):
         with pytest.raises(ValueError):
-            train("oja", "empirical", np.ones((1, 4)), cov_rand4, cfg)
+            TrainerConfig("oja", "empirical", learning_rate=0.01, steps=5, batch_size=0)
         with pytest.raises(ValueError):
-            train("bogus", "closed", np.ones((1, 4)), cov_rand4, cfg)
+            TrainerConfig("bogus", "closed", learning_rate=0.01, steps=5, batch_size=0)
