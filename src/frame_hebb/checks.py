@@ -23,10 +23,14 @@ RATE_MIN_SAMPLES rows; run_checks rejects a smaller --samples before any
 check runs.
 
 The sweeps over random (Sigma, W[, x]) trials draw each trial's covariance
-seed and its other values from one generator, trial after trial, and build
-the covariances in stacks of SWEEP_BLOCK trials from their drawn spectra
-(``linalg.random_covariances``), so no trial runs an eigendecomposition;
-the trials then run through the rules' closed forms and the frames' coefficients.
+seed and its other values from one generator, trial after trial, and run
+the trials in stacks (``sweep_stack_trials``): each stack's covariances are
+built from their drawn spectra (``linalg.random_covariances``), so no trial
+runs an eigendecomposition, and the rules' closed forms and the frames'
+coefficients take the whole stack in one call, which gives each trial the
+bits of a call on it alone. Every check takes its worst gap with
+``_worst_gap``, which keeps a NaN, and a NaN or infinite value fails its
+check (``records.timed_record``) instead of passing or ending the run.
 
 ``COMMANDS`` is the one table of the check commands: each one's records CSV,
 report group and runners, in CSV order.
@@ -66,12 +70,15 @@ from .gaussian import (
 )
 from .linalg import (
     build_covariance,
+    frobenius,
+    matrix_transpose,
     random_covariances,
     random_spd,
     require_memory,
     skew_part,
     sym_part,
     vec,
+    vecs,
 )
 from .records import ExperimentRecord, timed_record
 from .rules import (
@@ -95,40 +102,56 @@ SLOPE_REFERENCE = -0.5
 SLOPE_HALF_WIDTH = 0.15
 
 
-# Trials per stacked covariance build in a sweep: few enough to keep the
-# stacks small, enough to share most of the per-call cost. Built one trial at
-# a time, the frame-wide benchmark's frame-check (nx=32) peaked at 72.9 MB;
-# one 1000-trial stack took it to 98.5 MB, 64-trial blocks 75.8, 16-trial 73.2.
-SWEEP_BLOCK = 16
+# A sweep stack holds as many trials as SWEEP_STACK_BYTES of nx x nx matrices
+# at the sweep's largest nx, 16 at nx=32, but at most SWEEP_STACK_TRIALS. The
+# frame-wide benchmark's frame-check (nx=32) peaked at 72.9 MB built one trial
+# at a time, 75.8 MB with 64-trial stacks and 73.2 MB with 16-trial ones. At
+# nx=4 on a 2-CPU host, 64-trial stacks ran the sweeps as fast as one
+# 1000-trial stack, which raised frame-check's default peak by 1.6 MB.
+SWEEP_STACK_BYTES = 16 * 32 * 32 * 8
+SWEEP_STACK_TRIALS = 64
+
+
+def _worst_gap(*gaps) -> np.float64:
+    """The largest entry of the gaps (numbers or arrays of any shape) and 0;
+    NaN if any entry is NaN, which Python's max would drop."""
+    return np.max([np.max(g, initial=0.0) for g in gaps], initial=0.0)
+
+
+def sweep_stack_trials(dims: list[tuple[int, int]]) -> int:
+    """Trials per stack of a sweep over ``dims``."""
+    largest = max(nx for nx, _ in dims)
+    return min(SWEEP_STACK_TRIALS, max(1, SWEEP_STACK_BYTES // (8 * largest**2)))
 
 
 def _sweep(seed: int, dims: list[tuple[int, int]], trials: int, draw):
-    """Yield (cov, drawn) for trials k = 0..trials-1 at (nx, nu) =
-    dims[k % len(dims)]: a random covariance, then draw(rng, nx, nu), both from
-    one rng = default_rng(seed) in per-trial order. The covariances are built
-    from their drawn spectra SWEEP_BLOCK trials at a time, one stack per nx.
+    """Yield the trials k = 0..trials-1 at (nx, nu) = dims[k % len(dims)] as
+    stacks (covs, drawn): a stacked covariance model and the stacked values
+    draw(rng, nx, nu) gives (a tuple of arrays), each with a leading trial
+    axis. Every trial draws its covariance seed and then its values from one
+    rng = default_rng(seed), in trial order. ``sweep_stack_trials`` trials
+    at a time are drawn and then split by (nx, nu), one stack each, whose
+    covariances are built from their drawn spectra (``random_covariances``).
     """
     rng = np.random.default_rng(seed)
-    for start in range(0, trials, SWEEP_BLOCK):
-        block = []
-        for k in range(start, min(start + SWEEP_BLOCK, trials)):
+    per = sweep_stack_trials(dims)
+    for start in range(0, trials, per):
+        by_shape: dict = {}
+        for k in range(start, min(start + per, trials)):
             nx, nu = dims[k % len(dims)]
-            block.append((nx, int(rng.integers(2**63)), draw(rng, nx, nu)))
-        covs = [None] * len(block)
-        for nx in dict.fromkeys(t[0] for t in block):
-            at = [i for i, t in enumerate(block) if t[0] == nx]
-            for i, cov in zip(at, random_covariances(nx, SWEEP_EIG_RANGE,
-                                                     [block[i][1] for i in at])):
-                covs[i] = cov
-        yield from zip(covs, (drawn for _, _, drawn in block))
+            by_shape.setdefault((nx, nu), []).append(
+                (int(rng.integers(2**63)), *draw(rng, nx, nu)))
+        for (nx, _), rows in by_shape.items():
+            seeds, *drawn = zip(*rows)
+            yield random_covariances(nx, SWEEP_EIG_RANGE, seeds), [np.stack(d) for d in drawn]
 
 
-def _draw_weights(rng, nx: int, nu: int) -> np.ndarray:
-    return rng.uniform(-1.0, 1.0, size=(nu, nx))
+def _draw_weights(rng, nx: int, nu: int):
+    return (rng.uniform(-1.0, 1.0, size=(nu, nx)),)
 
 
 def _draw_weights_and_seed(rng, nx: int, nu: int):
-    return _draw_weights(rng, nx, nu), int(rng.integers(2**63))
+    return *_draw_weights(rng, nx, nu), int(rng.integers(2**63))
 
 
 def _draw_fixed_point(rng, nx: int, nu: int):
@@ -143,14 +166,13 @@ def closed_equivalence_check(
     """Worst relative gap between the closed-form error-gated update and the
     Sigma-postmultiplied subspace update over random (W, Sigma) pairs."""
     t0 = time.perf_counter()
-    worst = 0.0
-    for cov, w in _sweep(seed, dims, trials, _draw_weights):
-        lhs = eghr_update_closed(w, cov)
-        rhs = oja_update_closed(w, cov) @ cov.sigma
-        ref = float(np.linalg.norm(rhs))
-        err = float(np.linalg.norm(lhs - rhs))
-        worst = max(worst, err / ref if ref > 0 else err)
-    return timed_record("closed-equivalence", worst, EXACT_RTOL, seed, t0,
+    gaps = []
+    for covs, (w,) in _sweep(seed, dims, trials, _draw_weights):
+        lhs = eghr_update_closed(w, covs)
+        rhs = oja_update_closed(w, covs) @ covs.sigma
+        ref = frobenius(rhs)
+        gaps.append(frobenius(lhs - rhs) / np.where(ref > 0, ref, 1.0))
+    return timed_record("closed-equivalence", _worst_gap(*gaps), EXACT_RTOL, seed, t0,
                         dims=dims, trials=trials)
 
 
@@ -163,23 +185,23 @@ def fixed_point_sharing_check(
     that forces either rule to vanish exactly when the other does. The
     eigenvectors are the columns of each covariance's drawn Q."""
     t0 = time.perf_counter()
-    worst = 0.0
-    for cov, (pick, mix, perturbation) in _sweep(seed, [(nx, nu)], trials, _draw_fixed_point):
+    gaps = []
+    for covs, (pick, mix, perturbation) in _sweep(seed, [(nx, nu)], trials, _draw_fixed_point):
         q, _ = np.linalg.qr(mix)
-        w_fp = q @ cov.eigvecs[:, pick].T
-        sigma_scale = float(np.linalg.norm(cov.sigma))
-
-        oja_norm = float(np.linalg.norm(oja_update_closed(w_fp, cov)))
-        eghr_norm = float(np.linalg.norm(eghr_update_closed(w_fp, cov)))
-        worst = max(worst, oja_norm / sigma_scale, eghr_norm / sigma_scale**2)
+        w_fp = q @ matrix_transpose(np.take_along_axis(covs.eigvecs, pick[:, None, :], axis=2))
+        sigma_scale = frobenius(covs.sigma)
+        # float_power is libm's pow, as a float's ** is; an array's ** squares,
+        # which differs from pow in the last bit on about 1 value in 1000.
+        gaps += [frobenius(oja_update_closed(w_fp, covs)) / sigma_scale,
+                 frobenius(eghr_update_closed(w_fp, covs)) / np.float_power(sigma_scale, 2)]
 
         w_near = w_fp + 1e-6 * perturbation
-        oja_n = float(np.linalg.norm(oja_update_closed(w_near, cov)))
-        eghr_n = float(np.linalg.norm(eghr_update_closed(w_near, cov)))
-        lam_min, lam_max = cov.eigvals[-1], cov.eigvals[0]
-        sandwich = max(lam_min * oja_n - eghr_n, eghr_n - lam_max * oja_n, 0.0)
-        worst = max(worst, sandwich / (lam_max * oja_n) if oja_n > 0 else sandwich)
-    return timed_record("fixed-point-sharing", worst, EXACT_RTOL, seed, t0,
+        oja_n = frobenius(oja_update_closed(w_near, covs))
+        eghr_n = frobenius(eghr_update_closed(w_near, covs))
+        lam_min, lam_max = covs.eigvals[:, -1], covs.eigvals[:, 0]
+        sandwich = np.maximum(np.maximum(lam_min * oja_n - eghr_n, eghr_n - lam_max * oja_n), 0.0)
+        gaps.append(sandwich / np.where(oja_n > 0, lam_max * oja_n, 1.0))
+    return timed_record("fixed-point-sharing", _worst_gap(*gaps), EXACT_RTOL, seed, t0,
                         nx=nx, nu=nu, trials=trials)
 
 
@@ -190,12 +212,12 @@ def stein_identity_check(seed: int, dims: tuple[int, ...] = (1, 2, 4)) -> Experi
     (must stay below 1). Both sides are exact cubature sums
     (``gaussian.stein_check``), so nothing is sampled."""
     t0 = time.perf_counter()
-    worst = 0.0
+    ratios = []
     for dim in dims:
         cov = build_covariance(random_spd(dim, SWEEP_EIG_RANGE, seed=derive_seed(seed, dim)))
-        for rec in stein_check(cov, monomial_exponents(dim), seed):
-            worst = max(worst, rec.value / rec.tolerance)
-    return timed_record("stein-identity", worst, 1.0, seed, t0, dims=dims)
+        ratios += [rec.value / rec.tolerance
+                   for rec in stein_check(cov, monomial_exponents(dim), seed)]
+    return timed_record("stein-identity", _worst_gap(ratios), 1.0, seed, t0, dims=dims)
 
 
 def frame_bounds_check(cov, seed: int, trials: int = 1000) -> ExperimentRecord:
@@ -217,10 +239,11 @@ def frame_bounds_check(cov, seed: int, trials: int = 1000) -> ExperimentRecord:
     v[:trials] /= np.linalg.norm(v[:trials], axis=1, keepdims=True)
     v[trials:] = [np.outer(q, q).ravel() for q in cov.eigvecs[:, [0, -1]].T]
     quad = np.einsum("ij,ij->i", v @ s, v)  # all quadratic forms in one GEMM
-    worst = max(0.0, b.upper_tight - b.upper_trace,
-                float(b.lower - quad.min()), float(quad.max() - b.upper_tight),
-                abs(quad[-2] - b.upper_tight), abs(quad[-1] - b.lower)) / b.upper_tight
-    return timed_record("frame-bounds", worst, BOUND_RTOL, seed, t0, nx=cov.dim, trials=trials)
+    gaps = np.array([b.upper_tight - b.upper_trace, b.lower - quad.min(),
+                     quad.max() - b.upper_tight, abs(quad[-2] - b.upper_tight),
+                     abs(quad[-1] - b.lower)])
+    return timed_record("frame-bounds", _worst_gap(gaps / b.upper_tight), BOUND_RTOL, seed, t0,
+                        nx=cov.dim, trials=trials)
 
 
 def _column_norms(a: np.ndarray) -> np.ndarray:
@@ -232,16 +255,13 @@ def kernel_annihilation_check(cov, seed: int, trials: int = 100) -> ExperimentRe
     """The analytic operator kills vectorized skew matrices: worst of
     |S vec(K)| / (|S| |K|) over random skew K, all in one product with S."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
     s = frame_operator_analytic(cov)
-    worst = 0.0
+    ratios = 0.0
     if cov.dim > 1:  # the skew part of a scalar is identically zero
-        v = np.empty((cov.dim**2, trials), order="F")  # column t is vec(K_t)
-        for t in range(trials):
-            v[:, t] = vec(skew_part(rng.standard_normal((cov.dim, cov.dim))))
-        ratios = _column_norms(s @ v) / _column_norms(v)
-        worst = float(ratios.max(initial=0.0)) / float(np.linalg.norm(s))
-    return timed_record("kernel-annihilation", worst, EXACT_RTOL, seed, t0,
+        k = skew_part(np.random.default_rng(seed).standard_normal((trials, cov.dim, cov.dim)))
+        v = vecs(k).T  # column t is vec(K_t)
+        ratios = _column_norms(s @ v) / _column_norms(v) / float(np.linalg.norm(s))
+    return timed_record("kernel-annihilation", _worst_gap(ratios), EXACT_RTOL, seed, t0,
                         nx=cov.dim, trials=trials)
 
 
@@ -249,16 +269,13 @@ def restricted_inverse_check(cov, seed: int, trials: int = 100) -> ExperimentRec
     """S vec(S^-1 M) = vec(M) on Sym: worst relative residual over random
     symmetric directions M, all in one product with S."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
     s = frame_operator_analytic(cov)
-    m = np.empty((cov.dim**2, trials), order="F")  # column t is vec(M_t)
-    d = np.empty_like(m)  # column t is vec(S^-1 M_t)
-    for t in range(trials):
-        mt = sym_part(rng.standard_normal((cov.dim, cov.dim)))
-        m[:, t], d[:, t] = vec(mt), vec(restricted_inverse_apply(cov, mt))
+    m = sym_part(np.random.default_rng(seed).standard_normal((trials, cov.dim, cov.dim)))
+    d = vecs(restricted_inverse_apply(cov, m)).T  # column t is vec(S^-1 M_t)
+    m = vecs(m).T  # column t is vec(M_t)
     resid = s @ d
     resid -= m
-    worst = float((_column_norms(resid) / _column_norms(m)).max(initial=0.0))
+    worst = _worst_gap(_column_norms(resid) / _column_norms(m))
     return timed_record("restricted-inverse", worst, RESTRICTED_INVERSE_RTOL, seed, t0,
                         nx=cov.dim, trials=trials)
 
@@ -272,28 +289,30 @@ def coefficient_identity_checks(
 
     Errors are normalized by the largest gain magnitude over the triple set;
     the gain crosses zero on individual triples, so a per-triple denominator
-    would measure cancellation, not implementation error.
+    would measure cancellation, not implementation error. Each x is drawn
+    alone, by ``sample`` on its trial's covariance.
     """
     t0 = time.perf_counter()
-    coeff_err = 0.0
-    cancel_err = 0.0
-    scale = 0.0
-    eyes = {nx: np.eye(nx) for nx, _ in dims}
-    for cov, (w, x_seed) in _sweep(seed, dims, trials, _draw_weights_and_seed):
-        x = sample(cov, 1, x_seed).data[0]
-        residual = eyes[cov.dim] - w.T @ w
-        xi = frame_element(x, cov)
-        g = eghr_g(x, w, cov)
-        c = frame_coefficient(cov.sigma @ residual @ cov.sigma, xi, cov)
+    coeff_err, cancel_err, gains = [], [], []
+    for covs, (w, x_seeds) in _sweep(seed, dims, trials, _draw_weights_and_seed):
+        x = np.stack([sample(covs[i], 1, int(x_seed)).data[0]
+                      for i, x_seed in enumerate(x_seeds)])
+        residual = np.eye(covs.dim) - matrix_transpose(w) @ w
+        xi = frame_element(x, covs)
+        g = eghr_g(x, w, covs)
+        c = frame_coefficient(covs.sigma @ residual @ covs.sigma, xi, covs)
         cc = cancellation_coefficient(residual, xi)
-        coeff_err = max(coeff_err, abs(c - g))
-        cancel_err = max(cancel_err, abs(cc - c))
-        scale = max(scale, abs(g))
-    return tuple(
-        timed_record(name, err / scale, EXACT_RTOL, seed, t0, dims=dims, trials=trials)
-        for name, err in (("coefficient-identity", coeff_err),
-                          ("cancellation-identity", cancel_err))
-    )
+        coeff_err.append(np.abs(c - g))
+        cancel_err.append(np.abs(cc - c))
+        gains.append(np.abs(g))
+    scale = _worst_gap(*gains)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero or NaN scale
+        return tuple(
+            timed_record(name, _worst_gap(*err) / scale, EXACT_RTOL, seed, t0,
+                         dims=dims, trials=trials)
+            for name, err in (("coefficient-identity", coeff_err),
+                              ("cancellation-identity", cancel_err))
+        )
 
 
 def _isserlis_gap(cov, s: np.ndarray) -> float:

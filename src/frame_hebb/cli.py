@@ -24,6 +24,7 @@ within its domain tolerance.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -213,5 +214,12 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
 
 
+def run() -> int:
+    """The console script: ``main`` after ``gc.freeze()``, so the collection
+    at exit skips the imports' objects. Tests call ``main`` in process."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

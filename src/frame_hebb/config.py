@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import random_spd
+from .errors import DimensionError
+from .linalg import random_spd, require_memory
 from .rules import TrainerConfig
 
 # Every run setting, once: config-file section -> key -> type. A key is also
@@ -26,6 +27,9 @@ SETTINGS = {
 }
 # (learning_rate, batch_size) of each training mode, for the unset ones.
 MODE_DEFAULTS = {"closed": (0.02, 0), "empirical": (0.002, 100)}
+# Peak of building the run's covariance, in nx x nx arrays: the spec's matrix
+# and build_covariance's factors and residuals (9, traced at nx=400).
+SIGMA_BUILD_ARRAYS = 10
 
 
 class ConfigError(ValueError):
@@ -86,7 +90,14 @@ class RunConfig:
         self.build_sigma()  # fail fast on a bad sigma spec
 
     def build_sigma(self) -> np.ndarray:
-        """Materialize the covariance described by the ``sigma`` spec."""
+        """Materialize the covariance described by the ``sigma`` spec. An nx
+        at which the covariance's build would not fit in physical memory is a
+        ConfigError, raised before any nx x nx array is made."""
+        try:
+            require_memory(8 * SIGMA_BUILD_ARRAYS * self.nx**2,
+                           f"the covariance at nx={self.nx:,}")
+        except DimensionError as exc:
+            raise ConfigError(str(exc)) from exc
         spec = self.sigma.strip()
         if spec == "identity":
             return np.eye(self.nx)

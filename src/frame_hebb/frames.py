@@ -28,6 +28,9 @@ does: with D = Sigma^-1 M Sigma^-1 / 2, the coefficient is
 (D, Xi_k)_F = x_k^T D x_k - tr(D Sigma), so (1/n) sum_k c_k Xi_k =
 X^T diag(c) X / n - mean(c) Sigma costs two chunk x nx products per chunk.
 ``derive_eghr_from_oja`` computes its two routes in one pass.
+
+The coefficients, ``frame_element`` and ``restricted_inverse_apply`` also
+take stacks with a leading trial axis, each item equal to a single call.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import DimensionError, SampleSizeError, SkewDomainError
 from .gaussian import CHUNK_ROWS, RunningSum, SampleBatch
-from .linalg import CovarianceModel, require_memory
+from .linalg import CovarianceModel, dot, frobenius, matrix_transpose, require_memory, vecs
 from .records import ExperimentRecord, timed_record
 from .rules import EghrMean, as_weights, closed_center, expansion_target, oja_update_closed
 
@@ -49,11 +52,11 @@ MC_TARGET_RTOL = 5e-2
 
 
 def frame_element(x, cov: CovarianceModel) -> np.ndarray:
-    """Xi = x x^T - Sigma for one sample x."""
+    """Xi = x x^T - Sigma for one sample x, or for each row of a stack."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (cov.dim,):
-        raise DimensionError(f"x has shape {x.shape}, expected ({cov.dim},)")
-    return np.outer(x, x) - cov.sigma
+    if x.shape[-1:] != (cov.dim,):
+        raise DimensionError(f"x has shape {x.shape}, expected (..., {cov.dim})")
+    return x[..., :, None] * x[..., None, :] - cov.sigma
 
 
 def frame_operator_analytic(cov: CovarianceModel) -> np.ndarray:
@@ -161,52 +164,60 @@ def frame_bounds(cov: CovarianceModel) -> FrameBounds:
 
 
 def _symmetric_domain(m, cov: CovarianceModel, what: str) -> np.ndarray:
-    """Check m is an nx x nx symmetric matrix; return it symmetrized.
+    """Check m is an nx x nx symmetric matrix, or a stack of them; return it
+    symmetrized.
 
-    Tolerates skew Frobenius norm up to 1e-10 * (1 + |m|); beyond that the
-    operator is being applied off its domain and we refuse.
+    Tolerates skew Frobenius norm up to 1e-10 * (1 + |m|) per matrix; beyond
+    that the operator is being applied off its domain and we refuse, naming
+    the first matrix of a stack that is off it.
     """
     m = np.asarray(m, dtype=float)
-    if m.shape != (cov.dim, cov.dim):
-        raise DimensionError(f"{what}: shape {m.shape}, expected ({cov.dim}, {cov.dim})")
-    skew_norm = float(np.linalg.norm((m - m.T) / 2.0))
-    limit = SKEW_DOMAIN_RTOL * (1.0 + float(np.linalg.norm(m)))
-    if skew_norm > limit:
+    if m.shape[-2:] != (cov.dim, cov.dim):
+        raise DimensionError(f"{what}: shape {m.shape}, expected (..., {cov.dim}, {cov.dim})")
+    skew_norm = frobenius((m - matrix_transpose(m)) / 2.0).ravel()
+    limit = SKEW_DOMAIN_RTOL * (1.0 + frobenius(m).ravel())
+    off = skew_norm > limit
+    if off.any():
+        i = int(np.argmax(off))
         raise SkewDomainError(
-            f"{what}: skew component has norm {skew_norm:.3e}, above the "
-            f"domain tolerance {limit:.3e}; the operator is singular off "
+            f"{what}: skew component has norm {skew_norm[i]:.3e}, above the "
+            f"domain tolerance {limit[i]:.3e}; the operator is singular off "
             "the symmetric subspace"
         )
-    return (m + m.T) / 2.0
+    return (m + matrix_transpose(m)) / 2.0
 
 
 def restricted_inverse_apply(cov: CovarianceModel, m) -> np.ndarray:
     """Apply the inverse of S restricted to Sym:
-    M -> Sigma^-1 sym(M) Sigma^-1 / 2.
+    M -> Sigma^-1 sym(M) Sigma^-1 / 2, to one matrix or to each of a stack.
 
-    Exact closed form (no dense pseudo-inverse); input must be a
-    symmetric matrix within tolerance.
+    Exact closed form (no dense pseudo-inverse); input must be
+    symmetric within tolerance.
     """
-    m = _symmetric_domain(m, cov, "restricted_inverse_apply")
-    return 0.5 * (cov.sigma_inv @ m @ cov.sigma_inv)
+    # No name holds sym(M) or a product past its use: with M, a stack of
+    # them peaks at three arrays of its size.
+    d = cov.sigma_inv @ _symmetric_domain(m, cov, "restricted_inverse_apply")
+    d = d @ cov.sigma_inv
+    d *= 0.5
+    return d
 
 
-def frame_coefficient(m, xi, cov: CovarianceModel) -> float:
+def frame_coefficient(m, xi, cov: CovarianceModel):
     """Expansion coefficient (M, S^-1 Xi)_F of M in Sym on the frame element
-    Xi = x x^T - Sigma, that is 0.5 * (M, Sigma^-1 Xi Sigma^-1)_F."""
+    Xi = x x^T - Sigma, that is 0.5 * (M, Sigma^-1 Xi Sigma^-1)_F; one per
+    item of stacks of M, Xi and covariances."""
     m = _symmetric_domain(m, cov, "frame_coefficient")
-    d = restricted_inverse_apply(cov, xi)
-    return float(m.flatten(order="F") @ d.flatten(order="F"))
+    return dot(vecs(m), vecs(restricted_inverse_apply(cov, xi)))
 
 
-def cancellation_coefficient(residual, xi) -> float:
+def cancellation_coefficient(residual, xi):
     """The same coefficient for M = Sigma R Sigma, R = I - W^T W, written
     S-free: since vec(M) = S vec(R / 2) and S is self-adjoint, (M, S^-1 Xi)_F
-    collapses to (R / 2, Xi)_F."""
+    collapses to (R / 2, Xi)_F. One per item of stacks of R and Xi."""
     residual, xi = np.asarray(residual, dtype=float), np.asarray(xi, dtype=float)
-    if residual.ndim != 2 or residual.shape != xi.shape:
+    if residual.ndim < 2 or residual.shape != xi.shape:
         raise DimensionError(f"residual has shape {residual.shape}, Xi {xi.shape}")
-    return float((0.5 * residual).flatten(order="F") @ xi.flatten(order="F"))
+    return dot(vecs(0.5 * residual), vecs(xi))
 
 
 class ExpansionMean(RunningSum):

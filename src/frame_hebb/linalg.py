@@ -2,7 +2,9 @@
 commutation matrix, symmetric/skew projections, and validated SPD
 covariance models. A model builds its covariance's frame operator
 S = (Sigma kron Sigma)(I + T) on first use and keeps it, read-only, so
-every check of a run reads one S.
+every check of a run reads one S. A model may also be a stack of models,
+whose arrays carry a leading trial axis; ``matrix_transpose``, ``dot``,
+``frobenius`` and ``vecs`` work item by item on such stacks.
 
 Conventions
 -----------
@@ -58,8 +60,13 @@ def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def vec(x) -> np.ndarray:
     """Column-stack a square matrix into a vector of length n**2."""
-    a = _require_square(_as_matrix(x))
-    return a.flatten(order="F")
+    return vecs(_require_square(_as_matrix(x)))
+
+
+def vecs(a: np.ndarray) -> np.ndarray:
+    """``vec`` of each matrix of a stack, as the rows of an (..., n**2)
+    array, without ``vec``'s checks, so a NaN passes through."""
+    return np.swapaxes(a, -1, -2).reshape(*a.shape[:-2], -1)
 
 
 def require_memory(nbytes: int, what: str) -> None:
@@ -96,25 +103,27 @@ def commutation_matrix(n: int) -> np.ndarray:
 
 
 def sym_part(x) -> np.ndarray:
-    """Symmetric part (X + X.T) / 2."""
-    a = _require_square(_as_matrix(x))
-    return (a + a.T) / 2.0
+    """Symmetric part (X + X.T) / 2 of a matrix, or of each of a stack."""
+    a = _require_square(_as_matrix(x, ndim=max(np.ndim(x), 2)))
+    return (a + matrix_transpose(a)) / 2.0
 
 
 def skew_part(x) -> np.ndarray:
-    """Skew part (X - X.T) / 2."""
-    a = _require_square(_as_matrix(x))
-    return (a - a.T) / 2.0
+    """Skew part (X - X.T) / 2 of a matrix, or of each of a stack."""
+    a = _require_square(_as_matrix(x, ndim=max(np.ndim(x), 2)))
+    return (a - matrix_transpose(a)) / 2.0
 
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """An SPD covariance with its factorizations cached.
+    """An SPD covariance with its factorizations cached, or a stack of them
+    whose arrays have a leading trial axis (``covs[i]`` is the i-th model).
 
     ``eigvals`` are sorted descending and ``eigvecs`` columns are the
-    matching eigenvectors. Construct through :func:`build_covariance` or
-    :func:`random_covariances`, which verify every residual gate; instances are
-    treated as immutable, and ``frame_operator`` is built on first use and shared.
+    matching eigenvectors. Construct through :func:`build_covariance`,
+    :func:`build_covariances` or :func:`random_covariances`, which verify
+    every residual gate; instances are treated as immutable, and a single
+    model's ``frame_operator`` is built on first use and shared.
     """
 
     sigma: np.ndarray
@@ -125,7 +134,14 @@ class CovarianceModel:
     dim: int = field(default=0)
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", self.sigma.shape[0])
+        object.__setattr__(self, "dim", self.sigma.shape[-1])
+
+    def __getitem__(self, i) -> "CovarianceModel":
+        """The i-th model of a stack."""
+        if self.sigma.ndim != 3:
+            raise TypeError("a single covariance model is not a stack")
+        return CovarianceModel(sigma=self.sigma[i], chol=self.chol[i], sigma_inv=self.sigma_inv[i],
+                               eigvals=self.eigvals[i], eigvecs=self.eigvecs[i])
 
     @cached_property
     def frame_operator(self) -> np.ndarray:
@@ -141,7 +157,7 @@ class CovarianceModel:
 
     def top_eigvecs(self, k: int) -> np.ndarray:
         """Columns spanning the principal k-dimensional subspace."""
-        return self.eigvecs[:, :k]
+        return self.eigvecs[..., :k]
 
     def spectral_gap_at(self, k: int) -> float:
         """Relative eigenvalue gap across the cut after the k-th eigenvalue.
@@ -153,14 +169,25 @@ class CovarianceModel:
         return float((self.eigvals[k - 1] - self.eigvals[k]) / self.eigvals[0])
 
 
-def _frobenius(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack, each reduced on its own."""
-    return np.sqrt(np.square(a).reshape(a.shape[0], -1).sum(axis=1))
+def matrix_transpose(a: np.ndarray) -> np.ndarray:
+    """Transpose every matrix of a stack (its last two axes), as a view: on a
+    single matrix it is ``a.T``."""
+    return np.swapaxes(a, -1, -2)
 
 
-def _t(a: np.ndarray) -> np.ndarray:
-    """Transpose every matrix of a stack."""
-    return a.swapaxes(-1, -2)
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of the last axes of a and b, item by item: a stack of
+    (1, n) @ (n, 1) products, each BLAS's ddot, so each item equals
+    ``a[i] @ b[i]`` to the bit (``np.einsum`` sums in another order)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def frobenius(a: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of a stack, a dot product of its
+    entries in row-major order: on a C-contiguous matrix, ``np.linalg.norm``
+    to the bit."""
+    flat = a.reshape(*a.shape[:-2], -1)
+    return np.sqrt(dot(flat, flat))
 
 
 def build_covariance(sigma) -> CovarianceModel:
@@ -176,9 +203,10 @@ def build_covariance(sigma) -> CovarianceModel:
     return build_covariances(_require_square(_as_matrix(sigma, "sigma"), "sigma")[None])[0]
 
 
-def build_covariances(sigmas, spectrum=None) -> list[CovarianceModel]:
-    """:func:`build_covariance` for each matrix of a (k, n, n) stack, with one
-    eigendecomposition, Cholesky factorization and inverse for the stack.
+def build_covariances(sigmas, spectrum=None) -> CovarianceModel:
+    """The stacked model of :func:`build_covariance` for each matrix of a
+    (k, n, n) stack, with one eigendecomposition, Cholesky factorization and
+    inverse for the stack; its i-th model is ``build_covariance(sigmas[i])``.
     A known ``spectrum`` (eigvals descending, eigvecs) replaces the
     eigendecomposition. Every gate is evaluated per matrix; the first matrix
     that fails one raises the error :func:`build_covariance` raises for it alone."""
@@ -186,9 +214,9 @@ def build_covariances(sigmas, spectrum=None) -> list[CovarianceModel]:
     # Out-of-window input may overflow or underflow on the way to its gate;
     # a NaN residual fails its gate like one above the tolerance.
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        scale = _frobenius(s)
-        asym = _frobenius(s - _t(s))
-        s = (s + _t(s)) / 2.0  # bit-exact symmetry for everything downstream
+        scale = frobenius(s)
+        asym = frobenius(s - matrix_transpose(s))
+        s = (s + matrix_transpose(s)) / 2.0  # bit-exact symmetry for everything downstream
 
         if spectrum is None:
             w, q = np.linalg.eigh(s)
@@ -199,18 +227,18 @@ def build_covariances(sigmas, spectrum=None) -> list[CovarianceModel]:
         outside = ~((w[:, -1] >= lo) & (w[:, 0] <= hi))
         # |Sigma Q - Q Lambda|_F / |Sigma|_F; Sigma / lambda_max keeps it in range.
         unit = s / w[:, :1, None]
-        eig_res = _frobenius(unit @ q - q * (w / w[:, :1])[:, None, :]) / _frobenius(unit)
+        eig_res = frobenius(unit @ q - q * (w / w[:, :1])[:, None, :]) / frobenius(unit)
         # A matrix that fails any of these is factored as the identity, so that
         # the stack still factors and every matrix before it is still gated.
         unfit = floor | outside | ~(eig_res <= EIGEN_RTOL)
         eye = np.eye(s.shape[1])
         chol = np.linalg.cholesky(np.where(unfit[:, None, None], eye, s))
-        inv = (q * (1.0 / np.where(unfit[:, None], 1.0, w))[:, None, :]) @ _t(q)
-        inv = (inv + _t(inv)) / 2.0
+        inv = (q * (1.0 / np.where(unfit[:, None], 1.0, w))[:, None, :]) @ matrix_transpose(q)
+        inv = (inv + matrix_transpose(inv)) / 2.0
 
-        chol_res = _frobenius(chol @ _t(chol) - s) / scale
-        inv_res = _frobenius(s @ inv - eye)
-        orth_res = _frobenius(_t(q) @ q - eye)
+        chol_res = frobenius(chol @ matrix_transpose(chol) - s) / scale
+        inv_res = frobenius(s @ inv - eye)
+        orth_res = frobenius(matrix_transpose(q) @ q - eye)
     gates = (  # (failed per matrix, error, message for matrix i), in gate order
         (~(asym <= SYMMETRY_RTOL * np.maximum(scale, 1.0)), DimensionError,
          lambda i: f"sigma is not symmetric: asymmetry {asym[i]:.3e} exceeds "
@@ -238,12 +266,7 @@ def build_covariances(sigmas, spectrum=None) -> list[CovarianceModel]:
         i = int(np.argmax(failed))
         error, message = next((e, m) for bad, e, m in gates if bad[i])
         raise error(message(i))
-    # Each model's arrays are views into the stacks; copying them would hold
-    # both at once.
-    return [
-        CovarianceModel(sigma=s[i], chol=chol[i], sigma_inv=inv[i], eigvals=w[i], eigvecs=q[i])
-        for i in range(len(s))
-    ]
+    return CovarianceModel(sigma=s, chol=chol, sigma_inv=inv, eigvals=w, eigvecs=q)
 
 
 def random_spd(n: int, eig_range: tuple[float, float], seed: int) -> np.ndarray:
@@ -255,11 +278,11 @@ def random_spd(n: int, eig_range: tuple[float, float], seed: int) -> np.ndarray:
     return _random_spds(n, eig_range, [seed])[0][0]
 
 
-def random_covariances(n: int, eig_range: tuple[float, float], seeds) -> list[CovarianceModel]:
-    """``build_covariance(random_spd(n, eig_range, seed))`` for each of
-    ``seeds`` from one QR and one product, with the drawn lam (sorted
-    descending) and Q's matching columns as the spectrum: Sigma and chol are
-    bit-identical, eigvals and sigma_inv agree to roundoff."""
+def random_covariances(n: int, eig_range: tuple[float, float], seeds) -> CovarianceModel:
+    """The stacked model of ``build_covariance(random_spd(n, eig_range, seed))``
+    for each of ``seeds``, from one QR and one product, with the drawn lam
+    (sorted descending) and Q's matching columns as the spectrum: Sigma and
+    chol are bit-identical, eigvals and sigma_inv agree to roundoff."""
     s, lam, q = _random_spds(n, eig_range, seeds)
     order = np.argsort(-lam, axis=1, kind="stable")
     return build_covariances(s, (np.take_along_axis(lam, order, 1),
@@ -282,5 +305,5 @@ def _random_spds(n: int, eig_range: tuple[float, float], seeds):
     lam[:, 0] = hi
     if n > 1:
         lam[:, -1] = lo
-    s = (q * lam[:, None, :]) @ _t(q)
-    return (s + _t(s)) / 2.0, lam, q
+    s = (q * lam[:, None, :]) @ matrix_transpose(q)
+    return (s + matrix_transpose(s)) / 2.0, lam, q

@@ -34,6 +34,10 @@ CSV_COLUMNS = [
 ]
 TRAJECTORY_SCHEMA_VERSION = "frame-hebb-trajectory v1"
 TRAJECTORY_COLUMNS = ["step", "subspace_error", "orthonormality_residual", "update_norm"]
+# The value a check records in place of a NaN or an infinity: finite, with
+# room for its errors against a reference, so the record can be written, and
+# above every tolerance, so the check fails instead of the run.
+NONFINITE_VALUE = 1e300
 
 
 @dataclass
@@ -108,7 +112,9 @@ def digest_inputs(**kwargs) -> str:
 def timed_record(name: str, value: float, tolerance: float, seed: int, t0: float,
                  reference: float = 0.0, **inputs) -> ExperimentRecord:
     """The record of a check started at perf_counter() t0, whose digest covers
-    ``inputs`` and the seed."""
+    ``inputs`` and the seed. A value that is NaN or infinite is recorded as
+    NONFINITE_VALUE: the check fails."""
+    value = value if math.isfinite(value) else NONFINITE_VALUE
     return make_record(name, value=value, tolerance=tolerance, seed=seed, reference=reference,
                        inputs_digest=digest_inputs(seed=seed, **inputs),
                        wall_time_ms=(time.perf_counter() - t0) * 1e3)

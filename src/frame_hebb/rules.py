@@ -8,6 +8,10 @@ dW/dt = E[g(x, u) u x^T] with the global gain
 g = 0.5 (|x|^2 - |u|^2 - E[|x|^2 - |u|^2]); its closed form is
 W Sigma (I - W^T W) Sigma, i.e. the subspace rule right-multiplied by Sigma.
 
+The closed forms, ``closed_center`` and ``eghr_g`` also take stacks: W of
+shape (k, nu, nx) and x of shape (k, nx), with a stacked covariance model or
+one model; each item equals the single call to the bit.
+
 Each formula has one function. Weights are validated once, by
 ``as_weights``, where they enter from a caller (``train``'s W0 and
 ``frames.derive_eghr_from_oja``'s W); every other function here takes
@@ -30,7 +34,7 @@ import numpy as np
 
 from .errors import DimensionError, DivergenceError, RankDeficientError
 from .gaussian import RunningSum, SampleBatch, derive_seed, sample
-from .linalg import CovarianceModel
+from .linalg import CovarianceModel, dot, matrix_transpose
 
 DIVERGENCE_NORM = 1e6
 # Most rows an empirical training step draws: the check commands' default
@@ -80,7 +84,7 @@ def _ones(n: int) -> np.ndarray:
 
 def oja_update_closed(w: np.ndarray, cov: CovarianceModel) -> np.ndarray:
     """Closed-form expected update W Sigma (I - W^T W)."""
-    return (w @ cov.sigma) @ (_identity(cov.dim) - w.T @ w)
+    return (w @ cov.sigma) @ (_identity(cov.dim) - matrix_transpose(w) @ w)
 
 
 class OjaMean(RunningSum):
@@ -107,14 +111,15 @@ def oja_update_empirical(w: np.ndarray, batch: SampleBatch) -> np.ndarray:
 def closed_center(w: np.ndarray, cov: CovarianceModel):
     """E[|x|^2 - |u|^2] = tr Sigma - tr(W Sigma W^T), the closed-form center
     of the gains."""
-    return np.trace(cov.sigma) - float(np.sum((w @ cov.sigma) * w))
+    return (np.trace(cov.sigma, axis1=-2, axis2=-1)
+            - np.sum((w @ cov.sigma) * w, axis=(-2, -1)))
 
 
-def eghr_g(x: np.ndarray, w: np.ndarray, cov: CovarianceModel) -> float:
+def eghr_g(x: np.ndarray, w: np.ndarray, cov: CovarianceModel):
     """Global gain 0.5 (|x|^2 - |u|^2 - E[|x|^2 - |u|^2]) of one sample x,
     with the expectation in closed form (``closed_center``)."""
-    u = w @ x
-    return 0.5 * (float(x @ x) - float(u @ u) - closed_center(w, cov))
+    u = (w @ x[..., None])[..., 0]
+    return 0.5 * (dot(x, x) - dot(u, u) - closed_center(w, cov))
 
 
 class EghrMean(RunningSum):
@@ -157,7 +162,7 @@ def expansion_target(w: np.ndarray, cov: CovarianceModel) -> np.ndarray:
     """M = Sigma (I - W^T W) Sigma: the symmetric matrix that W multiplies in
     the error-gated closed form, and whose frame expansion the derivation
     chain takes (``frames.derive_eghr_from_oja``)."""
-    return cov.sigma @ (_identity(cov.dim) - w.T @ w) @ cov.sigma
+    return cov.sigma @ (_identity(cov.dim) - matrix_transpose(w) @ w) @ cov.sigma
 
 
 def eghr_update_closed(w: np.ndarray, cov: CovarianceModel) -> np.ndarray:

@@ -25,7 +25,8 @@ from frame_hebb.linalg import (
     sym_part,
     vec,
 )
-from frame_hebb.records import digest_inputs, make_record
+from frame_hebb.cli import main
+from frame_hebb.records import NONFINITE_VALUE, digest_inputs, make_record, read_records_csv
 from frame_hebb.rules import eghr_g, eghr_update_closed, oja_update_closed
 from sweeps import dim_sweep
 
@@ -241,7 +242,9 @@ def _coefficient_identity_per_trial(seed, dims, trials):
 _SWEEP_DIMS = [dim_sweep(max_nx=8), [(32, 4)]]
 
 
-@pytest.mark.parametrize("trials", [37, 2 * checks.SWEEP_BLOCK])
+# Two stacks at nx=32, and one trial past a stack at the sweep's small nx.
+@pytest.mark.parametrize("trials", [37, 2 * checks.sweep_stack_trials([(32, 4)]),
+                                    checks.sweep_stack_trials(_SWEEP_DIMS[0]) + 1])
 @pytest.mark.parametrize("dims", _SWEEP_DIMS)
 def test_blocked_sweeps_equal_per_trial_loops(dims, trials):
     pairs = [
@@ -334,3 +337,58 @@ def test_frame_bounds_passes_on_a_wide_spectrum(nx):
     cov = build_covariance(random_spd(nx, (1.0, 1e4), seed=42))
     record = checks.frame_bounds_check(cov, 42)
     assert record.passed and record.value < 1e-13
+
+
+def _nan_at(fn, item):
+    """fn with its output for trial ``item`` of every stack (modulo the
+    stack's length) set to NaN."""
+    def patched(*args):
+        out = np.array(fn(*args), dtype=float)
+        out[item % len(out)] = np.nan
+        return out
+    return patched
+
+
+def _assert_fails_on_nan(record):
+    assert not record.passed
+    assert record.value == NONFINITE_VALUE
+
+
+@pytest.mark.parametrize("rule", ["oja_update_closed", "eghr_update_closed"])
+def test_fixed_point_sharing_fails_on_a_nan_closed_form(monkeypatch, rule):
+    monkeypatch.setattr(checks, rule, _nan_at(getattr(checks, rule), 7))
+    _assert_fails_on_nan(checks.fixed_point_sharing_check(3, 5, 2, 50))
+
+
+def test_closed_equivalence_fails_on_a_nan_closed_form(monkeypatch):
+    monkeypatch.setattr(checks, "eghr_update_closed", _nan_at(checks.eghr_update_closed, 3))
+    _assert_fails_on_nan(checks.closed_equivalence_check(3, dim_sweep(max_nx=8), 200))
+
+
+def test_coefficient_and_cancellation_identities_fail_on_a_nan_coefficient(monkeypatch):
+    monkeypatch.setattr(checks, "frame_coefficient", _nan_at(checks.frame_coefficient, 3))
+    for record in checks.coefficient_identity_checks(3, dim_sweep(max_nx=8), 200):
+        _assert_fails_on_nan(record)
+
+
+def test_coefficient_identities_fail_on_all_nan_gains(monkeypatch):
+    # The scale, the largest gain, is NaN too: no division by zero.
+    monkeypatch.setattr(checks, "eghr_g", lambda x, w, cov: np.full(len(x), np.nan))
+    for record in checks.coefficient_identity_checks(3, dim_sweep(max_nx=8), 200):
+        _assert_fails_on_nan(record)
+
+
+def test_frame_bounds_fails_on_a_nan_operator(monkeypatch):
+    cov = build_covariance(random_spd(4, (0.5, 2.0), seed=42))
+    nan_s = np.full((16, 16), np.nan)
+    monkeypatch.setattr(checks, "frame_operator_analytic", lambda c: nan_s)
+    _assert_fails_on_nan(checks.frame_bounds_check(cov, 42))
+
+
+def test_a_nan_check_exits_1_and_writes_its_record(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(checks, "frame_coefficient", _nan_at(checks.frame_coefficient, 0))
+    code = main(["frame-check", "--checks", "coefficient-identity", "--out", str(tmp_path)])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    (record,) = read_records_csv(tmp_path / "frame_check.csv")
+    _assert_fails_on_nan(record)

@@ -483,6 +483,10 @@ BOUNDARY_INPUTS = {
     "infinite random-spd --sigma range": lambda d: (
         ["frame-check", "--checks", "frame-bounds", "--sigma", "random-spd:1,inf",
          "--out", d / "out"], "config error: bad random-spd sigma spec"),
+    "an nx whose covariance exceeds physical memory": lambda d: (
+        ["frame-check", "--nx", 1_000_000, "--nu", 1, "--sigma", "identity",
+         "--checks", "frame-bounds", "--out", d / "out"],
+        "config error: the covariance at nx=1,000,000 would hold"),
     "train with checks in its config file": lambda d: (
         ["train", "--config", _plant(d / "run.cfg", b"[run]\nchecks = frame-bounds\n"),
          "--out", d / "out"] + TRAIN_CHEAP, "config error: frame-bounds"),
@@ -695,6 +699,25 @@ class TestExitCodeContract:
         assert len(err.splitlines()) == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("sigma", [
+        "identity", "diagonal:" + ",".join(["1"] * 64), "random-spd", "random-spd:1,2"],
+        ids=["identity", "diagonal", "random-spd", "random-spd-range"])
+    def test_covariance_above_physical_memory_exits_2_before_building(
+        self, tmp_path, monkeypatch, capsys, sigma
+    ):
+        # 64 KiB of physical memory: the 64 x 64 covariance's build would hold
+        # 320 KiB, so every spec exits 2 before it makes an nx x nx array.
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+        code = run(["frame-check", "--nx", 64, "--nu", 1, "--sigma", sigma,
+                    "--checks", "frame-bounds", "--out", tmp_path / "out"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG_ERROR
+        assert err.splitlines() == [
+            "config error: the covariance at nx=64 would hold 0.0 GiB at its peak, "
+            "more than the 0.0 GiB of physical memory"]
+        assert not (tmp_path / "out").exists()
+
     def test_skew_domain_error_is_unreachable(self, tmp_path, monkeypatch):
         # cli.main leaves SkewDomainError unmapped. Every matrix the check
         # commands hand to the restricted inverse is exactly symmetric
@@ -705,8 +728,9 @@ class TestExitCodeContract:
         real = frames._symmetric_domain
 
         def spy(m, cov, what):
-            skew = np.linalg.norm(skew_part(m))
-            ratios.append(skew / (SKEW_DOMAIN_RTOL * (1.0 + np.linalg.norm(m))))
+            for one in np.reshape(m, (-1, cov.dim, cov.dim)):  # m may be a stack
+                skew = np.linalg.norm(skew_part(one))
+                ratios.append(skew / (SKEW_DOMAIN_RTOL * (1.0 + np.linalg.norm(one))))
             return real(m, cov, what)
 
         monkeypatch.setattr(frames, "_symmetric_domain", spy)

@@ -27,13 +27,23 @@ from frame_hebb.linalg import (
     CovarianceModel,
     build_covariance,
     commutation_matrix,
+    dot,
+    frobenius,
     kron,
+    random_covariances,
     random_spd,
     skew_part,
     sym_part,
     vec,
+    vecs,
 )
-from frame_hebb.rules import eghr_g, eghr_update_closed, oja_update_closed
+from frame_hebb.rules import (
+    closed_center,
+    eghr_g,
+    eghr_update_closed,
+    expansion_target,
+    oja_update_closed,
+)
 
 
 @pytest.fixture(scope="module")
@@ -519,3 +529,89 @@ class TestDerivation:
         assert np.linalg.norm(
             res.target - eghr_update_closed(w, cov_rand3)
         ) <= 1e-12 * np.linalg.norm(res.target)
+
+
+# Each formula that takes a leading trial axis, with the inputs it takes from
+# a stack: (W, x, M, Xi, R, covariances), item by item. M and Xi are the
+# coefficient sweep's matrices, R = I - W^T W; R M is not symmetric.
+STACKED_FORMULAS = {
+    "oja_update_closed": lambda w, x, m, xi, r, cov: oja_update_closed(w, cov),
+    "eghr_update_closed": lambda w, x, m, xi, r, cov: eghr_update_closed(w, cov),
+    "expansion_target": lambda w, x, m, xi, r, cov: expansion_target(w, cov),
+    "closed_center": lambda w, x, m, xi, r, cov: closed_center(w, cov),
+    "eghr_g": lambda w, x, m, xi, r, cov: eghr_g(x, w, cov),
+    "frame_element": lambda w, x, m, xi, r, cov: frame_element(x, cov),
+    "_symmetric_domain": lambda w, x, m, xi, r, cov: frames._symmetric_domain(m, cov, "t"),
+    "restricted_inverse_apply": lambda w, x, m, xi, r, cov: restricted_inverse_apply(cov, xi),
+    "frame_coefficient": lambda w, x, m, xi, r, cov: frame_coefficient(m, xi, cov),
+    "cancellation_coefficient": lambda w, x, m, xi, r, cov: cancellation_coefficient(r, xi),
+    "sym_part": lambda w, x, m, xi, r, cov: sym_part(r @ m),
+    "skew_part": lambda w, x, m, xi, r, cov: skew_part(r @ m),
+}
+
+
+class TestStackedFormulas:
+    """A stack of k inputs gives, item by item, the bits of k single calls."""
+
+    K = 5
+
+    def _stack(self, nx):
+        rng = np.random.default_rng(nx)
+        covs = random_covariances(nx, (0.5, 2.0), list(range(self.K)))
+        w = rng.uniform(-1.0, 1.0, size=(self.K, max(1, nx // 2), nx))
+        x = rng.standard_normal((self.K, nx))
+        r = np.eye(nx) - np.swapaxes(w, -1, -2) @ w
+        m = covs.sigma @ r @ covs.sigma
+        return w, x, m, frame_element(x, covs), r, covs
+
+    @pytest.mark.parametrize("nx", [1, 2, 4, 5, 8, 32])
+    @pytest.mark.parametrize("name", STACKED_FORMULAS)
+    def test_stack_equals_single_calls(self, name, nx):
+        formula = STACKED_FORMULAS[name]
+        *args, covs = self._stack(nx)
+        stacked = formula(*args, covs)
+        assert len(stacked) == self.K
+        for i in range(self.K):
+            single = formula(*(a[i] for a in args), covs[i])
+            assert np.shape(single) == np.shape(stacked[i])
+            assert np.array_equal(stacked[i], single), i
+
+    @pytest.mark.parametrize("nx", [1, 2, 4, 5, 8, 32])
+    def test_single_calls_equal_the_numpy_reductions(self, nx):
+        # The per-item dot and norm are those a single matrix had before it
+        # could be stacked: a @ b and np.linalg.norm.
+        w, x, m, xi, r, covs = self._stack(nx)
+        for i in range(self.K):
+            assert np.array_equal(dot(x[i], x[i]), x[i] @ x[i])
+            assert np.array_equal(frobenius(m[i]), np.linalg.norm(m[i]))
+            assert np.array_equal(vecs(m[i]), m[i].flatten(order="F"))
+            d = restricted_inverse_apply(covs[i], xi[i])
+            assert np.array_equal(frame_coefficient(m[i], xi[i], covs[i]),
+                                  sym_part(m[i]).flatten(order="F") @ d.flatten(order="F"))
+            assert np.array_equal(cancellation_coefficient(r[i], xi[i]),
+                                  (0.5 * r[i]).flatten(order="F") @ xi[i].flatten(order="F"))
+            center = np.trace(covs[i].sigma) - np.sum((w[i] @ covs[i].sigma) * w[i])
+            assert np.array_equal(closed_center(w[i], covs[i]), center)
+            u = w[i] @ x[i]
+            assert np.array_equal(eghr_g(x[i], w[i], covs[i]),
+                                  0.5 * (float(x[i] @ x[i]) - float(u @ u) - center))
+
+    def test_one_covariance_serves_a_stack(self):
+        w, x, m, xi, r, covs = self._stack(4)
+        cov = covs[2]
+        stacked = eghr_update_closed(w, cov)
+        for i in range(self.K):
+            assert np.array_equal(stacked[i], eghr_update_closed(w[i], cov))
+
+    def test_skew_member_raises_its_own_error(self):
+        # The error names the skew member's norm and limit, as a single call
+        # on it does.
+        w, x, m, xi, r, covs = self._stack(4)
+        m[3] += 1e-3 * skew_part(np.arange(16.0).reshape(4, 4))
+        with pytest.raises(SkewDomainError) as alone:
+            restricted_inverse_apply(covs[3], m[3])
+        with pytest.raises(SkewDomainError) as stacked:
+            restricted_inverse_apply(covs, m)
+        assert str(stacked.value) == str(alone.value)
+        norm = np.linalg.norm(skew_part(m[3]))
+        assert f"skew component has norm {norm:.3e}" in str(stacked.value)

@@ -6,10 +6,12 @@ import pytest
 
 from frame_hebb.records import (
     CSV_SCHEMA_VERSION,
+    NONFINITE_VALUE,
     ExperimentRecord,
     digest_inputs,
     make_record,
     read_records_csv,
+    timed_record,
     write_records_csv,
 )
 
@@ -51,6 +53,15 @@ def test_inconsistent_passed_flag_rejected():
 def test_non_finite_fields_rejected():
     with pytest.raises(ValueError):
         make_record("t", value=math.nan, reference=0.0, tolerance=1.0, seed=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("reference", [0.0, -0.5])
+def test_a_check_records_a_non_finite_value_as_a_failure(value, reference):
+    # A gap or, with reference -0.5, a fitted slope: the record is written.
+    record = timed_record("t", value, 1.0, 0, 0.0, reference)
+    assert record.value == NONFINITE_VALUE
+    assert not record.passed
 
 
 def test_unknown_metric_rejected():
