@@ -1,14 +1,15 @@
 """Named, seeded verification checks.
 
 Each check distills one identity or convergence claim into a single
-ExperimentRecord: worst observed violation vs a pinned tolerance. Exact
-identities use roundoff-level tolerances. The mc-rate-* checks fit the
-1/sqrt(n) rate; isserlis-empirical (MC_FROBENIUS_RTOL) and
-derivation-mc-target (frames.MC_TARGET_RTOL) use a fixed 5% relative
-tolerance, which sampling noise can cross at small n. stein-identity draws
-nothing: it checks every built-in test function on the exact degree-5
-cubature rule of each of its covariances (``gaussian.cubature``), so it
-reads no --samples.
+ExperimentRecord: worst observed violation vs a pinned tolerance. Every
+record and tolerance is made here (``gaussian`` and ``frames`` return
+arrays), and ``run_checks`` times each runner. Exact identities use
+roundoff-level tolerances. The mc-rate-* checks fit the 1/sqrt(n) rate;
+isserlis-empirical (MC_FROBENIUS_RTOL) and derivation-mc-target
+(MC_TARGET_RTOL) use a fixed 5% relative tolerance, which sampling noise
+can cross at small n. stein-identity draws nothing: it checks every
+built-in test function on the exact degree-5 cubature rule of each of its
+covariances (``gaussian.cubature``), so it reads no --samples.
 
 Every Monte-Carlo check of a command reads the command's one
 ``MonteCarloBatches``: RATE_BATCHES batches of --samples rows, each read in
@@ -30,7 +31,7 @@ runs an eigendecomposition, and the rules' closed forms and the frames'
 coefficients take the whole stack in one call, which gives each trial the
 bits of a call on it alone. Every check takes its worst gap with
 ``_worst_gap``, which keeps a NaN, and a NaN or infinite value fails its
-check (``records.timed_record``) instead of passing or ending the run.
+check (``records.check_record``) instead of passing or ending the run.
 
 ``COMMANDS`` is the one table of the check commands: each one's records CSV,
 report group and runners, in CSV order.
@@ -80,7 +81,7 @@ from .linalg import (
     vec,
     vecs,
 )
-from .records import ExperimentRecord, timed_record
+from .records import ExperimentRecord, check_record
 from .rules import (
     EghrMean,
     OjaMean,
@@ -95,6 +96,9 @@ from .rules import (
 SWEEP_EIG_RANGE = (0.5, 2.0)
 
 EXACT_RTOL = 1e-12
+STEIN_RTOL = 1e-12
+CHAIN_AGREEMENT_RTOL = 1e-12
+MC_TARGET_RTOL = 5e-2
 BOUND_RTOL = 1e-10
 RESTRICTED_INVERSE_RTOL = 1e-10
 MC_FROBENIUS_RTOL = 5e-2
@@ -165,14 +169,13 @@ def closed_equivalence_check(
 ) -> ExperimentRecord:
     """Worst relative gap between the closed-form error-gated update and the
     Sigma-postmultiplied subspace update over random (W, Sigma) pairs."""
-    t0 = time.perf_counter()
     gaps = []
     for covs, (w,) in _sweep(seed, dims, trials, _draw_weights):
         lhs = eghr_update_closed(w, covs)
         rhs = oja_update_closed(w, covs) @ covs.sigma
         ref = frobenius(rhs)
         gaps.append(frobenius(lhs - rhs) / np.where(ref > 0, ref, 1.0))
-    return timed_record("closed-equivalence", _worst_gap(*gaps), EXACT_RTOL, seed, t0,
+    return check_record("closed-equivalence", _worst_gap(*gaps), EXACT_RTOL, seed,
                         dims=dims, trials=trials)
 
 
@@ -184,7 +187,6 @@ def fixed_point_sharing_check(
     the eigenvalue sandwich |oja| * lambda_min <= |eghr| <= |oja| * lambda_max
     that forces either rule to vanish exactly when the other does. The
     eigenvectors are the columns of each covariance's drawn Q."""
-    t0 = time.perf_counter()
     gaps = []
     for covs, (pick, mix, perturbation) in _sweep(seed, [(nx, nu)], trials, _draw_fixed_point):
         q, _ = np.linalg.qr(mix)
@@ -201,23 +203,23 @@ def fixed_point_sharing_check(
         lam_min, lam_max = covs.eigvals[:, -1], covs.eigvals[:, 0]
         sandwich = np.maximum(np.maximum(lam_min * oja_n - eghr_n, eghr_n - lam_max * oja_n), 0.0)
         gaps.append(sandwich / np.where(oja_n > 0, lam_max * oja_n, 1.0))
-    return timed_record("fixed-point-sharing", _worst_gap(*gaps), EXACT_RTOL, seed, t0,
+    return check_record("fixed-point-sharing", _worst_gap(*gaps), EXACT_RTOL, seed,
                         nx=nx, nu=nu, trials=trials)
 
 
 def stein_identity_check(seed: int, dims: tuple[int, ...] = (1, 2, 4)) -> ExperimentRecord:
     """Integration-by-parts identity for every built-in test function on a
     random SPD covariance per dimension, drawn from child seed dim; value is
-    the worst ratio of a function's discrepancy to its roundoff tolerance
+    the worst ratio, over every function and component, of the gap between
+    both sides to its roundoff tolerance, STEIN_RTOL times the terms' scale
     (must stay below 1). Both sides are exact cubature sums
     (``gaussian.stein_check``), so nothing is sampled."""
-    t0 = time.perf_counter()
     ratios = []
     for dim in dims:
         cov = build_covariance(random_spd(dim, SWEEP_EIG_RANGE, seed=derive_seed(seed, dim)))
-        ratios += [rec.value / rec.tolerance
-                   for rec in stein_check(cov, monomial_exponents(dim), seed)]
-    return timed_record("stein-identity", _worst_gap(ratios), 1.0, seed, t0, dims=dims)
+        gap, scale = stein_check(cov, monomial_exponents(dim))
+        ratios.append(gap / (STEIN_RTOL * scale))
+    return check_record("stein-identity", _worst_gap(*ratios), 1.0, seed, dims=dims)
 
 
 def frame_bounds_check(cov, seed: int, trials: int = 1000) -> ExperimentRecord:
@@ -226,7 +228,6 @@ def frame_bounds_check(cov, seed: int, trials: int = 1000) -> ExperimentRecord:
     ordering of the tight spectral bound below the trace bound. Every gap is
     relative to ``upper_tight`` = |S|_2 on Sym, so the roundoff in the forms,
     which grows with lambda_max^2, does not fail a wide correct Sigma."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     s = frame_operator_analytic(cov)
     b = frame_bounds(cov)
@@ -242,7 +243,7 @@ def frame_bounds_check(cov, seed: int, trials: int = 1000) -> ExperimentRecord:
     gaps = np.array([b.upper_tight - b.upper_trace, b.lower - quad.min(),
                      quad.max() - b.upper_tight, abs(quad[-2] - b.upper_tight),
                      abs(quad[-1] - b.lower)])
-    return timed_record("frame-bounds", _worst_gap(gaps / b.upper_tight), BOUND_RTOL, seed, t0,
+    return check_record("frame-bounds", _worst_gap(gaps / b.upper_tight), BOUND_RTOL, seed,
                         nx=cov.dim, trials=trials)
 
 
@@ -254,21 +255,19 @@ def _column_norms(a: np.ndarray) -> np.ndarray:
 def kernel_annihilation_check(cov, seed: int, trials: int = 100) -> ExperimentRecord:
     """The analytic operator kills vectorized skew matrices: worst of
     |S vec(K)| / (|S| |K|) over random skew K, all in one product with S."""
-    t0 = time.perf_counter()
     s = frame_operator_analytic(cov)
     ratios = 0.0
     if cov.dim > 1:  # the skew part of a scalar is identically zero
         k = skew_part(np.random.default_rng(seed).standard_normal((trials, cov.dim, cov.dim)))
         v = vecs(k).T  # column t is vec(K_t)
         ratios = _column_norms(s @ v) / _column_norms(v) / float(np.linalg.norm(s))
-    return timed_record("kernel-annihilation", _worst_gap(ratios), EXACT_RTOL, seed, t0,
+    return check_record("kernel-annihilation", _worst_gap(ratios), EXACT_RTOL, seed,
                         nx=cov.dim, trials=trials)
 
 
 def restricted_inverse_check(cov, seed: int, trials: int = 100) -> ExperimentRecord:
     """S vec(S^-1 M) = vec(M) on Sym: worst relative residual over random
     symmetric directions M, all in one product with S."""
-    t0 = time.perf_counter()
     s = frame_operator_analytic(cov)
     m = sym_part(np.random.default_rng(seed).standard_normal((trials, cov.dim, cov.dim)))
     d = vecs(restricted_inverse_apply(cov, m)).T  # column t is vec(S^-1 M_t)
@@ -276,7 +275,7 @@ def restricted_inverse_check(cov, seed: int, trials: int = 100) -> ExperimentRec
     resid = s @ d
     resid -= m
     worst = _worst_gap(_column_norms(resid) / _column_norms(m))
-    return timed_record("restricted-inverse", worst, RESTRICTED_INVERSE_RTOL, seed, t0,
+    return check_record("restricted-inverse", worst, RESTRICTED_INVERSE_RTOL, seed,
                         nx=cov.dim, trials=trials)
 
 
@@ -292,7 +291,6 @@ def coefficient_identity_checks(
     would measure cancellation, not implementation error. Each x is drawn
     alone, by ``sample`` on its trial's covariance.
     """
-    t0 = time.perf_counter()
     coeff_err, cancel_err, gains = [], [], []
     for covs, (w, x_seeds) in _sweep(seed, dims, trials, _draw_weights_and_seed):
         x = np.stack([sample(covs[i], 1, int(x_seed)).data[0]
@@ -308,7 +306,7 @@ def coefficient_identity_checks(
     scale = _worst_gap(*gains)
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero or NaN scale
         return tuple(
-            timed_record(name, _worst_gap(*err) / scale, EXACT_RTOL, seed, t0,
+            check_record(name, _worst_gap(*err) / scale, EXACT_RTOL, seed,
                          dims=dims, trials=trials)
             for name, err in (("coefficient-identity", coeff_err),
                               ("cancellation-identity", cancel_err))
@@ -326,22 +324,23 @@ def _isserlis_gap(cov, s: np.ndarray) -> float:
     return float(np.linalg.norm(gap))
 
 
-def isserlis_checks(cov, seed: int, n: int, batches=None) -> tuple[ExperimentRecord, ...]:
+def isserlis_checks(cov, seed: int,
+                    batches: MonteCarloBatches) -> tuple[ExperimentRecord, ...]:
     """The analytic fourth moment minus its rank-one mean term must equal the
     analytic frame operator to roundoff, and the empirical operator must land
     within 5% relative Frobenius error at large n. The empirical half runs
-    only when given the command's ``MonteCarloBatches``, and reads batch 0."""
-    t0 = time.perf_counter()
+    only when the command's ``batches`` sum the operator for it
+    (``isserlis``), and reads batch 0; both records' n is the batches' n."""
     s = frame_operator_analytic(cov)
     s_scale = float(np.linalg.norm(s))
-    analytic = timed_record("isserlis-analytic", _isserlis_gap(cov, s) / s_scale,
-                            EXACT_RTOL, seed, t0, nx=cov.dim, n=n)
-    if batches is None:
+    analytic = check_record("isserlis-analytic", _isserlis_gap(cov, s) / s_scale,
+                            EXACT_RTOL, seed, nx=cov.dim, n=batches.n)
+    if not batches.isserlis:
         return (analytic,)
     operator = batches.batch(0)[1]["frame-operator"]
     s_emp = operator.inner.dense(operator.result())
-    empirical = timed_record("isserlis-empirical", float(np.linalg.norm(s_emp - s)) / s_scale,
-                             MC_FROBENIUS_RTOL, seed, t0, nx=cov.dim, n=n)
+    empirical = check_record("isserlis-empirical", float(np.linalg.norm(s_emp - s)) / s_scale,
+                             MC_FROBENIUS_RTOL, seed, nx=cov.dim, n=batches.n)
     return analytic, empirical
 
 
@@ -520,10 +519,8 @@ def mc_rate_check(batches: MonteCarloBatches) -> tuple[ExperimentRecord, ...]:
     form RMSE against block size; a healthy Monte-Carlo estimator sits near
     -1/2. The RMSE at each size is taken over every block of that size in the
     RATE_BATCHES batches: 2000, 200, 20 and 2 blocks. The kinds share the
-    batches, and each record equals the one a single-kind selection gives,
-    except wall_time_ms, which covers the passes this call runs.
+    batches, and each record equals the one a single-kind selection gives.
     """
-    t0 = time.perf_counter()
     passes = [batches.batch(i)[1] for i in range(RATE_BATCHES)]
     sizes = [batches.block * RATE_SPLIT**k for k in range(RATE_LEVELS)]
     records = []
@@ -531,17 +528,28 @@ def mc_rate_check(batches: MonteCarloBatches) -> tuple[ExperimentRecord, ...]:
         sq = np.sum([p[kind].sq for p in passes], axis=0)
         count = np.sum([p[kind].count for p in passes], axis=0)
         slope = float(np.polyfit(np.log10(sizes), np.log10(np.sqrt(sq / count)), 1)[0])
-        records.append(timed_record(
-            f"mc-rate-{kind}", slope, SLOPE_HALF_WIDTH, batches.seed, t0, SLOPE_REFERENCE,
+        records.append(check_record(
+            f"mc-rate-{kind}", slope, SLOPE_HALF_WIDTH, batches.seed, SLOPE_REFERENCE,
             kind=kind, nx=batches.cov.dim, nu=batches.nu, n=batches.n, batches=RATE_BATCHES))
     return tuple(records)
 
 
 def derivation_checks(batches: MonteCarloBatches) -> tuple[ExperimentRecord, ...]:
-    """Run the full numerical derivation chain on the batches' W and batch 0."""
+    """Run the full numerical derivation chain on the batches' W and batch 0:
+    the frame route must agree with the direct route to roundoff
+    (CHAIN_AGREEMENT_RTOL), and approach the closed-form target within
+    MC_TARGET_RTOL, each relative to the Frobenius norm of what it is
+    compared with. Both records carry batch 0's seed."""
     batch, sums = batches.batch(0)
     fed = (sums["frame-expansion"].inner, sums["direct"])
-    return derive_eghr_from_oja(batches.w, batches.cov, batch, fed).records
+    res = derive_eghr_from_oja(batches.w, batches.cov, batch, fed)
+    return tuple(
+        check_record(name, float(np.linalg.norm(res.frame_route - ref)),
+                     rtol * max(float(np.linalg.norm(ref)), 1e-300), batch.seed,
+                     nx=batches.cov.dim, nu=batches.nu, n=batch.n, check="derivation")
+        for name, ref, rtol in (
+            ("derivation-chain-agreement", res.direct_route, CHAIN_AGREEMENT_RTOL),
+            ("derivation-mc-target", res.target, MC_TARGET_RTOL)))
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +586,7 @@ COMMANDS = {
         (["coefficient-identity", "cancellation-identity"],
          lambda c, cov, mc: coefficient_identity_checks(c.seed, dims=[(c.nx, c.nu)])),
         (["isserlis-analytic", "isserlis-empirical"],
-         lambda c, cov, mc: isserlis_checks(cov, c.seed, c.samples,
-                                            mc if mc.isserlis else None)),
+         lambda c, cov, mc: isserlis_checks(cov, c.seed, mc)),
         (["mc-rate-frame-operator", "mc-rate-frame-expansion"],
          lambda c, cov, mc: mc_rate_check(mc)),
         (["derivation-chain-agreement", "derivation-mc-target"],
@@ -595,8 +602,9 @@ _BY_CHECK = {name: (runner, command.group) for command in COMMANDS.values()
 def run_checks(config: RunConfig, cov, names: list[str]) -> list[ExperimentRecord]:
     """Run the runners behind the requested check names (each runner once) on
     the run's covariance ``cov`` and one MonteCarloBatches, keep only the
-    requested records, and stamp report groups. Too few samples for a
-    requested mc-rate-* check raise SampleSizeError before any check runs."""
+    requested records, and stamp each with its report group and the wall
+    time of its runner. Too few samples for a requested mc-rate-* check raise
+    SampleSizeError before any check runs."""
     batches = MonteCarloBatches(
         cov, config.nu, config.seed, config.samples,
         kinds=[name[len("mc-rate-"):] for name in names if name.startswith("mc-rate-")],
@@ -604,8 +612,11 @@ def run_checks(config: RunConfig, cov, names: list[str]) -> list[ExperimentRecor
         derivation=any(name.startswith("derivation-") for name in names))
     records = []
     for runner in dict.fromkeys(_BY_CHECK[name][0] for name in names):
-        records.extend(runner(config, cov, batches))
-    records = [r for r in records if r.check_name in names]
-    for r in records:
-        r.group = _BY_CHECK[r.check_name][1]
+        t0 = time.perf_counter()
+        out = runner(config, cov, batches)
+        wall_time_ms = (time.perf_counter() - t0) * 1e3
+        for r in out:
+            if r.check_name in names:
+                r.group, r.wall_time_ms = _BY_CHECK[r.check_name][1], wall_time_ms
+                records.append(r)
     return records

@@ -118,7 +118,12 @@ def cmd_train(config: RunConfig, cov: CovarianceModel) -> int:
 
 def cmd_report(output_dir) -> int:
     out = Path(output_dir)
-    if not out.is_dir():
+    try:
+        found = out.is_dir()
+    except OSError as exc:  # a name too long, say
+        print(f"error: output directory {out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    if not found:
         print(f"error: output directory not found: {out}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     records: list[ExperimentRecord] = []

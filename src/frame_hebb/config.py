@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -84,9 +85,17 @@ class RunConfig:
                 record_every=self.record_every, seed=self.seed))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        existing = next(p for p in (self.out, *self.out.parents) if p.exists())
+        try:
+            existing = next(p for p in (self.out, *self.out.parents) if p.exists())
+            name_max = os.pathconf(existing, "PC_NAME_MAX")
+        except OSError as exc:  # a path too long, say
+            raise ConfigError(f"output directory {self.out}: {exc.strerror}") from exc
         if not existing.is_dir():
             raise ConfigError(f"output directory {self.out}: {existing} is a file")
+        # A name below existing is not looked up, so the probe cannot see it.
+        if any(len(os.fsencode(p)) > name_max for p in self.out.relative_to(existing).parts):
+            raise ConfigError(f"output directory {self.out}: a name is longer than "
+                              f"{name_max} bytes")
         self.build_sigma()  # fail fast on a bad sigma spec
 
     def build_sigma(self) -> np.ndarray:

@@ -23,14 +23,14 @@ The identity is checked, drawing nothing, on monomials f = prod_j x_j^{a_j}
 of degree at most 4, each given by its exponent vector a
 (``monomial_exponents`` lists the built-in ones): every term is then a
 polynomial of degree at most 5, which the rule of ``cubature`` integrates
-exactly, so ``stein_check`` compares both sides to roundoff.
+exactly, so ``stein_check`` gives the gap between both sides, which is
+roundoff, and the scale of that roundoff.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import CovarianceModel, require_memory
-from .records import ExperimentRecord, timed_record
 
 
 # Rows per chunk: 2**15 rows keep a chunk and the estimators' temporaries
@@ -196,12 +195,6 @@ def monomial_exponents(dim: int) -> list[tuple[int, ...]]:
     return exps
 
 
-def monomial_name(a) -> str:
-    """``const``, ``x1``, ``x0^2*x1``: the nonzero factors in coordinate order."""
-    terms = [f"x{j}" if p == 1 else f"x{j}^{p}" for j, p in enumerate(a) if p]
-    return "*".join(terms) or "const"
-
-
 def monomial(x: np.ndarray, a, deriv: int | None = None) -> np.ndarray:
     """f(x) = prod_j x_j^{a_j} over the columns of x, which holds one
     coordinate per row (shape (dim, n)); given ``deriv`` = j, the partial
@@ -253,17 +246,17 @@ def cubature(cov: CovarianceModel) -> tuple[np.ndarray, np.ndarray]:
     return z @ cov.chol.T, weights
 
 
-def stein_check(cov: CovarianceModel, exponents, seed: int) -> list[ExperimentRecord]:
-    """Check E[f(x) x_i] = sum_a Sigma_ia E[d_a f] per component, for each
-    monomial f given by an exponent vector in ``exponents``; one record per
-    function, in order, labelled with ``seed``. Its value is the weighted
-    mean of d(x) = f(x) x - Sigma grad f(x) over the points of
-    ``cubature(cov)``, exactly 0 but for roundoff, and the tolerance of
-    component i is 1e-12 sum_p |w_p| (|f(x_p) x_p,i| + |(Sigma grad f(x_p))_i|),
-    which holds whatever the signs of the weights. A record keeps the
-    component with the worst value-to-tolerance ratio. Raises DimensionError
-    when an exponent vector's length is not the covariance's dimension, and
-    ValueError on a negative exponent or a degree above 4.
+def stein_check(cov: CovarianceModel, exponents) -> tuple[np.ndarray, np.ndarray]:
+    """The two sides of E[f(x) x_i] = sum_a Sigma_ia E[d_a f], per component,
+    for each monomial f given by an exponent vector in ``exponents``, as
+    (gap, scale), each of shape (functions, dim). Row k of gap is
+    |sum_p w_p d(x_p)| for the k-th function, d(x) = f(x) x - Sigma grad f(x),
+    over the points and weights of ``cubature(cov)``: exactly 0 but for
+    roundoff. Row k of scale is sum_p |w_p| (|f(x_p) x_p| + |Sigma grad
+    f(x_p)|), entry by entry, which bounds that roundoff whatever the signs
+    of the weights. Raises
+    DimensionError when an exponent vector's length is not the covariance's
+    dimension, and ValueError on a negative exponent or a degree above 4.
     """
     exponents = [tuple(int(p) for p in a) for a in exponents]
     for a in exponents:
@@ -274,22 +267,17 @@ def stein_check(cov: CovarianceModel, exponents, seed: int) -> list[ExperimentRe
         if sum(a) > 4:
             raise ValueError(f"exponent vector {a} has total degree {sum(a)}: the degree-5 "
                              "cubature rule is exact only up to degree 4")
-    t0 = time.perf_counter()
     x, weights = cubature(cov)
     xt = np.ascontiguousarray(x.T)
     size = np.abs(weights)
-    records = []
-    for a in exponents:
+    gap, scale = np.empty((2, len(exponents), cov.dim))
+    for k, a in enumerate(exponents):
         fx = monomial(xt, a) * xt
         support, partials = monomial_grad(xt, a)
         grad = cov.sigma[:, support] @ partials
-        gap = np.abs((fx - grad) @ weights)
-        tol = 1e-12 * ((np.abs(fx) + np.abs(grad)) @ size)
-        worst = int(np.argmax(np.divide(gap, tol, out=np.zeros_like(gap), where=tol > 0)))
-        name = monomial_name(a)
-        records.append(timed_record(f"stein-{name}", float(gap[worst]), float(tol[worst]),
-                                    seed, t0, fn=name, dim=cov.dim))
-    return records
+        gap[k] = np.abs((fx - grad) @ weights)
+        scale[k] = (np.abs(fx) + np.abs(grad)) @ size
+    return gap, scale
 
 
 def isserlis_fourth_moment(cov: CovarianceModel) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 A record stores the computed value, the reference it was compared against
 and both error flavors; the tolerance always applies to the absolute error.
+Only ``checks`` (``check_record``) and the CLI's ``train-final`` build
+records; ``checks.run_checks`` stamps each record's group and wall time.
 The ``metric`` field names that error and is always ``abs``; it stays a
 column of the versioned CSV schema, which deliberately excludes wall time:
 identical (config, seed) must produce byte-identical files. Both CSV formats
@@ -14,7 +16,6 @@ import csv
 import hashlib
 import json
 import math
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,9 +52,9 @@ class ExperimentRecord:
     metric: str  # always "abs": the tolerance applies to abs_error
     tolerance: float
     passed: bool
-    wall_time_ms: float
     seed: int
     group: str = ""
+    wall_time_ms: float = 0.0
 
     def __post_init__(self):
         for name in ("value", "reference", "abs_error", "rel_error", "tolerance"):
@@ -76,7 +77,6 @@ def make_record(
     seed: int,
     reference: float = 0.0,
     inputs_digest: str = "",
-    wall_time_ms: float = 0.0,
     group: str = "",
 ) -> ExperimentRecord:
     """Build a record, deriving errors and pass/fail (abs_error <= tolerance)
@@ -97,7 +97,6 @@ def make_record(
         metric="abs",
         tolerance=float(tolerance),
         passed=bool(abs_error <= tolerance),
-        wall_time_ms=float(wall_time_ms),
         seed=int(seed),
         group=group,
     )
@@ -109,15 +108,14 @@ def digest_inputs(**kwargs) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def timed_record(name: str, value: float, tolerance: float, seed: int, t0: float,
+def check_record(name: str, value: float, tolerance: float, seed: int,
                  reference: float = 0.0, **inputs) -> ExperimentRecord:
-    """The record of a check started at perf_counter() t0, whose digest covers
-    ``inputs`` and the seed. A value that is NaN or infinite is recorded as
-    NONFINITE_VALUE: the check fails."""
+    """The record of a check, whose digest covers ``inputs`` and the seed. A
+    value that is NaN or infinite is recorded as NONFINITE_VALUE: the check
+    fails."""
     value = value if math.isfinite(value) else NONFINITE_VALUE
     return make_record(name, value=value, tolerance=tolerance, seed=seed, reference=reference,
-                       inputs_digest=digest_inputs(seed=seed, **inputs),
-                       wall_time_ms=(time.perf_counter() - t0) * 1e3)
+                       inputs_digest=digest_inputs(seed=seed, **inputs))
 
 
 def _fmt(x) -> str:
@@ -174,7 +172,6 @@ def read_records_csv(path) -> list[ExperimentRecord]:
                     metric=row["metric"],
                     tolerance=float(row["tolerance"]),
                     passed=row["passed"] == "true",
-                    wall_time_ms=0.0,
                     seed=int(row["seed"]),
                     group=row["group"],
                 )

@@ -12,11 +12,12 @@ from frame_hebb.config import RunConfig
 from frame_hebb.errors import DimensionError, SampleSizeError
 from frame_hebb.frames import (
     cancellation_coefficient,
+    derive_eghr_from_oja,
     frame_coefficient,
     frame_element,
     restricted_inverse_apply,
 )
-from frame_hebb.gaussian import SampleBatch, sample
+from frame_hebb.gaussian import SampleBatch, derive_seed, monomial_exponents, sample, stein_check
 from frame_hebb.linalg import (
     build_covariance,
     random_covariances,
@@ -80,6 +81,42 @@ def test_paired_checks_return_only_requested_records(names):
     records = checks.run_checks(config, _cov(config), names)
     assert [r.check_name for r in records] == names
     assert all(r.group == "frame machinery" for r in records)
+
+
+def test_run_checks_stamps_each_runner_wall_time_on_its_records():
+    config = RunConfig(nx=2, nu=1, samples=500, seed=3)
+    bounds, coeff, cancel = checks.run_checks(
+        config, _cov(config), ["frame-bounds", "coefficient-identity", "cancellation-identity"])
+    assert bounds.wall_time_ms > 0 and coeff.wall_time_ms > 0
+    assert cancel.wall_time_ms == coeff.wall_time_ms != bounds.wall_time_ms
+
+
+def test_derivation_records_hold_the_routes_gaps_to_their_tolerances():
+    # Recomputed from derive_eghr_from_oja's own pass over the same batch,
+    # which below RATE_MIN_SAMPLES is one block and one chunk, so its sums
+    # are the shared ones to the bit. A tolerance of RTOL / norm fails.
+    cov = build_covariance(random_spd(3, (0.5, 2.0), seed=15))
+    batches = checks.MonteCarloBatches(cov, 2, 16, 2000, derivation=True)
+    records = checks.derivation_checks(batches)
+    batch = batches.batch(0)[0]
+    res = derive_eghr_from_oja(batches.w, cov, batch)
+    assert [r.check_name for r in records] == ["derivation-chain-agreement",
+                                                "derivation-mc-target"]
+    for record, ref, rtol in zip(records, (res.direct_route, res.target),
+                                 (checks.CHAIN_AGREEMENT_RTOL, checks.MC_TARGET_RTOL)):
+        assert record.value == np.linalg.norm(res.frame_route - ref) > 0
+        assert record.tolerance == rtol * np.linalg.norm(ref)
+        assert record.seed == batch.seed
+
+
+def test_stein_identity_value_is_the_worst_gap_to_tolerance_ratio():
+    # A tolerance of STEIN_RTOL / scale fails.
+    ratios = []
+    for dim in (1, 2, 4):
+        cov = build_covariance(random_spd(dim, checks.SWEEP_EIG_RANGE, seed=derive_seed(42, dim)))
+        gap, scale = stein_check(cov, monomial_exponents(dim))
+        ratios.append(np.max(gap / (checks.STEIN_RTOL * scale)))
+    assert checks.stein_identity_check(42, dims=(1, 2, 4)).value == max(ratios) > 0
 
 
 _KINDS = ("oja", "eghr", "frame-operator", "frame-expansion")

@@ -432,6 +432,8 @@ def _plant(path, data: bytes = b"", directory: bool = False):
 UNDECODABLE = b"\xff\xfe\x00 not utf-8\n"
 SHORT_ROW = f"# {CSV_SCHEMA_VERSION}\n{','.join(CSV_COLUMNS)}\ntraining,x\n".encode()
 TRAIN_CHEAP = ["--nx", 3, "--nu", 1, "--sigma", "diagonal:3,2,1", "--steps", 10]
+# A path component longer than the usual file-name limit of 255 bytes.
+LONG_NAME = "a" * 300
 
 # Inputs checked once at the command's boundary: each builds its argv in a
 # fresh directory d, plants what it needs there, and names what the one
@@ -490,6 +492,17 @@ BOUNDARY_INPUTS = {
     "train with checks in its config file": lambda d: (
         ["train", "--config", _plant(d / "run.cfg", b"[run]\nchecks = frame-bounds\n"),
          "--out", d / "out"] + TRAIN_CHEAP, "config error: frame-bounds"),
+    "--out with a name too long": lambda d: (
+        ["equivalence", "--checks", "closed-equivalence", "--out", d / LONG_NAME],
+        "config error: output directory"),
+    "--out with a name too long below a directory to be made": lambda d: (
+        ["equivalence", "--checks", "closed-equivalence", "--out", d / "new" / LONG_NAME],
+        "config error: output directory"),
+    "train with an out too long in its config file": lambda d: (
+        ["train", "--config", _plant(d / "run.cfg", f"[run]\nout = {d / LONG_NAME}\n".encode())]
+        + TRAIN_CHEAP, "config error: output directory"),
+    "report --out with a name too long": lambda d: (
+        ["report", "--out", d / LONG_NAME], "error: output directory"),
 }
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from frame_hebb import frames, gaussian
+from frame_hebb.checks import CHAIN_AGREEMENT_RTOL
 from frame_hebb.errors import DimensionError, SampleSizeError, SkewDomainError
 from frame_hebb.frames import (
     ExpansionMean,
@@ -482,8 +483,8 @@ class TestDenseBuildGuard:
         x = np.random.default_rng(92).standard_normal((20, 1000))
         w = np.random.default_rng(93).uniform(-1, 1, (2, 1000))
         res = derive_eghr_from_oja(w, cov_wide, SampleBatch.from_rows(x, cov_wide))
-        assert res.records[0].check_name == "derivation-chain-agreement"
-        assert res.records[0].passed
+        gap = np.linalg.norm(res.frame_route - res.direct_route)
+        assert gap <= CHAIN_AGREEMENT_RTOL * np.linalg.norm(res.direct_route)
         assert "frame_operator" not in vars(cov_wide)
 
 
@@ -494,7 +495,6 @@ class TestDerivation:
         np.testing.assert_array_equal(res.target, np.zeros((1, 2)))
         np.testing.assert_array_equal(res.frame_route, np.zeros((1, 2)))
         np.testing.assert_array_equal(res.direct_route, np.zeros((1, 2)))
-        assert all(r.passed for r in res.records)
 
     def test_wrong_nx_rejected_before_any_chunk(self, cov_rand3, monkeypatch):
         def no_chunks(self):
@@ -517,8 +517,6 @@ class TestDerivation:
         res = derive_eghr_from_oja(w, cov_rand3, sample(cov_rand3, 10**5, seed=85))
         rel = np.linalg.norm(res.frame_route - res.target) / np.linalg.norm(res.target)
         assert rel <= 0.15
-        assert res.records[0].check_name == "derivation-chain-agreement"
-        assert res.records[1].check_name == "derivation-mc-target"
 
     def test_target_is_postmultiplied_subspace_update(self, cov_rand3):
         w = np.random.default_rng(86).uniform(-1, 1, (2, 3))

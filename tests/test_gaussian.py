@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frame_hebb import gaussian
-from frame_hebb.checks import stein_identity_check
+from frame_hebb.checks import STEIN_RTOL, stein_identity_check
 from frame_hebb.errors import DimensionError
 from frame_hebb.gaussian import (
     cubature,
@@ -13,7 +13,6 @@ from frame_hebb.gaussian import (
     monomial,
     monomial_exponents,
     monomial_grad,
-    monomial_name,
     sample,
     stein_check,
 )
@@ -123,7 +122,7 @@ class TestMonomials:
         xt = np.ascontiguousarray(x.T)
         exps = monomial_exponents(dim)
         ref = reference_test_functions(dim)
-        assert [monomial_name(a) for a in exps] == [name for name, _, _ in ref]
+        assert len(exps) == len(ref)
         for a, (name, f, grad) in zip(exps, ref):
             support, partials = monomial_grad(xt, a)
             g = np.zeros_like(xt)
@@ -134,10 +133,6 @@ class TestMonomials:
                 assert np.array_equal(monomial(xt, a), f(x)), name
             assert np.array_equal(g, grad(x).T), name
             assert list(support) == [j for j, p in enumerate(a) if p], name
-
-    def test_names(self):
-        assert [monomial_name(a) for a in [(0, 0, 0), (0, 1, 0), (2, 0, 0), (2, 1, 3)]] == [
-            "const", "x1", "x0^2", "x0^2*x1*x2^3"]
 
 
 class TestCubature:
@@ -159,27 +154,31 @@ class TestCubature:
         assert np.linalg.norm(m4 - want) <= 4e-15 * np.linalg.norm(want)
 
 
+def holds(cov, exponents) -> np.ndarray:
+    """Per function, whether every component's gap is within its roundoff
+    tolerance, STEIN_RTOL times its scale."""
+    gap, scale = stein_check(cov, exponents)
+    assert gap.shape == scale.shape == (len(exponents), cov.dim)
+    return np.all(gap <= STEIN_RTOL * scale, axis=1)
+
+
 class TestSteinCheck:
     def test_linear_function(self, cov2):
-        assert stein_check(cov2, [(0, 1)], seed=21)[0].passed
+        assert holds(cov2, [(0, 1)]).all()
 
     def test_constant_function(self, cov2):
-        assert stein_check(cov2, [(0, 0)], seed=22)[0].passed
+        assert holds(cov2, [(0, 0)]).all()
 
     def test_square_function_odd_moment(self, cov2):
         # f = x0^2 on diag(2,1): both sides of component 0 are E[x0^3] = 0.
-        (rec,) = stein_check(cov2, [(2, 0)], seed=23)
-        assert rec.check_name == "stein-x0^2"
-        assert rec.passed
+        assert holds(cov2, [(2, 0)]).all()
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 6])
     def test_all_builtins_random_spd(self, dim):
         cov = build_covariance(random_spd(dim, (0.5, 2.0), seed=30 + dim))
         exps = monomial_exponents(dim)
-        records = stein_check(cov, exps, seed=77)
-        assert [r.check_name for r in records] == [f"stein-{monomial_name(a)}" for a in exps]
-        for rec in records:
-            assert rec.passed, f"{rec.check_name} at dim {dim}: {rec.value} > {rec.tolerance}"
+        ok = holds(cov, exps)
+        assert ok.all(), [a for a, good in zip(exps, ok) if not good]
 
     @pytest.mark.parametrize("sigma", [random_spd(4, (0.5, 2.0), seed=34),
                                        np.diag([2.0, 1.5, 1.0, 0.5])])
@@ -188,29 +187,28 @@ class TestSteinCheck:
         # On a diagonal Sigma, x0*x1*x2*x3 and its partials vanish on every
         # point: a value of 0 against a tolerance of 0.
         with np.errstate(invalid="raise"):
-            records = stein_check(build_covariance(sigma), exps, seed=1)
-        assert all(rec.passed for rec in records)
+            assert holds(build_covariance(sigma), exps).all()
 
     @pytest.mark.parametrize("a", [(), (1,), (0, 0, 1)])
     def test_wrong_length_exponents_rejected(self, cov2, a):
         for exps in ([a], [(0, 1), a]):
             with pytest.raises(DimensionError):
-                stein_check(cov2, exps, seed=5)
+                stein_check(cov2, exps)
 
     def test_negative_exponent_rejected(self, cov2):
         with pytest.raises(ValueError, match="negative"):
-            stein_check(cov2, [(0, 1), (-1, 0)], seed=5)
+            stein_check(cov2, [(0, 1), (-1, 0)])
 
     @pytest.mark.parametrize("a", [(5, 0), (2, 3), (0, 7)])
     def test_degree_above_four_rejected(self, cov2, a):
         # the rule is exact only up to degree 5, and f(x) x has degree |a| + 1
         with pytest.raises(ValueError, match="degree"):
-            stein_check(cov2, [(0, 1), a], seed=5)
+            stein_check(cov2, [(0, 1), a])
 
-    def test_record_is_reproducible(self, cov2):
-        a = stein_check(cov2, [(0, 0), (1, 1)], seed=5)
-        b = stein_check(cov2, [(0, 0), (1, 1)], seed=5)
-        assert [(r.value, r.tolerance) for r in a] == [(r.value, r.tolerance) for r in b]
+    def test_result_is_reproducible(self, cov2):
+        a = stein_check(cov2, [(0, 0), (1, 1)])
+        b = stein_check(cov2, [(0, 0), (1, 1)])
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_no_draw(self, monkeypatch):
         calls = []
@@ -223,9 +221,8 @@ class TestSteinCheck:
         cov = build_covariance(random_spd(2, (0.5, 2.0), seed=31))
         wide = cubature(build_covariance(1.2 * cov.sigma))
         monkeypatch.setattr(gaussian, "cubature", lambda c: wide)
-        records = stein_check(cov, monomial_exponents(2), seed=24)
-        assert not all(r.passed for r in records)
-        assert not stein_check(cov, [(0, 1)], seed=24)[0].passed
+        assert not holds(cov, monomial_exponents(2)).all()
+        assert not holds(cov, [(0, 1)]).any()
         assert not stein_identity_check(42, dims=(2,)).passed
 
     def test_scaled_gradient_fails(self, monkeypatch):

@@ -8,10 +8,10 @@ from frame_hebb.records import (
     CSV_SCHEMA_VERSION,
     NONFINITE_VALUE,
     ExperimentRecord,
+    check_record,
     digest_inputs,
     make_record,
     read_records_csv,
-    timed_record,
     write_records_csv,
 )
 
@@ -59,7 +59,7 @@ def test_non_finite_fields_rejected():
 @pytest.mark.parametrize("reference", [0.0, -0.5])
 def test_a_check_records_a_non_finite_value_as_a_failure(value, reference):
     # A gap or, with reference -0.5, a fitted slope: the record is written.
-    record = timed_record("t", value, 1.0, 0, 0.0, reference)
+    record = check_record("t", value, 1.0, 0, reference)
     assert record.value == NONFINITE_VALUE
     assert not record.passed
 

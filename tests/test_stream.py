@@ -356,7 +356,7 @@ def _all_mc_checks(cov, n):
     batches = MonteCarloBatches(cov, 2, 1, n, kinds=("oja", "eghr", "frame-operator",
                                                      "frame-expansion"),
                                 isserlis=True, derivation=True)
-    return (*mc_rate_check(batches), *isserlis_checks(cov, 1, n, batches),
+    return (*mc_rate_check(batches), *isserlis_checks(cov, 1, batches),
             *derivation_checks(batches))
 
 
@@ -413,5 +413,6 @@ class TestMemory:
         nx = 24
         cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=98))
         cov.frame_operator
-        peak = traced_peak(lambda: isserlis_checks(cov, 1, 100))
+        batches = MonteCarloBatches(cov, 1, 1, 100)
+        peak = traced_peak(lambda: isserlis_checks(cov, 1, batches))
         assert peak <= 1.05 * 2 * 8 * nx**4, peak / (8 * nx**4)
