@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -154,8 +153,8 @@ def _draw_weights(rng, nx: int, nu: int):
     return (rng.uniform(-1.0, 1.0, size=(nu, nx)),)
 
 
-def _draw_weights_and_seed(rng, nx: int, nu: int):
-    return *_draw_weights(rng, nx, nu), int(rng.integers(2**63))
+def _draw_weights_and_x(rng, nx: int, nu: int):
+    return *_draw_weights(rng, nx, nu), rng.standard_normal(nx)
 
 
 def _draw_fixed_point(rng, nx: int, nu: int):
@@ -224,10 +223,13 @@ def stein_identity_check(seed: int, dims: tuple[int, ...] = (1, 2, 4)) -> Experi
 
 def frame_bounds_check(cov, seed: int, trials: int = 1000) -> ExperimentRecord:
     """Two-sided frame condition on random unit vectors in vec(Sym), the
-    bounds attained at vec(q q^T) for Sigma's extreme eigenvectors q, and the
-    ordering of the tight spectral bound below the trace bound. Every gap is
-    relative to ``upper_tight`` = |S|_2 on Sym, so the roundoff in the forms,
-    which grows with lambda_max^2, does not fail a wide correct Sigma."""
+    bounds attained at vec(q q^T) for Sigma's extreme eigenvectors q, the
+    ordering of the tight spectral bound below the trace bound, and the trace
+    bound's value, tr S. Every gap but the last is relative to ``upper_tight``
+    = |S|_2 on Sym, so the roundoff in the forms, which grows with
+    lambda_max^2, does not fail a wide correct Sigma; the trace bound's gap is
+    relative to itself, as the roundoff of tr S grows with tr S, which is up
+    to nx (nx + 1) / 2 times upper_tight."""
     rng = np.random.default_rng(seed)
     s = frame_operator_analytic(cov)
     b = frame_bounds(cov)
@@ -243,8 +245,9 @@ def frame_bounds_check(cov, seed: int, trials: int = 1000) -> ExperimentRecord:
     gaps = np.array([b.upper_tight - b.upper_trace, b.lower - quad.min(),
                      quad.max() - b.upper_tight, abs(quad[-2] - b.upper_tight),
                      abs(quad[-1] - b.lower)])
-    return check_record("frame-bounds", _worst_gap(gaps / b.upper_tight), BOUND_RTOL, seed,
-                        nx=cov.dim, trials=trials)
+    trace_gap = abs(np.trace(s) - b.upper_trace) / b.upper_trace
+    return check_record("frame-bounds", _worst_gap(gaps / b.upper_tight, trace_gap),
+                        BOUND_RTOL, seed, nx=cov.dim, trials=trials)
 
 
 def _column_norms(a: np.ndarray) -> np.ndarray:
@@ -288,13 +291,13 @@ def coefficient_identity_checks(
 
     Errors are normalized by the largest gain magnitude over the triple set;
     the gain crosses zero on individual triples, so a per-triple denominator
-    would measure cancellation, not implementation error. Each x is drawn
-    alone, by ``sample`` on its trial's covariance.
+    would measure cancellation, not implementation error. Each x is standard
+    normal, drawn like W: with M = Sigma R Sigma the identity reduces to
+    (x^T R x - tr R Sigma) / 2, which holds for every x, not only for a
+    sample of Sigma.
     """
     coeff_err, cancel_err, gains = [], [], []
-    for covs, (w, x_seeds) in _sweep(seed, dims, trials, _draw_weights_and_seed):
-        x = np.stack([sample(covs[i], 1, int(x_seed)).data[0]
-                      for i, x_seed in enumerate(x_seeds)])
+    for covs, (w, x) in _sweep(seed, dims, trials, _draw_weights_and_x):
         residual = np.eye(covs.dim) - matrix_transpose(w) @ w
         xi = frame_element(x, covs)
         g = eghr_g(x, w, covs)
@@ -337,7 +340,7 @@ def isserlis_checks(cov, seed: int,
                             EXACT_RTOL, seed, nx=cov.dim, n=batches.n)
     if not batches.isserlis:
         return (analytic,)
-    operator = batches.batch(0)[1]["frame-operator"]
+    operator = batches.passes[0][1]["frame-operator"]
     s_emp = operator.inner.dense(operator.result())
     empirical = check_record("isserlis-empirical", float(np.linalg.norm(s_emp - s)) / s_scale,
                              MC_FROBENIUS_RTOL, seed, nx=cov.dim, n=batches.n)
@@ -446,17 +449,19 @@ class MonteCarloBatches:
     ``kinds`` (mc-rate-<kind>), ``isserlis`` (isserlis-empirical) and
     ``derivation`` (derivation-*) name.
 
-    RATE_BATCHES batches of n rows on the run's covariance; W is the one
-    uniform(-1, 1) nu x nx matrix of ``default_rng(seed)``, and M is
-    Sigma (I - W^T W) Sigma, the matrix the frame expansion expands. Batch i
-    is drawn on first use, from child seed derive_seed(seed, MC_SEED_INDEX + i),
-    and every estimator the checks need reads it in one pass. Batch 0 serves
-    every check; only the rate checks read the later ones. The operator and
+    Batches of n rows on the run's covariance; W is the one uniform(-1, 1)
+    nu x nx matrix of ``default_rng(seed)``, and M is Sigma (I - W^T W) Sigma,
+    the matrix the frame expansion expands. Batch i is drawn from child seed
+    derive_seed(seed, MC_SEED_INDEX + i), and every estimator the checks need
+    reads it in one pass, here, so no check's wall time carries a pass:
+    RATE_BATCHES batches with a rate kind, else one for isserlis or
+    derivation, else none. Batch 0 serves every check; only the rate checks
+    read the later ones. The operator and
     the frame expansion are always summed block by block (``BlockSums``,
     blocks of n // 1000 rows, or one block below RATE_MIN_SAMPLES), so
     isserlis-empirical and derivation-* read the same sums whichever rate
-    checks run. ``batch(i)`` returns the batch and its running sums by name:
-    a kind, or ``direct``, the derivation's gain-weighted Hebbian mean with
+    checks run. ``passes[i]`` holds batch i and its running sums by name: a
+    kind, or ``direct``, the derivation's gain-weighted Hebbian mean with
     closed-form centering. A chunk that would not fit in physical memory (one
     block, n // 1000 rows, above 1000 * CHUNK_ROWS) raises DimensionError
     here, before any check runs.
@@ -488,16 +493,9 @@ class MonteCarloBatches:
             h = cov.dim * (cov.dim + 1) // 2
             width = 6 * cov.dim + (isserlis or "frame-operator" in kinds) * 2 * h
             require_memory(8 * rows * width, f"a chunk of {rows:,} rows at nx={cov.dim}")
-        self.passes = []
-
-    def batch(self, i: int):
-        while len(self.passes) <= i:
-            self.passes.append(self._pass(len(self.passes)))
-        return self.passes[i]
-
-    @cached_property
-    def refs(self) -> dict:
-        return {kind: _RATE_SUMS[kind][1](self) for kind in self.kinds}
+        self.refs = {kind: _RATE_SUMS[kind][1](self) for kind in kinds}
+        count = RATE_BATCHES if kinds else int(isserlis or derivation)
+        self.passes = [self._pass(i) for i in range(count)]
 
     def _pass(self, i: int):
         names = list(self.kinds)
@@ -521,7 +519,7 @@ def mc_rate_check(batches: MonteCarloBatches) -> tuple[ExperimentRecord, ...]:
     RATE_BATCHES batches: 2000, 200, 20 and 2 blocks. The kinds share the
     batches, and each record equals the one a single-kind selection gives.
     """
-    passes = [batches.batch(i)[1] for i in range(RATE_BATCHES)]
+    passes = [sums for _, sums in batches.passes]
     sizes = [batches.block * RATE_SPLIT**k for k in range(RATE_LEVELS)]
     records = []
     for kind in batches.kinds:
@@ -540,7 +538,7 @@ def derivation_checks(batches: MonteCarloBatches) -> tuple[ExperimentRecord, ...
     (CHAIN_AGREEMENT_RTOL), and approach the closed-form target within
     MC_TARGET_RTOL, each relative to the Frobenius norm of what it is
     compared with. Both records carry batch 0's seed."""
-    batch, sums = batches.batch(0)
+    batch, sums = batches.passes[0]
     fed = (sums["frame-expansion"].inner, sums["direct"])
     res = derive_eghr_from_oja(batches.w, batches.cov, batch, fed)
     return tuple(

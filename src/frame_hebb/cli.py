@@ -43,7 +43,6 @@ from .linalg import EIGENVALUE_FLOOR_REL, CovarianceModel, build_covariance
 from .records import (
     TRAJECTORY_SCHEMA_VERSION,
     ExperimentRecord,
-    make_record,
     read_records_csv,
     write_records_csv,
     write_trajectory_csv,
@@ -99,13 +98,8 @@ def cmd_train(config: RunConfig, cov: CovarianceModel) -> int:
     write_trajectory_csv(config.out / "train_trajectory.csv", trajectory)
 
     final = trajectory.final
-    record = make_record(
-        check_name="train-final",
-        value=final.subspace_error,
-        tolerance=config.threshold,
-        seed=config.seed,
-        group="training",
-    )
+    record = ExperimentRecord("train-final", final.subspace_error, config.threshold,
+                              config.seed, group="training")
     write_records_csv(config.out / "train.csv", [record])
     _print_records([record])
     print(

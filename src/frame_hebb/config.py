@@ -86,7 +86,9 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         try:
-            existing = next(p for p in (self.out, *self.out.parents) if p.exists())
+            # lexists: a symlink loop or a dangling link is found, and
+            # pathconf, which follows it, raises ELOOP or ENOENT.
+            existing = next(p for p in (self.out, *self.out.parents) if os.path.lexists(p))
             name_max = os.pathconf(existing, "PC_NAME_MAX")
         except OSError as exc:  # a path too long, say
             raise ConfigError(f"output directory {self.out}: {exc.strerror}") from exc

@@ -1,13 +1,16 @@
 """Experiment records: one named, re-runnable check with its tolerance.
 
-A record stores the computed value, the reference it was compared against
-and both error flavors; the tolerance always applies to the absolute error.
-Only ``checks`` (``check_record``) and the CLI's ``train-final`` build
-records; ``checks.run_checks`` stamps each record's group and wall time.
-The ``metric`` field names that error and is always ``abs``; it stays a
-column of the versioned CSV schema, which deliberately excludes wall time:
-identical (config, seed) must produce byte-identical files. Both CSV formats
-live here: records, and the trajectory curves that ``train`` writes.
+A record stores only what its check measured: the value, the reference it
+was compared against, the tolerance and the seed. Both error flavors and
+the verdict are derived from them, and the tolerance always applies to the
+absolute error. Only ``checks`` (``check_record``) and the CLI's
+``train-final`` build records; ``checks.run_checks`` stamps each record's
+group and wall time. ``metric`` names that error and is always ``abs``. It
+and the derived values stay columns of the versioned CSV schema, which
+``read_records_csv`` re-derives and checks. The schema deliberately excludes
+wall time: identical (config, seed) must produce byte-identical files. Both
+CSV formats live here: records, and the trajectory curves that ``train``
+writes.
 """
 
 from __future__ import annotations
@@ -43,63 +46,39 @@ NONFINITE_VALUE = 1e300
 
 @dataclass
 class ExperimentRecord:
+    """A check's measured value; ``rel_error`` falls back to the absolute
+    error when the reference is 0."""
+
     check_name: str
-    inputs_digest: str
     value: float
-    reference: float
-    abs_error: float
-    rel_error: float
-    metric: str  # always "abs": the tolerance applies to abs_error
     tolerance: float
-    passed: bool
     seed: int
+    reference: float = 0.0
+    inputs_digest: str = ""
     group: str = ""
     wall_time_ms: float = 0.0
+    metric = "abs"  # not a field: the tolerance always applies to abs_error
 
     def __post_init__(self):
-        for name in ("value", "reference", "abs_error", "rel_error", "tolerance"):
+        # A NumPy scalar would reach _fmt, which writes an np.bool_ as True.
+        self.value, self.reference = float(self.value), float(self.reference)
+        self.tolerance, self.seed = float(self.tolerance), int(self.seed)
+        for name in ("value", "reference", "tolerance", "abs_error", "rel_error"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"record field {name} is not finite")
-        if self.metric != "abs":
-            raise ValueError(f"unknown metric {self.metric!r}, expected 'abs'")
-        if self.passed != (self.abs_error <= self.tolerance):
-            raise ValueError(
-                f"record {self.check_name}: passed={self.passed} inconsistent with "
-                f"abs error {self.abs_error:.3e} vs tolerance {self.tolerance:.3e}"
-            )
 
+    @property
+    def abs_error(self) -> float:
+        return abs(self.value - self.reference)
 
-def make_record(
-    check_name: str,
-    *,
-    value: float,
-    tolerance: float,
-    seed: int,
-    reference: float = 0.0,
-    inputs_digest: str = "",
-    group: str = "",
-) -> ExperimentRecord:
-    """Build a record, deriving errors and pass/fail (abs_error <= tolerance)
-    from value vs reference.
+    @property
+    def rel_error(self) -> float:
+        abs_error = self.abs_error
+        return abs_error / abs(self.reference) if self.reference != 0.0 else abs_error
 
-    ``rel_error`` falls back to the absolute error when the reference is 0,
-    matching the house tolerance convention.
-    """
-    abs_error = abs(value - reference)
-    rel_error = abs_error / abs(reference) if reference != 0.0 else abs_error
-    return ExperimentRecord(
-        check_name=check_name,
-        inputs_digest=inputs_digest,
-        value=float(value),
-        reference=float(reference),
-        abs_error=float(abs_error),
-        rel_error=float(rel_error),
-        metric="abs",
-        tolerance=float(tolerance),
-        passed=bool(abs_error <= tolerance),
-        seed=int(seed),
-        group=group,
-    )
+    @property
+    def passed(self) -> bool:
+        return self.abs_error <= self.tolerance
 
 
 def digest_inputs(**kwargs) -> str:
@@ -114,8 +93,8 @@ def check_record(name: str, value: float, tolerance: float, seed: int,
     value that is NaN or infinite is recorded as NONFINITE_VALUE: the check
     fails."""
     value = value if math.isfinite(value) else NONFINITE_VALUE
-    return make_record(name, value=value, tolerance=tolerance, seed=seed, reference=reference,
-                       inputs_digest=digest_inputs(seed=seed, **inputs))
+    return ExperimentRecord(name, value, tolerance, seed, reference,
+                            digest_inputs(seed=seed, **inputs))
 
 
 def _fmt(x) -> str:
@@ -148,8 +127,9 @@ def write_trajectory_csv(path, trajectory) -> None:
 
 
 def read_records_csv(path) -> list[ExperimentRecord]:
-    """Read a records CSV; a wrong schema line, header or field count raises
-    ValueError."""
+    """Read a records CSV; a wrong schema line, header or field count, or a
+    row whose abs_error, rel_error, metric or passed column is not what its
+    value, reference and tolerance give, raises ValueError."""
     with open(path, newline="") as fh:
         first = fh.readline().strip()
         if first != f"# {CSV_SCHEMA_VERSION}":
@@ -159,21 +139,17 @@ def read_records_csv(path) -> list[ExperimentRecord]:
             raise ValueError(f"unexpected columns {reader.fieldnames}")
         records = []
         for row in reader:
+            line = reader.line_num + 1  # of the file, whose schema line the reader skips
             if None in row or None in row.values():
-                raise ValueError(f"line {reader.line_num} does not hold {len(CSV_COLUMNS)} fields")
-            records.append(
-                ExperimentRecord(
-                    check_name=row["check_name"],
-                    inputs_digest=row["inputs_digest"],
-                    value=float(row["value"]),
-                    reference=float(row["reference"]),
-                    abs_error=float(row["abs_error"]),
-                    rel_error=float(row["rel_error"]),
-                    metric=row["metric"],
-                    tolerance=float(row["tolerance"]),
-                    passed=row["passed"] == "true",
-                    seed=int(row["seed"]),
-                    group=row["group"],
-                )
-            )
+                raise ValueError(f"line {line} does not hold {len(CSV_COLUMNS)} fields")
+            record = ExperimentRecord(
+                row["check_name"], float(row["value"]), float(row["tolerance"]), int(row["seed"]),
+                float(row["reference"]), row["inputs_digest"], row["group"])
+            # Exact: the 17 significant digits _fmt writes round-trip.
+            for column in ("abs_error", "rel_error", "metric", "passed"):
+                derived = _fmt(getattr(record, column))
+                if row[column] != derived:
+                    raise ValueError(f"line {line}: {column} {row[column]!r}, "
+                                     f"but the row's numbers give {derived!r}")
+            records.append(record)
     return records

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from frame_hebb.frames import (
     frame_element,
     restricted_inverse_apply,
 )
-from frame_hebb.gaussian import SampleBatch, derive_seed, monomial_exponents, sample, stein_check
+from frame_hebb.gaussian import SampleBatch, derive_seed, monomial_exponents, stein_check
 from frame_hebb.linalg import (
     build_covariance,
     random_covariances,
@@ -27,7 +28,12 @@ from frame_hebb.linalg import (
     vec,
 )
 from frame_hebb.cli import main
-from frame_hebb.records import NONFINITE_VALUE, digest_inputs, make_record, read_records_csv
+from frame_hebb.records import (
+    NONFINITE_VALUE,
+    ExperimentRecord,
+    digest_inputs,
+    read_records_csv,
+)
 from frame_hebb.rules import eghr_g, eghr_update_closed, oja_update_closed
 from sweeps import dim_sweep
 
@@ -91,6 +97,24 @@ def test_run_checks_stamps_each_runner_wall_time_on_its_records():
     assert cancel.wall_time_ms == coeff.wall_time_ms != bounds.wall_time_ms
 
 
+def test_runner_wall_times_exclude_the_monte_carlo_passes(monkeypatch):
+    # Every pass is drawn before the runners' clocks start: a pass slowed by
+    # 0.2 s shows in no record's wall time.
+    slow = checks.MonteCarloBatches._pass
+
+    def slowed(self, i):
+        time.sleep(0.2)
+        return slow(self, i)
+
+    monkeypatch.setattr(checks.MonteCarloBatches, "_pass", slowed)
+    config = RunConfig(nx=2, nu=1, samples=checks.RATE_MIN_SAMPLES, seed=3)
+    names = checks.COMMANDS["frame-check"].checks
+    records = checks.run_checks(config, _cov(config), names)
+    assert [r.check_name for r in records] == names
+    assert all(r.wall_time_ms < 200 for r in records), {r.check_name: r.wall_time_ms
+                                                        for r in records}
+
+
 def test_derivation_records_hold_the_routes_gaps_to_their_tolerances():
     # Recomputed from derive_eghr_from_oja's own pass over the same batch,
     # which below RATE_MIN_SAMPLES is one block and one chunk, so its sums
@@ -98,7 +122,7 @@ def test_derivation_records_hold_the_routes_gaps_to_their_tolerances():
     cov = build_covariance(random_spd(3, (0.5, 2.0), seed=15))
     batches = checks.MonteCarloBatches(cov, 2, 16, 2000, derivation=True)
     records = checks.derivation_checks(batches)
-    batch = batches.batch(0)[0]
+    batch = batches.passes[0][0]
     res = derive_eghr_from_oja(batches.w, cov, batch)
     assert [r.check_name for r in records] == ["derivation-chain-agreement",
                                                 "derivation-mc-target"]
@@ -224,8 +248,9 @@ def _closed_equivalence_per_trial(seed, dims, trials):
         ref = float(np.linalg.norm(rhs))
         err = float(np.linalg.norm(lhs - rhs))
         worst = max(worst, err / ref if ref > 0 else err)
-    return make_record("closed-equivalence", value=worst, tolerance=checks.EXACT_RTOL, seed=seed,
-                       inputs_digest=digest_inputs(dims=dims, trials=trials, seed=seed))
+    return ExperimentRecord("closed-equivalence", value=worst, tolerance=checks.EXACT_RTOL,
+                            seed=seed, inputs_digest=digest_inputs(dims=dims, trials=trials,
+                                                                   seed=seed))
 
 
 def _fixed_point_sharing_per_trial(seed, nx, nu, trials):
@@ -247,8 +272,8 @@ def _fixed_point_sharing_per_trial(seed, nx, nu, trials):
         sandwich = max(lam_min * oja_n - eghr_n, eghr_n - lam_max * oja_n, 0.0)
         worst = max(worst, sandwich / (lam_max * oja_n) if oja_n > 0 else sandwich)
     digest = digest_inputs(nx=nx, nu=nu, trials=trials, seed=seed)
-    return make_record("fixed-point-sharing", value=worst, tolerance=checks.EXACT_RTOL,
-                       seed=seed, inputs_digest=digest)
+    return ExperimentRecord("fixed-point-sharing", value=worst, tolerance=checks.EXACT_RTOL,
+                            seed=seed, inputs_digest=digest)
 
 
 def _coefficient_identity_per_trial(seed, dims, trials):
@@ -258,7 +283,7 @@ def _coefficient_identity_per_trial(seed, dims, trials):
         nx, nu = dims[k % len(dims)]
         cov = random_covariances(nx, checks.SWEEP_EIG_RANGE, [int(rng.integers(2**63))])[0]
         w = rng.uniform(-1.0, 1.0, size=(nu, nx))
-        x = sample(cov, 1, int(rng.integers(2**63))).data[0]
+        x = rng.standard_normal(nx)
         g = eghr_g(x, w, cov)
         residual = np.eye(nx) - w.T @ w
         xi = frame_element(x, cov)
@@ -269,8 +294,8 @@ def _coefficient_identity_per_trial(seed, dims, trials):
         scale = max(scale, abs(g))
     digest = digest_inputs(dims=dims, trials=trials, seed=seed)
     return tuple(
-        make_record(name, value=err / scale, tolerance=checks.EXACT_RTOL, seed=seed,
-                    inputs_digest=digest)
+        ExperimentRecord(name, value=err / scale, tolerance=checks.EXACT_RTOL, seed=seed,
+                         inputs_digest=digest)
         for name, err in (("coefficient-identity", coeff_err),
                           ("cancellation-identity", cancel_err))
     )
@@ -374,6 +399,19 @@ def test_frame_bounds_passes_on_a_wide_spectrum(nx):
     cov = build_covariance(random_spd(nx, (1.0, 1e4), seed=42))
     record = checks.frame_bounds_check(cov, 42)
     assert record.passed and record.value < 1e-13
+
+
+def test_frame_bounds_pins_the_trace_bound_to_tr_s(monkeypatch):
+    # A trace bound that still lies above the tight one, but is not tr S.
+    real = checks.frame_bounds
+
+    def loose(cov):
+        b = real(cov)
+        return dataclasses.replace(b, upper_trace=b.upper_trace + float(np.sum(cov.sigma**2)))
+
+    monkeypatch.setattr(checks, "frame_bounds", loose)
+    cov = build_covariance(random_spd(4, (0.5, 2.0), seed=42))
+    assert not checks.frame_bounds_check(cov, 42).passed
 
 
 def _nan_at(fn, item):

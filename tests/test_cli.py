@@ -28,10 +28,11 @@ from frame_hebb.records import (
     CSV_COLUMNS,
     CSV_SCHEMA_VERSION,
     TRAJECTORY_SCHEMA_VERSION,
-    make_record,
+    ExperimentRecord,
     read_records_csv,
     write_records_csv,
 )
+from test_records import INCONSISTENT_ROWS, write_inconsistent_row
 
 FAST = ["--samples", "20000"]
 CHEAP_EQUIV = ["--checks", "closed-equivalence,fixed-point-sharing"]
@@ -311,23 +312,37 @@ class TestReport:
 
     def test_mixed_pass_fail_reports_fail(self, tmp_path, capsys):
         records = [
-            make_record("good", value=0.0, reference=0.0, tolerance=1.0,
-                        seed=1, group="g"),
-            make_record("bad", value=9.0, reference=0.0, tolerance=1.0,
-                        seed=1, group="g"),
+            ExperimentRecord("good", value=0.0, reference=0.0, tolerance=1.0,
+                             seed=1, group="g"),
+            ExperimentRecord("bad", value=9.0, reference=0.0, tolerance=1.0,
+                             seed=1, group="g"),
         ]
         write_records_csv(tmp_path / "mixed.csv", records)
         assert run(["report", "--out", tmp_path]) == EXIT_CHECK_FAILED
         assert "overall: FAIL" in capsys.readouterr().out
 
-    def test_rel_metric_row_is_corrupt(self, tmp_path, capsys):
-        # the tolerance applies to abs_error only; a "rel" row is not a record
-        path = tmp_path / "rel.csv"
-        write_records_csv(path, [make_record("good", value=0.0, reference=0.0,
-                                             tolerance=1.0, seed=1, group="g")])
-        path.write_text(path.read_text().replace(",abs,", ",rel,"))
+    @pytest.mark.parametrize("case", INCONSISTENT_ROWS)
+    def test_row_whose_columns_disagree_with_its_numbers_is_corrupt(self, tmp_path, capsys,
+                                                                      case):
+        # the tolerance applies to abs_error only, and every derived column
+        # must be what the row's value, reference and tolerance give
+        write_inconsistent_row(tmp_path / "edited.csv", case)
         assert run(["report", "--out", tmp_path]) == EXIT_CONFIG_ERROR
-        assert "rel.csv" in capsys.readouterr().err
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: unreadable records CSV")
+        assert "edited.csv" in out.err and len(out.err.splitlines()) == 1
+
+    def test_a_check_value_edited_to_fail_is_refused(self, tmp_path, capsys):
+        # The value of a passing record edited far above its tolerance: the
+        # stored abs_error and passed columns no longer follow from it.
+        assert run(["equivalence", "--checks", "closed-equivalence", "--out", tmp_path]) == 0
+        path = tmp_path / "equivalence.csv"
+        (value,) = (r.value for r in read_records_csv(path))
+        path.write_text(path.read_text().replace(f",{value!r},", ",0.5,", 1))
+        capsys.readouterr()
+        assert run(["report", "--out", tmp_path]) == EXIT_CONFIG_ERROR
+        assert "PASS" not in capsys.readouterr().out
 
     def test_trajectory_files_skipped(self, tmp_path):
         run(["train", "--out", tmp_path, "--nx", "3", "--nu", "1",
@@ -429,6 +444,13 @@ def _plant(path, data: bytes = b"", directory: bool = False):
     return path
 
 
+def _link(path, target: str):
+    """Create a symlink at path to target, which need not exist; return path."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.symlink_to(target)
+    return path
+
+
 UNDECODABLE = b"\xff\xfe\x00 not utf-8\n"
 SHORT_ROW = f"# {CSV_SCHEMA_VERSION}\n{','.join(CSV_COLUMNS)}\ntraining,x\n".encode()
 TRAIN_CHEAP = ["--nx", 3, "--nu", 1, "--sigma", "diagonal:3,2,1", "--steps", 10]
@@ -503,6 +525,14 @@ BOUNDARY_INPUTS = {
         + TRAIN_CHEAP, "config error: output directory"),
     "report --out with a name too long": lambda d: (
         ["report", "--out", d / LONG_NAME], "error: output directory"),
+    "--out through a symlink loop": lambda d: (
+        ["equivalence", "--checks", "closed-equivalence",
+         "--out", _link(d / "loop", "loop") / "sub"],
+        "config error: output directory"),
+    "--out through a dangling symlink": lambda d: (
+        ["equivalence", "--checks", "closed-equivalence",
+         "--out", _link(d / "dangling", "nowhere")],
+        "config error: output directory"),
 }
 
 
@@ -561,10 +591,9 @@ class TestMonteCarloDraws:
         return [(self.N, derive_seed(42, MC_SEED_INDEX + i)) for i in range(RATE_BATCHES)]
 
     def test_frame_check_draws_two_batches(self, monkeypatch, tmp_path):
+        # the coefficient sweep draws its x like W, from its own generator
         draws = self.draws(monkeypatch, tmp_path, ["frame-check"])
-        # and one row per trial of the coefficient sweep
-        assert [d for d in draws if d[0] > 1] == self.shared()
-        assert sum(n == 1 for n, _ in draws) == 1000
+        assert draws == self.shared()
 
     def test_equivalence_draws_two_batches(self, monkeypatch, tmp_path):
         draws = self.draws(monkeypatch, tmp_path, ["equivalence"])
@@ -608,17 +637,24 @@ class TestNoDenseObjectOffTheSPaths:
         assert builds == []
 
 
+def _snapshot(d) -> dict:
+    """Each entry below d: a link's target, True for a directory, or a
+    file's bytes."""
+    return {p: os.readlink(p) if p.is_symlink() else p.is_dir() or p.read_bytes()
+            for p in d.rglob("*")}
+
+
 class TestExitCodeContract:
     @pytest.mark.parametrize("case", BOUNDARY_INPUTS)
     def test_bad_input_exits_2_with_one_line_and_writes_nothing(self, tmp_path, case):
         argv, needle = BOUNDARY_INPUTS[case](tmp_path)
-        planted = {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")}
+        planted = _snapshot(tmp_path)
         proc = run_process(argv)
         assert proc.returncode == EXIT_CONFIG_ERROR
         assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr
         assert needle in proc.stderr
-        assert {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")} == planted
+        assert _snapshot(tmp_path) == planted
 
     @pytest.mark.parametrize("sigma", VALID_SIGMAS + BAD_SIGMAS)
     @pytest.mark.parametrize("samples", CONTRACT_SAMPLES)

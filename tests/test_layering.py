@@ -50,7 +50,6 @@ def test_maths_modules_import_no_record_or_run_policy(module):
     ("check_record", {"records", "checks"}),
     ("perf_counter", {"records", "checks"}),
     ("ExperimentRecord", {"records", "checks", "cli"}),
-    ("make_record", {"records", "checks", "cli"}),
 ])
 def test_records_and_timers_are_made_only_by_their_owners(name, owners):
     users = {path.stem for path in SRC.glob("*.py") if _uses(_tree(path.stem), name)}

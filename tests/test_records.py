@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from frame_hebb.records import (
@@ -10,49 +11,44 @@ from frame_hebb.records import (
     ExperimentRecord,
     check_record,
     digest_inputs,
-    make_record,
     read_records_csv,
     write_records_csv,
 )
 
 
-def test_make_record_pass_fail_logic():
-    rec = make_record("t", value=1.0, reference=1.0 + 1e-15, tolerance=1e-12, seed=1)
+def test_record_pass_fail_logic():
+    rec = ExperimentRecord("t", value=1.0, reference=1.0 + 1e-15, tolerance=1e-12, seed=1)
     assert rec.passed and rec.metric == "abs"
-    rec = make_record("t", value=2.0, reference=1.0, tolerance=1e-12, seed=1)
+    rec = ExperimentRecord("t", value=2.0, reference=1.0, tolerance=1e-12, seed=1)
     assert not rec.passed
 
 
 def test_tolerance_applies_to_abs_error():
     # rel_error 0.1 is within the tolerance, abs_error 10 is not
-    rec = make_record("t", value=110.0, reference=100.0, tolerance=1.0, seed=1)
+    rec = ExperimentRecord("t", value=110.0, reference=100.0, tolerance=1.0, seed=1)
     assert rec.rel_error == pytest.approx(0.1)
     assert not rec.passed
 
 
 def test_rel_error_falls_back_to_abs_at_zero_reference():
-    rec = make_record("t", value=3e-13, reference=0.0, tolerance=1e-12, seed=1)
+    rec = ExperimentRecord("t", value=3e-13, reference=0.0, tolerance=1e-12, seed=1)
     assert rec.rel_error == rec.abs_error == pytest.approx(3e-13)
     assert rec.passed
 
 
-def record_fields(**overrides):
-    fields = dict(
-        check_name="t", inputs_digest="", value=5.0, reference=0.0,
-        abs_error=5.0, rel_error=5.0, metric="abs", tolerance=1e-12,
-        passed=False, wall_time_ms=0.0, seed=0,
-    )
-    return {**fields, **overrides}
-
-
-def test_inconsistent_passed_flag_rejected():
-    with pytest.raises(ValueError):
-        ExperimentRecord(**record_fields(passed=True))
+def test_numpy_scalars_are_stored_as_python_numbers(tmp_path):
+    # An np.bool_ verdict would be written as True, not true.
+    rec = ExperimentRecord("t", value=np.float64(0.5), tolerance=np.float64(1.0),
+                           seed=np.int64(3), reference=np.float64(0.0))
+    assert type(rec.value) is float and type(rec.seed) is int
+    assert type(rec.passed) is bool
+    write_records_csv(tmp_path / "t.csv", [rec])
+    assert read_records_csv(tmp_path / "t.csv")[0].passed
 
 
 def test_non_finite_fields_rejected():
     with pytest.raises(ValueError):
-        make_record("t", value=math.nan, reference=0.0, tolerance=1.0, seed=0)
+        ExperimentRecord("t", value=math.nan, reference=0.0, tolerance=1.0, seed=0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -64,25 +60,12 @@ def test_a_check_records_a_non_finite_value_as_a_failure(value, reference):
     assert not record.passed
 
 
-def test_unknown_metric_rejected():
-    for metric in ("between", ""):
-        with pytest.raises(ValueError):
-            ExperimentRecord(**record_fields(metric=metric))
-
-
-def test_rel_metric_rejected():
-    # passed agrees with rel_error <= tolerance; the row must still be refused
-    with pytest.raises(ValueError, match="metric"):
-        ExperimentRecord(**record_fields(metric="rel", rel_error=0.5, tolerance=1.0,
-                                         passed=True))
-
-
 def test_csv_round_trip(tmp_path):
     records = [
-        make_record("alpha", value=1 / 3, reference=0.0, tolerance=1.0,
-                    seed=7, inputs_digest="abc", group="g1"),
-        make_record("beta", value=2.0, reference=1.0, tolerance=1e-3,
-                    seed=8, group="g2"),
+        ExperimentRecord("alpha", value=1 / 3, reference=0.0, tolerance=1.0,
+                         seed=7, inputs_digest="abc", group="g1"),
+        ExperimentRecord("beta", value=2.0, reference=1.0, tolerance=1e-3,
+                         seed=8, group="g2"),
     ]
     path = tmp_path / "out.csv"
     write_records_csv(path, records)
@@ -95,6 +78,35 @@ def test_csv_round_trip(tmp_path):
     assert loaded[0].value == records[0].value  # bit-exact float round trip
     assert loaded[0].passed and not loaded[1].passed
     assert loaded[1].group == "g2"
+
+
+# A row written for value 5, reference 0 and tolerance 1, and edits of its
+# columns that no longer agree with those numbers.
+INCONSISTENT_ROWS = {
+    "passed flag": (",false,", ",true,"),
+    "metric between": (",abs,", ",between,"),
+    "empty metric": (",abs,", ",,"),
+    # passed agrees with rel_error <= tolerance; the row must still be refused
+    "rel metric": (",5,5,abs,1,false,", ",5,0.5,rel,1,true,"),
+    "value": (",5,0,", ",0.5,0,"),
+}
+
+
+def write_inconsistent_row(path, case):
+    write_records_csv(path, [ExperimentRecord("t", value=5.0, tolerance=1.0, seed=0)])
+    old, new = INCONSISTENT_ROWS[case]
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+
+
+@pytest.mark.parametrize("case", INCONSISTENT_ROWS)
+def test_read_rejects_a_row_whose_columns_disagree_with_its_numbers(tmp_path, case):
+    path = tmp_path / "t.csv"
+    write_inconsistent_row(path, case)
+    # line 3 of the file: the schema line and the header come first
+    with pytest.raises(ValueError, match="^line 3: .* but the row's numbers give"):
+        read_records_csv(path)
 
 
 def test_read_rejects_wrong_schema(tmp_path):
