@@ -23,13 +23,13 @@ checks share. The rate checks need
 RATE_MIN_SAMPLES rows; run_checks rejects a smaller --samples before any
 check runs.
 
-The sweeps over random (Sigma, W[, x]) trials draw each trial's covariance
-seed and its other values from one generator, trial after trial, and run
-the trials in stacks (``sweep_stack_trials``): each stack's covariances are
-built from their drawn spectra (``linalg.random_covariances``), so no trial
-runs an eigendecomposition, and the rules' closed forms and the frames'
-coefficients take the whole stack in one call, which gives each trial the
-bits of a call on it alone. Every check takes its worst gap with
+The sweeps over random (Sigma, W[, x]) trials run shape after shape in
+stacks (``sweep_stack_trials``), each drawn as arrays from the sweep's one
+generator: its covariances, built from their drawn spectra
+(``linalg.random_covariances``, as stein-identity's are), so no check runs
+an eigendecomposition, then its other values. The rules' closed forms and
+the frames' coefficients take the whole stack in one call, which gives each
+trial the bits of a call on it alone. Every check takes its worst gap with
 ``_worst_gap``, which keeps a NaN, and a NaN or infinite value fails its
 check (``records.check_record``) instead of passing or ending the run.
 
@@ -69,11 +69,9 @@ from .gaussian import (
     stein_check,
 )
 from .linalg import (
-    build_covariance,
     frobenius,
     matrix_transpose,
     random_covariances,
-    random_spd,
     require_memory,
     skew_part,
     sym_part,
@@ -105,12 +103,12 @@ SLOPE_REFERENCE = -0.5
 SLOPE_HALF_WIDTH = 0.15
 
 
-# A sweep stack holds as many trials as SWEEP_STACK_BYTES of nx x nx matrices
-# at the sweep's largest nx, 16 at nx=32, but at most SWEEP_STACK_TRIALS. The
-# frame-wide benchmark's frame-check (nx=32) peaked at 72.9 MB built one trial
-# at a time, 75.8 MB with 64-trial stacks and 73.2 MB with 16-trial ones. At
-# nx=4 on a 2-CPU host, 64-trial stacks ran the sweeps as fast as one
-# 1000-trial stack, which raised frame-check's default peak by 1.6 MB.
+# A sweep stack holds as many trials as SWEEP_STACK_BYTES of nx x nx matrices,
+# 16 at nx=32, but at most SWEEP_STACK_TRIALS. The frame-wide benchmark's
+# frame-check (nx=32) peaked at 72.9 MB built one trial at a time, 75.8 MB
+# with 64-trial stacks and 73.2 MB with 16-trial ones. At nx=4 on a 2-CPU
+# host, 64-trial stacks ran the sweeps as fast as one 1000-trial stack, which
+# raised frame-check's default peak by 1.6 MB.
 SWEEP_STACK_BYTES = 16 * 32 * 32 * 8
 SWEEP_STACK_TRIALS = 64
 
@@ -121,46 +119,37 @@ def _worst_gap(*gaps) -> np.float64:
     return np.max([np.max(g, initial=0.0) for g in gaps], initial=0.0)
 
 
-def sweep_stack_trials(dims: list[tuple[int, int]]) -> int:
-    """Trials per stack of a sweep over ``dims``."""
-    largest = max(nx for nx, _ in dims)
-    return min(SWEEP_STACK_TRIALS, max(1, SWEEP_STACK_BYTES // (8 * largest**2)))
+def sweep_stack_trials(nx: int) -> int:
+    """Trials per stack of a sweep at nx."""
+    return min(SWEEP_STACK_TRIALS, max(1, SWEEP_STACK_BYTES // (8 * nx**2)))
 
 
 def _sweep(seed: int, dims: list[tuple[int, int]], trials: int, draw):
-    """Yield the trials k = 0..trials-1 at (nx, nu) = dims[k % len(dims)] as
-    stacks (covs, drawn): a stacked covariance model and the stacked values
-    draw(rng, nx, nu) gives (a tuple of arrays), each with a leading trial
-    axis. Every trial draws its covariance seed and then its values from one
-    rng = default_rng(seed), in trial order. ``sweep_stack_trials`` trials
-    at a time are drawn and then split by (nx, nu), one stack each, whose
-    covariances are built from their drawn spectra (``random_covariances``).
-    """
+    """Yield the trials k = 0..trials-1 at (nx, nu) = dims[k % len(dims)],
+    shape after shape, as stacks of ``sweep_stack_trials(nx)`` (covs, drawn):
+    the stack's covariance model and then the tuple of arrays draw(rng, k, nx,
+    nu) gives for its k trials, both with a leading trial axis and drawn from
+    the one rng = default_rng(seed)."""
     rng = np.random.default_rng(seed)
-    per = sweep_stack_trials(dims)
-    for start in range(0, trials, per):
-        by_shape: dict = {}
-        for k in range(start, min(start + per, trials)):
-            nx, nu = dims[k % len(dims)]
-            by_shape.setdefault((nx, nu), []).append(
-                (int(rng.integers(2**63)), *draw(rng, nx, nu)))
-        for (nx, _), rows in by_shape.items():
-            seeds, *drawn = zip(*rows)
-            yield random_covariances(nx, SWEEP_EIG_RANGE, seeds), [np.stack(d) for d in drawn]
+    for i, (nx, nu) in enumerate(dims):
+        count, per = len(range(i, trials, len(dims))), sweep_stack_trials(nx)
+        for start in range(0, count, per):
+            k = min(per, count - start)
+            yield random_covariances(rng, k, nx, SWEEP_EIG_RANGE), draw(rng, k, nx, nu)
 
 
-def _draw_weights(rng, nx: int, nu: int):
-    return (rng.uniform(-1.0, 1.0, size=(nu, nx)),)
+def _draw_weights(rng, k: int, nx: int, nu: int):
+    return (rng.uniform(-1.0, 1.0, size=(k, nu, nx)),)
 
 
-def _draw_weights_and_x(rng, nx: int, nu: int):
-    return *_draw_weights(rng, nx, nu), rng.standard_normal(nx)
+def _draw_weights_and_x(rng, k: int, nx: int, nu: int):
+    return *_draw_weights(rng, k, nx, nu), rng.standard_normal((k, nx))
 
 
-def _draw_fixed_point(rng, nx: int, nu: int):
-    """The eigenvector subset, its mixing and the perturbation, in that order."""
-    return (rng.choice(nx, size=nu, replace=False), rng.standard_normal((nu, nu)),
-            rng.standard_normal((nu, nx)))
+def _draw_fixed_point(rng, k: int, nx: int, nu: int):
+    """The eigenvector subsets (nu distinct indices), mixings and perturbations."""
+    return (np.argsort(rng.random((k, nx)), axis=1)[:, :nu], rng.standard_normal((k, nu, nu)),
+            rng.standard_normal((k, nu, nx)))
 
 
 def closed_equivalence_check(
@@ -208,14 +197,15 @@ def fixed_point_sharing_check(
 
 def stein_identity_check(seed: int, dims: tuple[int, ...] = (1, 2, 4)) -> ExperimentRecord:
     """Integration-by-parts identity for every built-in test function on a
-    random SPD covariance per dimension, drawn from child seed dim; value is
-    the worst ratio, over every function and component, of the gap between
-    both sides to its roundoff tolerance, STEIN_RTOL times the terms' scale
-    (must stay below 1). Both sides are exact cubature sums
+    random SPD covariance per dimension, drawn like a sweep's from child seed
+    dim; value is the worst ratio, over every function and component, of the
+    gap between both sides to its roundoff tolerance, STEIN_RTOL times the
+    terms' scale (must stay below 1). Both sides are exact cubature sums
     (``gaussian.stein_check``), so nothing is sampled."""
     ratios = []
     for dim in dims:
-        cov = build_covariance(random_spd(dim, SWEEP_EIG_RANGE, seed=derive_seed(seed, dim)))
+        cov = random_covariances(np.random.default_rng(derive_seed(seed, dim)), 1, dim,
+                                 SWEEP_EIG_RANGE)[0]
         gap, scale = stein_check(cov, monomial_exponents(dim))
         ratios.append(gap / (STEIN_RTOL * scale))
     return check_record("stein-identity", _worst_gap(*ratios), 1.0, seed, dims=dims)

@@ -90,10 +90,14 @@ class RunConfig:
             # pathconf, which follows it, raises ELOOP or ENOENT.
             existing = next(p for p in (self.out, *self.out.parents) if os.path.lexists(p))
             name_max = os.pathconf(existing, "PC_NAME_MAX")
+            path_max = os.pathconf(existing, "PC_PATH_MAX")
         except OSError as exc:  # a path too long, say
             raise ConfigError(f"output directory {self.out}: {exc.strerror}") from exc
         if not existing.is_dir():
             raise ConfigError(f"output directory {self.out}: {existing} is a file")
+        if len(os.fsencode(self.out)) + 1 + name_max >= path_max:
+            raise ConfigError(f"output directory {self.out}: the path leaves no room for a "
+                              f"{name_max}-byte file name below the {path_max}-byte path limit")
         # A name below existing is not looked up, so the probe cannot see it.
         if any(len(os.fsencode(p)) > name_max for p in self.out.relative_to(existing).parts):
             raise ConfigError(f"output directory {self.out}: a name is longer than "

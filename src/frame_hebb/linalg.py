@@ -270,38 +270,32 @@ def build_covariances(sigmas, spectrum=None) -> CovarianceModel:
 
 
 def random_spd(n: int, eig_range: tuple[float, float], seed: int) -> np.ndarray:
-    """Random SPD matrix Q diag(lam) Q.T with eigenvalues spanning eig_range.
+    """Random SPD matrix Q diag(lam) Q.T with eigenvalues spanning eig_range:
+    random_covariances' one-matrix draw on default_rng(seed). The extreme
+    eigenvalues are pinned to the range endpoints (interior ones drawn
+    uniformly), so the requested conditioning is actually realized."""
+    return _random_spds(np.random.default_rng(seed), 1, n, eig_range)[0][0]
 
-    The extreme eigenvalues are pinned to the range endpoints (interior ones
-    drawn uniformly), so the requested conditioning is actually realized.
-    """
-    return _random_spds(n, eig_range, [seed])[0][0]
 
-
-def random_covariances(n: int, eig_range: tuple[float, float], seeds) -> CovarianceModel:
-    """The stacked model of ``build_covariance(random_spd(n, eig_range, seed))``
-    for each of ``seeds``, from one QR and one product, with the drawn lam
-    (sorted descending) and Q's matching columns as the spectrum: Sigma and
-    chol are bit-identical, eigvals and sigma_inv agree to roundoff."""
-    s, lam, q = _random_spds(n, eig_range, seeds)
+def random_covariances(rng, k: int, n: int, eig_range: tuple[float, float]) -> CovarianceModel:
+    """The stacked model of k random_spd matrices drawn from the Generator rng,
+    with one QR and one product, and the drawn lam (sorted descending) and Q's
+    matching columns as the spectrum. At k=1 on default_rng(seed), Sigma and
+    chol are build_covariance(random_spd(n, eig_range, seed))'s to the bit."""
+    s, lam, q = _random_spds(rng, k, n, eig_range)
     order = np.argsort(-lam, axis=1, kind="stable")
     return build_covariances(s, (np.take_along_axis(lam, order, 1),
                                  np.take_along_axis(q, order[:, None, :], 2)))
 
 
-def _random_spds(n: int, eig_range: tuple[float, float], seeds):
-    """random_spd's matrices of ``seeds``, each from its own default_rng, with
-    their drawn lam and Q: one QR and one product for the stack."""
+def _random_spds(rng, k: int, n: int, eig_range: tuple[float, float]):
+    """k random_spd matrices with their drawn lam and Q: a (k, n, n) normal
+    block for the rotations, then a (k, n) uniform block for the spectra."""
     lo, hi = eig_range
     if not (0.0 < lo <= hi):
         raise ValueError(f"eigenvalue range must satisfy 0 < lo <= hi, got {eig_range}")
-    g = np.empty((len(seeds), n, n))
-    lam = np.empty((len(seeds), n))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        g[i] = rng.standard_normal((n, n))
-        lam[i] = rng.uniform(lo, hi, size=n)
-    q, _ = np.linalg.qr(g)
+    q, _ = np.linalg.qr(rng.standard_normal((k, n, n)))
+    lam = rng.uniform(lo, hi, size=(k, n))
     lam[:, 0] = hi
     if n > 1:
         lam[:, -1] = lo

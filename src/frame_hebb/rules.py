@@ -233,6 +233,9 @@ class TrainerConfig:
                              f"got {self.batch_size}")
         if self.mode == "empirical" and self.batch_size < 1:
             raise ValueError("empirical mode needs batch_size >= 1")
+        if self.rule == "eghr" and self.mode == "empirical" and self.batch_size < 2:
+            raise ValueError("empirical eghr needs batch_size >= 2: each step centers the "
+                             "gains on its batch's mean, so one row gives a zero update")
 
 
 @dataclass(frozen=True)

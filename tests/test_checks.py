@@ -233,65 +233,77 @@ def test_monte_carlo_chunk_guard_counts_h_columns(rate_cov, monkeypatch, selecti
     assert asked == [8 * rows * width]
 
 
-# The sweeps before stacking: one covariance per trial, built from its drawn
-# spectrum as it is drawn, and the public, validating functions.
+# The sweeps one trial at a time: the stacks the sweep draws, shape after
+# shape from one generator, each taken item by item through the public,
+# validating functions.
+
+def _stacks(seed, dims, trials):
+    """Yield each stack of a sweep as (covs, rng, nu), trial k at
+    dims[k % len(dims)]; the caller draws the stack's other values from rng
+    before it takes the next stack."""
+    rng = np.random.default_rng(seed)
+    for i, (nx, nu) in enumerate(dims):
+        count = len(range(i, trials, len(dims)))
+        per = checks.sweep_stack_trials(nx)
+        for start in range(0, count, per):
+            k = min(per, count - start)
+            yield random_covariances(rng, k, nx, checks.SWEEP_EIG_RANGE), rng, nu
+
 
 def _closed_equivalence_per_trial(seed, dims, trials):
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for k in range(trials):
-        nx, nu = dims[k % len(dims)]
-        cov = random_covariances(nx, checks.SWEEP_EIG_RANGE, [int(rng.integers(2**63))])[0]
-        w = rng.uniform(-1.0, 1.0, size=(nu, nx))
-        lhs = eghr_update_closed(w, cov)
-        rhs = oja_update_closed(w, cov) @ cov.sigma
-        ref = float(np.linalg.norm(rhs))
-        err = float(np.linalg.norm(lhs - rhs))
-        worst = max(worst, err / ref if ref > 0 else err)
+    for covs, rng, nu in _stacks(seed, dims, trials):
+        ws = rng.uniform(-1.0, 1.0, size=(len(covs.sigma), nu, covs.dim))
+        for cov, w in zip(covs, ws):
+            lhs = eghr_update_closed(w, cov)
+            rhs = oja_update_closed(w, cov) @ cov.sigma
+            ref = float(np.linalg.norm(rhs))
+            err = float(np.linalg.norm(lhs - rhs))
+            worst = max(worst, err / ref if ref > 0 else err)
     return ExperimentRecord("closed-equivalence", value=worst, tolerance=checks.EXACT_RTOL,
                             seed=seed, inputs_digest=digest_inputs(dims=dims, trials=trials,
                                                                    seed=seed))
 
 
 def _fixed_point_sharing_per_trial(seed, nx, nu, trials):
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        cov = random_covariances(nx, checks.SWEEP_EIG_RANGE, [int(rng.integers(2**63))])[0]
-        pick = rng.choice(nx, size=nu, replace=False)
-        q, _ = np.linalg.qr(rng.standard_normal((nu, nu)))
-        w_fp = q @ cov.eigvecs[:, pick].T
-        sigma_scale = float(np.linalg.norm(cov.sigma))
-        oja_norm = float(np.linalg.norm(oja_update_closed(w_fp, cov)))
-        eghr_norm = float(np.linalg.norm(eghr_update_closed(w_fp, cov)))
-        worst = max(worst, oja_norm / sigma_scale, eghr_norm / sigma_scale**2)
-        w_near = w_fp + 1e-6 * rng.standard_normal((nu, nx))
-        oja_n = float(np.linalg.norm(oja_update_closed(w_near, cov)))
-        eghr_n = float(np.linalg.norm(eghr_update_closed(w_near, cov)))
-        lam_min, lam_max = cov.eigvals[-1], cov.eigvals[0]
-        sandwich = max(lam_min * oja_n - eghr_n, eghr_n - lam_max * oja_n, 0.0)
-        worst = max(worst, sandwich / (lam_max * oja_n) if oja_n > 0 else sandwich)
+    for covs, rng, nu in _stacks(seed, [(nx, nu)], trials):
+        k = len(covs.sigma)
+        keys, mixes = rng.random((k, nx)), rng.standard_normal((k, nu, nu))
+        perturbations = rng.standard_normal((k, nu, nx))
+        for cov, key, mix, perturbation in zip(covs, keys, mixes, perturbations):
+            pick = np.argsort(key)[:nu]  # nu distinct indices, uniformly
+            q, _ = np.linalg.qr(mix)
+            w_fp = q @ cov.eigvecs[:, pick].T
+            sigma_scale = float(np.linalg.norm(cov.sigma))
+            oja_norm = float(np.linalg.norm(oja_update_closed(w_fp, cov)))
+            eghr_norm = float(np.linalg.norm(eghr_update_closed(w_fp, cov)))
+            worst = max(worst, oja_norm / sigma_scale, eghr_norm / sigma_scale**2)
+            w_near = w_fp + 1e-6 * perturbation
+            oja_n = float(np.linalg.norm(oja_update_closed(w_near, cov)))
+            eghr_n = float(np.linalg.norm(eghr_update_closed(w_near, cov)))
+            lam_min, lam_max = cov.eigvals[-1], cov.eigvals[0]
+            sandwich = max(lam_min * oja_n - eghr_n, eghr_n - lam_max * oja_n, 0.0)
+            worst = max(worst, sandwich / (lam_max * oja_n) if oja_n > 0 else sandwich)
     digest = digest_inputs(nx=nx, nu=nu, trials=trials, seed=seed)
     return ExperimentRecord("fixed-point-sharing", value=worst, tolerance=checks.EXACT_RTOL,
                             seed=seed, inputs_digest=digest)
 
 
 def _coefficient_identity_per_trial(seed, dims, trials):
-    rng = np.random.default_rng(seed)
     coeff_err = cancel_err = scale = 0.0
-    for k in range(trials):
-        nx, nu = dims[k % len(dims)]
-        cov = random_covariances(nx, checks.SWEEP_EIG_RANGE, [int(rng.integers(2**63))])[0]
-        w = rng.uniform(-1.0, 1.0, size=(nu, nx))
-        x = rng.standard_normal(nx)
-        g = eghr_g(x, w, cov)
-        residual = np.eye(nx) - w.T @ w
-        xi = frame_element(x, cov)
-        c = frame_coefficient(cov.sigma @ residual @ cov.sigma, xi, cov)
-        cc = cancellation_coefficient(residual, xi)
-        coeff_err = max(coeff_err, abs(c - g))
-        cancel_err = max(cancel_err, abs(cc - c))
-        scale = max(scale, abs(g))
+    for covs, rng, nu in _stacks(seed, dims, trials):
+        k, nx = len(covs.sigma), covs.dim
+        ws, xs = rng.uniform(-1.0, 1.0, size=(k, nu, nx)), rng.standard_normal((k, nx))
+        for cov, w, x in zip(covs, ws, xs):
+            g = eghr_g(x, w, cov)
+            residual = np.eye(nx) - w.T @ w
+            xi = frame_element(x, cov)
+            c = frame_coefficient(cov.sigma @ residual @ cov.sigma, xi, cov)
+            cc = cancellation_coefficient(residual, xi)
+            coeff_err = max(coeff_err, abs(c - g))
+            cancel_err = max(cancel_err, abs(cc - c))
+            scale = max(scale, abs(g))
     digest = digest_inputs(dims=dims, trials=trials, seed=seed)
     return tuple(
         ExperimentRecord(name, value=err / scale, tolerance=checks.EXACT_RTOL, seed=seed,
@@ -304,9 +316,9 @@ def _coefficient_identity_per_trial(seed, dims, trials):
 _SWEEP_DIMS = [dim_sweep(max_nx=8), [(32, 4)]]
 
 
-# Two stacks at nx=32, and one trial past a stack at the sweep's small nx.
-@pytest.mark.parametrize("trials", [37, 2 * checks.sweep_stack_trials([(32, 4)]),
-                                    checks.sweep_stack_trials(_SWEEP_DIMS[0]) + 1])
+# Two stacks at nx=32, and one trial past a stack at the sweep's first nx.
+@pytest.mark.parametrize("trials", [37, 2 * checks.sweep_stack_trials(32),
+                                    len(_SWEEP_DIMS[0]) * checks.sweep_stack_trials(2) + 1])
 @pytest.mark.parametrize("dims", _SWEEP_DIMS)
 def test_blocked_sweeps_equal_per_trial_loops(dims, trials):
     pairs = [
@@ -325,8 +337,8 @@ def test_blocked_sweeps_equal_per_trial_loops(dims, trials):
 
 
 def test_sweeps_run_no_eigendecomposition(monkeypatch):
-    # Each sweep covariance is built from its drawn spectrum; only a
-    # user-given covariance (build_covariance) is decomposed.
+    # Each sweep and stein-identity covariance is built from its drawn
+    # spectrum; only a user-given covariance (build_covariance) is decomposed.
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(1) or eigh(*a))
@@ -336,7 +348,22 @@ def test_sweeps_run_no_eigendecomposition(monkeypatch):
     checks.closed_equivalence_check(3, dims, 40)
     checks.fixed_point_sharing_check(3, 5, 2, 40)
     checks.coefficient_identity_checks(3, dims, 40)
+    checks.stein_identity_check(3)
     assert calls == [1]
+
+
+def test_each_sweep_builds_one_generator(monkeypatch):
+    # Every trial of a sweep draws from the sweep's one generator.
+    calls = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: calls.append(1) or default_rng(*a))
+    dims = dim_sweep(max_nx=8)
+    for sweep in (lambda: checks.closed_equivalence_check(3, dims, 40),
+                  lambda: checks.fixed_point_sharing_check(3, 5, 2, 40),
+                  lambda: checks.coefficient_identity_checks(3, dims, 40)):
+        calls.clear()
+        sweep()
+        assert len(calls) == 1
 
 
 def _kernel_annihilation_per_trial(cov, s, seed, trials):

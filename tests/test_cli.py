@@ -456,6 +456,9 @@ SHORT_ROW = f"# {CSV_SCHEMA_VERSION}\n{','.join(CSV_COLUMNS)}\ntraining,x\n".enc
 TRAIN_CHEAP = ["--nx", 3, "--nu", 1, "--sigma", "diagonal:3,2,1", "--steps", 10]
 # A path component longer than the usual file-name limit of 255 bytes.
 LONG_NAME = "a" * 300
+# 25 names of 200 bytes each: every name fits, the 5024-byte path does not fit
+# the usual path limit of 4096 bytes.
+LONG_PATH = Path(*["d" * 200] * 25)
 
 # Inputs checked once at the command's boundary: each builds its argv in a
 # fresh directory d, plants what it needs there, and names what the one
@@ -523,6 +526,14 @@ BOUNDARY_INPUTS = {
     "train with an out too long in its config file": lambda d: (
         ["train", "--config", _plant(d / "run.cfg", f"[run]\nout = {d / LONG_NAME}\n".encode())]
         + TRAIN_CHEAP, "config error: output directory"),
+    "--out longer than the path limit, equivalence": lambda d: (
+        ["equivalence", "--checks", "closed-equivalence", "--out", d / LONG_PATH],
+        "config error: output directory"),
+    "--out longer than the path limit, train": lambda d: (
+        ["train", "--out", d / LONG_PATH] + TRAIN_CHEAP, "config error: output directory"),
+    "empirical eghr with one-row batches": lambda d: (
+        ["train", "--rule", "eghr", "--mode", "empirical", "--batch-size", 1, "--steps", 1,
+         "--out", d / "out"], "config error: empirical eghr needs batch_size >= 2"),
     "report --out with a name too long": lambda d: (
         ["report", "--out", d / LONG_NAME], "error: output directory"),
     "--out through a symlink loop": lambda d: (
@@ -571,8 +582,9 @@ class TestOneCovariancePerRun:
         operators = _spy_everywhere(monkeypatch, frames.frame_operator_analytic)
         assert run(["equivalence", "--out", tmp_path]) == EXIT_PASS
         assert operators == []
-        # The run's covariance, then one per stein-identity dimension.
-        assert len(covs) == 4
+        # The run's covariance alone: stein-identity draws its covariances
+        # like the sweeps, from their drawn spectra.
+        assert len(covs) == 1
         assert "frame_operator" not in vars(covs[0])
 
 

@@ -555,7 +555,7 @@ class TestStackedFormulas:
 
     def _stack(self, nx):
         rng = np.random.default_rng(nx)
-        covs = random_covariances(nx, (0.5, 2.0), list(range(self.K)))
+        covs = random_covariances(rng, self.K, nx, (0.5, 2.0))
         w = rng.uniform(-1.0, 1.0, size=(self.K, max(1, nx // 2), nx))
         x = rng.standard_normal((self.K, nx))
         r = np.eye(nx) - np.swapaxes(w, -1, -2) @ w

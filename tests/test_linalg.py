@@ -194,18 +194,22 @@ class TestBuildCovariance:
         assert cov.eigvals[-1] == pytest.approx(0.5, rel=1e-10)
 
 
-def _random_spd_alone(n, eig_range, seed):
-    """The single-matrix random_spd body before stacking, with its drawn
-    spectrum and eigenvectors."""
+def _spd_alone(g, lam, eig_range):
+    """The single-matrix random_spd body before stacking, on its drawn normal
+    matrix g and spectrum lam, with its pinned spectrum and eigenvectors."""
     lo, hi = eig_range
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    lam = rng.uniform(lo, hi, size=n)
+    q, _ = np.linalg.qr(g)
+    lam = lam.copy()
     lam[0] = hi
-    if n > 1:
+    if len(lam) > 1:
         lam[-1] = lo
     s = (q * lam) @ q.T
     return (s + s.T) / 2.0, lam, q
+
+
+def _random_spd_alone(n, eig_range, seed):
+    rng = np.random.default_rng(seed)
+    return _spd_alone(rng.standard_normal((n, n)), rng.uniform(*eig_range, size=n), eig_range)
 
 
 def _factors_alone(s):
@@ -241,20 +245,35 @@ class TestStackedBuild:
 
     @pytest.mark.parametrize("n", [1, 2, 4, 5, 32, 100])
     def test_drawn_spectrum_build_matches_the_eigh_build(self, n):
-        # Sigma and chol are bit-identical; the spectrum and the inverse come
-        # from the drawn Q and lam instead of eigh, and agree to roundoff.
-        seeds = list(range(40, 57))
-        for seed, cov in zip(seeds, random_covariances(n, (0.5, 2.0), seeds)):
-            sigma, lam, q = _random_spd_alone(n, (0.5, 2.0), seed)
+        # A stack draws a (k, n, n) normal block, then a (k, n) uniform one,
+        # and each model is the one-matrix body on its items. Sigma and chol
+        # are bit-identical; the spectrum and the inverse come from the drawn
+        # Q and lam instead of eigh, and agree to roundoff.
+        k = 17
+        rng = np.random.default_rng(40)
+        g, lams = rng.standard_normal((k, n, n)), rng.uniform(0.5, 2.0, size=(k, n))
+        covs = random_covariances(np.random.default_rng(40), k, n, (0.5, 2.0))
+        for i, cov in enumerate(covs):
+            sigma, lam, q = _spd_alone(g[i], lams[i], (0.5, 2.0))
             order = np.argsort(-lam, kind="stable")
             assert np.array_equal(cov.eigvals, lam[order])
             assert np.array_equal(cov.eigvecs, q[:, order])
-            eigh = build_covariance(random_spd(n, (0.5, 2.0), seed))
+            eigh = build_covariance(sigma)
             assert np.array_equal(cov.sigma, sigma) and np.array_equal(cov.sigma, eigh.sigma)
             assert np.array_equal(cov.chol, eigh.chol)
             assert np.abs(cov.eigvals - eigh.eigvals).max() <= 1e-13
             assert np.abs(cov.sigma_inv - eigh.sigma_inv).max() <= 1e-13
             assert np.array_equal(cov.sigma_inv, cov.sigma_inv.T)
+        assert i == k - 1
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 32, 100])
+    def test_one_drawn_covariance_is_the_random_spd_build(self, n):
+        # random_spd(n, r, seed) is the one-matrix draw of default_rng(seed).
+        for seed in range(40, 57):
+            cov = random_covariances(np.random.default_rng(seed), 1, n, (0.5, 2.0))[0]
+            eigh = build_covariance(random_spd(n, (0.5, 2.0), seed))
+            assert np.array_equal(cov.sigma, eigh.sigma)
+            assert np.array_equal(cov.chol, eigh.chol)
 
     @pytest.mark.parametrize(
         "bad",
@@ -280,11 +299,10 @@ class TestStackedBuild:
             build_covariances(np.ones(shape))
 
 
-def _drawn_spectrum(n, seeds):
+def _drawn_spectrum(n, k, seed):
     """A random_covariances stack's Sigma and its (eigvals, eigvecs) stacks."""
-    covs = random_covariances(n, (0.5, 2.0), seeds)
-    return (np.stack([c.sigma for c in covs]), np.stack([c.eigvals for c in covs]),
-            np.stack([c.eigvecs for c in covs]))
+    covs = random_covariances(np.random.default_rng(seed), k, n, (0.5, 2.0))
+    return covs.sigma, covs.eigvals, covs.eigvecs
 
 
 def _rotated(q, i, j, angle):
@@ -306,7 +324,7 @@ class TestGivenSpectrum:
         lambda w, q: (w, _rotated(q, 1, 2, 1e-6)),  # two eigenvectors slightly mixed
     ])
     def test_wrong_spectrum_fails_the_eigen_residual_gate(self, wrong):
-        sigma, w, q = _drawn_spectrum(4, [5])
+        sigma, w, q = _drawn_spectrum(4, 1, 5)
         assert np.count_nonzero(sigma[0] - np.diag(np.diag(sigma[0]))) > 0
         build_covariances(sigma, (w, q))
         w_bad, q_bad = wrong(w[0], q[0])
@@ -316,13 +334,13 @@ class TestGivenSpectrum:
     def test_flipped_eigenvector_sign_is_still_an_eigenbasis(self):
         # -q_j is an eigenvector of lambda_j too: the gate rejects a wrong
         # spectrum, not an equally valid basis.
-        sigma, w, q = _drawn_spectrum(4, [5])
+        sigma, w, q = _drawn_spectrum(4, 1, 5)
         q[0, :, 2] *= -1.0
         (cov,) = build_covariances(sigma, (w, q))
         assert np.array_equal(cov.eigvecs, q[0])
 
     def test_wrong_spectrum_mid_stack_raises_its_own_error(self):
-        sigma, w, q = _drawn_spectrum(4, [1, 2, 3, 4])
+        sigma, w, q = _drawn_spectrum(4, 4, 1)
         w_bad = w.copy()
         w_bad[1, [0, 1]] = w[1, [1, 0]]
         with pytest.raises(DegenerateCovarianceError) as alone:
@@ -334,7 +352,7 @@ class TestGivenSpectrum:
 
     def test_window_gate_fires_before_the_eigen_residual(self):
         # At 1e300 the residual overflows to NaN; the scale's own error wins.
-        sigma, w, q = _drawn_spectrum(3, [1])
+        sigma, w, q = _drawn_spectrum(3, 1, 1)
         with pytest.raises(DegenerateCovarianceError, match="window"):
             build_covariances(1e300 * sigma, (1e300 * w, q))
 
