@@ -477,11 +477,13 @@ class MonteCarloBatches:
         if kinds or isserlis or derivation:
             # A pass holds at most six nx-wide arrays per row of a chunk (the
             # draw's z and x, or x with OjaMean's u, u W and x - u W, and the
-            # gains), and, when the operator is summed, two h-wide ones: its
-            # h = nx(nx+1)/2 half rows and the factor gathered into them.
+            # gains), two more for the next chunk's z and x, drawn meanwhile
+            # (SampleBatch.chunks), and, when the operator is summed, two
+            # h-wide ones: its h = nx(nx+1)/2 half rows and the factor
+            # gathered into them.
             rows = chunk_schedule(n, self.block)[1]
             h = cov.dim * (cov.dim + 1) // 2
-            width = 6 * cov.dim + (isserlis or "frame-operator" in kinds) * 2 * h
+            width = 8 * cov.dim + (isserlis or "frame-operator" in kinds) * 2 * h
             require_memory(8 * rows * width, f"a chunk of {rows:,} rows at nx={cov.dim}")
         self.refs = {kind: _RATE_SUMS[kind][1](self) for kind in kinds}
         count = RATE_BATCHES if kinds else int(isserlis or derivation)

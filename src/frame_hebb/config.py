@@ -85,6 +85,11 @@ class RunConfig:
                 record_every=self.record_every, seed=self.seed))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # Only a config file can give a NUL byte, which no path can hold;
+        # lexists would answer False for it, and the write raise ValueError.
+        if "\0" in os.fspath(self.out):
+            raise ConfigError(f"output directory {os.fspath(self.out)!r}: a path cannot "
+                              "hold a NUL byte")
         try:
             # lexists: a symlink loop or a dangling link is found, and
             # pathconf, which follows it, raises ELOOP or ENOENT.

@@ -6,9 +6,11 @@ moment E[(x kron x)(x kron x)^T], built from Isserlis' three pairings.
 Sampling is deterministic: a batch with an integer seed is a pure function
 of (covariance, n, seed). ``sample`` returns a ``SampleBatch`` that holds no
 rows; each pass over its ``chunks`` draws them in order from one
-``default_rng(seed)``, about CHUNK_ROWS at a time, so an estimator holds one
-chunk, not the batch. The chunks concatenate to the rows a whole-batch draw
-gives, bit for bit. A batch drawn with ``block=m`` starts every chunk on a
+``default_rng(seed)``, about CHUNK_ROWS at a time, so a pass holds at most
+one chunk read and one being drawn, not the batch: a batch of several chunks
+draws the next chunk on a worker thread while the estimators read the
+current one. The chunks concatenate to the rows a whole-batch draw gives,
+bit for bit. A batch drawn with ``block=m`` starts every chunk on a
 multiple of m rows, so a pass can cut each chunk into whole blocks of m rows.
 Every empirical estimator is a running sum over the chunks (a
 ``RunningSum``: the additive ``sums`` of a row range, and the ``estimate``
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -82,7 +85,21 @@ class SampleBatch:
         a lone one holds one to two steps of rows. A short tail chunk would go
         through another BLAS kernel (gemv, or the small-matrix path) than the
         same rows do inside a whole-batch product, and could differ in the
-        last bit."""
+        last bit.
+
+        A drawn batch of two or more chunks is drawn on one worker thread,
+        which draws chunk k + 1 while the reader holds chunk k: the draw and
+        the product with L^T release the interpreter lock, so drawing the next
+        chunk overlaps the reader's work on this one. The draws run one after
+        another, so the rows and the generator's use are those of drawing the
+        chunks one by one. The reader's thread makes every chunk's array and
+        one z for the pass, so a pass holds at most the chunk read, the chunk
+        being drawn and that z. A lone chunk is drawn on the caller's thread,
+        and no thread starts. An exception raised by a draw is raised to the
+        reader when it asks for that chunk. Closing the iterator after k
+        chunks, fewer than all, waits for the draw in flight: a Generator seed
+        is then left k + 1 chunks into its stream, one chunk past the rows
+        read."""
         step, last = chunk_schedule(self.n, self.block)
         sizes = itertools.chain(itertools.repeat(step, (self.n - last) // step), (last,))
         if self.rows is not None:
@@ -93,8 +110,19 @@ class SampleBatch:
             return
         rng = np.random.default_rng(self.seed)
         chol_t = self.covariance.chol.T
-        for m in sizes:
-            yield rng.standard_normal((m, chol_t.shape[0])) @ chol_t
+        if last == self.n:  # a lone chunk
+            yield rng.standard_normal((last, self.dim)) @ chol_t
+            return
+        drawer = _ChunkDrawer(rng, chol_t, last)
+        try:
+            drawer.ask(next(sizes))
+            for m in sizes:
+                x = drawer.result()
+                drawer.ask(m)
+                yield x
+            yield drawer.result()
+        finally:
+            drawer.stop()
 
     @property
     def data(self) -> np.ndarray:
@@ -112,6 +140,63 @@ class SampleBatch:
             for s in sums:
                 s.add(x)
         return [s.result() for s in sums]
+
+
+def _draw_into(rng: np.random.Generator, z: np.ndarray, chol_t: np.ndarray,
+               out: np.ndarray) -> None:
+    """One chunk's draw into given arrays: z from rng, then out = z L^T, bit
+    for bit the rows of ``rng.standard_normal(z.shape) @ chol_t``."""
+    rng.standard_normal(out=z)
+    np.matmul(z, chol_t, out=out)
+
+
+class _ChunkDrawer(threading.Thread):
+    """A worker thread that draws a batch's chunks in order, one when asked:
+    ``ask(m)`` orders the next m rows, ``result`` waits for them and returns
+    the chunk, or raises what its draw raised, and ``stop`` waits for a draw
+    in flight and ends the thread. The asking thread makes the arrays, one z
+    of ``rows`` rows here and each chunk's in ``ask``: made on the worker,
+    they would live in its own malloc arena, beside the reader's, and raise
+    the peak RSS by about two chunks. A daemon, so that a pass never closed
+    cannot hold the interpreter at exit."""
+
+    def __init__(self, rng: np.random.Generator, chol_t: np.ndarray, rows: int):
+        super().__init__(daemon=True)
+        self.rng, self.chol_t = rng, chol_t
+        self.z = np.empty((rows, chol_t.shape[0]))
+        self.asked, self.drawn = threading.Semaphore(0), threading.Semaphore(0)
+        self.chunk = None  # the array of the draw asked for; None when none is
+        self.error = None
+        self.start()
+
+    def run(self) -> None:
+        while True:
+            self.asked.acquire()
+            if self.chunk is None:  # stopped
+                return
+            try:
+                _draw_into(self.rng, self.z[:len(self.chunk)], self.chol_t, self.chunk)
+            except BaseException as exc:  # raised again by result, on the reader's thread
+                self.error = exc
+            self.drawn.release()
+
+    def ask(self, m: int) -> None:
+        self.chunk = np.empty((m, self.z.shape[1]))
+        self.asked.release()
+
+    def result(self) -> np.ndarray:
+        self.drawn.acquire()
+        chunk, self.chunk = self.chunk, None
+        if self.error is not None:
+            raise self.error
+        return chunk
+
+    def stop(self) -> None:
+        if self.chunk is not None:
+            self.drawn.acquire()
+            self.chunk = None
+        self.asked.release()
+        self.join()
 
 
 def chunk_schedule(n: int, block: int) -> tuple[int, int]:

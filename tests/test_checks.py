@@ -224,13 +224,15 @@ def test_monte_carlo_chunk_beyond_physical_memory_refused(rate_cov, monkeypatch,
     (dict(kinds=("frame-operator",)), 6 * 3 + 2 * 6), (dict(derivation=True), 6 * 3),
 ])
 def test_monte_carlo_chunk_guard_counts_h_columns(rate_cov, monkeypatch, selection, width):
-    # With the operator summed, a row of a chunk holds its h = nx(nx+1)/2 = 6
-    # half coordinates and the factor gathered into them, not nx**2 = 9.
+    # width is what a row of the chunk read holds: six nx = 3 wide arrays,
+    # and with the operator summed its h = nx(nx+1)/2 = 6 half coordinates
+    # and the factor gathered into them, not nx**2 = 9. The guard also counts
+    # the next chunk's z and x, drawn meanwhile: two more nx-wide arrays.
     asked = []
     monkeypatch.setattr(checks, "require_memory", lambda nbytes, what: asked.append(nbytes))
     batches = checks.MonteCarloBatches(rate_cov, 1, 0, _RATE_N, **selection)
     rows = checks.chunk_schedule(_RATE_N, batches.block)[1]
-    assert asked == [8 * rows * width]
+    assert asked == [8 * rows * (width + 2 * 3)]
 
 
 # The sweeps one trial at a time: the stacks the sweep draws, shape after

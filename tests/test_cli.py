@@ -526,6 +526,9 @@ BOUNDARY_INPUTS = {
     "train with an out too long in its config file": lambda d: (
         ["train", "--config", _plant(d / "run.cfg", f"[run]\nout = {d / LONG_NAME}\n".encode())]
         + TRAIN_CHEAP, "config error: output directory"),
+    "an out with a NUL byte in the config file": lambda d: (
+        ["equivalence", "--config", _plant(d / "run.cfg", f"[run]\nout = {d}/a\0b\n".encode()),
+         "--checks", "closed-equivalence"], "config error: output directory"),
     "--out longer than the path limit, equivalence": lambda d: (
         ["equivalence", "--checks", "closed-equivalence", "--out", d / LONG_PATH],
         "config error: output directory"),

@@ -2,6 +2,8 @@
 every estimator summed over chunks equals its whole-batch formula (bit for
 bit on one chunk) while its peak memory does not grow with n."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -166,6 +168,125 @@ class TestChunkStream:
     def test_each_pass_draws_the_same_rows(self, cov3):
         batch = sample(cov3, C + 9, seed=7)
         assert np.array_equal(batch.data, batch.data)
+
+
+def _sequential_chunks(rng, cov, n, block):
+    """The chunks of a batch drawn one by one on this thread, sizes and all
+    worked out here: the reference for the read-ahead."""
+    step = max(C // block, 1) * block
+    count = max(n // step, 1)
+    sizes = [step] * (count - 1) + [n - step * (count - 1)]
+    return [rng.standard_normal((m, cov.dim)) @ cov.chol.T for m in sizes]
+
+
+class TestReadAhead:
+    """A batch of several chunks draws the next chunk on a worker thread while
+    the reader holds the current one; a lone chunk starts no thread."""
+
+    @pytest.fixture
+    def drawers(self, monkeypatch):
+        """The worker threads started, each with the rows it was asked to
+        draw, chunk by chunk."""
+        made = []
+
+        class Counted(gaussian._ChunkDrawer):
+            def __init__(self, *args):
+                self.asks = []
+                made.append(self)
+                super().__init__(*args)
+
+            def ask(self, m):
+                self.asks.append(m)
+                super().ask(m)
+
+        monkeypatch.setattr(gaussian, "_ChunkDrawer", Counted)
+        return made
+
+    @pytest.mark.parametrize("block", [1, 1000])
+    @pytest.mark.parametrize("n", [1, C, C + 1, 3 * C + 17])
+    def test_chunks_are_the_sequential_draw(self, cov3, drawers, n, block):
+        want = _sequential_chunks(np.random.default_rng(8), cov3, n, block)
+        chunks = []
+        for x in sample(cov3, n, seed=8, block=block).chunks():
+            chunks.append(x)
+            # the worker is at most one chunk ahead of the reader
+            assert all(len(d.asks) <= len(chunks) + 1 for d in drawers)
+        assert len(chunks) == len(want)
+        assert all(np.array_equal(got, ref) for got, ref in zip(chunks, want))
+        assert [d.asks for d in drawers] == ([[len(c) for c in want]] if len(want) > 1 else [])
+
+    def test_closing_after_the_first_chunk_leaves_no_thread(self, cov3):
+        baseline = threading.active_count()
+        chunks = sample(cov3, 3 * C + 17, seed=8).chunks()
+        next(chunks)
+        chunks.close()
+        assert threading.active_count() == baseline
+
+    def test_a_failed_draw_reaches_the_reader(self, cov3, monkeypatch):
+        draw_into = gaussian._draw_into
+        calls = []
+
+        def fail_second(*args):
+            calls.append(threading.current_thread())
+            if len(calls) == 2:
+                raise FloatingPointError("second draw")
+            draw_into(*args)
+
+        monkeypatch.setattr(gaussian, "_draw_into", fail_second)
+        baseline = threading.active_count()
+        chunks = sample(cov3, 3 * C + 17, seed=8).chunks()
+        assert len(next(chunks)) == C
+        with pytest.raises(FloatingPointError, match="second draw"):
+            next(chunks)
+        assert threading.main_thread() not in calls
+        assert threading.active_count() == baseline
+
+    def test_a_generator_seed_is_left_where_the_reads_leave_it(self, cov3):
+        # Read in full, the batch leaves its Generator where drawing the
+        # chunks one by one leaves it. Closed after chunk 0, it leaves it one
+        # chunk further, past chunk 1, which was being drawn.
+        n = 3 * C + 17
+        full, ref = np.random.default_rng(9), np.random.default_rng(9)
+        want = _sequential_chunks(ref, cov3, n, 1)
+        chunks = list(sample(cov3, n, seed=full).chunks())
+        assert all(np.array_equal(got, ref_chunk) for got, ref_chunk in zip(chunks, want))
+        assert full.bit_generator.state == ref.bit_generator.state
+
+        early, ref = np.random.default_rng(9), np.random.default_rng(9)
+        _sequential_chunks(ref, cov3, 2 * C, 1)  # chunks 0 and 1, C rows each
+        chunks = sample(cov3, n, seed=early).chunks()
+        next(chunks)
+        chunks.close()
+        assert early.bit_generator.state == ref.bit_generator.state
+
+    def test_concurrent_passes_under_fast_thread_switching(self, cov3, monkeypatch):
+        # Four readers, each with its own worker, hand over 142 chunks of 7
+        # rows per pass while the interpreter switches threads every
+        # microsecond: every chunk is still the sequential draw.
+        monkeypatch.setattr(gaussian, "CHUNK_ROWS", 7)
+        wrong = []
+
+        def read(seed):
+            for s in range(seed, seed + 5):
+                chunks = list(sample(cov3, 1000, seed=s).chunks())
+                rng = np.random.default_rng(s)
+                if [len(c) for c in chunks] != [7] * 141 + [13] or not all(
+                        np.array_equal(c, rng.standard_normal(c.shape) @ cov3.chol.T)
+                        for c in chunks):
+                    wrong.append(s)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=read, args=(10 * k,)) for k in range(4)]
+            for r in readers:
+                r.start()
+            for r in readers:
+                r.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(r.is_alive() for r in readers)
+        assert wrong == []
 
 
 class TestChunkedEstimators:
