@@ -2,9 +2,13 @@
 every estimator summed over chunks equals its whole-batch formula (bit for
 bit on one chunk) while its peak memory does not grow with n."""
 
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,36 +188,38 @@ class TestReadAhead:
     the reader holds the current one; a lone chunk starts no thread."""
 
     @pytest.fixture
-    def drawers(self, monkeypatch):
-        """The worker threads started, each with the rows it was asked to
-        draw, chunk by chunk."""
+    def draws(self, monkeypatch):
+        """Every call of the one-chunk draw: the thread it ran on and the rows
+        it drew, in order."""
         made = []
+        draw_into = gaussian._draw_into
 
-        class Counted(gaussian._ChunkDrawer):
-            def __init__(self, *args):
-                self.asks = []
-                made.append(self)
-                super().__init__(*args)
+        def recorded(rng, z, chol_t, out):
+            made.append((threading.current_thread(), len(out)))
+            return draw_into(rng, z, chol_t, out)
 
-            def ask(self, m):
-                self.asks.append(m)
-                super().ask(m)
-
-        monkeypatch.setattr(gaussian, "_ChunkDrawer", Counted)
+        monkeypatch.setattr(gaussian, "_draw_into", recorded)
         return made
 
     @pytest.mark.parametrize("block", [1, 1000])
     @pytest.mark.parametrize("n", [1, C, C + 1, 3 * C + 17])
-    def test_chunks_are_the_sequential_draw(self, cov3, drawers, n, block):
+    def test_chunks_are_the_sequential_draw(self, cov3, draws, n, block):
         want = _sequential_chunks(np.random.default_rng(8), cov3, n, block)
+        baseline = threading.active_count()
         chunks = []
         for x in sample(cov3, n, seed=8, block=block).chunks():
             chunks.append(x)
-            # the worker is at most one chunk ahead of the reader
-            assert all(len(d.asks) <= len(chunks) + 1 for d in drawers)
+            # the worker is at most one chunk ahead of the reader, and the
+            # only thread the pass starts
+            assert len(draws) <= len(chunks) + 1
+            assert threading.active_count() == baseline + (len(want) > 1)
         assert len(chunks) == len(want)
         assert all(np.array_equal(got, ref) for got, ref in zip(chunks, want))
-        assert [d.asks for d in drawers] == ([[len(c) for c in want]] if len(want) > 1 else [])
+        assert [rows for _, rows in draws] == ([len(c) for c in want] if len(want) > 1 else [])
+        workers = {thread for thread, _ in draws}
+        assert len(workers) == (1 if len(want) > 1 else 0)
+        assert threading.current_thread() not in workers
+        assert threading.active_count() == baseline
 
     def test_closing_after_the_first_chunk_leaves_no_thread(self, cov3):
         baseline = threading.active_count()
@@ -230,7 +236,7 @@ class TestReadAhead:
             calls.append(threading.current_thread())
             if len(calls) == 2:
                 raise FloatingPointError("second draw")
-            draw_into(*args)
+            return draw_into(*args)
 
         monkeypatch.setattr(gaussian, "_draw_into", fail_second)
         baseline = threading.active_count()
@@ -287,6 +293,51 @@ class TestReadAhead:
             sys.setswitchinterval(interval)
         assert not any(r.is_alive() for r in readers)
         assert wrong == []
+
+
+def _run_child(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this package."""
+    src = str(Path(gaussian.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+
+
+class TestReadAheadProcess:
+    """What the read-ahead leaves to a whole process: its exit, and its
+    imports."""
+
+    def test_a_pass_never_closed_does_not_hold_the_interpreter_at_exit(self):
+        # The pass's worker is idle at exit, with chunk 1 drawn: the
+        # interpreter must still end at once, and print nothing to stderr.
+        res = _run_child("""
+            from frame_hebb.gaussian import CHUNK_ROWS, sample
+            from frame_hebb.linalg import build_covariance, random_spd
+            cov = build_covariance(random_spd(3, (0.5, 2.0), seed=90))
+            PASS = sample(cov, 3 * CHUNK_ROWS + 17, seed=8).chunks()
+            print(len(next(PASS)))
+        """)
+        assert (res.returncode, res.stdout, res.stderr) == (0, f"{C}\n", "")
+
+    def test_lone_chunk_commands_leave_the_executor_unimported(self, tmp_path):
+        # concurrent.futures loads logging: the CLI's import and a train run,
+        # whose batches are lone chunks, never load it; a pass of several
+        # chunks does.
+        res = _run_child(f"""
+            import sys
+            from frame_hebb.cli import main
+            loaded = ["concurrent.futures" in sys.modules]
+            code = main(["train", "--mode", "empirical", "--nx", "4", "--nu", "2",
+                         "--steps", "300", "--threshold", "0.9", "--out", {str(tmp_path)!r}])
+            loaded.append("concurrent.futures" in sys.modules)
+            from frame_hebb.gaussian import CHUNK_ROWS, sample
+            from frame_hebb.linalg import build_covariance, random_spd
+            cov = build_covariance(random_spd(3, (0.5, 2.0), seed=90))
+            list(sample(cov, 2 * CHUNK_ROWS, seed=8).chunks())
+            loaded.append("concurrent.futures" in sys.modules)
+            print(code, *loaded)
+        """)
+        assert res.stdout.splitlines()[-1:] == ["0 False False True"], res.stderr
 
 
 class TestChunkedEstimators:
