@@ -39,19 +39,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SampleSizeError, SkewDomainError
+from .errors import SampleSizeError, SkewDomainError
 from .gaussian import CHUNK_ROWS, RunningSum, SampleBatch
 from .linalg import CovarianceModel, dot, frobenius, matrix_transpose, require_memory, vecs
-from .rules import EghrMean, as_weights, closed_center, expansion_target, oja_update_closed
+from .rules import EghrMean, _ones, closed_center, expansion_target, oja_update_closed
 
 SKEW_DOMAIN_RTOL = 1e-10
 
 
-def frame_element(x, cov: CovarianceModel) -> np.ndarray:
+def frame_element(x: np.ndarray, cov: CovarianceModel) -> np.ndarray:
     """Xi = x x^T - Sigma for one sample x, or for each row of a stack."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (cov.dim,):
-        raise DimensionError(f"x has shape {x.shape}, expected (..., {cov.dim})")
     return x[..., :, None] * x[..., None, :] - cov.sigma
 
 
@@ -72,7 +69,7 @@ def operator_half(s: np.ndarray, nx: int) -> np.ndarray:
 
 class OperatorMean(RunningSum):
     """Running sum of the Gram matrix of the half-vectorized frame elements;
-    ``dense(result())`` is (1/n) sum_k vec(Xi_k) vec(Xi_k)^T, symmetrized.
+    ``dense(result())`` is (1/n) sum_k vec(Xi_k) vec(Xi_k)^T.
 
     ``sums`` forms, per row, the h = nx(nx+1)/2 centered products
     x_i x_j - Sigma_ij, i <= j, and returns their h x h Gram matrix: the
@@ -82,14 +79,16 @@ class OperatorMean(RunningSum):
     estimate to nx**2 x nx**2 with one index gather. Whether BLAS adds the
     half and the dense Gram's products in the same order depends on its
     kernels: OpenBLAS's Haswell kernels do at nx <= 4, 16 and 32, and differ
-    in the last bits at nx = 5 to 11.
+    in the last bits at nx = 5 to 11. numpy forms the Gram rows^T rows
+    through BLAS's symmetric rank-k update and mirrors its triangle, so every
+    Gram, their sums and so every estimate are symmetric to the bit.
     """
 
     def __init__(self, cov: CovarianceModel):
         nx = self.dim = cov.dim
         self.h = nx * (nx + 1) // 2
-        # peak: four h x h arrays (the total, a chunk's Gram and the
-        # estimate's two temporaries) and a chunk of half rows with the
+        # peak: four h x h arrays (the total, a chunk's Gram, the sum that
+        # merges them and an estimate) and a chunk of half rows with the
         # gathered factor it is multiplied by
         require_memory(8 * (4 * self.h**2 + 2 * CHUNK_ROWS * self.h),
                        f"the half-form empirical S at nx={nx}")
@@ -109,8 +108,7 @@ class OperatorMean(RunningSum):
         return (rows.T @ rows,)
 
     def estimate(self, sums: tuple, n: int) -> np.ndarray:
-        s = sums[0] / n
-        return (s + s.T) / 2.0
+        return sums[0] / n
 
     def distance_sq(self, estimate: np.ndarray, ref: np.ndarray) -> float:
         """|E - R|_F^2 of the dense forms of two half-form operators."""
@@ -159,17 +157,15 @@ def frame_bounds(cov: CovarianceModel) -> FrameBounds:
     )
 
 
-def _symmetric_domain(m, cov: CovarianceModel, what: str) -> np.ndarray:
-    """Check m is an nx x nx symmetric matrix, or a stack of them; return it
-    symmetrized.
+def _symmetric_domain(m: np.ndarray, what: str) -> np.ndarray:
+    """Check that m, an nx x nx matrix or a stack of them, lies in Sym, the
+    operator's domain; return it symmetrized.
 
     Tolerates skew Frobenius norm up to 1e-10 * (1 + |m|) per matrix; beyond
     that the operator is being applied off its domain and we refuse, naming
-    the first matrix of a stack that is off it.
+    the first matrix of a stack that is off it. m's shape is not checked: it
+    is a matrix the program made on the covariance's dimension.
     """
-    m = np.asarray(m, dtype=float)
-    if m.shape[-2:] != (cov.dim, cov.dim):
-        raise DimensionError(f"{what}: shape {m.shape}, expected (..., {cov.dim}, {cov.dim})")
     skew_norm = frobenius((m - matrix_transpose(m)) / 2.0).ravel()
     limit = SKEW_DOMAIN_RTOL * (1.0 + frobenius(m).ravel())
     off = skew_norm > limit
@@ -183,7 +179,7 @@ def _symmetric_domain(m, cov: CovarianceModel, what: str) -> np.ndarray:
     return (m + matrix_transpose(m)) / 2.0
 
 
-def restricted_inverse_apply(cov: CovarianceModel, m) -> np.ndarray:
+def restricted_inverse_apply(cov: CovarianceModel, m: np.ndarray) -> np.ndarray:
     """Apply the inverse of S restricted to Sym:
     M -> Sigma^-1 sym(M) Sigma^-1 / 2, to one matrix or to each of a stack.
 
@@ -192,27 +188,24 @@ def restricted_inverse_apply(cov: CovarianceModel, m) -> np.ndarray:
     """
     # No name holds sym(M) or a product past its use: with M, a stack of
     # them peaks at three arrays of its size.
-    d = cov.sigma_inv @ _symmetric_domain(m, cov, "restricted_inverse_apply")
+    d = cov.sigma_inv @ _symmetric_domain(m, "restricted_inverse_apply")
     d = d @ cov.sigma_inv
     d *= 0.5
     return d
 
 
-def frame_coefficient(m, xi, cov: CovarianceModel):
+def frame_coefficient(m: np.ndarray, xi: np.ndarray, cov: CovarianceModel):
     """Expansion coefficient (M, S^-1 Xi)_F of M in Sym on the frame element
     Xi = x x^T - Sigma, that is 0.5 * (M, Sigma^-1 Xi Sigma^-1)_F; one per
     item of stacks of M, Xi and covariances."""
-    m = _symmetric_domain(m, cov, "frame_coefficient")
+    m = _symmetric_domain(m, "frame_coefficient")
     return dot(vecs(m), vecs(restricted_inverse_apply(cov, xi)))
 
 
-def cancellation_coefficient(residual, xi):
+def cancellation_coefficient(residual: np.ndarray, xi: np.ndarray):
     """The same coefficient for M = Sigma R Sigma, R = I - W^T W, written
     S-free: since vec(M) = S vec(R / 2) and S is self-adjoint, (M, S^-1 Xi)_F
     collapses to (R / 2, Xi)_F. One per item of stacks of R and Xi."""
-    residual, xi = np.asarray(residual, dtype=float), np.asarray(xi, dtype=float)
-    if residual.ndim < 2 or residual.shape != xi.shape:
-        raise DimensionError(f"residual has shape {residual.shape}, Xi {xi.shape}")
     return dot(vecs(0.5 * residual), vecs(xi))
 
 
@@ -232,7 +225,7 @@ class ExpansionMean(RunningSum):
         self.sigma = cov.sigma
         self.d = restricted_inverse_apply(cov, m)
         self.trace = float(np.sum(self.d * cov.sigma))
-        self.ones = np.ones(cov.dim)
+        self.ones = _ones(cov.dim)
 
     def sums(self, x: np.ndarray) -> tuple:
         buf = x @ self.d
@@ -268,7 +261,7 @@ class DerivationResult:
     direct_route: np.ndarray  # gain-weighted Hebbian mean on the same batch
 
 
-def derive_eghr_from_oja(w, cov: CovarianceModel, batch: SampleBatch,
+def derive_eghr_from_oja(w: np.ndarray, cov: CovarianceModel, batch: SampleBatch,
                          fed=None) -> DerivationResult:
     """Regenerate the error-gated update from the subspace rule on a batch.
 
@@ -282,9 +275,9 @@ def derive_eghr_from_oja(w, cov: CovarianceModel, batch: SampleBatch,
     Monte-Carlo rate. Both routes are summed in one pass over the chunks:
     here, or, when ``fed`` is given, in a pass that other estimators shared.
     ``fed`` is then the pair (``ExpansionMean`` of M, ``EghrMean`` with the
-    closed-form center) after that pass over ``batch``.
+    closed-form center) after that pass over ``batch``. W is a nu x nx weight
+    matrix the program made (``checks.MonteCarloBatches.w``), not checked here.
     """
-    w = as_weights(w, cov.dim, "derive_eghr_from_oja")
     target = oja_update_closed(w, cov) @ cov.sigma
 
     if fed is None:

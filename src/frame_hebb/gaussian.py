@@ -218,9 +218,9 @@ def sample(cov: CovarianceModel, n: int, seed: int | np.random.Generator,
     """n samples x = L z with z standard normal from a seeded PRNG; the rows
     are drawn when the batch's chunks are read, each chunk starting on a
     multiple of ``block`` rows. A Generator ``seed`` is drawn from as it
-    stands, so such a batch gives new rows on every read."""
-    if n < 1 or block < 1:
-        raise ValueError(f"sample count and block must be >= 1, got {n} and {block}")
+    stands, so such a batch gives new rows on every read. n and block, at
+    least 1, come from the run's checked settings (``config.RunConfig``,
+    ``rules.TrainerConfig``) and are not checked again here."""
     return SampleBatch(n=n, seed=seed, covariance=cov, block=block)
 
 
@@ -290,7 +290,8 @@ def cubature(cov: CovarianceModel) -> tuple[np.ndarray, np.ndarray]:
     return z @ cov.chol.T, weights
 
 
-def stein_check(cov: CovarianceModel, exponents) -> tuple[np.ndarray, np.ndarray]:
+def stein_check(cov: CovarianceModel,
+                exponents: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
     """The two sides of E[f(x) x_i] = sum_a Sigma_ia E[d_a f], per component,
     for each monomial f given by an exponent vector in ``exponents``, as
     (gap, scale), each of shape (functions, dim). Row k of gap is
@@ -298,19 +299,11 @@ def stein_check(cov: CovarianceModel, exponents) -> tuple[np.ndarray, np.ndarray
     over the points and weights of ``cubature(cov)``: exactly 0 but for
     roundoff. Row k of scale is sum_p |w_p| (|f(x_p) x_p| + |Sigma grad
     f(x_p)|), entry by entry, which bounds that roundoff whatever the signs
-    of the weights. Raises
-    DimensionError when an exponent vector's length is not the covariance's
-    dimension, and ValueError on a negative exponent or a degree above 4.
+    of the weights. Each exponent vector must have length ``cov.dim``, no
+    negative entry and total degree at most 4, up to which the rule is
+    exact: the built-in ``monomial_exponents(cov.dim)`` are such vectors,
+    and they are not checked here.
     """
-    exponents = [tuple(int(p) for p in a) for a in exponents]
-    for a in exponents:
-        if len(a) != cov.dim:
-            raise DimensionError(f"exponent vector {a} has length {len(a)}, expected {cov.dim}")
-        if min(a, default=0) < 0:
-            raise ValueError(f"exponent vector {a} has a negative exponent")
-        if sum(a) > 4:
-            raise ValueError(f"exponent vector {a} has total degree {sum(a)}: the degree-5 "
-                             "cubature rule is exact only up to degree 4")
     x, weights = cubature(cov)
     xt = np.ascontiguousarray(x.T)
     size = np.abs(weights)

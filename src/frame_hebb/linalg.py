@@ -8,9 +8,13 @@ whose arrays carry a leading trial axis; ``matrix_transpose``, ``dot``,
 
 Conventions
 -----------
-``vec`` stacks columns: ``vec(X)[j*n + i] = X[i, j]`` (0-based), so that
-``vec(A @ X @ B) == kron(B.T, A) @ vec(X)`` with the standard Kronecker
-product, and ``commutation_matrix(n) @ vec(X) == vec(X.T)``.
+vec stacks columns: ``vecs(X)[j*n + i] = X[i, j]`` (0-based), so that
+``vecs(A @ X @ B) == kron(B.T, A) @ vecs(X)`` with the standard Kronecker
+product, and ``commutation_matrix(n) @ vecs(X) == vecs(X.T)``.
+
+Only ``build_covariance`` and ``build_covariances`` cast their input and
+check its shape; the other functions take arrays the program made and keep
+their dtype.
 """
 
 from __future__ import annotations
@@ -58,14 +62,9 @@ def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def vec(x) -> np.ndarray:
-    """Column-stack a square matrix into a vector of length n**2."""
-    return vecs(_require_square(_as_matrix(x)))
-
-
 def vecs(a: np.ndarray) -> np.ndarray:
-    """``vec`` of each matrix of a stack, as the rows of an (..., n**2)
-    array, without ``vec``'s checks, so a NaN passes through."""
+    """vec of a matrix, its columns stacked into a vector of length n**2, or
+    of each matrix of a stack, as the rows of an (..., n**2) array."""
     return np.swapaxes(a, -1, -2).reshape(*a.shape[:-2], -1)
 
 
@@ -78,17 +77,15 @@ def require_memory(nbytes: int, what: str) -> None:
                              f"more than the {physical / 2**30:,.1f} GiB of physical memory")
 
 
-def kron(a, b) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the standard block layout."""
-    return np.kron(_as_matrix(a, "a"), _as_matrix(b, "b"))
+    return np.kron(a, b)
 
 
 def vec_transpose_index(n: int) -> np.ndarray:
     """Index p with vec(X)[p] == vec(X.T) for every n-by-n X, so that
     ``A.take(p, axis=1)`` equals ``A @ commutation_matrix(n)`` exactly
     without the dense product."""
-    if n < 1:
-        raise DimensionError(f"n must be >= 1, got {n}")
     p = np.arange(n * n)
     # vec index p = j*n + i maps to the transposed-entry index i*n + j.
     return (p % n) * n + p // n
@@ -102,16 +99,14 @@ def commutation_matrix(n: int) -> np.ndarray:
     return np.eye(n * n)[vec_transpose_index(n)]
 
 
-def sym_part(x) -> np.ndarray:
+def sym_part(x: np.ndarray) -> np.ndarray:
     """Symmetric part (X + X.T) / 2 of a matrix, or of each of a stack."""
-    a = _require_square(_as_matrix(x, ndim=max(np.ndim(x), 2)))
-    return (a + matrix_transpose(a)) / 2.0
+    return (x + matrix_transpose(x)) / 2.0
 
 
-def skew_part(x) -> np.ndarray:
+def skew_part(x: np.ndarray) -> np.ndarray:
     """Skew part (X - X.T) / 2 of a matrix, or of each of a stack."""
-    a = _require_square(_as_matrix(x, ndim=max(np.ndim(x), 2)))
-    return (a - matrix_transpose(a)) / 2.0
+    return (x - matrix_transpose(x)) / 2.0
 
 
 @dataclass(frozen=True)

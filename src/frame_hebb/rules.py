@@ -12,11 +12,12 @@ The closed forms, ``closed_center`` and ``eghr_g`` also take stacks: W of
 shape (k, nu, nx) and x of shape (k, nx), with a stacked covariance model or
 one model; each item equals the single call to the bit.
 
-Each formula has one function. Weights are validated once, by
-``as_weights``, where they enter from a caller (``train``'s W0 and
-``frames.derive_eghr_from_oja``'s W); every other function here takes
-validated weights, so ``train``, the checks' sweeps and the public API share
-one arithmetic path. The empirical updates feed the batch's chunks to the
+Each formula has one function. Weights are validated and cast to float
+once, by ``as_weights``, where they enter from outside the program
+(``train``'s W0); every other function here takes weights the program made
+or validated and keeps their dtype, so ``train``, the checks' sweeps and the
+public API share one arithmetic path, and a W and Sigma of ``Fraction``s
+give exact closed forms. The empirical updates feed the batch's chunks to the
 running sums ``OjaMean`` and ``EghrMean``, whose ``sums`` are pure functions
 of their rows and merge over consecutive blocks of rows; ``EghrMean`` sums
 uncentered gains and centers them on the batch mean in its ``estimate``.
@@ -65,10 +66,11 @@ def as_weights(w, nx: int, caller: str) -> np.ndarray:
 
 
 @functools.cache
-def _identity(n: int) -> np.ndarray:
-    """The read-only n x n identity, built once per n: a closed-form step or
-    a sweep's trial reads it instead of paying for np.eye."""
-    eye = np.eye(n)
+def _identity(n: int, dtype) -> np.ndarray:
+    """The read-only n x n identity of the weights' dtype, built once per n
+    and dtype: a closed-form step or a sweep's trial reads it instead of
+    paying for np.eye."""
+    eye = np.eye(n, dtype=dtype)
     eye.flags.writeable = False
     return eye
 
@@ -84,7 +86,7 @@ def _ones(n: int) -> np.ndarray:
 
 def oja_update_closed(w: np.ndarray, cov: CovarianceModel) -> np.ndarray:
     """Closed-form expected update W Sigma (I - W^T W)."""
-    return (w @ cov.sigma) @ (_identity(cov.dim) - matrix_transpose(w) @ w)
+    return (w @ cov.sigma) @ (_identity(cov.dim, w.dtype) - matrix_transpose(w) @ w)
 
 
 class OjaMean(RunningSum):
@@ -162,7 +164,7 @@ def expansion_target(w: np.ndarray, cov: CovarianceModel) -> np.ndarray:
     """M = Sigma (I - W^T W) Sigma: the symmetric matrix that W multiplies in
     the error-gated closed form, and whose frame expansion the derivation
     chain takes (``frames.derive_eghr_from_oja``)."""
-    return cov.sigma @ (_identity(cov.dim) - matrix_transpose(w) @ w) @ cov.sigma
+    return cov.sigma @ (_identity(cov.dim, w.dtype) - matrix_transpose(w) @ w) @ cov.sigma
 
 
 def eghr_update_closed(w: np.ndarray, cov: CovarianceModel) -> np.ndarray:
@@ -183,7 +185,7 @@ def eghr_update_empirical(w: np.ndarray, batch: SampleBatch) -> np.ndarray:
 
 def orthonormality_residual(w: np.ndarray) -> float:
     """Frobenius distance of W W^T from the identity."""
-    return float(np.linalg.norm(w @ w.T - _identity(w.shape[0])))
+    return float(np.linalg.norm(w @ w.T - _identity(w.shape[0], w.dtype)))
 
 
 def subspace_error(w: np.ndarray, cov: CovarianceModel) -> float:

@@ -628,9 +628,9 @@ class TestNoDenseObjectOffTheSPaths:
     def test_matrix_checks_build_no_nx2_object(self, monkeypatch):
         # The coefficient sweep, the derivation chain and the expansion rate
         # work on nx x nx matrices: at nx=64, where one S holds 128 MB, none
-        # of them vectorizes a matrix, forms a Kronecker product or builds S.
+        # of them forms a Kronecker product, a commutation matrix or S.
         spies = {name: _spy_everywhere(monkeypatch, getattr(linalg, name))
-                 for name in ("vec", "kron")}
+                 for name in ("kron", "commutation_matrix")}
         builds = []
         build_s = linalg.CovarianceModel.frame_operator.func
 
@@ -648,7 +648,7 @@ class TestNoDenseObjectOffTheSPaths:
             *checks.mc_rate_check(batches),
         ]
         assert len(records) == 5
-        assert spies == {"vec": [], "kron": []}
+        assert spies == {"kron": [], "commutation_matrix": []}
         assert builds == []
 
 
@@ -791,11 +791,11 @@ class TestExitCodeContract:
         ratios = []
         real = frames._symmetric_domain
 
-        def spy(m, cov, what):
-            for one in np.reshape(m, (-1, cov.dim, cov.dim)):  # m may be a stack
+        def spy(m, what):
+            for one in np.reshape(m, (-1, *m.shape[-2:])):  # m may be a stack
                 skew = np.linalg.norm(skew_part(one))
                 ratios.append(skew / (SKEW_DOMAIN_RTOL * (1.0 + np.linalg.norm(one))))
-            return real(m, cov, what)
+            return real(m, what)
 
         monkeypatch.setattr(frames, "_symmetric_domain", spy)
         # coefficient-identity draws its own covariances: one run covers it

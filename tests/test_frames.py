@@ -35,7 +35,6 @@ from frame_hebb.linalg import (
     random_spd,
     skew_part,
     sym_part,
-    vec,
     vecs,
 )
 from frame_hebb.rules import (
@@ -77,19 +76,15 @@ class TestFrameElement:
     def test_kron_form_agrees(self, cov_rand3):
         x = sample(cov_rand3, 1, seed=62).data[0]
         np.testing.assert_array_equal(
-            vec(frame_element(x, cov_rand3)), np.kron(x, x) - vec(cov_rand3.sigma)
+            vecs(frame_element(x, cov_rand3)), np.kron(x, x) - vecs(cov_rand3.sigma)
         )
 
     def test_mean_zero_componentwise(self, cov21):
         n = 10**6
         x = sample(cov21, n, seed=63).data
-        rows = np.einsum("ki,kj->kji", x, x).reshape(n, 4) - vec(cov21.sigma)
+        rows = np.einsum("ki,kj->kji", x, x).reshape(n, 4) - vecs(cov21.sigma)
         band = 4.0 * rows.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(rows.mean(axis=0)) <= band)
-
-    def test_dimension_mismatch(self, cov21):
-        with pytest.raises(DimensionError):
-            frame_element(np.zeros(3), cov21)
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +105,7 @@ def dense_reference_cases():
             sk = kron(cov.sigma, cov.sigma)
             skt = sk @ commutation_matrix(nx)
             s = sk + skt
-            vs = vec(cov.sigma)
+            vs = vecs(cov.sigma)
             m4 = np.outer(vs, vs) + sk + skt
             cases.append((cov, (s + s.T) / 2.0, (m4 + m4.T) / 2.0))
     return cases
@@ -158,7 +153,7 @@ class TestFrameOperatorAnalytic:
         for _ in range(20):
             k = skew_part(rng.standard_normal((3, 3)))
             bound = 1e-12 * np.linalg.norm(s) * np.linalg.norm(k)
-            assert np.linalg.norm(s @ vec(k)) <= bound
+            assert np.linalg.norm(s @ vecs(k)) <= bound
 
 
 class TestFrameOperatorEmpirical:
@@ -180,7 +175,7 @@ class TestFrameOperatorEmpirical:
         for _ in range(10):
             k = skew_part(rng.standard_normal((3, 3)))
             bound = 1e-12 * np.linalg.norm(s) * np.linalg.norm(k)
-            assert np.linalg.norm(s @ vec(k)) <= bound
+            assert np.linalg.norm(s @ vecs(k)) <= bound
 
     def test_symmetric_psd(self, cov_rand3):
         s = frame_operator_empirical(sample(cov_rand3, 1000, seed=68))
@@ -219,13 +214,13 @@ class TestFrameBounds:
         b = frame_bounds(cov_rand3)
         rng = np.random.default_rng(69)
         for _ in range(200):
-            v = vec(sym_part(rng.standard_normal((3, 3))))
+            v = vecs(sym_part(rng.standard_normal((3, 3))))
             v /= np.linalg.norm(v)
             q = v @ s @ v
             assert b.lower - 1e-10 <= q <= b.upper_tight + 1e-10
 
 
-SKEW = [[0.0, 1.0], [-1.0, 0.0]]
+SKEW = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 class TestRestrictedInverse:
@@ -244,19 +239,13 @@ class TestRestrictedInverse:
         with pytest.raises(SkewDomainError):
             restricted_inverse_apply(cov21, SKEW)
 
-    @pytest.mark.parametrize("shape", [(4,), (2, 3), (3, 3)])
-    def test_shape_mismatch_rejected(self, cov21, shape):
-        # a vectorized matrix is no longer an operand
-        with pytest.raises(DimensionError):
-            restricted_inverse_apply(cov21, np.zeros(shape))
-
     def test_inverts_operator_on_sym(self, cov_rand3):
         s = frame_operator_analytic(cov_rand3)
         rng = np.random.default_rng(70)
         for _ in range(50):
             m = sym_part(rng.standard_normal((3, 3)))
             r = restricted_inverse_apply(cov_rand3, m)
-            assert np.linalg.norm(s @ vec(r) - vec(m)) <= 1e-10 * np.linalg.norm(m)
+            assert np.linalg.norm(s @ vecs(r) - vecs(m)) <= 1e-10 * np.linalg.norm(m)
 
 
 class TestFrameCoefficient:
@@ -291,11 +280,6 @@ class TestFrameCoefficient:
         with pytest.raises(SkewDomainError):
             frame_coefficient(SKEW, xi, cov21)
 
-    def test_shape_mismatch_rejected(self, cov21, cov_rand3):
-        xi = frame_element(np.ones(3), cov_rand3)
-        with pytest.raises(DimensionError):
-            frame_coefficient(np.eye(2), xi, cov21)
-
 
 class TestCancellationCoefficient:
     def test_matches_frame_coefficient(self, cov_rand3):
@@ -322,11 +306,6 @@ class TestCancellationCoefficient:
         assert cancellation_coefficient(
             np.eye(2) - w.T @ w, frame_element(np.array([2.0, 0.0]), cov)
         ) == pytest.approx(1.0, abs=1e-14)
-
-    @pytest.mark.parametrize("residual", [np.eye(2), np.ones(9), np.ones((3, 1))])
-    def test_dimension_mismatch(self, cov_rand3, residual):
-        with pytest.raises(DimensionError):
-            cancellation_coefficient(residual, frame_element(np.ones(3), cov_rand3))
 
 
 class TestFrameExpansion:
@@ -426,10 +405,24 @@ class TestOperatorHalfForm:
         assert np.array_equal(operator_half(s, nx)[np.ix_(mean.expand, mean.expand)], s)
         batch = sample(cov, 40, seed=73)
         x = batch.data
-        rows = np.einsum("ki,kj->kji", x, x).reshape(len(x), nx * nx) - vec(cov.sigma)
+        rows = np.einsum("ki,kj->kji", x, x).reshape(len(x), nx * nx) - vecs(cov.sigma)
         dense = rows.T @ rows / batch.n
         got = frame_operator_empirical(batch)
         assert np.linalg.norm(got - dense) <= 1e-14 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("nx", [4, 5, 16])
+    def test_estimates_are_symmetric_to_the_bit(self, nx):
+        # estimate() does not symmetrize: numpy forms rows^T rows through
+        # BLAS's symmetric rank-k update, so every Gram, and so every sum and
+        # average of them, equals its transpose exactly.
+        cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=90 + nx))
+        mean = OperatorMean(cov)
+        for rows in np.split(sample(cov, 2000, seed=91).data, [1, 8, 1008]):
+            est = mean.estimate(mean.sums(rows), len(rows))
+            assert np.array_equal(est, est.T)
+            mean.add(rows)
+        result = mean.result()
+        assert np.array_equal(result, result.T)
 
     def test_guards_count_h_columns(self, cov_rand3, monkeypatch):
         # The running sum holds h-wide rows and h x h sums, and its result
@@ -451,7 +444,7 @@ class TestIsserlisConsistency:
         self, cov_rand3, dense_reference_cases
     ):
         m4 = isserlis_fourth_moment(cov_rand3)
-        vs = vec(cov_rand3.sigma)
+        vs = vecs(cov_rand3.sigma)
         s = frame_operator_analytic(cov_rand3)
         assert np.linalg.norm(m4 - np.outer(vs, vs) - s) <= 1e-12 * np.linalg.norm(s)
         for cov, _, m4_ref in dense_reference_cases:
@@ -496,15 +489,6 @@ class TestDerivation:
         np.testing.assert_array_equal(res.frame_route, np.zeros((1, 2)))
         np.testing.assert_array_equal(res.direct_route, np.zeros((1, 2)))
 
-    def test_wrong_nx_rejected_before_any_chunk(self, cov_rand3, monkeypatch):
-        def no_chunks(self):
-            raise AssertionError("a chunk was drawn before W was checked")
-
-        monkeypatch.setattr(SampleBatch, "chunks", no_chunks)
-        batch = sample(cov_rand3, 100, seed=88)
-        with pytest.raises(DimensionError, match="derive_eghr_from_oja: weights have nx=4"):
-            derive_eghr_from_oja(np.ones((1, 4)) / 2.0, cov_rand3, batch)
-
     def test_routes_agree_on_any_batch(self, cov_rand3):
         w = np.random.default_rng(82).uniform(-1, 1, (2, 3))
         for n in (10, 1000):
@@ -539,7 +523,7 @@ STACKED_FORMULAS = {
     "closed_center": lambda w, x, m, xi, r, cov: closed_center(w, cov),
     "eghr_g": lambda w, x, m, xi, r, cov: eghr_g(x, w, cov),
     "frame_element": lambda w, x, m, xi, r, cov: frame_element(x, cov),
-    "_symmetric_domain": lambda w, x, m, xi, r, cov: frames._symmetric_domain(m, cov, "t"),
+    "_symmetric_domain": lambda w, x, m, xi, r, cov: frames._symmetric_domain(m, "t"),
     "restricted_inverse_apply": lambda w, x, m, xi, r, cov: restricted_inverse_apply(cov, xi),
     "frame_coefficient": lambda w, x, m, xi, r, cov: frame_coefficient(m, xi, cov),
     "cancellation_coefficient": lambda w, x, m, xi, r, cov: cancellation_coefficient(r, xi),

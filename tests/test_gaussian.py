@@ -5,7 +5,6 @@ import pytest
 
 from frame_hebb import gaussian
 from frame_hebb.checks import STEIN_RTOL, stein_identity_check
-from frame_hebb.errors import DimensionError
 from frame_hebb.gaussian import (
     cubature,
     derive_seed,
@@ -20,7 +19,7 @@ from frame_hebb.linalg import (
     build_covariance,
     commutation_matrix,
     random_spd,
-    vec,
+    vecs,
 )
 
 
@@ -50,14 +49,6 @@ class TestSampling:
         a = sample(cov2, 100, seed=1)
         b = sample(cov2, 100, seed=2)
         assert not np.array_equal(a.data, b.data)
-
-    def test_invalid_count(self, cov2):
-        with pytest.raises(ValueError):
-            sample(cov2, 0, seed=1)
-
-    def test_invalid_block(self, cov2):
-        with pytest.raises(ValueError):
-            sample(cov2, 10, seed=1, block=0)
 
     def test_generator_seed_draws_from_the_stream_on_every_read(self, cov2):
         batch = sample(cov2, 50, np.random.default_rng(3))
@@ -189,21 +180,15 @@ class TestSteinCheck:
         with np.errstate(invalid="raise"):
             assert holds(build_covariance(sigma), exps).all()
 
-    @pytest.mark.parametrize("a", [(), (1,), (0, 0, 1)])
-    def test_wrong_length_exponents_rejected(self, cov2, a):
-        for exps in ([a], [(0, 1), a]):
-            with pytest.raises(DimensionError):
-                stein_check(cov2, exps)
-
-    def test_negative_exponent_rejected(self, cov2):
-        with pytest.raises(ValueError, match="negative"):
-            stein_check(cov2, [(0, 1), (-1, 0)])
-
-    @pytest.mark.parametrize("a", [(5, 0), (2, 3), (0, 7)])
-    def test_degree_above_four_rejected(self, cov2, a):
-        # the rule is exact only up to degree 5, and f(x) x has degree |a| + 1
-        with pytest.raises(ValueError, match="degree"):
-            stein_check(cov2, [(0, 1), a])
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_built_in_exponents_are_within_the_rule(self, dim):
+        # stein_check trusts its exponents: distinct vectors of length dim,
+        # none negative, of degree <= 4, as f(x) x then has degree <= 5, up
+        # to which the cubature rule is exact.
+        exps = monomial_exponents(dim)
+        assert len(set(exps)) == len(exps)
+        for a in exps:
+            assert len(a) == dim and min(a) >= 0 and sum(a) <= 4, a
 
     def test_result_is_reproducible(self, cov2):
         a = stein_check(cov2, [(0, 0), (1, 1)])
@@ -247,7 +232,7 @@ class TestIsserlisFourthMoment:
     def test_identity_covariance_closed_form(self):
         cov = build_covariance(np.eye(2))
         t = commutation_matrix(2)
-        v = vec(np.eye(2))
+        v = vecs(np.eye(2))
         expected = np.eye(4) + t + np.outer(v, v)
         np.testing.assert_allclose(isserlis_fourth_moment(cov), expected, atol=1e-14)
 

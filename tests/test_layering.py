@@ -1,6 +1,6 @@
 """Module layering, read from the source with ``ast``: the maths modules
-compute arrays and numbers, and only ``records`` and ``checks`` make check
-records and time them."""
+compute arrays and numbers, only their boundaries cast and check input, and
+only ``records`` and ``checks`` make check records and time them."""
 
 import ast
 from pathlib import Path
@@ -60,3 +60,42 @@ def test_the_readers_see_what_checks_uses():
     tree = _tree("checks")
     assert {"records", "linalg"} <= _imported_modules(tree)
     assert _uses(tree, "check_record") and _uses(tree, "perf_counter")
+
+
+# Where values enter the maths modules from outside the program; only these
+# cast and check their input, and every other function trusts the arrays
+# the program made. _as_matrix is the boundaries' own helper.
+BOUNDARIES = {"as_weights", "build_covariance", "build_covariances", "from_rows"}
+CASTS = {"asarray", "_as_matrix", "_require_square"}
+
+
+def _cast_calls(tree: ast.Module) -> list[tuple[str, str]]:
+    """(enclosing function, called name) of every call to a CASTS name."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in CASTS:
+                found.append((where, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+@pytest.mark.parametrize("module", MATHS)
+def test_only_the_boundaries_cast_and_check(module):
+    calls = _cast_calls(_tree(module))
+    stray = [(where, name) for where, name in calls
+             if where not in BOUNDARIES and not (where == "_as_matrix" and name == "asarray")]
+    assert not stray
+
+
+def test_every_boundary_casts():
+    where = {where for module in MATHS for where, _ in _cast_calls(_tree(module))}
+    assert where == BOUNDARIES | {"_as_matrix"}

@@ -21,7 +21,7 @@ from frame_hebb.linalg import (
     random_spd,
     skew_part,
     sym_part,
-    vec,
+    vecs,
 )
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -31,22 +31,18 @@ def square(n):
     return arrays(np.float64, (n, n), elements=finite)
 
 
-class TestVec:
+class TestVecs:
     def test_column_stacking(self):
-        np.testing.assert_array_equal(vec([[1, 2], [3, 4]]), [1, 3, 2, 4])
+        np.testing.assert_array_equal(vecs(np.array([[1, 2], [3, 4]])), [1, 3, 2, 4])
 
     def test_identity(self):
-        np.testing.assert_array_equal(vec(np.eye(2)), [1, 0, 0, 1])
+        np.testing.assert_array_equal(vecs(np.eye(2)), [1, 0, 0, 1])
 
     def test_kron_compatibility_random_3x3(self):
         rng = np.random.default_rng(1)
         a, x, b = (rng.standard_normal((3, 3)) for _ in range(3))
-        direct = vec(a @ x @ b)  # independent route: multiply, then stack
-        np.testing.assert_allclose(kron(b.T, a) @ vec(x), direct, atol=1e-12)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DimensionError):
-            vec(np.ones((2, 3)))
+        direct = vecs(a @ x @ b)  # independent route: multiply, then stack
+        np.testing.assert_allclose(kron(b.T, a) @ vecs(x), direct, atol=1e-12)
 
 
 class TestRequireMemory:
@@ -110,11 +106,11 @@ class TestProjections:
         np.testing.assert_array_equal(p, p.T)
         rng = np.random.default_rng(4)
         m = rng.standard_normal((n, n))
-        np.testing.assert_allclose(p @ vec(sym_part(m)), vec(sym_part(m)), atol=1e-15)
+        np.testing.assert_allclose(p @ vecs(sym_part(m)), vecs(sym_part(m)), atol=1e-15)
         np.testing.assert_allclose(
-            p @ vec(skew_part(m)), np.zeros(n * n), atol=1e-15
+            p @ vecs(skew_part(m)), np.zeros(n * n), atol=1e-15
         )
-        np.testing.assert_allclose(p @ vec(m), vec(sym_part(m)), atol=1e-15)
+        np.testing.assert_allclose(p @ vecs(m), vecs(sym_part(m)), atol=1e-15)
 
 
 class TestFrobeniusInner:
@@ -125,7 +121,7 @@ class TestFrobeniusInner:
         w = rng.standard_normal((2, 4))
         x = rng.standard_normal(4)
         u = w @ x
-        lhs = vec(np.eye(4) - w.T @ w) @ vec(np.outer(x, x))
+        lhs = vecs(np.eye(4) - w.T @ w) @ vecs(np.outer(x, x))
         assert lhs == pytest.approx(x @ x - u @ u, rel=1e-12)
 
 
@@ -360,7 +356,7 @@ class TestGivenSpectrum:
 @given(x=square(4))
 def test_commutation_transposes_exactly(x):
     t = commutation_matrix(4)
-    np.testing.assert_array_equal(t @ vec(x), vec(x.T))
+    np.testing.assert_array_equal(t @ vecs(x), vecs(x.T))
 
 
 @settings(max_examples=25)
@@ -369,8 +365,8 @@ def test_kron_vec_compatibility_property(n, data):
     a = data.draw(square(n))
     x = data.draw(square(n))
     b = data.draw(square(n))
-    lhs = vec(a @ x @ b)
-    rhs = kron(b.T, a) @ vec(x)
+    lhs = vecs(a @ x @ b)
+    rhs = kron(b.T, a) @ vecs(x)
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(x)) * max(
         1.0, np.linalg.norm(a) * np.linalg.norm(b)
     )

@@ -1,12 +1,15 @@
 """Closed-form and empirical updates, the gain, the trainer, and metrics."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from frame_hebb import rules
 from frame_hebb.errors import DimensionError, DivergenceError, RankDeficientError
+from frame_hebb.frames import frame_element
 from frame_hebb.gaussian import SampleBatch, derive_seed, sample
-from frame_hebb.linalg import build_covariance, random_spd
+from frame_hebb.linalg import CovarianceModel, build_covariance, random_spd
 from frame_hebb.rules import (
     MODES,
     RULES,
@@ -184,6 +187,32 @@ class TestEghrClosed:
             lhs = eghr_update_closed(w, cov)
             rhs = oja_update_closed(w, cov) @ cov.sigma
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+class TestExactRationals:
+    """The closed forms and frame_element keep their inputs' dtype: on a
+    Sigma and W of Fractions they compute in exact rational arithmetic."""
+
+    @pytest.fixture(scope="class")
+    def exact(self):
+        fractions = np.vectorize(Fraction, otypes=[object])
+        sigma = fractions(np.array([[4, 1, 0], [1, 3, 1], [0, 1, 2]]))
+        # Built directly: build_covariance casts its input to float.
+        cov = CovarianceModel(sigma=sigma, chol=None, sigma_inv=None, eigvals=None,
+                              eigvecs=None)
+        w = fractions(np.array([[1, 2, -3], [0, 4, 1]])) / 7
+        return cov, w, fractions
+
+    def test_closed_forms_agree_exactly(self, exact):
+        cov, w, _ = exact
+        gap = oja_update_closed(w, cov) @ cov.sigma - eghr_update_closed(w, cov)
+        assert all(type(v) is Fraction and v == 0 for v in gap.flat), gap
+
+    def test_frame_element_stays_rational(self, exact):
+        cov, _, fractions = exact
+        xi = frame_element(fractions(np.array([1, -2, 3])) / 7, cov)
+        assert all(type(v) is Fraction for v in xi.flat), xi
+        assert xi[0, 1] == Fraction(-2, 49) - 1
 
 
 class TestEghrEmpirical:
