@@ -192,6 +192,22 @@ def test_mc_checks_read_the_same_sums_whatever_else_runs():
     assert [_fields(r) for r in alone] == [_fields(together[name]) for name in names]
 
 
+@pytest.mark.parametrize("command", sorted(checks.COMMANDS))
+def test_rate_check_names_are_distinct_rate_sums(command):
+    # run_checks passes the mc-rate-<kind> names' kinds to MonteCarloBatches
+    # unchecked: each must be one key of _RATE_SUMS, and none repeat
+    kinds = [name[len("mc-rate-"):] for name in checks.COMMANDS[command].checks
+             if name.startswith("mc-rate-")]
+    assert kinds and len(set(kinds)) == len(kinds)
+    assert set(kinds) <= set(checks._RATE_SUMS)
+
+
+@pytest.mark.parametrize("n", [1, checks.RATE_MIN_SAMPLES - 1, checks.RATE_MIN_SAMPLES])
+def test_batches_draw_blocks_of_at_least_one_row(rate_cov, n):
+    # sample trusts its block, which is this one for any n >= 1 RunConfig allows
+    assert checks.MonteCarloBatches(rate_cov, 1, 0, n).block >= 1
+
+
 @pytest.mark.parametrize("n", [1, 1000, checks.RATE_MIN_SAMPLES - 1])
 def test_rate_checks_refuse_too_few_samples(rate_cov, n):
     with pytest.raises(SampleSizeError, match="mc-rate"):

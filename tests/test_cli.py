@@ -19,6 +19,7 @@ from frame_hebb.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_DIVERGED,
     EXIT_PASS,
+    _selected_checks,
     main,
 )
 from frame_hebb.frames import SKEW_DOMAIN_RTOL
@@ -162,6 +163,14 @@ def test_selection_without_command_checks_is_config_error(tmp_path, argv):
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, name", [("equivalence", "mc-rate-oja"),
+                                           ("frame-check", "mc-rate-frame-operator")])
+def test_repeated_check_name_selected_once(command, name):
+    # the selection is the command's own names in CSV order, so a name given
+    # twice reaches MonteCarloBatches as one rate kind
+    assert _selected_checks(command, (name, name)) == [name]
 
 
 class TestTrain:

@@ -27,6 +27,13 @@ def test_nu_above_nx_rejected():
         RunConfig(nx=2, nu=5)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_samples_below_one_rejected(samples):
+    # the checks' draws take their n from here, and sample trusts it
+    with pytest.raises(ConfigError, match="samples"):
+        RunConfig(samples=samples)
+
+
 def test_sigma_identity():
     np.testing.assert_array_equal(
         RunConfig(sigma="identity").build_sigma(), np.eye(4)

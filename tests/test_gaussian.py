@@ -5,7 +5,9 @@ import pytest
 
 from frame_hebb import gaussian
 from frame_hebb.checks import STEIN_RTOL, stein_identity_check
+from frame_hebb.errors import DimensionError
 from frame_hebb.gaussian import (
+    SampleBatch,
     cubature,
     derive_seed,
     isserlis_fourth_moment,
@@ -49,6 +51,13 @@ class TestSampling:
         a = sample(cov2, 100, seed=1)
         b = sample(cov2, 100, seed=2)
         assert not np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("shape", [(2,), (0, 2), (4, 3), (2, 2, 2)])
+    def test_rows_of_wrong_shape_rejected(self, cov2, shape):
+        # from_rows is where given rows enter: frame_element and the
+        # estimators take its rows, n >= 1 of them, each of length nx
+        with pytest.raises(DimensionError):
+            SampleBatch.from_rows(np.zeros(shape), cov2)
 
     def test_generator_seed_draws_from_the_stream_on_every_read(self, cov2):
         batch = sample(cov2, 50, np.random.default_rng(3))
