@@ -221,7 +221,7 @@ def frame_bounds_check(cov, seed: int, trials: int = 1000) -> ExperimentRecord:
     to nx (nx + 1) / 2 times upper_tight."""
     rng = np.random.default_rng(seed)
     s = frame_operator_analytic(cov)
-    b = frame_bounds(cov)
+    lower, upper_tight, upper_trace = frame_bounds(cov)
     g = rng.standard_normal((trials, cov.dim, cov.dim))
     v = np.empty((trials + 2, cov.dim**2))
     # Row k < trials is vec(2 sym_part(g[k])); C and F order agree on a
@@ -231,11 +231,10 @@ def frame_bounds_check(cov, seed: int, trials: int = 1000) -> ExperimentRecord:
     v[:trials] /= np.linalg.norm(v[:trials], axis=1, keepdims=True)
     v[trials:] = [np.outer(q, q).ravel() for q in cov.eigvecs[:, [0, -1]].T]
     quad = np.einsum("ij,ij->i", v @ s, v)  # all quadratic forms in one GEMM
-    gaps = np.array([b.upper_tight - b.upper_trace, b.lower - quad.min(),
-                     quad.max() - b.upper_tight, abs(quad[-2] - b.upper_tight),
-                     abs(quad[-1] - b.lower)])
-    trace_gap = abs(np.trace(s) - b.upper_trace) / b.upper_trace
-    return check_record("frame-bounds", _worst_gap(gaps / b.upper_tight, trace_gap),
+    gaps = np.array([upper_tight - upper_trace, lower - quad.min(), quad.max() - upper_tight,
+                     abs(quad[-2] - upper_tight), abs(quad[-1] - lower)])
+    trace_gap = abs(np.trace(s) - upper_trace) / upper_trace
+    return check_record("frame-bounds", _worst_gap(gaps / upper_tight, trace_gap),
                         BOUND_RTOL, seed, nx=cov.dim, trials=trials)
 
 
@@ -464,7 +463,7 @@ class MonteCarloBatches:
             raise SampleSizeError(
                 f"need >= {RATE_MIN_SAMPLES} samples for the mc-rate checks, got {n}: "
                 "below that the fitted slope is biased by the smallest blocks")
-        if (isserlis or "frame-operator" in kinds) and n < 2:
+        if isserlis and n < 2:
             raise SampleSizeError(f"need >= 2 samples for the frame operator, got {n}")
         self.cov, self.nu, self.seed, self.n = cov, nu, seed, n
         self.kinds, self.isserlis, self.derivation = kinds, isserlis, derivation
@@ -510,9 +509,9 @@ def mc_rate_check(batches: MonteCarloBatches) -> tuple[ExperimentRecord, ...]:
     batches, and each record equals the one a single-kind selection gives.
     """
     passes = [sums for _, sums in batches.passes]
-    sizes = [batches.block * RATE_SPLIT**k for k in range(RATE_LEVELS)]
     records = []
     for kind in batches.kinds:
+        sizes = passes[0][kind].sizes
         sq = np.sum([p[kind].sq for p in passes], axis=0)
         count = np.sum([p[kind].count for p in passes], axis=0)
         slope = float(np.polyfit(np.log10(sizes), np.log10(np.sqrt(sq / count)), 1)[0])
@@ -529,15 +528,15 @@ def derivation_checks(batches: MonteCarloBatches) -> tuple[ExperimentRecord, ...
     MC_TARGET_RTOL, each relative to the Frobenius norm of what it is
     compared with. Both records carry batch 0's seed."""
     batch, sums = batches.passes[0]
-    fed = (sums["frame-expansion"].inner, sums["direct"])
-    res = derive_eghr_from_oja(batches.w, batches.cov, batch, fed)
+    target, frame_route, direct_route = derive_eghr_from_oja(
+        batches.w, batches.cov, sums["frame-expansion"].inner, sums["direct"])
     return tuple(
-        check_record(name, float(np.linalg.norm(res.frame_route - ref)),
+        check_record(name, float(np.linalg.norm(frame_route - ref)),
                      rtol * max(float(np.linalg.norm(ref)), 1e-300), batch.seed,
                      nx=batches.cov.dim, nu=batches.nu, n=batch.n, check="derivation")
         for name, ref, rtol in (
-            ("derivation-chain-agreement", res.direct_route, CHAIN_AGREEMENT_RTOL),
-            ("derivation-mc-target", res.target, MC_TARGET_RTOL)))
+            ("derivation-chain-agreement", direct_route, CHAIN_AGREEMENT_RTOL),
+            ("derivation-mc-target", target, MC_TARGET_RTOL)))
 
 
 # ---------------------------------------------------------------------------

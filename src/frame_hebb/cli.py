@@ -94,10 +94,10 @@ def cmd_train(config: RunConfig, cov: CovarianceModel) -> int:
         )
     rng = np.random.default_rng(config.seed)
     w0 = rng.standard_normal((config.nu, config.nx)) / np.sqrt(config.nx)
-    trajectory = train(w0, cov, config.trainer)
-    write_trajectory_csv(config.out / "train_trajectory.csv", trajectory)
+    points = train(w0, cov, config.trainer)
+    write_trajectory_csv(config.out / "train_trajectory.csv", points)
 
-    final = trajectory.final
+    final = points[-1]
     record = ExperimentRecord("train-final", final.subspace_error, config.threshold,
                               config.seed, group="training")
     write_records_csv(config.out / "train.csv", [record])

@@ -27,7 +27,8 @@ nx(nx-1)/2 coordinates of vec(Xi_k). The Monte-Carlo frame expansion never
 does: with D = Sigma^-1 M Sigma^-1 / 2, the coefficient is
 (D, Xi_k)_F = x_k^T D x_k - tr(D Sigma), so (1/n) sum_k c_k Xi_k =
 X^T diag(c) X / n - mean(c) Sigma costs two chunk x nx products per chunk.
-``derive_eghr_from_oja`` computes its two routes in one pass.
+``derive_eghr_from_oja`` reads both routes from the sums of a pass that has
+already run (``checks.MonteCarloBatches``), and draws and sums nothing.
 
 The coefficients, ``frame_element`` and ``restricted_inverse_apply`` also
 take stacks with a leading trial axis, each item equal to a single call.
@@ -35,14 +36,12 @@ take stacks with a leading trial axis, each item equal to a single call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SampleSizeError, SkewDomainError
 from .gaussian import CHUNK_ROWS, RunningSum, SampleBatch
 from .linalg import CovarianceModel, dot, frobenius, matrix_transpose, require_memory, vecs
-from .rules import EghrMean, _ones, closed_center, expansion_target, oja_update_closed
+from .rules import EghrMean, _ones, oja_update_closed
 
 SKEW_DOMAIN_RTOL = 1e-10
 
@@ -131,30 +130,19 @@ def frame_operator_empirical(batch: SampleBatch) -> np.ndarray:
     return mean.dense(batch.feed(mean)[0])
 
 
-@dataclass(frozen=True)
-class FrameBounds:
-    """Two-sided bounds of (vec M, S vec M) on M in Sym of unit norm.
+def frame_bounds(cov: CovarianceModel) -> tuple[float, float, float]:
+    """Two-sided bounds of (vec M, S vec M) on M in Sym of unit norm, as
+    (lower, upper_tight, upper_trace).
 
     ``lower`` and ``upper_tight`` are the extreme eigenvalues of S restricted
     to Sym, 2 lambda_min(Sigma)^2 and 2 lambda_max(Sigma)^2.
     ``upper_trace`` is the cruder Cauchy-Schwarz constant
     E|Xi|^2 = tr S = (tr Sigma)^2 + tr(Sigma^2).
     """
-
-    lower: float
-    upper_tight: float
-    upper_trace: float
-
-
-def frame_bounds(cov: CovarianceModel) -> FrameBounds:
     lam = cov.eigvals
     trace_sq = float(np.trace(cov.sigma)) ** 2
     sq_trace = float(np.sum(cov.sigma * cov.sigma))
-    return FrameBounds(
-        lower=float(2.0 * lam[-1] ** 2),
-        upper_tight=float(2.0 * lam[0] ** 2),
-        upper_trace=trace_sq + sq_trace,
-    )
+    return float(2.0 * lam[-1] ** 2), float(2.0 * lam[0] ** 2), trace_sq + sq_trace
 
 
 def _symmetric_domain(m: np.ndarray, what: str) -> np.ndarray:
@@ -250,43 +238,25 @@ def frame_expansion_reconstruct(m, batch: SampleBatch) -> np.ndarray:
     return batch.feed(ExpansionMean(m, batch.covariance))[0]
 
 
-@dataclass(frozen=True)
-class DerivationResult:
-    """Numerical walk through the chain that turns the subspace rule into
-    the error-gated rule: the closed-form target and the two routes to it
-    (``checks.derivation_checks`` holds them to their tolerances)."""
+def derive_eghr_from_oja(w: np.ndarray, cov: CovarianceModel, expansion: ExpansionMean,
+                         direct: EghrMean) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Regenerate the error-gated update from the subspace rule, as (target,
+    frame route, direct route).
 
-    target: np.ndarray  # W Sigma (I - W^T W) Sigma, closed form
-    frame_route: np.ndarray  # W applied through the expansion
-    direct_route: np.ndarray  # gain-weighted Hebbian mean on the same batch
-
-
-def derive_eghr_from_oja(w: np.ndarray, cov: CovarianceModel, batch: SampleBatch,
-                         fed=None) -> DerivationResult:
-    """Regenerate the error-gated update from the subspace rule on a batch.
-
-    Steps: right-multiply the closed-form subspace update by Sigma; frame-
-    expand the symmetric sandwich M = Sigma (I - W^T W) Sigma over the
-    batch; reattach W, restoring the mean term the expansion centered away.
-    The direct route is the gain-weighted Hebbian mean of the same samples.
-    The two routes are the same sum term by term (the
-    coefficient equals the gain), so they must agree to roundoff on any
+    Steps: right-multiply the closed-form subspace update by Sigma (the
+    target); frame-expand the symmetric sandwich M = Sigma (I - W^T W) Sigma
+    over a batch; reattach W, restoring the mean term the expansion centered
+    away (the frame route). The direct route is the gain-weighted Hebbian
+    mean of the same samples. The two routes are the same sum term by term
+    (the coefficient equals the gain), so they must agree to roundoff on any
     batch, while either route approaches the closed-form target only at
-    Monte-Carlo rate. Both routes are summed in one pass over the chunks:
-    here, or, when ``fed`` is given, in a pass that other estimators shared.
-    ``fed`` is then the pair (``ExpansionMean`` of M, ``EghrMean`` with the
-    closed-form center) after that pass over ``batch``. W is a nu x nx weight
-    matrix the program made (``checks.MonteCarloBatches.w``), not checked here.
+    Monte-Carlo rate. ``expansion`` (the ``ExpansionMean`` of M) and
+    ``direct`` (the ``EghrMean`` of W with the closed-form center) hold the
+    sums of a pass over the batch that has already run
+    (``checks.MonteCarloBatches``). W is a nu x nx weight matrix the program
+    made, not checked here.
     """
     target = oja_update_closed(w, cov) @ cov.sigma
-
-    if fed is None:
-        # The direct route centers the gains in closed form.
-        fed = (ExpansionMean(expansion_target(w, cov), cov),
-               EghrMean(w, closed_center(w, cov)))
-        batch.feed(*fed)
-    expansion, direct = fed
-    recon, direct_route = expansion.result(), direct.result()
     # Undo the centering of Xi: (1/n) sum c_k x x^T = recon + mean(c) Sigma.
-    frame_route = w @ (recon + expansion.coeff_mean() * cov.sigma)
-    return DerivationResult(target=target, frame_route=frame_route, direct_route=direct_route)
+    frame_route = w @ (expansion.result() + expansion.coeff_mean() * cov.sigma)
+    return target, frame_route, direct.result()

@@ -121,9 +121,9 @@ def write_records_csv(path, records: list[ExperimentRecord]) -> None:
     _write_csv(path, CSV_SCHEMA_VERSION, CSV_COLUMNS, records, "\r\n")
 
 
-def write_trajectory_csv(path, trajectory) -> None:
-    """Write a ``rules.Trajectory``, one row per recorded point."""
-    _write_csv(path, TRAJECTORY_SCHEMA_VERSION, TRAJECTORY_COLUMNS, trajectory.points, "\n")
+def write_trajectory_csv(path, points) -> None:
+    """Write ``rules.train``'s points, one row per recorded point."""
+    _write_csv(path, TRAJECTORY_SCHEMA_VERSION, TRAJECTORY_COLUMNS, points, "\n")
 
 
 def read_records_csv(path) -> list[ExperimentRecord]:

@@ -47,11 +47,11 @@ RULES = ("oja", "eghr")
 MODES = ("closed", "empirical")
 
 
-def as_weights(w, nx: int, caller: str) -> np.ndarray:
-    """Validate a trainable nu-by-nx weight matrix for an input of dimension
-    ``nx`` (2-D, finite, and 1 <= nu <= nx: a dimensionality reduction);
-    return it as a float array. ``caller`` names the entry point in the nx
-    error. Every other function here takes weights validated by this."""
+def as_weights(w, nx: int) -> np.ndarray:
+    """Validate ``train``'s W0, a trainable nu-by-nx weight matrix for an
+    input of dimension ``nx`` (2-D, finite, and 1 <= nu <= nx: a
+    dimensionality reduction); return it as a float array. Every other
+    function here takes weights validated by this."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
         raise DimensionError(f"weights must be 2-dimensional, got shape {w.shape}")
@@ -61,7 +61,7 @@ def as_weights(w, nx: int, caller: str) -> np.ndarray:
     if not np.all(np.isfinite(w)):
         raise ValueError("weights contain non-finite entries")
     if width != nx:
-        raise DimensionError(f"{caller}: weights have nx={width}, input has nx={nx}")
+        raise DimensionError(f"train: weights have nx={width}, input has nx={nx}")
     return w
 
 
@@ -249,17 +249,9 @@ class TrajectoryPoint:
     update_norm: float
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    points: tuple[TrajectoryPoint, ...]
-
-    @property
-    def final(self) -> TrajectoryPoint:
-        return self.points[-1]
-
-
-def train(w0, cov: CovarianceModel, config: TrainerConfig) -> Trajectory:
-    """Explicit-Euler integration of ``config.rule`` from W0.
+def train(w0, cov: CovarianceModel, config: TrainerConfig) -> tuple[TrajectoryPoint, ...]:
+    """Explicit-Euler integration of ``config.rule`` from W0; the recorded
+    points in step order, the final step last.
 
     Closed-form mode steps along the exact expected update; empirical mode
     draws a fresh batch per step from one stream per run,
@@ -275,7 +267,7 @@ def train(w0, cov: CovarianceModel, config: TrainerConfig) -> Trajectory:
     cannot change the shape, and a non-finite entry makes the norm
     non-finite, so the guard raises before the next update.
     """
-    w = as_weights(w0, cov.dim, "train").copy()
+    w = as_weights(w0, cov.dim).copy()
     closed = config.mode == "closed"
     if closed:
         update = oja_update_closed if config.rule == "oja" else eghr_update_closed
@@ -303,4 +295,4 @@ def train(w0, cov: CovarianceModel, config: TrainerConfig) -> Trajectory:
         norm = math.sqrt(flat.dot(flat))  # np.linalg.norm(w) to the bit, without its dispatch
         if not math.isfinite(norm) or norm > DIVERGENCE_NORM:
             raise DivergenceError(step + 1, norm)
-    return Trajectory(points=tuple(points))
+    return tuple(points)

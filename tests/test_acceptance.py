@@ -167,7 +167,7 @@ def test_criterion_8_fixed_point_and_convergence_equivalence():
         ):
             cfg = TrainerConfig(rule, "closed", learning_rate=0.02, steps=5000,
                                 record_every=5000)
-            final = train(w0, cov, cfg).final
+            final = train(w0, cov, cfg)[-1]
             worst_sub = max(worst_sub, final.subspace_error)
             worst_orth = max(worst_orth, final.orthonormality_residual)
             worst_cross = max(

@@ -125,6 +125,14 @@ class TestFrameCheck:
         assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr
 
+    def test_single_sample_empirical_operator_alone_is_input_error(self, tmp_path):
+        # no rate check is selected, so only the operator's own guard can refuse
+        proc = run_process(["frame-check", "--out", tmp_path, "--samples", "1",
+                            "--checks", "isserlis-empirical"])
+        assert proc.returncode == EXIT_CONFIG_ERROR
+        assert proc.stderr == "input error: need >= 2 samples for the frame operator, got 1\n"
+        assert not (tmp_path / "frame_check.csv").exists()
+
     def test_small_sample_rates_rejected_before_any_check_runs(self, tmp_path, monkeypatch):
         # below RATE_MIN_SAMPLES the fitted slope is biased: exit 2, not FAIL
         ran = []

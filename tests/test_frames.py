@@ -13,7 +13,6 @@ from frame_hebb.frames import (
     ExpansionMean,
     OperatorMean,
     cancellation_coefficient,
-    derive_eghr_from_oja,
     frame_bounds,
     frame_coefficient,
     frame_element,
@@ -44,6 +43,7 @@ from frame_hebb.rules import (
     expansion_target,
     oja_update_closed,
 )
+from sweeps import derive_on_own_pass
 
 
 @pytest.fixture(scope="module")
@@ -190,34 +190,32 @@ class TestFrameOperatorEmpirical:
 
 class TestFrameBounds:
     def test_identity_two_dim(self):
-        b = frame_bounds(build_covariance(np.eye(2)))
-        assert (b.lower, b.upper_tight, b.upper_trace) == (2.0, 2.0, 6.0)
+        assert frame_bounds(build_covariance(np.eye(2))) == (2.0, 2.0, 6.0)
 
     def test_diagonal_two_dim(self, cov21):
-        b = frame_bounds(cov21)
-        assert (b.lower, b.upper_tight, b.upper_trace) == (2.0, 8.0, 14.0)
+        assert frame_bounds(cov21) == (2.0, 8.0, 14.0)
 
     def test_isotropic(self):
         c = 1.7
-        b = frame_bounds(build_covariance(c * np.eye(3)))
-        assert b.lower == pytest.approx(2 * c**2, rel=1e-12)
-        assert b.upper_tight == pytest.approx(2 * c**2, rel=1e-12)
+        lower, upper_tight, _ = frame_bounds(build_covariance(c * np.eye(3)))
+        assert lower == pytest.approx(2 * c**2, rel=1e-12)
+        assert upper_tight == pytest.approx(2 * c**2, rel=1e-12)
 
     def test_trace_bound_equals_operator_trace(self, cov_rand3):
-        b = frame_bounds(cov_rand3)
+        lower, upper_tight, upper_trace = frame_bounds(cov_rand3)
         s = frame_operator_analytic(cov_rand3)
-        assert b.upper_trace == pytest.approx(np.trace(s), rel=1e-12)
-        assert b.lower <= b.upper_tight <= b.upper_trace
+        assert upper_trace == pytest.approx(np.trace(s), rel=1e-12)
+        assert lower <= upper_tight <= upper_trace
 
     def test_quadratic_form_sandwiched(self, cov_rand3):
         s = frame_operator_analytic(cov_rand3)
-        b = frame_bounds(cov_rand3)
+        lower, upper_tight, _ = frame_bounds(cov_rand3)
         rng = np.random.default_rng(69)
         for _ in range(200):
             v = vecs(sym_part(rng.standard_normal((3, 3))))
             v /= np.linalg.norm(v)
             q = v @ s @ v
-            assert b.lower - 1e-10 <= q <= b.upper_tight + 1e-10
+            assert lower - 1e-10 <= q <= upper_tight + 1e-10
 
 
 SKEW = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -350,7 +348,7 @@ class TestFrameExpansion:
         w = np.random.default_rng(90).uniform(-1, 1, (4, nx))
         m = cov.sigma @ (np.eye(nx) - w.T @ w) @ cov.sigma
         for run in (lambda: frame_expansion_reconstruct(m, batch),
-                    lambda: derive_eghr_from_oja(w, cov, batch)):
+                    lambda: derive_on_own_pass(w, cov, batch)):
             tracemalloc.start()
             try:
                 run()
@@ -475,42 +473,43 @@ class TestDenseBuildGuard:
     def test_matrix_paths_run(self, cov_wide):
         x = np.random.default_rng(92).standard_normal((20, 1000))
         w = np.random.default_rng(93).uniform(-1, 1, (2, 1000))
-        res = derive_eghr_from_oja(w, cov_wide, SampleBatch.from_rows(x, cov_wide))
-        gap = np.linalg.norm(res.frame_route - res.direct_route)
-        assert gap <= CHAIN_AGREEMENT_RTOL * np.linalg.norm(res.direct_route)
+        _, frame_route, direct_route = derive_on_own_pass(
+            w, cov_wide, SampleBatch.from_rows(x, cov_wide))
+        gap = np.linalg.norm(frame_route - direct_route)
+        assert gap <= CHAIN_AGREEMENT_RTOL * np.linalg.norm(direct_route)
         assert "frame_operator" not in vars(cov_wide)
 
 
 class TestDerivation:
     def test_zero_weights_everything_zero(self, cov21):
         batch = sample(cov21, 200, seed=81)
-        res = derive_eghr_from_oja(np.zeros((1, 2)), cov21, batch)
-        np.testing.assert_array_equal(res.target, np.zeros((1, 2)))
-        np.testing.assert_array_equal(res.frame_route, np.zeros((1, 2)))
-        np.testing.assert_array_equal(res.direct_route, np.zeros((1, 2)))
+        for route in derive_on_own_pass(np.zeros((1, 2)), cov21, batch):
+            np.testing.assert_array_equal(route, np.zeros((1, 2)))
 
     def test_routes_agree_on_any_batch(self, cov_rand3):
         w = np.random.default_rng(82).uniform(-1, 1, (2, 3))
         for n in (10, 1000):
-            res = derive_eghr_from_oja(w, cov_rand3, sample(cov_rand3, n, seed=83))
-            gap = np.linalg.norm(res.frame_route - res.direct_route)
-            assert gap <= 1e-12 * np.linalg.norm(res.direct_route)
+            _, frame_route, direct_route = derive_on_own_pass(
+                w, cov_rand3, sample(cov_rand3, n, seed=83))
+            gap = np.linalg.norm(frame_route - direct_route)
+            assert gap <= 1e-12 * np.linalg.norm(direct_route)
 
     def test_monte_carlo_approaches_target(self, cov_rand3):
         w = np.random.default_rng(84).uniform(-1, 1, (2, 3))
-        res = derive_eghr_from_oja(w, cov_rand3, sample(cov_rand3, 10**5, seed=85))
-        rel = np.linalg.norm(res.frame_route - res.target) / np.linalg.norm(res.target)
+        target, frame_route, _ = derive_on_own_pass(w, cov_rand3,
+                                                    sample(cov_rand3, 10**5, seed=85))
+        rel = np.linalg.norm(frame_route - target) / np.linalg.norm(target)
         assert rel <= 0.15
 
     def test_target_is_postmultiplied_subspace_update(self, cov_rand3):
         w = np.random.default_rng(86).uniform(-1, 1, (2, 3))
-        res = derive_eghr_from_oja(w, cov_rand3, sample(cov_rand3, 100, seed=87))
+        target = derive_on_own_pass(w, cov_rand3, sample(cov_rand3, 100, seed=87))[0]
         np.testing.assert_array_equal(
-            res.target, oja_update_closed(w, cov_rand3) @ cov_rand3.sigma
+            target, oja_update_closed(w, cov_rand3) @ cov_rand3.sigma
         )
         assert np.linalg.norm(
-            res.target - eghr_update_closed(w, cov_rand3)
-        ) <= 1e-12 * np.linalg.norm(res.target)
+            target - eghr_update_closed(w, cov_rand3)
+        ) <= 1e-12 * np.linalg.norm(target)
 
 
 # Each formula that takes a leading trial axis, with the inputs it takes from

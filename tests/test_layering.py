@@ -99,3 +99,17 @@ def test_only_the_boundaries_cast_and_check(module):
 def test_every_boundary_casts():
     where = {where for module in MATHS for where, _ in _cast_calls(_tree(module))}
     assert where == BOUNDARIES | {"_as_matrix"}
+
+
+# The maths modules' classes: each hides an algorithm (the running sums and
+# the covariance factors), enforces a condition (the batch, the trainer's
+# settings) or names a CSV row (a trajectory point). A function returns its
+# results as plain arrays, numbers and tuples, not in a class of its own.
+MATHS_CLASSES = {"CovarianceModel", "SampleBatch", "RunningSum", "OjaMean", "EghrMean",
+                 "TrainerConfig", "TrajectoryPoint", "OperatorMean", "ExpansionMean"}
+
+
+def test_the_maths_modules_define_only_the_allowed_classes():
+    defined = [node.name for module in MATHS for node in ast.walk(_tree(module))
+               if isinstance(node, ast.ClassDef)]
+    assert sorted(defined) == sorted(MATHS_CLASSES), set(defined) ^ MATHS_CLASSES

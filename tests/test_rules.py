@@ -52,22 +52,22 @@ class TestWeightMatrix:
 
     def test_rejects_nu_above_nx(self):
         with pytest.raises(DimensionError):
-            as_weights(np.ones((3, 2)), 2, "test")
+            as_weights(np.ones((3, 2)), 2)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            as_weights(np.array([[np.inf, 0.0]]), 2, "test")
+            as_weights(np.array([[np.inf, 0.0]]), 2)
         with pytest.raises(ValueError):
-            as_weights(np.array([[np.nan, 0.0]]), 2, "test")
+            as_weights(np.array([[np.nan, 0.0]]), 2)
 
     def test_rejects_non_matrix(self):
         with pytest.raises(DimensionError):
-            as_weights(np.ones(3), 3, "test")
+            as_weights(np.ones(3), 3)
         with pytest.raises(DimensionError):
-            as_weights(np.ones((0, 3)), 3, "test")
+            as_weights(np.ones((0, 3)), 3)
 
     def test_returns_float_array(self):
-        w = as_weights([[1, 0, 0], [0, 1, 0]], 3, "test")
+        w = as_weights([[1, 0, 0], [0, 1, 0]], 3)
         assert w.dtype == float and w.shape == (2, 3)
 
 
@@ -336,8 +336,7 @@ class TestTrainer:
     def test_fixed_point_trajectory_is_flat(self, cov_rand4):
         w0 = principal_weights(cov_rand4, 2, seed=34)
         cfg = TrainerConfig("oja", "closed", learning_rate=0.02, steps=200, record_every=50)
-        traj = train(w0, cov_rand4, cfg)
-        for p in traj.points:
+        for p in train(w0, cov_rand4, cfg):
             np.testing.assert_allclose(p.w, w0, atol=1e-12)
             assert p.update_norm <= 1e-13
 
@@ -347,7 +346,7 @@ class TestTrainer:
         for rule in ("oja", "eghr"):
             cfg = TrainerConfig(rule, "closed", learning_rate=0.02, steps=5000,
                                 record_every=500)
-            final = train(w0, cov, cfg).final
+            final = train(w0, cov, cfg)[-1]
             assert final.subspace_error <= 1e-6
             assert final.orthonormality_residual <= 1e-6
 
@@ -359,9 +358,9 @@ class TestTrainer:
             "oja", "empirical", learning_rate=0.002, steps=3000, batch_size=100,
             record_every=500, seed=4
         )
-        traj = train(w0, cov, cfg)
-        assert traj.final.subspace_error < traj.points[0].subspace_error
-        assert traj.final.subspace_error < 0.1
+        points = train(w0, cov, cfg)
+        assert points[-1].subspace_error < points[0].subspace_error
+        assert points[-1].subspace_error < 0.1
 
     def test_divergence_guard_names_step(self):
         cov = build_covariance(np.diag([5.0, 4.0, 3.0, 2.0, 1.0]))
@@ -396,7 +395,7 @@ class TestTrainer:
                             record_every=7, seed=11)
         closed = oja_update_closed if rule == "oja" else eghr_update_closed
         empirical = oja_update_empirical if rule == "oja" else eghr_update_empirical
-        w = as_weights(w0, cov_rand4.dim, "test").copy()
+        w = as_weights(w0, cov_rand4.dim).copy()
         rng = np.random.default_rng(derive_seed(cfg.seed, 0))  # one stream per run
         expected = []
         for step in range(cfg.steps + 1):
@@ -411,7 +410,7 @@ class TestTrainer:
                 break
             w = w + cfg.learning_rate * upd
 
-        points = train(w0, cov_rand4, cfg).points
+        points = train(w0, cov_rand4, cfg)
         assert len(points) == len(expected)
         for p, (step, w, err, orth, norm) in zip(points, expected):
             assert p.step == step
@@ -502,7 +501,7 @@ class TestTrainer:
         cfg = TrainerConfig("eghr", "closed", learning_rate=0.02, steps=100, record_every=10)
         a = train(w0, cov_rand4, cfg)
         b = train(w0, cov_rand4, cfg)
-        for pa, pb in zip(a.points, b.points):
+        for pa, pb in zip(a, b):
             assert pa.step == pb.step
             np.testing.assert_array_equal(pa.w, pb.w)
             assert pa.subspace_error == pb.subspace_error
@@ -513,14 +512,13 @@ class TestTrainer:
         )
         a = train(w0, cov_rand4, cfg_emp)
         b = train(w0, cov_rand4, cfg_emp)
-        for pa, pb in zip(a.points, b.points):
+        for pa, pb in zip(a, b):
             np.testing.assert_array_equal(pa.w, pb.w)
 
     def test_step_indices_strictly_increasing(self, cov_rand4):
         w0 = np.random.default_rng(39).standard_normal((2, 4)) / 2.0
         cfg = TrainerConfig("oja", "closed", learning_rate=0.02, steps=37, record_every=10)
-        traj = train(w0, cov_rand4, cfg)
-        steps = [p.step for p in traj.points]
+        steps = [p.step for p in train(w0, cov_rand4, cfg)]
         assert steps == sorted(set(steps))
         assert steps[-1] == 37
 

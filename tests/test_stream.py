@@ -29,7 +29,6 @@ from frame_hebb.checks import (
 from frame_hebb.frames import (
     ExpansionMean,
     OperatorMean,
-    derive_eghr_from_oja,
     frame_expansion_reconstruct,
     frame_operator_analytic,
     frame_operator_empirical,
@@ -54,6 +53,7 @@ from frame_hebb.rules import (
     oja_update_closed,
     oja_update_empirical,
 )
+from sweeps import derive_on_own_pass
 
 C = CHUNK_ROWS
 
@@ -121,15 +121,15 @@ def estimates(w, cov, batch):
     the same rows, as (name, chunked, formula) triples."""
     x = batch.data
     m = cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma
-    res = derive_eghr_from_oja(w, cov, batch)
-    frame_route, direct_route = derivation_formula(w, cov, x)
+    _, frame_route, direct_route = derive_on_own_pass(w, cov, batch)
+    formula_frame_route, formula_direct_route = derivation_formula(w, cov, x)
     return [
         ("oja", oja_update_empirical(w, batch), oja_formula(w, x)),
         ("eghr", eghr_update_empirical(w, batch), gain_hebbian_formula(w, x)),
         ("operator", frame_operator_empirical(batch), operator_formula(cov, x)),
         ("expansion", frame_expansion_reconstruct(m, batch), expansion_formula(m, cov, x)[0]),
-        ("frame-route", res.frame_route, frame_route),
-        ("direct-route", res.direct_route, direct_route),
+        ("frame-route", frame_route, formula_frame_route),
+        ("direct-route", direct_route, formula_direct_route),
     ]
 
 
@@ -545,7 +545,7 @@ class TestMemory:
             "oja_update_empirical": lambda n: oja_update_empirical(w23, sample(cov3, n, 1)),
             "eghr_update_empirical": lambda n: eghr_update_empirical(w23, sample(cov3, n, 1)),
             "frame_operator_empirical": lambda n: frame_operator_empirical(sample(cov3, n, 1)),
-            "derive_eghr_from_oja": lambda n: derive_eghr_from_oja(w23, cov3, sample(cov3, n, 1)),
+            "derive_eghr_from_oja": lambda n: derive_on_own_pass(w23, cov3, sample(cov3, n, 1)),
             "monte_carlo_batches": lambda n: _all_mc_checks(cov3, n),
         }[estimator]
         small, large = traced_peak(lambda: run(4 * C)), traced_peak(lambda: run(16 * C))
