@@ -18,24 +18,30 @@ error, and so are too few ``--samples`` for a selected Monte-Carlo check
 a selected check's dense nx**2 x nx**2 operator would not fit in physical
 memory (``DimensionError``). ``SkewDomainError`` is left unmapped: every
 matrix the commands hand to the restricted inverse is symmetric to far
-within its domain tolerance.
+within its domain tolerance. After the covariance build, and before any check
+or step, a command makes ``--out`` and its CSVs' temporary files; whatever the
+OS refuses there exits 2. Each CSV replaces its old self only when the run
+ends with exit 0 or 1, so a CSV is never half written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .checks import COMMANDS, CheckCommand, run_checks
+from .checks import COMMANDS, run_checks
 from .config import SETTINGS, ConfigError, RunConfig, load_config
 from .errors import (
     DegenerateCovarianceError,
     DimensionError,
     DivergenceError,
+    OutputError,
     RankDeficientError,
     SampleSizeError,
 )
@@ -75,16 +81,44 @@ def _selected_checks(command: str, requested) -> list[str]:
     return [c for c in own if requested is None or c in requested]
 
 
-def cmd_checks(config: RunConfig, cov: CovarianceModel, command: CheckCommand,
-               names: list[str]) -> int:
+@contextlib.contextmanager
+def _outputs(out: Path, csv_names: list[str]):
+    """Make ``out`` and an empty temporary file per CSV name in it; yield
+    their paths. A normal exit moves each onto its CSV; any exception removes
+    every file and directory made here. What the OS refuses on the way in is
+    an OutputError."""
+    made = [p for p in (out, *out.parents) if not os.path.lexists(p)]
+    partial = [out / f"{name}.partial" for name in csv_names]  # not *.csv, which report reads
+    try:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for path in partial:
+                path.touch()
+        except (OSError, ValueError) as exc:
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            raise OutputError(f"output directory {os.fspath(out)!r}: {reason}") from exc
+        yield partial
+        for path, name in zip(partial, csv_names):
+            os.replace(path, out / name)
+    except BaseException:
+        for path in partial:
+            with contextlib.suppress(OSError, ValueError):
+                path.unlink()
+        for path in made:  # deepest first; a directory that is not empty stays
+            with contextlib.suppress(OSError, ValueError):
+                path.rmdir()
+        raise
+
+
+def cmd_checks(config: RunConfig, cov: CovarianceModel, names: list[str], csv_path) -> int:
     """Run the selected checks on the run's covariance and write their CSV."""
     records = run_checks(config, cov, names)
-    write_records_csv(config.out / command.csv_name, records)
+    write_records_csv(csv_path, records)
     _print_records(records)
     return EXIT_PASS if all(r.passed for r in records) else EXIT_CHECK_FAILED
 
 
-def cmd_train(config: RunConfig, cov: CovarianceModel) -> int:
+def cmd_train(config: RunConfig, cov: CovarianceModel, trajectory_path, csv_path) -> int:
     gap = cov.spectral_gap_at(config.nu)  # inf when nu >= nx: no cut
     if gap <= EIGENVALUE_FLOOR_REL:
         raise ConfigError(
@@ -95,12 +129,12 @@ def cmd_train(config: RunConfig, cov: CovarianceModel) -> int:
     rng = np.random.default_rng(config.seed)
     w0 = rng.standard_normal((config.nu, config.nx)) / np.sqrt(config.nx)
     points = train(w0, cov, config.trainer)
-    write_trajectory_csv(config.out / "train_trajectory.csv", points)
+    write_trajectory_csv(trajectory_path, points)
 
     final = points[-1]
     record = ExperimentRecord("train-final", final.subspace_error, config.threshold,
                               config.seed, group="training")
-    write_records_csv(config.out / "train.csv", [record])
+    write_records_csv(csv_path, [record])
     _print_records([record])
     print(
         f"final step {final.step}: subspace_error={final.subspace_error:.3e} "
@@ -113,15 +147,12 @@ def cmd_train(config: RunConfig, cov: CovarianceModel) -> int:
 def cmd_report(output_dir) -> int:
     out = Path(output_dir)
     try:
-        found = out.is_dir()
-    except OSError as exc:  # a name too long, say
+        csv_paths = sorted(p for p in out.iterdir() if p.name.endswith(".csv"))
+    except OSError as exc:
         print(f"error: output directory {out}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    if not found:
-        print(f"error: output directory not found: {out}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     records: list[ExperimentRecord] = []
-    for path in sorted(out.glob("*.csv")):
+    for path in csv_paths:
         try:
             with open(path, newline="") as fh:
                 if fh.readline().strip() == f"# {TRAJECTORY_SCHEMA_VERSION}":
@@ -202,8 +233,13 @@ def main(argv=None) -> int:
     try:
         cov = build_covariance(config.build_sigma())  # the run's one covariance
         if args.command == "train":
-            return cmd_train(config, cov)
-        return cmd_checks(config, cov, COMMANDS[args.command], names)
+            with _outputs(config.out, ["train_trajectory.csv", "train.csv"]) as paths:
+                return cmd_train(config, cov, *paths)
+        with _outputs(config.out, [COMMANDS[args.command].csv_name]) as paths:
+            return cmd_checks(config, cov, names, *paths)
+    except OutputError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

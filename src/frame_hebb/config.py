@@ -1,13 +1,13 @@
 """Run configuration: a checked-in INI-style config file plus flag overrides,
 resolved into one validated RunConfig. Flags win over file values; nothing is
 read from the environment, so a (config, seed) pair pins a run completely.
+``out`` is not probed here: the CLI judges it by making it, before any check.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,28 +85,6 @@ class RunConfig:
                 record_every=self.record_every, seed=self.seed))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        # Only a config file can give a NUL byte, which no path can hold;
-        # lexists would answer False for it, and the write raise ValueError.
-        if "\0" in os.fspath(self.out):
-            raise ConfigError(f"output directory {os.fspath(self.out)!r}: a path cannot "
-                              "hold a NUL byte")
-        try:
-            # lexists: a symlink loop or a dangling link is found, and
-            # pathconf, which follows it, raises ELOOP or ENOENT.
-            existing = next(p for p in (self.out, *self.out.parents) if os.path.lexists(p))
-            name_max = os.pathconf(existing, "PC_NAME_MAX")
-            path_max = os.pathconf(existing, "PC_PATH_MAX")
-        except OSError as exc:  # a path too long, say
-            raise ConfigError(f"output directory {self.out}: {exc.strerror}") from exc
-        if not existing.is_dir():
-            raise ConfigError(f"output directory {self.out}: {existing} is a file")
-        if len(os.fsencode(self.out)) + 1 + name_max >= path_max:
-            raise ConfigError(f"output directory {self.out}: the path leaves no room for a "
-                              f"{name_max}-byte file name below the {path_max}-byte path limit")
-        # A name below existing is not looked up, so the probe cannot see it.
-        if any(len(os.fsencode(p)) > name_max for p in self.out.relative_to(existing).parts):
-            raise ConfigError(f"output directory {self.out}: a name is longer than "
-                              f"{name_max} bytes")
         self.build_sigma()  # fail fast on a bad sigma spec
 
     def build_sigma(self) -> np.ndarray:

@@ -25,6 +25,10 @@ class RankDeficientError(ValueError):
     dimension than requested and subspace metrics are undefined."""
 
 
+class OutputError(ValueError):
+    """The output directory or a file in it cannot be made: CLI exit code 2."""
+
+
 class DivergenceError(RuntimeError):
     """Training iterate blew up. Carries the step at which the guard fired."""
 

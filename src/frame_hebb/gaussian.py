@@ -131,15 +131,6 @@ class SampleBatch:
                 yield x
             yield ahead.result()
 
-    @property
-    def data(self) -> np.ndarray:
-        """The whole batch as one n x dim array, for small batches; the
-        estimators read ``chunks`` instead."""
-        if self.rows is not None:
-            return self.rows
-        parts = list(self.chunks())
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
     def feed(self, *sums) -> list:
         """One pass over the chunks: hand each chunk to every running sum's
         ``add``, then return their ``result()``s in order."""

@@ -20,7 +20,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 CSV_SCHEMA_VERSION = "frame-hebb-csv v1"
 CSV_COLUMNS = [
@@ -107,8 +106,6 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, schema: str, columns: list[str], rows, lineterminator: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# {schema}\n")
         writer = csv.writer(fh, lineterminator=lineterminator)

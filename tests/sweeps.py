@@ -1,5 +1,5 @@
-"""Helpers shared by the tests: the (nx, nu) pairs of a dimension sweep, and
-the derivation chain on a pass of its own."""
+"""Helpers shared by the tests: the (nx, nu) pairs of a dimension sweep, a
+batch's rows as one array, and the derivation chain on a pass of its own."""
 
 import numpy as np
 
@@ -11,6 +11,14 @@ def dim_sweep(max_nx: int = 8, min_nx: int = 2, seed: int = 0) -> list[tuple[int
     """(nx, nu) pairs cycling nx through [min_nx, max_nx] with random nu <= nx."""
     rng = np.random.default_rng(seed)
     return [(nx, int(rng.integers(1, nx + 1))) for nx in range(min_nx, max_nx + 1)]
+
+
+def rows_of(batch) -> np.ndarray:
+    """A batch's rows as one n x dim array: the rows of a ``from_rows``
+    batch, else its chunks concatenated. The estimators read the chunks."""
+    if batch.rows is not None:
+        return batch.rows
+    return np.concatenate(list(batch.chunks()))
 
 
 def derive_on_own_pass(w, cov, batch):

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, CSV artifacts, determinism, report."""
 
+import errno
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frame_hebb
-from frame_hebb import checks, frames, gaussian, linalg, rules
+from frame_hebb import checks, cli, frames, gaussian, linalg, rules
 from frame_hebb.checks import MC_SEED_INDEX, RATE_BATCHES, RATE_MIN_SAMPLES
 from frame_hebb.cli import (
     EXIT_CHECK_FAILED,
@@ -848,3 +849,98 @@ class TestExitCodeContract:
         assert code in (EXIT_PASS, EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_DIVERGED)
         if not set(names) <= set(CHEAP_CHECKS[command]):
             assert code == EXIT_CONFIG_ERROR
+
+
+# A cheap run of each command that writes CSVs, and the last CSV it opens.
+WRITERS = {
+    "equivalence": (["equivalence", "--checks", "closed-equivalence"], "equivalence.csv"),
+    "frame-check": (["frame-check", "--checks", "frame-bounds"], "frame_check.csv"),
+    "train": (["train"] + TRAIN_CHEAP, "train.csv"),
+}
+
+
+def _refuse(*_args, **_kwargs):
+    raise PermissionError(errno.EACCES, "Permission denied")
+
+
+class TestOutputBoundary:
+    """Each command makes --out and a temporary file per CSV before any check
+    or step runs: what the OS refuses there exits 2 with one line and leaves
+    nothing behind. A CSV is replaced only by a run that exits 0 or 1. Tier-1
+    may run as root, whom file modes do not stop, so the refusals are
+    monkeypatched; CI runs the same cases on a mode-555 directory."""
+
+    @staticmethod
+    def spy_on_work(monkeypatch) -> list:
+        ran = []
+        monkeypatch.setattr(cli, "run_checks", lambda *args: ran.append("run_checks"))
+        monkeypatch.setattr(cli, "train", lambda *args: ran.append("train"))
+        return ran
+
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_a_refused_directory_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        # Path.mkdir, not os.mkdir: Python 3.10's pathlib holds its own
+        # reference to os.mkdir. The parent is made before out is refused.
+        real_mkdir = Path.mkdir
+
+        def mkdir(path, mode=0o777, parents=False, exist_ok=False):
+            if path.name != "out":
+                return real_mkdir(path, mode, parents, exist_ok)
+            if parents:
+                real_mkdir(path.parent, parents=True, exist_ok=True)
+            _refuse()
+
+        monkeypatch.setattr(Path, "mkdir", mkdir)
+        ran = self.spy_on_work(monkeypatch)
+        out = tmp_path / "new" / "out"
+        code = run(WRITERS[command][0] + ["--out", out])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: output directory '{out}': Permission denied"]
+        assert ran == []
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_a_refused_temporary_file_exits_2_before_any_work(self, tmp_path, capsys,
+                                                              monkeypatch, command):
+        argv, last_csv = WRITERS[command]
+        _plant(tmp_path / last_csv, b"earlier run\n")
+        planted = _snapshot(tmp_path)
+        real_touch = Path.touch
+
+        def touch(path, *args, **kwargs):  # train's first file is made, then removed
+            if path.name == f"{last_csv}.partial":
+                _refuse()
+            return real_touch(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "touch", touch)
+        ran = self.spy_on_work(monkeypatch)
+        assert run(argv + ["--out", tmp_path]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"config error: output directory '{tmp_path}': Permission denied"]
+        assert ran == []
+        assert _snapshot(tmp_path) == planted
+
+    @pytest.mark.parametrize("argv, code", [
+        (["equivalence", "--checks", "closed-equivalence"], EXIT_PASS),
+        (["train"] + TRAIN_CHEAP, EXIT_CHECK_FAILED),
+        (["equivalence", "--checks", "closed-equivalence,mc-rate-eghr",
+          "--samples", RATE_MIN_SAMPLES - 1], EXIT_CONFIG_ERROR),
+        (["train", "--learning-rate", 50] + TRAIN_CHEAP, EXIT_DIVERGED),
+    ], ids=["pass", "fail", "config-error", "diverged"])
+    def test_a_csv_is_replaced_only_by_a_run_that_exits_0_or_1(self, tmp_path, argv, code):
+        earlier = {name: _plant(tmp_path / name, b"earlier run\n")
+                   for name in ("equivalence.csv", "train.csv", "train_trajectory.csv")}
+        assert run(argv + ["--out", tmp_path]) == code
+        kept = {name for name, path in earlier.items() if path.read_bytes() == b"earlier run\n"}
+        written = ({"equivalence.csv"} if argv[0] == "equivalence"
+                   else {"train.csv", "train_trajectory.csv"})
+        if code in (EXIT_PASS, EXIT_CHECK_FAILED):
+            assert kept == set(earlier) - written
+            records_csv = "equivalence.csv" if argv[0] == "equivalence" else "train.csv"
+            assert [r.passed for r in read_records_csv(tmp_path / records_csv)] == [code == 0]
+        else:
+            assert kept == set(earlier)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(earlier)

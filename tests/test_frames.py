@@ -43,7 +43,7 @@ from frame_hebb.rules import (
     expansion_target,
     oja_update_closed,
 )
-from sweeps import derive_on_own_pass
+from sweeps import derive_on_own_pass, rows_of
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +66,7 @@ class TestFrameElement:
         np.testing.assert_array_equal(frame_element(np.array([1.0]), cov), [[0.0]])
 
     def test_reconstructs_outer_product(self, cov_rand3):
-        x = sample(cov_rand3, 1, seed=61).data[0]
+        x = rows_of(sample(cov_rand3, 1, seed=61))[0]
         m = frame_element(x, cov_rand3)
         np.testing.assert_array_equal(m, m.T)
         np.testing.assert_allclose(
@@ -74,14 +74,14 @@ class TestFrameElement:
         )
 
     def test_kron_form_agrees(self, cov_rand3):
-        x = sample(cov_rand3, 1, seed=62).data[0]
+        x = rows_of(sample(cov_rand3, 1, seed=62))[0]
         np.testing.assert_array_equal(
             vecs(frame_element(x, cov_rand3)), np.kron(x, x) - vecs(cov_rand3.sigma)
         )
 
     def test_mean_zero_componentwise(self, cov21):
         n = 10**6
-        x = sample(cov21, n, seed=63).data
+        x = rows_of(sample(cov21, n, seed=63))
         rows = np.einsum("ki,kj->kji", x, x).reshape(n, 4) - vecs(cov21.sigma)
         band = 4.0 * rows.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(rows.mean(axis=0)) <= band)
@@ -248,7 +248,7 @@ class TestRestrictedInverse:
 
 class TestFrameCoefficient:
     def test_zero_matrix(self, cov_rand3):
-        x = sample(cov_rand3, 1, seed=71).data[0]
+        x = rows_of(sample(cov_rand3, 1, seed=71))[0]
         assert frame_coefficient(np.zeros((3, 3)), frame_element(x, cov_rand3), cov_rand3) == 0.0
 
     def test_equals_gain_for_sandwich_vector(self):
@@ -260,7 +260,7 @@ class TestFrameCoefficient:
                 random_spd(nx, (0.5, 2.0), seed=int(rng.integers(2**63)))
             )
             w = rng.uniform(-1, 1, (nu, nx))
-            x = sample(cov, 1, seed=int(rng.integers(2**63))).data[0]
+            x = rows_of(sample(cov, 1, seed=int(rng.integers(2**63))))[0]
             m = cov.sigma @ (np.eye(nx) - w.T @ w) @ cov.sigma
             g = eghr_g(x, w, cov)
             assert frame_coefficient(m, frame_element(x, cov), cov) == pytest.approx(
@@ -284,7 +284,7 @@ class TestCancellationCoefficient:
         rng = np.random.default_rng(73)
         for _ in range(50):
             w = rng.uniform(-1, 1, (2, 3))
-            x = sample(cov_rand3, 1, seed=int(rng.integers(2**63))).data[0]
+            x = rows_of(sample(cov_rand3, 1, seed=int(rng.integers(2**63))))[0]
             residual = np.eye(3) - w.T @ w
             xi = frame_element(x, cov_rand3)
             c = frame_coefficient(cov_rand3.sigma @ residual @ cov_rand3.sigma, xi, cov_rand3)
@@ -295,7 +295,7 @@ class TestCancellationCoefficient:
     def test_identity_weights_vanish(self):
         cov = build_covariance(random_spd(3, (0.5, 2.0), seed=74))
         w = np.eye(3)
-        for x in sample(cov, 5, seed=75).data:
+        for x in rows_of(sample(cov, 5, seed=75)):
             assert cancellation_coefficient(np.eye(3) - w.T @ w, frame_element(x, cov)) == 0.0
 
     def test_zero_weights_hand_value(self):
@@ -332,7 +332,7 @@ class TestFrameExpansion:
         expansion = ExpansionMean(m, cov)
         recon, = batch.feed(expansion)
         coeff_mean = expansion.coeff_mean()
-        xis = np.stack([frame_element(x, cov) for x in batch.data])
+        xis = np.stack([frame_element(x, cov) for x in rows_of(batch)])
         coeffs = np.array([frame_coefficient(m, xi, cov) for xi in xis])
         expected = np.tensordot(coeffs, xis, 1) / batch.n
         np.testing.assert_allclose(
@@ -355,7 +355,7 @@ class TestFrameExpansion:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 4 * batch.data.nbytes
+            assert peak < 4 * rows_of(batch).nbytes
 
 
 class TestOperatorChunks:
@@ -368,7 +368,7 @@ class TestOperatorChunks:
         i, j = np.triu_indices(3)
         s = np.zeros((6, 6))
         for start, stop in ((0, 7), (7, 14), (14, 21), (21, 30)):
-            x = batch.data[start:stop]
+            x = rows_of(batch)[start:stop]
             rows = x[:, i] * x[:, j] - cov_rand3.sigma[i, j]
             s += rows.T @ rows
         s /= batch.n
@@ -386,7 +386,7 @@ class TestOperatorHalfForm:
         cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=70 + nx))
         s = frame_operator_analytic(cov)
         mean = OperatorMean(cov)
-        x = sample(cov, 50, seed=71).data
+        x = rows_of(sample(cov, 50, seed=71))
         est = mean.estimate(mean.sums(x), 50)
         h = nx * (nx + 1) // 2
         assert est.shape == (h, h)
@@ -402,7 +402,7 @@ class TestOperatorHalfForm:
         mean = OperatorMean(cov)
         assert np.array_equal(operator_half(s, nx)[np.ix_(mean.expand, mean.expand)], s)
         batch = sample(cov, 40, seed=73)
-        x = batch.data
+        x = rows_of(batch)
         rows = np.einsum("ki,kj->kji", x, x).reshape(len(x), nx * nx) - vecs(cov.sigma)
         dense = rows.T @ rows / batch.n
         got = frame_operator_empirical(batch)
@@ -415,7 +415,7 @@ class TestOperatorHalfForm:
         # average of them, equals its transpose exactly.
         cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=90 + nx))
         mean = OperatorMean(cov)
-        for rows in np.split(sample(cov, 2000, seed=91).data, [1, 8, 1008]):
+        for rows in np.split(rows_of(sample(cov, 2000, seed=91)), [1, 8, 1008]):
             est = mean.estimate(mean.sums(rows), len(rows))
             assert np.array_equal(est, est.T)
             mean.add(rows)
@@ -430,7 +430,7 @@ class TestOperatorHalfForm:
         mean = OperatorMean(cov_rand3)
         h = 6
         assert asked == [8 * (4 * h**2 + 2 * CHUNK_ROWS * h)]
-        mean.add(sample(cov_rand3, 10, seed=74).data)
+        mean.add(rows_of(sample(cov_rand3, 10, seed=74)))
         half = mean.result()
         assert half.shape == (h, h) and len(asked) == 1
         assert mean.dense(half).shape == (9, 9)

@@ -23,6 +23,7 @@ from frame_hebb.linalg import (
     random_spd,
     vecs,
 )
+from sweeps import rows_of
 
 
 @pytest.fixture(scope="module")
@@ -34,23 +35,23 @@ class TestSampling:
     def test_mean_within_clt_band(self):
         n = 10**5
         batch = sample(build_covariance(np.eye(2)), n, seed=11)
-        assert np.all(np.abs(batch.data.mean(axis=0)) <= 4.0 / np.sqrt(n))
+        assert np.all(np.abs(rows_of(batch).mean(axis=0)) <= 4.0 / np.sqrt(n))
 
     def test_empirical_covariance_close(self):
         cov = build_covariance(np.diag([4.0, 1.0]))
         batch = sample(cov, 10**5, seed=12)
-        emp = batch.data.T @ batch.data / batch.n
+        emp = rows_of(batch).T @ rows_of(batch) / batch.n
         assert np.linalg.norm(emp - cov.sigma) / np.linalg.norm(cov.sigma) <= 0.05
 
     def test_determinism(self, cov2):
         a = sample(cov2, 1000, seed=7)
         b = sample(cov2, 1000, seed=7)
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(rows_of(a), rows_of(b))
 
     def test_different_seeds_differ(self, cov2):
         a = sample(cov2, 100, seed=1)
         b = sample(cov2, 100, seed=2)
-        assert not np.array_equal(a.data, b.data)
+        assert not np.array_equal(rows_of(a), rows_of(b))
 
     @pytest.mark.parametrize("shape", [(2,), (0, 2), (4, 3), (2, 2, 2)])
     def test_rows_of_wrong_shape_rejected(self, cov2, shape):
@@ -61,7 +62,7 @@ class TestSampling:
 
     def test_generator_seed_draws_from_the_stream_on_every_read(self, cov2):
         batch = sample(cov2, 50, np.random.default_rng(3))
-        first, second = batch.data, batch.data
+        first, second = rows_of(batch), rows_of(batch)
         stream = np.random.default_rng(3)
         assert np.array_equal(first, stream.standard_normal((50, 2)) @ cov2.chol.T)
         assert np.array_equal(second, stream.standard_normal((50, 2)) @ cov2.chol.T)
@@ -118,7 +119,7 @@ class TestMonomials:
     def test_equal_to_hand_written_functions(self, dim):
         # Bit for bit but for the cubes, which are x^2 * x rather than pow.
         cov = build_covariance(random_spd(dim, (0.5, 2.0), seed=60 + dim))
-        x = sample(cov, 1000, seed=61).data
+        x = rows_of(sample(cov, 1000, seed=61))
         xt = np.ascontiguousarray(x.T)
         exps = monomial_exponents(dim)
         ref = reference_test_functions(dim)
@@ -247,7 +248,7 @@ class TestIsserlisFourthMoment:
 
     def test_monte_carlo_agreement(self, cov2):
         analytic = isserlis_fourth_moment(cov2)
-        x = sample(cov2, 10**6, seed=41).data
+        x = rows_of(sample(cov2, 10**6, seed=41))
         rows = np.einsum("ki,kj->kji", x, x).reshape(x.shape[0], 4)
         emp = rows.T @ rows / x.shape[0]
         err = np.abs(emp - analytic)

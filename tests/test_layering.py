@@ -113,3 +113,21 @@ def test_the_maths_modules_define_only_the_allowed_classes():
     defined = [node.name for module in MATHS for node in ast.walk(_tree(module))
                if isinstance(node, ast.ClassDef)]
     assert sorted(defined) == sorted(MATHS_CLASSES), set(defined) ^ MATHS_CLASSES
+
+
+# Only cli makes the output: it makes --out and its CSVs' temporary files
+# before any check runs, and moves each CSV into place. No other module
+# probes a path or makes one.
+OUTPUT_CALLS = {"mkdir", "makedirs", "pathconf", "lexists", "replace", "touch"}
+
+
+def _called_names(tree: ast.Module) -> set[str]:
+    return {node.func.attr if isinstance(node.func, ast.Attribute)
+            else getattr(node.func, "id", None)
+            for node in ast.walk(tree) if isinstance(node, ast.Call)}
+
+
+@pytest.mark.parametrize("module", ("config", "records", "checks") + MATHS)
+def test_only_cli_makes_or_probes_output_paths(module):
+    assert not _called_names(_tree(module)) & OUTPUT_CALLS
+

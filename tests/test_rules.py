@@ -25,6 +25,7 @@ from frame_hebb.rules import (
     subspace_error,
     train,
 )
+from sweeps import rows_of
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +105,7 @@ class TestOjaEmpirical:
         rng = np.random.default_rng(14)
         w = rng.uniform(-1, 1, (1, 2))
         batch = sample(cov21, 10**5, seed=15)
-        x = batch.data
+        x = rows_of(batch)
         u = x @ w.T
         terms = u[:, :, None] * (x - u @ w)[:, None, :]  # per-sample updates
         band = 4.0 * terms.std(axis=0, ddof=1) / np.sqrt(batch.n)
@@ -150,7 +151,7 @@ class TestGain:
         # sum is the gain-weighted Hebbian term.
         w = np.random.default_rng(18).uniform(-1, 1, (2, 4))
         batch = sample(cov_rand4, 1000, seed=19)
-        x = batch.data
+        x = rows_of(batch)
         u = x @ w.T
         s = (x * x).sum(axis=1) - (u * u).sum(axis=1)
         uncentered, explicit = EghrMean(w), EghrMean(w, float(s.mean()))
@@ -236,7 +237,7 @@ class TestEghrEmpirical:
         rng = np.random.default_rng(26)
         w = rng.uniform(-1, 1, (1, 2))
         batch = sample(cov21, 10**6, seed=27)
-        x = batch.data
+        x = rows_of(batch)
         u = x @ w.T
         center = np.trace(cov21.sigma) - np.trace(w @ cov21.sigma @ w.T)
         g_closed = 0.5 * ((x * x).sum(axis=1) - (u * u).sum(axis=1) - center)
@@ -253,7 +254,7 @@ class TestEghrEmpirical:
         # of s = |x|^2 - |u|^2 the center gives the batch-mean estimate.
         w = np.random.default_rng(28).uniform(-1, 1, (2, 4))
         batch = sample(cov_rand4, 500, seed=29)
-        x = batch.data
+        x = rows_of(batch)
         u = x @ w.T
         center = float(np.mean((x * x).sum(axis=1) - (u * u).sum(axis=1)))
         c = 0.7
@@ -270,7 +271,7 @@ class TestEghrEmpirical:
         batch = sample(cov_rand4, 200, seed=31)
         center = np.trace(cov_rand4.sigma) - np.trace(w @ cov_rand4.sigma @ w.T)
         explicit = sum(
-            eghr_g(x, w, cov_rand4) * np.outer(w @ x, x) for x in batch.data
+            eghr_g(x, w, cov_rand4) * np.outer(w @ x, x) for x in rows_of(batch)
         )
         np.testing.assert_allclose(
             batch.feed(EghrMean(w, center))[0], explicit / batch.n, rtol=0, atol=1e-12
@@ -281,7 +282,7 @@ class TestEghrEmpirical:
         # mean of the uncentered g u x^T less mean(g) times the mean of u x^T.
         w = np.random.default_rng(46).uniform(-1, 1, (2, 4))
         batch = sample(cov_rand4, 300, 47)
-        x = batch.data
+        x = rows_of(batch)
         u = x @ w.T
         g = 0.5 * ((x * x) @ np.ones(4) - (u * u) @ np.ones(2))
         whole = (u * g[:, None]).T @ x / batch.n - (g.sum() / batch.n) * (u.T @ x / batch.n)
@@ -429,7 +430,7 @@ class TestTrainer:
         update, seen = getattr(rules, name), []
 
         def recording(w, batch):
-            seen.append(batch.data)
+            seen.append(rows_of(batch))
             return update(w, SampleBatch.from_rows(seen[-1], batch.covariance))
 
         monkeypatch.setattr(rules, name, recording)
@@ -442,7 +443,7 @@ class TestTrainer:
         rng = np.random.default_rng(derive_seed(cfg.seed, 0))
         for rows in seen:
             assert np.array_equal(rows, rng.standard_normal((b, nx)) @ cov_rand4.chol.T)
-        assert np.array_equal(seen[0], sample(cov_rand4, b, derive_seed(cfg.seed, 0)).data)
+        assert np.array_equal(seen[0], rows_of(sample(cov_rand4, b, derive_seed(cfg.seed, 0))))
         w0_stream = np.random.default_rng(cfg.seed).standard_normal((b, nx)) @ cov_rand4.chol.T
         assert not np.any(np.isin(seen[0], w0_stream))
 

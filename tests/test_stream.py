@@ -53,7 +53,7 @@ from frame_hebb.rules import (
     oja_update_closed,
     oja_update_empirical,
 )
-from sweeps import derive_on_own_pass
+from sweeps import derive_on_own_pass, rows_of
 
 C = CHUNK_ROWS
 
@@ -68,7 +68,7 @@ def w23():
     return np.random.default_rng(91).uniform(-1.0, 1.0, (2, 3))
 
 
-# The whole-batch formulas of the chunked estimators, on x = batch.data.
+# The whole-batch formulas of the chunked estimators, on x = rows_of(batch).
 
 def oja_formula(w, x):
     u = x @ w.T
@@ -119,7 +119,7 @@ def derivation_formula(w, cov, x):
 def estimates(w, cov, batch):
     """Every chunked estimator on one batch, and its whole-batch formula on
     the same rows, as (name, chunked, formula) triples."""
-    x = batch.data
+    x = rows_of(batch)
     m = cov.sigma @ (np.eye(cov.dim) - w.T @ w) @ cov.sigma
     _, frame_route, direct_route = derive_on_own_pass(w, cov, batch)
     formula_frame_route, formula_direct_route = derivation_formula(w, cov, x)
@@ -171,7 +171,7 @@ class TestChunkStream:
 
     def test_each_pass_draws_the_same_rows(self, cov3):
         batch = sample(cov3, C + 9, seed=7)
-        assert np.array_equal(batch.data, batch.data)
+        assert np.array_equal(rows_of(batch), rows_of(batch))
 
 
 def _sequential_chunks(rng, cov, n, block):
@@ -426,7 +426,7 @@ class TestBlockSums:
 
     def test_each_block_estimate_is_the_public_estimate_on_its_rows(self, cov3, fed):
         batch, out = fed
-        x = batch.data
+        x = rows_of(batch)
         sizes = [self.M * RATE_SPLIT**k for k in range(RATE_LEVELS)]
         for kind, (blocks, made, public, _, ref) in out.items():
             assert sorted(made) == sizes + [self.N], kind  # the blocks, then the batch
@@ -446,7 +446,7 @@ class TestBlockSums:
         # The EghrMean sums hold uncentered gains; merged over blocks and
         # chunks, their estimate still centers the gains on the batch mean.
         batch, out = fed
-        x = batch.data
+        x = rows_of(batch)
         for kind, (blocks, _, _, formula, _) in out.items():
             got, want = self.dense(blocks, blocks.result()), formula(x)
             assert blocks.inner.n == self.N
@@ -483,7 +483,7 @@ class TestRunningSumContract:
 
     @pytest.fixture
     def rows(self, cov3):
-        return sample(cov3, 90, seed=99).data
+        return rows_of(sample(cov3, 90, seed=99))
 
     def test_every_subclass_is_covered(self, cov3, w23):
         covered = {type(s) for s in running_sums(cov3, w23).values()}
