@@ -360,8 +360,7 @@ RATE_MIN_SAMPLES = 10_000
 _RATE_SUMS = {
     "oja": (lambda b: OjaMean(b.w), lambda b: oja_update_closed(b.w, b.cov)),
     "eghr": (lambda b: EghrMean(b.w), lambda b: eghr_update_closed(b.w, b.cov)),
-    "frame-operator": (lambda b: OperatorMean(b.cov),
-                       lambda b: operator_half(frame_operator_analytic(b.cov), b.cov.dim)),
+    "frame-operator": (lambda b: OperatorMean(b.cov), lambda b: operator_half(b.cov)),
     "frame-expansion": (lambda b: ExpansionMean(b.m, b.cov), lambda b: b.m),
 }
 

@@ -15,10 +15,8 @@ out-of-window covariance exits 2 whatever ``--checks`` selects. A learning
 rate that steps W onto dependent rows (``RankDeficientError``) is an input
 error, and so are too few ``--samples`` for a selected Monte-Carlo check
 (``SampleSizeError``; ``stein-identity`` samples nothing) and an nx at which
-a selected check's dense nx**2 x nx**2 operator would not fit in physical
-memory (``DimensionError``). ``SkewDomainError`` is left unmapped: every
-matrix the commands hand to the restricted inverse is symmetric to far
-within its domain tolerance. After the covariance build, and before any check
+a selected check's operator, dense or in half form, would not fit in physical
+memory (``DimensionError``). After the covariance build, and before any check
 or step, a command makes ``--out`` and its CSVs' temporary files; whatever the
 OS refuses there exits 2. Each CSV replaces its old self only when the run
 ends with exit 0 or 1, so a CSV is never half written.

@@ -9,6 +9,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -85,9 +86,14 @@ class RunConfig:
                 record_every=self.record_every, seed=self.seed))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        self.build_sigma()  # fail fast on a bad sigma spec
+        self._sigma.flags.writeable = False  # fail fast on a bad sigma spec
 
     def build_sigma(self) -> np.ndarray:
+        """The covariance of the ``sigma`` spec: one read-only matrix per config."""
+        return self._sigma
+
+    @cached_property
+    def _sigma(self) -> np.ndarray:
         """Materialize the covariance described by the ``sigma`` spec. An nx
         at which the covariance's build would not fit in physical memory is a
         ConfigError, raised before any nx x nx array is made."""
@@ -143,7 +149,8 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     """
     values: dict = {}
     if path is not None:
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        # No header names the default section "": [DEFAULT] is one more unknown section.
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
         try:
             with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
@@ -151,9 +158,11 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
-        for section, keys in SETTINGS.items():
-            if not parser.has_section(section):
-                continue
+        for section in parser.sections():
+            keys = SETTINGS.get(section)
+            if keys is None:
+                raise ConfigError(f"unknown section [{section}] in config file {path}; "
+                                  f"expected {' or '.join(f'[{s}]' for s in SETTINGS)}")
             for key, raw in parser.items(section):
                 if key not in keys:
                     raise ConfigError(f"unknown key {key!r} in [{section}]")

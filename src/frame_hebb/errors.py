@@ -11,11 +11,6 @@ class DegenerateCovarianceError(ValueError):
     assumes a non-degenerate covariance whose moments stay finite."""
 
 
-class SkewDomainError(ValueError):
-    """Matrix lies outside Sym, the symmetric matrices, beyond tolerance; the
-    restricted inverse is undefined on the skew component."""
-
-
 class SampleSizeError(ValueError):
     """Too few samples for an estimator (a second moment needs two rows)."""
 

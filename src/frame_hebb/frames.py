@@ -4,8 +4,9 @@ For zero-mean Gaussian input x with covariance Sigma, the centered Hebbian
 direction is the frame element Xi = x x^T - Sigma. Its second-moment
 operator S = E[vec(Xi) vec(Xi)^T] = (Sigma kron Sigma)(I + T), where T is
 the commutation matrix, kills the skew matrices and is positive definite on
-Sym, where it acts as the sandwich M -> Sigma M Sigma doubled; its inverse
-on Sym is therefore the closed form M -> Sigma^-1 M Sigma^-1 / 2. That makes
+Sym, where it acts as the sandwich M -> Sigma M Sigma doubled; its
+pseudo-inverse (S^-1 below) is therefore M -> Sigma^-1 sym(M) Sigma^-1 / 2,
+S^-1 on Sym and zero on the skew part. That makes
 Xi a frame for Sym: every symmetric M expands as M = E[(M, S^-1 Xi)_F Xi],
 and for M = Sigma (I - W^T W) Sigma the coefficient (M, S^-1 Xi)_F is
 exactly the error-gated rule's global gain, which is how that rule drops out
@@ -38,12 +39,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SampleSizeError, SkewDomainError
+from .errors import SampleSizeError
 from .gaussian import CHUNK_ROWS, RunningSum, SampleBatch
-from .linalg import CovarianceModel, dot, frobenius, matrix_transpose, require_memory, vecs
+from .linalg import CovarianceModel, dot, require_memory, sym_part, vecs
 from .rules import EghrMean, _ones, oja_update_closed
-
-SKEW_DOMAIN_RTOL = 1e-10
 
 
 def frame_element(x: np.ndarray, cov: CovarianceModel) -> np.ndarray:
@@ -57,13 +56,14 @@ def frame_operator_analytic(cov: CovarianceModel) -> np.ndarray:
     return cov.frame_operator
 
 
-def operator_half(s: np.ndarray, nx: int) -> np.ndarray:
-    """The half form of a dense nx**2 x nx**2 operator s on Sym: its h x h
-    entries at the vec positions j*nx + i of the pairs i <= j, in
-    np.triu_indices order (``OperatorMean``)."""
-    i, j = np.triu_indices(nx)
-    pos = j * nx + i
-    return s[np.ix_(pos, pos)]
+def operator_half(cov: CovarianceModel) -> np.ndarray:
+    """S's h x h entries at the vec positions j*nx + i of the pairs i <= j
+    (``OperatorMean``), from Sigma: entry ((i,j),(k,l)) is Sigma_jl Sigma_ik +
+    Sigma_jk Sigma_il, the dense S's two products and sum, so equal to the bit."""
+    i, j = np.triu_indices(cov.dim)
+    require_memory(8 * 4 * len(i)**2, f"S's half form at nx={cov.dim}")  # 2 products, 2 factors
+    s = cov.sigma
+    return s[np.ix_(j, j)] * s[np.ix_(i, i)] + s[np.ix_(j, i)] * s[np.ix_(i, j)]
 
 
 class OperatorMean(RunningSum):
@@ -145,49 +145,25 @@ def frame_bounds(cov: CovarianceModel) -> tuple[float, float, float]:
     return float(2.0 * lam[-1] ** 2), float(2.0 * lam[0] ** 2), trace_sq + sq_trace
 
 
-def _symmetric_domain(m: np.ndarray, what: str) -> np.ndarray:
-    """Check that m, an nx x nx matrix or a stack of them, lies in Sym, the
-    operator's domain; return it symmetrized.
-
-    Tolerates skew Frobenius norm up to 1e-10 * (1 + |m|) per matrix; beyond
-    that the operator is being applied off its domain and we refuse, naming
-    the first matrix of a stack that is off it. m's shape is not checked: it
-    is a matrix the program made on the covariance's dimension.
-    """
-    skew_norm = frobenius((m - matrix_transpose(m)) / 2.0).ravel()
-    limit = SKEW_DOMAIN_RTOL * (1.0 + frobenius(m).ravel())
-    off = skew_norm > limit
-    if off.any():
-        i = int(np.argmax(off))
-        raise SkewDomainError(
-            f"{what}: skew component has norm {skew_norm[i]:.3e}, above the "
-            f"domain tolerance {limit[i]:.3e}; the operator is singular off "
-            "the symmetric subspace"
-        )
-    return (m + matrix_transpose(m)) / 2.0
-
-
 def restricted_inverse_apply(cov: CovarianceModel, m: np.ndarray) -> np.ndarray:
-    """Apply the inverse of S restricted to Sym:
-    M -> Sigma^-1 sym(M) Sigma^-1 / 2, to one matrix or to each of a stack.
-
-    Exact closed form (no dense pseudo-inverse); input must be
-    symmetric within tolerance.
+    """Apply S's pseudo-inverse S^+: M -> Sigma^-1 sym(M) Sigma^-1 / 2, to
+    any nx x nx matrix or to each of a stack. It is S^-1 on Sym and zero on
+    the skew part, which S kills; exact closed form, no dense pseudo-inverse.
     """
     # No name holds sym(M) or a product past its use: with M, a stack of
     # them peaks at three arrays of its size.
-    d = cov.sigma_inv @ _symmetric_domain(m, "restricted_inverse_apply")
+    d = cov.sigma_inv @ sym_part(m)
     d = d @ cov.sigma_inv
     d *= 0.5
     return d
 
 
 def frame_coefficient(m: np.ndarray, xi: np.ndarray, cov: CovarianceModel):
-    """Expansion coefficient (M, S^-1 Xi)_F of M in Sym on the frame element
-    Xi = x x^T - Sigma, that is 0.5 * (M, Sigma^-1 Xi Sigma^-1)_F; one per
-    item of stacks of M, Xi and covariances."""
-    m = _symmetric_domain(m, "frame_coefficient")
-    return dot(vecs(m), vecs(restricted_inverse_apply(cov, xi)))
+    """Expansion coefficient (M, S^+ Xi)_F on the frame element
+    Xi = x x^T - Sigma, that is 0.5 * (sym(M), Sigma^-1 Xi Sigma^-1)_F: a
+    skew part of M has coefficient 0. One per item of stacks of M, Xi and
+    covariances."""
+    return dot(vecs(sym_part(m)), vecs(restricted_inverse_apply(cov, xi)))
 
 
 def cancellation_coefficient(residual: np.ndarray, xi: np.ndarray):
@@ -233,7 +209,7 @@ class ExpansionMean(RunningSum):
 def frame_expansion_reconstruct(m, batch: SampleBatch) -> np.ndarray:
     """Monte-Carlo frame expansion (1/n) sum_k (M, S^-1 Xi_k)_F Xi_k.
 
-    Converges to M at the usual 1/sqrt(n) rate for M in Sym.
+    Converges to sym(M) at the usual 1/sqrt(n) rate; a skew M expands to 0.
     """
     return batch.feed(ExpansionMean(m, batch.covariance))[0]
 

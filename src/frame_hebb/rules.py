@@ -249,6 +249,8 @@ class TrajectoryPoint:
     update_norm: float
 
 
+# The guard reports an overflowing step; one errstate per run, not per step.
+@np.errstate(over="ignore", invalid="ignore")
 def train(w0, cov: CovarianceModel, config: TrainerConfig) -> tuple[TrajectoryPoint, ...]:
     """Explicit-Euler integration of ``config.rule`` from W0; the recorded
     points in step order, the final step last.

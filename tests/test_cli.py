@@ -23,9 +23,7 @@ from frame_hebb.cli import (
     _selected_checks,
     main,
 )
-from frame_hebb.frames import SKEW_DOMAIN_RTOL
 from frame_hebb.gaussian import CHUNK_ROWS, derive_seed
-from frame_hebb.linalg import skew_part
 from frame_hebb.records import (
     CSV_COLUMNS,
     CSV_SCHEMA_VERSION,
@@ -261,6 +259,15 @@ class TestTrain:
         )
         assert code == EXIT_DIVERGED
         assert "step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["closed", "empirical"])
+    def test_overflowing_step_prints_one_line(self, tmp_path, mode):
+        # The step overflows to inf: the guard's line, and no numpy warning.
+        proc = run_process(["train", "--mode", mode, "--learning-rate", "1e300",
+                            "--steps", "2", "--out", tmp_path])
+        assert proc.returncode == EXIT_DIVERGED
+        assert proc.stderr.splitlines() == [
+            "divergence: weight norm inf exceeded divergence guard at step 1"]
 
     def test_non_finite_step_exits_diverged(self, tmp_path, capsys, monkeypatch):
         # NaN compares false with the norm bound; the guard must still fire
@@ -593,10 +600,28 @@ class TestOneCovariancePerRun:
         assert code in (EXIT_PASS, EXIT_CHECK_FAILED)
         assert len(covs) == 1
         # Every reader of S gets the same array: the results are kept alive,
-        # so distinct builds would have distinct ids.
-        assert len(operators) == 5
+        # so distinct builds would have distinct ids. The readers are
+        # frame-bounds, kernel-annihilation, restricted-inverse and the
+        # isserlis checks; mc-rate-frame-operator reads S's half form.
+        assert len(operators) == 4
         assert len({id(s) for s in operators}) == 1
         assert operators[0] is covs[0].frame_operator
+
+    def test_frame_check_builds_sigma_once(self, tmp_path, monkeypatch):
+        # RunConfig makes the matrix, and the CLI builds the covariance from it
+        spds = _spy_everywhere(monkeypatch, linalg.random_spd)
+        assert run(["frame-check", "--out", tmp_path] + FAST + CHEAP_FRAME) == EXIT_PASS
+        assert len(spds) == 1
+
+    def test_operator_rate_check_builds_no_dense_s(self, tmp_path, monkeypatch):
+        covs = _spy_everywhere(monkeypatch, linalg.build_covariance)
+        operators = _spy_everywhere(monkeypatch, frames.frame_operator_analytic)
+        code = run(["frame-check", "--checks", "mc-rate-frame-operator", "--out", tmp_path]
+                   + FAST)
+        assert code == EXIT_PASS
+        assert operators == []
+        assert len(covs) == 1
+        assert "frame_operator" not in vars(covs[0])
 
     def test_equivalence_never_builds_s(self, tmp_path, monkeypatch):
         covs = _spy_everywhere(monkeypatch, linalg.build_covariance)
@@ -765,6 +790,22 @@ class TestExitCodeContract:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "frame_check.csv").exists()
 
+    def test_half_form_operator_beyond_physical_memory_exits_2(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # 3 GiB of physical memory: at nx=150 a chunk of 1e4 rows holds 1.8
+        # GiB, but S's half form, h = 11325, peaks at 3.8 GiB.
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 3 * 2**18}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+        code = run(["frame-check", "--nx", 150, "--nu", 1, "--sigma", "identity",
+                    "--checks", "mc-rate-frame-operator", "--samples", RATE_MIN_SAMPLES,
+                    "--out", tmp_path / "out"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG_ERROR
+        assert err.splitlines() == [
+            "input error: S's half form at nx=150 would hold 3.8 GiB at its peak, "
+            "more than the 3.0 GiB of physical memory"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", list(checks.COMMANDS))
     def test_monte_carlo_chunk_beyond_physical_memory_exits_2(self, tmp_path, capsys,
                                                               monkeypatch, command):
@@ -799,35 +840,6 @@ class TestExitCodeContract:
             "config error: the covariance at nx=64 would hold 0.0 GiB at its peak, "
             "more than the 0.0 GiB of physical memory"]
         assert not (tmp_path / "out").exists()
-
-    def test_skew_domain_error_is_unreachable(self, tmp_path, monkeypatch):
-        # cli.main leaves SkewDomainError unmapped. Every matrix the check
-        # commands hand to the restricted inverse is exactly symmetric
-        # (sym_part, x x^T - Sigma) or Sigma (I - W^T W) Sigma for a random W,
-        # whose skew part is roundoff: even at the conditioning the covariance
-        # gate still admits it stays a thousandth of the tolerance.
-        ratios = []
-        real = frames._symmetric_domain
-
-        def spy(m, what):
-            for one in np.reshape(m, (-1, *m.shape[-2:])):  # m may be a stack
-                skew = np.linalg.norm(skew_part(one))
-                ratios.append(skew / (SKEW_DOMAIN_RTOL * (1.0 + np.linalg.norm(one))))
-            return real(m, what)
-
-        monkeypatch.setattr(frames, "_symmetric_domain", spy)
-        # coefficient-identity draws its own covariances: one run covers it
-        runs = [("coefficient-identity", "random-spd", 4, 2)] + [
-            ("restricted-inverse,derivation-chain-agreement", sigma, nx, nu)
-            for sigma in ("random-spd", "random-spd:1e-2,1e2", "random-spd:1,1e4")
-            for nx, nu in ((2, 1), (6, 3))
-        ]
-        for checks, sigma, nx, nu in runs:
-            code = run(["frame-check", "--checks", checks, "--sigma", sigma,
-                        "--nx", nx, "--nu", nu, "--samples", 100, "--out", tmp_path])
-            assert code in (EXIT_PASS, EXIT_CHECK_FAILED)
-        assert len(ratios) > 1000
-        assert max(ratios) < 1e-3
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(argv=train_argv() | stein_argv)

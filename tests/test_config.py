@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from frame_hebb.cli import _build_parser, _config_from_args
+from frame_hebb.cli import EXIT_CONFIG_ERROR, _build_parser, _config_from_args, main
 from frame_hebb.config import SETTINGS, ConfigError, RunConfig, load_config
 from frame_hebb.rules import MAX_BATCH_SIZE
 
@@ -48,6 +48,12 @@ def test_sigma_diagonal():
 def test_sigma_diagonal_length_mismatch():
     with pytest.raises(ConfigError):
         RunConfig(nx=4, sigma="diagonal:3,2,1")
+
+
+def test_sigma_is_made_once_and_read_only():
+    cfg = RunConfig()
+    assert cfg.build_sigma() is cfg.build_sigma()
+    assert not cfg.build_sigma().flags.writeable
 
 
 def test_sigma_random_spd_seeded():
@@ -125,6 +131,22 @@ def test_load_config_rejects_unknown_key(tmp_path):
     path.write_text("[run]\nbogus = 1\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize("section", ["RUN", "train", "extra", "DEFAULT"])
+def test_unknown_section_exits_2_naming_it(tmp_path, capsys, section):
+    # Section names are case-sensitive: [RUN] is not [run], and its nx would
+    # otherwise be dropped without a word; so would [DEFAULT]'s, alone.
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[{section}]\nnx = 3\n")
+    with pytest.raises(ConfigError, match=rf"unknown section \[{section}\]"):
+        load_config(path)
+    code = main(["equivalence", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG_ERROR
+    assert err == [f"config error: unknown section [{section}] in config file {path}; "
+                   "expected [run] or [trainer]"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_config_rejects_bad_value(tmp_path):

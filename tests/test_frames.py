@@ -8,7 +8,7 @@ import pytest
 
 from frame_hebb import frames, gaussian
 from frame_hebb.checks import CHAIN_AGREEMENT_RTOL
-from frame_hebb.errors import DimensionError, SampleSizeError, SkewDomainError
+from frame_hebb.errors import DimensionError, SampleSizeError
 from frame_hebb.frames import (
     ExpansionMean,
     OperatorMean,
@@ -233,9 +233,23 @@ class TestRestrictedInverse:
             atol=1e-14
         )
 
-    def test_skew_input_rejected(self, cov21):
-        with pytest.raises(SkewDomainError):
-            restricted_inverse_apply(cov21, SKEW)
+    @pytest.mark.parametrize("nx", [1, 2, 3, 5])
+    def test_is_the_pseudo_inverse_of_s_off_sym(self, nx):
+        # S kills the skew matrices, so its Moore-Penrose pseudo-inverse is
+        # S^-1 on Sym and zero on the skew part: the closed form on any M.
+        cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=80 + nx))
+        pinv = np.linalg.pinv(frame_operator_analytic(cov))
+        m = np.random.default_rng(81).standard_normal((4, nx, nx))  # not symmetric
+        want = vecs(m) @ pinv.T  # row t is pinv(S) vec(M_t)
+        scale = np.linalg.norm(want, axis=1, keepdims=True)
+        got = vecs(restricted_inverse_apply(cov, m))
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        for t in range(len(m)):
+            single = vecs(restricted_inverse_apply(cov, m[t]))
+            assert np.all(np.abs(single - want[t]) <= 1e-12 * scale[t])
+
+    def test_skew_matrix_maps_to_zero(self, cov21):
+        np.testing.assert_array_equal(restricted_inverse_apply(cov21, SKEW), np.zeros((2, 2)))
 
     def test_inverts_operator_on_sym(self, cov_rand3):
         s = frame_operator_analytic(cov_rand3)
@@ -273,10 +287,17 @@ class TestFrameCoefficient:
             np.eye(2), frame_element(np.array([2.0, 0.0]), cov), cov
         ) == pytest.approx(1.0, abs=1e-14)
 
-    def test_skew_input_rejected(self, cov21):
-        xi = frame_element(np.ones(2), cov21)
-        with pytest.raises(SkewDomainError):
-            frame_coefficient(SKEW, xi, cov21)
+    @pytest.mark.parametrize("nx", [1, 2, 3, 8])
+    def test_reads_only_the_symmetric_part(self, nx):
+        cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=82 + nx))
+        rng = np.random.default_rng(83)
+        m = rng.standard_normal((5, nx, nx))  # not symmetric
+        xi = frame_element(rng.standard_normal((5, nx)), cov)
+        assert np.array_equal(frame_coefficient(m, xi, cov),
+                              frame_coefficient(sym_part(m), xi, cov))
+        for t in range(len(m)):
+            assert np.array_equal(frame_coefficient(m[t], xi[t], cov),
+                                  frame_coefficient(sym_part(m[t]), xi[t], cov))
 
 
 class TestCancellationCoefficient:
@@ -313,9 +334,12 @@ class TestFrameExpansion:
             frame_expansion_reconstruct(np.zeros((3, 3)), batch), np.zeros((3, 3))
         )
 
-    def test_skew_input_rejected(self, cov21):
-        with pytest.raises(SkewDomainError):
-            frame_expansion_reconstruct(SKEW, sample(cov21, 10, seed=76))
+    @pytest.mark.parametrize("nx", [2, 3, 6])
+    def test_skew_matrix_expands_to_zero(self, nx):
+        cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=84 + nx))
+        k = skew_part(np.random.default_rng(85).standard_normal((nx, nx)))
+        np.testing.assert_array_equal(frame_expansion_reconstruct(k, sample(cov, 100, seed=76)),
+                                      np.zeros((nx, nx)))
 
     def test_reconstruction_error_small_at_large_n(self, cov21):
         w = np.random.default_rng(77).uniform(-1, 1, (1, 2))
@@ -381,6 +405,16 @@ class TestOperatorHalfForm:
     """OperatorMean sums the Gram matrix of the h = nx(nx+1)/2 half rows;
     its block distance from S in half form is the dense one."""
 
+    @pytest.mark.parametrize("nx", [1, 2, 3, 5, 7, 16, 32])
+    def test_half_form_from_sigma_is_the_dense_operators_to_the_bit(self, nx):
+        cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=90 + nx))
+        i, j = np.triu_indices(nx)
+        pos = j * nx + i  # the vec position of each pair i <= j
+        dense = frame_operator_analytic(cov)[np.ix_(pos, pos)]
+        half = operator_half(cov)
+        assert half.shape == (len(pos), len(pos))
+        assert np.array_equal(half, dense)
+
     @pytest.mark.parametrize("nx", [1, 2, 3, 7])
     def test_weighted_half_distance_is_the_dense_distance(self, nx):
         cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=70 + nx))
@@ -392,7 +426,7 @@ class TestOperatorHalfForm:
         assert est.shape == (h, h)
         dense = est[np.ix_(mean.expand, mean.expand)]
         want = float(np.linalg.norm(dense - s)) ** 2
-        got = mean.distance_sq(est, operator_half(s, nx))
+        got = mean.distance_sq(est, operator_half(cov))
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("nx", [1, 2, 3, 7])
@@ -400,7 +434,7 @@ class TestOperatorHalfForm:
         cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=72 + nx))
         s = frame_operator_analytic(cov)
         mean = OperatorMean(cov)
-        assert np.array_equal(operator_half(s, nx)[np.ix_(mean.expand, mean.expand)], s)
+        assert np.array_equal(operator_half(cov)[np.ix_(mean.expand, mean.expand)], s)
         batch = sample(cov, 40, seed=73)
         x = rows_of(batch)
         rows = np.einsum("ki,kj->kji", x, x).reshape(len(x), nx * nx) - vecs(cov.sigma)
@@ -465,7 +499,7 @@ class TestDenseBuildGuard:
                                eigvecs=eye)
 
     @pytest.mark.parametrize("build", [lambda cov: cov.frame_operator,
-                                       isserlis_fourth_moment, OperatorMean])
+                                       isserlis_fourth_moment, OperatorMean, operator_half])
     def test_dense_build_refused(self, cov_wide, build):
         with pytest.raises(DimensionError, match="nx=1000 would hold .* physical memory"):
             build(cov_wide)
@@ -522,7 +556,6 @@ STACKED_FORMULAS = {
     "closed_center": lambda w, x, m, xi, r, cov: closed_center(w, cov),
     "eghr_g": lambda w, x, m, xi, r, cov: eghr_g(x, w, cov),
     "frame_element": lambda w, x, m, xi, r, cov: frame_element(x, cov),
-    "_symmetric_domain": lambda w, x, m, xi, r, cov: frames._symmetric_domain(m, "t"),
     "restricted_inverse_apply": lambda w, x, m, xi, r, cov: restricted_inverse_apply(cov, xi),
     "frame_coefficient": lambda w, x, m, xi, r, cov: frame_coefficient(m, xi, cov),
     "cancellation_coefficient": lambda w, x, m, xi, r, cov: cancellation_coefficient(r, xi),
@@ -583,16 +616,3 @@ class TestStackedFormulas:
         stacked = eghr_update_closed(w, cov)
         for i in range(self.K):
             assert np.array_equal(stacked[i], eghr_update_closed(w[i], cov))
-
-    def test_skew_member_raises_its_own_error(self):
-        # The error names the skew member's norm and limit, as a single call
-        # on it does.
-        w, x, m, xi, r, covs = self._stack(4)
-        m[3] += 1e-3 * skew_part(np.arange(16.0).reshape(4, 4))
-        with pytest.raises(SkewDomainError) as alone:
-            restricted_inverse_apply(covs[3], m[3])
-        with pytest.raises(SkewDomainError) as stacked:
-            restricted_inverse_apply(covs, m)
-        assert str(stacked.value) == str(alone.value)
-        norm = np.linalg.norm(skew_part(m[3]))
-        assert f"skew component has norm {norm:.3e}" in str(stacked.value)

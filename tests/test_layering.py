@@ -131,3 +131,12 @@ def _called_names(tree: ast.Module) -> set[str]:
 def test_only_cli_makes_or_probes_output_paths(module):
     assert not _called_names(_tree(module)) & OUTPUT_CALLS
 
+
+
+# Tolerances belong to the checks that judge a result: the maths modules
+# compute, and refuse only what their boundaries refuse.
+@pytest.mark.parametrize("module", ("frames", "gaussian", "rules"))
+def test_maths_modules_define_no_tolerance(module):
+    assigned = [node.id for node in ast.walk(_tree(module))
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+    assert not [name for name in assigned if name.endswith(("_RTOL", "_ATOL"))]

@@ -386,7 +386,7 @@ class TestBlockSums:
                      lambda b: eghr_update_empirical(w, b),
                      lambda x: gain_hebbian_formula(w, x)),
             "frame-operator": (OperatorMean(cov),
-                               operator_half(frame_operator_analytic(cov), cov.dim),
+                               operator_half(cov),
                                frame_operator_empirical, lambda x: operator_formula(cov, x)),
             "frame-expansion": (ExpansionMean(m, cov), m,
                                 lambda b: frame_expansion_reconstruct(m, b),
