@@ -476,11 +476,13 @@ class MonteCarloBatches:
             # gains), two more for the next chunk's z and x, drawn meanwhile
             # (SampleBatch.chunks), and, when the operator is summed, two
             # h-wide ones: its h = nx(nx+1)/2 half rows and the factor
-            # gathered into them.
+            # gathered into them. mc-rate-frame-operator's reference, S's h x h
+            # half form, stays alive through both passes.
             rows = chunk_schedule(n, self.block)[1]
             h = cov.dim * (cov.dim + 1) // 2
             width = 8 * cov.dim + (isserlis or "frame-operator" in kinds) * 2 * h
-            require_memory(8 * rows * width, f"a chunk of {rows:,} rows at nx={cov.dim}")
+            ref = ("frame-operator" in kinds) * h * h
+            require_memory(8 * (rows * width + ref), f"a chunk of {rows:,} rows at nx={cov.dim}")
         self.refs = {kind: _RATE_SUMS[kind][1](self) for kind in kinds}
         count = RATE_BATCHES if kinds else int(isserlis or derivation)
         self.passes = [self._pass(i) for i in range(count)]

@@ -3,24 +3,23 @@ learning-rule algebra rests on: integration by parts (for a smooth f,
 E[f(x) x_i] = sum_a Sigma_ia E[d_a f]) and the analytic Gaussian fourth
 moment E[(x kron x)(x kron x)^T], built from Isserlis' three pairings.
 
-Sampling is deterministic: a batch with an integer seed is a pure function
-of (covariance, n, seed). ``sample`` returns a ``SampleBatch`` that holds no
+Sampling is deterministic: a batch's rows are a pure function of
+(covariance, n, seed). ``sample`` returns a ``SampleBatch`` that holds no
 rows; each pass over its ``chunks`` draws them in order from one
 ``default_rng(seed)``, about CHUNK_ROWS at a time, so a pass holds a few
 chunks, not the batch (under ``feed``, the chunk read, the one read before
 it and the one being drawn: a batch of several chunks draws the next chunk
-on a worker thread while the estimators read the current one). The chunks
-concatenate to the rows a whole-batch draw gives, bit for bit. A batch
-drawn with ``block=m`` starts every chunk on a multiple of m rows, so a
-pass can cut each chunk into whole blocks of m rows.
+on a worker thread while the reader works on the current one). The chunks concatenate to the
+rows a whole-batch draw gives, bit for bit. A batch drawn with ``block=m``
+starts every chunk on a multiple of m rows and holds at most CHUNK_BLOCKS
+blocks a chunk, so a pass can cut each chunk into whole blocks of m rows:
+the checks' rate blocks, or the steps of a ``rules.train`` run, which reads
+one batch per run.
 Every empirical estimator is a running sum over the chunks (a
 ``RunningSum``: the additive ``sums`` of a row range, and the ``estimate``
 they give), and ``SampleBatch.feed`` hands each chunk to several of them, so
 estimators that share a batch share one draw. The checks, which need several
-independent batches, take a child seed per batch from ``derive_seed``. The
-seed may also be a ``np.random.Generator``: the batch then draws from that
-stream when read, so it gives new rows on every pass and is read once;
-``rules.train`` hands one stream per run to every step's batch this way.
+independent batches, take a child seed per batch from ``derive_seed``.
 
 The identity is checked, drawing nothing, on monomials f = prod_j x_j^{a_j}
 of degree at most 4, each given by its exponent vector a
@@ -48,23 +47,28 @@ from .linalg import CovarianceModel, require_memory
 # blocking, so the rows of a chunk come out of the product with L^T as they
 # do in one whole-batch product.
 CHUNK_ROWS = 1 << 15
+# Most blocks per chunk of a batch drawn with a block: the default checks'
+# 32 blocks of 1000 rows, or 32 steps of a train run of at most CHUNK_ROWS
+# rows a step.
+CHUNK_BLOCKS = 32
+
 
 @dataclass(frozen=True)
 class SampleBatch:
     """n zero-mean Gaussian rows x = L z, handed out in chunks.
 
-    A batch from ``sample`` holds no rows (``rows`` is None): ``chunks``
-    draws them from ``default_rng(seed)``, which is the seed itself when the
-    seed is a Generator. A batch built by ``from_rows``
-    holds its rows and ``chunks`` slices them. The chunk bounds depend on n
-    and ``block`` alone, so both kinds run through the same estimator code.
+    A batch from ``sample`` holds no rows (``rows`` is None): each pass of
+    ``chunks`` draws them from a new ``default_rng(seed)``, so every pass
+    gives the same rows. A batch built by ``from_rows`` holds its rows and
+    ``chunks`` slices them. The chunk bounds depend on n and ``block``
+    alone, so both kinds run through the same estimator code.
     """
 
     n: int
-    seed: int | np.random.Generator
+    seed: int
     covariance: CovarianceModel
     rows: np.ndarray | None = None
-    block: int = 1  # every chunk starts on a multiple of block rows
+    block: int | None = None  # every chunk starts on a multiple of block rows
 
     @classmethod
     def from_rows(cls, rows, cov: CovarianceModel, seed: int = 0) -> "SampleBatch":
@@ -79,10 +83,9 @@ class SampleBatch:
         return self.covariance.dim
 
     def chunks(self) -> Iterator[np.ndarray]:
-        """The rows in order, in chunks of a step of rows: the largest
-        multiple of ``block`` that is at most CHUNK_ROWS, or ``block`` if that
-        is larger. The last chunk also takes the remainder, so every chunk but
-        a lone one holds one to two steps of rows. A short tail chunk would go
+        """The rows in order, in chunks of ``chunk_schedule``'s step of rows;
+        the last chunk also takes the remainder, so every chunk but a lone
+        one holds one to two steps of rows. A short tail chunk would go
         through another BLAS kernel (gemv, or the small-matrix path) than the
         same rows do inside a whole-batch product, and could differ in the
         last bit.
@@ -91,15 +94,12 @@ class SampleBatch:
         thread while the reader holds chunk k: the draw and the product with
         L^T release the interpreter lock, so they overlap the reader's work.
         A lone chunk is drawn on the caller's thread, and no thread starts.
-        The draws run in order, so the rows and the generator's use are those
-        of drawing the chunks one by one. A draw's exception is raised when
-        the reader reaches that chunk.
-        Closing the iterator after k chunks, fewer than all, waits for the
-        draw in flight: a Generator seed is then left k + 1 chunks into its
-        stream, one chunk past the rows read. A pass holds the chunk being
-        drawn, one z buffer, the chunk handed out and whatever chunks the
-        reader still holds (``feed`` holds the one before until the next
-        arrives)."""
+        The draws run in order, so the rows are those of drawing the chunks
+        one by one. A draw's exception is raised when the reader reaches that
+        chunk, and closing the iterator early waits for the draw in flight.
+        A pass holds the chunk being drawn, one z buffer, the chunk handed
+        out and whatever chunks the reader still holds (``feed`` holds the
+        one before until the next arrives)."""
         step, last = chunk_schedule(self.n, self.block)
         sizes = itertools.chain(itertools.repeat(step, (self.n - last) // step), (last,))
         if self.rows is not None:
@@ -149,11 +149,13 @@ def _draw_into(rng: np.random.Generator, z: np.ndarray, chol_t: np.ndarray,
     return np.matmul(z, chol_t, out=out)
 
 
-def chunk_schedule(n: int, block: int) -> tuple[int, int]:
+def chunk_schedule(n: int, block: int | None) -> tuple[int, int]:
     """(step, last): the rows of every chunk but the last of an n-row batch
     drawn with ``block`` (see ``SampleBatch.chunks``), and of the last chunk,
-    which also takes the remainder and so is the longest."""
-    step = max(CHUNK_ROWS // block, 1) * block
+    which also takes the remainder and so is the longest. Without a block
+    the step is CHUNK_ROWS; with one, the most whole blocks that fit in
+    CHUNK_ROWS, at most CHUNK_BLOCKS and at least one."""
+    step = CHUNK_ROWS if block is None else max(min(CHUNK_ROWS // block, CHUNK_BLOCKS), 1) * block
     return step, n - step * (max(n // step, 1) - 1)
 
 
@@ -198,20 +200,20 @@ class RunningSum:
 
 def derive_seed(seed: int, index: int) -> int:
     """Deterministic 64-bit child seed ``index`` of ``seed``: the checks'
-    batch seeds, and the seed of ``rules.train``'s one stream per run
-    (index 0)."""
+    batch seeds, and the seed of ``rules.train``'s one batch per run (index
+    0)."""
     state = np.random.SeedSequence((seed, index)).generate_state(2)
     return int(state.view(np.uint64)[0])
 
 
-def sample(cov: CovarianceModel, n: int, seed: int | np.random.Generator,
-           block: int = 1) -> SampleBatch:
-    """n samples x = L z with z standard normal from a seeded PRNG; the rows
-    are drawn when the batch's chunks are read, each chunk starting on a
-    multiple of ``block`` rows. A Generator ``seed`` is drawn from as it
-    stands, so such a batch gives new rows on every read. n and block, at
-    least 1, come from the run's checked settings (``config.RunConfig``,
-    ``rules.TrainerConfig``) and are not checked again here."""
+def sample(cov: CovarianceModel, n: int, seed: int,
+           block: int | None = None) -> SampleBatch:
+    """n samples x = L z with z standard normal from ``default_rng(seed)``;
+    the rows are drawn when the batch's chunks are read, each chunk starting
+    on a multiple of ``block`` rows and holding at most CHUNK_BLOCKS blocks
+    (``chunk_schedule``). n and block, at least 1, come from the run's
+    checked settings (``config.RunConfig``, ``rules.TrainerConfig``) and are
+    not checked again here."""
     return SampleBatch(n=n, seed=seed, covariance=cov, block=block)
 
 

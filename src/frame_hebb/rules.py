@@ -27,6 +27,7 @@ at every block size, share one draw.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, RankDeficientError
-from .gaussian import RunningSum, SampleBatch, derive_seed, sample
-from .linalg import CovarianceModel, dot, matrix_transpose
+from .gaussian import CHUNK_ROWS, RunningSum, SampleBatch, chunk_schedule, derive_seed, sample
+from .linalg import CovarianceModel, dot, matrix_transpose, require_memory
 
 DIVERGENCE_NORM = 1e6
 # Most rows an empirical training step draws: the check commands' default
@@ -249,52 +250,95 @@ class TrajectoryPoint:
     update_norm: float
 
 
+def _stream_rows(cov: CovarianceModel, config: TrainerConfig):
+    """The rows of an empirical ``train`` run's one batch, ``sample(cov,
+    (steps + 1) * b, derive_seed(seed, 0), block)``, in order, in pieces
+    that each end at a chunk's end or a step's: step k reads rows k b to
+    (k + 1) b. A step of at most CHUNK_ROWS rows is the block, so every
+    chunk holds whole steps and a step is one piece; a longer step spans
+    chunks of CHUNK_ROWS rows, drawn without a block, so a pass never holds
+    a whole step. The read-ahead draws the next chunk while the steps run.
+    Before any draw, the pass's peak must fit in physical memory: the z
+    buffer of the longest chunk, the chunk being drawn and the chunk read,
+    and the temporaries of the longest piece, about three arrays of its
+    size."""
+    b = config.batch_size
+    n = (config.steps + 1) * b
+    block = b if b <= CHUNK_ROWS else None
+    rows = chunk_schedule(n, block)[1]
+    require_memory(8 * cov.dim * 3 * (rows + min(b, rows)),
+                   f"a train chunk of {rows:,} rows at nx={cov.dim}")
+    left = b  # rows the current step has still to read
+    for x in sample(cov, n, derive_seed(config.seed, 0), block).chunks():
+        start = 0
+        while start < x.shape[0]:
+            piece = x[start:start + left]
+            yield piece
+            start += piece.shape[0]
+            left = left - piece.shape[0] or b
+
+
 # The guard reports an overflowing step; one errstate per run, not per step.
 @np.errstate(over="ignore", invalid="ignore")
 def train(w0, cov: CovarianceModel, config: TrainerConfig) -> tuple[TrajectoryPoint, ...]:
     """Explicit-Euler integration of ``config.rule`` from W0; the recorded
     points in step order, the final step last.
 
-    Closed-form mode steps along the exact expected update; empirical mode
-    draws a fresh batch per step from one stream per run,
-    ``default_rng(derive_seed(config.seed, 0))``, so identical configs give
-    identical trajectories and step k's batch does not depend on
-    ``config.steps``. The stream is not ``default_rng(config.seed)``, which
-    the CLI draws W0 from. Records metrics every
-    ``record_every`` steps and always at the final step. Aborts with
-    DivergenceError if the weight norm passes 1e6 or is not finite.
+    Closed-form mode steps along the exact expected update. Empirical mode
+    reads the run's one batch, drawn from ``derive_seed(config.seed, 0)``,
+    in one pass (``_stream_rows``): step k sums rows k b to (k + 1) b, b =
+    ``batch_size``, with the running sum of ``oja_update_empirical`` or
+    ``eghr_update_empirical`` and takes its ``result``, while the read-ahead
+    worker draws the next chunk. So identical configs give identical
+    trajectories, and step k's rows do not depend on ``config.steps``. The
+    seed is not ``config.seed``, from which the CLI draws W0. Records
+    metrics every ``record_every`` steps and always at the final step.
+    Aborts with DivergenceError if the weight norm passes 1e6 or is not
+    finite, and with DimensionError, before the first step, if the batch's
+    chunks would not fit in physical memory.
 
-    W0 is validated once here, and each step calls the public update and
-    metrics. Every step keeps W finite and of its shape: ``w + lr * upd``
-    cannot change the shape, and a non-finite entry makes the norm
-    non-finite, so the guard raises before the next update.
+    W0 is validated once here, and each step calls the public closed-form
+    update or the empirical update's running sum, and the public metrics.
+    Every step keeps W finite and of its shape: ``w + lr * upd`` cannot
+    change the shape, and a non-finite entry makes the norm non-finite, so
+    the guard raises before the next update.
     """
     w = as_weights(w0, cov.dim).copy()
-    closed = config.mode == "closed"
-    if closed:
-        update = oja_update_closed if config.rule == "oja" else eghr_update_closed
-    else:
-        update = oja_update_empirical if config.rule == "oja" else eghr_update_empirical
-
-    rng = np.random.default_rng(derive_seed(config.seed, 0))
     points: list[TrajectoryPoint] = []
-    for step in range(config.steps + 1):
-        upd = update(w, cov if closed else sample(cov, config.batch_size, rng))
-        if step % config.record_every == 0 or step == config.steps:
-            points.append(
-                TrajectoryPoint(
-                    step=step,
-                    w=w.copy(),
-                    subspace_error=subspace_error(w, cov),
-                    orthonormality_residual=orthonormality_residual(w),
-                    update_norm=float(np.linalg.norm(upd)),
+    with contextlib.ExitStack() as run:
+        if config.mode == "closed":
+            closed = oja_update_closed if config.rule == "oja" else eghr_update_closed
+
+            def update(w):
+                return closed(w, cov)
+        else:
+            mean = OjaMean if config.rule == "oja" else EghrMean
+            # Closing the rows ends the read-ahead's pass, a divergence included.
+            rows = run.enter_context(contextlib.closing(_stream_rows(cov, config)))
+
+            def update(w):
+                s = mean(w)
+                while s.n < config.batch_size:
+                    s.add(next(rows))
+                return s.result()
+
+        for step in range(config.steps + 1):
+            upd = update(w)
+            if step % config.record_every == 0 or step == config.steps:
+                points.append(
+                    TrajectoryPoint(
+                        step=step,
+                        w=w.copy(),
+                        subspace_error=subspace_error(w, cov),
+                        orthonormality_residual=orthonormality_residual(w),
+                        update_norm=float(np.linalg.norm(upd)),
+                    )
                 )
-            )
-        if step == config.steps:
-            break
-        w = w + config.learning_rate * upd
-        flat = w.ravel()
-        norm = math.sqrt(flat.dot(flat))  # np.linalg.norm(w) to the bit, without its dispatch
-        if not math.isfinite(norm) or norm > DIVERGENCE_NORM:
-            raise DivergenceError(step + 1, norm)
+            if step == config.steps:
+                break
+            w = w + config.learning_rate * upd
+            flat = w.ravel()
+            norm = math.sqrt(flat.dot(flat))  # np.linalg.norm(w) to the bit, without its dispatch
+            if not math.isfinite(norm) or norm > DIVERGENCE_NORM:
+                raise DivergenceError(step + 1, norm)
     return tuple(points)

@@ -227,20 +227,22 @@ def test_monte_carlo_chunk_beyond_physical_memory_refused(rate_cov, monkeypatch,
     checks.MonteCarloBatches(rate_cov, 1, 0, 10**12)  # no Monte-Carlo check: nothing drawn
 
 
-@pytest.mark.parametrize("selection, width", [
-    (dict(kinds=("oja",)), 6 * 3), (dict(isserlis=True), 6 * 3 + 2 * 6),
-    (dict(kinds=("frame-operator",)), 6 * 3 + 2 * 6), (dict(derivation=True), 6 * 3),
+@pytest.mark.parametrize("selection, width, ref", [
+    (dict(kinds=("oja",)), 6 * 3, 0), (dict(isserlis=True), 6 * 3 + 2 * 6, 0),
+    (dict(kinds=("frame-operator",)), 6 * 3 + 2 * 6, 6 * 6), (dict(derivation=True), 6 * 3, 0),
 ])
-def test_monte_carlo_chunk_guard_counts_h_columns(rate_cov, monkeypatch, selection, width):
+def test_monte_carlo_chunk_guard_counts_h_columns(rate_cov, monkeypatch, selection, width, ref):
     # width is what a row of the chunk read holds: six nx = 3 wide arrays,
     # and with the operator summed its h = nx(nx+1)/2 = 6 half coordinates
     # and the factor gathered into them, not nx**2 = 9. The guard also counts
-    # the next chunk's z and x, drawn meanwhile: two more nx-wide arrays.
+    # the next chunk's z and x, drawn meanwhile: two more nx-wide arrays, and
+    # mc-rate-frame-operator's reference, S's h x h half form, which both
+    # passes keep.
     asked = []
     monkeypatch.setattr(checks, "require_memory", lambda nbytes, what: asked.append(nbytes))
     batches = checks.MonteCarloBatches(rate_cov, 1, 0, _RATE_N, **selection)
     rows = checks.chunk_schedule(_RATE_N, batches.block)[1]
-    assert asked == [8 * rows * (width + 2 * 3)]
+    assert asked == [8 * (rows * (width + 2 * 3) + ref)]
 
 
 # The sweeps one trial at a time: the stacks the sweep draws, shape after

@@ -806,6 +806,26 @@ class TestExitCodeContract:
             "more than the 3.0 GiB of physical memory"]
         assert not (tmp_path / "out").exists()
 
+    def test_train_stream_beyond_physical_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # 128 MiB of physical memory: two steps of C = 32,768 rows are two
+        # chunks, and at nx=300 the z buffer, the chunks drawn and read and
+        # a step's temporaries would hold 0.4 GiB. The guard refuses before
+        # any draw.
+        def no_chunks(self):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(gaussian.SampleBatch, "chunks", no_chunks)
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**15}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+        code = run(["train", "--mode", "empirical", "--nx", 300, "--nu", 1,
+                    "--batch-size", gaussian.CHUNK_ROWS, "--steps", 1, "--out", tmp_path / "out"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG_ERROR
+        assert err.splitlines() == [
+            "input error: a train chunk of 32,768 rows at nx=300 would hold 0.4 GiB at its "
+            "peak, more than the 0.1 GiB of physical memory"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", list(checks.COMMANDS))
     def test_monte_carlo_chunk_beyond_physical_memory_exits_2(self, tmp_path, capsys,
                                                               monkeypatch, command):

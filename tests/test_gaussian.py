@@ -60,14 +60,6 @@ class TestSampling:
         with pytest.raises(DimensionError):
             SampleBatch.from_rows(np.zeros(shape), cov2)
 
-    def test_generator_seed_draws_from_the_stream_on_every_read(self, cov2):
-        batch = sample(cov2, 50, np.random.default_rng(3))
-        first, second = rows_of(batch), rows_of(batch)
-        stream = np.random.default_rng(3)
-        assert np.array_equal(first, stream.standard_normal((50, 2)) @ cov2.chol.T)
-        assert np.array_equal(second, stream.standard_normal((50, 2)) @ cov2.chol.T)
-        assert not np.array_equal(first, second)
-
     def test_derive_seed_deterministic(self):
         assert derive_seed(42, 3) == derive_seed(42, 3)
         assert derive_seed(42, 3) != derive_seed(42, 4)

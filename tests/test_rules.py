@@ -1,5 +1,7 @@
 """Closed-form and empirical updates, the gain, the trainer, and metrics."""
 
+import os
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -8,13 +10,14 @@ import pytest
 from frame_hebb import rules
 from frame_hebb.errors import DimensionError, DivergenceError, RankDeficientError
 from frame_hebb.frames import frame_element
-from frame_hebb.gaussian import SampleBatch, derive_seed, sample
+from frame_hebb.gaussian import CHUNK_ROWS, SampleBatch, derive_seed, sample
 from frame_hebb.linalg import CovarianceModel, build_covariance, random_spd
 from frame_hebb.rules import (
     MODES,
     RULES,
     TrainerConfig,
     EghrMean,
+    OjaMean,
     as_weights,
     eghr_g,
     eghr_update_closed,
@@ -389,21 +392,25 @@ class TestTrainer:
     @pytest.mark.parametrize("rule", RULES)
     @pytest.mark.parametrize("mode", MODES)
     def test_matches_loop_through_public_functions(self, cov_rand4, rule, mode):
-        # reference loop through the public update and metric functions;
-        # train must match it bit for bit
+        # reference loop through the public update and metric functions,
+        # each empirical step on its rows of the run's one stream as a batch
+        # of given rows; train must match it bit for bit
         w0 = np.random.default_rng(40).standard_normal((2, 4)) / 2.0
         cfg = TrainerConfig(rule, mode, learning_rate=0.01, steps=60, batch_size=20,
                             record_every=7, seed=11)
         closed = oja_update_closed if rule == "oja" else eghr_update_closed
         empirical = oja_update_empirical if rule == "oja" else eghr_update_empirical
+        b = cfg.batch_size
+        stream = rows_of(sample(cov_rand4, (cfg.steps + 1) * b, derive_seed(cfg.seed, 0),
+                                block=b))  # one stream per run
         w = as_weights(w0, cov_rand4.dim).copy()
-        rng = np.random.default_rng(derive_seed(cfg.seed, 0))  # one stream per run
         expected = []
         for step in range(cfg.steps + 1):
             if mode == "closed":
                 upd = closed(w, cov_rand4)
             else:
-                upd = empirical(w, sample(cov_rand4, cfg.batch_size, rng))
+                rows = stream[step * b:(step + 1) * b]
+                upd = empirical(w, SampleBatch.from_rows(rows, cov_rand4))
             if step % cfg.record_every == 0 or step == cfg.steps:
                 expected.append((step, w.copy(), subspace_error(w, cov_rand4),
                                  orthonormality_residual(w), float(np.linalg.norm(upd))))
@@ -420,32 +427,121 @@ class TestTrainer:
             assert p.orthonormality_residual == orth
             assert p.update_norm == norm
 
+    @staticmethod
+    def recorded_steps(monkeypatch, rule) -> list:
+        """The rows each step of a train run hands its running sum, in
+        order, once ``rules``' running sum of ``rule`` records them."""
+        mean, seen = EghrMean if rule == "eghr" else OjaMean, []
+
+        class Recording(mean):
+            def sums(self, x):
+                seen.append(x.copy())
+                return super().sums(x)
+
+        monkeypatch.setattr(rules, mean.__name__, Recording)
+        return seen
+
     @pytest.mark.parametrize("rule", RULES)
     def test_empirical_batches_are_one_stream_per_run(self, cov_rand4, monkeypatch, rule):
-        # Step k's batch is the k-th (b, nx) draw of
-        # default_rng(derive_seed(seed, 0)), whatever the run length; so step
-        # 0's is sample(cov, b, derive_seed(seed, 0)), and it shares no draw
-        # with default_rng(seed), which the CLI draws W0 from.
-        name = f"{rule}_update_empirical"
-        update, seen = getattr(rules, name), []
-
-        def recording(w, batch):
-            seen.append(rows_of(batch))
-            return update(w, SampleBatch.from_rows(seen[-1], batch.covariance))
-
-        monkeypatch.setattr(rules, name, recording)
+        # Step k reads rows k b to (k + 1) b of the run's one batch,
+        # sample(cov, (steps + 1) b, derive_seed(seed, 0), block=b): the
+        # draw of default_rng(derive_seed(seed, 0)), whatever the run
+        # length. So step 0's rows are sample(cov, b, derive_seed(seed, 0)),
+        # and they share no draw with default_rng(seed), which the CLI draws
+        # W0 from.
+        seen = self.recorded_steps(monkeypatch, rule)
         w0 = np.random.default_rng(43).standard_normal((2, 4)) / 2.0
         cfg = TrainerConfig(rule, "empirical", learning_rate=0.01, steps=20, batch_size=30,
                             seed=13)
-        b, nx = cfg.batch_size, cov_rand4.dim
+        b, nx, n = cfg.batch_size, cov_rand4.dim, (cfg.steps + 1) * cfg.batch_size
         train(w0, cov_rand4, cfg)
         assert len(seen) == cfg.steps + 1
-        rng = np.random.default_rng(derive_seed(cfg.seed, 0))
-        for rows in seen:
-            assert np.array_equal(rows, rng.standard_normal((b, nx)) @ cov_rand4.chol.T)
+        stream = rows_of(sample(cov_rand4, n, derive_seed(cfg.seed, 0), block=b))
+        for k, rows in enumerate(seen):
+            assert np.array_equal(rows, stream[k * b:(k + 1) * b]), k
+        whole = np.random.default_rng(derive_seed(cfg.seed, 0)).standard_normal((n, nx))
+        assert np.array_equal(np.concatenate(seen), whole @ cov_rand4.chol.T)
         assert np.array_equal(seen[0], rows_of(sample(cov_rand4, b, derive_seed(cfg.seed, 0))))
         w0_stream = np.random.default_rng(cfg.seed).standard_normal((b, nx)) @ cov_rand4.chol.T
         assert not np.any(np.isin(seen[0], w0_stream))
+
+    @pytest.mark.parametrize("nx", [4, 5])
+    @pytest.mark.parametrize("rule, b", [("oja", 1), ("oja", 2), ("oja", 30),
+                                         ("eghr", 2), ("eghr", 30)])
+    def test_a_short_run_is_a_prefix_of_a_long_one(self, nx, rule, b):
+        # Step k's rows do not depend on the run length, nor do the chunks'
+        # bits. At most 32 steps a chunk: 21 and 46 steps are each one chunk,
+        # of their own length; 101 steps are chunks of 32, 32 and 37 steps,
+        # the last taking the remainder, with the read-ahead. The 20-step
+        # trajectory is the 45-step one's first 21 points, bit for bit, and
+        # that is the 100-step one's first 46.
+        cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=nx))
+        w0 = np.random.default_rng(44).standard_normal((2, nx)) / 2.0
+        runs = [train(w0, cov, TrainerConfig(rule, "empirical", learning_rate=0.01,
+                                             steps=steps, batch_size=b, seed=14))
+                for steps in (20, 45, 100)]
+        assert [len(points) for points in runs] == [21, 46, 101]
+        for short, long in zip(runs, runs[1:]):
+            for a, c in zip(short, long):
+                assert a.step == c.step
+                assert np.array_equal(a.w, c.w)
+                assert (a.subspace_error, a.orthonormality_residual, a.update_norm) == (
+                    c.subspace_error, c.orthonormality_residual, c.update_norm)
+
+    def test_a_step_longer_than_a_chunk_is_read_in_pieces(self, cov_rand4, monkeypatch):
+        # A step of C + 5 rows spans the chunks of a batch drawn without a
+        # block, C, C and C + 15 rows for 3 steps: the running sum reads the
+        # pieces cut at chunk and step ends, and the step's update is the
+        # public update on its C + 5 rows, to roundoff.
+        c = CHUNK_ROWS
+        seen = self.recorded_steps(monkeypatch, "oja")
+        cfg = TrainerConfig("oja", "empirical", learning_rate=0.01, steps=2, batch_size=c + 5,
+                            seed=15)
+        points = train(np.random.default_rng(45).standard_normal((2, 4)) / 2.0, cov_rand4, cfg)
+        assert [len(x) for x in seen] == [c, 5, c - 5, 10, c + 5]
+        stream = rows_of(sample(cov_rand4, 3 * (c + 5), derive_seed(cfg.seed, 0), None))
+        assert np.array_equal(np.concatenate(seen), stream)
+        for k, p in enumerate(points):
+            rows = SampleBatch.from_rows(stream[k * (c + 5):(k + 1) * (c + 5)], cov_rand4)
+            want = float(np.linalg.norm(oja_update_empirical(p.w, rows)))
+            assert p.update_norm == pytest.approx(want, rel=1e-12)
+
+    def test_a_diverging_empirical_run_ends_its_read_ahead(self, cov_rand4):
+        # The run diverges in its first chunk of 32 steps, while the worker
+        # draws the next one; train closes the pass as it raises, so no
+        # thread outlives it while the caller holds the error.
+        baseline = threading.active_count()
+        cfg = TrainerConfig("oja", "empirical", learning_rate=1e3, steps=5000, batch_size=100)
+        with pytest.raises(DivergenceError) as err:
+            train(np.ones((1, 4)) / 2.0, cov_rand4, cfg)
+        assert err.value.step < 32
+        assert threading.active_count() == baseline
+
+    def test_stream_memory_is_guarded_before_any_draw(self, cov_rand4, monkeypatch):
+        # The guard asks for the z buffer of the longest chunk, the chunk
+        # being drawn and the chunk read, and three arrays of the longest
+        # piece for a step's temporaries: 46 steps of 30 rows are one chunk
+        # of 1380, and 3 steps of C + 5 rows are chunks of C, C and C + 15
+        # rows, read in pieces of at most C + 5.
+        asked = []
+        monkeypatch.setattr(rules, "require_memory", lambda nbytes, what: asked.append(nbytes))
+        cfg = TrainerConfig("oja", "empirical", learning_rate=0.01, steps=45, batch_size=30)
+        train(np.ones((1, 4)) / 2.0, cov_rand4, cfg)
+        long = TrainerConfig("oja", "empirical", learning_rate=0.01, steps=2,
+                             batch_size=CHUNK_ROWS + 5)
+        train(np.ones((1, 4)) / 2.0, cov_rand4, long)
+        assert asked == [8 * 4 * (3 * 1380 + 3 * 30),
+                         8 * 4 * (3 * (CHUNK_ROWS + 15) + 3 * (CHUNK_ROWS + 5))]
+
+        def no_chunks(self):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.undo()
+        monkeypatch.setattr(SampleBatch, "chunks", no_chunks)
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}  # 64 KiB
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+        with pytest.raises(DimensionError, match="a train chunk of 1,380 rows at nx=4"):
+            train(np.ones((1, 4)) / 2.0, cov_rand4, cfg)
 
     @pytest.mark.parametrize("rule", RULES)
     @pytest.mark.parametrize("mode", MODES)
@@ -465,7 +561,7 @@ class TestTrainer:
                             record_every=7, seed=12)
         train(w0, cov_rand4, cfg)
         assert calls["as_weights"] == 1
-        assert calls["sample"] == (cfg.steps + 1 if mode == "empirical" else 0)
+        assert calls["sample"] == (1 if mode == "empirical" else 0)  # one stream per run
 
     @pytest.mark.parametrize("rule", RULES)
     def test_closed_run_steps_through_public_updates(self, cov_rand4, monkeypatch, rule):
