@@ -110,6 +110,11 @@ SLOPE_HALF_WIDTH = 0.15
 # raised frame-check's default peak by 1.6 MB.
 SWEEP_STACK_BYTES = 16 * 32 * 32 * 8
 SWEEP_STACK_TRIALS = 64
+# frame-bounds forms its quadratic forms over blocks of about this many bytes
+# of unit vectors: 256 at nx=32, every trial at nx <= 16. Each block's product
+# packs S again; at nx=32 on one BLAS thread, 16-row blocks cost 60 ms over
+# one product, 64-row blocks 13 ms and 256-row blocks 3 ms.
+FRAME_BOUNDS_BLOCK_BYTES = 2 << 20
 
 
 def _worst_gap(*gaps) -> np.float64:
@@ -218,24 +223,48 @@ def frame_bounds_check(cov, seed: int, trials: int = 1000) -> ExperimentRecord:
     = |S|_2 on Sym, so the roundoff in the forms, which grows with
     lambda_max^2, does not fail a wide correct Sigma; the trace bound's gap is
     relative to itself, as the roundoff of tr S grows with tr S, which is up
-    to nx (nx + 1) / 2 times upper_tight."""
+    to nx (nx + 1) / 2 times upper_tight.
+
+    The forms are taken block by block (``_unit_forms``), about
+    FRAME_BOUNDS_BLOCK_BYTES of vectors at a time, so besides S the check
+    holds no trials x nx**2 array. The extremes join the last block, so they
+    stay the last rows of a product, as in one product over every vector;
+    with OpenBLAS's Haswell kernels the record equalled that product's to
+    the bit at every nx from 1 to 48 tried, where a block of their own moved
+    it at roundoff for some nx."""
     rng = np.random.default_rng(seed)
     s = frame_operator_analytic(cov)
     lower, upper_tight, upper_trace = frame_bounds(cov)
-    g = rng.standard_normal((trials, cov.dim, cov.dim))
-    v = np.empty((trials + 2, cov.dim**2))
-    # Row k < trials is vec(2 sym_part(g[k])); C and F order agree on a
-    # symmetric matrix. The last two rows are vec(q q^T), q = Sigma's top and
-    # bottom eigenvectors: unit vectors on which S attains its bounds.
-    v[:trials] = (g + g.transpose(0, 2, 1)).reshape(trials, -1)
-    v[:trials] /= np.linalg.norm(v[:trials], axis=1, keepdims=True)
-    v[trials:] = [np.outer(q, q).ravel() for q in cov.eigvecs[:, [0, -1]].T]
-    quad = np.einsum("ij,ij->i", v @ s, v)  # all quadratic forms in one GEMM
+    # vec(q q^T), q = Sigma's top and bottom eigenvectors: unit vectors on
+    # which S attains its bounds.
+    extremes = np.array([np.outer(q, q).ravel() for q in cov.eigvecs[:, [0, -1]].T])
+    per = max(1, FRAME_BOUNDS_BLOCK_BYTES // (8 * cov.dim**2))
+    quad = []
+    for start in range(0, trials, per):
+        k = min(per, trials - start)
+        extra = extremes if start + k == trials else extremes[:0]
+        quad.append(_unit_forms(s, rng, k, cov.dim, extra))
+    quad = np.concatenate(quad)
     gaps = np.array([upper_tight - upper_trace, lower - quad.min(), quad.max() - upper_tight,
                      abs(quad[-2] - upper_tight), abs(quad[-1] - lower)])
     trace_gap = abs(np.trace(s) - upper_trace) / upper_trace
     return check_record("frame-bounds", _worst_gap(gaps / upper_tight, trace_gap),
                         BOUND_RTOL, seed, nx=cov.dim, trials=trials)
+
+
+def _unit_forms(s: np.ndarray, rng, k: int, nx: int, extra: np.ndarray) -> np.ndarray:
+    """The forms (v, S v), in one product with S, for k random unit vectors
+    of vec(Sym) and then for the rows of ``extra``. Vector i is
+    vec(G + G^T) / |G + G^T| for the i-th of k nx x nx standard normal G,
+    drawn from rng into the vectors' own array; C and F order agree on a
+    symmetric matrix. The block peaks at two arrays of its size."""
+    v = np.empty((k + len(extra), nx * nx))
+    g = v[:k].reshape(k, nx, nx)
+    rng.standard_normal(out=g)
+    g += g.transpose(0, 2, 1)  # numpy reads an overlapping input from a copy
+    v[:k] /= np.linalg.norm(v[:k], axis=1, keepdims=True)
+    v[k:] = extra
+    return np.einsum("ij,ij->i", v @ s, v)
 
 
 def _column_norms(a: np.ndarray) -> np.ndarray:
@@ -306,11 +335,15 @@ def coefficient_identity_checks(
 
 def _isserlis_gap(cov, s: np.ndarray) -> float:
     """|E[(x kron x)(x kron x)^T] - vec(Sigma) vec(Sigma)^T - S|_F, formed in
-    the fourth moment's own array: besides S, the peak is the two arrays that
-    the fourth moment's build holds and its memory guard admits."""
+    the fourth moment's own array, whose rows take the rank-one term nx at a
+    time: besides S, the peak is the moment and one block of nx rows, as in
+    its build. The norm is taken over the whole gap in one sum: a norm summed
+    block by block would move the record at roundoff."""
+    nx = cov.dim
     gap = isserlis_fourth_moment(cov)
     vs = vecs(cov.sigma)
-    gap -= np.outer(vs, vs)
+    for a in range(0, nx * nx, nx):
+        gap[a:a + nx] -= np.outer(vs[a:a + nx], vs)
     gap -= s
     return float(np.linalg.norm(gap))
 
@@ -321,7 +354,9 @@ def isserlis_checks(cov, seed: int,
     analytic frame operator to roundoff, and the empirical operator must land
     within 5% relative Frobenius error at large n. The empirical half runs
     only when the command's ``batches`` sum the operator for it
-    (``isserlis``), and reads batch 0; both records' n is the batches' n."""
+    (``isserlis``), and reads batch 0; both records' n is the batches' n.
+    Besides S, each half holds one nx**2 x nx**2 array, the fourth moment and
+    then the dense estimate, and takes its gap in that array."""
     s = frame_operator_analytic(cov)
     s_scale = float(np.linalg.norm(s))
     analytic = check_record("isserlis-analytic", _isserlis_gap(cov, s) / s_scale,
@@ -329,8 +364,9 @@ def isserlis_checks(cov, seed: int,
     if not batches.isserlis:
         return (analytic,)
     operator = batches.passes[0][1]["frame-operator"]
-    s_emp = operator.inner.dense(operator.result())
-    empirical = check_record("isserlis-empirical", float(np.linalg.norm(s_emp - s)) / s_scale,
+    gap = operator.inner.dense(operator.result())
+    gap -= s
+    empirical = check_record("isserlis-empirical", float(np.linalg.norm(gap)) / s_scale,
                              MC_FROBENIUS_RTOL, seed, nx=cov.dim, n=batches.n)
     return analytic, empirical
 

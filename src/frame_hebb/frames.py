@@ -17,7 +17,10 @@ frame_operator_analytic and frame_operator_empirical give as a dense
 nx**2 x nx**2 array. The analytic S is the covariance model's
 ``frame_operator``, built once per covariance and shared read-only. Only
 it, ``OperatorMean.dense`` and gaussian.isserlis_fourth_moment build arrays
-of that size, each after ``linalg.require_memory`` says its peak fits.
+of that size, each after ``linalg.require_memory`` says its peak fits. S's
+build holds two (Sigma kron Sigma and its column gather), each of the others
+one, and a check that reads S holds at most one other: the dense estimate
+or the fourth moment, in which it takes its gap from S.
 
 The empirical estimators are running sums over a batch's chunks
 (``OperatorMean``, ``ExpansionMean``), so they hold one chunk of rows at a
@@ -88,8 +91,9 @@ class OperatorMean(RunningSum):
         self.h = nx * (nx + 1) // 2
         # peak: four h x h arrays (the total, a chunk's Gram, the sum that
         # merges them and an estimate) and a chunk of half rows with the
-        # gathered factor it is multiplied by
-        require_memory(8 * (4 * self.h**2 + 2 * CHUNK_ROWS * self.h),
+        # gathered factor it is multiplied by; a batch drawn without a block
+        # ends in a chunk of up to 2 CHUNK_ROWS - 1 rows (chunk_schedule)
+        require_memory(8 * (4 * self.h**2 + 2 * (2 * CHUNK_ROWS - 1) * self.h),
                        f"the half-form empirical S at nx={nx}")
         super().__init__()
         self.i, self.j = np.triu_indices(nx)

@@ -317,12 +317,16 @@ def isserlis_fourth_moment(cov: CovarianceModel) -> np.ndarray:
     Sigma_ab Sigma_cd + Sigma_ac Sigma_bd + Sigma_ad Sigma_bc, the three
     pairings added in that order. The build shares no code with the frame
     operator (Sigma kron Sigma)(I + T) that isserlis-analytic compares it to.
+    It writes the moment's array one block of rows at a time, the nx**3
+    entries of each a, so it holds the moment and one block's product, never
+    a second nx**2 x nx**2 array.
     """
-    # At most two nx**2 x nx**2 arrays are held at once.
     nx = cov.dim
-    require_memory(2 * 8 * nx**4, f"the fourth moment at nx={nx}")
+    require_memory(8 * (nx**4 + nx**3), f"the fourth moment at nx={nx}")
     s = cov.sigma
-    m = np.einsum("ab,cd->abcd", s, s).reshape(nx * nx, nx * nx)
-    m += np.einsum("ac,bd->abcd", s, s).reshape(nx * nx, nx * nx)
-    m += np.einsum("ad,bc->abcd", s, s).reshape(nx * nx, nx * nx)
-    return m
+    m = np.empty((nx, nx, nx, nx))
+    for a in range(nx):
+        np.multiply(s[a, :, None, None], s, out=m[a])
+        m[a] += s[a, None, :, None] * s[:, None, :]
+        m[a] += s[a, None, None, :] * s[:, :, None]
+    return m.reshape(nx * nx, nx * nx)

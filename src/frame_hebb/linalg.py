@@ -143,7 +143,7 @@ class CovarianceModel:
         """S = (Sigma kron Sigma)(I + T), read-only, with T applied as a column
         gather: O(nx**4) instead of the O(nx**6) of a dense product with T.
         Both terms, and so S, are symmetric to the bit because Sigma is."""
-        # At most two nx**2 x nx**2 arrays are held at once.
+        # peak: two nx**2 x nx**2 arrays, Sigma kron Sigma and its column gather
         require_memory(2 * 8 * self.dim**4, f"the frame operator S at nx={self.dim}")
         s = kron(self.sigma, self.sigma)
         s += s.take(vec_transpose_index(self.dim), axis=1)

@@ -1,5 +1,6 @@
 """Helpers shared by the tests: the (nx, nu) pairs of a dimension sweep, a
-batch's rows as one array, and the derivation chain on a pass of its own."""
+batch's rows as one array, the derivation chain on a pass of its own, and the
+fourth moment built whole, the reference of its row-block build."""
 
 import numpy as np
 
@@ -29,3 +30,15 @@ def derive_on_own_pass(w, cov, batch):
     direct = EghrMean(w, closed_center(w, cov))
     batch.feed(expansion, direct)
     return derive_eghr_from_oja(w, cov, expansion, direct)
+
+
+def fourth_moment_three_einsums(cov) -> np.ndarray:
+    """Isserlis' fourth moment as one whole-array einsum per pairing, added in
+    the order Sigma_ab Sigma_cd + Sigma_ac Sigma_bd + Sigma_ad Sigma_bc: the
+    build ``gaussian.isserlis_fourth_moment`` must equal to the bit, while it
+    holds one row block of a pairing at a time."""
+    nx, s = cov.dim, cov.sigma
+    m = np.einsum("ab,cd->abcd", s, s).reshape(nx * nx, nx * nx)
+    m += np.einsum("ac,bd->abcd", s, s).reshape(nx * nx, nx * nx)
+    m += np.einsum("ad,bc->abcd", s, s).reshape(nx * nx, nx * nx)
+    return m

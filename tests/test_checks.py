@@ -34,7 +34,7 @@ from frame_hebb.records import (
     read_records_csv,
 )
 from frame_hebb.rules import eghr_g, eghr_update_closed, oja_update_closed
-from sweeps import derive_on_own_pass, dim_sweep
+from sweeps import derive_on_own_pass, dim_sweep, fourth_moment_three_einsums
 
 
 def _cov(config):
@@ -451,6 +451,47 @@ def test_frame_bounds_pins_the_trace_bound_to_tr_s(monkeypatch):
     monkeypatch.setattr(checks, "frame_bounds", loose)
     cov = build_covariance(random_spd(4, (0.5, 2.0), seed=42))
     assert not checks.frame_bounds_check(cov, 42).passed
+
+
+def _frame_bounds_one_product(cov, seed, trials):
+    """frame_bounds_check's value with every unit vector in one array and all
+    its quadratic forms from one product with S: the reference of the check's
+    blocks."""
+    rng = np.random.default_rng(seed)
+    s = cov.frame_operator
+    lower, upper_tight, upper_trace = checks.frame_bounds(cov)
+    g = rng.standard_normal((trials, cov.dim, cov.dim))
+    v = np.empty((trials + 2, cov.dim**2))
+    v[:trials] = (g + g.transpose(0, 2, 1)).reshape(trials, -1)
+    v[:trials] /= np.linalg.norm(v[:trials], axis=1, keepdims=True)
+    v[trials:] = [np.outer(q, q).ravel() for q in cov.eigvecs[:, [0, -1]].T]
+    quad = np.einsum("ij,ij->i", v @ s, v)
+    gaps = np.array([upper_tight - upper_trace, lower - quad.min(), quad.max() - upper_tight,
+                     abs(quad[-2] - upper_tight), abs(quad[-1] - lower)])
+    trace_gap = abs(np.trace(s) - upper_trace) / upper_trace
+    return checks._worst_gap(gaps / upper_tight, trace_gap)
+
+
+@pytest.mark.parametrize("nx, blocks", [(4, 1), (32, 4)])
+def test_frame_bounds_blocks_give_the_one_product_value(nx, blocks):
+    cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=nx))
+    per = checks.FRAME_BOUNDS_BLOCK_BYTES // (8 * nx**2)
+    assert len(range(0, 1000, per)) == blocks
+    record = checks.frame_bounds_check(cov, 42, trials=1000)
+    assert record.value == _frame_bounds_one_product(cov, 42, 1000)
+
+
+@pytest.mark.parametrize("nx", [1, 2, 3, 5, 16])
+def test_isserlis_gap_in_row_blocks_is_the_whole_outer_gap(nx):
+    # The gap takes vec(Sigma) vec(Sigma)^T nx rows at a time, then its norm
+    # over the whole array, as the whole outer product's gap does.
+    cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=nx))
+    s = cov.frame_operator
+    gap = fourth_moment_three_einsums(cov)
+    vs = vecs(cov.sigma)
+    gap -= np.outer(vs, vs)
+    gap -= s
+    assert checks._isserlis_gap(cov, s) == float(np.linalg.norm(gap))
 
 
 def _nan_at(fn, item):

@@ -1,6 +1,7 @@
 """Frame elements, the frame operator, bounds, inverses, coefficients,
 expansions, and the derivation chain."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -463,7 +464,7 @@ class TestOperatorHalfForm:
         monkeypatch.setattr(frames, "require_memory", lambda nbytes, what: asked.append(nbytes))
         mean = OperatorMean(cov_rand3)
         h = 6
-        assert asked == [8 * (4 * h**2 + 2 * CHUNK_ROWS * h)]
+        assert asked == [8 * (4 * h**2 + 2 * (2 * CHUNK_ROWS - 1) * h)]
         mean.add(rows_of(sample(cov_rand3, 10, seed=74)))
         half = mean.result()
         assert half.shape == (h, h) and len(asked) == 1
@@ -503,6 +504,33 @@ class TestDenseBuildGuard:
     def test_dense_build_refused(self, cov_wide, build):
         with pytest.raises(DimensionError, match="nx=1000 would hold .* physical memory"):
             build(cov_wide)
+
+    @staticmethod
+    def physical(monkeypatch, nbytes):
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+
+    def test_fourth_moment_guard_counts_one_array_and_a_row_block(self, monkeypatch):
+        # The build holds the moment and one nx**3 row block; a memory of that
+        # size, short of the two moments the guard once counted, admits it.
+        nx = 8
+        cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=8))
+        peak = 8 * (nx**4 + nx**3)
+        self.physical(monkeypatch, peak)
+        assert isserlis_fourth_moment(cov).shape == (nx * nx, nx * nx)
+        self.physical(monkeypatch, peak - 1)
+        with pytest.raises(DimensionError, match="fourth moment at nx=8"):
+            isserlis_fourth_moment(cov)
+
+    def test_operator_guard_counts_the_longest_blockless_chunk(self, cov_rand3, monkeypatch):
+        # A batch drawn without a block ends in a chunk of up to
+        # 2 CHUNK_ROWS - 1 rows, each with h = 6 half rows and their factor.
+        peak = 8 * (4 * 6**2 + 2 * (2 * CHUNK_ROWS - 1) * 6)
+        self.physical(monkeypatch, peak)
+        OperatorMean(cov_rand3)
+        self.physical(monkeypatch, peak - 1)
+        with pytest.raises(DimensionError, match="half-form empirical S at nx=3"):
+            OperatorMean(cov_rand3)
 
     def test_matrix_paths_run(self, cov_wide):
         x = np.random.default_rng(92).standard_normal((20, 1000))

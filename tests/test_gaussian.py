@@ -23,7 +23,7 @@ from frame_hebb.linalg import (
     random_spd,
     vecs,
 )
-from sweeps import rows_of
+from sweeps import fourth_moment_three_einsums, rows_of
 
 
 @pytest.fixture(scope="module")
@@ -251,3 +251,9 @@ class TestIsserlisFourthMoment:
         m = isserlis_fourth_moment(cov)
         np.testing.assert_array_equal(m, m.T)
         assert np.min(np.linalg.eigvalsh(m)) >= -1e-10 * np.linalg.norm(m)
+
+    @pytest.mark.parametrize("nx", [1, 2, 3, 5, 16])
+    def test_row_blocks_equal_the_whole_array_build(self, nx):
+        # Each entry takes the same three products, added in the same order.
+        cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=50 + nx))
+        assert np.array_equal(isserlis_fourth_moment(cov), fourth_moment_three_einsums(cov))

@@ -20,6 +20,7 @@ from frame_hebb.checks import (
     BlockSums,
     MonteCarloBatches,
     derivation_checks,
+    frame_bounds_check,
     isserlis_checks,
     kernel_annihilation_check,
     mc_rate_check,
@@ -598,12 +599,37 @@ class TestMemory:
         assert peak <= 4 * trials * 8 * nx**2, peak / (trials * 8 * nx**2)
 
     def test_isserlis_analytic_peak_is_the_fourth_moment_build(self):
-        # With S built, the check holds at its peak the two nx**2 x nx**2
-        # arrays that isserlis_fourth_moment's memory guard admits: the gap
-        # is formed in the fourth moment's array, not in new temporaries.
+        # With S built, the check holds at its peak the one nx**2 x nx**2
+        # array that isserlis_fourth_moment's memory guard counts, and a few
+        # of its nx**3 row blocks: the moment is written and its gap formed
+        # a row block at a time, in the moment's own array.
         nx = 24
         cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=98))
         cov.frame_operator
         batches = MonteCarloBatches(cov, 1, 1, 100)
         peak = traced_peak(lambda: isserlis_checks(cov, 1, batches))
-        assert peak <= 1.05 * 2 * 8 * nx**4, peak / (8 * nx**4)
+        assert peak <= 8 * (nx**4 + 4 * nx**3), peak / (8 * nx**4)
+
+    def test_isserlis_empirical_peak_is_the_dense_estimate(self):
+        # With S built and the operator summed, the empirical half holds the
+        # dense estimate, in which it takes its gap, and the h x h sums it is
+        # gathered from: what OperatorMean.dense's guard counts.
+        nx = 24
+        h = nx * (nx + 1) // 2
+        cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=98))
+        cov.frame_operator
+        batches = MonteCarloBatches(cov, 1, 1, 100, isserlis=True)
+        peak = traced_peak(lambda: isserlis_checks(cov, 1, batches))
+        assert peak <= 8 * (nx**4 + 2 * h**2), peak / (8 * nx**4)
+
+    def test_frame_bounds_peak_is_below_one_nx4_array(self):
+        # With S built, the check forms its 1002 quadratic forms in blocks
+        # of 256 unit vectors at nx=32 (2 MiB each), holding about two
+        # blocks at once: no trials x nx**2 array, and no other array of
+        # S's size.
+        nx = 32
+        cov = build_covariance(random_spd(nx, (0.5, 2.0), seed=98))
+        cov.frame_operator
+        frame_bounds_check(cov, 1)  # warm up imports and caches
+        peak = traced_peak(lambda: frame_bounds_check(cov, 1))
+        assert peak < 8 * nx**4, peak / (8 * nx**4)
