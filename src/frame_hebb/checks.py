@@ -25,11 +25,12 @@ check runs.
 
 The sweeps over random (Sigma, W[, x]) trials run shape after shape in
 stacks (``sweep_stack_trials``), each drawn as arrays from the sweep's one
-generator: its covariances, built from their drawn spectra
-(``linalg.random_covariances``, as stein-identity's are), so no check runs
-an eigendecomposition, then its other values. The rules' closed forms and
-the frames' coefficients take the whole stack in one call, which gives each
-trial the bits of a call on it alone. Every check takes its worst gap with
+generator: its covariances, built from their drawn spectra with no
+eigendecomposition and no residual gate (``linalg.random_covariances``, as
+stein-identity's are; only the command's one covariance meets the gates, in
+``linalg.build_covariance``), then its other values. The rules' closed forms
+and the frames' coefficients take the whole stack in one call, which gives
+each trial the bits of a call on it alone. Every check takes its worst gap with
 ``_worst_gap``, which keeps a NaN, and a NaN or infinite value fails its
 check (``records.check_record``) instead of passing or ending the run.
 

@@ -12,9 +12,10 @@ vec stacks columns: ``vecs(X)[j*n + i] = X[i, j]`` (0-based), so that
 ``vecs(A @ X @ B) == kron(B.T, A) @ vecs(X)`` with the standard Kronecker
 product, and ``commutation_matrix(n) @ vecs(X) == vecs(X.T)``.
 
-Only ``build_covariance`` and ``build_covariances`` cast their input and
-check its shape; the other functions take arrays the program made and keep
-their dtype.
+Only ``build_covariance``, where a covariance enters from outside the
+program, casts its input, checks its shape and gates its factorizations;
+``random_covariances`` builds its models from the spectra it draws, and the
+other functions take arrays the program made and keep their dtype.
 """
 
 from __future__ import annotations
@@ -47,17 +48,13 @@ EIGENVALUE_WINDOW = (
 )
 
 
-def _as_matrix(x, name: str = "matrix", ndim: int = 2) -> np.ndarray:
+def _as_matrix(x, name: str = "matrix") -> np.ndarray:
     a = np.asarray(x, dtype=float)
-    if a.ndim != ndim:
-        raise DimensionError(f"{name} must be {ndim}-dimensional, got shape {a.shape}")
+    if a.ndim != 2:
+        raise DimensionError(f"{name} must be 2-dimensional, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
-def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    if a.shape[-2] != a.shape[-1]:
+    if a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
     return a
 
@@ -115,9 +112,9 @@ class CovarianceModel:
     whose arrays have a leading trial axis (``covs[i]`` is the i-th model).
 
     ``eigvals`` are sorted descending and ``eigvecs`` columns are the
-    matching eigenvectors. Construct through :func:`build_covariance`,
-    :func:`build_covariances` or :func:`random_covariances`, which verify
-    every residual gate; instances are treated as immutable, and a single
+    matching eigenvectors. Construct through :func:`build_covariance`, which
+    verifies every residual gate, or :func:`random_covariances`, whose drawn
+    spectra make Sigma; instances are treated as immutable, and a single
     model's ``frame_operator`` is built on first use and shared.
     """
 
@@ -185,82 +182,65 @@ def frobenius(a: np.ndarray) -> np.ndarray:
     return np.sqrt(dot(flat, flat))
 
 
+def _factors(s: np.ndarray, w: np.ndarray, q: np.ndarray):
+    """Sigma's Cholesky factor and its inverse (Q Lambda^-1) Q^T, symmetrized,
+    from its eigenpairs (w, q): of one matrix, or of each of a stack."""
+    inv = (q * (1.0 / w)[..., None, :]) @ matrix_transpose(q)
+    return np.linalg.cholesky(s), (inv + matrix_transpose(inv)) / 2.0
+
+
 def build_covariance(sigma) -> CovarianceModel:
-    """Validate and factor a symmetric positive definite covariance.
+    """Validate and factor a symmetric positive definite covariance that
+    enters from outside the program (``--sigma``, ``random_spd`` included).
 
     Rejects asymmetric input, any eigenvalue at or below
     ``1e-12 * lambda_max`` or outside ``EIGENVALUE_WINDOW``, and any
     factorization whose residual exceeds the model gates or is NaN (so a
     near-degenerate covariance fails loudly here instead of corrupting
-    downstream inverses). This is
-    :func:`build_covariances` on a stack of one.
+    downstream inverses). The gates run in that order, and the first that
+    fails raises.
     """
-    return build_covariances(_require_square(_as_matrix(sigma, "sigma"), "sigma")[None])[0]
-
-
-def build_covariances(sigmas, spectrum=None) -> CovarianceModel:
-    """The stacked model of :func:`build_covariance` for each matrix of a
-    (k, n, n) stack, with one eigendecomposition, Cholesky factorization and
-    inverse for the stack; its i-th model is ``build_covariance(sigmas[i])``.
-    A known ``spectrum`` (eigvals descending, eigvecs) replaces the
-    eigendecomposition. Every gate is evaluated per matrix; the first matrix
-    that fails one raises the error :func:`build_covariance` raises for it alone."""
-    s = _require_square(_as_matrix(sigmas, "sigmas", ndim=3), "sigmas")
+    s = _as_matrix(sigma, "sigma")
     # Out-of-window input may overflow or underflow on the way to its gate;
     # a NaN residual fails its gate like one above the tolerance.
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         scale = frobenius(s)
-        asym = frobenius(s - matrix_transpose(s))
-        s = (s + matrix_transpose(s)) / 2.0  # bit-exact symmetry for everything downstream
-
-        if spectrum is None:
-            w, q = np.linalg.eigh(s)
-            spectrum = w[:, ::-1].copy(), q[:, :, ::-1].copy()
-        w, q = spectrum
-        floor = ~(w[:, 0] > 0.0) | ~(w[:, -1] > EIGENVALUE_FLOOR_REL * w[:, 0])
+        asym = frobenius(s - s.T)
+        if not asym <= SYMMETRY_RTOL * max(scale, 1.0):
+            raise DimensionError(f"sigma is not symmetric: asymmetry {asym:.3e} exceeds "
+                                 f"{SYMMETRY_RTOL:.1e} * {max(scale, 1.0):.3e}")
+        s = (s + s.T) / 2.0  # bit-exact symmetry for everything downstream
+        w, q = np.linalg.eigh(s)
+        w, q = w[::-1].copy(), q[:, ::-1].copy()
+        if not (w[0] > 0.0 and w[-1] > EIGENVALUE_FLOOR_REL * w[0]):
+            raise DegenerateCovarianceError(
+                f"covariance is degenerate: smallest eigenvalue {w[-1]:.6e} is at or "
+                f"below {EIGENVALUE_FLOOR_REL:.1e} * lambda_max ({w[0]:.6e})")
         lo, hi = EIGENVALUE_WINDOW
-        outside = ~((w[:, -1] >= lo) & (w[:, 0] <= hi))
+        if not (w[-1] >= lo and w[0] <= hi):
+            raise DegenerateCovarianceError(
+                f"covariance eigenvalues [{w[-1]:.3e}, {w[0]:.3e}] leave the window "
+                f"[{lo:.3e}, {hi:.3e}] in which its moments up to order {MOMENT_ORDER} "
+                "stay finite and normal")
         # |Sigma Q - Q Lambda|_F / |Sigma|_F; Sigma / lambda_max keeps it in range.
-        unit = s / w[:, :1, None]
-        eig_res = frobenius(unit @ q - q * (w / w[:, :1])[:, None, :]) / frobenius(unit)
-        # A matrix that fails any of these is factored as the identity, so that
-        # the stack still factors and every matrix before it is still gated.
-        unfit = floor | outside | ~(eig_res <= EIGEN_RTOL)
-        eye = np.eye(s.shape[1])
-        chol = np.linalg.cholesky(np.where(unfit[:, None, None], eye, s))
-        inv = (q * (1.0 / np.where(unfit[:, None], 1.0, w))[:, None, :]) @ matrix_transpose(q)
-        inv = (inv + matrix_transpose(inv)) / 2.0
-
-        chol_res = frobenius(chol @ matrix_transpose(chol) - s) / scale
+        unit = s / w[0]
+        eig_res = frobenius(unit @ q - q * (w / w[0])) / frobenius(unit)
+        if not eig_res <= EIGEN_RTOL:
+            raise DegenerateCovarianceError(
+                f"eigen-residual {eig_res:.3e} of the spectrum exceeds {EIGEN_RTOL:.1e}")
+        chol, inv = _factors(s, w, q)
+        eye = np.eye(len(s))
+        chol_res = frobenius(chol @ chol.T - s) / scale
         inv_res = frobenius(s @ inv - eye)
-        orth_res = frobenius(matrix_transpose(q) @ q - eye)
-    gates = (  # (failed per matrix, error, message for matrix i), in gate order
-        (~(asym <= SYMMETRY_RTOL * np.maximum(scale, 1.0)), DimensionError,
-         lambda i: f"sigma is not symmetric: asymmetry {asym[i]:.3e} exceeds "
-                   f"{SYMMETRY_RTOL:.1e} * {max(scale[i], 1.0):.3e}"),
-        (floor, DegenerateCovarianceError,
-         lambda i: f"covariance is degenerate: smallest eigenvalue {w[i, -1]:.6e} is at or "
-                   f"below {EIGENVALUE_FLOOR_REL:.1e} * lambda_max ({w[i, 0]:.6e})"),
-        (outside, DegenerateCovarianceError,
-         lambda i: f"covariance eigenvalues [{w[i, -1]:.3e}, {w[i, 0]:.3e}] leave the window "
-                   f"[{lo:.3e}, {hi:.3e}] in which its moments up to order {MOMENT_ORDER} "
-                   "stay finite and normal"),
-        (~(eig_res <= EIGEN_RTOL), DegenerateCovarianceError,
-         lambda i: f"eigen-residual {eig_res[i]:.3e} of the spectrum exceeds {EIGEN_RTOL:.1e}"),
-        (~(chol_res <= CHOLESKY_RTOL), DegenerateCovarianceError,
-         lambda i: f"Cholesky residual {chol_res[i]:.3e} exceeds {CHOLESKY_RTOL:.1e}"),
-        (~(inv_res <= INVERSE_ATOL), DegenerateCovarianceError,
-         lambda i: f"inverse residual {inv_res[i]:.3e} exceeds {INVERSE_ATOL:.1e} "
-                   "(covariance too ill-conditioned)"),
-        (~(orth_res <= ORTHOGONALITY_ATOL), DegenerateCovarianceError,
-         lambda i: f"eigenvector orthogonality residual {orth_res[i]:.3e} exceeds "
-                   f"{ORTHOGONALITY_ATOL:.1e}"),
-    )
-    failed = np.any([bad for bad, _, _ in gates], axis=0)
-    if failed.any():
-        i = int(np.argmax(failed))
-        error, message = next((e, m) for bad, e, m in gates if bad[i])
-        raise error(message(i))
+        orth_res = frobenius(q.T @ q - eye)
+    for residual, tolerance, message in (
+        (chol_res, CHOLESKY_RTOL, "Cholesky residual {:.3e} exceeds {:.1e}"),
+        (inv_res, INVERSE_ATOL, "inverse residual {:.3e} exceeds {:.1e} "
+                                "(covariance too ill-conditioned)"),
+        (orth_res, ORTHOGONALITY_ATOL, "eigenvector orthogonality residual {:.3e} exceeds {:.1e}"),
+    ):
+        if not residual <= tolerance:
+            raise DegenerateCovarianceError(message.format(residual, tolerance))
     return CovarianceModel(sigma=s, chol=chol, sigma_inv=inv, eigvals=w, eigvecs=q)
 
 
@@ -274,13 +254,19 @@ def random_spd(n: int, eig_range: tuple[float, float], seed: int) -> np.ndarray:
 
 def random_covariances(rng, k: int, n: int, eig_range: tuple[float, float]) -> CovarianceModel:
     """The stacked model of k random_spd matrices drawn from the Generator rng,
-    with one QR and one product, and the drawn lam (sorted descending) and Q's
-    matching columns as the spectrum. At k=1 on default_rng(seed), Sigma and
-    chol are build_covariance(random_spd(n, eig_range, seed))'s to the bit."""
+    with one QR and one product. Its spectrum is the drawn one, lam sorted
+    descending with Q's matching columns, and its inverse is (Q Lambda^-1) Q^T:
+    no eigendecomposition runs and no residual is gated, since Sigma is
+    Q Lambda Q^T by construction and a Householder QR factor is orthonormal to
+    working precision (the tests hold every residual build_covariance gates
+    within its tolerance over the sweeps' shapes). At k=1 on default_rng(seed),
+    Sigma and chol are build_covariance(random_spd(n, eig_range, seed))'s to
+    the bit."""
     s, lam, q = _random_spds(rng, k, n, eig_range)
     order = np.argsort(-lam, axis=1, kind="stable")
-    return build_covariances(s, (np.take_along_axis(lam, order, 1),
-                                 np.take_along_axis(q, order[:, None, :], 2)))
+    w, q = np.take_along_axis(lam, order, 1), np.take_along_axis(q, order[:, None, :], 2)
+    chol, inv = _factors(s, w, q)
+    return CovarianceModel(sigma=s, chol=chol, sigma_inv=inv, eigvals=w, eigvecs=q)
 
 
 def _random_spds(rng, k: int, n: int, eig_range: tuple[float, float]):

@@ -65,8 +65,8 @@ def test_the_readers_see_what_checks_uses():
 # Where values enter the maths modules from outside the program; only these
 # cast and check their input, and every other function trusts the arrays
 # the program made. _as_matrix is the boundaries' own helper.
-BOUNDARIES = {"as_weights", "build_covariance", "build_covariances", "from_rows"}
-CASTS = {"asarray", "_as_matrix", "_require_square"}
+BOUNDARIES = {"as_weights", "build_covariance", "from_rows"}
+CASTS = {"asarray", "_as_matrix"}
 
 
 def _cast_calls(tree: ast.Module) -> list[tuple[str, str]]:

@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from frame_hebb import linalg
+from frame_hebb.checks import sweep_stack_trials
 from frame_hebb.errors import DegenerateCovarianceError, DimensionError
 from frame_hebb.linalg import (
+    CHOLESKY_RTOL,
+    EIGEN_RTOL,
     EIGENVALUE_WINDOW,
+    INVERSE_ATOL,
+    ORTHOGONALITY_ATOL,
     build_covariance,
-    build_covariances,
     commutation_matrix,
     kron,
     random_covariances,
@@ -209,8 +213,8 @@ def _random_spd_alone(n, eig_range, seed):
 
 
 def _factors_alone(s):
-    """The factorizations of the single-matrix build_covariance body before
-    stacking (its gates only raise)."""
+    """The factorizations of build_covariance, written out (its gates only
+    raise)."""
     s = (s + s.T) / 2.0
     w, q = np.linalg.eigh(s)
     w = w[::-1].copy()
@@ -221,34 +225,31 @@ def _factors_alone(s):
     return dict(sigma=s, chol=chol, sigma_inv=inv, eigvals=w, eigvecs=q)
 
 
-def _random_stack(n, seeds):
-    return np.stack([random_spd(n, (0.5, 2.0), seed) for seed in seeds])
-
-
 class TestStackedBuild:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 32])
-    def test_stack_equals_single_matrix_bodies(self, n):
-        seeds = list(range(40, 57))
-        stack = _random_stack(n, seeds)
-        covs = build_covariances(stack)
-        for seed, sigma, cov in zip(seeds, stack, covs):
+    def test_build_equals_the_single_matrix_body(self, n):
+        for seed in range(40, 57):
             alone = _random_spd_alone(n, (0.5, 2.0), seed)[0]
+            sigma = random_spd(n, (0.5, 2.0), seed)
             assert np.array_equal(sigma, alone)
-            single = build_covariance(alone)
+            cov = build_covariance(sigma)
             for name, want in _factors_alone(alone).items():
                 assert np.array_equal(getattr(cov, name), want), name
-                assert np.array_equal(getattr(single, name), want), name
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 5, 32, 100])
-    def test_drawn_spectrum_build_matches_the_eigh_build(self, n):
-        # A stack draws a (k, n, n) normal block, then a (k, n) uniform one,
-        # and each model is the one-matrix body on its items. Sigma and chol
-        # are bit-identical; the spectrum and the inverse come from the drawn
-        # Q and lam instead of eigh, and agree to roundoff.
-        k = 17
-        rng = np.random.default_rng(40)
+    @pytest.mark.parametrize("seed", [42, 1234])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 16, 32, 100])
+    def test_drawn_spectrum_build_matches_the_eigh_build(self, n, seed):
+        # A stack of the sweeps' size draws a (k, n, n) normal block, then a
+        # (k, n) uniform one, and each model is the one-matrix body on its
+        # items. Sigma and chol are bit-identical; the spectrum and the inverse
+        # come from the drawn Q and lam instead of eigh, and agree to roundoff.
+        # Every residual build_covariance gates holds for the drawn model too,
+        # which random_covariances builds without gating.
+        k = sweep_stack_trials(n)
+        rng = np.random.default_rng(seed)
         g, lams = rng.standard_normal((k, n, n)), rng.uniform(0.5, 2.0, size=(k, n))
-        covs = random_covariances(np.random.default_rng(40), k, n, (0.5, 2.0))
+        covs = random_covariances(np.random.default_rng(seed), k, n, (0.5, 2.0))
+        eye = np.eye(n)
         for i, cov in enumerate(covs):
             sigma, lam, q = _spd_alone(g[i], lams[i], (0.5, 2.0))
             order = np.argsort(-lam, kind="stable")
@@ -260,6 +261,13 @@ class TestStackedBuild:
             assert np.abs(cov.eigvals - eigh.eigvals).max() <= 1e-13
             assert np.abs(cov.sigma_inv - eigh.sigma_inv).max() <= 1e-13
             assert np.array_equal(cov.sigma_inv, cov.sigma_inv.T)
+            w, q, scale = cov.eigvals, cov.eigvecs, np.linalg.norm(cov.sigma)
+            unit = cov.sigma / w[0]
+            eig_res = np.linalg.norm(unit @ q - q * (w / w[0])) / np.linalg.norm(unit)
+            assert eig_res <= EIGEN_RTOL
+            assert np.linalg.norm(cov.chol @ cov.chol.T - cov.sigma) / scale <= CHOLESKY_RTOL
+            assert np.linalg.norm(cov.sigma @ cov.sigma_inv - eye) <= INVERSE_ATOL
+            assert np.linalg.norm(q.T @ q - eye) <= ORTHOGONALITY_ATOL
         assert i == k - 1
 
     @pytest.mark.parametrize("n", [1, 2, 4, 5, 32, 100])
@@ -271,35 +279,6 @@ class TestStackedBuild:
             assert np.array_equal(cov.sigma, eigh.sigma)
             assert np.array_equal(cov.chol, eigh.chol)
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # asymmetric
-            np.diag([1.0, 1.0, 0.0]),  # degenerate
-            [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # indefinite
-        ],
-    )
-    def test_failing_matrix_mid_stack_raises_its_own_error(self, bad):
-        with pytest.raises((DimensionError, DegenerateCovarianceError)) as alone:
-            build_covariance(bad)
-        stack = _random_stack(3, [1, 2, 3, 4])
-        stack[1] = bad
-        stack[3] = [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]  # fails later
-        with pytest.raises(type(alone.value)) as stacked:
-            build_covariances(stack)
-        assert str(stacked.value) == str(alone.value)
-
-    @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (1, 2, 2, 2)])
-    def test_non_stack_rejected(self, shape):
-        with pytest.raises(DimensionError):
-            build_covariances(np.ones(shape))
-
-
-def _drawn_spectrum(n, k, seed):
-    """A random_covariances stack's Sigma and its (eigvals, eigvecs) stacks."""
-    covs = random_covariances(np.random.default_rng(seed), k, n, (0.5, 2.0))
-    return covs.sigma, covs.eigvals, covs.eigvecs
-
 
 def _rotated(q, i, j, angle):
     """q with columns i and j turned by angle in their plane."""
@@ -309,48 +288,33 @@ def _rotated(q, i, j, angle):
     return q
 
 
-class TestGivenSpectrum:
-    """build_covariances with a known spectrum: the eigen-residual gate
-    |Sigma Q - Q Lambda|_F / |Sigma|_F <= EIGEN_RTOL is what stands between a
-    wrong spectrum and the models."""
+class TestEigenResidualGate:
+    """The eigen-residual gate |Sigma Q - Q Lambda|_F / |Sigma|_F <= EIGEN_RTOL
+    stands between a wrong spectrum from the eigensolver and the model."""
 
     @pytest.mark.parametrize("wrong", [
         lambda w, q: (w[[1, 0, 2, 3]], q),  # two eigenvalues swapped
         lambda w, q: (w, q[:, [1, 0, 2, 3]]),  # two eigenvectors swapped
         lambda w, q: (w, _rotated(q, 1, 2, 1e-6)),  # two eigenvectors slightly mixed
     ])
-    def test_wrong_spectrum_fails_the_eigen_residual_gate(self, wrong):
-        sigma, w, q = _drawn_spectrum(4, 1, 5)
-        assert np.count_nonzero(sigma[0] - np.diag(np.diag(sigma[0]))) > 0
-        build_covariances(sigma, (w, q))
-        w_bad, q_bad = wrong(w[0], q[0])
+    def test_wrong_spectrum_fails_the_eigen_residual_gate(self, monkeypatch, wrong):
+        sigma = random_spd(4, (0.5, 2.0), seed=5)
+        assert np.count_nonzero(sigma - np.diag(np.diag(sigma))) > 0
+        build_covariance(sigma)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda s: wrong(*eigh(s)))
         with pytest.raises(DegenerateCovarianceError, match="eigen-residual"):
-            build_covariances(sigma, (w_bad[None], q_bad[None]))
+            build_covariance(sigma)
 
-    def test_flipped_eigenvector_sign_is_still_an_eigenbasis(self):
+    def test_flipped_eigenvector_sign_is_still_an_eigenbasis(self, monkeypatch):
         # -q_j is an eigenvector of lambda_j too: the gate rejects a wrong
         # spectrum, not an equally valid basis.
-        sigma, w, q = _drawn_spectrum(4, 1, 5)
-        q[0, :, 2] *= -1.0
-        (cov,) = build_covariances(sigma, (w, q))
-        assert np.array_equal(cov.eigvecs, q[0])
-
-    def test_wrong_spectrum_mid_stack_raises_its_own_error(self):
-        sigma, w, q = _drawn_spectrum(4, 4, 1)
-        w_bad = w.copy()
-        w_bad[1, [0, 1]] = w[1, [1, 0]]
-        with pytest.raises(DegenerateCovarianceError) as alone:
-            build_covariances(sigma[1:2], (w_bad[1:2], q[1:2]))
-        sigma[3] = np.diag([1.0, 1.0, 1.0, 0.0])  # fails an earlier gate, later
-        with pytest.raises(DegenerateCovarianceError) as stacked:
-            build_covariances(sigma, (w_bad, q))
-        assert str(stacked.value) == str(alone.value)
-
-    def test_window_gate_fires_before_the_eigen_residual(self):
-        # At 1e300 the residual overflows to NaN; the scale's own error wins.
-        sigma, w, q = _drawn_spectrum(3, 1, 1)
-        with pytest.raises(DegenerateCovarianceError, match="window"):
-            build_covariances(1e300 * sigma, (1e300 * w, q))
+        sigma = random_spd(4, (0.5, 2.0), seed=5)
+        eigh = np.linalg.eigh
+        flip = np.array([1.0, -1.0, 1.0, 1.0])
+        monkeypatch.setattr(np.linalg, "eigh", lambda s: (eigh(s)[0], eigh(s)[1] * flip))
+        np.testing.assert_array_equal(build_covariance(sigma).eigvecs[:, 2],
+                                      -eigh(sigma)[1][:, 1])
 
 
 @given(x=square(4))
